@@ -37,9 +37,10 @@ def test_ablation_parallel_union(benchmark, tmp_path):
             {
                 "workers": workers,
                 "wall_s": round(elapsed, 4),
-                "extract_s": round(report.extract_seconds, 4),
-                "union_s": round(report.union_seconds, 4),
-                "write_s": round(report.write_seconds, 4),
+                **{
+                    f"{stage}_s": round(seconds, 4)
+                    for stage, seconds in report.stage_seconds.items()
+                },
             }
         )
         outputs[workers] = out

@@ -1,23 +1,23 @@
-"""BENCH_convert_stream — streamed conversion & sliced-load byte costs.
+"""BENCH_convert_stream — conversion & sliced-load byte costs.
 
-The streaming pipeline lowers provenance interval maps into byte-range
+The conversion pipeline lowers provenance interval maps into byte-range
 read plans, so conversion never touches ``model_states`` files and a
 sliced load pulls only each rank's partition bytes.  This benchmark
 sweeps fig2-style interchange points (including the TP-degree change
 the CI ``convert-perf`` job gates on) and records, per point:
 
-* streamed vs full-read conversion — wall time, source bytes read,
-  atom bytes written, cache hits (digest pass pre-warming extract);
+* conversion — source bytes read (split into header / digest / planned
+  state), atom bytes written, cache hits (digest pass pre-warming
+  extract);
 * sliced vs whole-atom loading — UCP bytes read per target engine;
 * the CI gate fraction: a single target rank's sliced read over the
   checkpoint's total state bytes (must stay under 0.5 for the
   TP-degree-change row).
 
-Byte identity between the two conversion paths is asserted on every
-row — the speedup is never allowed to change a single output byte.
+Wall time lives in the repo benchmark (``benchmarks/e2e``, ``convert_s``
+on four workloads); the retired full-read converter's last measurement
+is frozen in ``results/BENCH_convert_wallclock.json``.
 """
-
-import time
 
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
@@ -51,15 +51,6 @@ GATE_LABEL = "tp4->tp2"
 GATE_MAX_FRACTION = 0.5
 
 
-def _dir_digests(path):
-    store = ObjectStore(path)
-    return {rel: store.digest(rel) for rel in store.list(".")}
-
-
-def _tag_bytes(store, tag):
-    return sum(store.size(rel) for rel in store.list(tag))
-
-
 def _load_bytes(model, parallel, ucp_dir, sliced):
     store = ObjectStore(ucp_dir)
     engine = make_engine(model, parallel=parallel, seed=0)
@@ -79,18 +70,8 @@ def test_bench_convert_stream(benchmark, tmp_path):
         ckpt_bytes = sum(src_store.size(rel) for rel in src_store.list("."))
 
         stream_dir = str(tmp_path / f"{label}-stream".replace(">", ""))
-        start = time.perf_counter()
         streamed = ucp_convert(ckpt, stream_dir)
-        streamed_s = time.perf_counter() - start
-
-        full_dir = str(tmp_path / f"{label}-full".replace(">", ""))
-        start = time.perf_counter()
-        full = ucp_convert(ckpt, full_dir, streaming=False)
-        full_s = time.perf_counter() - start
-
-        # the optimization must be byte-invisible in the output
-        assert _dir_digests(stream_dir) == _dir_digests(full_dir), label
-        # and must never read the model_states / padding bytes
+        # conversion must never read the model_states / padding bytes
         assert 0 < streamed.bytes_read < ckpt_bytes, label
 
         sliced_bytes, _ = _load_bytes(model, target, stream_dir, sliced=True)
@@ -110,13 +91,10 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "source": source.describe(),
                 "target": target.describe(),
                 "checkpoint_bytes": ckpt_bytes,
-                "streamed_convert_s": round(streamed_s, 4),
-                "full_convert_s": round(full_s, 4),
                 "streamed_bytes_read": streamed.bytes_read,
                 "streamed_header_bytes": streamed.header_bytes,
                 "streamed_digest_bytes": streamed.digest_bytes,
                 "streamed_planned_state_bytes": streamed.planned_state_bytes,
-                "full_bytes_read": full.bytes_read,
                 "atom_bytes_written": streamed.atom_bytes,
                 "cache_hits": streamed.cache_hits,
                 "peak_window_bytes": streamed.peak_window_bytes,
@@ -131,7 +109,7 @@ def test_bench_convert_stream(benchmark, tmp_path):
     assert gate_fraction is not None
     assert gate_fraction < GATE_MAX_FRACTION, gate_fraction
 
-    # benchmark the gated interchange's streamed conversion precisely
+    # benchmark the gated interchange's conversion precisely
     counter = [0]
     gate_ckpt = str(tmp_path / "tp4-tp2-ckpt")
 
@@ -159,26 +137,19 @@ def test_bench_convert_stream(benchmark, tmp_path):
                     "during planning",
                 "streamed_digest_bytes": "bytes hashed to verify the "
                     "manifest digests of plan-touched files (whole "
-                    "files, so this can exceed the planned state bytes "
-                    "and push streamed_bytes_read above full_bytes_read "
-                    "at small scales)",
+                    "files, so this can exceed the planned state bytes)",
                 "streamed_planned_state_bytes": "state bytes the "
                     "lowered read plans actually need — the conversion "
                     "analogue of the sliced-load claim",
-                "full_bytes_read": "source bytes the full-read path "
-                    "read (every optimizer rank file, whole; "
-                    "model_states are skipped by both paths)",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "
                     "target rank's sliced UCP read over the "
                     "checkpoint's state bytes — about loading the "
                     "converted checkpoint, not about conversion reads",
             },
-            "note": "streamed conversion is digest-identical to the "
-                    "full-read path on every row; conversion reads "
-                    "exclude model_states files, and the 0.25x gate "
-                    "fraction is a sliced-load (per_rank_read_fraction) "
-                    "claim — conversion-byte totals are near-parity "
-                    "because both paths read whole optimizer files "
-                    "(streamed for digest verification)",
+            "note": "conversion reads exclude model_states files, and "
+                    "the 0.25x gate fraction is a sliced-load "
+                    "(per_rank_read_fraction) claim — conversion still "
+                    "reads whole optimizer files once, for digest "
+                    "verification",
         },
     )

@@ -158,7 +158,6 @@ def preflight_convert(
     model_cfg: ModelConfig,
     source_cfg: ParallelConfig,
     optimizer_layout: str = "flat",
-    provenance: bool = True,
     analysis=None,
 ) -> LintReport:
     """The converter's mandatory pre-pass over a committed source tag.
@@ -181,8 +180,6 @@ def preflight_convert(
         model_cfg: model config recorded in the tag's job config.
         source_cfg: parallel config recorded in the tag's job config.
         optimizer_layout: the job's recorded optimizer layout.
-        provenance: run the header-only byte-provenance pass (on by
-            default; costs kilobytes of header IO).
         analysis: a pre-built
             :class:`~repro.analysis.provenance.ProvenanceAnalysis` of
             the same source; its report is folded in instead of
@@ -206,7 +203,7 @@ def preflight_convert(
             f"the save was structurally incomplete",
             location=f"{src_tag}/{basename}",
         ))
-    if provenance and report.ok:
+    if report.ok:
         if analysis is not None:
             report.extend(analysis.report.diagnostics)
         else:

@@ -94,31 +94,26 @@ def cmd_convert(args: argparse.Namespace) -> int:
         tag=args.tag,
         program=program,
         workers=args.workers,
-        streaming=False if args.no_stream else "auto",
         window_bytes=args.window_bytes,
         coalesce_gap=args.coalesce_gap,
-        digest_pool=args.digest_pool,
     )
     reused = f", {report.num_reused} reused" if report.num_reused else ""
     print(f"converted {report.source_tag}: {report.num_files} rank files -> "
           f"{report.num_params} atoms{reused} "
           f"({report.atom_bytes / 1e6:.1f} MB) "
           f"in {report.total_seconds:.2f}s")
-    if report.stage_seconds:
-        stages = " ".join(
-            f"{name} {seconds:.2f}s"
-            for name, seconds in report.stage_seconds.items()
-        )
-        print(f"stages:  {stages}")
-    mode = "streamed" if report.streamed else "full-read"
-    print(f"io:      {mode}, read {report.bytes_read / 1e6:.1f} MB / "
+    stages = " ".join(
+        f"{name} {seconds:.2f}s"
+        for name, seconds in report.stage_seconds.items()
+    )
+    print(f"stages:  {stages}")
+    print(f"io:      read {report.bytes_read / 1e6:.1f} MB / "
           f"wrote {report.bytes_written / 1e6:.1f} MB "
           f"(cache hits {report.cache_hits}, "
           f"peak window {report.peak_window_bytes / 1e6:.2f} MB)")
-    if report.streamed:
-        print(f"ranges:  {report.num_preads} preads in "
-              f"{report.num_batches} batches, "
-              f"{report.ranges_coalesced} ranges coalesced")
+    print(f"ranges:  {report.num_preads} preads in "
+          f"{report.num_batches} batches, "
+          f"{report.ranges_coalesced} ranges coalesced")
     return 0
 
 
@@ -501,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-bytes",
         type=int,
         default=None,
-        help="streaming: max bytes per disk read, bounds buffer memory "
+        help="max bytes per disk read, bounds buffer memory "
         "(default: auto-sized to the largest touched file, capped at "
         "64 MiB, so extract runs zero-copy)",
     )
@@ -509,22 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--coalesce-gap",
         type=int,
         default=DEFAULT_COALESCE_GAP,
-        help="streaming: merge planned ranges separated by at most this "
+        help="merge planned ranges separated by at most this "
         "many bytes into one fetch (0 = only adjacent/overlapping; "
         "output is byte-identical at any setting)",
-    )
-    p.add_argument(
-        "--digest-pool",
-        choices=("thread", "process"),
-        default="thread",
-        help="streaming: where manifest digests hash — 'thread' overlaps "
-        "with extract and pre-warms the block cache (default); "
-        "'process' sidesteps the GIL but loses the pre-warm",
-    )
-    p.add_argument(
-        "--no-stream",
-        action="store_true",
-        help="force the legacy full-read conversion path",
     )
     p.add_argument(
         "--average-replicas",

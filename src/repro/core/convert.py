@@ -12,21 +12,19 @@ UCP (the paper's zero-save-overhead claim).  Phases:
 3. **StripPadding** and write one atom per parameter, plus global
    metadata.
 
-Two execution strategies implement the same semantics:
-
-* the **full-read** path materializes every rank file and runs the
-  in-memory ``extract``/``union`` operators;
-* the **streaming** path (default whenever the byte-provenance
-  pre-flight proves the source sound) never materializes a rank file.
-  The provenance interval maps are lowered into per-parameter *read
-  plans* — exact ``(file, byte-range) -> consolidated range`` preads —
-  executed over a shared :class:`~repro.storage.rangeio.RangeReader`
-  with adjacent-range coalescing and a bounded block cache.  Manifest
-  digests are verified by *streaming* each consumed file once in
-  window-sized chunks that pre-warm the very blocks extract reads
-  next, so each source byte is read from disk at most once; per-atom
-  results are written as soon as they consolidate, keeping in-flight
-  memory bounded by the worker count instead of the checkpoint size.
+No rank file is ever materialized.  Once the byte-provenance
+pre-flight has proven the source sound, its interval maps are lowered
+into per-parameter *read plans* — exact ``(file, byte-range) ->
+consolidated range`` preads — executed over a shared
+:class:`~repro.storage.rangeio.RangeReader` with adjacent-range
+coalescing and a bounded block cache.  Manifest digests are verified by
+*streaming* each consumed file once in window-sized chunks that pre-warm
+the very blocks extract reads next, so each source byte is read from
+disk at most once; per-atom results are written as soon as they
+consolidate, keeping in-flight memory bounded by the worker count
+instead of the checkpoint size.  The in-memory operators of
+:mod:`repro.core.ops` stay the reference semantics the pipeline is
+tested byte-for-byte against (``tests/reference_convert.py``).
 
 Conversion is crash-consistent and resumable: the source tag must be
 committed (its manifest is required, and every rank file is verified
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import hashlib
 import os
 import re
 import time
@@ -53,7 +50,6 @@ from repro.analysis import lockwitness as _lockwitness
 from repro.analysis.diagnostics import LayoutLintError, LintReport, error
 from repro.analysis.interchange import preflight_convert
 from repro.analysis.provenance import (
-    ParamProvenance,
     ProvenanceAnalysis,
     SourceExtent,
     analyze_source,
@@ -66,13 +62,7 @@ from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.errors import PatternMatchError, UCPError, UCPFormatError
 from repro.core.intervals import numel as _numel
 from repro.core.metadata import UCPMetadata
-from repro.core.ops import (
-    _KIND_TO_FIELD,
-    ParamFragment,
-    extract,
-    strip_padding,
-    union,
-)
+from repro.core.ops import _KIND_TO_FIELD, strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
@@ -104,22 +94,23 @@ class ConversionReport:
 
     ``num_reused`` counts atoms carried over from a previous
     (interrupted) conversion of the same committed source — they were
-    verified, not rewritten.  ``bytes_read`` / ``bytes_written`` are
-    the source/destination store's real byte deltas for this run
-    (headers, digest verification, and payload all included), so a
-    streamed conversion can *prove* it read less than the full source
-    checkpoint.  ``cache_hits`` and ``peak_window_bytes`` come from the
-    streaming path's shared :class:`~repro.storage.rangeio.RangeReader`
-    (zero on the full-read path): cache hits count range requests that
-    reused digest-warmed or coalesced blocks, and the peak window bounds
-    the largest single disk read the run ever issued.
+    verified, not rewritten.  ``total_seconds`` is the run's wall
+    clock.  ``bytes_read`` / ``bytes_written`` are the
+    source/destination store's real byte deltas for this run (headers,
+    digest verification, and payload all included), so a conversion can
+    *prove* it read less than the full source checkpoint.
+    ``cache_hits`` and ``peak_window_bytes`` come from the shared
+    :class:`~repro.storage.rangeio.RangeReader`: cache hits count range
+    requests that reused digest-warmed or coalesced blocks, and the
+    peak window bounds the largest single disk read the run ever
+    issued.
 
-    Byte decomposition (streaming path): ``bytes_read`` splits into
-    ``header_bytes`` (manifest + job config + the header-only index
-    pass), ``digest_bytes`` (aggregate whole-file verification — every
-    touched file hashed once, warming the block cache), and whatever
-    the extract phase still had to fetch cold (normally ~0, because
-    the digest pass pre-warmed it).  ``planned_state_bytes`` is the
+    Byte decomposition: ``bytes_read`` splits into ``header_bytes``
+    (manifest + job config + the header-only index pass),
+    ``digest_bytes`` (aggregate whole-file verification — every touched
+    file hashed once, warming the block cache), and whatever the
+    extract phase still had to fetch cold (normally ~0, because the
+    digest pass pre-warmed it).  ``planned_state_bytes`` is the
     per-rank state payload the lowered plans actually consume (all
     three state kinds) — the number the paper's ~0.25× fraction claim
     is about.  It is *not* a disk-read counter, so it can legitimately
@@ -127,23 +118,22 @@ class ConversionReport:
     whole files; keeping the two separate is what stops the metrics
     from contradicting each other.
 
-    Stage/syscall counters (streaming path): ``stage_seconds`` maps
-    ``lower`` / ``digest`` / ``read`` / ``assemble`` / ``write`` to
-    seconds *summed across worker threads* (stages overlap, so the sum
-    can exceed :attr:`total_seconds`); ``num_preads`` counts positioned
-    reads issued to the store, ``num_batches`` the batched
-    ``read_ranges`` calls they were amortized into, and
-    ``ranges_coalesced`` how many planned ranges were merged away by
-    plan- and reader-level coalescing before hitting the disk.
+    Stage/syscall counters: ``stage_seconds`` maps ``plan`` / ``lower``
+    / ``finalize`` to wall seconds on the calling thread and ``digest``
+    / ``read`` / ``assemble`` / ``write`` to seconds *summed across
+    worker threads* (stages overlap, so the sum can exceed
+    :attr:`total_seconds`); ``num_preads`` counts positioned reads
+    issued to the store, ``num_batches`` the batched ``read_ranges``
+    calls they were amortized into, and ``ranges_coalesced`` how many
+    planned ranges were merged away by plan- and reader-level
+    coalescing before hitting the disk.
     """
 
     source_tag: str
     num_files: int
     num_params: int
     atom_bytes: int
-    extract_seconds: float
-    union_seconds: float
-    write_seconds: float
+    total_seconds: float
     simulated_read_s: float
     simulated_write_s: float
     num_reused: int = 0
@@ -151,7 +141,6 @@ class ConversionReport:
     bytes_written: int = 0
     cache_hits: int = 0
     peak_window_bytes: int = 0
-    streamed: bool = False
     num_preads: int = 0
     num_batches: int = 0
     ranges_coalesced: int = 0
@@ -159,11 +148,6 @@ class ConversionReport:
     digest_bytes: int = 0
     planned_state_bytes: int = 0
     stage_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall-clock conversion time."""
-        return self.extract_seconds + self.union_seconds + self.write_seconds
 
 
 def _optim_files(store: ObjectStore, tag: str) -> List[str]:
@@ -181,8 +165,9 @@ def _resolve_workers(workers: Optional[int]) -> int:
     """CPU-aware worker count: ``None`` means ``min(8, cpu_count)``.
 
     Explicit ``0``/``1`` stay serial; explicit counts are respected.
-    Results are order-deterministic either way — the parallel map
-    preserves input order regardless of completion order.
+    The *output bytes* are the same at any count — the parallel map
+    preserves input order regardless of completion order.  Which atoms
+    have landed when a run dies is only fixed at ``0``/``1``.
     """
     if workers is None:
         return min(8, os.cpu_count() or 1)
@@ -196,29 +181,6 @@ def _map_maybe_parallel(fn, items, workers: int):
     return [fn(item) for item in items]
 
 
-@dataclasses.dataclass(frozen=True)
-class ReadSlice:
-    """One pread of a parameter read plan (the expanded, row form).
-
-    ``length`` *elements* starting at element ``file_start`` of the
-    flat array ``field`` inside source file ``file`` land at
-    consolidated elements ``[full_start, full_start + length)``.  The
-    field names the fp32 array; the converter substitutes the sibling
-    ``exp_avg``/``exp_avg_sq`` arrays per state kind — provenance is
-    kind-uniform because all three flat buffers share one segment map.
-
-    Plans are carried in the columnar :class:`SliceBlock` form;
-    :meth:`SliceBlock.slices` expands back to this record for
-    explain/debug output and tests.
-    """
-
-    full_start: int
-    length: int
-    file: str
-    field: str
-    file_start: int
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SliceBlock:
     """All slices of one plan targeting one ``(file, field)``, columnar.
@@ -230,8 +192,8 @@ class SliceBlock:
     into sequential file order.  Keeping the plan columnar lets the
     converter coalesce, bounds-check and scatter whole blocks with
     numpy index operations instead of per-slice Python loops — the
-    per-range overhead that made streamed conversion lose on wall-clock
-    at mini scale.
+    per-range overhead that dominates conversion wall-clock at mini
+    scale.
     """
 
     file: str
@@ -241,34 +203,14 @@ class SliceBlock:
     full_starts: np.ndarray
 
     @property
-    def num_slices(self) -> int:
-        """Row count."""
-        return int(self.lengths.size)
-
-    @property
     def planned_elements(self) -> int:
         """Total elements the block reads (per state kind)."""
         return int(self.lengths.sum())
 
-    def slices(self) -> Tuple[ReadSlice, ...]:
-        """The rows expanded into per-slice records."""
-        return tuple(
-            ReadSlice(
-                full_start=int(fu),
-                length=int(ln),
-                file=self.file,
-                field=self.field,
-                file_start=int(fs),
-            )
-            for fu, ln, fs in zip(
-                self.full_starts, self.lengths, self.file_starts
-            )
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ParamReadPlan:
-    """Everything the streaming converter reads for one parameter.
+    """Everything the converter reads for one parameter.
 
     ``primary`` covers the selected copies (what ``union`` consumes);
     ``copies`` the non-selected mp-coordinate replicas the pattern
@@ -306,55 +248,13 @@ def _data_bounds(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted data intervals as ``(d_lo, d_hi)`` index arrays.
 
-    Hoisted out of :func:`_clip_extents` so one parameter's data
+    Hoisted out of :func:`_lower_batch` so one parameter's data
     intervals are converted once and shared across its primary part and
     every replica copy (they clip against the same intervals).
     """
     d_lo = np.fromiter((d[0] for d in data), np.int64, len(data))
     d_hi = np.fromiter((d[1] for d in data), np.int64, len(data))
     return d_lo, d_hi
-
-
-def _clip_extents(
-    extents: Sequence[SourceExtent],
-    data: Sequence[Tuple[int, int]],
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[SliceBlock, ...]:
-    """Intersect provenance extents with the non-padding data intervals.
-
-    Vectorized lowering: for E extents against D sorted disjoint data
-    intervals, two ``searchsorted`` calls locate each extent's window
-    of overlapping intervals and one repeat/arange expansion
-    materializes every (extent × interval) intersection at once — no
-    per-slice Python loop, so lowering costs O(E log D) plus O(slices)
-    numpy work however fragmented the layout is.  ``bounds`` optionally
-    carries a precomputed :func:`_data_bounds` of ``data``.
-    """
-    if not extents or not data:
-        return ()
-    n_ext = len(extents)
-    e_lo = np.fromiter((e.full_start for e in extents), np.int64, n_ext)
-    e_hi = np.fromiter((e.full_end for e in extents), np.int64, n_ext)
-    f0 = np.fromiter((e.file_start for e in extents), np.int64, n_ext)
-    d_lo, d_hi = bounds if bounds is not None else _data_bounds(data)
-    # extent e overlaps exactly the interval window [i0, i1): those with
-    # d_hi > e.full_start and d_lo < e.full_end
-    i0 = np.searchsorted(d_hi, e_lo, side="right")
-    i1 = np.searchsorted(d_lo, e_hi, side="left")
-    counts = np.maximum(i1 - i0, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return ()
-    ext = np.repeat(np.arange(n_ext), counts)
-    flat0 = np.cumsum(counts) - counts
-    ivl = np.repeat(i0, counts) + (np.arange(total) - np.repeat(flat0, counts))
-    lo = np.maximum(e_lo[ext], d_lo[ivl])
-    hi = np.minimum(e_hi[ext], d_hi[ivl])
-    keep = hi > lo
-    ext, lo, hi = ext[keep], lo[keep], hi[keep]
-    lengths = hi - lo
-    file_starts = f0[ext] + (lo - e_lo[ext])
-    return _build_blocks(extents, ext, file_starts, lengths, lo)
 
 
 def _build_blocks(
@@ -420,13 +320,16 @@ def _lower_batch(
 ) -> List[Tuple[SliceBlock, ...]]:
     """Clip many (extents, data, bounds) jobs in one vectorized pass.
 
+    Each job intersects its provenance extents with its sorted disjoint
+    non-padding data intervals: two ``searchsorted`` calls locate each
+    extent's window of overlapping intervals and one repeat/arange
+    expansion materializes every (extent × interval) intersection at
+    once — no per-slice Python loop however fragmented the layout is.
     Every job's extent and data intervals are shifted into a private
-    ``_GROUP_STRIDE``-wide window of one shared element space, so a
-    single ``searchsorted`` pair + repeat/arange expansion lowers the
-    whole conversion's plans at once — the per-call numpy dispatch
-    overhead that dominated per-parameter lowering is paid once, not
-    once per (parameter, replica) pair.  Row-for-row equivalent to
-    calling :func:`_clip_extents` per job.
+    ``_GROUP_STRIDE``-wide window of one shared element space, so that
+    single pass lowers the whole conversion's plans — the per-call
+    numpy dispatch overhead that dominated per-parameter lowering is
+    paid once, not once per (parameter, replica) pair.
     """
     out: List[Tuple[SliceBlock, ...]] = [() for _ in jobs]
     live = [i for i, (ext, data, _) in enumerate(jobs) if ext and data]
@@ -465,6 +368,8 @@ def _lower_batch(
     d_base = np.repeat(bases, d_counts)
     d_lo = np.concatenate(d_lo_l) + d_base
     d_hi = np.concatenate(d_hi_l) + d_base
+    # extent e overlaps exactly the interval window [i0, i1): those with
+    # d_hi > e.full_start and d_lo < e.full_end
     i0 = np.searchsorted(d_hi, e_lo, side="right")
     i1 = np.searchsorted(d_lo, e_hi, side="left")
     counts = np.maximum(i1 - i0, 0)
@@ -516,8 +421,7 @@ def lower_read_plans(
         names: parameters to plan (default: all analyzed).
         verify_replicas: include replica reads for ``replicated_params``
             so the converter can bit-compare them; ``False`` plans the
-            primary copy only — the streaming path's concrete byte
-            saving over a full-read conversion.
+            primary copy only, so the replica files are never read.
         patterns: per-parameter pattern overrides from the resolved
             UCP-language program — a custom program may e.g. reclassify
             a replicated norm as ``params_to_average``, which changes
@@ -580,7 +484,7 @@ def _index_entry(
     if np.dtype(node.dtype) != np.float32:
         raise UCPFormatError(
             f"{rel}: {kind!r} state behind {field!r} stored as "
-            f"{node.dtype}; streaming conversion requires float32 "
+            f"{node.dtype}; conversion requires float32 "
             f"(byte-exact) state arrays"
         )
     return node
@@ -735,21 +639,6 @@ class _BlockGather:
             )
 
 
-def _digest_path(path: str) -> str:
-    """SHA-256 of one file, for the process-pool digest option.
-
-    Module-level (hence picklable) and dependency-free: worker
-    processes hash straight from the filesystem, bypassing the parent's
-    block cache — the caller re-charges the bytes to the source store's
-    accounting so ``bytes_read`` stays honest.
-    """
-    hasher = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(DEFAULT_WINDOW_BYTES), b""):
-            hasher.update(chunk)
-    return hasher.hexdigest()
-
-
 def _verify_source_commit(
     store: ObjectStore, tag: str, manifest: Dict, files: List[str]
 ) -> None:
@@ -835,10 +724,10 @@ def _check_cross_rank_consistency(
     return adam_hyper, scaler_state
 
 
-def _reusable_atom_meta(
+def _reusable_atom_entry(
     atom_store: AtomStore, name: str, spec: ShardSpec
 ) -> Optional[Dict]:
-    """A previously written atom's metadata, iff it can be trusted.
+    """A previously written atom's metadata entry, iff it can be trusted.
 
     Reusable means: the metadata sidecar and all three state files
     exist, decode cleanly (per-tensor CRC checked by the serializer),
@@ -858,132 +747,21 @@ def _reusable_atom_meta(
                 return None
     except (UCPError, SerializationError):
         return None
-    return meta
+    return {
+        "shape": [int(d) for d in shape],
+        "spec": meta["spec"],
+        "kinds": sorted(kinds),
+    }
 
 
-def ucp_convert(
-    ckpt_dir: str,
-    ucp_dir: str,
-    tag: Optional[str] = None,
-    program: Optional[PatternProgram] = None,
-    workers: Optional[int] = None,
-    verify_replicas: bool = True,
-    strict_spec_check: bool = True,
-    src_store: Optional[ObjectStore] = None,
-    dst_store: Optional[ObjectStore] = None,
-    resume: bool = True,
-    provenance: bool = True,
-    cluster=None,
-    streaming="auto",
-    window_bytes: Optional[int] = None,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
-    cache: Optional[BlockCache] = None,
-    coalesce_gap: int = DEFAULT_COALESCE_GAP,
-    digest_pool: str = "thread",
-) -> ConversionReport:
-    """Convert a distributed checkpoint into UCP atom format.
-
-    Args:
-        ckpt_dir: source distributed-checkpoint directory.
-        ucp_dir: output UCP directory (created).
-        tag: source tag; defaults to the checkpoint's ``latest``.
-        program: UCP-language pattern program; defaults to the built-in
-            program for the checkpoint's model family.
-        workers: thread count for the Extract/Union/write fan-out.
-            ``None`` (default) resolves CPU-aware to
-            ``min(8, os.cpu_count())``; ``0``/``1`` run serial.  Results
-            are deterministic regardless of the count or completion
-            order.
-        verify_replicas: fail if replicated copies are not bit-equal.
-        strict_spec_check: cross-check the program's classification
-            against the sharding metadata recorded at save time.
-        src_store: optional pre-built source store (shares simulated-IO
-            accounting and fault policy with the caller).
-        dst_store: optional pre-built destination store.
-        resume: reuse intact atoms left by a previous interrupted
-            conversion of the same committed source.
-        provenance: run the byte-provenance theorems (coverage /
-            exclusivity / padding hygiene, UCP017-UCP022) over the
-            rank-file headers as part of the pre-flight (default on;
-            costs kilobytes of header IO).
-        cluster: optional :class:`~repro.dist.cluster.Cluster` whose
-            collective trace should bracket the conversion with
-            ``convert:<tag>:enter``/``:commit`` barriers — the
-            happens-before analyzer then proves the conversion's
-            critical section does not overlap a concurrent save's.
-        streaming: ``"auto"`` (default) uses the planned byte-range
-            pipeline whenever the provenance pre-flight ran and proved
-            the source clean, and the legacy full-read path otherwise;
-            ``True`` forces streaming (building the provenance analysis
-            if need be, and failing loudly when its theorems do not
-            hold); ``False`` forces the full-read path.
-        window_bytes: streaming only — maximum bytes per disk read
-            (and per cached block); bounds in-flight buffer memory.
-            ``None`` (default) auto-sizes the window to the largest
-            touched source file (capped at
-            :data:`WINDOW_AUTO_CAP_BYTES`), so each file is digested
-            with one read and cached as one block — the zero-copy
-            resident-view fast path then serves every extract range as
-            a pure ``memoryview`` slice.  Pass an explicit value to pin
-            buffer memory on constrained hosts.
-        cache_bytes: streaming only — shared block-cache budget floor.
-            The effective budget auto-grows to the largest single read
-            plan's file working set (capped at
-            :data:`CACHE_AUTO_CAP_BYTES`), so the digest-verification
-            pass pre-warms every block Extract reads and each source
-            byte is read from disk once — still far under the
-            full-read path's footprint, which holds every touched file
-            deserialized at once.
-        cache: streaming only — a caller-provided :class:`BlockCache`
-            to use instead of a fresh one (``cache_bytes`` is then
-            ignored).  The cache is internally locked, so one instance
-            may be shared across concurrent conversions and verifiers
-            (the multi-tenant hub shape).
-        coalesce_gap: streaming only — plan-level batching knob: slices
-            of one (file, field) separated by at most this many bytes
-            are fetched as one range (see
-            :data:`DEFAULT_COALESCE_GAP`).  ``0`` merges only
-            overlapping/adjacent slices.  Output is byte-identical at
-            any setting.
-        digest_pool: streaming only — ``"thread"`` (default) verifies
-            manifest digests on the shared worker pool, overlapped with
-            extract and pre-warming the block cache; ``"process"``
-            hashes files in a process pool instead — sidesteps the GIL
-            for the hash CPU, but loses the cache pre-warm, so extract
-            re-reads its planned bytes from disk (only worth evaluating
-            at large shard sizes; hashlib releases the GIL on large
-            updates, so threads usually win).
-
-    Raises:
-        CheckpointNotFoundError: missing directory or tag.
-        CheckpointIntegrityError: uncommitted source tag, or a source
-            file that is missing or fails digest verification.
-        UCPFormatError: structurally valid but semantically
-            inconsistent source (e.g. rank files disagreeing on Adam
-            hyperparameters).
-        repro.analysis.diagnostics.LayoutLintError: the mandatory
-            static pre-flight found the source layout unsound or the
-            manifest structurally incomplete (a UCPFormatError
-            subclass; carries the individual rule-ID diagnostics).
+def _verify_source(
+    src_store: ObjectStore, src_tag: str, ckpt_dir: str
+) -> Tuple[Dict, List[str], Dict, ProvenanceAnalysis]:
+    """Plan: manifest, rank files, job config and provenance analysis of
+    a committed source.  The pipeline is *gated on the provenance
+    theorems*: only a source whose interval maps were proven sound
+    (UCP017-UCP022) is converted — the read plans are lowered from them.
     """
-    if streaming not in ("auto", True, False):
-        raise ValueError(f"streaming must be 'auto', True or False, got {streaming!r}")
-    if digest_pool not in ("thread", "process"):
-        raise ValueError(
-            f"digest_pool must be 'thread' or 'process', got {digest_pool!r}"
-        )
-    if coalesce_gap < 0:
-        raise ValueError(f"coalesce_gap must be >= 0, got {coalesce_gap}")
-    workers = _resolve_workers(workers)
-    if src_store is None:
-        src_store = ObjectStore(ckpt_dir)
-    src_tag = resolve_tag(src_store, tag)
-    if not (src_store.base / src_tag).is_dir():
-        raise CheckpointNotFoundError(f"no tag {src_tag!r} under {ckpt_dir}")
-    src_read0 = src_store.bytes_read
-
-    # --- Extract (parallel across rank files), verified vs manifest ---
-    t0 = time.perf_counter()
     src_manifest = manifest_mod.require_manifest(src_store, src_tag)
     files = _optim_files(src_store, src_tag)
     _verify_source_commit(src_store, src_tag, src_manifest, files)
@@ -1000,16 +778,9 @@ def ucp_convert(
     source_cfg = ParallelConfig.from_dict(job_config["parallel_config"])
     optimizer_layout = job_config.get("optimizer_layout", "flat")
 
-    # the streaming pipeline is *gated on the provenance theorems*: only
-    # a source whose interval maps were proven sound (UCP017-UCP022) is
-    # converted from byte-range plans; otherwise the full-read path runs
-    use_streaming = streaming is True or (streaming == "auto" and provenance)
-    analysis: Optional[ProvenanceAnalysis] = None
-    if use_streaming:
-        analysis = analyze_source(
-            src_store, src_tag, model_cfg, source_cfg, optimizer_layout
-        )
-
+    analysis = analyze_source(
+        src_store, src_tag, model_cfg, source_cfg, optimizer_layout
+    )
     # mandatory pre-flight: prove the source layout self-consistent and
     # the commit manifest structurally complete before reading a single
     # tensor — a doomed conversion is refused at header cost
@@ -1020,16 +791,8 @@ def ucp_convert(
         model_cfg,
         source_cfg,
         optimizer_layout,
-        provenance=provenance,
-        analysis=analysis if provenance else None,
+        analysis=analysis,
     )
-    if use_streaming and not provenance and not analysis.report.ok:
-        # explicit streaming=True with provenance gating disabled: the
-        # read plans would be lowered from maps the theorems reject
-        raise LayoutLintError(
-            analysis.report,
-            prefix=f"streaming conversion needs provenance-clean source {src_tag}",
-        )
     if not preflight.ok:
         # root-cause before reporting: a semantic lint finding on a
         # file that was modified after commit is tampering, not a bad
@@ -1045,53 +808,20 @@ def ucp_convert(
         raise LayoutLintError(
             preflight, prefix=f"conversion pre-flight failed for {src_tag}"
         )
+    return src_manifest, files, job_config, analysis
 
-    if cluster is not None:
-        cluster.barrier(f"convert:{src_tag}:enter")
 
-    if program is None:
-        program = program_for_config(
-            model_cfg, expert_parallel=source_cfg.expert_parallel
-        )
-
-    fragments: Dict[Tuple[str, str], List[ParamFragment]] = {}
+def _resolve_specs(
+    program: PatternProgram,
+    names: List[str],
+    trees: Dict[str, Dict],
+    strict_spec_check: bool,
+) -> Dict[str, ShardSpec]:
+    """Plan: every parameter's spec through the UCP-language program."""
     shapes: Dict[str, Dict] = {}
-    optimizer_step = 0
-    if use_streaming:
-        # header/index pass only: the per-file tensor *index* carries
-        # every non-tensor field (adam, loss scaler, sharding, step)
-        # plus absolute payload offsets — no flat buffer is read here
-        trees = dict(zip(
-            files,
-            _map_maybe_parallel(src_store.load_index, files, workers),
-        ))
-        adam_hyper, loss_scaler = _check_cross_rank_consistency(
-            files, [trees[rel] for rel in files]
-        )
-        for tree in trees.values():
-            optimizer_step = max(optimizer_step, int(tree["optimizer_step"]))
-            for name, saved_spec in tree["sharding"].items():
-                shapes[name] = saved_spec
-        names = sorted(analysis.params)
-    else:
-        def _load_rank_file(rel: str) -> Dict:
-            entry = manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
-            return manifest_mod.load_verified(src_store, rel, entry)
-
-        payloads = _map_maybe_parallel(_load_rank_file, files, workers)
-        adam_hyper, loss_scaler = _check_cross_rank_consistency(files, payloads)
-        for payload in payloads:
-            optimizer_step = max(optimizer_step, int(payload["optimizer_step"]))
-            for name, saved_spec in payload["sharding"].items():
-                shapes[name] = saved_spec
-            for fragment in extract(payload):
-                fragments.setdefault(
-                    (fragment.name, fragment.kind), []
-                ).append(fragment)
-        names = sorted({name for name, _ in fragments})
-    t1 = time.perf_counter()
-
-    # --- resolve specs through the UCP-language program ---
+    for tree in trees.values():
+        for name, saved_spec in tree["sharding"].items():
+            shapes[name] = saved_spec
     specs: Dict[str, ShardSpec] = {}
     for name in names:
         saved = shapes.get(name)
@@ -1116,13 +846,22 @@ def ucp_convert(
                     f"{saved_spec.pattern} ({saved_spec.fragmenter})"
                 )
         specs[name] = spec
+    return specs
 
-    # --- resumability gate: only reuse atoms proven to come from this
-    # exact committed source (tag + manifest digest) ---
-    if dst_store is None:
-        dst_store = ObjectStore(ucp_dir)
-    dst_written0 = dst_store.bytes_written
-    atom_store = AtomStore(ucp_dir, dst_store)
+
+def _claim_destination(
+    atom_store: AtomStore,
+    src_store: ObjectStore,
+    src_tag: str,
+    specs: Dict[str, ShardSpec],
+    resume: bool,
+) -> Dict[str, Dict]:
+    """Plan: the resumability gate; returns the reusable atoms' entries.
+
+    Only atoms proven to come from this exact committed source (tag +
+    manifest digest) are reused.
+    """
+    dst_store = atom_store.store
     src_digest = src_store.digest(manifest_mod.manifest_path(src_tag))
     marker_matches = False
     if dst_store.exists(CONVERT_SOURCE_FILE):
@@ -1147,369 +886,251 @@ def ucp_convert(
         )
     reused: Dict[str, Dict] = {}
     if resume and marker_matches:
-        for name in names:
-            meta = _reusable_atom_meta(atom_store, name, specs[name])
-            if meta is not None:
-                reused[name] = meta
-    fresh_names = [n for n in names if n not in reused]
+        for name, spec in specs.items():
+            entry = _reusable_atom_entry(atom_store, name, spec)
+            if entry is not None:
+                reused[name] = entry
+    return reused
 
-    cache_hits = 0
-    peak_window = 0
-    num_preads = 0
-    num_batches = 0
-    ranges_coalesced = 0
-    header_bytes = 0
-    digest_bytes = 0
-    planned_state_bytes = 0
-    stage_seconds: Dict[str, float] = {}
-    if use_streaming:
-        # --- streamed Extract + Union + StripPadding + write, fused per
-        # parameter: lower the proven interval maps into read plans,
-        # digest-verify exactly the files those plans touch (the
-        # streamed hash warms the block cache the preads then hit), and
-        # fan the per-parameter pipeline out over the worker pool.  Each
-        # atom is written the moment it consolidates, so in-flight
-        # memory is bounded by workers x parameter size, not checkpoint
-        # size, and a crash mid-fan-out leaves only durable atoms for
-        # the resume gate to reuse.
-        header_bytes = src_store.bytes_read - src_read0
-        t_lower = time.perf_counter()
-        plans = lower_read_plans(
-            analysis,
-            fresh_names,
-            verify_replicas=verify_replicas,
-            patterns={n: specs[n].pattern for n in fresh_names},
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _ConversionPlan:
+    """What the per-atom fan-out executes, fixed before the first atom.
+
+    Shared by every worker and read-only but for two memo dicts:
+    ``digest_once`` (the first parameter task that needs a file hashes
+    it and everyone else waits on its future, so digest and extract
+    overlap instead of a verify-everything barrier before the fan-out)
+    and ``entry_cache`` (a racing double-compute stores the same
+    immutable entry: a benign CPython race, left unsynchronized).
+    """
+
+    specs: Dict[str, ShardSpec]
+    read_plans: Dict[str, ParamReadPlan]
+    trees: Dict[str, Dict]
+    file_sizes: Dict[str, int]
+    verify_entries: Dict[str, Optional[Dict]]
+    reader: RangeReader
+    gap_elems: int
+    atom_store: AtomStore
+    digest_guard: object
+    digest_once: Dict[str, concurrent.futures.Future]  # guarded-by: digest_guard
+    entry_cache: Dict[Tuple[str, str, str], TensorIndexEntry]
+
+
+def _plan_reads(
+    src_store: ObjectStore,
+    src_manifest: Dict,
+    trees: Dict[str, Dict],
+    specs: Dict[str, ShardSpec],
+    read_plans: Dict[str, ParamReadPlan],
+    atom_store: AtomStore,
+    window_bytes: Optional[int],
+    cache: Optional[BlockCache],
+    coalesce_gap: int,
+) -> _ConversionPlan:
+    """Plan: size the read window and block cache, open the shared reader."""
+    touched = sorted({
+        rel for plan in read_plans.values() for rel in plan.files
+    })
+    sizes = {rel: src_store.size(rel) for rel in touched}
+    if window_bytes is None:
+        # one window per touched file: the digest pass reads (and
+        # caches) each file as a single block, and read_multi's
+        # resident-view fast path serves every extract range as a
+        # zero-copy slice of it
+        window_bytes = max(
+            DEFAULT_WINDOW_BYTES,
+            min(max(sizes.values(), default=0), WINDOW_AUTO_CAP_BYTES),
         )
-        stage_seconds["lower"] = time.perf_counter() - t_lower
-        touched = sorted({
-            rel for plan in plans.values() for rel in plan.files
-        })
-        sizes = {rel: src_store.size(rel) for rel in touched}
-        if window_bytes is None:
-            # one window per touched file: the digest pass reads (and
-            # caches) each file as a single block, and read_multi's
-            # resident-view fast path serves every extract range as a
-            # zero-copy slice of it
-            window_bytes = max(
-                DEFAULT_WINDOW_BYTES,
-                min(max(sizes.values(), default=0), WINDOW_AUTO_CAP_BYTES),
-            )
-        if cache is None:
-            # the digest pre-warm only pays off if a parameter's whole
-            # file working set stays resident while it extracts — grow
-            # the budget to the largest single plan's set (capped).
-            # This stays well under the full-read path's footprint,
-            # which holds every touched file deserialized at once.
-            need = max(
-                (
-                    sum(sizes[rel] for rel in plan.files)
-                    for plan in plans.values()
-                ),
-                default=0,
-            )
-            cache = BlockCache(
-                min(max(cache_bytes, need), CACHE_AUTO_CAP_BYTES)
-            )
-        reader = RangeReader(
+    if cache is None:
+        # the digest pre-warm only pays off if a parameter's whole
+        # file working set stays resident while it extracts — grow
+        # the budget to the largest single plan's set (capped)
+        need = max(
+            (
+                sum(sizes[rel] for rel in plan.files)
+                for plan in read_plans.values()
+            ),
+            default=0,
+        )
+        cache = BlockCache(
+            min(max(DEFAULT_CACHE_BYTES, need), CACHE_AUTO_CAP_BYTES)
+        )
+    return _ConversionPlan(
+        specs=specs,
+        read_plans=read_plans,
+        trees=trees,
+        file_sizes=sizes,
+        verify_entries={
+            rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
+            for rel in touched
+        },
+        reader=RangeReader(
             src_store,
             cache=cache,
             window_bytes=window_bytes,
             coalesce_gap=coalesce_gap,
-            parallel=max(1, workers),
-        )
-        verify_entries = {
-            rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
-            for rel in touched
-        }
-        digest_bytes = sum(sizes.values())
-        planned_state_bytes = (
-            sum(plans[n].planned_elements for n in fresh_names)
-            * np.dtype(np.float32).itemsize
-            * len(STATE_KINDS)
-        )
-        gap_elems = coalesce_gap // np.dtype(np.float32).itemsize
+        ),
+        gap_elems=coalesce_gap // np.dtype(np.float32).itemsize,
+        atom_store=atom_store,
+        digest_guard=_lockwitness.make_lock("ucp_convert._digest_guard"),
+        digest_once={},
+        entry_cache={},
+    )
 
-        ppool = (
-            concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(max(1, workers), max(1, len(touched)))
-            )
-            if digest_pool == "process" and touched
-            else None
-        )
 
-        def _verify_file(rel: str) -> float:
-            t_v = time.perf_counter()
-            if ppool is not None:
-                entry = verify_entries[rel]
-                if entry is not None:
-                    nbytes = reader.size(rel)
-                    digest = ppool.submit(
-                        _digest_path, str(src_store.base / rel)
-                    ).result()
-                    if nbytes != int(entry["nbytes"]) or (
-                        digest != entry["sha256"]
-                    ):
-                        raise CheckpointIntegrityError(
-                            f"{rel}: size or content digest mismatch vs "
-                            f"the commit manifest — the object was "
-                            f"modified after commit"
-                        )
-            else:
-                manifest_mod.verify_streaming(
-                    reader, rel, verify_entries[rel]
-                )
-            return time.perf_counter() - t_v
+def _await_digests(plan: _ConversionPlan, rels: Tuple[str, ...]) -> None:
+    """Execute: block until every file in ``rels`` is digest-verified.
 
-        # per-file digest memo: the first parameter task that needs a
-        # file hashes it; everyone else waits on its future.  Digest and
-        # extract overlap — a worker verifies one file while its peers
-        # extract from already-verified ones — instead of the old
-        # verify-everything barrier in front of the fan-out.
-        digest_guard = _lockwitness.make_lock("ucp_convert._digest_guard")
-        digest_once: Dict[str, concurrent.futures.Future] = {}  # guarded-by: digest_guard
-
-        def _await_digests(rels: Tuple[str, ...]) -> None:
-            # claim every still-unclaimed file first, then hash the
-            # claims, then wait: a worker never blocks on a peer's
-            # in-flight digest while it could be hashing another file
-            # itself, so concurrent tasks fan out across files instead
-            # of convoying behind the first one
-            futs = []
-            owned = []
-            for rel in rels:
-                with digest_guard:
-                    fut = digest_once.get(rel)
-                    if fut is None:
-                        fut = concurrent.futures.Future()
-                        digest_once[rel] = fut
-                        owned.append((rel, fut))
-                futs.append(fut)
-            for rel, fut in owned:
-                try:
-                    fut.set_result(_verify_file(rel))
-                except BaseException as exc:
-                    fut.set_exception(exc)
-                    raise
-            for fut in futs:
-                fut.result()
-
-        # (file, field, kind) -> TensorIndexEntry memo shared across the
-        # fan-out; a racing double-compute stores the same immutable
-        # entry, so the unsynchronized dict is a benign CPython race
-        entry_cache: Dict[Tuple[str, str, str], TensorIndexEntry] = {}
-
-        def consolidate_stream(name: str) -> Tuple[str, int, Dict, Dict]:
-            plan = plans[name]
-            _await_digests(plan.files)
-            spec = specs[name]
-            full_numel = _numel(spec.logical_shape)
-            stats = {"read": 0.0, "coalesced": 0}
-            gathers: Dict[int, _BlockGather] = {}
-            t_task = time.perf_counter()
-
-            def materialize_part(
-                blocks: Tuple[SliceBlock, ...]
-            ) -> Dict[str, np.ndarray]:
-                """All three state arrays of one plan part at once.
-
-                One ``read_multi`` per touched file carries the spans of
-                every (field, state kind) pair together — the three flat
-                state buffers live in the same file, so batching them
-                amortizes the per-call range bookkeeping 3× on top of
-                the span coalescing itself.
-                """
-                # np.empty, not zeros: the UCP017 coverage theorem the
-                # pipeline is gated on proves the plan writes every
-                # data element, and strip_padding drops the rest before
-                # anything escapes
-                arrs = {
-                    kind: np.empty(full_numel, dtype=np.float32)
-                    for kind in STATE_KINDS
-                }
-                by_file: Dict[str, List[SliceBlock]] = {}
-                for block in blocks:
-                    by_file.setdefault(block.file, []).append(block)
-                for rel in sorted(by_file):
-                    ranges: List[Tuple[int, int]] = []
-                    segs: List[Tuple[str, _BlockGather]] = []
-                    for block in by_file[rel]:
-                        gather = gathers.get(id(block))
-                        if gather is None:
-                            gather = _BlockGather(block, gap_elems)
-                            gathers[id(block)] = gather
-                        for kind in STATE_KINDS:
-                            ekey = (rel, block.field, kind)
-                            entry = entry_cache.get(ekey)
-                            if entry is None:
-                                entry = _index_entry(
-                                    trees[rel], block.field, kind, rel
-                                )
-                                entry_cache[ekey] = entry
-                            ranges.extend(gather.byte_ranges(entry))
-                            segs.append((kind, gather))
-                            stats["coalesced"] += (
-                                gather.n_slices - gather.n_spans
-                            )
-                    t_r = time.perf_counter()
-                    bufs = reader.read_multi(rel, ranges)
-                    stats["read"] += time.perf_counter() - t_r
-                    cursor = 0
-                    for kind, gather in segs:
-                        gather.scatter(
-                            arrs[kind],
-                            bufs[cursor:cursor + gather.n_spans],
-                        )
-                        cursor += gather.n_spans
-                return arrs
-
-            primary_arrs = materialize_part(plan.primary)
-            copy_arrs = (
-                [materialize_part(bs) for _, bs in plan.copies]
-                if plan.copies else []
-            )
-            states = {}
-            for kind in STATE_KINDS:
-                primary = primary_arrs[kind]
-                if plan.pattern == PATTERN_TO_AVERAGE and copy_arrs:
-                    merged = average_param_copies(
-                        [primary] + [arrs[kind] for arrs in copy_arrs]
-                    )
-                elif plan.pattern == PATTERN_REPLICATED and copy_arrs:
-                    for arrs in copy_arrs:
-                        if not np.array_equal(primary, arrs[kind]):
-                            raise PatternMatchError(
-                                f"{name!r} is replicated_params but rank "
-                                f"copies differ; use params_to_average for "
-                                f"independently updated parameters"
-                            )
-                    merged = primary
-                else:
-                    merged = primary
-                states[kind] = strip_padding(
-                    merged.reshape(spec.logical_shape), spec
-                )
-            assemble_s = time.perf_counter() - t_task - stats["read"]
-            atom = AtomCheckpoint(
-                name=name, states=states, spec=spec.to_dict()
-            )
-            t_w = time.perf_counter()
-            nbytes = atom_store.write(atom)
-            task_stats = {
-                "read": stats["read"],
-                "assemble": assemble_s,
-                "write": time.perf_counter() - t_w,
-                "coalesced": stats["coalesced"],
-            }
-            return name, nbytes, {
-                "shape": list(atom.shape),
-                "spec": atom.spec,
-                "kinds": sorted(atom.states),
-            }, task_stats
-
-        # everything since t0 that is not lowering — manifest +
-        # provenance analysis + pre-flight lints + the header/index
-        # pass — is the planning stage; together with the per-task
-        # stage sums below the stage map accounts for the whole wall
-        stage_seconds["plan"] = (
-            time.perf_counter() - t0 - stage_seconds["lower"]
-        )
-        # per-file read scheduler: fan parameters out grouped by the
-        # source files their plans touch, so each file's cache-resident
-        # blocks are fully consumed before the working set moves to the
-        # next file group.  Without this, name-ordered tasks bounce
-        # between pp-stage file sets larger than the cache budget and
-        # every bounce re-reads evicted blocks from disk.  Output is
-        # order-independent (atoms are keyed by name), so scheduling is
-        # free to chase locality.
-        fan_order = sorted(
-            fresh_names, key=lambda n: (plans[n].files, n)
-        )
+    Claim every still-unclaimed file first, then hash the claims, then
+    wait: a worker never blocks on a peer's in-flight digest while it
+    could be hashing another file itself, so concurrent tasks fan out
+    across files instead of convoying behind the first one.  Futures
+    resolve to the seconds the verification took.
+    """
+    futs = []
+    owned = []
+    for rel in rels:
+        with plan.digest_guard:
+            fut = plan.digest_once.get(rel)
+            if fut is None:
+                fut = concurrent.futures.Future()
+                plan.digest_once[rel] = fut
+                owned.append((rel, fut))
+        futs.append(fut)
+    for rel, fut in owned:
         try:
-            results = _map_maybe_parallel(
-                consolidate_stream, fan_order, workers
+            t_v = time.perf_counter()
+            manifest_mod.verify_streaming(
+                plan.reader, rel, plan.verify_entries[rel]
             )
-        finally:
-            if ppool is not None:
-                ppool.shutdown()
-        if ppool is not None:
-            # worker processes hashed straight from disk, bypassing the
-            # parent store's accounting; re-charge those bytes so
-            # bytes_read stays an honest disk-read total
-            src_store.charge_external_read(
-                sum(
-                    reader.size(rel)
-                    for rel in touched
-                    if verify_entries[rel] is not None
-                ),
-                parallel=max(1, workers),
-            )
-        t2 = time.perf_counter()
-        atom_bytes = sum(nbytes for _, nbytes, _, _ in results)
-        fresh_entries = {name: entry for name, _, entry, _ in results}
-        stage_seconds["digest"] = sum(
-            f.result() for f in digest_once.values()
-        )
-        stage_seconds["read"] = sum(s["read"] for *_, s in results)
-        stage_seconds["assemble"] = sum(s["assemble"] for *_, s in results)
-        stage_seconds["write"] = sum(s["write"] for *_, s in results)
-        cache_hits = reader.cache_hits
-        peak_window = reader.peak_window_bytes
-        num_preads = reader.num_preads
-        num_batches = reader.num_batches
-        ranges_coalesced = reader.ranges_coalesced + sum(
-            s["coalesced"] for *_, s in results
-        )
-    else:
-        # --- Union + StripPadding (parallel across parameters) ---
-        def consolidate(name: str) -> AtomCheckpoint:
-            states = {}
+            fut.set_result(time.perf_counter() - t_v)
+        except BaseException as exc:
+            fut.set_exception(exc)
+            raise
+    for fut in futs:
+        fut.result()
+
+
+def _materialize_part(
+    plan: _ConversionPlan,
+    blocks: Tuple[SliceBlock, ...],
+    full_numel: int,
+    stats: Dict,
+) -> Dict[str, np.ndarray]:
+    """Execute: all three state arrays of one plan part at once.
+
+    One ``read_multi`` per touched file carries the spans of every
+    (field, state kind) pair together — the three flat state buffers
+    live in the same file, so batching them amortizes the per-call
+    range bookkeeping 3× on top of the span coalescing itself.  Read
+    seconds and merged-away ranges accumulate into ``stats``.
+    """
+    # np.empty, not zeros: the UCP017 coverage theorem the pipeline is
+    # gated on proves the plan writes every data element, and
+    # strip_padding drops the rest before anything escapes
+    arrs = {
+        kind: np.empty(full_numel, dtype=np.float32) for kind in STATE_KINDS
+    }
+    by_file: Dict[str, List[SliceBlock]] = {}
+    for block in blocks:
+        by_file.setdefault(block.file, []).append(block)
+    for rel in sorted(by_file):
+        ranges: List[Tuple[int, int]] = []
+        segs: List[Tuple[str, _BlockGather]] = []
+        for block in by_file[rel]:
+            gather = _BlockGather(block, plan.gap_elems)
             for kind in STATE_KINDS:
-                parts = fragments.get((name, kind))
-                if not parts:
-                    raise UCPFormatError(f"no {kind} fragments for {name!r}")
-                merged = union(
-                    parts, specs[name], source_cfg.tp,
-                    verify_replicas=verify_replicas,
-                )
-                states[kind] = strip_padding(merged, specs[name])
-            return AtomCheckpoint(
-                name=name, states=states, spec=specs[name].to_dict()
+                ekey = (rel, block.field, kind)
+                entry = plan.entry_cache.get(ekey)
+                if entry is None:
+                    entry = _index_entry(plan.trees[rel], block.field, kind, rel)
+                    plan.entry_cache[ekey] = entry
+                ranges.extend(gather.byte_ranges(entry))
+                segs.append((kind, gather))
+                stats["coalesced"] += gather.n_slices - gather.n_spans
+        t_r = time.perf_counter()
+        bufs = plan.reader.read_multi(rel, ranges)
+        stats["read"] += time.perf_counter() - t_r
+        cursor = 0
+        for kind, gather in segs:
+            gather.scatter(arrs[kind], bufs[cursor:cursor + gather.n_spans])
+            cursor += gather.n_spans
+    return arrs
+
+
+def _convert_atom(
+    plan: _ConversionPlan, name: str
+) -> Tuple[str, int, Dict, Dict]:
+    """Execute: Extract + Union + StripPadding + write, fused for one
+    parameter; returns ``(name, bytes written, metadata entry, stats)``.
+
+    The atom is written the moment it consolidates, so in-flight memory
+    is bounded by workers x parameter size, not checkpoint size, and a
+    crash mid-fan-out leaves only durable atoms for the resume gate to
+    reuse.
+    """
+    read_plan = plan.read_plans[name]
+    _await_digests(plan, read_plan.files)
+    spec = plan.specs[name]
+    full_numel = _numel(spec.logical_shape)
+    stats = {"read": 0.0, "coalesced": 0}
+    t_task = time.perf_counter()
+
+    primary_arrs = _materialize_part(plan, read_plan.primary, full_numel, stats)
+    copy_arrs = [
+        _materialize_part(plan, blocks, full_numel, stats)
+        for _, blocks in read_plan.copies
+    ]
+    states = {}
+    for kind in STATE_KINDS:
+        merged = primary_arrs[kind]
+        if read_plan.pattern == PATTERN_TO_AVERAGE and copy_arrs:
+            merged = average_param_copies(
+                [merged] + [arrs[kind] for arrs in copy_arrs]
             )
+        elif read_plan.pattern == PATTERN_REPLICATED:
+            for arrs in copy_arrs:
+                if not np.array_equal(merged, arrs[kind]):
+                    raise PatternMatchError(
+                        f"{name!r} is replicated_params but rank "
+                        f"copies differ; use params_to_average for "
+                        f"independently updated parameters"
+                    )
+        states[kind] = strip_padding(merged.reshape(spec.logical_shape), spec)
+    stats["assemble"] = time.perf_counter() - t_task - stats["read"]
+    atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
+    t_w = time.perf_counter()
+    nbytes = plan.atom_store.write(atom)
+    stats["write"] = time.perf_counter() - t_w
+    return name, nbytes, {
+        "shape": list(atom.shape),
+        "spec": atom.spec,
+        "kinds": sorted(atom.states),
+    }, stats
 
-        atoms = _map_maybe_parallel(consolidate, fresh_names, workers)
-        t2 = time.perf_counter()
 
-        # --- write atoms, then metadata: ucp_meta.npt is the
-        # destination's commit point, written only after every atom is
-        # durable ---
-        atom_bytes = sum(_map_maybe_parallel(atom_store.write, atoms, workers))
-        fresh_entries = {
-            atom.name: {
-                "shape": list(atom.shape),
-                "spec": atom.spec,
-                "kinds": sorted(atom.states),
-            }
-            for atom in atoms
-        }
-
-    # params in canonical name order so resumed and clean conversions
-    # produce byte-identical metadata
-    params = {}
-    for name in names:
-        if name in reused:
-            meta = reused[name]
-            params[name] = {
-                "shape": [int(d) for d in meta["shape"]],
-                "spec": meta["spec"],
-                "kinds": sorted(meta["kinds"]),
-            }
-        else:
-            params[name] = fresh_entries[name]
+def _commit(
+    dst_store: ObjectStore,
+    params: Dict[str, Dict],
+    job_config: Dict,
+    analysis: ProvenanceAnalysis,
+    program: PatternProgram,
+    trees: Dict[str, Dict],
+    adam_hyper: Dict,
+    loss_scaler: Optional[Dict],
+) -> int:
+    """Commit: write ``ucp_meta.npt``, the destination's commit point —
+    only after every atom is durable; returns its byte size."""
+    optimizer_step = 0
+    for tree in trees.values():
+        optimizer_step = max(optimizer_step, int(tree["optimizer_step"]))
     metadata = UCPMetadata(
         iteration=int(job_config["iteration"]),
         optimizer_step=optimizer_step,
-        model_config=model_cfg.to_dict(),
-        source_parallel_config=source_cfg.to_dict(),
+        model_config=analysis.model_cfg.to_dict(),
+        source_parallel_config=analysis.source_cfg.to_dict(),
         params=params,
         adam=adam_hyper,
         training={
@@ -1522,39 +1143,201 @@ def ucp_convert(
         pattern_program=program.to_dict(),
         loss_scaler=loss_scaler,
     )
-    atom_bytes += metadata.save(dst_store)
+    return metadata.save(dst_store)
+
+
+def ucp_convert(
+    ckpt_dir: str,
+    ucp_dir: str,
+    tag: Optional[str] = None,
+    program: Optional[PatternProgram] = None,
+    workers: Optional[int] = None,
+    verify_replicas: bool = True,
+    strict_spec_check: bool = True,
+    dst_store: Optional[ObjectStore] = None,
+    resume: bool = True,
+    cluster=None,
+    window_bytes: Optional[int] = None,
+    cache: Optional[BlockCache] = None,
+    coalesce_gap: int = DEFAULT_COALESCE_GAP,
+) -> ConversionReport:
+    """Convert a distributed checkpoint into UCP atom format.
+
+    Args:
+        ckpt_dir: source distributed-checkpoint directory.
+        ucp_dir: output UCP directory (created).
+        tag: source tag; defaults to the checkpoint's ``latest``.
+        program: UCP-language pattern program; defaults to the built-in
+            program for the checkpoint's model family.
+        workers: thread count for the Extract/Union/write fan-out.
+            ``None`` (default) resolves CPU-aware to
+            ``min(8, os.cpu_count())``; ``0``/``1`` run serial.  The
+            *output bytes* are the same at any count; the order writes
+            land in — what a run that dies partway leaves behind — is
+            fixed only when serial (marker, then four writes per atom).
+        verify_replicas: fail if replicated copies are not bit-equal.
+        strict_spec_check: cross-check the program's classification
+            against the sharding metadata recorded at save time.
+        dst_store: optional pre-built destination store (shares
+            simulated-IO accounting and fault policy with the caller).
+        resume: reuse intact atoms left by a previous interrupted
+            conversion of the same committed source.
+        cluster: optional :class:`~repro.dist.cluster.Cluster` whose
+            collective trace should bracket the conversion with
+            ``convert:<tag>:enter``/``:commit`` barriers — the
+            happens-before analyzer then proves the conversion's
+            critical section does not overlap a concurrent save's.
+        window_bytes: maximum bytes per disk read (and per cached
+            block); bounds in-flight buffer memory.  ``None`` (default)
+            auto-sizes the window to the largest touched source file
+            (capped at :data:`WINDOW_AUTO_CAP_BYTES`), so each file is
+            digested with one read and cached as one block — the
+            zero-copy resident-view fast path then serves every extract
+            range as a pure ``memoryview`` slice.  Pass an explicit
+            value to pin buffer memory on constrained hosts.
+        cache: a caller-provided :class:`BlockCache` to use instead of
+            a fresh auto-sized one (see :data:`CACHE_AUTO_CAP_BYTES`).
+            The cache is internally locked, so one instance may be
+            shared across concurrent conversions and verifiers (the
+            multi-tenant hub shape).
+        coalesce_gap: plan-level batching knob: slices of one (file,
+            field) separated by at most this many bytes are fetched as
+            one range (see :data:`DEFAULT_COALESCE_GAP`).  ``0`` merges
+            only overlapping/adjacent slices.  Output is byte-identical
+            at any setting.
+
+    Raises:
+        CheckpointNotFoundError: missing directory or tag.
+        CheckpointIntegrityError: uncommitted source tag, or a source
+            file that is missing or fails digest verification.
+        UCPFormatError: structurally valid but semantically
+            inconsistent source (e.g. rank files disagreeing on Adam
+            hyperparameters).
+        repro.analysis.diagnostics.LayoutLintError: the mandatory
+            static pre-flight found the source layout unsound — the
+            byte-provenance theorems (UCP017-UCP022) included — or the
+            manifest structurally incomplete (a UCPFormatError
+            subclass; carries the individual rule-ID diagnostics).
+    """
+    if coalesce_gap < 0:
+        raise ValueError(f"coalesce_gap must be >= 0, got {coalesce_gap}")
+    workers = _resolve_workers(workers)
+    src_store = ObjectStore(ckpt_dir)
+    src_tag = resolve_tag(src_store, tag)
+    if not (src_store.base / src_tag).is_dir():
+        raise CheckpointNotFoundError(f"no tag {src_tag!r} under {ckpt_dir}")
+    src_read0 = src_store.bytes_read
+
+    # --- plan: verified source -> specs -> reusable atoms -> read plans;
+    # everything up to the fan-out is manifest and header IO ---
+    t0 = time.perf_counter()
+    src_manifest, files, job_config, analysis = _verify_source(
+        src_store, src_tag, ckpt_dir
+    )
+    if cluster is not None:
+        cluster.barrier(f"convert:{src_tag}:enter")
+    if program is None:
+        program = program_for_config(
+            analysis.model_cfg,
+            expert_parallel=analysis.source_cfg.expert_parallel,
+        )
+    # header/index pass only: the per-file tensor *index* carries every
+    # non-tensor field (adam, loss scaler, sharding, step) plus absolute
+    # payload offsets — no flat buffer is read here
+    trees = dict(zip(
+        files,
+        _map_maybe_parallel(src_store.load_index, files, workers),
+    ))
+    adam_hyper, loss_scaler = _check_cross_rank_consistency(
+        files, [trees[rel] for rel in files]
+    )
+    names = sorted(analysis.params)
+    specs = _resolve_specs(program, names, trees, strict_spec_check)
+
+    atom_store = AtomStore(ucp_dir, dst_store)
+    dst_store = atom_store.store
+    dst_written0 = dst_store.bytes_written
+    reused = _claim_destination(atom_store, src_store, src_tag, specs, resume)
+    fresh_names = [n for n in names if n not in reused]
+
+    header_bytes = src_store.bytes_read - src_read0
+    t_lower = time.perf_counter()
+    read_plans = lower_read_plans(
+        analysis,
+        fresh_names,
+        verify_replicas=verify_replicas,
+        patterns={n: specs[n].pattern for n in fresh_names},
+    )
+    stage_seconds = {"lower": time.perf_counter() - t_lower}
+    plan = _plan_reads(
+        src_store, src_manifest, trees, specs, read_plans, atom_store,
+        window_bytes, cache, coalesce_gap,
+    )
+    # everything since t0 that is not lowering — manifest + provenance
+    # analysis + pre-flight lints + the header/index pass — is the
+    # planning stage; together with the per-task stage sums below the
+    # stage map accounts for the whole wall
+    stage_seconds["plan"] = time.perf_counter() - t0 - stage_seconds["lower"]
+
+    # --- execute: fan the per-parameter pipeline out, grouped by the
+    # source files the plans touch, so each file's cache-resident blocks
+    # are fully consumed before the working set moves to the next file
+    # group.  Without this, name-ordered tasks bounce between pp-stage
+    # file sets larger than the cache budget and every bounce re-reads
+    # evicted blocks from disk.  Output is order-independent (atoms are
+    # keyed by name), so scheduling is free to chase locality. ---
+    fan_order = sorted(fresh_names, key=lambda n: (read_plans[n].files, n))
+    results = _map_maybe_parallel(
+        lambda name: _convert_atom(plan, name), fan_order, workers
+    )
+    t2 = time.perf_counter()
+    stage_seconds["digest"] = sum(
+        f.result() for f in plan.digest_once.values()
+    )
+    for stage in ("read", "assemble", "write"):
+        stage_seconds[stage] = sum(s[stage] for *_, s in results)
+
+    # --- commit: params in canonical name order so resumed and clean
+    # conversions produce byte-identical metadata ---
+    fresh_entries = {name: entry for name, _, entry, _ in results}
+    params = {
+        name: reused[name] if name in reused else fresh_entries[name]
+        for name in names
+    }
+    atom_bytes = sum(nbytes for _, nbytes, _, _ in results) + _commit(
+        dst_store, params, job_config, analysis, program, trees,
+        adam_hyper, loss_scaler,
+    )
     if cluster is not None:
         cluster.barrier(f"convert:{src_tag}:commit")
     t3 = time.perf_counter()
+    stage_seconds["finalize"] = t3 - t2
 
-    if use_streaming:
-        # target manifest/metadata commit after the fan-out
-        stage_seconds["finalize"] = t3 - t2
-    else:
-        stage_seconds = {
-            "extract": t1 - t0, "union": t2 - t1, "write": t3 - t2,
-        }
+    reader = plan.reader
     return ConversionReport(
         source_tag=src_tag,
         num_files=len(files),
         num_params=len(params),
         atom_bytes=atom_bytes,
-        extract_seconds=t1 - t0,
-        union_seconds=t2 - t1,
-        write_seconds=t3 - t2,
+        total_seconds=t3 - t0,
         simulated_read_s=src_store.simulated_read_s,
         simulated_write_s=dst_store.simulated_write_s,
         num_reused=len(reused),
         bytes_read=src_store.bytes_read - src_read0,
         bytes_written=dst_store.bytes_written - dst_written0,
-        cache_hits=cache_hits,
-        peak_window_bytes=peak_window,
-        streamed=use_streaming,
-        num_preads=num_preads,
-        num_batches=num_batches,
-        ranges_coalesced=ranges_coalesced,
+        cache_hits=reader.cache_hits,
+        peak_window_bytes=reader.peak_window_bytes,
+        num_preads=reader.num_preads,
+        num_batches=reader.num_batches,
+        ranges_coalesced=reader.ranges_coalesced + sum(
+            s["coalesced"] for *_, s in results
+        ),
         header_bytes=header_bytes,
-        digest_bytes=digest_bytes,
-        planned_state_bytes=planned_state_bytes,
+        digest_bytes=sum(plan.file_sizes.values()),
+        planned_state_bytes=(
+            sum(p.planned_elements for p in read_plans.values())
+            * np.dtype(np.float32).itemsize
+            * len(STATE_KINDS)
+        ),
         stage_seconds=stage_seconds,
     )

@@ -484,8 +484,12 @@ class Supervisor:
             resume_step = int(job_config["iteration"])
             lost = max(0, engine.iteration - resume_step)
             try:
+                # "the N-th write" only names a fixed set of landed
+                # atoms under a serial write order, so the attempt a
+                # positional kill is aimed at runs on one worker
                 conv = ucp_convert(
-                    self.workdir, ucp_dir, tag=tag, dst_store=dst_store
+                    self.workdir, ucp_dir, tag=tag, dst_store=dst_store,
+                    workers=1 if kill is not None else None,
                 )
             except RankKilled as exc:
                 self.interruptions += 1

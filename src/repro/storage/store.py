@@ -322,20 +322,6 @@ class ObjectStore:
                     )
         return out
 
-    def charge_external_read(self, nbytes: int, parallel: int = 1) -> None:
-        """Account reads of this store's bytes performed out-of-band.
-
-        Used when a component reads store files through another channel
-        (e.g. a digest process pool hashing files directly from disk):
-        the bytes really left the device, so they are added to
-        ``bytes_read`` and the simulated NVMe clock to keep the store's
-        accounting an honest disk-traffic total.
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        self.bytes_read += nbytes
-        self.simulated_read_s += self.nvme.read_time(nbytes, parallel)
-
     def size(self, rel_path: str) -> int:
         """An object's on-disk byte size (no accounting)."""
         path = self._resolve(rel_path)

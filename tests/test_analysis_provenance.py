@@ -297,18 +297,3 @@ class TestConvertPreflight:
         with pytest.raises(LayoutLintError) as exc:
             ucp_convert(str(tmp_path / "src"), str(tmp_path / "ucp"))
         assert "UCP019" in str(exc.value)
-
-    def test_convert_provenance_gate_can_be_disabled(self, tmp_path):
-        store, tag, _ = _save(tmp_path / "src", FLAT_PARALLEL)
-
-        def widen(payload):
-            meta = payload["sharding"]["embedding.weight"]
-            meta["unpadded_shape"] = list(meta["logical_shape"])
-
-        _tamper(store, tag, naming.optim_states_name(0, 0), widen)
-        # provenance=False restores the pre-PR structural-only gate; the
-        # corruption above is structurally well-formed, so this converts
-        report = ucp_convert(
-            str(tmp_path / "src"), str(tmp_path / "ucp"), provenance=False
-        )
-        assert report.num_params > 0

@@ -1,11 +1,12 @@
-"""Streaming byte-range conversion and sliced loading.
+"""Planned byte-range conversion and sliced loading.
 
-The streamed pipeline (read plans lowered from provenance interval
+The conversion pipeline (read plans lowered from provenance interval
 maps, fanned over a thread pool) must be *byte-identical* to the
-legacy full-read path while reading strictly fewer source bytes, and
-the sliced load path must reproduce the same engine state while
-reading strictly fewer atom bytes.  A crash mid-fan-out must resume
-reusing exactly the atoms that committed.
+paper's operators composed naively over fully read rank files
+(``tests/reference_convert.py``) while reading strictly fewer source
+bytes, and the sliced load path must reproduce the same engine state
+while reading strictly fewer atom bytes.  A crash mid-fan-out must
+resume reusing exactly the atoms that committed.
 """
 
 import numpy as np
@@ -16,11 +17,13 @@ from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.atom import AtomStore
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
+from repro.core.patterns import program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.storage.faults import CrashAtWrite, InjectedCrash
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
+from tests.reference_convert import assert_matches_reference
 
 
 def dir_digests(root, sub="."):
@@ -66,32 +69,23 @@ def moe_checkpoint(tmp_path_factory):
     return engine, ckpt_dir
 
 
-class TestStreamedByteIdentity:
-    def test_streamed_atoms_byte_identical_tp_change(
-        self, tp4_checkpoint, tmp_path
-    ):
-        """Streamed TP=4 source conversion == full-read conversion,
-        digest-for-digest across the whole UCP directory."""
+class TestByteIdentityWithReference:
+    def test_atoms_byte_identical_tp_change(self, tp4_checkpoint, tmp_path):
+        """TP=4 source conversion == the reference operators, state for
+        state across every atom."""
         _, ckpt_dir = tp4_checkpoint
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        full = ucp_convert(ckpt_dir, full_dir, streaming=False)
-        streamed = ucp_convert(ckpt_dir, stream_dir)
-        assert full.streamed is False
-        assert streamed.streamed is True
-        assert streamed.num_params == full.num_params
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        ucp_dir = str(tmp_path / "ucp")
+        report = ucp_convert(ckpt_dir, ucp_dir)
+        assert report.num_params == len(AtomStore(ucp_dir).list_atoms())
+        assert_matches_reference(ucp_dir, ckpt_dir)
 
-    def test_streamed_atoms_byte_identical_moe(self, moe_checkpoint, tmp_path):
+    def test_atoms_byte_identical_moe(self, moe_checkpoint, tmp_path):
         _, ckpt_dir = moe_checkpoint
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        ucp_convert(ckpt_dir, full_dir, streaming=False)
-        report = ucp_convert(ckpt_dir, stream_dir)
-        assert report.streamed is True
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        assert_matches_reference(ucp_dir, ckpt_dir)
 
-    def test_streamed_identical_under_per_param_layout(self, tmp_path):
+    def test_identical_under_per_param_layout(self, tmp_path):
         engine = make_engine(
             parallel=ParallelConfig(tp=2, dp=2, zero_stage=0), seed=3
         )
@@ -100,12 +94,22 @@ class TestStreamedByteIdentity:
         save_distributed_checkpoint(
             engine, ckpt_dir, optimizer_layout="per_param"
         )
-        full_dir = str(tmp_path / "full")
-        stream_dir = str(tmp_path / "stream")
-        ucp_convert(ckpt_dir, full_dir, streaming=False)
-        report = ucp_convert(ckpt_dir, stream_dir)
-        assert report.streamed is True
-        assert dir_digests(stream_dir) == dir_digests(full_dir)
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        assert_matches_reference(ucp_dir, ckpt_dir)
+
+    def test_identical_under_params_to_average_program(
+        self, tp4_checkpoint, tmp_path
+    ):
+        """A custom program reclassifying the norms changes *which*
+        copies the plans read; the mean must match the reference's."""
+        engine, ckpt_dir = tp4_checkpoint
+        program = program_for_config(engine.model_cfg, average_replicas=True)
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(
+            ckpt_dir, ucp_dir, program=program, strict_spec_check=False
+        )
+        assert_matches_reference(ucp_dir, ckpt_dir, program)
 
     def test_worker_count_does_not_change_bytes(self, tp4_checkpoint, tmp_path):
         _, ckpt_dir = tp4_checkpoint
@@ -168,21 +172,8 @@ class TestConversionKnobs:
         assert dir_digests(tight_dir) == dir_digests(wide_dir)
         assert wide.num_preads <= tight.num_preads
 
-    def test_process_digest_pool_identical(self, tp4_checkpoint, tmp_path):
-        _, ckpt_dir = tp4_checkpoint
-        thread_dir = str(tmp_path / "thread")
-        proc_dir = str(tmp_path / "proc")
-        ucp_convert(ckpt_dir, thread_dir, workers=2)
-        report = ucp_convert(
-            ckpt_dir, proc_dir, workers=2, digest_pool="process"
-        )
-        assert report.streamed is True
-        assert dir_digests(proc_dir) == dir_digests(thread_dir)
-
     def test_invalid_knobs_rejected(self, tp4_checkpoint, tmp_path):
         _, ckpt_dir = tp4_checkpoint
-        with pytest.raises(ValueError):
-            ucp_convert(ckpt_dir, str(tmp_path / "x"), digest_pool="gpu")
         with pytest.raises(ValueError):
             ucp_convert(ckpt_dir, str(tmp_path / "y"), coalesce_gap=-1)
 
@@ -205,10 +196,6 @@ class TestConversionKnobs:
             <= streamed.bytes_read
         )
         assert 0 < streamed.planned_state_bytes <= streamed.digest_bytes
-        full = ucp_convert(
-            ckpt_dir, str(tmp_path / "f"), streaming=False
-        )
-        assert set(full.stage_seconds) == {"extract", "union", "write"}
 
     def test_window_auto_sizing_reads_whole_files(
         self, tp4_checkpoint, tmp_path

@@ -23,6 +23,7 @@ from repro.models import get_config
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
+from tests.reference_convert import assert_matches_reference
 
 SOURCE = ParallelConfig(tp=1, pp=1, dp=2, sp=2)
 NORM_NAME = "final_norm.weight"
@@ -95,6 +96,7 @@ class TestDivergedReplicas:
         atom = AtomStore(str(tmp / "ucp-avg")).read_state(NORM_NAME, "fp32")
         expected = base_value + (noise[0] + noise[1]) / 2.0
         assert np.allclose(atom, expected, atol=1e-6)
+        assert_matches_reference(str(tmp / "ucp-avg"), ckpt, program)
 
     def test_averaged_checkpoint_resumes_within_band(self, diverged_checkpoint):
         engine, ckpt, tmp, _, _ = diverged_checkpoint

@@ -318,6 +318,26 @@ class TestReportDeterminism:
         assert payload["recoveries"] == 1
         assert payload["events"][1]["timings"]["total_s"] > 0
 
+    def test_report_json_is_stable_across_core_counts(
+        self, tmp_path, golden, monkeypatch
+    ):
+        """The default fan-out is ``min(8, cpus)``, so the report must not
+        depend on the host: the attempt a positional convert kill is
+        aimed at runs serial (the N-th write names the same landed
+        atoms everywhere) and the simulated clock never reads the
+        worker count."""
+        curve = golden(SOURCE4, 7)
+        reports = set()
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+            report = run_cell(
+                tmp_path / f"c{cpus}",
+                specs=["6:step:3", "6:convert:2:5"],
+                golden_curve=curve,
+            )
+            reports.add(report.to_json())
+        assert len(reports) == 1
+
     def test_supervise_convenience_runs_golden_first(self, tmp_path):
         report = supervise(
             MODEL,
