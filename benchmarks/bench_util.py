@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List
+import statistics
+import time
+from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.continuity import PAPER_LOSS_BAND, check_loss_continuity
 from repro.dist.topology import ParallelConfig
@@ -23,6 +25,8 @@ __all__ = [
     "record_result",
     "loss_curve",
     "max_abs_delta",
+    "time_alternating",
+    "median_and_iqr",
 ]
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -63,3 +67,28 @@ def loss_curve(engine: TrainingEngine, steps: int) -> List[float]:
 def max_abs_delta(a: List[float], b: List[float]) -> float:
     """Largest pointwise loss difference between two curves."""
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def time_alternating(
+    plain: Callable[[], None], checked: Callable[[], None], pairs: int
+) -> Tuple[List[float], List[float]]:
+    """Wall times of ``plain, checked, plain, checked, ...`` runs.
+
+    Alternating the two sides spreads page-cache warm-up, allocator
+    growth and machine drift over both, so an A/B ratio does not pick
+    up whichever side happened to run second.
+    """
+    plain_s: List[float] = []
+    checked_s: List[float] = []
+    for _ in range(pairs):
+        for fn, times in ((plain, plain_s), (checked, checked_s)):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    return plain_s, checked_s
+
+
+def median_and_iqr(times: List[float]) -> Tuple[float, float]:
+    """Median and q3 - q1 of a list of wall times."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return median, q3 - q1

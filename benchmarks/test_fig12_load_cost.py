@@ -41,11 +41,9 @@ def _standard_resume(model, ckpt):
 def _ucp_resume(model, ckpt, ucp_dir):
     engine = make_engine(model, parallel=PARALLEL)
     report = ucp_convert(ckpt, ucp_dir, workers=0)
-    # whole-atom reads match the paper's Fig 12 loader; the sliced
-    # byte-range path (this repo's extension) is swept separately below
-    # and in benchmarks/test_convert_stream.py
-    load_ucp_into_engine(engine, ucp_dir, max_cached_atoms=256, sliced=False)
-    return engine, report
+    store = ObjectStore(ucp_dir)
+    load_ucp_into_engine(engine, ucp_dir, store=store)
+    return report, store
 
 
 def test_fig12_load_cost(benchmark, tmp_path):
@@ -70,22 +68,17 @@ def test_fig12_load_cost(benchmark, tmp_path):
         standard_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        _, report = _ucp_resume(model, ckpt, str(tmp_path / f"{model}-ucp"))
+        report, store = _ucp_resume(model, ckpt, str(tmp_path / f"{model}-ucp"))
         ucp_s = time.perf_counter() - start
 
-        # sliced-vs-whole load sweep: byte-range atom reads must never
-        # pull more UCP bytes than whole-atom reads, at any model size
-        ucp_dir = str(tmp_path / f"{model}-ucp")
-        load_bytes = {}
-        for sliced in (True, False):
-            store = ObjectStore(ucp_dir)
-            target = make_engine(model, parallel=PARALLEL)
-            load_ucp_into_engine(
-                target, ucp_dir, max_cached_atoms=256, sliced=sliced,
-                store=store,
-            )
-            load_bytes[sliced] = store.bytes_read
-        assert 0 < load_bytes[True] <= load_bytes[False], (model, load_bytes)
+        # a full engine load reads about what the UCP directory holds,
+        # at any model size: only tp-replicated parameters (norms,
+        # biases) are read once per tp rank when the block cache has
+        # moved on in between, well under 1 % of the bytes
+        ucp_dir_bytes = sum(store.size(rel) for rel in store.list("."))
+        assert 0 < store.bytes_read <= 1.01 * ucp_dir_bytes, (
+            model, store.bytes_read, ucp_dir_bytes,
+        )
 
         rows.append(
             {
@@ -95,8 +88,8 @@ def test_fig12_load_cost(benchmark, tmp_path):
                 "convert_s": round(report.total_seconds, 4),
                 "ratio": round(ucp_s / max(standard_s, 1e-9), 3),
                 "atom_bytes": report.atom_bytes,
-                "sliced_load_bytes": load_bytes[True],
-                "whole_load_bytes": load_bytes[False],
+                "sliced_load_bytes": store.bytes_read,
+                "ucp_dir_bytes": ucp_dir_bytes,
             }
         )
 
@@ -129,8 +122,10 @@ def test_fig12_load_cost(benchmark, tmp_path):
             "note": "ratios include engine reconstruction on both paths; "
                     "mini-scale per-atom file latency inflates the factor "
                     "vs the paper's DeepNVMe numbers, and it shrinks with "
-                    "model size as bandwidth dominates; sliced_load_bytes "
-                    "vs whole_load_bytes shows the byte-range load path "
-                    "never reads more than whole-atom loading",
+                    "model size as bandwidth dominates; both paths run "
+                    "at their defaults (the byte-range loader); "
+                    "sliced_load_bytes vs ucp_dir_bytes shows a full "
+                    "engine load reads within 1 % of what the directory "
+                    "holds",
         },
     )

@@ -5,9 +5,9 @@ Two budgets keep the witness honest:
 * **Active overhead**: a representative threaded-IO workload — a
   streaming ``ucp_convert`` whose RangeReader/BlockCache locks are all
   witnessed — run with and without a strict :func:`lockcheck` active
-  must cost at most ``MAX_OVERHEAD``x the plain run (the CI
-  ``concurrency`` job keeps ``REPRO_LOCKCHECK=1`` on only while this
-  holds).
+  must cost at most ``MAX_OVERHEAD``x the plain run, median against
+  median over alternating plain/witnessed runs (the CI ``concurrency``
+  job keeps ``REPRO_LOCKCHECK=1`` on only while this holds).
 * **Off-mode cost**: with no witness active a :class:`WitnessedLock`
   must stay a near-free wrapper (one list-truthiness check around a
   plain lock).  The micro-ratio budget is deliberately loose — it
@@ -22,17 +22,22 @@ from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.convert import ucp_convert
 from repro.dist.topology import ParallelConfig
 
-from bench_util import make_engine, record_result
+from bench_util import (
+    make_engine,
+    median_and_iqr,
+    record_result,
+    time_alternating,
+)
 
 PARALLEL = ParallelConfig(tp=2, pp=1, dp=2, zero_stage=1)
-REPEATS = 3
+REPEATS = 9
 MAX_OVERHEAD = 1.3
 MAX_OFF_MODE_RATIO = 40.0
 ACQUIRES = 20_000
 
 
-def _best_of(fn, repeats=REPEATS):
-    """Min-of-N wall time: the least-noise estimator for short runs."""
+def _best_of(fn, repeats=3):
+    """Min-of-N wall time: the least-noise estimator for a micro loop."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -56,11 +61,12 @@ def test_lockwitness_overhead_within_budget(benchmark, tmp_path):
         with lockcheck(strict=True):
             _convert()
 
-    # interleave a warmup of each before timing
+    # a warmup of each before timing
     _convert()
     witnessed()
-    plain_s = _best_of(_convert)
-    witnessed_s = _best_of(witnessed)
+    plain_times, witnessed_times = time_alternating(_convert, witnessed, REPEATS)
+    plain_s, plain_iqr = median_and_iqr(plain_times)
+    witnessed_s, witnessed_iqr = median_and_iqr(witnessed_times)
     ratio = witnessed_s / plain_s
 
     benchmark.pedantic(witnessed, rounds=1, iterations=1)
@@ -89,7 +95,9 @@ def test_lockwitness_overhead_within_budget(benchmark, tmp_path):
             },
             "repeats": REPEATS,
             "plain_s": round(plain_s, 4),
+            "plain_iqr_s": round(plain_iqr, 4),
             "witnessed_s": round(witnessed_s, 4),
+            "witnessed_iqr_s": round(witnessed_iqr, 4),
             "overhead_ratio": round(ratio, 3),
             "budget_ratio": MAX_OVERHEAD,
             "off_mode_acquires": ACQUIRES,

@@ -5,21 +5,26 @@ cluster, including the engine's DP gradient-sync path (UCP025 checks
 on every ``train_step``).  That only stays on by default in CI if it
 is cheap: this benchmark times a representative workload — training
 steps on a TP×DP ZeRO-1 engine plus a checkpoint save — with and
-without a strict sanitizer active, and fails if the sanitized run
-costs more than ``MAX_OVERHEAD``× the plain one.
+without a strict sanitizer active, and fails if the sanitized median
+costs more than ``MAX_OVERHEAD``× the plain one.  Plain and sanitized
+runs alternate so order effects (warm caches, allocator growth) land on
+both sides.
 """
-
-import time
 
 from repro.analysis.sanitizer import sanitize
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.dist.topology import ParallelConfig
 
-from bench_util import make_engine, record_result
+from bench_util import (
+    make_engine,
+    median_and_iqr,
+    record_result,
+    time_alternating,
+)
 
 PARALLEL = ParallelConfig(tp=2, pp=1, dp=2, zero_stage=1)
 STEPS = 8
-REPEATS = 3
+REPEATS = 9
 MAX_OVERHEAD = 1.3
 
 
@@ -27,16 +32,6 @@ def _workload(tmp_path, label):
     engine = make_engine(parallel=PARALLEL)
     engine.train(STEPS)
     save_distributed_checkpoint(engine, str(tmp_path / label))
-
-
-def _best_of(fn, repeats=REPEATS):
-    """Min-of-N wall time: the least-noise estimator for short runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_sanitizer_overhead_within_budget(benchmark, tmp_path):
@@ -51,11 +46,12 @@ def test_sanitizer_overhead_within_budget(benchmark, tmp_path):
         with sanitize(strict=True):
             _workload(tmp_path, f"san{runs[0]}")
 
-    # interleave a warmup of each before timing
+    # a warmup of each before timing
     plain()
     sanitized()
-    plain_s = _best_of(plain)
-    sanitized_s = _best_of(sanitized)
+    plain_times, sanitized_times = time_alternating(plain, sanitized, REPEATS)
+    plain_s, plain_iqr = median_and_iqr(plain_times)
+    sanitized_s, sanitized_iqr = median_and_iqr(sanitized_times)
     ratio = sanitized_s / plain_s
 
     benchmark.pedantic(sanitized, rounds=1, iterations=1)
@@ -70,7 +66,9 @@ def test_sanitizer_overhead_within_budget(benchmark, tmp_path):
             },
             "repeats": REPEATS,
             "plain_s": round(plain_s, 4),
+            "plain_iqr_s": round(plain_iqr, 4),
             "sanitized_s": round(sanitized_s, 4),
+            "sanitized_iqr_s": round(sanitized_iqr, 4),
             "overhead_ratio": round(ratio, 3),
             "budget_ratio": MAX_OVERHEAD,
         },

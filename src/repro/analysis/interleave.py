@@ -603,10 +603,6 @@ def _reversal_candidates(result: RunResult) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-def _fs_write(kind: str) -> bool:
-    return kind.split(":", 1)[0] in ("write", "rename", "unlink")
-
-
 def _hb_races(trace: List[Event]) -> List[Tuple]:
     """Unsynchronized conflicting access pairs in one executed schedule.
 

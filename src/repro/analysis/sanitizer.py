@@ -20,8 +20,8 @@ rule      name                           boundary
 ========  =============================  =====================================
 UCP025    cross-rank-writable-aliasing   collectives / engine rank partitions
 UCP026    snapshot-aliases-live-state    CheckFreq snapshots, Gemini replicas
-UCP027    cache-return-mutation          BlockCache / whole-atom LRU returns
-UCP028    loaded-param-aliases-cache     sliced/whole-atom ``Load`` targets
+UCP027    cache-return-mutation          BlockCache / shared-shard returns
+UCP028    loaded-param-aliases-cache     ``Load`` targets
 ========  =============================  =====================================
 
 Activation
@@ -304,7 +304,7 @@ class MemorySanitizer:
     # --- cache boundary (UCP027 / UCP028) ----------------------------
 
     def register_cache(self, key: str, arr: np.ndarray) -> None:
-        """Record one cached array (atom LRU / shard cache) as cache-owned.
+        """Record one cached array (block / shared-shard cache) as cache-owned.
 
         The array is write-protected; :meth:`check_cache_integrity`
         later flags any cache-owned buffer that became writable again
@@ -312,7 +312,7 @@ class MemorySanitizer:
         engine state backed by cache memory (UCP028).
 
         Integrity is tracked on the buffer's *root owner*: a cache may
-        register both an atom and a shard view of it, but un-protecting
+        register both a buffer and a view of it, but un-protecting
         the owner is what makes poisoning possible, so that is the
         object the scan watches.  The first registration for a buffer
         keeps its key (the owner's name, not a view's).

@@ -33,7 +33,7 @@ import sys
 from typing import List, Optional
 
 from repro.ckpt.loader import read_job_config
-from repro.core.convert import DEFAULT_COALESCE_GAP, ucp_convert
+from repro.core.convert import ucp_convert
 from repro.core.patterns import program_for_config
 from repro.core.resume import ElasticResumeManager
 from repro.dist.topology import ParallelConfig
@@ -95,7 +95,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
         program=program,
         workers=args.workers,
         window_bytes=args.window_bytes,
-        coalesce_gap=args.coalesce_gap,
     )
     reused = f", {report.num_reused} reused" if report.num_reused else ""
     print(f"converted {report.source_tag}: {report.num_files} rank files -> "
@@ -499,14 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max bytes per disk read, bounds buffer memory "
         "(default: auto-sized to the largest touched file, capped at "
         "64 MiB, so extract runs zero-copy)",
-    )
-    p.add_argument(
-        "--coalesce-gap",
-        type=int,
-        default=DEFAULT_COALESCE_GAP,
-        help="merge planned ranges separated by at most this "
-        "many bytes into one fetch (0 = only adjacent/overlapping; "
-        "output is byte-identical at any setting)",
     )
     p.add_argument(
         "--average-replicas",

@@ -491,7 +491,7 @@ def _index_entry(
 
 
 DEFAULT_COALESCE_GAP = 64 << 10
-"""Default plan-level coalescing gap (bytes).
+"""Plan-level coalescing gap (bytes); output bytes do not depend on it.
 
 Slices of one (file, field) separated by at most this many unneeded
 bytes are fetched as one range.  On the standard path the gap bytes are
@@ -927,7 +927,6 @@ def _plan_reads(
     atom_store: AtomStore,
     window_bytes: Optional[int],
     cache: Optional[BlockCache],
-    coalesce_gap: int,
 ) -> _ConversionPlan:
     """Plan: size the read window and block cache, open the shared reader."""
     touched = sorted({
@@ -970,9 +969,9 @@ def _plan_reads(
             src_store,
             cache=cache,
             window_bytes=window_bytes,
-            coalesce_gap=coalesce_gap,
+            coalesce_gap=DEFAULT_COALESCE_GAP,
         ),
-        gap_elems=coalesce_gap // np.dtype(np.float32).itemsize,
+        gap_elems=DEFAULT_COALESCE_GAP // np.dtype(np.float32).itemsize,
         atom_store=atom_store,
         digest_guard=_lockwitness.make_lock("ucp_convert._digest_guard"),
         digest_once={},
@@ -1159,7 +1158,6 @@ def ucp_convert(
     cluster=None,
     window_bytes: Optional[int] = None,
     cache: Optional[BlockCache] = None,
-    coalesce_gap: int = DEFAULT_COALESCE_GAP,
 ) -> ConversionReport:
     """Convert a distributed checkpoint into UCP atom format.
 
@@ -1200,11 +1198,6 @@ def ucp_convert(
             The cache is internally locked, so one instance may be
             shared across concurrent conversions and verifiers (the
             multi-tenant hub shape).
-        coalesce_gap: plan-level batching knob: slices of one (file,
-            field) separated by at most this many bytes are fetched as
-            one range (see :data:`DEFAULT_COALESCE_GAP`).  ``0`` merges
-            only overlapping/adjacent slices.  Output is byte-identical
-            at any setting.
 
     Raises:
         CheckpointNotFoundError: missing directory or tag.
@@ -1219,8 +1212,6 @@ def ucp_convert(
             manifest structurally incomplete (a UCPFormatError
             subclass; carries the individual rule-ID diagnostics).
     """
-    if coalesce_gap < 0:
-        raise ValueError(f"coalesce_gap must be >= 0, got {coalesce_gap}")
     workers = _resolve_workers(workers)
     src_store = ObjectStore(ckpt_dir)
     src_tag = resolve_tag(src_store, tag)
@@ -1271,7 +1262,7 @@ def ucp_convert(
     stage_seconds = {"lower": time.perf_counter() - t_lower}
     plan = _plan_reads(
         src_store, src_manifest, trees, specs, read_plans, atom_store,
-        window_bytes, cache, coalesce_gap,
+        window_bytes, cache,
     )
     # everything since t0 that is not lowering — manifest + provenance
     # analysis + pre-flight lints + the header/index pass — is the

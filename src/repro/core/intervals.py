@@ -154,21 +154,3 @@ def subtract_intervals(
         if cursor < end:
             out.append((cursor, end))
     return out
-
-
-def intersect_intervals(
-    a: List[Tuple[int, int]], b: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """``a ∩ b`` for sorted disjoint interval lists."""
-    out: List[Tuple[int, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out

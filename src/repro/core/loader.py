@@ -19,28 +19,23 @@ from repro.core.errors import UCPIncompatibleError
 from repro.core.metadata import UCPMetadata
 from repro.core.ops import AtomShardCache, gen_ucp_metadata, load
 from repro.models.configs import ModelConfig
-from repro.storage.rangeio import DEFAULT_WINDOW_BYTES
 from repro.storage.store import ObjectStore
 
 
 def load_ucp_into_engine(
     engine,
     ucp_dir: str,
-    max_cached_atoms: int = 64,
-    sliced: bool = True,
-    window_bytes: int = DEFAULT_WINDOW_BYTES,
     store: Optional[ObjectStore] = None,
 ) -> UCPMetadata:
     """Resume an engine (any topology) from a UCP checkpoint.
 
+    Every rank pulls only its own partition's bytes of each atom file,
+    by byte-range reads; tensor payloads are not CRC-checked on this
+    path (``repro verify <ucp_dir>`` does that).
+
     Args:
         engine: target :class:`repro.parallel.engine.TrainingEngine`.
         ucp_dir: UCP directory produced by :func:`repro.core.convert.ucp_convert`.
-        max_cached_atoms: working-memory bound for the atom cache.
-        sliced: read each atom by byte-range slices — every rank pulls
-            only its own partition's bytes of each atom file (default).
-            ``False`` restores whole-atom reads.
-        window_bytes: sliced only — maximum bytes per disk read.
         store: optional pre-built store over ``ucp_dir`` (shares byte
             accounting and fault policy with the caller).
 
@@ -49,6 +44,7 @@ def load_ucp_into_engine(
 
     Raises:
         UCPIncompatibleError: model architecture mismatch.
+        UCPFormatError: an atom state file is shorter than its header says.
     """
     if store is None:
         store = ObjectStore(ucp_dir)
@@ -70,13 +66,7 @@ def load_ucp_into_engine(
 
     plan = gen_ucp_metadata(engine.model_cfg, engine.parallel_cfg)
     atom_store = AtomStore(ucp_dir, store)
-    cache = AtomShardCache(
-        atom_store,
-        plan,
-        max_atoms=max_cached_atoms,
-        sliced=sliced,
-        window_bytes=window_bytes,
-    )
+    cache = AtomShardCache(atom_store, plan)
 
     dp = engine.parallel_cfg.dp
     step = metadata.optimizer_step

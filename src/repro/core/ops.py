@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,11 +34,7 @@ from repro.parallel.tp import (
     PATTERN_UNIQUE,
     ShardSpec,
 )
-from repro.storage.rangeio import (
-    DEFAULT_WINDOW_BYTES,
-    BlockCache,
-    RangeReader,
-)
+from repro.storage.rangeio import BlockCache, RangeReader
 
 _KIND_TO_FIELD = {
     "fp32": "fp32_flat_partition",
@@ -356,83 +353,53 @@ def gen_ucp_metadata(
 
 
 DEFAULT_LOAD_CACHE_BYTES = 32 << 20
-"""Default block-cache budget for sliced-atom loading."""
+"""Block-cache budget of the loader's range reader."""
+
+_READ_QUEUE_DEPTH = 8
+"""Queue depth the storage cost model charges the loader's reads at:
+DeepNVMe-style batched reads amortize per-file latency across
+concurrent requests."""
 
 
 class AtomShardCache:
-    """Caches consolidated atoms and their computed target TP shards.
+    """Byte-range reader of atom state files for one target plan.
 
-    ``Load`` touches each atom once per (state kind, tp rank) instead of
-    once per partition slice; ``max_atoms`` bounds working memory, the
-    knob the paper describes as the parallelism/memory trade-off.
+    ``Load`` never reads a whole atom file: :meth:`shard_slice` lowers
+    each request through the same interval maps the provenance theorems
+    are proven over (shard -> consolidated runs, then the non-padding
+    data intervals, which are exactly how atom file elements map onto
+    consolidated space) and issues byte-range reads for just the
+    requested partition slice — so a target rank reads only its own
+    bytes of each atom, the paper's load-cost win for partial restores.
 
-    With ``sliced=True`` the cache never reads a whole atom file:
-    :meth:`shard_slice` lowers the request through the same interval
-    maps the provenance theorems are proven over (shard -> consolidated
-    runs, then the non-padding data intervals, which are exactly how
-    atom file elements map onto consolidated space) and issues
-    byte-range reads for just the requested partition slice — so a
-    target rank reads only its own bytes of each atom, the paper's
-    load-cost win for partial restores.
+    One planner rule rides on that path: an atom the plan assigns to
+    more than one pipeline stage (a tied embedding under pp > 1) is
+    lowered once per (state kind, tp rank) for its full shard and the
+    frozen result serves the later stages, so no stage re-reads bytes
+    the block cache may already have evicted.
     """
 
-    def __init__(
-        self,
-        atom_store: AtomStore,
-        plan: LoadPlan,
-        max_atoms: int = 64,
-        parallel_reads: int = 8,
-        sliced: bool = False,
-        window_bytes: int = DEFAULT_WINDOW_BYTES,
-        cache_bytes: int = DEFAULT_LOAD_CACHE_BYTES,
-    ) -> None:
-        if max_atoms < 1:
-            raise ValueError(f"max_atoms must be >= 1, got {max_atoms}")
-        if parallel_reads < 1:
-            raise ValueError(f"parallel_reads must be >= 1, got {parallel_reads}")
+    def __init__(self, atom_store: AtomStore, plan: LoadPlan) -> None:
         self.atom_store = atom_store
         self.plan = plan
-        self.max_atoms = max_atoms
-        # queue depth for the storage cost model: DeepNVMe-style batched
-        # reads amortize per-file latency across concurrent requests
-        self.parallel_reads = parallel_reads
-        self.sliced = sliced
-        self._padded: Dict[Tuple[str, str], np.ndarray] = {}
-        self._shards: Dict[Tuple[str, str, int], np.ndarray] = {}
-        self.reader: Optional[RangeReader] = None
-        if sliced:
-            self.reader = RangeReader(
-                atom_store.store,
-                cache=BlockCache(cache_bytes),
-                window_bytes=window_bytes,
-                parallel=parallel_reads,
-            )
+        self.reader = RangeReader(
+            atom_store.store,
+            cache=BlockCache(DEFAULT_LOAD_CACHE_BYTES),
+            parallel=_READ_QUEUE_DEPTH,
+        )
         self._runs: Dict[Tuple[str, int], List[MapRun]] = {}
         # per parameter: [(data_lo, data_hi, atom element offset)] — the
         # order-preserving map from consolidated data intervals onto the
         # flat (unpadded) atom file
         self._data_map: Dict[str, List[Tuple[int, int, int]]] = {}
         self._entries: Dict[Tuple[str, str], object] = {}
-        # atoms the plan assigns to more than one model-parallel coord
-        # (tied embeddings under pp) are read whole and kept in the atom
-        # LRU: re-slicing them per stage could re-read bytes the block
-        # cache already evicted, so sliced mode would exceed whole-atom
-        # bytes — this keeps sliced <= whole for any cache budget
-        self._shared: set = set()
-        if sliced:
-            owners: Dict[str, set] = {}
-            for coord in plan.layout.mp_coords():
-                pp_stage, sp_rank, tp_rank = coord
-                for d in range(plan.target_cfg.dp):
-                    for piece in plan.partition_assignment(
-                        pp_stage, sp_rank, tp_rank, d
-                    ):
-                        owners.setdefault(piece.name, set()).add(
-                            (pp_stage, sp_rank)
-                        )
-            self._shared = {
-                name for name, coords in owners.items() if len(coords) > 1
-            }
+        stages_holding = collections.Counter(
+            name
+            for pp_stage in range(plan.target_cfg.pp)
+            for name in plan.layout.stage_plan.params_of_stage(pp_stage)
+        )
+        self._shared = {name for name, n in stages_holding.items() if n > 1}
+        self._shards: Dict[Tuple[str, str, int], np.ndarray] = {}
 
     def _shard_runs(self, name: str, tp_rank: int) -> List[MapRun]:
         key = (name, tp_rank)
@@ -460,10 +427,11 @@ class AtomShardCache:
         key = (name, kind)
         entry = self._entries.get(key)
         if entry is None:
+            store = self.atom_store.store
             rel = self.atom_store._atom_path(name, f"{kind}.npt")
-            if not self.atom_store.store.exists(rel):
+            if not store.exists(rel):
                 raise AtomMissingError(f"missing atom state {rel}")
-            entry = self.atom_store.store.load_index(rel)["values"]
+            entry = store.load_index(rel)["values"]
             spec = self.plan.layout.spec(name)
             expected = _interval_numel(spec.unpadded_shape)
             if np.dtype(entry.dtype) != np.float32 or entry.numel != expected:
@@ -472,64 +440,28 @@ class AtomShardCache:
                     f"{entry.dtype} elements; target expects unpadded "
                     f"shape {spec.unpadded_shape} ({expected} float32)"
                 )
+            payload_end = entry.offset + entry.numel * entry.itemsize
+            file_size = store.size(rel)
+            if payload_end > file_size:
+                raise UCPFormatError(
+                    f"atom state file {rel} is damaged: its header places "
+                    f"{entry.numel} {entry.dtype} elements up to byte "
+                    f"{payload_end}, the file ends at {file_size}"
+                )
             self._entries[key] = entry
         return entry
 
-    def _evict(self, cache: Dict) -> None:
-        while len(cache) >= self.max_atoms:
-            cache.pop(next(iter(cache)))
-
-    def _padded_state(self, name: str, kind: str) -> np.ndarray:
-        key = (name, kind)
-        cached = self._padded.get(key)
-        if cached is not None:
-            return cached
-        spec = self.plan.layout.spec(name)
-        values = np.asarray(
-            self.atom_store.read_state(name, kind, parallel=self.parallel_reads),
-            dtype=np.float32,
-        )
-        if tuple(values.shape) != spec.unpadded_shape:
-            raise UCPFormatError(
-                f"atom {name!r} ({kind}) has shape {values.shape}; target "
-                f"expects unpadded {spec.unpadded_shape}"
-            )
-        padded = add_padding(values, spec)
-        self._freeze(f"atom:{name}:{kind}", padded)
-        self._evict(self._padded)
-        self._padded[key] = padded
-        return padded
-
-    def shard_flat(self, name: str, kind: str, tp_rank: int) -> np.ndarray:
-        """The flattened target TP shard of one atom state."""
-        key = (name, kind, tp_rank)
-        cached = self._shards.get(key)
-        if cached is not None:
-            return cached
-        spec = self.plan.layout.spec(name)
-        padded = self._padded_state(name, kind)
-        tp = self.plan.target_cfg.tp
-        if spec.fragmenter is not None and tp > 1:
-            shard = spec.fragmenter.shard(padded, tp, tp_rank)
-        else:
-            shard = padded
-        flat = np.ascontiguousarray(shard, dtype=np.float32).reshape(-1)
-        self._freeze(f"atom:{name}:{kind}:tp{tp_rank}", flat)
-        self._evict(self._shards)
-        self._shards[key] = flat
-        return flat
-
     @staticmethod
     def _freeze(key: str, arr: np.ndarray) -> None:
-        """Write-protect one cached array before it is shared.
+        """Write-protect one memoized shard before it is shared.
 
-        Callers get views of cached atoms (``shard_slice`` whole-atom
-        mode returns ``shard_flat(...)[lo:hi]`` zero-copy); freezing
-        turns an accidental in-place mutation — which would poison every
-        later load from the cache — into an immediate ``ValueError``.
-        With a memory sanitizer active the buffer is also registered, so
-        integrity sweeps report poisoning (UCP027) and loaded-state
-        aliasing (UCP028) under the atom's name.
+        Callers get views of a shared atom's shard (``shard_slice``
+        returns ``shard[lo:hi]`` zero-copy); freezing turns an
+        accidental in-place mutation — which would poison every later
+        stage's load — into an immediate ``ValueError``.  With a memory
+        sanitizer active the buffer is also registered, so integrity
+        sweeps report poisoning (UCP027) and loaded-state aliasing
+        (UCP028) under the atom's name.
         """
         from repro.analysis import sanitizer as _sanitizer
 
@@ -544,19 +476,35 @@ class AtomShardCache:
     ) -> np.ndarray:
         """Elements ``[lo, hi)`` of one flattened target TP shard.
 
-        Whole-atom mode slices :meth:`shard_flat`; sliced mode reads
-        only the bytes backing the request: the shard range maps through
-        the parameter's shard -> consolidated runs, intersects the
-        non-padding data intervals (whose concatenation *is* the atom
-        file), and the resulting atom byte ranges stream through the
-        shared :class:`RangeReader`.  Padding positions stay zero —
+        Reads only the bytes backing the request: the shard range maps
+        through the parameter's shard -> consolidated runs, intersects
+        the non-padding data intervals (whose concatenation *is* the
+        atom file), and the resulting atom byte ranges stream through
+        the :class:`RangeReader`.  Padding positions stay zero —
         byte-identical to ``add_padding`` + fragment + slice, without
-        materializing either the padded tensor or the shard.
+        materializing either the padded tensor or the shard.  Only a
+        plan-shared atom's shard is kept: it is lowered whole on first
+        use and later requests are views of it.
         """
         if lo < 0 or hi < lo:
             raise ValueError(f"invalid shard slice [{lo}, {hi})")
-        if not self.sliced or name in self._shared:
-            return self.shard_flat(name, kind, tp_rank)[lo:hi]
+        if name in self._shared:
+            key = (name, kind, tp_rank)
+            shard = self._shards.get(key)
+            if shard is None:
+                spec = self.plan.layout.spec(name)
+                shard_numel = _interval_numel(
+                    spec.shard_shape(self.plan.target_cfg.tp)
+                )
+                shard = self._read_slice(name, kind, tp_rank, 0, shard_numel)
+                self._freeze(f"atom:{name}:{kind}:tp{tp_rank}", shard)
+                self._shards[key] = shard
+            return shard[lo:hi]
+        return self._read_slice(name, kind, tp_rank, lo, hi)
+
+    def _read_slice(
+        self, name: str, kind: str, tp_rank: int, lo: int, hi: int
+    ) -> np.ndarray:
         entry = self._state_entry(name, kind)
         out = np.zeros(hi - lo, dtype=np.float32)
         ranges: List[Tuple[int, int]] = []
@@ -604,9 +552,10 @@ def load(
     """Materialize one target rank's flat partition of one state kind.
 
     The paper's *Load*: streams atom checkpoints into the rank's flat
-    buffer in layer order, alignment padding re-added (zeros).  With a
-    ``sliced`` cache, each partition slice reads only its own byte
-    range of each atom file instead of the whole atom.
+    buffer in layer order, alignment padding re-added (zeros).  Each
+    partition slice reads only its own byte range of each atom file;
+    pass one ``cache`` across calls to share its block cache and its
+    plan-shared shards.
     """
     rank_layout = plan.layout.rank_layout(pp_stage, sp_rank, tp_rank)
     partition = np.zeros(rank_layout.partition_numel, dtype=np.float32)

@@ -296,11 +296,6 @@ def read_npt_header(fh: BinaryIO) -> Any:
     return _decode(header["tree"], stubs)
 
 
-def deserialize_header(data: bytes) -> Any:
-    """Header-only counterpart of :func:`deserialize` (tensors as stubs)."""
-    return read_npt_header(io.BytesIO(data))
-
-
 def validate_npt(data: bytes) -> None:
     """Structurally validate ``.npt`` bytes without materializing arrays.
 

@@ -1,10 +1,11 @@
-"""The byte-identity oracle for ``ucp_convert``.
+"""The byte-identity oracles for ``ucp_convert`` and the UCP loader.
 
 The paper's Algorithm 1 composed naively from its own operators
 (:func:`repro.core.ops.extract` / ``union`` / ``strip_padding``) over
 fully read, digest-verified rank files — no plans, no byte ranges, no
 cache, no threads.  The planned byte-range pipeline must reproduce every
-atom state bit for bit.
+atom state bit for bit.  :func:`reference_load_shard` is the same for
+the paper's Load: whole-atom read, ``add_padding``, fragment.
 """
 
 from typing import Dict, Optional
@@ -15,7 +16,7 @@ from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import AtomStore
-from repro.core.ops import extract, strip_padding, union
+from repro.core.ops import LoadPlan, add_padding, extract, strip_padding, union
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
@@ -71,3 +72,15 @@ def assert_matches_reference(
             got = atom_store.read_state(name, kind)
             assert (got.dtype, got.shape) == (values.dtype, values.shape), name
             assert got.tobytes() == values.tobytes(), (name, kind)
+
+
+def reference_load_shard(
+    atom_store: AtomStore, plan: LoadPlan, name: str, kind: str, tp_rank: int
+) -> np.ndarray:
+    """One flattened target TP shard of one atom state, padding included."""
+    spec = plan.layout.spec(name)
+    shard = add_padding(atom_store.read_state(name, kind), spec)
+    tp = plan.target_cfg.tp
+    if spec.fragmenter is not None and tp > 1:
+        shard = spec.fragmenter.shard(shard, tp, tp_rank)
+    return np.ascontiguousarray(shard, dtype=np.float32).reshape(-1)

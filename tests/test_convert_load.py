@@ -164,18 +164,29 @@ class TestLoadIntoEngine:
         with pytest.raises(UCPIncompatibleError, match="missing atoms"):
             load_ucp_into_engine(make_engine(), ucp_dir)
 
-    def test_small_atom_cache_still_correct(self, source_checkpoint):
-        engine, ckpt_dir, ucp_dir = source_checkpoint
+    def test_truncated_atom_payload_is_a_typed_error(self, source_checkpoint):
+        _, ckpt_dir, ucp_dir = source_checkpoint
         ucp_convert(ckpt_dir, ucp_dir)
-        target = make_engine(parallel=ParallelConfig(tp=2, dp=2))
-        load_ucp_into_engine(target, ucp_dir, max_cached_atoms=1)
-        src = engine.zero.consolidated_tensors("fp32")
-        dst = target.zero.consolidated_tensors("fp32")
-        for name in src:
-            assert np.array_equal(
-                unpadded(engine, name, src[name]),
-                unpadded(engine, name, dst[name]),
-            ), name
+        rel = "atoms/final_norm.weight/fp32.npt"
+        path = ObjectStore(ucp_dir).base / rel
+        path.write_bytes(path.read_bytes()[:-64])
+        with pytest.raises(UCPFormatError, match=rel):
+            load_ucp_into_engine(make_engine(), ucp_dir)
+
+    def test_atom_header_overstating_numel_is_a_typed_error(
+        self, source_checkpoint
+    ):
+        """A header that declares the expected element count over a
+        payload that holds half of it, as a lying writer would leave."""
+        _, ckpt_dir, ucp_dir = source_checkpoint
+        ucp_convert(ckpt_dir, ucp_dir)
+        rel = "atoms/final_norm.weight/exp_avg.npt"
+        store = ObjectStore(ucp_dir)
+        entry = store.load_index(rel)["values"]
+        path = store.base / rel
+        path.write_bytes(path.read_bytes()[:entry.offset + entry.nbytes // 2])
+        with pytest.raises(UCPFormatError, match=rel):
+            load_ucp_into_engine(make_engine(), ucp_dir)
 
 
 class TestConversionIdempotency:

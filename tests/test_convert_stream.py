@@ -14,16 +14,20 @@ import pytest
 
 from repro.ckpt.loader import resolve_tag
 from repro.ckpt.saver import save_distributed_checkpoint
-from repro.core.atom import AtomStore
+from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
+from repro.core.ops import AtomShardCache, gen_ucp_metadata
 from repro.core.patterns import program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.storage.faults import CrashAtWrite, InjectedCrash
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
-from tests.reference_convert import assert_matches_reference
+from tests.reference_convert import (
+    assert_matches_reference,
+    reference_load_shard,
+)
 
 
 def dir_digests(root, sub="."):
@@ -69,6 +73,19 @@ def moe_checkpoint(tmp_path_factory):
     return engine, ckpt_dir
 
 
+@pytest.fixture(scope="module")
+def per_param_checkpoint(tmp_path_factory):
+    """A Megatron-classic per-parameter optimizer layout source."""
+    root = tmp_path_factory.mktemp("stream_per_param")
+    engine = make_engine(
+        parallel=ParallelConfig(tp=2, dp=2, zero_stage=0), seed=3
+    )
+    engine.train(2)
+    ckpt_dir = str(root / "ckpt")
+    save_distributed_checkpoint(engine, ckpt_dir, optimizer_layout="per_param")
+    return engine, ckpt_dir
+
+
 class TestByteIdentityWithReference:
     def test_atoms_byte_identical_tp_change(self, tp4_checkpoint, tmp_path):
         """TP=4 source conversion == the reference operators, state for
@@ -85,15 +102,10 @@ class TestByteIdentityWithReference:
         ucp_convert(ckpt_dir, ucp_dir)
         assert_matches_reference(ucp_dir, ckpt_dir)
 
-    def test_identical_under_per_param_layout(self, tmp_path):
-        engine = make_engine(
-            parallel=ParallelConfig(tp=2, dp=2, zero_stage=0), seed=3
-        )
-        engine.train(2)
-        ckpt_dir = str(tmp_path / "ckpt")
-        save_distributed_checkpoint(
-            engine, ckpt_dir, optimizer_layout="per_param"
-        )
+    def test_identical_under_per_param_layout(
+        self, per_param_checkpoint, tmp_path
+    ):
+        _, ckpt_dir = per_param_checkpoint
         ucp_dir = str(tmp_path / "ucp")
         ucp_convert(ckpt_dir, ucp_dir)
         assert_matches_reference(ucp_dir, ckpt_dir)
@@ -163,19 +175,10 @@ class TestReadByteBounds:
 class TestConversionKnobs:
     """The batching/overlap knobs tune IO shape, never output bytes."""
 
-    def test_coalesce_gap_is_byte_invisible(self, tp4_checkpoint, tmp_path):
-        _, ckpt_dir = tp4_checkpoint
-        tight_dir = str(tmp_path / "tight")
-        wide_dir = str(tmp_path / "wide")
-        tight = ucp_convert(ckpt_dir, tight_dir, coalesce_gap=0)
-        wide = ucp_convert(ckpt_dir, wide_dir, coalesce_gap=1 << 20)
-        assert dir_digests(tight_dir) == dir_digests(wide_dir)
-        assert wide.num_preads <= tight.num_preads
-
     def test_invalid_knobs_rejected(self, tp4_checkpoint, tmp_path):
         _, ckpt_dir = tp4_checkpoint
         with pytest.raises(ValueError):
-            ucp_convert(ckpt_dir, str(tmp_path / "y"), coalesce_gap=-1)
+            ucp_convert(ckpt_dir, str(tmp_path / "y"), window_bytes=0)
 
     def test_stage_timings_and_counters_populated(
         self, tp4_checkpoint, tmp_path
@@ -217,34 +220,102 @@ class TestConversionKnobs:
         assert auto.peak_window_bytes >= min(largest, 64 << 20)
 
 
+# (source fixture, model, target) triples for the load oracle
+LOAD_CASES = [
+    pytest.param("tp4_checkpoint", "gpt3-mini",
+                 ParallelConfig(tp=2, dp=2), id="tp4-to-tp2"),
+    pytest.param("moe_checkpoint", "moe-mini",
+                 ParallelConfig(tp=2, pp=2, dp=2), id="moe"),
+    pytest.param("per_param_checkpoint", "gpt3-mini",
+                 ParallelConfig(tp=4, dp=1), id="per-param"),
+    pytest.param("tp4_checkpoint", "gpt3-mini",
+                 ParallelConfig(tp=2, pp=2, dp=2), id="tied-pp2"),
+    pytest.param("tp4_checkpoint", "gpt3-mini",
+                 ParallelConfig(tp=1, pp=4, dp=1), id="tied-pp4"),
+]
+
+
 class TestSlicedLoad:
+    @pytest.mark.parametrize("fixture, model, target", LOAD_CASES)
+    def test_load_matches_reference_padding_included(
+        self, fixture, model, target, request, tmp_path
+    ):
+        """The byte-range loader == the paper's Load composed naively
+        (whole-atom read, ``add_padding``, fragment): every full shard
+        and every loaded flat partition, padding positions included."""
+        _, ckpt_dir = request.getfixturevalue(fixture)
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        engine = make_engine(model, parallel=target, seed=0)
+        load_ucp_into_engine(engine, ucp_dir)
+
+        plan = gen_ucp_metadata(engine.model_cfg, target)
+        atom_store = AtomStore(ucp_dir)
+        cache = AtomShardCache(atom_store, plan)
+        for kind in STATE_KINDS:
+            shards = {
+                (name, r): reference_load_shard(atom_store, plan, name, kind, r)
+                for name in plan.layout.shard_specs
+                for r in range(target.tp)
+            }
+            for (name, r), expected in shards.items():
+                got = cache.shard_slice(name, kind, r, 0, expected.size)
+                assert got.tobytes() == expected.tobytes(), (name, kind, r)
+            for coord in plan.layout.mp_coords():
+                for d in range(target.dp):
+                    layout = plan.layout.rank_layout(*coord)
+                    expected = np.zeros(layout.partition_numel, np.float32)
+                    for piece in plan.partition_assignment(*coord, d):
+                        expected[piece.local_start:piece.local_end] = shards[
+                            piece.name, coord[2]
+                        ][piece.shard_start:piece.shard_end]
+                    got = engine.zero._partition_array(
+                        engine.zero.partitions[coord][d], kind
+                    )
+                    assert got.tobytes() == expected.tobytes(), (coord, d, kind)
+
     def test_sliced_load_state_identical_fewer_bytes(
         self, tp4_checkpoint, tmp_path
     ):
         """Each target rank pulls only its partition's byte slices of
-        each atom; the restored state must match whole-atom loading
-        bit-for-bit while reading fewer bytes."""
+        each atom; the restored state must match the source run's
+        bit-for-bit while reading fewer bytes than the UCP directory
+        holds (what a whole-file load would read at least once)."""
         engine, ckpt_dir = tp4_checkpoint
         ucp_dir = str(tmp_path / "ucp")
         ucp_convert(ckpt_dir, ucp_dir)
 
-        whole_store = ObjectStore(ucp_dir)
-        whole = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=0)
-        load_ucp_into_engine(whole, ucp_dir, sliced=False, store=whole_store)
-
-        sliced_store = ObjectStore(ucp_dir)
-        sliced = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=0)
-        load_ucp_into_engine(sliced, ucp_dir, sliced=True, store=sliced_store)
+        store = ObjectStore(ucp_dir)
+        target = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=0)
+        load_ucp_into_engine(target, ucp_dir, store=store)
 
         for kind in ("fp32", "exp_avg", "exp_avg_sq"):
             src = engine.zero.consolidated_tensors(kind)
-            dst = sliced.zero.consolidated_tensors(kind)
+            dst = target.zero.consolidated_tensors(kind)
             for name in src:
                 assert np.array_equal(
                     unpadded(engine, name, src[name]),
                     unpadded(engine, name, dst[name]),
                 ), (name, kind)
-        assert 0 < sliced_store.bytes_read < whole_store.bytes_read
+        whole = sum(store.size(rel) for rel in store.list("."))
+        assert 0 < store.bytes_read < whole
+
+    def test_tied_embedding_is_read_once_across_stages(
+        self, tp4_checkpoint, tmp_path
+    ):
+        """The planner rule: an atom two pipeline stages both hold is
+        lowered once per (kind, tp rank) and never re-read, so a pp2
+        load of a tied model reads no more than a pp1 load does."""
+        _, ckpt_dir = tp4_checkpoint
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        reads = {}
+        for pp in (1, 2):
+            store = ObjectStore(ucp_dir)
+            target = make_engine(parallel=ParallelConfig(tp=2, pp=pp, dp=2), seed=0)
+            load_ucp_into_engine(target, ucp_dir, store=store)
+            reads[pp] = store.bytes_read
+        assert 0 < reads[2] <= reads[1]
 
     def test_single_rank_slice_under_half_of_atom_bytes(
         self, tp4_checkpoint, tmp_path
@@ -266,7 +337,7 @@ class TestSlicedLoad:
         # the gate below is per single (tp, dp) rank
         target = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=0)
         rank_store = ObjectStore(ucp_dir)
-        load_ucp_into_engine(target, ucp_dir, sliced=True, store=rank_store)
+        load_ucp_into_engine(target, ucp_dir, store=rank_store)
         per_rank = rank_store.bytes_read / 4  # 4 (mp, dp) partitions
         assert per_rank < 0.5 * atom_bytes, (per_rank, atom_bytes)
 
@@ -275,7 +346,7 @@ class TestSlicedLoad:
         ucp_dir = str(tmp_path / "ucp")
         ucp_convert(ckpt_dir, ucp_dir)
         target = make_engine("moe-mini", parallel=ParallelConfig(dp=2), seed=0)
-        load_ucp_into_engine(target, ucp_dir, sliced=True)
+        load_ucp_into_engine(target, ucp_dir)
         for kind in ("fp32", "exp_avg", "exp_avg_sq"):
             src = engine.zero.consolidated_tensors(kind)
             dst = target.zero.consolidated_tensors(kind)
@@ -284,22 +355,6 @@ class TestSlicedLoad:
                     unpadded(engine, name, src[name]),
                     unpadded(engine, name, dst[name]),
                 ), (name, kind)
-
-    def test_tiny_window_still_correct(self, tp4_checkpoint, tmp_path):
-        """Pathologically small read windows change IO granularity, not
-        the restored values."""
-        engine, ckpt_dir = tp4_checkpoint
-        ucp_dir = str(tmp_path / "ucp")
-        ucp_convert(ckpt_dir, ucp_dir)
-        target = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=0)
-        load_ucp_into_engine(target, ucp_dir, sliced=True, window_bytes=64)
-        src = engine.zero.consolidated_tensors("fp32")
-        dst = target.zero.consolidated_tensors("fp32")
-        for name in src:
-            assert np.array_equal(
-                unpadded(engine, name, src[name]),
-                unpadded(engine, name, dst[name]),
-            ), name
 
 
 class TestCrashResumeUnderParallelFanOut:

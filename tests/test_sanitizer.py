@@ -228,27 +228,39 @@ class TestSnapshotBoundary:
 
 @pytest.fixture
 def atom_cache(tmp_path):
-    """A real AtomShardCache over a converted UCP checkpoint."""
+    """A real AtomShardCache whose plan shares one atom across stages.
+
+    Under pp2 the tied embedding belongs to both pipeline stages, so
+    its full shard is memoized — the one buffer the loader hands out
+    views of.  Returns the cache, that atom's name and a zero-arg
+    function fetching the memoized fp32 shard of tp rank 0.
+    """
     from repro.core.atom import AtomStore
     from repro.core.convert import ucp_convert
     from repro.core.ops import AtomShardCache, gen_ucp_metadata
+    from repro.dist.topology import ParallelConfig
 
     eng = make_engine(seed=5)
     eng.train(1)
     ckpt, ucp = str(tmp_path / "ckpt"), str(tmp_path / "ucp")
     eng.save_checkpoint(ckpt)
     ucp_convert(ckpt, ucp)
-    plan = gen_ucp_metadata(eng.model_cfg, eng.parallel_cfg)
+    plan = gen_ucp_metadata(eng.model_cfg, ParallelConfig(pp=2))
     cache = AtomShardCache(AtomStore(ucp), plan)
-    name = sorted(eng.layout.shard_specs)[0]
-    return cache, name, eng
+    (name,) = cache._shared
+    numel = plan.layout.rank_layout(0, 0, 0).entry(name).numel
+
+    def shard_flat():
+        return cache.shard_slice(name, "fp32", 0, 0, numel)
+
+    return cache, name, shard_flat
 
 
 class TestCacheBoundary:
     def test_cached_atoms_are_read_only(self, atom_cache):
-        cache, name, _ = atom_cache
+        _, _, shard_flat = atom_cache
         with sanitize(strict=True):
-            flat = cache.shard_flat(name, "fp32", 0)
+            flat = shard_flat()
         assert not flat.flags.writeable
         with pytest.raises(ValueError):
             flat[0] = 99.0
@@ -256,18 +268,18 @@ class TestCacheBoundary:
     def test_cached_atoms_read_only_even_without_sanitizer(
         self, atom_cache, monkeypatch
     ):
-        cache, name, _ = atom_cache
+        _, _, shard_flat = atom_cache
         monkeypatch.setattr(sanitizer_module, "_STACK", [])
         assert current() is None
-        flat = cache.shard_flat(name, "fp32", 0)
+        flat = shard_flat()
         with pytest.raises(ValueError):
             flat[0] = 99.0
 
     def test_poisoned_cache_is_ucp027(self, atom_cache):
-        cache, name, _ = atom_cache
+        cache, name, shard_flat = atom_cache
         with sanitize(strict=False) as san:
-            cache.shard_flat(name, "fp32", 0)
-            poisoned = cache._padded[(name, "fp32")]
+            shard_flat()
+            poisoned = cache._shards[(name, "fp32", 0)]
             poisoned.setflags(write=True)  # force past the protection
             poisoned.reshape(-1)[0] = -1.0
             san.check_cache_integrity(context="test")
@@ -276,17 +288,17 @@ class TestCacheBoundary:
         assert any(name in d.message for d in found)
 
     def test_exit_scan_catches_late_poisoning(self, atom_cache):
-        cache, name, _ = atom_cache
+        cache, name, shard_flat = atom_cache
         with sanitize(strict=False) as san:
-            cache.shard_flat(name, "fp32", 0)
-            cache._padded[(name, "fp32")].setflags(write=True)
+            shard_flat()
+            cache._shards[(name, "fp32", 0)].setflags(write=True)
         # the context-manager exit ran the final integrity scan
         assert san.report.by_rule("UCP027")
 
     def test_claim_returns_private_writable_copy(self, atom_cache):
-        cache, name, _ = atom_cache
+        _, _, shard_flat = atom_cache
         with sanitize(strict=True) as san:
-            flat = cache.shard_flat(name, "fp32", 0)
+            flat = shard_flat()
             before = flat[0]
             mine = san.claim(flat)
             mine[0] = before + 123.0  # private copy: no violation
@@ -295,10 +307,10 @@ class TestCacheBoundary:
         assert san.report.ok
 
     def test_thaw_exempts_buffer_from_integrity_scan(self, atom_cache):
-        cache, name, _ = atom_cache
+        cache, name, shard_flat = atom_cache
         with sanitize(strict=True) as san:
-            cache.shard_flat(name, "fp32", 0)
-            owned = cache._padded[(name, "fp32")]
+            shard_flat()
+            owned = cache._shards[(name, "fp32", 0)]
             san.thaw(owned)
             owned.reshape(-1)[0] = 7.0  # deliberate, claimed mutation
             san.check_cache_integrity(context="after thaw")
