@@ -10,7 +10,9 @@ the CI ``convert-perf`` job gates on) and records, per point:
   state), atom bytes written, cache hits (digest pass pre-warming
   extract);
 * loading — UCP bytes read per target engine against the UCP
-  directory's size;
+  directory's size, and the store read calls the load issued (gated
+  exactly: a header read and a payload read per atom state file, plus
+  ``ucp_meta``);
 * the CI gate fraction: a single target rank's sliced read over the
   checkpoint's total state bytes (must stay under 0.5 for the
   TP-degree-change row).
@@ -23,6 +25,7 @@ is frozen in ``results/BENCH_convert_wallclock.json``.
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
+from repro.storage.faults import FaultPolicy
 from repro.storage.store import ObjectStore
 
 from bench_util import make_engine, record_result
@@ -68,7 +71,9 @@ def test_bench_convert_stream(benchmark, tmp_path):
         # conversion must never read the model_states / padding bytes
         assert 0 < streamed.bytes_read < ckpt_bytes, label
 
-        ucp_store = ObjectStore(stream_dir)
+        # the base policy injects nothing; it counts every read call
+        reads = FaultPolicy()
+        ucp_store = ObjectStore(stream_dir, faults=reads)
         load_ucp_into_engine(
             make_engine(model, parallel=target, seed=0), stream_dir,
             store=ucp_store,
@@ -76,6 +81,12 @@ def test_bench_convert_stream(benchmark, tmp_path):
         sliced_bytes = ucp_store.bytes_read
         ucp_dir_bytes = sum(ucp_store.size(rel) for rel in ucp_store.list("."))
         assert 0 < sliced_bytes < ucp_dir_bytes, label
+        # CI convert-perf gate: the load is atom-major, one header read
+        # and one payload read per atom state file, plus ucp_meta
+        state_files = sum(
+            not rel.endswith("atom_meta.npt") for rel in ucp_store.list("atoms")
+        )
+        assert reads.read_ops <= 2 * state_files + 1, (label, reads.read_ops)
 
         n_partitions = target.tp * target.pp * target.sp * target.dp
         state_bytes = streamed.atom_bytes
@@ -99,6 +110,8 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "peak_window_bytes": streamed.peak_window_bytes,
                 "sliced_load_bytes": sliced_bytes,
                 "ucp_dir_bytes": ucp_dir_bytes,
+                "load_read_calls": reads.read_ops,
+                "atom_state_files": state_files,
                 "per_rank_read_fraction": round(fraction, 4),
             }
         )
@@ -140,6 +153,9 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "streamed_planned_state_bytes": "state bytes the "
                     "lowered read plans actually need — the conversion "
                     "analogue of the sliced-load claim",
+                "load_read_calls": "store read calls of the whole-engine "
+                    "load, gated at 2 per atom state file (header, "
+                    "payload) + 1 for ucp_meta",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "
                     "target rank's sliced UCP read over the "
                     "checkpoint's state bytes — about loading the "

@@ -20,7 +20,7 @@ rule      name                           boundary
 ========  =============================  =====================================
 UCP025    cross-rank-writable-aliasing   collectives / engine rank partitions
 UCP026    snapshot-aliases-live-state    CheckFreq snapshots, Gemini replicas
-UCP027    cache-return-mutation          BlockCache / shared-shard returns
+UCP027    cache-return-mutation          buffers a cache hands out views of
 UCP028    loaded-param-aliases-cache     ``Load`` targets
 ========  =============================  =====================================
 
@@ -304,7 +304,7 @@ class MemorySanitizer:
     # --- cache boundary (UCP027 / UCP028) ----------------------------
 
     def register_cache(self, key: str, arr: np.ndarray) -> None:
-        """Record one cached array (block / shared-shard cache) as cache-owned.
+        """Record one cached array (a buffer served as views) as cache-owned.
 
         The array is write-protected; :meth:`check_cache_integrity`
         later flags any cache-owned buffer that became writable again

@@ -17,7 +17,7 @@ from typing import Optional
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import UCPIncompatibleError
 from repro.core.metadata import UCPMetadata
-from repro.core.ops import AtomShardCache, gen_ucp_metadata, load
+from repro.core.ops import AtomShardCache, gen_ucp_metadata
 from repro.models.configs import ModelConfig
 from repro.storage.store import ObjectStore
 
@@ -29,9 +29,10 @@ def load_ucp_into_engine(
 ) -> UCPMetadata:
     """Resume an engine (any topology) from a UCP checkpoint.
 
-    Every rank pulls only its own partition's bytes of each atom file,
-    by byte-range reads; tensor payloads are not CRC-checked on this
-    path (``repro verify <ucp_dir>`` does that).
+    The load is planned and atom-major: every partition slice of every
+    target rank is scattered in place from one sequential read of each
+    atom state file.  Tensor payloads are not CRC-checked on this path
+    (``repro verify <ucp_dir>`` does that).
 
     Args:
         engine: target :class:`repro.parallel.engine.TrainingEngine`.
@@ -44,7 +45,9 @@ def load_ucp_into_engine(
 
     Raises:
         UCPIncompatibleError: model architecture mismatch.
-        UCPFormatError: an atom state file is shorter than its header says.
+        AtomMissingError: an atom state file is absent.
+        UCPFormatError: an atom state file has the wrong dtype or element
+            count, or is shorter than its header says.
     """
     if store is None:
         store = ObjectStore(ucp_dir)
@@ -65,22 +68,29 @@ def load_ucp_into_engine(
         )
 
     plan = gen_ucp_metadata(engine.model_cfg, engine.parallel_cfg)
-    atom_store = AtomStore(ucp_dir, store)
-    cache = AtomShardCache(atom_store, plan)
+    cache = AtomShardCache(AtomStore(ucp_dir, store), plan)
 
-    dp = engine.parallel_cfg.dp
-    step = metadata.optimizer_step
+    # every (mp, dp) partition's slices become pieces targeting the
+    # engine's own arrays; the executor regroups them atom-major, so
+    # each state file is read once for all stages and tp ranks
+    pieces = []
     for coord in engine.layout.mp_coords():
-        pp_stage, sp_rank, tp_rank = coord
-        for d in range(dp):
-            partition = engine.zero.partitions[coord][d]
-            for kind in STATE_KINDS:
-                values = load(
-                    atom_store, plan, kind, pp_stage, sp_rank, tp_rank, d, cache=cache
-                )
-                target = engine.zero._partition_array(partition, kind)
-                target[...] = values
-            partition.state.step = step
+        for d, partition in enumerate(engine.zero.partitions[coord]):
+            targets = [
+                engine.zero._partition_array(partition, kind)
+                for kind in STATE_KINDS
+            ]
+            payload_end = 0  # the validated plan tiles [0, payload_end)
+            for piece in plan.partition_assignment(*coord, d):
+                payload_end = piece.local_end
+                pieces.append((
+                    piece.name, coord[2], piece.shard_start, piece.shard_end,
+                    [t[piece.local_start : piece.local_end] for t in targets],
+                ))
+            for target in targets:
+                target[payload_end:] = 0.0  # alignment padding
+            partition.state.step = metadata.optimizer_step
+    cache._fill(STATE_KINDS, pieces)
 
     engine.iteration = metadata.iteration
     if metadata.loss_scaler is not None and engine.loss_scaler is not None:

@@ -9,16 +9,14 @@
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
 from repro.core.intervals import (
-    MapRun,
     data_intervals,
     numel as _interval_numel,
     shard_to_full_runs,
@@ -34,7 +32,7 @@ from repro.parallel.tp import (
     PATTERN_UNIQUE,
     ShardSpec,
 )
-from repro.storage.rangeio import BlockCache, RangeReader
+from repro.storage.serializer import TensorIndexEntry
 
 _KIND_TO_FIELD = {
     "fp32": "fp32_flat_partition",
@@ -352,77 +350,76 @@ def gen_ucp_metadata(
     )
 
 
-DEFAULT_LOAD_CACHE_BYTES = 32 << 20
-"""Block-cache budget of the loader's range reader."""
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+"""Columnar shard -> atom map: ``(shard_lo, shard_hi, atom_lo)`` int64."""
 
-_READ_QUEUE_DEPTH = 8
-"""Queue depth the storage cost model charges the loader's reads at:
-DeepNVMe-style batched reads amortize per-file latency across
-concurrent requests."""
+_Piece = Tuple[str, int, int, int, Sequence[np.ndarray]]
+"""``(atom name, tp rank, shard lo, shard hi, one target array per kind)``."""
 
 
 class AtomShardCache:
-    """Byte-range reader of atom state files for one target plan.
+    """Planned reader of atom state files for one target plan.
 
-    ``Load`` never reads a whole atom file: :meth:`shard_slice` lowers
-    each request through the same interval maps the provenance theorems
-    are proven over (shard -> consolidated runs, then the non-padding
-    data intervals, which are exactly how atom file elements map onto
-    consolidated space) and issues byte-range reads for just the
-    requested partition slice — so a target rank reads only its own
-    bytes of each atom, the paper's load-cost win for partial restores.
-
-    One planner rule rides on that path: an atom the plan assigns to
-    more than one pipeline stage (a tied embedding under pp > 1) is
-    lowered once per (state kind, tp rank) for its full shard and the
-    frozen result serves the later stages, so no stage re-reads bytes
-    the block cache may already have evicted.
+    The load side's one lowering and one executor.  The lowering
+    (:meth:`_shard_map`) composes, once per (atom, tp rank), the same
+    interval maps the provenance theorems are proven over — shard ->
+    consolidated runs, then the non-padding data intervals, whose
+    concatenation *is* the atom file — into a columnar shard -> atom
+    element map.  The executor (:meth:`_fill`) takes any set of target
+    pieces (shard ranges with the arrays they land in), groups them by
+    atom, and per atom state file issues one header read and one
+    payload read of exactly the bytes the pieces need, scattering
+    straight into the targets.  A whole-engine load therefore reads
+    every state file once, sequentially, for all pipeline stages and tp
+    ranks; a single partition or shard range reads only its own bytes —
+    the paper's load-cost win for partial restores.
     """
 
     def __init__(self, atom_store: AtomStore, plan: LoadPlan) -> None:
         self.atom_store = atom_store
         self.plan = plan
-        self.reader = RangeReader(
-            atom_store.store,
-            cache=BlockCache(DEFAULT_LOAD_CACHE_BYTES),
-            parallel=_READ_QUEUE_DEPTH,
-        )
-        self._runs: Dict[Tuple[str, int], List[MapRun]] = {}
-        # per parameter: [(data_lo, data_hi, atom element offset)] — the
-        # order-preserving map from consolidated data intervals onto the
-        # flat (unpadded) atom file
-        self._data_map: Dict[str, List[Tuple[int, int, int]]] = {}
-        self._entries: Dict[Tuple[str, str], object] = {}
-        stages_holding = collections.Counter(
-            name
-            for pp_stage in range(plan.target_cfg.pp)
-            for name in plan.layout.stage_plan.params_of_stage(pp_stage)
-        )
-        self._shared = {name for name, n in stages_holding.items() if n > 1}
-        self._shards: Dict[Tuple[str, str, int], np.ndarray] = {}
+        # (name, tp rank) -> (shard_lo, shard_hi, atom_lo) int64 columns,
+        # sorted and disjoint in shard space
+        self._maps: Dict[Tuple[str, int], _Rows] = {}
+        self._entries: Dict[Tuple[str, str], TensorIndexEntry] = {}
 
-    def _shard_runs(self, name: str, tp_rank: int) -> List[MapRun]:
+    def _shard_map(self, name: str, tp_rank: int) -> _Rows:
+        """Shard -> atom-file element map of one (atom, tp rank).
+
+        Row ``i`` says shard elements ``[shard_lo[i], shard_hi[i])`` are
+        atom file elements starting at ``atom_lo[i]``; shard positions
+        no row covers are structural padding.  Every (run x data
+        interval) intersection is materialized by two ``searchsorted``
+        calls and one repeat/arange expansion, the idiom of
+        ``core.convert._lower_batch``.
+        """
         key = (name, tp_rank)
-        runs = self._runs.get(key)
-        if runs is None:
+        rows = self._maps.get(key)
+        if rows is None:
             spec = self.plan.layout.spec(name)
             runs = shard_to_full_runs(spec, self.plan.target_cfg.tp, tp_rank)
-            self._runs[key] = runs
-        return runs
+            n = len(runs)
+            r_full = np.fromiter((r.full_start for r in runs), np.int64, n)
+            r_end = r_full + np.fromiter((r.length for r in runs), np.int64, n)
+            r_shard = np.fromiter((r.shard_start for r in runs), np.int64, n)
+            data = data_intervals(spec)
+            d_lo = np.fromiter((d[0] for d in data), np.int64, len(data))
+            d_hi = np.fromiter((d[1] for d in data), np.int64, len(data))
+            d_atom = np.cumsum(d_hi - d_lo) - (d_hi - d_lo)
+            i0 = np.searchsorted(d_hi, r_full, side="right")
+            i1 = np.searchsorted(d_lo, r_end, side="left")
+            counts = np.maximum(i1 - i0, 0)
+            run = np.repeat(np.arange(n), counts)
+            first = np.cumsum(counts) - counts
+            ivl = np.repeat(i0 - first, counts) + np.arange(int(counts.sum()))
+            lo = np.maximum(r_full[run], d_lo[ivl])
+            hi = np.minimum(r_end[run], d_hi[ivl])
+            shard_lo = r_shard[run] + (lo - r_full[run])
+            rows = (shard_lo, shard_lo + (hi - lo), d_atom[ivl] + (lo - d_lo[ivl]))
+            self._maps[key] = rows
+        return rows
 
-    def _atom_data_map(self, name: str) -> List[Tuple[int, int, int]]:
-        mapped = self._data_map.get(name)
-        if mapped is None:
-            spec = self.plan.layout.spec(name)
-            mapped = []
-            offset = 0
-            for d_lo, d_hi in data_intervals(spec):
-                mapped.append((d_lo, d_hi, offset))
-                offset += d_hi - d_lo
-            self._data_map[name] = mapped
-        return mapped
-
-    def _state_entry(self, name: str, kind: str):
+    def _state_entry(self, name: str, kind: str) -> TensorIndexEntry:
         """Tensor index entry of one atom state file (header-only read)."""
         key = (name, kind)
         entry = self._entries.get(key)
@@ -451,91 +448,103 @@ class AtomShardCache:
             self._entries[key] = entry
         return entry
 
-    @staticmethod
-    def _freeze(key: str, arr: np.ndarray) -> None:
-        """Write-protect one memoized shard before it is shared.
+    def _fill(self, kinds: Sequence[str], pieces: Iterable[_Piece]) -> None:
+        """Fill every target piece, one read per atom state file.
 
-        Callers get views of a shared atom's shard (``shard_slice``
-        returns ``shard[lo:hi]`` zero-copy); freezing turns an
-        accidental in-place mutation — which would poison every later
-        stage's load — into an immediate ``ValueError``.  With a memory
-        sanitizer active the buffer is also registered, so integrity
-        sweeps report poisoning (UCP027) and loaded-state aliasing
-        (UCP028) under the atom's name.
+        A piece ``(name, tp_rank, lo, hi, dests)`` asks for elements
+        ``[lo, hi)`` of one flattened target TP shard; ``dests`` holds
+        one writable ``hi - lo``-element float32 array per entry of
+        ``kinds``.  Every element of every destination is written:
+        structural padding comes out zero, byte-identical to
+        ``add_padding`` + fragment + slice without materializing the
+        padded tensor, the shard or a temporary partition.
         """
-        from repro.analysis import sanitizer as _sanitizer
+        by_atom: Dict[str, List[_Piece]] = {}
+        for piece in pieces:
+            by_atom.setdefault(piece[0], []).append(piece)
+        for name, atom_pieces in by_atom.items():
+            self._fill_atom(name, kinds, atom_pieces)
 
-        san = _sanitizer.current()
-        if san is not None:
-            san.register_cache(key, arr)
-        else:
-            arr.setflags(write=False)
+    def _fill_atom(
+        self, name: str, kinds: Sequence[str], pieces: List[_Piece]
+    ) -> None:
+        # convert imports this module, so the window cap is looked up late
+        from repro.core.convert import WINDOW_AUTO_CAP_BYTES
+
+        cols: List[np.ndarray] = []  # per piece: (piece, dest offset, atom lo, length)
+        for k, (_, tp_rank, lo, hi, dests) in enumerate(pieces):
+            shard_lo, shard_hi, atom_lo = self._shard_map(name, tp_rank)
+            i0 = int(np.searchsorted(shard_hi, lo, side="right"))
+            i1 = int(np.searchsorted(shard_lo, hi, side="left"))
+            start = np.maximum(shard_lo[i0:i1], lo)
+            length = np.minimum(shard_hi[i0:i1], hi) - start
+            if int(length.sum()) < hi - lo:
+                for dest in dests:
+                    dest[...] = 0.0  # structural padding
+            cols.append(np.stack((
+                np.full(length.size, k, np.int64),
+                start - lo,
+                atom_lo[i0:i1] + (start - shard_lo[i0:i1]),
+                length,
+            )))
+        table = np.concatenate(cols, axis=1)
+        if table.shape[1] == 0:
+            return
+        dst, off, pos, length = table[:, np.argsort(table[2], kind="stable")]
+        end = pos + length
+        store = self.atom_store.store
+        # one read call per state file and window; a payload within the
+        # cap (every atom of the benchmark models) is a single window
+        window = WINDOW_AUTO_CAP_BYTES // np.dtype(np.float32).itemsize
+        for w_lo in range(
+            int(pos[0]) // window * window, int(end.max()), window
+        ):
+            live = np.flatnonzero((end > w_lo) & (pos < w_lo + window))
+            if live.size == 0:
+                continue
+            lo = np.maximum(pos[live], w_lo)
+            hi = np.minimum(end[live], w_lo + window)
+            # exact-adjacent and overlapping rows merge into one range
+            new_span = np.empty(live.size, dtype=bool)
+            new_span[0] = True
+            new_span[1:] = lo[1:] > np.maximum.accumulate(hi)[:-1]
+            first = np.flatnonzero(new_span)
+            span_lo = lo[first]
+            span_hi = np.maximum.reduceat(hi, first)
+            span = np.cumsum(new_span) - 1
+            rows = list(zip(
+                dst[live].tolist(),
+                (off[live] + (lo - pos[live])).tolist(),
+                span.tolist(),
+                (lo - span_lo[span]).tolist(),
+                (hi - lo).tolist(),
+            ))
+            for j, kind in enumerate(kinds):
+                entry = self._state_entry(name, kind)
+                bufs = store.read_ranges(
+                    self.atom_store._atom_path(name, f"{kind}.npt"),
+                    [
+                        entry.element_range(int(s), int(e - s))
+                        for s, e in zip(span_lo, span_hi)
+                    ],
+                )
+                views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
+                dests = [piece[4][j] for piece in pieces]
+                for d, o, s, r, n in rows:
+                    dests[d][o:o + n] = views[s][r:r + n]
 
     def shard_slice(
         self, name: str, kind: str, tp_rank: int, lo: int, hi: int
     ) -> np.ndarray:
         """Elements ``[lo, hi)`` of one flattened target TP shard.
 
-        Reads only the bytes backing the request: the shard range maps
-        through the parameter's shard -> consolidated runs, intersects
-        the non-padding data intervals (whose concatenation *is* the
-        atom file), and the resulting atom byte ranges stream through
-        the :class:`RangeReader`.  Padding positions stay zero —
-        byte-identical to ``add_padding`` + fragment + slice, without
-        materializing either the padded tensor or the shard.  Only a
-        plan-shared atom's shard is kept: it is lowered whole on first
-        use and later requests are views of it.
+        Reads only the bytes backing the request; padding positions
+        come back zero.
         """
         if lo < 0 or hi < lo:
             raise ValueError(f"invalid shard slice [{lo}, {hi})")
-        if name in self._shared:
-            key = (name, kind, tp_rank)
-            shard = self._shards.get(key)
-            if shard is None:
-                spec = self.plan.layout.spec(name)
-                shard_numel = _interval_numel(
-                    spec.shard_shape(self.plan.target_cfg.tp)
-                )
-                shard = self._read_slice(name, kind, tp_rank, 0, shard_numel)
-                self._freeze(f"atom:{name}:{kind}:tp{tp_rank}", shard)
-                self._shards[key] = shard
-            return shard[lo:hi]
-        return self._read_slice(name, kind, tp_rank, lo, hi)
-
-    def _read_slice(
-        self, name: str, kind: str, tp_rank: int, lo: int, hi: int
-    ) -> np.ndarray:
-        entry = self._state_entry(name, kind)
-        out = np.zeros(hi - lo, dtype=np.float32)
-        ranges: List[Tuple[int, int]] = []
-        places: List[Tuple[int, int]] = []  # (out offset, length)
-        for run in self._shard_runs(name, tp_rank):
-            s_lo = max(run.shard_start, lo)
-            s_hi = min(run.shard_end, hi)
-            if s_lo >= s_hi:
-                continue
-            f_lo = run.full_start + (s_lo - run.shard_start)
-            f_hi = f_lo + (s_hi - s_lo)
-            for d_lo, d_hi, atom_off in self._atom_data_map(name):
-                if d_hi <= f_lo:
-                    continue
-                if d_lo >= f_hi:
-                    break
-                seg_lo = max(f_lo, d_lo)
-                seg_hi = min(f_hi, d_hi)
-                ranges.append(entry.element_range(
-                    atom_off + (seg_lo - d_lo), seg_hi - seg_lo
-                ))
-                places.append((
-                    (s_lo - lo) + (seg_lo - f_lo), seg_hi - seg_lo
-                ))
-        rel = self.atom_store._atom_path(name, f"{kind}.npt")
-        for (out_off, count), buf in zip(
-            places, self.reader.read_multi(rel, ranges)
-        ):
-            out[out_off:out_off + count] = np.frombuffer(
-                buf, dtype=np.float32, count=count
-            )
+        out = np.empty(hi - lo, dtype=np.float32)
+        self._fill((kind,), [(name, tp_rank, lo, hi, (out,))])
         return out
 
 
@@ -554,15 +563,21 @@ def load(
     The paper's *Load*: streams atom checkpoints into the rank's flat
     buffer in layer order, alignment padding re-added (zeros).  Each
     partition slice reads only its own byte range of each atom file;
-    pass one ``cache`` across calls to share its block cache and its
-    plan-shared shards.
+    pass one ``cache`` across calls to share its lowered shard maps and
+    parsed atom headers.
     """
     rank_layout = plan.layout.rank_layout(pp_stage, sp_rank, tp_rank)
     partition = np.zeros(rank_layout.partition_numel, dtype=np.float32)
     if cache is None:
         cache = AtomShardCache(atom_store, plan)
-    for piece in rank_layout.slices_in_partition(dp_rank):
-        partition[piece.local_start : piece.local_end] = cache.shard_slice(
-            piece.name, kind, tp_rank, piece.shard_start, piece.shard_end
-        )
+    cache._fill(
+        (kind,),
+        [
+            (
+                piece.name, tp_rank, piece.shard_start, piece.shard_end,
+                (partition[piece.local_start : piece.local_end],),
+            )
+            for piece in rank_layout.slices_in_partition(dp_rank)
+        ],
+    )
     return partition

@@ -43,6 +43,7 @@ is a leaf), which keeps the runtime lock-order graph acyclic.
 from __future__ import annotations
 
 import bisect
+import collections
 import hashlib
 import time
 from typing import Dict, List, Optional, Tuple
@@ -97,9 +98,8 @@ class BlockCache:
         self._blocks: Dict[Tuple[str, int, int], bytes] = {}  # guarded-by: self._lock
         # per-file sorted, disjoint [(start, end)] spans mirroring _blocks
         self._spans: Dict[str, List[Tuple[int, int]]] = {}  # guarded-by: self._lock
-        # LRU order over _blocks keys (dicts preserve insertion order;
-        # re-inserting on touch keeps the first key least recent)
-        self._lru: Dict[Tuple[str, int, int], None] = {}  # guarded-by: self._lock
+        # LRU order over _blocks keys, least recent first
+        self._lru: collections.OrderedDict = collections.OrderedDict()  # guarded-by: self._lock
 
     def _check_guarded(self, write: bool = False) -> None:
         """UCP030 hook: every ``*_locked`` helper reports its access.
@@ -139,8 +139,7 @@ class BlockCache:
         key = (rel, start, end - start)
         data = self._blocks.get(key)
         if data is not None:
-            self._lru.pop(key, None)
-            self._lru[key] = None
+            self._lru.move_to_end(key)
         return data
 
     def coverage(
@@ -167,8 +166,7 @@ class BlockCache:
                     break
                 if e > start:
                     key = (rel, s, e - s)
-                    self._lru.pop(key, None)
-                    self._lru[key] = None
+                    self._lru.move_to_end(key)
                     out.append((s, e, self._blocks[key]))
                 i += 1
             return out
@@ -226,16 +224,14 @@ class BlockCache:
 
     def _evict_one_locked(self) -> None:  # holds: self._lock
         self._check_guarded(write=True)
-        key = next(iter(self._lru))
-        del self._lru[key]
+        key, _ = self._lru.popitem(last=False)
         rel, start, length = key
         data = self._blocks.pop(key)
         self.current_bytes -= len(data)
-        spans = self._spans.get(rel)
-        if spans is not None:
-            spans.remove((start, start + length))
-            if not spans:
-                del self._spans[rel]
+        spans = self._spans[rel]
+        del spans[bisect.bisect_left(spans, (start, start + length))]
+        if not spans:
+            del self._spans[rel]
 
     def record_lookup(self, hit: bool) -> None:
         """Count one logical lookup (readers report hit/miss through this)."""

@@ -333,8 +333,7 @@ class ObjectStore:
 
     def save(self, rel_path: str, obj: Any, parallel: int = 1) -> int:
         """Serialize and write one object; returns bytes written."""
-        nbytes, _ = self.save_with_digest(rel_path, obj, parallel=parallel)
-        return nbytes
+        return self.put_bytes(rel_path, serialize(obj), parallel=parallel)
 
     def save_with_digest(
         self, rel_path: str, obj: Any, parallel: int = 1

@@ -11,6 +11,7 @@ from repro.core.metadata import UCPMetadata
 from repro.core.patterns import PatternProgram, PatternRule
 from repro.dist.topology import ParallelConfig
 from repro.parallel.tp import PATTERN_REPLICATED
+from repro.storage.faults import RetryPolicy, TransientFaults, TransientIOError
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
@@ -187,6 +188,35 @@ class TestLoadIntoEngine:
         path.write_bytes(path.read_bytes()[:entry.offset + entry.nbytes // 2])
         with pytest.raises(UCPFormatError, match=rel):
             load_ucp_into_engine(make_engine(), ucp_dir)
+
+    def test_transient_read_fault_is_retried(self, source_checkpoint):
+        """Every loader read goes through the store's fault hook: a
+        device that fails twice and recovers costs retries, not state."""
+        _, ckpt_dir, ucp_dir = source_checkpoint
+        ucp_convert(ckpt_dir, ucp_dir)
+        clean = make_engine(parallel=ParallelConfig(tp=2, dp=2))
+        load_ucp_into_engine(clean, ucp_dir)
+        faults = TransientFaults(read_failures=2)
+        store = ObjectStore(ucp_dir, faults=faults)
+        flaky = make_engine(parallel=ParallelConfig(tp=2, dp=2))
+        load_ucp_into_engine(flaky, ucp_dir, store=store)
+        assert faults.read_failures == 0
+        for coord, partitions in clean.zero.partitions.items():
+            for d, partition in enumerate(partitions):
+                assert np.array_equal(
+                    partition.fp32, flaky.zero.partitions[coord][d].fp32
+                ), (coord, d)
+
+    def test_persistent_read_fault_propagates(self, source_checkpoint):
+        _, ckpt_dir, ucp_dir = source_checkpoint
+        ucp_convert(ckpt_dir, ucp_dir)
+        store = ObjectStore(
+            ucp_dir,
+            faults=TransientFaults(read_failures=10**6),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        with pytest.raises(TransientIOError):
+            load_ucp_into_engine(make_engine(), ucp_dir, store=store)
 
 
 class TestConversionIdempotency:

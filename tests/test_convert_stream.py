@@ -9,6 +9,8 @@ while reading strictly fewer atom bytes.  A crash mid-fan-out must
 resume reusing exactly the atoms that committed.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -232,7 +234,29 @@ LOAD_CASES = [
                  ParallelConfig(tp=2, pp=2, dp=2), id="tied-pp2"),
     pytest.param("tp4_checkpoint", "gpt3-mini",
                  ParallelConfig(tp=1, pp=4, dp=1), id="tied-pp4"),
+    pytest.param("tp4_checkpoint", "gpt3-mini",
+                 ParallelConfig(tp=2, dp=1, sp=2), id="sp2"),
 ]
+
+
+class CountingStore(ObjectStore):
+    """An ObjectStore that counts payload read calls per object."""
+
+    def __init__(self, base_dir):
+        super().__init__(base_dir)
+        self.payload_reads = collections.Counter()
+
+    def read_bytes(self, rel_path, parallel=1):
+        self.payload_reads[rel_path] += 1
+        return super().read_bytes(rel_path, parallel=parallel)
+
+    def read_range(self, rel_path, offset, length, parallel=1):
+        self.payload_reads[rel_path] += 1
+        return super().read_range(rel_path, offset, length, parallel=parallel)
+
+    def read_ranges(self, rel_path, ranges, parallel=1):
+        self.payload_reads[rel_path] += 1
+        return super().read_ranges(rel_path, ranges, parallel=parallel)
 
 
 class TestSlicedLoad:
@@ -300,22 +324,83 @@ class TestSlicedLoad:
         whole = sum(store.size(rel) for rel in store.list("."))
         assert 0 < store.bytes_read < whole
 
-    def test_tied_embedding_is_read_once_across_stages(
-        self, tp4_checkpoint, tmp_path
+    @pytest.mark.parametrize("fixture, model, target", LOAD_CASES)
+    def test_each_state_file_is_read_once(
+        self, fixture, model, target, request, tmp_path
     ):
-        """The planner rule: an atom two pipeline stages both hold is
-        lowered once per (kind, tp rank) and never re-read, so a pp2
-        load of a tied model reads no more than a pp1 load does."""
+        """A whole-engine load is atom-major: one payload read call per
+        atom state file however many stages, tp ranks and sp replicas
+        hold the atom (a tied embedding included), and never more bytes
+        than the state files plus ``ucp_meta`` hold."""
+        _, ckpt_dir = request.getfixturevalue(fixture)
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        store = CountingStore(ucp_dir)
+        load_ucp_into_engine(
+            make_engine(model, parallel=target, seed=0), ucp_dir, store=store
+        )
+        state_files = [
+            rel for rel in store.list("atoms")
+            if not rel.endswith("atom_meta.npt")
+        ]
+        assert {rel: store.payload_reads[rel] for rel in state_files} == dict.fromkeys(
+            state_files, 1
+        )
+        assert 0 < store.bytes_read <= sum(
+            store.size(rel) for rel in state_files + ["ucp_meta.npt"]
+        )
+
+    def test_in_place_load_writes_every_element(self, tp4_checkpoint, tmp_path):
+        """The loader scatters into the engine's own arrays, so a target
+        pre-filled with NaN must come out byte-identical to a fresh one:
+        alignment tail and vocabulary padding included."""
         _, ckpt_dir = tp4_checkpoint
         ucp_dir = str(tmp_path / "ucp")
         ucp_convert(ckpt_dir, ucp_dir)
-        reads = {}
-        for pp in (1, 2):
-            store = ObjectStore(ucp_dir)
-            target = make_engine(parallel=ParallelConfig(tp=2, pp=pp, dp=2), seed=0)
-            load_ucp_into_engine(target, ucp_dir, store=store)
-            reads[pp] = store.bytes_read
-        assert 0 < reads[2] <= reads[1]
+        target = ParallelConfig(tp=2, pp=2, dp=2)
+        fresh = make_engine(parallel=target, seed=0)
+        dirty = make_engine(parallel=target, seed=0)
+        for partitions in dirty.zero.partitions.values():
+            for partition in partitions:
+                for kind in STATE_KINDS:
+                    dirty.zero._partition_array(partition, kind)[...] = np.nan
+        load_ucp_into_engine(fresh, ucp_dir)
+        load_ucp_into_engine(dirty, ucp_dir)
+        for coord, partitions in fresh.zero.partitions.items():
+            for d, partition in enumerate(partitions):
+                for kind in STATE_KINDS:
+                    got = dirty.zero._partition_array(
+                        dirty.zero.partitions[coord][d], kind
+                    )
+                    expected = fresh.zero._partition_array(partition, kind)
+                    assert got.tobytes() == expected.tobytes(), (coord, d, kind)
+
+    def test_payload_larger_than_window_is_read_in_windows(
+        self, tp4_checkpoint, tmp_path, monkeypatch
+    ):
+        """A payload over the window cap is read window by window (rows
+        straddling a window edge split there): same state, same bytes,
+        more read calls."""
+        _, ckpt_dir = tp4_checkpoint
+        ucp_dir = str(tmp_path / "ucp")
+        ucp_convert(ckpt_dir, ucp_dir)
+        target = ParallelConfig(tp=2, pp=2, dp=2)
+        whole, windowed = CountingStore(ucp_dir), CountingStore(ucp_dir)
+        expected = make_engine(parallel=target, seed=0)
+        load_ucp_into_engine(expected, ucp_dir, store=whole)
+        monkeypatch.setattr("repro.core.convert.WINDOW_AUTO_CAP_BYTES", 1000)
+        got = make_engine(parallel=target, seed=0)
+        load_ucp_into_engine(got, ucp_dir, store=windowed)
+        for coord, partitions in expected.zero.partitions.items():
+            for d, partition in enumerate(partitions):
+                for kind in STATE_KINDS:
+                    assert got.zero._partition_array(
+                        got.zero.partitions[coord][d], kind
+                    ).tobytes() == expected.zero._partition_array(
+                        partition, kind
+                    ).tobytes(), (coord, d, kind)
+        assert windowed.bytes_read == whole.bytes_read
+        assert max(windowed.payload_reads.values()) > 1
 
     def test_single_rank_slice_under_half_of_atom_bytes(
         self, tp4_checkpoint, tmp_path

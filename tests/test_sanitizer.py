@@ -226,93 +226,61 @@ class TestSnapshotBoundary:
         assert any("host" in d.location for d in found)
 
 
+CACHE_KEY = "atom:word_embeddings:fp32:tp0"
+
+
 @pytest.fixture
-def atom_cache(tmp_path):
-    """A real AtomShardCache whose plan shares one atom across stages.
+def cached_block():
+    """A buffer some cache owns and hands out views of.
 
-    Under pp2 the tied embedding belongs to both pipeline stages, so
-    its full shard is memoized — the one buffer the loader hands out
-    views of.  Returns the cache, that atom's name and a zero-arg
-    function fetching the memoized fp32 shard of tp rank 0.
+    The loader no longer keeps one (it scatters straight into the
+    engine), so the cache-boundary rules are exercised on a buffer
+    registered directly, the way a cache would.
     """
-    from repro.core.atom import AtomStore
-    from repro.core.convert import ucp_convert
-    from repro.core.ops import AtomShardCache, gen_ucp_metadata
-    from repro.dist.topology import ParallelConfig
-
-    eng = make_engine(seed=5)
-    eng.train(1)
-    ckpt, ucp = str(tmp_path / "ckpt"), str(tmp_path / "ucp")
-    eng.save_checkpoint(ckpt)
-    ucp_convert(ckpt, ucp)
-    plan = gen_ucp_metadata(eng.model_cfg, ParallelConfig(pp=2))
-    cache = AtomShardCache(AtomStore(ucp), plan)
-    (name,) = cache._shared
-    numel = plan.layout.rank_layout(0, 0, 0).entry(name).numel
-
-    def shard_flat():
-        return cache.shard_slice(name, "fp32", 0, 0, numel)
-
-    return cache, name, shard_flat
+    return np.arange(64, dtype=np.float32)
 
 
 class TestCacheBoundary:
-    def test_cached_atoms_are_read_only(self, atom_cache):
-        _, _, shard_flat = atom_cache
-        with sanitize(strict=True):
-            flat = shard_flat()
-        assert not flat.flags.writeable
+    def test_cached_atoms_are_read_only(self, cached_block):
+        with sanitize(strict=True) as san:
+            san.register_cache(CACHE_KEY, cached_block)
+        assert not cached_block.flags.writeable
         with pytest.raises(ValueError):
-            flat[0] = 99.0
+            cached_block[0] = 99.0
 
-    def test_cached_atoms_read_only_even_without_sanitizer(
-        self, atom_cache, monkeypatch
-    ):
-        _, _, shard_flat = atom_cache
-        monkeypatch.setattr(sanitizer_module, "_STACK", [])
-        assert current() is None
-        flat = shard_flat()
-        with pytest.raises(ValueError):
-            flat[0] = 99.0
-
-    def test_poisoned_cache_is_ucp027(self, atom_cache):
-        cache, name, shard_flat = atom_cache
+    def test_poisoned_cache_is_ucp027(self, cached_block):
         with sanitize(strict=False) as san:
-            shard_flat()
-            poisoned = cache._shards[(name, "fp32", 0)]
-            poisoned.setflags(write=True)  # force past the protection
-            poisoned.reshape(-1)[0] = -1.0
+            san.register_cache(CACHE_KEY, cached_block)
+            cached_block.setflags(write=True)  # force past the protection
+            cached_block[0] = -1.0
             san.check_cache_integrity(context="test")
         found = san.report.by_rule("UCP027")
         assert found
-        assert any(name in d.message for d in found)
+        assert any(CACHE_KEY in d.message for d in found)
 
-    def test_exit_scan_catches_late_poisoning(self, atom_cache):
-        cache, name, shard_flat = atom_cache
+    def test_exit_scan_catches_late_poisoning(self, cached_block):
         with sanitize(strict=False) as san:
-            shard_flat()
-            cache._shards[(name, "fp32", 0)].setflags(write=True)
+            san.register_cache(CACHE_KEY, cached_block)
+            cached_block.setflags(write=True)
         # the context-manager exit ran the final integrity scan
         assert san.report.by_rule("UCP027")
 
-    def test_claim_returns_private_writable_copy(self, atom_cache):
-        _, _, shard_flat = atom_cache
+    def test_claim_returns_private_writable_copy(self, cached_block):
         with sanitize(strict=True) as san:
-            flat = shard_flat()
-            before = flat[0]
-            mine = san.claim(flat)
+            san.register_cache(CACHE_KEY, cached_block)
+            view = cached_block[:16]
+            before = view[0]
+            mine = san.claim(view)
             mine[0] = before + 123.0  # private copy: no violation
-            assert flat[0] == before  # source untouched
+            assert view[0] == before  # source untouched
             san.check_cache_integrity(context="after claim")
         assert san.report.ok
 
-    def test_thaw_exempts_buffer_from_integrity_scan(self, atom_cache):
-        cache, name, shard_flat = atom_cache
+    def test_thaw_exempts_buffer_from_integrity_scan(self, cached_block):
         with sanitize(strict=True) as san:
-            shard_flat()
-            owned = cache._shards[(name, "fp32", 0)]
-            san.thaw(owned)
-            owned.reshape(-1)[0] = 7.0  # deliberate, claimed mutation
+            san.register_cache(CACHE_KEY, cached_block)
+            san.thaw(cached_block)
+            cached_block[0] = 7.0  # deliberate, claimed mutation
             san.check_cache_integrity(context="after thaw")
         assert san.report.ok
 
