@@ -12,6 +12,7 @@ factor *shrinks* as models grow (bandwidth amortizes the per-file
 latency).
 """
 
+import json
 import time
 
 
@@ -20,7 +21,7 @@ from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
 from repro.storage.store import ObjectStore
 
-from bench_util import make_engine, record_result
+from bench_util import RESULTS_DIR, make_engine, record_result
 
 MODELS = ["gpt3-small-bench", "gpt3-medium-bench", "gpt3-large-bench"]
 PARALLEL = ParallelConfig(tp=2, pp=2, dp=2)
@@ -111,16 +112,24 @@ def test_fig12_load_cost(benchmark, tmp_path):
     # (generous slack: single-round wall timings are noisy under load)
     assert rows[-1]["ratio"] <= rows[0]["ratio"] * 2.0
 
+    # the timings that count are the repo benchmark's: keep the ``e2e``
+    # section benchmarks/fig12_from_e2e.py wrote from a before/after pair
+    previous = RESULTS_DIR / "fig12_load_cost.json"
+    e2e = json.loads(previous.read_text()).get("e2e") if previous.exists() else None
     record_result(
         "fig12_load_cost",
         {
+            **({"e2e": e2e} if e2e else {}),
             "parallel": PARALLEL.describe(),
             "rows": rows,
             "paper_ratio_range": list(PAPER_RATIO_RANGE),
             "note": "ratios include engine reconstruction on both paths; "
                     "mini-scale per-atom file latency inflates the factor "
                     "vs the paper's DeepNVMe numbers, and it shrinks with "
-                    "model size as bandwidth dominates; both paths run "
+                    "model size as bandwidth dominates; rows are one "
+                    "timed sample each (kept for the byte columns) — the "
+                    "repeated, interleaved measurement of the same ratio "
+                    "is the e2e section; both paths run "
                     "at their defaults (the planned atom-major loader); "
                     "sliced_load_bytes vs ucp_dir_bytes shows a full "
                     "engine load reads each atom state file once and "

@@ -25,7 +25,9 @@ SRC011    temp-file-leak-on-exception   a function writes a temp file and
                                         publishes it with no ``except``/
                                         ``finally`` cleanup unlinking the
                                         temp — an exception between write
-                                        and rename leaks the ``*.tmp``
+                                        and rename leaks the ``*.tmp``; the
+                                        same when the write and the publish
+                                        are two methods of one class
 SRC012    commit-order-violation        the ``latest`` marker written in a
                                         function with no manifest publish
                                         lexically before it — readers could
@@ -40,9 +42,12 @@ function body, so an fsync inside ``if self.durable:`` satisfies SRC009
 Temp files are recognized by name (``"tmp"`` in the variable name or a
 ``".tmp"``/``"tmp"`` literal in the binding expression); a temp path
 laundered through an unrelated name defeats the check, which is what
-the runtime witness is for.  SRC011 only fires for functions that both
-write a temp *and* publish one — the fault-injection harness writes
-torn temp files on purpose and never renames them.
+the runtime witness is for.  SRC011 only fires where a temp is both
+written *and* published — the fault-injection harness writes torn temp
+files on purpose and never renames them.  The two may be one function
+or two methods of one class (a staged commit: ``stage`` writes the
+temp, ``publish`` renames it); then both halves must unlink on their
+exception path, directly or by calling a sibling method that does.
 
 Suppression shares :mod:`repro.analysis.srclint`'s mechanism:
 ``# srclint: disable=SRC009`` on the offending physical line.
@@ -61,7 +66,9 @@ FS_RULES = ("SRC009", "SRC010", "SRC011", "SRC012")
 
 _RENAME_NAMES = frozenset({"replace", "rename"})
 _UNLINK_NAMES = frozenset({"unlink", "remove"})
-_DIR_FSYNC_HELPERS = frozenset({"fsync_dir", "_fsync_dir", "sync_dir"})
+_DIR_FSYNC_HELPERS = frozenset({
+    "fsync_dir", "_fsync_dir", "sync_dir", "_sync_dir",
+})
 _LATEST_WRITERS = frozenset({
     "write_text", "put_bytes", "save", "save_with_digest", "write_marker",
 })
@@ -145,10 +152,13 @@ class _FnState:
         self.pending_dir_sync: List[Tuple[int, str]] = []
         # (lineno, norm tmp expr) of temp-file writes, for SRC011
         self.tmp_writes: List[Tuple[int, str]] = []
-        self.published = False
+        # (lineno, norm source expr) of publishing renames
+        self.publishes: List[Tuple[int, str]] = []
         self.manifest_written = False
         # temp exprs a surrounding try's handler/finally unlinks
         self.cleanup_exprs: Set[str] = set()
+        # ... or the handler calls a sibling method that unlinks
+        self.cleans_via_sibling = False
 
 
 class _FSChecker:
@@ -168,7 +178,12 @@ class _FSChecker:
 
     # --- per-function walk -------------------------------------------
 
-    def _check_function(self, fn) -> None:
+    def _check_function(
+        self, fn, unlinkers: frozenset = frozenset()
+    ) -> _FnState:
+        """SRC009/SRC010/SRC012 over one function; returns its state for
+        the SRC011 pass.  ``unlinkers`` names the sibling methods (of
+        the enclosing class) that unlink something."""
         state = _FnState()
         # pre-pass: collect every unlink of a temp-ish expression that
         # lives in an except handler or finally block — cleanup on ANY
@@ -181,10 +196,15 @@ class _FSChecker:
                     protected.extend(handler.body)
                 for stmt in protected:
                     for call in ast.walk(stmt):
+                        if not isinstance(call, ast.Call):
+                            continue
                         if (
-                            isinstance(call, ast.Call)
-                            and _terminal(call.func) in _UNLINK_NAMES
+                            isinstance(call.func, ast.Attribute)
+                            and _norm(call.func.value) == "self"
+                            and call.func.attr in unlinkers
                         ):
+                            state.cleans_via_sibling = True
+                        if _terminal(call.func) in _UNLINK_NAMES:
                             target = (
                                 _norm(call.args[0]) if call.args
                                 else _norm(call.func.value)
@@ -202,9 +222,31 @@ class _FSChecker:
                 f"cache, so a power loss can roll the publish back "
                 f"(or reorder it against later writes)",
             )
-        # SRC011: temp writes in a publishing function with no cleanup
-        if state.published:
-            for lineno, tmp in state.tmp_writes:
+        return state
+
+    def _check_leaks(self, states: List[_FnState]) -> None:
+        """SRC011 over one function, or over the methods of one class.
+
+        A temp written anywhere in the group and published anywhere in
+        it must be unlinked on the exception path of the function that
+        writes it — and, when a *different* method publishes it, of
+        that method too (a failed fsync or rename there would leak
+        every staged temp).
+        """
+        if not any(state.publishes for state in states):
+            return
+        for state in states:
+            if state.cleans_via_sibling:
+                continue
+            at_risk = list(state.tmp_writes)
+            if not at_risk and any(
+                other.tmp_writes for other in states if other is not state
+            ):
+                at_risk = [
+                    pub for pub in state.publishes
+                    if _is_tmpish(pub[1], state.tmp_names)
+                ]
+            for lineno, tmp in at_risk:
                 if any(
                     cleanup == tmp or _is_tmpish(cleanup, state.tmp_names)
                     for cleanup in state.cleanup_exprs
@@ -300,7 +342,7 @@ class _FSChecker:
         if name in _DIR_FSYNC_HELPERS:
             state.pending_dir_sync.clear()
             return
-        if name in ("fsync_file", "fsync_path") and node.args:
+        if name in ("fsync_file", "fsync_path", "_fsync_path") and node.args:
             state.durable.add(_norm(node.args[0]))
             return
 
@@ -313,7 +355,7 @@ class _FSChecker:
             src, dst = _norm(node.args[0]), _norm(node.args[1])
             if _is_tmpish(dst, state.tmp_names):
                 return  # renaming *into* a temp name is not a publish
-            state.published = True
+            state.publishes.append((node.lineno, src))
             if src not in state.durable:
                 self._emit(
                     "SRC009", node.lineno,
@@ -349,9 +391,26 @@ class _FSChecker:
     # --- entry --------------------------------------------------------
 
     def run(self) -> List[Diagnostic]:
+        methods: Set[ast.AST] = set()
+        for cls in ast.walk(self.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fns = [n for n in cls.body if isinstance(n, _FN_NODES)]
+            unlinkers = frozenset(
+                fn.name for fn in fns
+                if any(
+                    isinstance(n, ast.Call)
+                    and _terminal(n.func) in _UNLINK_NAMES
+                    for n in ast.walk(fn)
+                )
+            )
+            self._check_leaks([
+                self._check_function(fn, unlinkers - {fn.name}) for fn in fns
+            ])
+            methods.update(fns)
         for node in ast.walk(self.tree):
-            if isinstance(node, _FN_NODES):
-                self._check_function(node)
+            if isinstance(node, _FN_NODES) and node not in methods:
+                self._check_leaks([self._check_function(node)])
         return self.findings
 
 

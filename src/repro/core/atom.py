@@ -13,17 +13,23 @@ free, topology-free) copy of each training state (paper §3.1)::
 Keeping one file per (parameter, state) is what allows the target-side
 ``Load`` to stream exactly the fragments a rank needs, parameter by
 parameter, without materializing the whole model in memory.
+
+An atom's four files only mean something together, so they are one
+:class:`~repro.storage.store.CommitGroup`: staged in the order above and
+published as a unit, the sidecar renamed last — a visible
+``atom_meta.npt`` implies the three state files beside it are whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import AtomMissingError, UCPFormatError
-from repro.storage.store import ObjectStore
+from repro.storage.serializer import serialize
+from repro.storage.store import CommitGroup, ObjectStore
 
 STATE_KINDS: Tuple[str, ...] = ("fp32", "exp_avg", "exp_avg_sq")
 """Per-parameter states an atom persists (Adam training)."""
@@ -67,10 +73,19 @@ class AtomCheckpoint:
 
 
 class AtomStore:
-    """Reads and writes atoms under a UCP directory."""
+    """Reads and writes atoms under a UCP directory.
+
+    Attributes:
+        publish: what :meth:`write` hands each atom's staged
+            :class:`CommitGroup` to.  By default the group is published
+            inline, so ``write`` returns with the atom durable; the
+            converter's fan-out points it at its commit pool instead
+            (write-behind: ``write`` returns once the atom is staged).
+    """
 
     def __init__(self, ucp_dir: str, store: Optional[ObjectStore] = None) -> None:
         self.store = store if store is not None else ObjectStore(ucp_dir)
+        self.publish: Callable[[CommitGroup], None] = CommitGroup.publish
 
     def _atom_path(self, name: str, filename: str) -> str:
         if not name or name.startswith(("/", ".")) or ".." in name.split("."):
@@ -78,23 +93,25 @@ class AtomStore:
         return f"{ATOMS_DIR}/{name}/{filename}"
 
     def write(self, atom: AtomCheckpoint, parallel: int = 1) -> int:
-        """Persist one atom; returns bytes written."""
+        """Persist one atom as one commit group; returns bytes written."""
+        group = CommitGroup(self.store)
         total = 0
         for kind, values in atom.states.items():
-            total += self.store.save(
+            total += group.stage(
                 self._atom_path(atom.name, f"{kind}.npt"),
-                {"values": np.asarray(values, dtype=np.float32)},
+                serialize({"values": np.asarray(values, dtype=np.float32)}),
                 parallel=parallel,
             )
-        total += self.store.save(
+        total += group.stage(
             self._atom_path(atom.name, ATOM_META_FILE),
-            {
+            serialize({
                 "name": atom.name,
                 "shape": list(atom.shape),
                 "kinds": sorted(atom.states),
                 "spec": atom.spec,
-            },
+            }),
         )
+        self.publish(group)
         return total
 
     def read_state(self, name: str, kind: str, parallel: int = 1) -> np.ndarray:

@@ -33,14 +33,26 @@ destination's commit point, and a re-run after a mid-conversion crash
 reuses every atom that already exists and passes its integrity check —
 provided a source-identity marker proves the partial output came from
 the *same* committed source.
+
+Durability is a *group, write-behind* protocol.  An atom's four files
+are one :class:`~repro.storage.store.CommitGroup`: a fan-out worker only
+stages them (``*.tmp`` in the page cache) and moves on to the next atom,
+while a commit pool of as many threads publishes the groups behind it —
+fsync the four temps, rename them (sidecar last), fsync the atom
+directory.  Nothing before ``ucp_meta.npt`` needs to be durable any
+earlier than ``ucp_meta.npt`` itself: the commit step drains every
+publish and fsyncs ``atoms/`` first, and a resumed run trusts an atom
+only after re-reading it CRC-checked, never because it is there.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import os
 import re
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +70,7 @@ from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
 from repro.ckpt.loader import resolve_tag
-from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
+from repro.core.atom import ATOMS_DIR, STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.errors import PatternMatchError, UCPError, UCPFormatError
 from repro.core.intervals import numel as _numel
 from repro.core.metadata import UCPMetadata
@@ -79,7 +91,7 @@ from repro.storage.rangeio import (
     RangeReader,
 )
 from repro.storage.serializer import SerializationError, TensorIndexEntry
-from repro.storage.store import ObjectStore
+from repro.storage.store import CommitGroup, ObjectStore
 
 _OPTIM_FILE_RE = re.compile(r"^zero_dp_rank_(\d+)_mp_rank_(\d+)_optim_states\.npt$")
 
@@ -122,7 +134,10 @@ class ConversionReport:
     / ``finalize`` to wall seconds on the calling thread and ``digest``
     / ``read`` / ``assemble`` / ``write`` to seconds *summed across
     worker threads* (stages overlap, so the sum can exceed
-    :attr:`total_seconds`); ``num_preads`` counts positioned reads
+    :attr:`total_seconds`).  ``write`` is serialize -> published and
+    durable: a worker's staging plus the group publish, whichever thread
+    ran it; waiting for the commit pool to drain is ``finalize``.
+    ``num_preads`` counts positioned reads
     issued to the store, ``num_batches`` the batched ``read_ranges``
     calls they were amortized into, and ``ranges_coalesced`` how many
     planned ranges were merged away by plan- and reader-level
@@ -167,7 +182,8 @@ def _resolve_workers(workers: Optional[int]) -> int:
     Explicit ``0``/``1`` stay serial; explicit counts are respected.
     The *output bytes* are the same at any count — the parallel map
     preserves input order regardless of completion order.  Which atoms
-    have landed when a run dies is only fixed at ``0``/``1``.
+    have landed when a run dies is only fixed at ``0``/``1``.  Above 1
+    the same count also sizes the commit pool (:class:`_CommitPool`).
     """
     if workers is None:
         return min(8, os.cpu_count() or 1)
@@ -893,6 +909,76 @@ def _claim_destination(
     return reused
 
 
+class _CommitPool:
+    """Write-behind publisher of the fan-out's staged atoms.
+
+    A fan-out worker stages an atom's :class:`CommitGroup` and hands it
+    to :meth:`submit` (installed as the atom store's ``publish``); one
+    of ``workers`` commit threads then runs the group's fsyncs and
+    renames while the worker is already assembling its next atom — the
+    fsyncs wait for writeback with the GIL released, so a pool as wide
+    as the fan-out keeps up with it without taking CPU from it.
+
+    A worker :meth:`reserve`-s a slot before it stages and the commit
+    thread frees it once the group is published, so at most
+    ``2 * workers`` atoms are ever staged-but-unpublished (dirty page
+    cache and temp files, not process memory).  Leaving the ``with``
+    block waits for every submitted publish, success or not: no file
+    effect outlives the conversion that caused it.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self._pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="ucp-commit"
+        )
+        self._slots = threading.BoundedSemaphore(2 * workers)
+        # appended by workers (list.append is atomic), read by drain()
+        # only after the fan-out has joined
+        self._publishes: List[concurrent.futures.Future] = []
+        # Start the commit threads now, ahead of the fan-out's, rather
+        # than at the first submit.  glibc hands a new thread the most
+        # recently freed malloc arena; with a fixed start order the
+        # threads that allocate atoms get the same arenas conversion
+        # after conversion, instead of trading them with the commit
+        # threads and leaving every arena holding freed atom buffers
+        # (measured: ~40 MB of peak RSS per process, at any model size).
+        started = threading.Barrier(workers + 1)
+        for _ in range(workers):
+            self._pool.submit(started.wait)
+        started.wait()
+
+    def __enter__(self) -> "_CommitPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._pool.shutdown(wait=True)
+
+    def reserve(self) -> None:
+        """Block until fewer than ``2 * workers`` atoms are in flight."""
+        self._slots.acquire()
+
+    def release(self) -> None:
+        """Give back a reserved slot whose atom was never submitted."""
+        self._slots.release()
+
+    def submit(self, group: CommitGroup) -> None:
+        """Queue a fully staged group for publishing."""
+        self._publishes.append(self._pool.submit(self._publish, group))
+
+    def _publish(self, group: CommitGroup) -> float:
+        t_p = time.perf_counter()
+        try:
+            group.publish()
+        finally:
+            self._slots.release()
+        return time.perf_counter() - t_p
+
+    def drain(self) -> float:
+        """Wait until every submitted group is durable; returns the
+        publish thread-seconds.  Raises the first publish failure."""
+        return sum(fut.result() for fut in self._publishes)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class _ConversionPlan:
     """What the per-atom fan-out executes, fixed before the first atom.
@@ -1060,15 +1146,21 @@ def _materialize_part(
 
 
 def _convert_atom(
-    plan: _ConversionPlan, name: str
+    plan: _ConversionPlan, name: str, commits: Optional[_CommitPool]
 ) -> Tuple[str, int, Dict, Dict]:
     """Execute: Extract + Union + StripPadding + write, fused for one
     parameter; returns ``(name, bytes written, metadata entry, stats)``.
+    ``commits`` is the write-behind pool ``plan.atom_store.publish``
+    points at, or None when atoms are published inline.
 
     The atom is written the moment it consolidates, so in-flight memory
-    is bounded by workers x parameter size, not checkpoint size, and a
-    crash mid-fan-out leaves only durable atoms for the resume gate to
-    reuse.
+    is bounded by workers x parameter size, not checkpoint size.
+    "Written" means staged and handed to ``atom_store.publish``: inline
+    that is durable and visible on return; under the commit pool it is
+    four temps whose publish is queued.  Either way a crash mid-fan-out
+    leaves whole atoms (sidecar visible), partial ones (no sidecar) and
+    temps — and the resume gate reuses an atom only after re-reading
+    all four files CRC-checked, so it never has to know which.
     """
     read_plan = plan.read_plans[name]
     _await_digests(plan, read_plan.files)
@@ -1100,8 +1192,16 @@ def _convert_atom(
         states[kind] = strip_padding(merged.reshape(spec.logical_shape), spec)
     stats["assemble"] = time.perf_counter() - t_task - stats["read"]
     atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
+    if commits is not None:
+        commits.reserve()
     t_w = time.perf_counter()
-    nbytes = plan.atom_store.write(atom)
+    try:
+        nbytes = plan.atom_store.write(atom)
+    except BaseException:
+        # staging died before the group reached the pool
+        if commits is not None:
+            commits.release()
+        raise
     stats["write"] = time.perf_counter() - t_w
     return name, nbytes, {
         "shape": list(atom.shape),
@@ -1112,6 +1212,7 @@ def _convert_atom(
 
 def _commit(
     dst_store: ObjectStore,
+    commits: Optional[_CommitPool],
     params: Dict[str, Dict],
     job_config: Dict,
     analysis: ProvenanceAnalysis,
@@ -1119,9 +1220,16 @@ def _commit(
     trees: Dict[str, Dict],
     adam_hyper: Dict,
     loss_scaler: Optional[Dict],
-) -> int:
+) -> Tuple[int, float]:
     """Commit: write ``ucp_meta.npt``, the destination's commit point —
-    only after every atom is durable; returns its byte size."""
+    only after every atom is durable: every queued publish is drained
+    (one that failed fails the conversion here) and ``atoms/`` is
+    fsynced, because each ``atoms/<name>/`` was made by ``mkdir`` and a
+    group publish fsyncs only the directory *its files* are in.
+    Returns ``ucp_meta.npt``'s byte size and the drained publishes'
+    thread-seconds."""
+    publish_s = commits.drain() if commits is not None else 0.0
+    dst_store.fsync_dir(ATOMS_DIR)
     optimizer_step = 0
     for tree in trees.values():
         optimizer_step = max(optimizer_step, int(tree["optimizer_step"]))
@@ -1142,7 +1250,7 @@ def _commit(
         pattern_program=program.to_dict(),
         loss_scaler=loss_scaler,
     )
-    return metadata.save(dst_store)
+    return metadata.save(dst_store), publish_s
 
 
 def ucp_convert(
@@ -1172,7 +1280,9 @@ def ucp_convert(
             ``min(8, os.cpu_count())``; ``0``/``1`` run serial.  The
             *output bytes* are the same at any count; the order writes
             land in — what a run that dies partway leaves behind — is
-            fixed only when serial (marker, then four writes per atom).
+            fixed only when serial (marker, then per atom four staged
+            writes and one group publish).  Above 1 the publishes run
+            write-behind on a commit pool of the same width.
         verify_replicas: fail if replicated copies are not bit-equal.
         strict_spec_check: cross-check the program's classification
             against the sharding metadata recorded at save time.
@@ -1278,27 +1388,34 @@ def ucp_convert(
     # evicted blocks from disk.  Output is order-independent (atoms are
     # keyed by name), so scheduling is free to chase locality. ---
     fan_order = sorted(fresh_names, key=lambda n: (read_plans[n].files, n))
-    results = _map_maybe_parallel(
-        lambda name: _convert_atom(plan, name), fan_order, workers
-    )
-    t2 = time.perf_counter()
-    stage_seconds["digest"] = sum(
-        f.result() for f in plan.digest_once.values()
-    )
-    for stage in ("read", "assemble", "write"):
-        stage_seconds[stage] = sum(s[stage] for *_, s in results)
+    with (
+        _CommitPool(workers) if workers > 1 else contextlib.nullcontext()
+    ) as commits:
+        if commits is not None:
+            atom_store.publish = commits.submit
+        results = _map_maybe_parallel(
+            lambda name: _convert_atom(plan, name, commits), fan_order, workers
+        )
+        t2 = time.perf_counter()
+        stage_seconds["digest"] = sum(
+            f.result() for f in plan.digest_once.values()
+        )
+        for stage in ("read", "assemble", "write"):
+            stage_seconds[stage] = sum(s[stage] for *_, s in results)
 
-    # --- commit: params in canonical name order so resumed and clean
-    # conversions produce byte-identical metadata ---
-    fresh_entries = {name: entry for name, _, entry, _ in results}
-    params = {
-        name: reused[name] if name in reused else fresh_entries[name]
-        for name in names
-    }
-    atom_bytes = sum(nbytes for _, nbytes, _, _ in results) + _commit(
-        dst_store, params, job_config, analysis, program, trees,
-        adam_hyper, loss_scaler,
-    )
+        # --- commit: params in canonical name order so resumed and clean
+        # conversions produce byte-identical metadata ---
+        fresh_entries = {name: entry for name, _, entry, _ in results}
+        params = {
+            name: reused[name] if name in reused else fresh_entries[name]
+            for name in names
+        }
+        meta_bytes, publish_s = _commit(
+            dst_store, commits, params, job_config, analysis, program, trees,
+            adam_hyper, loss_scaler,
+        )
+    atom_bytes = sum(nbytes for _, nbytes, _, _ in results) + meta_bytes
+    stage_seconds["write"] += publish_s
     if cluster is not None:
         cluster.barrier(f"convert:{src_tag}:commit")
     t3 = time.perf_counter()

@@ -1,7 +1,7 @@
 """Injectable IO fault policies for the object store.
 
-A :class:`FaultPolicy` hooks every byte-level write and read the
-:class:`~repro.storage.store.ObjectStore` performs.  The base policy
+A :class:`FaultPolicy` hooks every byte-level write, publish and read
+the :class:`~repro.storage.store.ObjectStore` performs.  The base policy
 only counts operations (used to enumerate crash points); subclasses
 inject the failure modes a production checkpointing system must
 survive:
@@ -11,6 +11,9 @@ survive:
   before death).  Because the store writes through a temp file and an
   atomic rename, torn bytes only ever land in ``*.tmp`` files that no
   reader consults — that invariant is what the crash-matrix tests pin.
+* :class:`NoSpaceAtPublish` — the Nth publishing rename fails with
+  ``OSError(ENOSPC)``: the store stays up, the commit group the rename
+  belonged to must fail whole and leave no ``*.tmp`` behind.
 * :class:`TransientFaults` — the first N operations raise
   :class:`TransientIOError`; the store's :class:`RetryPolicy` absorbs
   them with exponential backoff (charged to simulated device time).
@@ -27,6 +30,7 @@ Policies are plugged in at construction time::
 from __future__ import annotations
 
 import dataclasses
+import errno
 import pathlib
 import random as _random
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -90,11 +94,13 @@ class FaultPolicy:
 
     ``write_ops`` / ``read_ops`` count *attempts* (a retried operation
     counts each try), which is how tests enumerate the write boundaries
-    of a save or conversion before replaying it with crashes.
+    of a save or conversion before replaying it with crashes;
+    ``publish_ops`` counts publishing renames the same way.
     """
 
     def __init__(self) -> None:
         self.write_ops = 0
+        self.publish_ops = 0
         self.read_ops = 0
 
     # --- hooks called by ObjectStore ---
@@ -103,6 +109,12 @@ class FaultPolicy:
         """Called before bytes are written (to ``tmp_path``, then renamed)."""
         self.write_ops += 1
         self._write_fault(self.write_ops, rel_path, tmp_path, data)
+
+    def on_publish(self, rel_path: str, tmp_path: pathlib.Path) -> None:
+        """Called before a staged ``tmp_path`` is renamed over its final
+        name (its bytes were written, and fsynced if durable)."""
+        self.publish_ops += 1
+        self._publish_fault(self.publish_ops, rel_path, tmp_path)
 
     def on_read(self, rel_path: str, path: pathlib.Path) -> None:
         """Called before bytes are read from ``path``."""
@@ -121,6 +133,11 @@ class FaultPolicy:
 
     def _write_fault(
         self, op_index: int, rel_path: str, tmp_path: pathlib.Path, data: bytes
+    ) -> None:
+        pass
+
+    def _publish_fault(
+        self, op_index: int, rel_path: str, tmp_path: pathlib.Path
     ) -> None:
         pass
 
@@ -161,6 +178,33 @@ class CrashAtWrite(FaultPolicy):
         raise InjectedCrash(
             f"injected crash at write boundary {self.crash_at} ({rel_path})"
         )
+
+
+class NoSpaceAtPublish(FaultPolicy):
+    """The Nth publishing rename (0-based) fails with ``ENOSPC``.
+
+    Not a crash: the process lives on, so the store must clean up — the
+    commit group the rename belonged to fails as a whole, its remaining
+    temps are unlinked, and whatever the caller treats as its commit
+    point (``ucp_meta.npt``, a manifest) must not be written.  Fires
+    once; later publishes succeed, which is what lets a plain re-run
+    finish the job.
+    """
+
+    def __init__(self, at: int) -> None:
+        super().__init__()
+        if at < 0:
+            raise ValueError("at must be >= 0")
+        self.at = at
+
+    def _publish_fault(
+        self, op_index: int, rel_path: str, tmp_path: pathlib.Path
+    ) -> None:
+        if op_index - 1 == self.at:
+            raise OSError(
+                errno.ENOSPC,
+                f"injected ENOSPC publishing {rel_path}",
+            )
 
 
 class TransientFaults(FaultPolicy):

@@ -77,22 +77,20 @@ def _decode(node: Any, tensors: List[np.ndarray]) -> Any:
     return node
 
 
-def serialize(obj: Any) -> bytes:
-    """Encode an object tree to ``.npt`` bytes."""
-    buffer = io.BytesIO()
-    write_npt(buffer, obj)
-    return buffer.getvalue()
+def _npt_parts(obj: Any) -> List[Any]:
+    """The file as an ordered list of bytes-like parts, payloads uncopied.
 
-
-def write_npt(fh: BinaryIO, obj: Any) -> int:
-    """Write an object tree to a binary stream; returns bytes written."""
+    Tensor payloads are flat ``uint8`` views of the (contiguous) arrays
+    themselves: the CRC runs over the array's own buffer and the one
+    copy a payload ever takes is the caller's join or stream write.
+    """
     tensors: List[np.ndarray] = []
     tree = _encode(obj, tensors)
+    payloads = [tensor.reshape(-1).view(np.uint8) for tensor in tensors]
 
     table: List[Dict] = []
-    payload_start = 0  # relative to payload section; fixed up below
     offset = 0
-    for tensor in tensors:
+    for tensor, payload in zip(tensors, payloads):
         offset = _align(offset)
         table.append(
             {
@@ -100,29 +98,37 @@ def write_npt(fh: BinaryIO, obj: Any) -> int:
                 "shape": list(tensor.shape),
                 "offset": offset,
                 "nbytes": int(tensor.nbytes),
-                "crc32": zlib.crc32(tensor.tobytes()) & 0xFFFFFFFF,
+                "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
             }
         )
         offset += tensor.nbytes
 
     header = json.dumps({"tree": tree, "tensors": table}).encode("utf-8")
     header_block = len(MAGIC) + 8 + len(header)
-    payload_start = _align(header_block)
-
-    written = 0
-    written += fh.write(MAGIC)
-    written += fh.write(len(header).to_bytes(8, "little"))
-    written += fh.write(header)
-    written += fh.write(b"\x00" * (payload_start - header_block))
+    parts: List[Any] = [
+        MAGIC,
+        len(header).to_bytes(8, "little"),
+        header,
+        b"\x00" * (_align(header_block) - header_block),
+    ]
     cursor = 0
-    for tensor, entry in zip(tensors, table):
+    for payload, entry in zip(payloads, table):
         pad = entry["offset"] - cursor
         if pad:
-            written += fh.write(b"\x00" * pad)
-            cursor += pad
-        written += fh.write(tensor.tobytes())
-        cursor += tensor.nbytes
-    return written
+            parts.append(b"\x00" * pad)
+        parts.append(memoryview(payload))
+        cursor = entry["offset"] + entry["nbytes"]
+    return parts
+
+
+def serialize(obj: Any) -> bytes:
+    """Encode an object tree to ``.npt`` bytes."""
+    return b"".join(_npt_parts(obj))
+
+
+def write_npt(fh: BinaryIO, obj: Any) -> int:
+    """Write an object tree to a binary stream; returns bytes written."""
+    return sum(fh.write(part) for part in _npt_parts(obj))
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

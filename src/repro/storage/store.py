@@ -1,17 +1,26 @@
 """Directory-backed object store with byte and simulated-time accounting.
 
-All writes are *atomic commits*: bytes land in a ``*.tmp`` sibling and
-are published with ``os.replace``, so a reader never observes a torn
-object — it sees either the previous version or the new one.  With
-``durable`` (the default, controlled by ``REPRO_DURABLE``) commits are
-additionally *power-loss safe*: the temp file is fsynced before the
-rename and the parent directory after it, so the publish can neither
-become durable ahead of the bytes it names nor be rolled back by a
-crash.  Every IO boundary runs through the optional
+All writes are *atomic commits* in two steps (:class:`CommitGroup`):
+bytes are first *staged* into a ``*.tmp`` sibling, and a group of
+staged files is then *published* together — every temp fsynced, every
+temp renamed over its final name with ``os.replace`` (in staging
+order), each distinct parent directory fsynced once.  A reader never
+observes a torn object: it sees either the previous version or the new
+one.  With ``durable`` (the default, controlled by ``REPRO_DURABLE``)
+the fsyncs make the commit *power-loss safe*: no rename can become
+durable ahead of the bytes it names, and once :meth:`CommitGroup.publish`
+returns no rename of the group can be rolled back by a crash.
+:meth:`ObjectStore.put_bytes` is the one-file group, so there is exactly
+one commit implementation; callers that own several files which only
+mean something together (an atom's three states and its sidecar) stage
+them all and pay one publish — and may run that publish on another
+thread, because nothing but the group's own temps is touched by it.
+
+Every IO boundary runs through the optional
 :class:`~repro.storage.faults.FaultPolicy` hook (crash injection,
-transient errors, latency spikes), and transient faults are retried
-under a :class:`~repro.storage.faults.RetryPolicy` whose backoff is
-charged to the simulated NVMe clock.
+transient errors, latency spikes, publish failures), and transient
+faults are retried under a :class:`~repro.storage.faults.RetryPolicy`
+whose backoff is charged to the simulated NVMe clock.
 
 Every file effect (write / fsync / rename / directory fsync / unlink)
 is reported to the active FS-op witness
@@ -26,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import posixpath
 import sys
 from typing import Any, List, Optional, Tuple
 
@@ -56,6 +64,20 @@ def _durable_default() -> bool:
     return os.environ.get("REPRO_DURABLE", "1") != "0"
 
 
+def _fsync_path(path: pathlib.Path) -> None:
+    """Fsync a file or directory through a fresh read-only descriptor.
+
+    The kernel flushes the inode's dirty pages whichever descriptor
+    asks, so a staged temp needs no handle kept open from its write to
+    its publish (possibly on another thread).
+    """
+    fd = os.open(str(path), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _fsync_dir(dir_path: pathlib.Path) -> None:
     """Fsync a directory so entry ops inside it survive power loss.
 
@@ -64,11 +86,7 @@ def _fsync_dir(dir_path: pathlib.Path) -> None:
     any file.  Skipping this leaves a committed-looking publish that a
     crash can roll back — exactly what SRC010/UCP032 flag.
     """
-    fd = os.open(str(dir_path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    _fsync_path(dir_path)
 
 
 def _fs_recorder():
@@ -88,6 +106,112 @@ def _lock_witness():
     """The active lock witness, or None (same probe as above)."""
     mod = sys.modules.get("repro.analysis.lockwitness")
     return None if mod is None else mod.current()
+
+
+class CommitGroup:
+    """Files staged as ``*.tmp`` siblings, then published together.
+
+    The store's one commit implementation, split so the expensive half
+    can be batched and moved off the writer's thread:
+
+    * :meth:`stage` — write hook (:meth:`FaultPolicy.on_write`), then
+      the bytes land in ``<name>.tmp``: page cache only, nothing visible
+      or durable yet.  The file is charged to the store's byte and
+      simulated-time accounting here, one file at a time.
+    * :meth:`publish` — fsync every staged temp back to back, rename
+      them all in staging order (so a file staged last is visible only
+      once everything before it is), fsync each distinct parent
+      directory once.  For ``n`` files in one directory that is
+      ``n + 1`` fsyncs instead of ``2n``, and the fsyncs wait for
+      writeback the kernel has had since staging to start.
+
+    A stage whose write fails, and a publish that raises, unlink every
+    temp the group still owns and re-raise.  Injected crashes fire from
+    the write hook, *before* the write, and leave the group's temps
+    where a real crash would.  A group belongs to one thread at a time;
+    staging on one thread and publishing on another is the intended
+    write-behind use.
+    """
+
+    def __init__(self, store: "ObjectStore") -> None:
+        self.store = store
+        # (rel_path, temp, final) per staged file, in staging order
+        self._staged: List[Tuple[str, pathlib.Path, pathlib.Path]] = []
+
+    def stage(self, rel_path: str, data: bytes, parallel: int = 1) -> int:
+        """Write ``data`` to ``rel_path``'s temp sibling; returns its size."""
+        store = self.store
+        path = store._resolve(rel_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        if store.faults is not None:
+            store._attempt_with_retry(
+                lambda: store.faults.on_write(rel_path, tmp, data), "write"
+            )
+        recorder = _fs_recorder()
+        if recorder is not None:
+            recorder.record_write(store._base_str, store._rel(tmp), data)
+        self._staged.append((rel_path, tmp, path))
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        except BaseException:
+            self.abandon()
+            raise
+        store.bytes_written += len(data)
+        store.simulated_write_s += store.nvme.write_time(len(data), parallel)
+        if store.faults is not None:
+            store.simulated_write_s += store.faults.write_latency_s(
+                rel_path, len(data)
+            )
+        return len(data)
+
+    def publish(self) -> None:
+        """Make every staged file durable and visible; empties the group."""
+        store = self.store
+        recorder = _fs_recorder()
+        try:
+            if store.durable:
+                witness = _lock_witness()
+                for rel_path, tmp, _ in self._staged:
+                    _fsync_path(tmp)
+                    if recorder is not None:
+                        recorder.record_fsync(store._base_str, store._rel(tmp))
+                    if witness is not None:
+                        witness.note_blocking(
+                            f"fsync({rel_path})", 0.0, kind="fsync"
+                        )
+            parents: List[pathlib.Path] = []
+            for rel_path, tmp, path in self._staged:
+                if store.faults is not None:
+                    store.faults.on_publish(rel_path, tmp)
+                os.replace(tmp, path)
+                if recorder is not None:
+                    recorder.record_rename(
+                        store._base_str, store._rel(tmp), store._rel(path)
+                    )
+                if path.parent not in parents:
+                    parents.append(path.parent)
+            for parent in parents:
+                store._sync_dir(parent, recorder)
+        except BaseException:
+            self.abandon()
+            raise
+        self._staged.clear()
+
+    def abandon(self) -> None:
+        """Unlink every temp the group still owns; empties the group."""
+        recorder = _fs_recorder()
+        for _, tmp, _ in self._staged:
+            try:
+                tmp.unlink()
+            except OSError:
+                continue  # already renamed, or never created
+            if recorder is not None:
+                recorder.record_unlink(
+                    self.store._base_str, self.store._rel(tmp)
+                )
+        self._staged.clear()
 
 
 class ObjectStore:
@@ -156,70 +280,43 @@ class ObjectStore:
     def put_bytes(self, rel_path: str, data: bytes, parallel: int = 1) -> int:
         """Atomically commit raw bytes; returns bytes written.
 
-        The write goes to a temp file first and is published with an
-        atomic rename — a crash at any point leaves either the previous
-        object or the new one visible, never a torn file.  Under
-        :attr:`durable` the commit also survives power loss: the temp
-        file is fsynced *before* the rename (the publish can never
-        become durable ahead of the bytes it names) and the parent
-        directory *after* it (the publish itself cannot be rolled
-        back).  A write that fails mid-commit cleans up its temp file;
-        injected crash faults fire before the write and deliberately
-        leave their torn temp behind, as a real crash would.
+        The one-file :class:`CommitGroup`: the write goes to a temp
+        file first and is published with an atomic rename — a crash at
+        any point leaves either the previous object or the new one
+        visible, never a torn file.  Under :attr:`durable` the commit
+        also survives power loss: the temp file is fsynced *before* the
+        rename (the publish can never become durable ahead of the bytes
+        it names) and the parent directory *after* it (the publish
+        itself cannot be rolled back).  A write that fails mid-commit
+        cleans up its temp file; injected crash faults fire before the
+        write and deliberately leave their torn temp behind, as a real
+        crash would.
         """
-        path = self._resolve(rel_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_write(rel_path, tmp, data), "write"
-            )
-        recorder = _fs_recorder()
-        rel_norm = tmp_rel = ""
-        if recorder is not None:
-            rel_norm = os.path.relpath(str(path), self._base_str)
-            rel_norm = rel_norm.replace(os.sep, "/")
-            tmp_rel = os.path.relpath(str(tmp), self._base_str)
-            tmp_rel = tmp_rel.replace(os.sep, "/")
-            recorder.record_write(self._base_str, tmp_rel, data)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                if self.durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            if self.durable:
-                if recorder is not None:
-                    recorder.record_fsync(self._base_str, tmp_rel)
-                witness = _lock_witness()
-                if witness is not None:
-                    witness.note_blocking(
-                        f"fsync({rel_path})", 0.0, kind="fsync"
-                    )
-            os.replace(tmp, path)
+        group = CommitGroup(self)
+        nbytes = group.stage(rel_path, data, parallel=parallel)
+        group.publish()
+        return nbytes
+
+    def fsync_dir(self, rel_dir: str) -> None:
+        """Make one directory's entries durable (no-op unless
+        :attr:`durable`).
+
+        For entries no publish covers: a directory created by
+        ``mkdir(parents=True)`` on the way to a staged file is an entry
+        of *its* parent, which that file's group never fsyncs.
+        """
+        self._sync_dir(self._resolve(rel_dir), _fs_recorder())
+
+    def _rel(self, path: pathlib.Path) -> str:
+        """Store-relative ``/``-separated form of a resolved path — the
+        FS witness's vocabulary (``"."`` is the root)."""
+        return os.path.relpath(str(path), self._base_str).replace(os.sep, "/")
+
+    def _sync_dir(self, dir_path: pathlib.Path, recorder) -> None:
+        if self.durable:
+            _fsync_dir(dir_path)
             if recorder is not None:
-                recorder.record_rename(self._base_str, tmp_rel, rel_norm)
-            if self.durable:
-                _fsync_dir(path.parent)
-                if recorder is not None:
-                    recorder.record_fsync_dir(
-                        self._base_str, posixpath.dirname(rel_norm) or "."
-                    )
-        except BaseException:
-            try:
-                tmp.unlink()
-                if recorder is not None:
-                    recorder.record_unlink(self._base_str, tmp_rel)
-            except OSError:
-                pass
-            raise
-        self.bytes_written += len(data)
-        self.simulated_write_s += self.nvme.write_time(len(data), parallel)
-        if self.faults is not None:
-            self.simulated_write_s += self.faults.write_latency_s(
-                rel_path, len(data)
-            )
-        return len(data)
+                recorder.record_fsync_dir(self._base_str, self._rel(dir_path))
 
     def read_bytes(self, rel_path: str, parallel: int = 1) -> bytes:
         """Read one object's raw bytes."""
@@ -437,15 +534,8 @@ class ObjectStore:
             path.unlink()
             recorder = _fs_recorder()
             if recorder is not None:
-                rel_norm = os.path.relpath(str(path), self._base_str)
-                rel_norm = rel_norm.replace(os.sep, "/")
-                recorder.record_unlink(self._base_str, rel_norm)
-            if self.durable:
-                _fsync_dir(path.parent)
-                if recorder is not None:
-                    recorder.record_fsync_dir(
-                        self._base_str, posixpath.dirname(rel_norm) or "."
-                    )
+                recorder.record_unlink(self._base_str, self._rel(path))
+            self._sync_dir(path.parent, recorder)
 
     def write_text(self, rel_path: str, text: str) -> None:
         """Atomically write a small text marker file (e.g. ``latest``).

@@ -8,7 +8,10 @@ after a crash reuses every atom that already committed intact.
 """
 
 import dataclasses
+import errno
+import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from repro.storage.faults import (
     CrashAtWrite,
     FaultPolicy,
     InjectedCrash,
+    NoSpaceAtPublish,
     RankKillAtWrite,
     RankKilled,
 )
@@ -46,6 +50,16 @@ def dir_digests(root, sub: str = "."):
     """rel path -> sha256 for every committed object under a directory."""
     store = ObjectStore(str(root))
     return {rel: store.digest(rel) for rel in store.list(sub)}
+
+
+def leftover_tmps(root):
+    """Every ``*.tmp`` under a directory (``ObjectStore.list`` hides them)."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*.tmp"))
+
+
+def whole_atoms(root):
+    """Atoms whose sidecar is visible — what a resumed run may reuse."""
+    return sorted(p.parent.name for p in root.glob("atoms/*/atom_meta.npt"))
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +152,10 @@ def convert_setup(tmp_path_factory):
     probe = root / "probe_ucp"
     counter = FaultPolicy()
     # workers=1 throughout this matrix: the boundary arithmetic below
-    # assumes the serial write order (marker, then 4 writes per atom in
-    # name order, then ucp_meta); the parallel pipeline's crash-resume
-    # behavior is covered by tests/test_convert_stream.py
+    # assumes the serial write order (marker, then per atom 4 staged
+    # writes and one group publish, in name order, then ucp_meta); the
+    # parallel pipeline's crash-resume behavior is covered by
+    # tests/test_convert_stream.py
     ucp_convert(
         str(ckpt), str(probe), workers=1,
         dst_store=ObjectStore(str(probe), faults=counter),
@@ -174,6 +189,8 @@ class TestConversionCrashMatrix:
             total_reused += report.num_reused
             # resumed output is bit-identical to a clean conversion
             assert dir_digests(work) == ref_digests, k
+            # ... and overwrote-and-published whatever the kill left staged
+            assert leftover_tmps(work) == [], k
         assert total_reused > 0
 
     def test_torn_conversion_crash_resumes_identically(
@@ -185,8 +202,65 @@ class TestConversionCrashMatrix:
             store = ObjectStore(str(work), faults=CrashAtWrite(k, torn=True))
             with pytest.raises(InjectedCrash):
                 ucp_convert(str(ckpt), str(work), workers=1, dst_store=store)
+            assert leftover_tmps(work), "the torn temp is the crash's evidence"
             ucp_convert(str(ckpt), str(work))
             assert dir_digests(work) == ref_digests, k
+            assert leftover_tmps(work) == [], k
+
+    def test_mid_atom_kill_leaves_the_group_staged_not_published(
+        self, convert_setup, tmp_path
+    ):
+        """A kill at an atom's fourth write finds three temps and no
+        final file: nothing of a group is visible before its publish."""
+        _, ckpt, _, _ = convert_setup
+        work = tmp_path / "ucp"
+        store = ObjectStore(str(work), faults=CrashAtWrite(4))
+        with pytest.raises(InjectedCrash):
+            ucp_convert(str(ckpt), str(work), workers=1, dst_store=store)
+        (atom_dir,) = (work / "atoms").iterdir()
+        assert sorted(p.name for p in atom_dir.iterdir()) == [
+            "exp_avg.npt.tmp", "exp_avg_sq.npt.tmp", "fp32.npt.tmp"
+        ]
+
+    def test_serial_conversion_fsyncs_five_times_per_atom(
+        self, convert_setup, tmp_path, monkeypatch
+    ):
+        """Group commit: 4 temps + 1 directory per atom, plus the marker
+        (2), ``atoms/`` (1) and ``ucp_meta`` (2).  Per-file commits cost
+        ``8 * atoms + 4``."""
+        _, ckpt, ref_digests, n_boundaries = convert_setup
+        atoms = (n_boundaries - 2) // 4
+        calls = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
+        )
+        work = tmp_path / "ucp"
+        ucp_convert(
+            str(ckpt), str(work), workers=1,
+            dst_store=ObjectStore(str(work), durable=True),
+        )
+        assert len(calls) == 5 * atoms + 5
+        assert dir_digests(work) == ref_digests
+
+    def test_benchmark_kill_then_default_resume_reuses_half(
+        self, convert_setup, tmp_path
+    ):
+        """The repo benchmark's ``resume-half`` shape: a serial run
+        killed at store write ``2 * num_params``, resumed at default
+        workers (the commit pool), reuses exactly the whole atoms."""
+        _, ckpt, ref_digests, n_boundaries = convert_setup
+        num_params = (n_boundaries - 2) // 4
+        work = tmp_path / "ucp"
+        store = ObjectStore(
+            str(work), faults=RankKillAtWrite(ranks=[0], at=2 * num_params)
+        )
+        with pytest.raises(RankKilled):
+            ucp_convert(str(ckpt), str(work), workers=1, dst_store=store)
+        report = ucp_convert(str(ckpt), str(work))
+        assert report.num_reused == (2 * num_params - 1) // 4
+        assert dir_digests(work) == ref_digests
+        assert leftover_tmps(work) == []
 
     def test_reference_conversion_loads_exactly(self, convert_setup, tmp_path):
         engine, ckpt, _, _ = convert_setup
@@ -221,6 +295,120 @@ class TestConversionCrashMatrix:
         assert report.num_reused == 0
         # fully rewritten: every object matches the clean conversion
         assert dir_digests(work) == ref_digests
+
+
+class TestGroupCommitProtocol:
+    """The conversion's write-behind group commit: publish failures,
+    the ``atoms/`` fsync, and the FS witness's verdict on a
+    ``workers=2`` run."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_publish_failure_fails_before_commit_point_and_leaks_nothing(
+        self, convert_setup, tmp_path, workers
+    ):
+        _, ckpt, ref_digests, _ = convert_setup
+        work = tmp_path / "ucp"
+        # publish 0 is the marker's rename, an atom is four: index 6 is
+        # the second rename of the second atom published
+        store = ObjectStore(str(work), faults=NoSpaceAtPublish(at=6))
+        with pytest.raises(OSError) as excinfo:
+            ucp_convert(str(ckpt), str(work), workers=workers, dst_store=store)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert not (work / "ucp_meta.npt").exists()
+        assert leftover_tmps(work) == []
+        reusable = whole_atoms(work)
+        if workers == 1:
+            assert len(reusable) == 1  # exactly the atom before the fault
+
+        report = ucp_convert(str(ckpt), str(work), workers=workers)
+        assert report.num_reused == len(reusable)
+        assert dir_digests(work) == ref_digests
+        assert leftover_tmps(work) == []
+
+    def test_atoms_dir_is_fsynced_before_the_commit_point(
+        self, convert_setup, tmp_path
+    ):
+        """Each ``atoms/<name>/`` is an entry of ``atoms/`` that no
+        group publish makes durable; ``ucp_meta.npt`` must not be able
+        to outlive them."""
+        from repro.analysis.fswitness import fstrace
+
+        _, ckpt, _, _ = convert_setup
+        work = tmp_path / "ucp"
+        with fstrace(capture_data=False) as rec:
+            ucp_convert(
+                str(ckpt), str(work),
+                dst_store=ObjectStore(str(work), durable=True),
+            )
+        ops = rec.ops()
+        synced = [
+            i for i, op in enumerate(ops)
+            if op.kind == "fsync_dir" and op.path == "s0/atoms"
+        ]
+        (commit,) = [
+            i for i, op in enumerate(ops)
+            if op.kind == "rename" and op.dst == "s0/ucp_meta.npt"
+        ]
+        last_atom_rename = max(
+            i for i, op in enumerate(ops)
+            if op.kind == "rename" and (op.dst or "").startswith("s0/atoms/")
+        )
+        assert len(synced) == 1
+        assert last_atom_rename < synced[0] < commit
+
+    def test_two_worker_trace_is_clean_under_the_crash_enumerator(
+        self, convert_setup, tmp_path
+    ):
+        """UCP032-UCP035 over a recorded ``workers=2`` group-commit run:
+        every rename's temp was fsynced first, every rename is covered
+        by a later parent-directory fsync, no temp survives, and every
+        enumerated post-crash state recovers — exhaustively, not capped.
+
+        The traced run resumes over all but four atoms, which keeps the
+        enumeration at a few hundred states (the CI ``crashfs`` job
+        enumerates a whole conversion)."""
+        from repro.analysis.fswitness import check_fs_trace, fstrace
+
+        _, ckpt, ref_digests, _ = convert_setup
+        work = tmp_path / "ucp"
+        ucp_convert(str(ckpt), str(work), workers=1)
+        os.remove(work / "ucp_meta.npt")
+        for atom in whole_atoms(work)[:4]:
+            shutil.rmtree(work / "atoms" / atom)
+
+        with fstrace() as rec:
+            report = ucp_convert(
+                str(ckpt), str(work), workers=2,
+                dst_store=ObjectStore(str(work), durable=True),
+            )
+        assert report.num_params - report.num_reused == 4
+        threads = {op.thread for op in rec.ops() if op.kind == "fsync"}
+        assert any(name.startswith("ucp-commit") for name in threads)
+        verdict = check_fs_trace(rec, state_cap=4096)
+        assert verdict.diagnostics == [], verdict.render_text()
+        assert dir_digests(work) == ref_digests
+
+    def test_commit_pool_under_oversubscription(self, convert_setup, tmp_path):
+        """More workers (and commit threads) than cores, a 10 us switch
+        interval: every staged group is published exactly once — the
+        digest map is the reference's, nothing is left staged, and the
+        byte counter saw every file."""
+        _, ckpt, ref_digests, n_boundaries = convert_setup
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for attempt in range(3):
+                work = tmp_path / f"ucp{attempt}"
+                report = ucp_convert(str(ckpt), str(work), workers=8)
+                assert dir_digests(work) == ref_digests
+                assert leftover_tmps(work) == []
+                assert report.num_reused == 0
+                assert set(report.stage_seconds) == {
+                    "lower", "plan", "digest", "read", "assemble", "write",
+                    "finalize",
+                }
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestLatestCommittedSelection:

@@ -8,6 +8,7 @@ from repro.storage.faults import (
     FaultPolicy,
     InjectedCrash,
     LatencySpikes,
+    NoSpaceAtPublish,
     RetryPolicy,
     TransientFaults,
     TransientIOError,
@@ -45,6 +46,7 @@ class TestFaultPolicyCounting:
         store.write_text("latest", "a")
         store.load("a.npt")
         assert policy.write_ops == 3  # two objects + the text marker
+        assert policy.publish_ops == 3  # one publishing rename each
         assert policy.read_ops == 1
 
 
@@ -90,6 +92,27 @@ class TestCrashAtWrite:
         with pytest.raises(InjectedCrash):
             crashing.write_text("latest", "global_step2")
         assert ObjectStore(str(tmp_path)).read_text("latest") == "global_step1"
+
+
+class TestNoSpaceAtPublish:
+    def test_nth_publish_fails_once_and_cleans_up(self, tmp_path):
+        import errno
+
+        policy = NoSpaceAtPublish(at=1)
+        store = ObjectStore(str(tmp_path), faults=policy)
+        store.put_bytes("a.npt", b"a")
+        with pytest.raises(OSError) as excinfo:
+            store.put_bytes("b.npt", b"b")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert not store.exists("b.npt")
+        assert not list(tmp_path.rglob("*.tmp"))
+        store.put_bytes("b.npt", b"b")  # fires once: the retry lands
+        assert store.list() == ["a.npt", "b.npt"]
+        assert policy.publish_ops == 3
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="at must be >= 0"):
+            NoSpaceAtPublish(at=-1)
 
 
 class TestTransientFaults:

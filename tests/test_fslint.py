@@ -210,6 +210,86 @@ def on_write(self, rel_path, tmp_path, data):
 """) == []
 
 
+STAGED_COMMIT = """\
+import os
+class Group:
+    def stage(self, path, data):
+        tmp = path + ".tmp"
+        self.staged.append((tmp, path))
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        except BaseException:
+            {stage_cleanup}
+            raise
+    def publish(self):
+        try:
+            for tmp, path in self.staged:
+                with open(tmp, "rb") as fh:
+                    os.fsync(fh.fileno())
+            for tmp, path in self.staged:
+                os.replace(tmp, path)
+            _fsync_dir(self.parent)
+        except BaseException:
+            {publish_cleanup}
+            raise
+    def abandon(self):
+        for tmp, _ in self.staged:
+            os.unlink(tmp)
+"""
+
+
+class TestSRC011StagedCommitAcrossMethods:
+    """A temp written by one method and renamed by a sibling (stage ->
+    publish) is followed across the two: both halves need the unlink on
+    their exception path, directly or through a sibling that has it."""
+
+    @staticmethod
+    def staged(stage_cleanup: str, publish_cleanup: str) -> str:
+        return STAGED_COMMIT.format(
+            stage_cleanup=stage_cleanup, publish_cleanup=publish_cleanup
+        )
+
+    def test_cleanup_through_a_sibling_method_is_quiet(self, tmp_path):
+        source = self.staged("self.abandon()", "self.abandon()")
+        assert lint_snippet(tmp_path, source) == []
+
+    def test_stage_without_cleanup_fires(self, tmp_path):
+        source = self.staged("pass", "self.abandon()")
+        (diag,) = lint_snippet(tmp_path, source)
+        assert diag.rule_id == "SRC011"
+        assert diag.location == "snippet.py:7"  # the temp's open()
+
+    def test_publish_without_cleanup_fires(self, tmp_path):
+        source = self.staged("os.unlink(tmp)", "pass")
+        (diag,) = lint_snippet(tmp_path, source)
+        assert diag.rule_id == "SRC011"
+        assert diag.location == "snippet.py:18"  # the rename
+
+    def test_unfsynced_staged_publish_still_fires_src009(self, tmp_path):
+        source = self.staged("self.abandon()", "self.abandon()").replace(
+            "os.fsync(fh.fileno())", "fh.read(0)"
+        )
+        assert rules(lint_snippet(tmp_path, source)) == ["SRC009"]
+
+    def test_store_commit_group_is_the_shape_under_test(self):
+        """Pin the rule to the code it exists for: taking either
+        ``self.abandon()`` out of ``CommitGroup`` must fire SRC011."""
+        import ast
+
+        from repro.analysis.fseffects import lint_fs_effects
+
+        store_py = Path(repro.__file__).parent / "storage" / "store.py"
+        pieces = store_py.read_text().split("self.abandon()")
+        assert len(pieces) == 3  # stage's handler, publish's handler
+        for dropped in (0, 1):
+            calls = ["self.abandon()", "self.abandon()"]
+            calls[dropped] = "pass"
+            broken = pieces[0] + calls[0] + pieces[1] + calls[1] + pieces[2]
+            findings = lint_fs_effects("store.py", broken, ast.parse(broken))
+            assert rules(findings) == ["SRC011"], (dropped, findings)
+
+
 class TestSRC012CommitOrderViolation:
     def test_latest_before_manifest_fires(self, tmp_path):
         findings = lint_snippet(tmp_path, """\

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.storage.nvme import NVMeModel
 from repro.storage.serializer import (
+    MAGIC,
     SerializationError,
     deserialize,
     serialize,
+    write_npt,
 )
-from repro.storage.store import ObjectStore
+from repro.storage.store import CommitGroup, ObjectStore
 
 
 class TestSerializer:
@@ -97,6 +99,80 @@ class TestSerializer:
             assert out[key] == value or (value is None and out[key] is None)
         for key, arr in arrays.items():
             assert np.array_equal(out[key], arr)
+
+
+class TestSerializerLayout:
+    """``serialize`` assembles the file from views of the arrays' own
+    buffers; the bytes must be what the documented layout says, for
+    every array shape the zero-copy path could get wrong."""
+
+    @staticmethod
+    def reference_bytes(obj) -> bytes:
+        """The ``.npt`` layout composed the slow way: header from a
+        decode of the real output (so only the payload section is
+        rebuilt), every payload through ``tobytes``."""
+        import io
+        import json
+        import zlib
+
+        data = serialize(obj)
+        header_len = int.from_bytes(data[4:12], "little")
+        header = json.loads(data[12:12 + header_len])
+        arrays = []
+
+        def collect(node):
+            if isinstance(node, np.ndarray):
+                arrays.append(np.ascontiguousarray(node))
+            elif isinstance(node, dict):
+                for value in node.values():
+                    collect(value)
+            elif isinstance(node, (list, tuple)):
+                for value in node:
+                    collect(value)
+
+        collect(obj)
+        out = io.BytesIO()
+        out.write(MAGIC + header_len.to_bytes(8, "little"))
+        out.write(data[12:12 + header_len])
+        out.write(b"\x00" * (-out.tell() % 64))
+        start = out.tell()
+        for arr, entry in zip(arrays, header["tensors"]):
+            out.write(b"\x00" * (start + entry["offset"] - out.tell()))
+            raw = arr.tobytes()
+            assert entry["crc32"] == zlib.crc32(raw) & 0xFFFFFFFF
+            assert entry["nbytes"] == len(raw)
+            out.write(raw)
+        return out.getvalue()
+
+    def test_payloads_and_crcs_match_tobytes(self, rng):
+        base = rng.standard_normal((6, 10)).astype(np.float32)
+        frozen = rng.standard_normal(33).astype(np.float32)
+        frozen.setflags(write=False)
+        obj = {
+            "strided": base[:, ::2],
+            "fortran": np.asfortranarray(base),
+            "scalar": np.array(2.5, dtype=np.float64),
+            "empty": np.zeros((0, 3), dtype=np.float16),
+            "big_endian": np.arange(5, dtype=">i4"),
+            "bools": np.array([True, False, True]),
+            "read_only": frozen,
+            "odd": [rng.standard_normal(7), {"tail": np.arange(3, dtype=np.int8)}],
+        }
+        data = serialize(obj)
+        assert data == self.reference_bytes(obj)
+        out = deserialize(data)
+        assert np.array_equal(out["strided"], base[:, ::2])
+        assert np.array_equal(out["fortran"], base)
+        assert out["big_endian"].tolist() == [0, 1, 2, 3, 4]
+
+    def test_stream_writer_emits_the_same_bytes(self, rng):
+        import io
+
+        obj = {"a": rng.standard_normal((4, 4)), "b": [1, "x", None]}
+        stream = io.BytesIO()
+        written = write_npt(stream, obj)
+        assert stream.getvalue() == serialize(obj)
+        assert written == len(stream.getvalue())
 
 
 class TestObjectStore:
@@ -280,3 +356,95 @@ class TestDurability:
         (leftover,) = tmp_path.rglob("*.tmp")
         assert leftover.read_bytes() == b"data"
         assert not (tmp_path / "x.npt").exists()
+
+
+class TestCommitGroup:
+    """The two-step commit under ``put_bytes``: stage, then publish a
+    group.  Sequence and failure behaviour, on the witness's record."""
+
+    @staticmethod
+    def traced(tmp_path, durable=True, faults=None):
+        from repro.analysis.fswitness import fstrace
+
+        store = ObjectStore(str(tmp_path), durable=durable, faults=faults)
+        return store, fstrace()
+
+    def test_group_fsyncs_then_renames_in_order_then_one_dir_fsync(
+        self, tmp_path
+    ):
+        store, trace = self.traced(tmp_path)
+        with trace as rec:
+            group = CommitGroup(store)
+            for name in ("a", "b", "c"):
+                group.stage(f"atom/{name}.npt", name.encode())
+            assert store.list() == []  # staged is not visible
+            assert len(list(tmp_path.rglob("*.tmp"))) == 3
+            group.publish()
+        ops = rec.ops()
+        assert [op.kind for op in ops] == (
+            ["write"] * 3 + ["fsync"] * 3 + ["rename"] * 3 + ["fsync_dir"]
+        )
+        assert [op.dst for op in ops[6:9]] == [
+            "s0/atom/a.npt", "s0/atom/b.npt", "s0/atom/c.npt"
+        ]
+        assert ops[-1].path == "s0/atom"
+        assert store.list() == ["atom/a.npt", "atom/b.npt", "atom/c.npt"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_each_distinct_parent_is_fsynced_once(self, tmp_path):
+        store, trace = self.traced(tmp_path)
+        with trace as rec:
+            group = CommitGroup(store)
+            for rel in ("x/1.npt", "y/1.npt", "x/2.npt", "top.npt"):
+                group.stage(rel, b"v")
+            group.publish()
+        dirs = [op.path for op in rec.ops() if op.kind == "fsync_dir"]
+        assert dirs == ["s0/x", "s0/y", "s0"]
+
+    def test_stage_charges_accounting_per_file(self, tmp_path):
+        store = ObjectStore(str(tmp_path))
+        group = CommitGroup(store)
+        assert group.stage("a.npt", b"12345") == 5
+        assert (store.bytes_written, store.simulated_write_s > 0) == (5, True)
+        group.abandon()
+        assert not list(tmp_path.rglob("*")), "abandon left a temp behind"
+
+    def test_failed_stage_abandons_the_whole_group(self, tmp_path):
+        store = ObjectStore(str(tmp_path), durable=True)
+        group = CommitGroup(store)
+        group.stage("d/a.npt", b"first")
+        (tmp_path / "d" / "b.npt.tmp").mkdir()  # open(..., "wb") will raise
+        with pytest.raises(OSError):
+            group.stage("d/b.npt", b"second")
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_failed_publish_unlinks_what_is_still_staged(self, tmp_path):
+        from repro.storage.faults import NoSpaceAtPublish
+
+        store, trace = self.traced(tmp_path, faults=NoSpaceAtPublish(at=1))
+        with trace as rec:
+            group = CommitGroup(store)
+            for name in ("a", "b", "c"):
+                group.stage(f"{name}.npt", name.encode())
+            with pytest.raises(OSError) as excinfo:
+                group.publish()
+        import errno
+
+        assert excinfo.value.errno == errno.ENOSPC
+        # the rename before the fault stands; nothing staged survives
+        assert store.list() == ["a.npt"]
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert [op.path for op in rec.ops() if op.kind == "unlink"] == [
+            "s0/b.npt.tmp", "s0/c.npt.tmp"
+        ]
+
+    def test_fsync_dir_records_and_honours_durable(self, tmp_path):
+        from repro.analysis.fswitness import fstrace
+
+        (tmp_path / "atoms").mkdir()
+        with fstrace() as rec:
+            ObjectStore(str(tmp_path), durable=False).fsync_dir("atoms")
+            ObjectStore(str(tmp_path), durable=True).fsync_dir("atoms")
+        assert [(op.kind, op.path) for op in rec.ops()] == [
+            ("fsync_dir", "s0/atoms")
+        ]
