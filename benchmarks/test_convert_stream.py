@@ -7,8 +7,9 @@ sweeps fig2-style interchange points (including the TP-degree change
 the CI ``convert-perf`` job gates on) and records, per point:
 
 * conversion — source bytes read (split into header / digest / planned
-  state), atom bytes written, cache hits (digest pass pre-warming
-  extract);
+  state), atom bytes written, the source reads issued (one per touched
+  file), the largest of them and the high-water mark of resident
+  source bytes;
 * loading — UCP bytes read per target engine against the UCP
   directory's size, and the store read calls the load issued (gated
   exactly: a header read and a payload read per atom state file, plus
@@ -67,7 +68,10 @@ def test_bench_convert_stream(benchmark, tmp_path):
         ckpt_bytes = sum(src_store.size(rel) for rel in src_store.list("."))
 
         stream_dir = str(tmp_path / f"{label}-stream".replace(">", ""))
-        streamed = ucp_convert(ckpt, stream_dir)
+        # serial, so that peak_resident_bytes is the plan's own figure
+        # (above one worker it depends on which atoms overlap); every
+        # byte column is the same at any worker count
+        streamed = ucp_convert(ckpt, stream_dir, workers=1)
         # conversion must never read the model_states / padding bytes
         assert 0 < streamed.bytes_read < ckpt_bytes, label
 
@@ -106,8 +110,9 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "streamed_digest_bytes": streamed.digest_bytes,
                 "streamed_planned_state_bytes": streamed.planned_state_bytes,
                 "atom_bytes_written": streamed.atom_bytes,
-                "cache_hits": streamed.cache_hits,
+                "num_preads": streamed.num_preads,
                 "peak_window_bytes": streamed.peak_window_bytes,
+                "peak_resident_bytes": streamed.peak_resident_bytes,
                 "sliced_load_bytes": sliced_bytes,
                 "ucp_dir_bytes": ucp_dir_bytes,
                 "load_read_calls": reads.read_ops,

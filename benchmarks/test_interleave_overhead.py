@@ -2,9 +2,10 @@
 
 Three measurements keep the cooperative scheduler honest:
 
-* **plain_s**: a production-scale convert+verify workload (1 MiB
-  windows over an 8 MiB source through a shared ``BlockCache``) run
-  serially with nothing attached — the context number.
+* **plain_s**: two conversion workers at production granularity
+  (overlapping planned sets of 4 MiB source files through the real
+  source-file table, 1 MiB slices) run serially with nothing attached
+  — the context number.
 * **witnessed_s**: the same workload under the three per-run witnesses
   every explored schedule pays (sanitizer, lock witness, FS trace).
   Their cost is budgeted by their *own* benches
@@ -26,7 +27,6 @@ purpose — it exists to catch an accidental always-on regression
 police nanoseconds.
 """
 
-import hashlib
 import os
 import time
 
@@ -40,8 +40,9 @@ from repro.storage.store import ObjectStore
 from bench_util import record_result
 
 MB = 1 << 20
-SOURCE_BYTES = 8 * MB
+FILE_BYTES = 4 * MB
 WINDOW_BYTES = MB
+PLANS = (("a.bin", "b.bin"), ("b.bin", "c.bin"))
 REPEATS = 4
 MAX_OVERHEAD = 1.3
 MAX_OFF_MODE_RATIO = 10.0
@@ -59,37 +60,39 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def _bench_scenario(root) -> interleave.Scenario:
-    """Convert+verify at production granularity: one tenant streams a
-    planned read through the shared cache and publishes an atom while
-    a verifier digests the same source through the same cache."""
+    """The ``source-files`` shape at production granularity: two
+    workers whose planned file sets overlap claim, load (verified),
+    slice and release through one table, each publishing an atom."""
     src = ObjectStore(os.path.join(root, "src"), durable=False)
-    src.put_bytes("rank0.bin", interleave._blob(0, "bench", SOURCE_BYTES))
+    for name in "abc":
+        src.put_bytes(f"{name}.bin", interleave._blob(0, name, FILE_BYTES))
     dst_root = os.path.join(root, "dst")
-    plan = [(off, WINDOW_BYTES) for off in range(0, SOURCE_BYTES, WINDOW_BYTES)]
+    slices = [(off, WINDOW_BYTES) for off in range(0, FILE_BYTES, WINDOW_BYTES)]
 
     def fresh() -> interleave.RunCase:
         dst = ObjectStore(dst_root, durable=False)
-        cache = BlockCache(4 * MB)
-        r0 = RangeReader(src, cache=cache, window_bytes=WINDOW_BYTES)
-        r1 = RangeReader(src, cache=cache, window_bytes=WINDOW_BYTES)
-        out = {}
+        table = BlockCache({"a.bin": 1, "b.bin": 2, "c.bin": 1})
+        reader = RangeReader(src, table, lambda r, rel: r.digest(rel))
 
-        def convert() -> None:
-            parts = r0.read_multi("rank0.bin", plan)
-            dst.put_bytes("atom.bin", b"".join(parts))
+        def worker(index: int):
+            def run() -> None:
+                reader.load(PLANS[index])
+                parts = []
+                for rel in PLANS[index]:
+                    parts += reader.read_multi(rel, slices)
+                    table.release(rel)
+                dst.put_bytes(f"atom{index}.bin", b"".join(parts))
 
-        def verify() -> None:
-            digest = hashlib.sha256()
-            for off, length in plan:
-                digest.update(r1.read("rank0.bin", off, length))
-            out["digest"] = digest.hexdigest()
+            return run
 
         return interleave.RunCase(
-            threads=[convert, verify],
-            fingerprint=lambda: dst.digest("atom.bin") + out["digest"],
+            threads=[worker(0), worker(1)],
+            fingerprint=lambda: (
+                dst.digest("atom0.bin") + dst.digest("atom1.bin")
+            ),
         )
 
-    return interleave.scenario("bench-convert-verify", fresh)
+    return interleave.scenario("bench-source-files", fresh)
 
 
 def test_interleave_overhead_within_budget(benchmark, tmp_path):
@@ -151,7 +154,7 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
         "BENCH_interleave",
         {
             "workload": {
-                "source_bytes": SOURCE_BYTES,
+                "source_bytes": 3 * FILE_BYTES,
                 "window_bytes": WINDOW_BYTES,
                 "threads": 2,
                 "trace_events": len(result.trace),

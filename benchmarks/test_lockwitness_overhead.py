@@ -3,7 +3,7 @@
 Two budgets keep the witness honest:
 
 * **Active overhead**: a representative threaded-IO workload — a
-  streaming ``ucp_convert`` whose RangeReader/BlockCache locks are all
+  ``ucp_convert`` whose reader and source-file-table locks are all
   witnessed — run with and without a strict :func:`lockcheck` active
   must cost at most ``MAX_OVERHEAD``x the plain run, median against
   median over alternating plain/witnessed runs (the CI ``concurrency``

@@ -9,12 +9,14 @@ points, and a DFS explorer with dynamic partial-order reduction and a
 preemption bound drives the scenario through every inequivalent
 schedule it can afford, checking per-schedule invariants.
 
-Yield points are the hooks the runtime checkers already own — no new
-instrumentation in production code:
+Yield points are the hooks the runtime checkers already own, plus one
+for a wait the lock model cannot see:
 
 * :class:`~repro.analysis.lockwitness.WitnessedLock` acquire/release,
-* the ``BlockCache`` accessor hooks behind UCP030 (now carrying a
-  read/write flag),
+* the source-file table's (``BlockCache``) accessor hooks behind UCP030
+  (carrying a read/write flag),
+* a conversion worker's wait on a peer's file load
+  (:meth:`Controller.on_wait`: runnable again once the future is done),
 * every :class:`~repro.analysis.fswitness.FSOpRecorder` store op,
 * explicit :func:`access` calls for scenario-declared shared state.
 
@@ -134,7 +136,7 @@ class Event:
     seq: int
     thread: int
     name: str
-    kind: str  # start | acquire | release | access | fs
+    kind: str  # start | acquire | release | access | fs | wait
     resource: str
     key: str
     write: bool
@@ -293,6 +295,16 @@ class Controller:
         write = kind in ("write", "rename", "unlink")
         self._park(ts, ("fs", f"{kind}:{path}", path, write, None, ""))
 
+    def on_wait(self, resource: str, ready: Callable[[], bool]) -> None:
+        """Hook before a blocking wait on a peer (a future): the thread
+        is runnable again once ``ready()`` holds, so the real wait that
+        follows a dispatch can never block."""
+        ts = self._state()
+        if ts is None or ts.aborting or self._finished:
+            return
+        stack = _lockwitness._fmt_stack(_lockwitness._capture_stack(skip=3))
+        self._park(ts, ("wait", resource, resource, False, ready, stack))
+
     # --- scheduler side ----------------------------------------------
 
     def _uid(self, lock) -> str:
@@ -306,6 +318,8 @@ class Controller:
         if not ts.parked or ts.pending is None:
             return False
         kind, _, _, _, lock, _ = ts.pending
+        if kind == "wait":
+            return lock()  # the ``ready`` predicate rides in the lock slot
         if kind != "acquire":
             return True
         owner = self._owner.get(id(lock))
@@ -342,6 +356,12 @@ class Controller:
             (t for t in self.order if not t.done), key=lambda t: t.index
         ):
             kind, resource, _, _, lock, stack = ts.pending
+            if kind == "wait":
+                waiters.append({
+                    "thread": ts.name, "wants": resource, "owner": "?",
+                    "stack": stack, "owner_stack": "<unknown>",
+                })
+                continue
             owner = self._owner.get(id(lock))
             # keyed by the lock *name*, not the per-run uid: the same
             # wait cycle found via two schedules must dedupe to one
@@ -519,8 +539,7 @@ class _Dependence:
       wait cycle (ABBA), even when the sections share no data.
 
     Everything else commutes.  In particular a nesting lock private to
-    one thread (each ``RangeReader``'s own IO lock around the shared
-    cache lock) triggers neither acquire clause, which is what keeps
+    one thread triggers neither acquire clause, which is what keeps
     lock-heavy IO scenarios explorable.
     """
 
@@ -717,21 +736,12 @@ def _blob(seed: int, tag: str, nbytes: int) -> bytes:
 
 
 SCENARIOS: Dict[str, str] = {
-    "blockcache": (
-        "two readers share one BlockCache over overlapping ranges of "
-        "two files; invariant: every byte read is schedule-independent"
-    ),
-    "convert-verify": (
-        "the distilled hub shape: a convert thread streams planned "
-        "ranges through a shared BlockCache and publishes an atom "
-        "while a verify thread digests the same source file through "
-        "the same cache; invariant: output and digest match the "
-        "serial run byte-for-byte"
-    ),
-    "convert-w2": (
-        "two convert tenants (w2) stream the same source through one "
-        "shared BlockCache into separate output stores — the "
-        "multi-tenant hub under eviction pressure"
+    "source-files": (
+        "two conversion workers whose planned file sets overlap "
+        "({a, b} and {b, c}) claim, load, slice and release through "
+        "the real source-file table; invariants: output is "
+        "schedule-independent, each file is read once, nothing is "
+        "resident at the end"
     ),
     "inmemory": (
         "InMemoryCheckpoint commit racing recover on one engine; "
@@ -757,130 +767,60 @@ def build_scenario(name: str, seed: int = 0, root: Optional[str] = None) -> Scen
     if root is None:
         root = tempfile.mkdtemp(prefix=f"interleave-{name}-")
     builder = {
-        "blockcache": _build_blockcache,
-        "convert-verify": _build_convert_verify,
-        "convert-w2": _build_convert_w2,
+        "source-files": _build_source_files,
         "inmemory": _build_inmemory,
     }[name]
     return builder(seed, root)
 
 
-def _build_blockcache(seed: int, root: str) -> Scenario:
+def _build_source_files(seed: int, root: str) -> Scenario:
     from repro.storage.rangeio import BlockCache, RangeReader
     from repro.storage.store import ObjectStore
 
     store = ObjectStore(os.path.join(root, "src"), durable=False)
-    store.put_bytes("a.bin", _blob(seed, "a", 2048))
-    store.put_bytes("b.bin", _blob(seed, "b", 1024))
+    for name in "abc":
+        store.put_bytes(f"{name}.bin", _blob(seed, name, 1024))
+    # each worker's planned slices: (file, [(offset, length), ...])
+    plans = [
+        [("a.bin", [(0, 512)]), ("b.bin", [(256, 512), (0, 64)])],
+        [("b.bin", [(512, 512)]), ("c.bin", [(128, 256)])],
+    ]
 
     def fresh() -> RunCase:
-        cache = BlockCache(4096)
-        readers = [
-            RangeReader(store, cache=cache, window_bytes=1024)
-            for _ in range(2)
-        ]
+        loads: Dict[str, int] = {}
+
+        def verify(reader, rel: str) -> None:
+            loads[rel] = loads.get(rel, 0) + 1
+            reader.digest(rel)
+
+        table = BlockCache({"a.bin": 1, "b.bin": 2, "c.bin": 1})
+        reader = RangeReader(store, table, verify)
         out: Dict[str, str] = {}
 
-        def t0() -> None:
-            out["T0"] = hashlib.sha256(
-                bytes(readers[0].read("a.bin", 0, 1500))
-            ).hexdigest()
+        def worker(index: int) -> Callable[[], None]:
+            def run() -> None:
+                plan = plans[index]
+                reader.load([rel for rel, _ in plan])
+                hasher = hashlib.sha256()
+                for rel, ranges in plan:
+                    for view in reader.read_multi(rel, ranges):
+                        hasher.update(view)
+                    table.release(rel)
+                out[f"T{index}"] = hasher.hexdigest()
 
-        def t1() -> None:
-            out["T1"] = hashlib.sha256(
-                bytes(readers[1].read("a.bin", 512, 1536))
-            ).hexdigest()
-
-        def fingerprint() -> str:
-            return json.dumps(out, sort_keys=True)
-
-        return RunCase([t0, t1], fingerprint)
-
-    return scenario("blockcache", fresh, SCENARIOS["blockcache"])
-
-
-def _convert_thread(reader, plan, dst, rel: str) -> Callable[[], None]:
-    """The distilled streamed-convert IO kernel: read planned ranges
-    through the shared cache, assemble, publish one output object."""
-
-    def run() -> None:
-        views = reader.read_multi(rel, plan)
-        dst.put_bytes("atom.bin", b"".join(bytes(v) for v in views))
-
-    return run
-
-
-def _build_convert_verify(seed: int, root: str) -> Scenario:
-    from repro.storage.rangeio import BlockCache, RangeReader
-    from repro.storage.store import ObjectStore
-
-    src = ObjectStore(os.path.join(root, "src"), durable=False)
-    src.put_bytes("rank0.bin", _blob(seed, "rank0", 2048))
-    dst = ObjectStore(os.path.join(root, "out"), durable=False)
-    plan = [(0, 1024), (1536, 512)]
-
-    def fresh() -> RunCase:
-        cache = BlockCache(1 << 15)
-        conv_reader = RangeReader(src, cache=cache, window_bytes=1024)
-        verify_reader = RangeReader(src, cache=cache, window_bytes=1024)
-        digests: Dict[str, str] = {}
-
-        def verify() -> None:
-            digests["verify"] = verify_reader.digest("rank0.bin")
-
-        def fingerprint() -> str:
-            atom = hashlib.sha256(dst.read_bytes("atom.bin")).hexdigest()
-            return json.dumps(
-                {"atom": atom, **digests}, sort_keys=True
-            )
-
-        return RunCase(
-            [_convert_thread(conv_reader, plan, dst, "rank0.bin"), verify],
-            fingerprint,
-        )
-
-    return scenario("convert-verify", fresh, SCENARIOS["convert-verify"])
-
-
-def _build_convert_w2(seed: int, root: str) -> Scenario:
-    from repro.storage.rangeio import BlockCache, RangeReader
-    from repro.storage.store import ObjectStore
-
-    src = ObjectStore(os.path.join(root, "src"), durable=False)
-    src.put_bytes("rank0.bin", _blob(seed, "rank0", 4096))
-    outs = [
-        ObjectStore(os.path.join(root, f"out{i}"), durable=False)
-        for i in range(2)
-    ]
-    plans = [
-        [(0, 1024), (2048, 1024)],
-        [(1024, 1024), (3072, 1024)],
-    ]
-
-    def fresh() -> RunCase:
-        cache = BlockCache(2048)  # smaller than the file: eviction churn
-        readers = [
-            RangeReader(src, cache=cache, window_bytes=1024)
-            for _ in range(2)
-        ]
+            return run
 
         def fingerprint() -> str:
             return json.dumps({
-                f"out{i}": hashlib.sha256(
-                    outs[i].read_bytes("atom.bin")
-                ).hexdigest()
-                for i in range(2)
+                **out,
+                "loads": loads,
+                "read_ops": reader.read_ops,
+                "resident": table.resident_bytes,
             }, sort_keys=True)
 
-        return RunCase(
-            [
-                _convert_thread(readers[0], plans[0], outs[0], "rank0.bin"),
-                _convert_thread(readers[1], plans[1], outs[1], "rank0.bin"),
-            ],
-            fingerprint,
-        )
+        return RunCase([worker(0), worker(1)], fingerprint)
 
-    return scenario("convert-w2", fresh, SCENARIOS["convert-w2"])
+    return scenario("source-files", fresh, SCENARIOS["source-files"])
 
 
 def _build_inmemory(seed: int, root: str) -> Scenario:

@@ -15,7 +15,7 @@ UCP029    lock-order-cycle              two threads acquired the same locks
                                         in opposite orders — a potential
                                         ABBA deadlock, reported with *both*
                                         acquisition stacks
-UCP030    unguarded-state-access        guarded state (``BlockCache`` blocks,
+UCP030    unguarded-state-access        guarded state (``BlockCache`` files,
                                         replica tables) touched with the
                                         declared lock not held — via accessor
                                         hooks, no ``sys.settrace``

@@ -3,7 +3,7 @@
 The cooperative scheduler (:mod:`repro.analysis.interleave`) does not
 instrument code itself — it reuses the yield points the runtime
 checkers already own: :class:`~repro.analysis.lockwitness.WitnessedLock`
-acquire/release, the ``BlockCache`` accessor hooks behind UCP030, and
+acquire/release, the source-file table's accessor hooks behind UCP030, and
 the :class:`~repro.analysis.fswitness.FSOpRecorder` store-op hooks.
 Those modules cannot import :mod:`repro.analysis.interleave` (it
 imports them), so the one shared global lives here, in a module with

@@ -138,14 +138,15 @@ def load_verified(
 
 
 def verify_streaming(reader, rel_path: str, entry: Optional[Dict]) -> None:
-    """Digest-verify one object in bounded chunks via a range reader.
+    """Load one object through a range reader, verifying it as it streams.
 
     The streaming counterpart of :func:`load_verified`'s integrity
-    check: the file is hashed in window-sized chunks through a
-    :class:`~repro.storage.rangeio.RangeReader`, so the whole object is
-    never materialized and the verified blocks stay in the reader's
-    shared cache for the consumer (extract, sliced load) to reuse —
-    fixing the verify-then-reread double IO of the full-read path.
+    check, and the ``verify`` step of a
+    :class:`~repro.storage.rangeio.RangeReader` load: ``reader.digest``
+    reads the file once, sequentially, into the source-file table while
+    hashing it, and the table serves consumers only after this function
+    returned — the verified bytes are the bytes extraction slices, with
+    no second read.
 
     Raises:
         FileNotFoundError: no object at the path.
@@ -153,8 +154,9 @@ def verify_streaming(reader, rel_path: str, entry: Optional[Dict]) -> None:
             manifest entry.
     """
     if entry is None:
+        reader.digest(rel_path)
         return
-    nbytes = reader.size(rel_path)
+    nbytes = reader.store.size(rel_path)
     if nbytes != int(entry["nbytes"]):
         raise CheckpointIntegrityError(
             f"{rel_path}: size mismatch: the manifest recorded "

@@ -94,7 +94,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
         tag=args.tag,
         program=program,
         workers=args.workers,
-        window_bytes=args.window_bytes,
     )
     reused = f", {report.num_reused} reused" if report.num_reused else ""
     print(f"converted {report.source_tag}: {report.num_files} rank files -> "
@@ -108,11 +107,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     print(f"stages:  {stages}")
     print(f"io:      read {report.bytes_read / 1e6:.1f} MB / "
           f"wrote {report.bytes_written / 1e6:.1f} MB "
-          f"(cache hits {report.cache_hits}, "
-          f"peak window {report.peak_window_bytes / 1e6:.2f} MB)")
-    print(f"ranges:  {report.num_preads} preads in "
-          f"{report.num_batches} batches, "
-          f"{report.ranges_coalesced} ranges coalesced")
+          f"({report.num_preads} source reads, largest "
+          f"{report.peak_window_bytes / 1e6:.2f} MB; peak resident "
+          f"source {report.peak_resident_bytes / 1e6:.2f} MB)")
     return 0
 
 
@@ -490,14 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="thread count (default: min(8, cpu count); 0/1 = serial)",
-    )
-    p.add_argument(
-        "--window-bytes",
-        type=int,
-        default=None,
-        help="max bytes per disk read, bounds buffer memory "
-        "(default: auto-sized to the largest touched file, capped at "
-        "64 MiB, so extract runs zero-copy)",
     )
     p.add_argument(
         "--average-replicas",

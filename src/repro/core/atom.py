@@ -119,14 +119,28 @@ class AtomStore:
         rel = self._atom_path(name, f"{kind}.npt")
         if not self.store.exists(rel):
             raise AtomMissingError(f"missing atom state {rel}")
-        return self.store.load(rel, parallel=parallel)["values"]
+        obj = self.store.load(rel, parallel=parallel)
+        if not isinstance(obj, dict) or not isinstance(
+            obj.get("values"), np.ndarray
+        ):
+            raise UCPFormatError(
+                f"atom state file {rel} is damaged: it decodes, but holds "
+                f"no 'values' array"
+            )
+        return obj["values"]
 
     def read_meta(self, name: str) -> Dict:
         """Read one atom's metadata sidecar."""
         rel = self._atom_path(name, ATOM_META_FILE)
         if not self.store.exists(rel):
             raise AtomMissingError(f"missing atom metadata {rel}")
-        return self.store.load(rel)
+        meta = self.store.load(rel)
+        if not isinstance(meta, dict):
+            raise UCPFormatError(
+                f"atom metadata {rel} is damaged: it decodes to "
+                f"{type(meta).__name__}, not a mapping"
+            )
+        return meta
 
     def read(self, name: str) -> AtomCheckpoint:
         """Read a full atom (all states)."""

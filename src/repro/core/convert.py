@@ -12,17 +12,21 @@ UCP (the paper's zero-save-overhead claim).  Phases:
 3. **StripPadding** and write one atom per parameter, plus global
    metadata.
 
-No rank file is ever materialized.  Once the byte-provenance
-pre-flight has proven the source sound, its interval maps are lowered
-into per-parameter *read plans* — exact ``(file, byte-range) ->
-consolidated range`` preads — executed over a shared
-:class:`~repro.storage.rangeio.RangeReader` with adjacent-range
-coalescing and a bounded block cache.  Manifest digests are verified by
-*streaming* each consumed file once in window-sized chunks that pre-warm
-the very blocks extract reads next, so each source byte is read from
-disk at most once; per-atom results are written as soon as they
-consolidate, keeping in-flight memory bounded by the worker count
-instead of the checkpoint size.  The in-memory operators of
+No rank file is ever decoded.  Once the byte-provenance pre-flight has
+proven the source sound, its interval maps are lowered into
+per-parameter *read plans* — exact ``(file, element range) ->
+consolidated range`` slices — and the plans fix the read side before
+the first payload byte moves: which atoms consume which optimizer files
+and in what order.  Each touched file is loaded exactly once, by the
+first atom that needs it: one sequential read through
+:class:`~repro.storage.rangeio.RangeReader`, hashed as it streams and
+checked against its manifest entry before any consumer sees a byte;
+every consumer scatters straight out of read-only slices of that one
+buffer, and the buffer leaves the source-file table
+(:class:`~repro.storage.rangeio.BlockCache`) when its last planned
+consumer is assembled.  Per-atom results are written as soon as they
+consolidate, so in-flight memory is one file group plus the workers'
+atoms, not the checkpoint.  The in-memory operators of
 :mod:`repro.core.ops` stay the reference semantics the pipeline is
 tested byte-for-byte against (``tests/reference_convert.py``).
 
@@ -47,6 +51,7 @@ only after re-reading it CRC-checked, never because it is there.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -58,7 +63,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import lockwitness as _lockwitness
 from repro.analysis.diagnostics import LayoutLintError, LintReport, error
 from repro.analysis.interchange import preflight_convert
 from repro.analysis.provenance import (
@@ -84,12 +88,7 @@ from repro.parallel.tp import (
     PATTERN_TO_AVERAGE,
     ShardSpec,
 )
-from repro.storage.rangeio import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_WINDOW_BYTES,
-    BlockCache,
-    RangeReader,
-)
+from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.serializer import SerializationError, TensorIndexEntry
 from repro.storage.store import CommitGroup, ObjectStore
 
@@ -111,18 +110,17 @@ class ConversionReport:
     source/destination store's real byte deltas for this run (headers,
     digest verification, and payload all included), so a conversion can
     *prove* it read less than the full source checkpoint.
-    ``cache_hits`` and ``peak_window_bytes`` come from the shared
-    :class:`~repro.storage.rangeio.RangeReader`: cache hits count range
-    requests that reused digest-warmed or coalesced blocks, and the
-    peak window bounds the largest single disk read the run ever
-    issued.
+    ``peak_window_bytes`` is the largest single store read the run
+    issued (at most :data:`~repro.storage.rangeio.WINDOW_AUTO_CAP_BYTES`)
+    and ``peak_resident_bytes`` the observed high-water mark of source
+    bytes held in the source-file table — the files with a planned
+    consumer still pending, never the whole source.
 
     Byte decomposition: ``bytes_read`` splits into ``header_bytes``
     (manifest + job config + the header-only index pass),
-    ``digest_bytes`` (aggregate whole-file verification — every touched
-    file hashed once, warming the block cache), and whatever the
-    extract phase still had to fetch cold (normally ~0, because the
-    digest pass pre-warmed it).  ``planned_state_bytes`` is the
+    ``digest_bytes`` (every touched file read and hashed exactly once)
+    and nothing else: the extract phase slices the verified buffers.
+    ``planned_state_bytes`` is the
     per-rank state payload the lowered plans actually consume (all
     three state kinds) — the number the paper's ~0.25× fraction claim
     is about.  It is *not* a disk-read counter, so it can legitimately
@@ -137,11 +135,10 @@ class ConversionReport:
     :attr:`total_seconds`).  ``write`` is serialize -> published and
     durable: a worker's staging plus the group publish, whichever thread
     ran it; waiting for the commit pool to drain is ``finalize``.
-    ``num_preads`` counts positioned reads
-    issued to the store, ``num_batches`` the batched ``read_ranges``
-    calls they were amortized into, and ``ranges_coalesced`` how many
-    planned ranges were merged away by plan- and reader-level
-    coalescing before hitting the disk.
+    ``num_preads`` counts positioned reads issued to the store (one per
+    touched file and read window).  ``ranges_coalesced`` is 0: a planned
+    range is a slice of a resident file, so there are no range requests
+    left to merge (the field stays for ``benchmarks/e2e/trace.py``).
     """
 
     source_tag: str
@@ -154,10 +151,9 @@ class ConversionReport:
     num_reused: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    cache_hits: int = 0
     peak_window_bytes: int = 0
+    peak_resident_bytes: int = 0
     num_preads: int = 0
-    num_batches: int = 0
     ranges_coalesced: int = 0
     header_bytes: int = 0
     digest_bytes: int = 0
@@ -206,7 +202,7 @@ class SliceBlock:
     ``field`` in ``file`` land at consolidated elements
     ``[full_starts[i], full_starts[i] + lengths[i])``.  Rows are sorted
     into sequential file order.  Keeping the plan columnar lets the
-    converter coalesce, bounds-check and scatter whole blocks with
+    converter bounds-check and scatter whole blocks with
     numpy index operations instead of per-slice Python loops — the
     per-range overhead that dominates conversion wall-clock at mini
     scale.
@@ -506,37 +502,12 @@ def _index_entry(
     return node
 
 
-DEFAULT_COALESCE_GAP = 64 << 10
-"""Plan-level coalescing gap (bytes); output bytes do not depend on it.
-
-Slices of one (file, field) separated by at most this many unneeded
-bytes are fetched as one range.  On the standard path the gap bytes are
-already cache-resident (the digest pass hashed the whole file through
-the shared cache), so coalescing trades zero extra disk bytes for far
-fewer range requests; on a cold cache it trades at most the gap bytes
-per merge for one fewer pread.
-"""
-
-CACHE_AUTO_CAP_BYTES = 1 << 30
-"""Ceiling for the auto-grown block-cache budget (see ``ucp_convert``:
-the budget grows to the largest single read plan's file working set so
-the digest pre-warm stays effective, but never past this cap)."""
-
-WINDOW_AUTO_CAP_BYTES = 64 << 20
-"""Ceiling for the auto-sized read window (see ``ucp_convert``: the
-window grows to the largest touched file so whole files cache as single
-blocks and extract runs zero-copy, but one in-flight read buffer never
-exceeds this)."""
-
-_ZERO_IDS = np.zeros(1, dtype=np.int64)
-"""Shared single-slice ``span_id``/``rel_starts`` (always index 0)."""
-
 _GATHER_INDEX_THRESHOLD = 8
 """Slice count above which a block scatters through precomputed index
-arrays (one fancy-index assignment per span) instead of a per-slice
-copy loop.  Below it the loop is cheaper than building the indices:
-the index arrays cost ~6 numpy ops to build but are reused across all
-three state kinds, so the break-even sits at a handful of slices."""
+arrays (one fancy-index assignment) instead of a per-slice copy loop.
+Below it the loop is cheaper than building the indices: the index
+arrays cost ~6 numpy ops to build but are reused across all three
+state kinds, so the break-even sits at a handful of slices."""
 
 _GATHER_INDEX_MAX_AVG_ELEMS = 1024
 """Mean slice length (elements) above which fancy indexing loses to a
@@ -548,111 +519,55 @@ of many *small* slices take the index path."""
 
 
 class _BlockGather:
-    """Coalesced fetch spans + scatter indices for one :class:`SliceBlock`.
+    """The scatter of one :class:`SliceBlock`, straight from the file.
 
     Built once per block and reused across all three state kinds: the
     flat ``fp32``/``exp_avg``/``exp_avg_sq`` buffers share one segment
-    map, so only the tensor-index byte offset differs per kind.  Slices
-    whose file-space gap is <= ``gap_elems`` merge into one span
-    (overlapping and adjacent slices always merge); each span becomes
-    one range request, and every span end is some slice's end, so a
-    span never reaches past the field bytes the plan proved in-bounds.
+    map, so only the tensor-index byte offset differs per kind.  The
+    source is one slice of the resident file — elements ``[lo, hi)`` of
+    the field, from the block's first slice to its furthest end, so it
+    never reaches past the field bytes the plan proved in-bounds.
     """
 
-    __slots__ = (
-        "span_starts", "span_ends", "span_id", "rel_starts",
-        "lengths", "full_starts", "n_slices", "n_spans",
-        "dest_idx", "src_idx", "flat_lo", "flat_hi",
-    )
+    __slots__ = ("lo", "hi", "rows", "dest_idx", "src_idx")
 
-    def __init__(self, block: SliceBlock, gap_elems: int) -> None:
+    def __init__(self, block: SliceBlock) -> None:
         fs, ln, fu = block.file_starts, block.lengths, block.full_starts
+        self.lo = int(fs[0])  # rows are sorted into file order
+        self.hi = int((fs + ln).max())
         n = int(fs.size)
-        if n == 1:
-            # single contiguous slice: one span, identity scatter
-            self.span_starts = fs
-            self.span_ends = fs + ln
-            self.span_id = _ZERO_IDS
-            self.rel_starts = _ZERO_IDS
-            self.lengths = ln
-            self.full_starts = fu
-            self.n_slices = 1
-            self.n_spans = 1
-            self.dest_idx = None
-            self.src_idx = None
-            self.flat_lo = None
-            self.flat_hi = None
-            return
-        ends = fs + ln
-        run_max = np.maximum.accumulate(ends)
-        new_span = np.empty(n, dtype=bool)
-        new_span[0] = True
-        new_span[1:] = fs[1:] > run_max[:-1] + gap_elems
-        first = np.flatnonzero(new_span)
-        self.span_starts = fs[first]
-        self.span_ends = np.maximum.reduceat(ends, first)
-        self.span_id = np.cumsum(new_span) - 1
-        self.rel_starts = fs - self.span_starts[self.span_id]
-        self.lengths = ln
-        self.full_starts = fu
-        self.n_slices = n
-        self.n_spans = int(first.size)
         total = int(ln.sum())
+        self.rows = self.dest_idx = self.src_idx = None
         if (
             n > _GATHER_INDEX_THRESHOLD
             and total < n * _GATHER_INDEX_MAX_AVG_ELEMS
         ):
-            cum = np.cumsum(ln)
-            flat0 = cum - ln
-            pos = np.arange(total) - np.repeat(flat0, ln)
+            pos = np.arange(total) - np.repeat(np.cumsum(ln) - ln, ln)
             self.dest_idx = np.repeat(fu, ln) + pos
-            self.src_idx = np.repeat(self.rel_starts, ln) + pos
-            # rows [flat_lo[k], flat_hi[k]) of the flat index arrays
-            # belong to span k (slices are file-sorted, so each span's
-            # slices are contiguous)
-            self.flat_lo = flat0[first]
-            self.flat_hi = np.append(self.flat_lo[1:], total)
+            self.src_idx = np.repeat(fs - self.lo, ln) + pos
         else:
-            self.dest_idx = None
-            self.src_idx = None
-            self.flat_lo = None
-            self.flat_hi = None
+            # (source start, destination start, length) per slice
+            self.rows = list(zip(
+                (fs - self.lo).tolist(), fu.tolist(), ln.tolist()
+            ))
 
-    def byte_ranges(
-        self, entry: TensorIndexEntry
-    ) -> List[Tuple[int, int]]:
-        """Absolute (offset, length) byte ranges, one per span."""
-        return [
-            entry.element_range(int(s), int(e - s))
-            for s, e in zip(self.span_starts, self.span_ends)
-        ]
+    def byte_range(self, entry: TensorIndexEntry) -> Tuple[int, int]:
+        """Absolute ``(offset, length)`` of the source slice."""
+        return entry.element_range(self.lo, self.hi - self.lo)
 
-    def scatter(self, arr: np.ndarray, bufs: List[memoryview]) -> None:
-        """Scatter fetched span buffers into the consolidated array.
+    def scatter(self, arr: np.ndarray, buf: memoryview) -> None:
+        """Scatter the source slice into the consolidated array.
 
-        The float32 views over the (read-only) span buffers are
-        consumed in place — the only copy on the whole path is the
-        assignment into ``arr`` itself.
+        The float32 view over the (read-only) file bytes is consumed in
+        place — the only copy on the whole path is the assignment into
+        ``arr`` itself.
         """
-        if self.n_slices == 1:
-            fu = int(self.full_starts[0])
-            arr[fu : fu + int(self.lengths[0])] = np.frombuffer(
-                bufs[0], dtype=np.float32
-            )
+        view = np.frombuffer(buf, dtype=np.float32)
+        if self.rows is None:
+            arr[self.dest_idx] = view[self.src_idx]
             return
-        views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
-        if self.dest_idx is not None:
-            for k, view in enumerate(views):
-                a, b = self.flat_lo[k], self.flat_hi[k]
-                arr[self.dest_idx[a:b]] = view[self.src_idx[a:b]]
-            return
-        for i in range(self.n_slices):
-            view = views[self.span_id[i]]
-            src = self.rel_starts[i]
-            length = self.lengths[i]
-            arr[self.full_starts[i]:self.full_starts[i] + length] = (
-                view[src:src + length]
-            )
+        for src, dst, length in self.rows:
+            arr[dst:dst + length] = view[src:src + length]
 
 
 def _verify_source_commit(
@@ -884,7 +799,8 @@ def _claim_destination(
         try:
             marker = dst_store.load(CONVERT_SOURCE_FILE)
             marker_matches = (
-                marker.get("source_tag") == src_tag
+                isinstance(marker, dict)
+                and marker.get("source_tag") == src_tag
                 and marker.get("source_manifest_sha256") == src_digest
             )
         except SerializationError:
@@ -983,11 +899,10 @@ class _CommitPool:
 class _ConversionPlan:
     """What the per-atom fan-out executes, fixed before the first atom.
 
-    Shared by every worker and read-only but for two memo dicts:
-    ``digest_once`` (the first parameter task that needs a file hashes
-    it and everyone else waits on its future, so digest and extract
-    overlap instead of a verify-everything barrier before the fan-out)
-    and ``entry_cache`` (a racing double-compute stores the same
+    Shared by every worker and read-only but for ``reader`` (its
+    source-file table is the one piece of shared mutable state, behind
+    its own lock), ``digest_seconds`` (one ``list.append`` per verified
+    file) and ``entry_cache`` (a racing double-compute stores the same
     immutable entry: a benign CPython race, left unsynchronized).
     """
 
@@ -995,12 +910,9 @@ class _ConversionPlan:
     read_plans: Dict[str, ParamReadPlan]
     trees: Dict[str, Dict]
     file_sizes: Dict[str, int]
-    verify_entries: Dict[str, Optional[Dict]]
     reader: RangeReader
-    gap_elems: int
     atom_store: AtomStore
-    digest_guard: object
-    digest_once: Dict[str, concurrent.futures.Future]  # guarded-by: digest_guard
+    digest_seconds: List[float]
     entry_cache: Dict[Tuple[str, str, str], TensorIndexEntry]
 
 
@@ -1011,91 +923,35 @@ def _plan_reads(
     specs: Dict[str, ShardSpec],
     read_plans: Dict[str, ParamReadPlan],
     atom_store: AtomStore,
-    window_bytes: Optional[int],
-    cache: Optional[BlockCache],
 ) -> _ConversionPlan:
-    """Plan: size the read window and block cache, open the shared reader."""
-    touched = sorted({
+    """Plan: count each touched file's consumers, open the reader over
+    the source-file table.  A file is loaded once by the first atom that
+    needs it — verified against its manifest entry before any consumer
+    sees a byte — and leaves when its last planned atom is assembled."""
+    consumers = collections.Counter(
         rel for plan in read_plans.values() for rel in plan.files
-    })
-    sizes = {rel: src_store.size(rel) for rel in touched}
-    if window_bytes is None:
-        # one window per touched file: the digest pass reads (and
-        # caches) each file as a single block, and read_multi's
-        # resident-view fast path serves every extract range as a
-        # zero-copy slice of it
-        window_bytes = max(
-            DEFAULT_WINDOW_BYTES,
-            min(max(sizes.values(), default=0), WINDOW_AUTO_CAP_BYTES),
-        )
-    if cache is None:
-        # the digest pre-warm only pays off if a parameter's whole
-        # file working set stays resident while it extracts — grow
-        # the budget to the largest single plan's set (capped)
-        need = max(
-            (
-                sum(sizes[rel] for rel in plan.files)
-                for plan in read_plans.values()
-            ),
-            default=0,
-        )
-        cache = BlockCache(
-            min(max(DEFAULT_CACHE_BYTES, need), CACHE_AUTO_CAP_BYTES)
-        )
+    )
+    entries = {
+        rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
+        for rel in consumers
+    }
+    digest_seconds: List[float] = []
+
+    def verify(reader: RangeReader, rel: str) -> None:
+        t_v = time.perf_counter()
+        manifest_mod.verify_streaming(reader, rel, entries[rel])
+        digest_seconds.append(time.perf_counter() - t_v)
+
     return _ConversionPlan(
         specs=specs,
         read_plans=read_plans,
         trees=trees,
-        file_sizes=sizes,
-        verify_entries={
-            rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
-            for rel in touched
-        },
-        reader=RangeReader(
-            src_store,
-            cache=cache,
-            window_bytes=window_bytes,
-            coalesce_gap=DEFAULT_COALESCE_GAP,
-        ),
-        gap_elems=DEFAULT_COALESCE_GAP // np.dtype(np.float32).itemsize,
+        file_sizes={rel: src_store.size(rel) for rel in sorted(consumers)},
+        reader=RangeReader(src_store, BlockCache(consumers), verify),
         atom_store=atom_store,
-        digest_guard=_lockwitness.make_lock("ucp_convert._digest_guard"),
-        digest_once={},
+        digest_seconds=digest_seconds,
         entry_cache={},
     )
-
-
-def _await_digests(plan: _ConversionPlan, rels: Tuple[str, ...]) -> None:
-    """Execute: block until every file in ``rels`` is digest-verified.
-
-    Claim every still-unclaimed file first, then hash the claims, then
-    wait: a worker never blocks on a peer's in-flight digest while it
-    could be hashing another file itself, so concurrent tasks fan out
-    across files instead of convoying behind the first one.  Futures
-    resolve to the seconds the verification took.
-    """
-    futs = []
-    owned = []
-    for rel in rels:
-        with plan.digest_guard:
-            fut = plan.digest_once.get(rel)
-            if fut is None:
-                fut = concurrent.futures.Future()
-                plan.digest_once[rel] = fut
-                owned.append((rel, fut))
-        futs.append(fut)
-    for rel, fut in owned:
-        try:
-            t_v = time.perf_counter()
-            manifest_mod.verify_streaming(
-                plan.reader, rel, plan.verify_entries[rel]
-            )
-            fut.set_result(time.perf_counter() - t_v)
-        except BaseException as exc:
-            fut.set_exception(exc)
-            raise
-    for fut in futs:
-        fut.result()
 
 
 def _materialize_part(
@@ -1106,11 +962,10 @@ def _materialize_part(
 ) -> Dict[str, np.ndarray]:
     """Execute: all three state arrays of one plan part at once.
 
-    One ``read_multi`` per touched file carries the spans of every
-    (field, state kind) pair together — the three flat state buffers
-    live in the same file, so batching them amortizes the per-call
-    range bookkeeping 3× on top of the span coalescing itself.  Read
-    seconds and merged-away ranges accumulate into ``stats``.
+    One ``read_multi`` per touched file carries the source slice of
+    every (field, state kind) pair together — the three flat state
+    buffers live in the same file.  Read seconds accumulate into
+    ``stats``.
     """
     # np.empty, not zeros: the UCP017 coverage theorem the pipeline is
     # gated on proves the plan writes every data element, and
@@ -1125,23 +980,20 @@ def _materialize_part(
         ranges: List[Tuple[int, int]] = []
         segs: List[Tuple[str, _BlockGather]] = []
         for block in by_file[rel]:
-            gather = _BlockGather(block, plan.gap_elems)
+            gather = _BlockGather(block)
             for kind in STATE_KINDS:
                 ekey = (rel, block.field, kind)
                 entry = plan.entry_cache.get(ekey)
                 if entry is None:
                     entry = _index_entry(plan.trees[rel], block.field, kind, rel)
                     plan.entry_cache[ekey] = entry
-                ranges.extend(gather.byte_ranges(entry))
+                ranges.append(gather.byte_range(entry))
                 segs.append((kind, gather))
-                stats["coalesced"] += gather.n_slices - gather.n_spans
         t_r = time.perf_counter()
         bufs = plan.reader.read_multi(rel, ranges)
         stats["read"] += time.perf_counter() - t_r
-        cursor = 0
-        for kind, gather in segs:
-            gather.scatter(arrs[kind], bufs[cursor:cursor + gather.n_spans])
-            cursor += gather.n_spans
+        for (kind, gather), buf in zip(segs, bufs):
+            gather.scatter(arrs[kind], buf)
     return arrs
 
 
@@ -1163,10 +1015,10 @@ def _convert_atom(
     all four files CRC-checked, so it never has to know which.
     """
     read_plan = plan.read_plans[name]
-    _await_digests(plan, read_plan.files)
+    plan.reader.load(read_plan.files)
     spec = plan.specs[name]
     full_numel = _numel(spec.logical_shape)
-    stats = {"read": 0.0, "coalesced": 0}
+    stats = {"read": 0.0}
     t_task = time.perf_counter()
 
     primary_arrs = _materialize_part(plan, read_plan.primary, full_numel, stats)
@@ -1190,6 +1042,10 @@ def _convert_atom(
                         f"independently updated parameters"
                     )
         states[kind] = strip_padding(merged.reshape(spec.logical_shape), spec)
+    # this atom no longer needs its source files: the last planned
+    # consumer of a file drops it from the table
+    for rel in read_plan.files:
+        plan.reader.cache.release(rel)
     stats["assemble"] = time.perf_counter() - t_task - stats["read"]
     atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
     if commits is not None:
@@ -1264,8 +1120,6 @@ def ucp_convert(
     dst_store: Optional[ObjectStore] = None,
     resume: bool = True,
     cluster=None,
-    window_bytes: Optional[int] = None,
-    cache: Optional[BlockCache] = None,
 ) -> ConversionReport:
     """Convert a distributed checkpoint into UCP atom format.
 
@@ -1295,19 +1149,6 @@ def ucp_convert(
             ``convert:<tag>:enter``/``:commit`` barriers — the
             happens-before analyzer then proves the conversion's
             critical section does not overlap a concurrent save's.
-        window_bytes: maximum bytes per disk read (and per cached
-            block); bounds in-flight buffer memory.  ``None`` (default)
-            auto-sizes the window to the largest touched source file
-            (capped at :data:`WINDOW_AUTO_CAP_BYTES`), so each file is
-            digested with one read and cached as one block — the
-            zero-copy resident-view fast path then serves every extract
-            range as a pure ``memoryview`` slice.  Pass an explicit
-            value to pin buffer memory on constrained hosts.
-        cache: a caller-provided :class:`BlockCache` to use instead of
-            a fresh auto-sized one (see :data:`CACHE_AUTO_CAP_BYTES`).
-            The cache is internally locked, so one instance may be
-            shared across concurrent conversions and verifiers (the
-            multi-tenant hub shape).
 
     Raises:
         CheckpointNotFoundError: missing directory or tag.
@@ -1371,8 +1212,7 @@ def ucp_convert(
     )
     stage_seconds = {"lower": time.perf_counter() - t_lower}
     plan = _plan_reads(
-        src_store, src_manifest, trees, specs, read_plans, atom_store,
-        window_bytes, cache,
+        src_store, src_manifest, trees, specs, read_plans, atom_store
     )
     # everything since t0 that is not lowering — manifest + provenance
     # analysis + pre-flight lints + the header/index pass — is the
@@ -1381,25 +1221,27 @@ def ucp_convert(
     stage_seconds["plan"] = time.perf_counter() - t0 - stage_seconds["lower"]
 
     # --- execute: fan the per-parameter pipeline out, grouped by the
-    # source files the plans touch, so each file's cache-resident blocks
-    # are fully consumed before the working set moves to the next file
-    # group.  Without this, name-ordered tasks bounce between pp-stage
-    # file sets larger than the cache budget and every bounce re-reads
-    # evicted blocks from disk.  Output is order-independent (atoms are
-    # keyed by name), so scheduling is free to chase locality. ---
+    # source files the plans touch, so each file's consumers run back to
+    # back and the file leaves the table as soon as the last of them is
+    # assembled — the resident set is one file group, not the source.
+    # Output is order-independent (atoms are keyed by name), so
+    # scheduling is free to chase locality. ---
     fan_order = sorted(fresh_names, key=lambda n: (read_plans[n].files, n))
     with (
         _CommitPool(workers) if workers > 1 else contextlib.nullcontext()
     ) as commits:
         if commits is not None:
             atom_store.publish = commits.submit
-        results = _map_maybe_parallel(
-            lambda name: _convert_atom(plan, name, commits), fan_order, workers
-        )
+        try:
+            results = _map_maybe_parallel(
+                lambda name: _convert_atom(plan, name, commits), fan_order, workers
+            )
+        finally:
+            # every worker has stopped: assembled or failed, no source
+            # byte stays resident
+            plan.reader.cache.clear()
         t2 = time.perf_counter()
-        stage_seconds["digest"] = sum(
-            f.result() for f in plan.digest_once.values()
-        )
+        stage_seconds["digest"] = sum(plan.digest_seconds)
         for stage in ("read", "assemble", "write"):
             stage_seconds[stage] = sum(s[stage] for *_, s in results)
 
@@ -1433,13 +1275,10 @@ def ucp_convert(
         num_reused=len(reused),
         bytes_read=src_store.bytes_read - src_read0,
         bytes_written=dst_store.bytes_written - dst_written0,
-        cache_hits=reader.cache_hits,
         peak_window_bytes=reader.peak_window_bytes,
-        num_preads=reader.num_preads,
-        num_batches=reader.num_batches,
-        ranges_coalesced=reader.ranges_coalesced + sum(
-            s["coalesced"] for *_, s in results
-        ),
+        peak_resident_bytes=reader.cache.peak_resident_bytes,
+        num_preads=reader.read_ops,
+        ranges_coalesced=reader.ranges_coalesced,
         header_bytes=header_bytes,
         digest_bytes=sum(plan.file_sizes.values()),
         planned_state_bytes=(

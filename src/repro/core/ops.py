@@ -32,6 +32,7 @@ from repro.parallel.tp import (
     PATTERN_UNIQUE,
     ShardSpec,
 )
+from repro.storage.rangeio import WINDOW_AUTO_CAP_BYTES
 from repro.storage.serializer import TensorIndexEntry
 
 _KIND_TO_FIELD = {
@@ -468,9 +469,6 @@ class AtomShardCache:
     def _fill_atom(
         self, name: str, kinds: Sequence[str], pieces: List[_Piece]
     ) -> None:
-        # convert imports this module, so the window cap is looked up late
-        from repro.core.convert import WINDOW_AUTO_CAP_BYTES
-
         cols: List[np.ndarray] = []  # per piece: (piece, dest offset, atom lo, length)
         for k, (_, tp_rank, lo, hi, dests) in enumerate(pieces):
             shard_lo, shard_hi, atom_lo = self._shard_map(name, tp_rank)

@@ -7,6 +7,7 @@ import numpy as np
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
 from repro.parallel.engine import TrainingEngine
+from repro.storage.rangeio import BlockCache
 
 
 def make_engine(
@@ -24,6 +25,20 @@ def make_engine(
         seed=seed,
         **defaults,
     )
+
+
+def record_source_tables(monkeypatch) -> list:
+    """Every source-file table a conversion builds from here on, as
+    ``(table, planned consumers per file)`` pairs in creation order."""
+    tables = []
+    real_init = BlockCache.__init__
+
+    def recording_init(self, consumers):
+        real_init(self, consumers)
+        tables.append((self, dict(consumers)))
+
+    monkeypatch.setattr(BlockCache, "__init__", recording_init)
+    return tables
 
 
 def numerical_param_grad(

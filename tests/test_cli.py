@@ -326,8 +326,7 @@ class TestExplore:
     def test_list_scenarios(self, capsys):
         assert main(["explore", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("blockcache", "convert-verify", "convert-w2",
-                     "inmemory"):
+        for name in ("source-files", "inmemory"):
             assert name in out
 
     def test_missing_scenario_fails(self, capsys):
@@ -343,7 +342,7 @@ class TestExplore:
 
         report_path = tmp_path / "interleave.json"
         rc = main([
-            "explore", "blockcache",
+            "explore", "source-files",
             "--require-exhaustive",
             "--report", str(report_path),
             "--format", "json",
@@ -359,7 +358,7 @@ class TestExplore:
 
     def test_capped_run_fails_require_exhaustive(self, capsys):
         rc = main([
-            "explore", "blockcache",
+            "explore", "source-files",
             "--schedules", "3",
             "--require-exhaustive",
         ])
@@ -373,7 +372,7 @@ class TestExplore:
         sched = tmp_path / "sched.json"
         sched.write_text("[1]")
         rc = main([
-            "explore", "blockcache",
+            "explore", "source-files",
             "--schedule", str(sched),
             "--format", "json",
         ])

@@ -10,10 +10,12 @@ resume reusing exactly the atoms that committed.
 """
 
 import collections
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.ckpt.errors import CheckpointIntegrityError
 from repro.ckpt.loader import resolve_tag
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.atom import STATE_KINDS, AtomStore
@@ -22,10 +24,10 @@ from repro.core.loader import load_ucp_into_engine
 from repro.core.ops import AtomShardCache, gen_ucp_metadata
 from repro.core.patterns import program_for_config
 from repro.dist.topology import ParallelConfig
-from repro.storage.faults import CrashAtWrite, InjectedCrash
+from repro.storage.faults import CrashAtWrite, InjectedCrash, RankKillAtWrite
 from repro.storage.store import ObjectStore
 
-from tests.helpers import make_engine
+from tests.helpers import make_engine, record_source_tables
 from tests.reference_convert import (
     assert_matches_reference,
     reference_load_shard,
@@ -86,6 +88,55 @@ def per_param_checkpoint(tmp_path_factory):
     ckpt_dir = str(root / "ckpt")
     save_distributed_checkpoint(engine, ckpt_dir, optimizer_layout="per_param")
     return engine, ckpt_dir
+
+
+class CountingStore(ObjectStore):
+    """An ObjectStore that counts payload read calls per object (and
+    remembers the largest single range it was asked for)."""
+
+    def __init__(self, base_dir):
+        super().__init__(base_dir)
+        self.payload_reads = collections.Counter()
+        self.largest_range = 0
+
+    def read_bytes(self, rel_path, parallel=1):
+        self.payload_reads[rel_path] += 1
+        return super().read_bytes(rel_path, parallel=parallel)
+
+    def read_range(self, rel_path, offset, length, parallel=1):
+        self.payload_reads[rel_path] += 1
+        return super().read_range(rel_path, offset, length, parallel=parallel)
+
+    def read_ranges(self, rel_path, ranges, parallel=1):
+        self.payload_reads[rel_path] += 1
+        self.largest_range = max(
+            [self.largest_range] + [length for _, length in ranges]
+        )
+        return super().read_ranges(rel_path, ranges, parallel=parallel)
+
+
+@pytest.fixture(scope="module")
+def pp2_checkpoint(tmp_path_factory):
+    """A two-stage pipeline source: two disjoint groups of rank files."""
+    root = tmp_path_factory.mktemp("stream_pp2")
+    engine = make_engine(parallel=ParallelConfig(tp=2, pp=2, dp=2), seed=5)
+    engine.train(1)
+    ckpt_dir = str(root / "ckpt")
+    engine.save_checkpoint(ckpt_dir)
+    return engine, ckpt_dir
+
+
+def count_source_reads(monkeypatch) -> list:
+    """Every source store a conversion opens from here on is a
+    :class:`CountingStore`; returns the list they are appended to."""
+    stores = []
+
+    def counting(base_dir):
+        stores.append(CountingStore(base_dir))
+        return stores[-1]
+
+    monkeypatch.setattr("repro.core.convert.ObjectStore", counting)
+    return stores
 
 
 class TestByteIdentityWithReference:
@@ -165,22 +216,147 @@ class TestReadByteBounds:
             resumed.bytes_read, clean.bytes_read,
         )
 
-    def test_digest_pass_shares_cache_with_extract(self, tp4_checkpoint, tmp_path):
-        """Integrity verification streams through the same block cache
-        the extract phase reads from, so verified bytes are not read
-        twice from disk."""
+    def test_digest_pass_shares_cache_with_extract(
+        self, tp4_checkpoint, moe_checkpoint, tmp_path, monkeypatch
+    ):
+        """Verification and extraction share one read: every touched
+        optimizer file gets exactly one payload read call (it fits the
+        read window), a ``model_states`` file none — at any worker
+        count, for a TP change, an MoE source and a resumed half."""
+        stores = count_source_reads(monkeypatch)
+        tables = record_source_tables(monkeypatch)
+
+        def check(num_touched=None):
+            src, (_, consumers) = stores.pop(), tables.pop()
+            reads = {
+                rel: n for rel, n in src.payload_reads.items()
+                if "_states" in rel
+            }
+            assert reads == dict.fromkeys(consumers, 1)
+            assert all("optim_states" in rel for rel in reads)
+            if num_touched is not None:
+                assert len(reads) == num_touched
+
+        for workers in (1, 2):
+            for name, (_, ckpt_dir) in (
+                ("tp4", tp4_checkpoint), ("moe", moe_checkpoint)
+            ):
+                ucp_convert(
+                    ckpt_dir, str(tmp_path / f"{name}{workers}"),
+                    workers=workers,
+                )
+                check(num_touched=8 if name == "tp4" else None)
+            # a conversion killed halfway, then resumed over its atoms
+            _, ckpt_dir = tp4_checkpoint
+            half = str(tmp_path / f"half{workers}")
+            with pytest.raises(InjectedCrash):
+                ucp_convert(
+                    ckpt_dir, half, workers=1,
+                    dst_store=ObjectStore(
+                        half, faults=RankKillAtWrite(ranks=[0], at=60)
+                    ),
+                )
+            stores.pop(), tables.pop()
+            resumed = ucp_convert(ckpt_dir, half, workers=workers)
+            assert resumed.num_reused == (60 - 1) // 4
+            check()
+
+
+class TestPlannedResidency:
+    """A source file is resident from its first planned consumer to its
+    last, and never without having matched its manifest entry."""
+
+    def test_files_leave_with_their_last_consumer(
+        self, pp2_checkpoint, tmp_path, monkeypatch
+    ):
+        """One pipeline stage's files are dropped before the next
+        stage's are loaded (serially the order is the plan's), so the
+        high-water mark is below the touched total."""
+        _, ckpt_dir = pp2_checkpoint
+        tables = record_source_tables(monkeypatch)
+        report = ucp_convert(ckpt_dir, str(tmp_path / "ucp"), workers=1)
+        ((table, consumers),) = tables
+        src = ObjectStore(ckpt_dir)
+        sizes = {rel: src.size(rel) for rel in consumers}
+        assert report.digest_bytes == sum(sizes.values())
+        assert max(sizes.values()) <= report.peak_resident_bytes
+        assert report.peak_resident_bytes < report.digest_bytes
+        assert report.peak_resident_bytes == table.peak_resident_bytes
+        assert table.resident_bytes == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nothing_resident_after_a_failed_conversion(
+        self, pp2_checkpoint, tmp_path, monkeypatch, workers
+    ):
+        _, ckpt_dir = pp2_checkpoint
+        tables = record_source_tables(monkeypatch)
+        ucp_dir = str(tmp_path / "ucp")
+        with pytest.raises(InjectedCrash):
+            ucp_convert(
+                ckpt_dir, ucp_dir, workers=workers,
+                dst_store=ObjectStore(ucp_dir, faults=CrashAtWrite(30)),
+            )
+        ((table, _),) = tables
+        assert table.peak_resident_bytes > 0
+        assert table.resident_bytes == 0
+
+    def test_flipped_byte_fails_every_consumer_before_commit(
+        self, tp4_checkpoint, tmp_path, monkeypatch
+    ):
+        """One flipped payload byte in a file that feeds many atoms, two
+        workers: the load fails once, every atom waiting on the file
+        gets the same typed error naming it, and nothing commits."""
         _, ckpt_dir = tp4_checkpoint
-        report = ucp_convert(ckpt_dir, str(tmp_path / "ucp"))
-        assert report.cache_hits > 0
+        damaged = str(tmp_path / "ckpt")
+        src, dst = ObjectStore(ckpt_dir), ObjectStore(damaged, durable=False)
+        for rel in src.list("."):
+            dst.put_bytes(rel, src.read_bytes(rel))
+        tables = record_source_tables(monkeypatch)
+        ucp_convert(damaged, str(tmp_path / "clean"), workers=2)
+        (_, consumers) = tables.pop()
+        victim = max(consumers, key=consumers.get)
+        assert consumers[victim] >= 2
+        data = bytearray(dst.read_bytes(victim))
+        data[-1] ^= 0xFF
+        (dst.base / victim).write_bytes(data)
+
+        ucp_dir = str(tmp_path / "ucp")
+        stores = count_source_reads(monkeypatch)
+        with pytest.raises(CheckpointIntegrityError, match=victim):
+            ucp_convert(damaged, ucp_dir, workers=2)
+        # failed once, for everyone
+        assert stores[0].payload_reads[victim] == 1
+        out = ObjectStore(ucp_dir)
+        assert not out.exists("ucp_meta.npt")
+        assert not [rel for rel in out.list(".") if rel.endswith(".tmp")]
+        # no atom fed by the victim was written, and the file is gone
+        # from the table: no slice of it can be had, then or now
+        ((table, _),) = tables
+        assert table.resident_bytes == 0
+        with pytest.raises(LookupError):
+            table.view(victim)
+        written = AtomStore(ucp_dir).list_atoms()
+        assert len(written) < len(AtomStore(str(tmp_path / "clean")).list_atoms())
 
 
 class TestConversionKnobs:
     """The batching/overlap knobs tune IO shape, never output bytes."""
 
     def test_invalid_knobs_rejected(self, tp4_checkpoint, tmp_path):
+        """The read side has no knobs: eight optional arguments, and the
+        window / cache ones that used to exist are refused."""
         _, ckpt_dir = tp4_checkpoint
-        with pytest.raises(ValueError):
-            ucp_convert(ckpt_dir, str(tmp_path / "y"), window_bytes=0)
+        optional = [
+            p.name for p in inspect.signature(ucp_convert).parameters.values()
+            if p.default is not inspect.Parameter.empty
+        ]
+        assert optional == [
+            "tag", "program", "workers", "verify_replicas",
+            "strict_spec_check", "dst_store", "resume", "cluster",
+        ]
+        for knob in ("window_bytes", "cache"):
+            with pytest.raises(TypeError):
+                ucp_convert(ckpt_dir, str(tmp_path / "y"), **{knob: None})
 
     def test_stage_timings_and_counters_populated(
         self, tp4_checkpoint, tmp_path
@@ -193,8 +369,9 @@ class TestConversionKnobs:
         }
         assert all(t >= 0 for t in streamed.stage_seconds.values())
         assert streamed.num_preads > 0
-        assert streamed.num_batches > 0
-        assert streamed.ranges_coalesced > 0
+        assert streamed.ranges_coalesced == 0  # a range is a slice now
+        assert 0 < streamed.peak_window_bytes <= streamed.peak_resident_bytes
+        assert streamed.peak_resident_bytes <= streamed.digest_bytes
         assert (
             streamed.header_bytes
             + streamed.digest_bytes
@@ -203,23 +380,29 @@ class TestConversionKnobs:
         assert 0 < streamed.planned_state_bytes <= streamed.digest_bytes
 
     def test_window_auto_sizing_reads_whole_files(
-        self, tp4_checkpoint, tmp_path
+        self, tp4_checkpoint, tmp_path, monkeypatch
     ):
-        """With no explicit window the reader grows it to the largest
-        touched file, so the digest pass caches each file as one block
-        and extract is served zero-copy — far fewer preads than a
-        small fixed window, same output bytes."""
+        """A file within the read window is one read; with the window
+        patched down to a few KB every file is read in that many more
+        calls — none above the window — for the same output bytes and
+        the same source bytes."""
         _, ckpt_dir = tp4_checkpoint
         auto_dir = str(tmp_path / "auto")
         fixed_dir = str(tmp_path / "fixed")
+        tables = record_source_tables(monkeypatch)
         auto = ucp_convert(ckpt_dir, auto_dir)
-        fixed = ucp_convert(ckpt_dir, fixed_dir, window_bytes=4096)
-        assert dir_digests(auto_dir) == dir_digests(fixed_dir)
-        assert auto.num_preads < fixed.num_preads
-        assert fixed.peak_window_bytes <= 4096
         src = ObjectStore(ckpt_dir)
-        largest = max(src.size(rel) for rel in src.list("."))
-        assert auto.peak_window_bytes >= min(largest, 64 << 20)
+        sizes = [src.size(rel) for rel in tables[0][1]]
+        assert auto.num_preads == len(sizes)
+        assert auto.peak_window_bytes == max(sizes)
+
+        stores = count_source_reads(monkeypatch)
+        monkeypatch.setattr("repro.storage.rangeio.WINDOW_AUTO_CAP_BYTES", 4096)
+        fixed = ucp_convert(ckpt_dir, fixed_dir)
+        assert dir_digests(auto_dir) == dir_digests(fixed_dir)
+        assert fixed.bytes_read == auto.bytes_read
+        assert fixed.num_preads == sum(-(-size // 4096) for size in sizes)
+        assert fixed.peak_window_bytes == stores[0].largest_range == 4096
 
 
 # (source fixture, model, target) triples for the load oracle
@@ -237,26 +420,6 @@ LOAD_CASES = [
     pytest.param("tp4_checkpoint", "gpt3-mini",
                  ParallelConfig(tp=2, dp=1, sp=2), id="sp2"),
 ]
-
-
-class CountingStore(ObjectStore):
-    """An ObjectStore that counts payload read calls per object."""
-
-    def __init__(self, base_dir):
-        super().__init__(base_dir)
-        self.payload_reads = collections.Counter()
-
-    def read_bytes(self, rel_path, parallel=1):
-        self.payload_reads[rel_path] += 1
-        return super().read_bytes(rel_path, parallel=parallel)
-
-    def read_range(self, rel_path, offset, length, parallel=1):
-        self.payload_reads[rel_path] += 1
-        return super().read_range(rel_path, offset, length, parallel=parallel)
-
-    def read_ranges(self, rel_path, ranges, parallel=1):
-        self.payload_reads[rel_path] += 1
-        return super().read_ranges(rel_path, ranges, parallel=parallel)
 
 
 class TestSlicedLoad:
@@ -388,7 +551,7 @@ class TestSlicedLoad:
         whole, windowed = CountingStore(ucp_dir), CountingStore(ucp_dir)
         expected = make_engine(parallel=target, seed=0)
         load_ucp_into_engine(expected, ucp_dir, store=whole)
-        monkeypatch.setattr("repro.core.convert.WINDOW_AUTO_CAP_BYTES", 1000)
+        monkeypatch.setattr("repro.core.ops.WINDOW_AUTO_CAP_BYTES", 1000)
         got = make_engine(parallel=target, seed=0)
         load_ucp_into_engine(got, ucp_dir, store=windowed)
         for coord, partitions in expected.zero.partitions.items():

@@ -20,7 +20,8 @@ from repro.ckpt.errors import CheckpointError, CheckpointNotFoundError
 from repro.ckpt.loader import latest_committed_tag, load_distributed_checkpoint
 from repro.ckpt.naming import LATEST_FILE, MANIFEST_FILE
 from repro.ckpt.saver import save_distributed_checkpoint
-from repro.core.convert import ucp_convert
+from repro.core.atom import AtomStore
+from repro.core.convert import CONVERT_SOURCE_FILE, ucp_convert
 from repro.core.inspect import verify_directory
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
@@ -277,6 +278,30 @@ class TestConversionCrashMatrix:
                     for d in engine.layout.spec(name).unpadded_shape
                 )
                 assert np.array_equal(a[name][cut], b[name][cut]), (name, kind)
+
+    @pytest.mark.parametrize("leftover", ["state", "sidecar", "marker"])
+    def test_wrong_shaped_leftover_is_reconverted_not_a_traceback(
+        self, convert_setup, tmp_path, leftover
+    ):
+        """A leftover that decodes cleanly but is not what its name says
+        — a state file without ``values``, a sidecar or a source marker
+        that is a list — is "not reusable": the resume re-converts."""
+        _, ckpt, ref_digests, n_boundaries = convert_setup
+        num_params = (n_boundaries - 2) // 4
+        work = tmp_path / "ucp"
+        ucp_convert(str(ckpt), str(work))
+        store = ObjectStore(str(work))
+        atom = AtomStore(str(work)).list_atoms()[0]
+        store.save(*{
+            "state": (f"atoms/{atom}/fp32.npt", {"vals": np.zeros(3, np.float32)}),
+            "sidecar": (f"atoms/{atom}/atom_meta.npt", ["not", "a", "mapping"]),
+            "marker": (CONVERT_SOURCE_FILE, ["not", "a", "mapping"]),
+        }[leftover])
+        report = ucp_convert(str(ckpt), str(work))
+        assert report.num_reused == (
+            0 if leftover == "marker" else num_params - 1
+        )
+        assert dir_digests(work) == ref_digests
 
     def test_stale_output_from_other_source_not_reused(
         self, convert_setup, tmp_path

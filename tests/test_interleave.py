@@ -185,7 +185,7 @@ class TestUCP038UnsynchronizedPair:
 
 class TestUCP039Bounded:
     def test_schedule_cap_is_reported_not_silent(self):
-        result = interleave.explore("blockcache", schedules=4)
+        result = interleave.explore("source-files", schedules=4)
         assert not result.exhaustive
         assert "UCP039" in result.report.rule_ids()
         d = next(
@@ -212,7 +212,7 @@ class TestUCP039Bounded:
 
 class TestRegistryScenarios:
     def test_blockcache_is_exhaustively_clean(self):
-        result = interleave.explore("blockcache")
+        result = interleave.explore("source-files")
         assert result.ok
         assert result.exhaustive
         assert result.schedules_run > 100  # a real space, not a stub
@@ -223,9 +223,7 @@ class TestRegistryScenarios:
         assert result.exhaustive
 
     def test_registry_names_build(self):
-        assert set(interleave.SCENARIOS) == {
-            "blockcache", "convert-verify", "convert-w2", "inmemory"
-        }
+        assert set(interleave.SCENARIOS) == {"source-files", "inmemory"}
 
 
 class TestDeterminism:

@@ -407,23 +407,27 @@ class TestSeededRealSourceBugs:
         assert self._lint(self.RANGEIO.read_text()) == []
 
     def test_unguarded_cache_mutation_is_src005(self):
-        """Drop the lock around ``put``'s cache mutation: the
-        holds-contract on ``_put_locked`` fires at the call site."""
+        """Drop the lock around ``clear``'s table mutation: the
+        holds-contract on ``_drop_locked`` fires at the call site (and
+        the now-unguarded walk over the table with it)."""
         source = self.RANGEIO.read_text()
         locked = (
             "        with self._lock:\n"
-            "            self._put_locked(rel, start, data)\n"
+            "            for rel in list(self._files):\n"
+            "                self._drop_locked(rel)\n"
         )
         assert locked in source
         mutated = source.replace(
-            locked, "        self._put_locked(rel, start, data)\n"
+            locked,
+            "        for rel in list(self._files):\n"
+            "            self._drop_locked(rel)\n",
         )
         found = self._lint(mutated)
-        assert [d.rule_id for d in found] == ["SRC005"]
-        assert "self._put_locked()" in found[0].message
+        assert {d.rule_id for d in found} == {"SRC005"}
+        assert any("self._drop_locked()" in d.message for d in found)
 
     def test_seeded_abba_methods_are_src006(self):
-        """Add a reader method pair nesting reader-lock and cache-lock
+        """Add a reader method pair nesting reader-lock and table-lock
         in opposite orders — the static ABBA shape."""
         source = self.RANGEIO.read_text() + (
             "\n"

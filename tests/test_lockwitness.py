@@ -144,23 +144,25 @@ class TestUCP030UnguardedStateAccess:
         """The accessor hooks wired into ``BlockCache``: calling a
         ``*_locked`` helper without the lock is the seeded bug."""
         with lockcheck(strict=False) as w:
-            cache = BlockCache(1024)
-            cache._put_locked("f", 0, b"abc")
+            cache = BlockCache({"f": 1})
+            cache._drop_locked("f")
         found = [d for d in w.report.diagnostics if d.rule_id == "UCP030"]
         assert len(found) == 1
-        assert "BlockCache._blocks" in found[0].message
+        assert "BlockCache._files" in found[0].message
         assert "rangeio.py" in found[0].message  # the access stack
 
     def test_blockcache_public_api_is_quiet_under_strict(self):
         with lockcheck(strict=True):
-            cache = BlockCache(1024)
-            cache.put("f", 0, b"abcdef")
-            assert bytes(cache.get("f", 0, 6)) == b"abcdef"
-            assert cache.coverage("f", 2, 4)
-            assert cache.spans("f") == [(0, 6)]
-            cache.record_lookup(True)
-            len(cache)
+            cache = BlockCache({"f": 2})
+            fut, mine = cache.claim("f")
+            assert mine and cache.claim("f") == (fut, False)
+            cache.fill("f", memoryview(b"abcdef"))
+            fut.set_result(None)
+            assert bytes(cache.view("f")) == b"abcdef"
+            cache.release("f")
+            assert cache.resident_bytes == 6
             cache.clear()
+            assert cache.resident_bytes == 0
 
 
 class TestUCP031LockHeldAcrossBlockingIO:
@@ -239,9 +241,9 @@ class TestPayloadReplay:
 
     def test_clean_run_replays_clean(self):
         with lockcheck(strict=True) as w:
-            cache = BlockCache(1024)
-            cache.put("f", 0, b"abc")
-            cache.get("f", 0, 3)
+            cache = BlockCache({"f": 1})
+            cache.claim("f")
+            cache.fill("f", memoryview(b"abc"))
         report = check_lock_trace(w.to_payload())
         assert report.ok
         assert any(e[2] == "access" for e in w.to_payload()["events"])

@@ -1,10 +1,12 @@
-"""Byte-range IO layer: windowed reads, coalescing, and the block cache."""
+"""Source-file table and reader: verified loads, read-only slices."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.ckpt import manifest as manifest_mod
+from repro.ckpt.errors import CheckpointIntegrityError
 from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.serializer import SerializationError
 from repro.storage.store import ObjectStore
@@ -16,6 +18,26 @@ def store(tmp_path):
     payload = bytes(range(256)) * 400  # 102400 bytes, position-dependent
     (tmp_path / "blob.bin").write_bytes(payload)
     return store, payload
+
+
+def open_reader(store, consumers=1, entry=None):
+    """A reader over a one-file plan; ``entry`` is the file's manifest
+    record (None: load without a record to check against)."""
+    return RangeReader(
+        store,
+        BlockCache({"blob.bin": consumers}),
+        lambda reader, rel: manifest_mod.verify_streaming(reader, rel, entry),
+    )
+
+
+def loaded(store, **kwargs):
+    reader = open_reader(store, **kwargs)
+    reader.load(["blob.bin"])
+    return reader
+
+
+def tiny_window(monkeypatch, nbytes):
+    monkeypatch.setattr("repro.storage.rangeio.WINDOW_AUTO_CAP_BYTES", nbytes)
 
 
 class TestReadRange:
@@ -42,227 +64,216 @@ class TestReadRange:
         assert store.bytes_read - before == 512
 
 
-class TestBlockCache:
-    def test_lru_bound_respected(self):
-        cache = BlockCache(max_bytes=100)
-        for i in range(10):
-            cache.put("f", i * 20, bytes(20))
-        assert cache.current_bytes <= 100
-        assert len(cache) == 5
-        # oldest spans were evicted, newest retained
-        assert cache.get("f", 180, 200) is not None
-        assert cache.get("f", 0, 20) is None
-
-    def test_oversized_block_never_cached(self):
-        cache = BlockCache(max_bytes=10)
-        cache.put("f", 0, bytes(11))
-        assert len(cache) == 0 and cache.current_bytes == 0
-
-    def test_spans_stay_sorted_and_disjoint(self):
-        cache = BlockCache()
-        cache.put("f", 40, bytes(10))
-        cache.put("f", 0, bytes(10))
-        cache.put("f", 20, bytes(10))
-        assert cache.spans("f") == [(0, 10), (20, 30), (40, 50)]
-
-
 class TestRangeReader:
     def test_read_returns_exact_bytes(self, store):
         store, payload = store
-        reader = RangeReader(store)
-        assert bytes(reader.read("blob.bin", 500, 300)) == payload[500:800]
+        reader = loaded(store)
+        (view,) = reader.read_multi("blob.bin", [(500, 300)])
+        assert bytes(view) == payload[500:800]
 
-    def test_windowed_fetch_bounds_single_reads(self, store):
+    def test_windowed_fetch_bounds_single_reads(self, store, monkeypatch):
         store, payload = store
-        reader = RangeReader(store, window_bytes=1000)
-        data = reader.read("blob.bin", 0, 10240)
+        tiny_window(monkeypatch, 1000)
+        reader = loaded(store)
+        (data,) = reader.read_multi("blob.bin", [(0, 10240)])
         assert bytes(data) == payload[:10240]
         assert reader.peak_window_bytes == 1000
-        assert reader.read_ops == 11  # 10 full windows + 240-byte tail
+        # the whole file, sequentially: 102 full windows + a 400-byte tail
+        assert reader.read_ops == reader.num_batches == 103
+        assert store.bytes_read == len(payload)
 
     def test_cache_serves_repeat_reads_without_io(self, store):
         store, payload = store
-        reader = RangeReader(store)
-        reader.read("blob.bin", 0, 4096)
-        ops = reader.read_ops
-        again = reader.read("blob.bin", 1024, 1024)
+        reader = loaded(store)
+        assert (reader.read_ops, reader.cache.misses) == (1, 1)
+        reader.read_multi("blob.bin", [(0, 4096)])
+        (again,) = reader.read_multi("blob.bin", [(1024, 1024)])
         assert bytes(again) == payload[1024:2048]
-        assert reader.read_ops == ops  # fully cache-served
-        assert reader.cache_hits >= 1
+        assert reader.read_ops == 1  # the load was the only store read
+        assert reader.cache.hits == 2
+        assert store.bytes_read == len(payload)
 
     def test_adjacent_ranges_coalesce_into_one_read(self, store):
         store, payload = store
-        reader = RangeReader(store)
+        reader = loaded(store)
         parts = reader.read_multi("blob.bin", [(0, 100), (100, 100), (200, 100)])
         assert [bytes(p) for p in parts] == [
             payload[0:100], payload[100:200], payload[200:300]
         ]
         assert reader.read_ops == 1
-
-    def test_distant_ranges_fetch_separately(self, store):
-        store, _ = store
-        reader = RangeReader(store)
-        reader.read_multi("blob.bin", [(0, 100), (50_000, 100)])
-        assert reader.read_ops == 2
-        assert reader.bytes_read == 200
-
-    def test_coalesce_gap_merges_near_ranges(self, store):
-        store, payload = store
-        reader = RangeReader(store, coalesce_gap=64)
-        parts = reader.read_multi("blob.bin", [(0, 100), (150, 100)])
-        assert bytes(parts[1]) == payload[150:250]
-        assert reader.read_ops == 1  # one read spanning the 50-byte gap
-        assert reader.bytes_read == 250
+        assert reader.ranges_coalesced == 0  # slices: nothing to merge
 
     def test_results_in_input_order(self, store):
         store, payload = store
-        reader = RangeReader(store)
+        reader = loaded(store)
         parts = reader.read_multi("blob.bin", [(900, 10), (100, 10), (500, 10)])
         assert [bytes(p) for p in parts] == [
             payload[900:910], payload[100:110], payload[500:510]
         ]
 
-    def test_request_larger_than_cache_still_correct(self, store):
+    def test_digest_matches_and_warms_cache(self, store, monkeypatch):
         store, payload = store
+        tiny_window(monkeypatch, 4096)
+        digests = []
         reader = RangeReader(
-            store, cache=BlockCache(max_bytes=512), window_bytes=256
+            store,
+            BlockCache({"blob.bin": 1}),
+            lambda reader, rel: digests.append(reader.digest(rel)),
         )
-        data = reader.read("blob.bin", 0, 8192)
-        assert bytes(data) == payload[:8192]
-
-    def test_digest_matches_and_warms_cache(self, store):
-        store, payload = store
-        reader = RangeReader(store, window_bytes=4096)
-        digest = reader.digest("blob.bin")
-        assert digest == hashlib.sha256(payload).hexdigest()
+        reader.load(["blob.bin"])
+        assert digests == [hashlib.sha256(payload).hexdigest()]
         ops = reader.read_ops
-        assert bytes(reader.read("blob.bin", 0, len(payload))) == payload
-        assert reader.read_ops == ops  # extract rides the digest's blocks
+        (view,) = reader.read_multi("blob.bin", [(0, len(payload))])
+        assert bytes(view) == payload
+        assert reader.read_ops == ops  # extract rides the digest's read
 
     def test_zero_length_range(self, store):
         store, _ = store
-        reader = RangeReader(store)
-        assert bytes(reader.read("blob.bin", 10, 0)) == b""
-        assert reader.read_ops == 0
+        reader = loaded(store)
+        (view,) = reader.read_multi("blob.bin", [(10, 0)])
+        assert bytes(view) == b""
 
     def test_missing_file_raises(self, store):
         store, _ = store
-        reader = RangeReader(store)
+        reader = RangeReader(
+            store, BlockCache({"nope.bin": 1}), lambda r, rel: r.digest(rel)
+        )
         with pytest.raises(FileNotFoundError):
-            reader.read("nope.bin", 0, 10)
+            reader.load(["nope.bin"])
+        # the failed load is what every later consumer gets, too
+        with pytest.raises(FileNotFoundError):
+            reader.read_multi("nope.bin", [(0, 10)])
+
+    def test_invalid_ranges_rejected(self, store):
+        store, payload = store
+        reader = loaded(store)
+        with pytest.raises(ValueError):
+            reader.read_multi("blob.bin", [(-1, 4)])
+        with pytest.raises(ValueError):
+            reader.read_multi("blob.bin", [(0, -4)])
+        with pytest.raises(EOFError):
+            reader.read_multi("blob.bin", [(len(payload) - 10, 20)])
+
+    def test_only_planned_resident_files_are_served(self, store):
+        store, _ = store
+        reader = open_reader(store)
+        with pytest.raises(LookupError):  # planned, but nobody loaded it
+            reader.read_multi("blob.bin", [(0, 4)])
+        with pytest.raises(LookupError):  # not in the plan at all
+            reader.load(["other.bin"])
+        reader.load(["blob.bin"])
+        reader.cache.release("blob.bin")  # its one planned consumer is done
+        assert reader.cache.resident_bytes == 0
+        with pytest.raises(LookupError):
+            reader.read_multi("blob.bin", [(0, 4)])
+
+    def test_file_stays_until_its_last_planned_consumer(self, store):
+        store, payload = store
+        reader = loaded(store, consumers=2)
+        reader.load(["blob.bin"])  # the second consumer: no second read
+        assert (reader.read_ops, reader.cache.misses) == (1, 1)
+        reader.cache.release("blob.bin")
+        assert reader.cache.resident_bytes == len(payload)
+        reader.cache.release("blob.bin")
+        assert reader.cache.resident_bytes == 0
+        assert reader.cache.peak_resident_bytes == len(payload)
+
+    @pytest.mark.parametrize("damage", ["digest", "size"])
+    def test_unverified_file_is_never_served(self, store, damage):
+        store, payload = store
+        entry = {
+            "nbytes": len(payload) + (damage == "size"),
+            "sha256": hashlib.sha256(
+                payload + b"x" * (damage == "digest")
+            ).hexdigest(),
+        }
+        reader = open_reader(store, consumers=2, entry=entry)
+        with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
+            reader.load(["blob.bin"])
+        # neither a slice request nor the second planned consumer can
+        # get past the failed verification, and nothing is re-read
+        with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
+            reader.read_multi("blob.bin", [(0, 4)])
+        with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
+            reader.load(["blob.bin"])
+        assert reader.read_ops == (damage == "digest")
+        reader.cache.clear()
+        assert reader.cache.resident_bytes == 0
 
 
 class TestCoalescingEdgeCases:
-    """Range batching may change IO shape only — never a payload byte.
+    """Range shape never changes a payload byte, or costs a second read.
 
     Every case checks the returned buffers against a plain slice of the
-    original payload (the "uncoalesced" ground truth) and then pins the
-    pread/batch/coalesce counters the batching is supposed to improve.
+    original payload; whatever the ranges look like, the file was read
+    once, when it was loaded.
     """
 
     def test_overlapping_ranges_fetch_union_once(self, store):
         store, payload = store
-        reader = RangeReader(store)
+        reader = loaded(store)
         ranges = [(0, 200), (100, 200), (250, 100)]
         parts = reader.read_multi("blob.bin", ranges)
         assert [bytes(p) for p in parts] == [
             payload[o:o + n] for o, n in ranges
         ]
-        assert reader.num_preads == 1
-        assert reader.bytes_read == 350  # union of the overlaps, not sum
-        assert reader.ranges_coalesced == 2
+        assert reader.read_ops == 1
+        assert store.bytes_read == len(payload)
 
     def test_out_of_order_ranges_sorted_into_one_pread(self, store):
         store, payload = store
-        reader = RangeReader(store)
+        reader = loaded(store)
         ranges = [(200, 100), (0, 100), (100, 100)]
         parts = reader.read_multi("blob.bin", ranges)
-        # results in request order, fetched in file order
+        # results in request order
         assert [bytes(p) for p in parts] == [
             payload[o:o + n] for o, n in ranges
         ]
-        assert reader.num_preads == 1
+        assert reader.read_ops == 1
         assert reader.num_batches == 1
 
     def test_adjacent_single_byte_slices_one_pread(self, store):
         store, payload = store
-        reader = RangeReader(store)
-        ranges = [(i, 1) for i in range(64)]
-        parts = reader.read_multi("blob.bin", ranges)
+        reader = loaded(store)
+        parts = reader.read_multi("blob.bin", [(i, 1) for i in range(64)])
         assert [bytes(p) for p in parts] == [
             payload[i:i + 1] for i in range(64)
         ]
-        assert reader.num_preads == 1
-        assert reader.ranges_coalesced == 63
+        assert reader.read_ops == 1
 
-    def test_scattered_single_byte_slices_stay_separate(self, store):
+    def test_coalesced_span_straddling_window_boundary(
+        self, store, monkeypatch
+    ):
         store, payload = store
-        reader = RangeReader(store)  # coalesce_gap=0
-        ranges = [(i * 1000, 1) for i in range(8)]
-        parts = reader.read_multi("blob.bin", ranges)
-        assert [bytes(p) for p in parts] == [
-            payload[o:o + 1] for o, _ in ranges
-        ]
-        assert reader.num_preads == 8
-        assert reader.bytes_read == 8
-        assert reader.ranges_coalesced == 0
-
-    def test_gap_budget_is_a_hard_boundary(self, store):
-        store, _ = store
-        just_inside = RangeReader(store, coalesce_gap=11)
-        just_inside.read_multi("blob.bin", [(0, 10), (21, 10)])
-        assert just_inside.num_preads == 1  # 11-byte gap == budget
-        just_outside = RangeReader(store, coalesce_gap=10)
-        just_outside.read_multi("blob.bin", [(0, 10), (21, 10)])
-        assert just_outside.num_preads == 2
-
-    def test_coalesced_span_straddling_window_boundary(self, store):
-        store, payload = store
-        reader = RangeReader(store, window_bytes=100, coalesce_gap=16)
-        # the merged span [0, 120) exceeds one window: the fetch must
-        # split into bounded reads yet still return each range intact
-        parts = reader.read_multi("blob.bin", [(0, 60), (70, 50)])
-        assert bytes(parts[0]) == payload[0:60]
+        tiny_window(monkeypatch, 100)
+        reader = loaded(store)
+        # both ranges cross the read-window edges at 100: each still
+        # comes back intact, from reads no larger than the window
+        parts = reader.read_multi("blob.bin", [(0, 160), (70, 50)])
+        assert bytes(parts[0]) == payload[0:160]
         assert bytes(parts[1]) == payload[70:120]
-        assert reader.num_preads == 2
         assert reader.peak_window_bytes <= 100
 
-    def test_range_straddling_cached_block_boundary(self, store):
+    def test_range_straddling_cached_block_boundary(self, store, monkeypatch):
         store, payload = store
-        reader = RangeReader(store, window_bytes=100)
-        reader.read("blob.bin", 0, 300)  # cached as three 100-byte blocks
+        tiny_window(monkeypatch, 100)
+        reader = loaded(store)  # read as 1024 windows of 100 bytes
         ops = reader.read_ops
-        view = reader.read("blob.bin", 90, 120)  # spans all three blocks
+        (view,) = reader.read_multi("blob.bin", [(90, 120)])  # three windows
         assert bytes(view) == payload[90:210]
-        assert reader.read_ops == ops  # stitched from cache, no new IO
+        assert reader.read_ops == ops
 
-    def test_coalescing_across_cache_eviction(self, store):
-        """Eviction between batched reads must never surface stale or
-        misassembled bytes — re-fetched spans are byte-identical."""
-        store, payload = store
-        reader = RangeReader(
-            store,
-            cache=BlockCache(max_bytes=256),
-            window_bytes=128,
-            coalesce_gap=64,
-        )
-        ranges_a = [(0, 100), (150, 100)]
-        ranges_b = [(1000, 100), (1150, 100)]
-        for _ in range(3):  # alternate so each batch evicts the other's
-            parts = reader.read_multi("blob.bin", ranges_a)
-            assert [bytes(p) for p in parts] == [
-                payload[o:o + n] for o, n in ranges_a
-            ]
-            parts = reader.read_multi("blob.bin", ranges_b)
-            assert [bytes(p) for p in parts] == [
-                payload[o:o + n] for o, n in ranges_b
-            ]
-
-    def test_random_plans_identical_with_and_without_coalescing(self, store):
+    def test_random_plans_identical_with_and_without_coalescing(
+        self, store, monkeypatch
+    ):
+        """Random plans against a file held as the store's one buffer
+        and against one assembled from many small read windows."""
         store, payload = store
         rng = np.random.default_rng(7)
-        plain = RangeReader(store, coalesce_gap=0)
-        batched = RangeReader(store, coalesce_gap=4096)
+        whole = loaded(store)
+        tiny_window(monkeypatch, 4096)
+        windowed = loaded(store)
+        assert windowed.read_ops > whole.read_ops == 1
         for _ in range(20):
             n = int(rng.integers(1, 12))
             offsets = rng.integers(0, len(payload) - 64, size=n)
@@ -270,62 +281,51 @@ class TestCoalescingEdgeCases:
                 (int(o), int(rng.integers(1, 64))) for o in offsets
             ]
             expected = [payload[o:o + ln] for o, ln in ranges]
-            assert [
-                bytes(p) for p in plain.read_multi("blob.bin", ranges)
-            ] == expected
-            assert [
-                bytes(p) for p in batched.read_multi("blob.bin", ranges)
-            ] == expected
-        assert batched.read_ops <= plain.read_ops
+            for reader in (whole, windowed):
+                assert [
+                    bytes(p) for p in reader.read_multi("blob.bin", ranges)
+                ] == expected
 
 
 class TestReadOnlyReturns:
-    """Cache-poisoning defense: served bytes are immutable.
+    """Poisoning defense: served bytes are immutable.
 
-    Every buffer handed out by the cache/reader layers is read-only —
-    a caller mutating its view must get an immediate error, never a
-    silent corruption of blocks other readers will treat as
-    digest-verified.
+    Every buffer the reader hands out is a read-only view of the one
+    verified copy — a consumer mutating its view must get an immediate
+    error, never a silent corruption of bytes other consumers will
+    treat as digest-verified.
     """
 
     def test_single_block_view_is_readonly(self, store):
         store, _ = store
-        reader = RangeReader(store)
-        view = reader.read("blob.bin", 100, 50)  # zero-copy cache view
+        (view,) = loaded(store).read_multi("blob.bin", [(100, 50)])
         assert view.readonly
         with pytest.raises(TypeError):
             view[0] = 0xFF
 
-    def test_multi_piece_view_is_readonly(self, store):
+    def test_multi_piece_view_is_readonly(self, store, monkeypatch):
         store, _ = store
-        reader = RangeReader(store)
-        reader.read("blob.bin", 0, 100)
-        reader.read("blob.bin", 100, 100)
-        view = reader.read("blob.bin", 50, 100)  # spans two cached blocks
+        tiny_window(monkeypatch, 100)
+        # spans two read windows of a file assembled from many
+        (view,) = loaded(store).read_multi("blob.bin", [(50, 100)])
         assert view.readonly
 
     def test_frombuffer_over_view_is_readonly(self, store):
         store, _ = store
-        reader = RangeReader(store)
-        arr = np.frombuffer(reader.read("blob.bin", 0, 400), dtype=np.float32)
+        (view,) = loaded(store).read_multi("blob.bin", [(0, 400)])
+        arr = np.frombuffer(view, dtype=np.float32)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
-    def test_put_normalizes_mutable_buffers(self):
-        cache = BlockCache()
-        scratch = bytearray(b"abcdefgh")
-        cache.put("f", 0, scratch)
-        scratch[:] = b"XXXXXXXX"  # caller reuses its scratch buffer
-        assert cache.get("f", 0, 8) == b"abcdefgh"
-
     def test_cache_mutation_attempt_does_not_reach_later_reads(self, store):
         store, payload = store
-        reader = RangeReader(store)
-        view = reader.read("blob.bin", 0, 64)
+        reader = loaded(store)
+        (view,) = reader.read_multi("blob.bin", [(0, 64)])
         with pytest.raises(TypeError):
             view[:] = b"\x00" * 64
-        assert bytes(reader.read("blob.bin", 0, 64)) == payload[:64]
+        (again,) = reader.read_multi("blob.bin", [(0, 64)])
+        assert bytes(again) == payload[:64]
 
 
 class TestIndexReads:

@@ -1,29 +1,28 @@
-"""Threaded stress: concurrent conversions and streaming verifiers
-sharing one ``BlockCache`` under a strict lock witness.
+"""Threaded stress: a fan-out wider than the box over one shared
+source-file table, under a strict lock witness.
 
-The multi-tenant hub shape from the paper's serving story: several
-``ucp_convert`` pipelines and digest verifiers hammer one shared cache
-from many threads at once.  Under ``lockcheck(strict=True)`` any
-lock-order cycle, unguarded cache mutation, or over-budget IO under a
-non-IO lock (UCP029-UCP031) raises — and the conversion output must
-still be byte-identical to a single-threaded reference run.
+Every fan-out worker of a conversion claims, loads, slices and releases
+through the one ``BlockCache`` table and ``RangeReader`` of its plan.
+Under ``lockcheck(strict=True)`` any lock-order cycle, unguarded table
+mutation, or over-budget IO under a non-IO lock (UCP029-UCP031) raises
+— and the conversion output must still be byte-identical to a
+single-threaded reference run.
 """
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import sys
 
 import pytest
 
 from repro.analysis.lockwitness import check_lock_trace, lockcheck
-from repro.ckpt import manifest as manifest_mod
-from repro.ckpt.loader import latest_committed_tag
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.convert import ucp_convert
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
 from repro.parallel.engine import TrainingEngine
-from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.store import ObjectStore
+
+from tests.helpers import record_source_tables
 
 PARALLEL = ParallelConfig(tp=2, dp=2, zero_stage=1)
 
@@ -50,78 +49,34 @@ def stress_setup(tmp_path_factory):
     return ckpt, dir_digests(ref)
 
 
-def _verify_all(ckpt, cache) -> int:
-    """Digest-verify every committed file of the tag through a fresh
-    reader over the *shared* cache; returns the file count."""
-    store = ObjectStore(str(ckpt))
-    tag = latest_committed_tag(str(ckpt))
-    manifest = manifest_mod.require_manifest(store, tag)
-    reader = RangeReader(store, cache=cache, window_bytes=1 << 14)
-    rels = sorted(store.list(tag))
-    for rel in rels:
-        manifest_mod.verify_streaming(
-            reader, rel, manifest_mod.manifest_entry(manifest, rel.split("/")[-1])
-        )
-    return len(rels)
-
-
 class TestConcurrentConvertAndVerify:
     def test_shared_cache_stress_is_witness_clean_and_byte_identical(
-        self, stress_setup, tmp_path
+        self, stress_setup, tmp_path, monkeypatch
     ):
+        """Eight workers (and eight commit threads) on a 10 µs switch
+        interval share one table: every file is still loaded once, the
+        output is the serial reference's, nothing stays resident."""
         ckpt, ref_digests = stress_setup
-        shared = BlockCache(8 << 20)
-        outs = [tmp_path / f"ucp{i}" for i in range(2)]
-        with lockcheck(strict=True, subject="rangeio stress") as w:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futs = [
-                    pool.submit(
-                        ucp_convert, str(ckpt), str(out),
-                        workers=2, cache=shared,
-                    )
-                    for out in outs
-                ] + [
-                    pool.submit(_verify_all, ckpt, shared)
-                    for _ in range(2)
-                ]
-                # .result() re-raises any worker-thread LockWitnessError
-                results = [f.result() for f in futs]
-        # both conversions are byte-identical to the serial reference
-        for out in outs:
-            assert dir_digests(out) == ref_digests
-        assert results[2] > 0 and results[2] == results[3]
-        # the cache was genuinely shared: later tenants hit blocks the
-        # earlier ones (or the digest pre-warm) pulled in
-        assert shared.hits > 0
-        assert len(shared) > 0
+        tables = record_source_tables(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with lockcheck(strict=True, subject="rangeio stress") as w:
+                # a worker-thread LockWitnessError fails the conversion
+                report = ucp_convert(
+                    str(ckpt), str(tmp_path / "ucp"), workers=8
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert dir_digests(tmp_path / "ucp") == ref_digests
+        ((table, consumers),) = tables
+        assert table.misses == len(consumers) == report.num_preads
+        assert table.hits > 0
+        assert table.resident_bytes == 0
         # the recorded schedule replays clean offline too
         payload = w.to_payload()
         assert not payload["truncated"]
         assert check_lock_trace(payload).ok
-
-    def test_eviction_churn_under_contention_stays_correct(
-        self, stress_setup, tmp_path
-    ):
-        """A cache far smaller than the checkpoint forces constant
-        eviction while threads race; overlap-tolerant inserts and
-        snapshot-based assembly must keep every byte right."""
-        ckpt, ref_digests = stress_setup
-        tiny = BlockCache(4096)
-        out = tmp_path / "ucp_tiny"
-        with lockcheck(strict=True, subject="eviction churn"):
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                conv = pool.submit(
-                    ucp_convert, str(ckpt), str(out),
-                    workers=2, cache=tiny, window_bytes=1 << 12,
-                )
-                verifs = [
-                    pool.submit(_verify_all, ckpt, tiny) for _ in range(2)
-                ]
-                conv.result()
-                for f in verifs:
-                    f.result()
-        assert dir_digests(out) == ref_digests
-        assert tiny.current_bytes <= 4096
 
     def test_witnessed_run_matches_unwitnessed_run(
         self, stress_setup, tmp_path
@@ -137,17 +92,18 @@ class TestConcurrentConvertAndVerify:
 
 class TestScheduleSpaceExploration:
     """The stress tests above sample a handful of OS schedules; the
-    explorer walks the *space*.  The distilled convert+verify hub shape
-    must hold its invariants on every explored interleaving."""
+    explorer walks the *space*.  Two workers with overlapping file
+    sets over the real table must hold their invariants on every
+    explored interleaving."""
 
     def test_convert_verify_scenario_is_schedule_clean(self):
         from repro.analysis import interleave
 
-        # deep caps only when CI exports REPRO_INTERLEAVE (the full
-        # space is ~4k schedules); the bounded sweep must stay clean
-        # too — a UCP039 warning is the only acceptable diagnostic
+        # the full space (~230 schedules) only when CI exports
+        # REPRO_INTERLEAVE; the bounded sweep must stay clean too — a
+        # UCP039 warning is the only acceptable diagnostic
         cap = 6000 if interleave.enabled_from_env() else 64
-        result = interleave.explore("convert-verify", schedules=cap)
+        result = interleave.explore("source-files", schedules=cap)
         assert result.report.errors == []
         assert result.counterexamples == []
         assert {d.rule_id for d in result.report.warnings} <= {"UCP039"}
