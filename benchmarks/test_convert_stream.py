@@ -16,16 +16,28 @@ the CI ``convert-perf`` job gates on) and records, per point:
   ``ucp_meta``);
 * the CI gate fraction: a single target rank's sliced read over the
   checkpoint's total state bytes (must stay under 0.5 for the
-  TP-degree-change row).
+  TP-degree-change row);
+* planning — how many times a cold conversion and a cold whole-engine
+  load executed a real fragmenter (``Fragmenter.shard`` over an
+  ``arange``), gated *exactly* at the number of distinct ``(fragmenter,
+  logical shape, degree, rank)`` shape classes the topology implies: a
+  count, not a stopwatch (``plan_s`` is recorded beside it, ungated).
 
 Wall time lives in the repo benchmark (``benchmarks/e2e``, ``convert_s``
 on four workloads); the retired full-read converter's last measurement
 is frozen in ``results/BENCH_convert_wallclock.json``.
 """
 
+import contextlib
+
+from repro.core import intervals
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
+from repro.models import get_config
+from repro.parallel.layout import ModelParallelLayout
+from repro.parallel.sharding import _FRAGMENTER_KINDS
+from repro.parallel.tp import PATTERN_FRAGMENT
 from repro.storage.faults import FaultPolicy
 from repro.storage.store import ObjectStore
 
@@ -56,6 +68,39 @@ GATE_LABEL = "tp4->tp2"
 GATE_MAX_FRACTION = 0.5
 
 
+@contextlib.contextmanager
+def fragmenter_executions():
+    """Every ``Fragmenter.shard`` call made inside the block, as
+    ``(fragmenter, input shape, degree, rank)`` tuples."""
+    calls, originals = [], {}
+    for cls in _FRAGMENTER_KINDS.values():
+        originals[cls] = real = cls.shard
+
+        def counting(self, full, degree, rank, _real=real):
+            calls.append((self, tuple(full.shape), degree, rank))
+            return _real(self, full, degree, rank)
+
+        cls.shard = counting
+    try:
+        yield calls
+    finally:
+        for cls, real in originals.items():
+            cls.shard = real
+
+
+def shape_classes(model: str, parallel: ParallelConfig) -> set:
+    """The distinct shard maps a topology implies (none at tp 1)."""
+    if parallel.tp == 1:
+        return set()
+    specs = ModelParallelLayout(get_config(model), parallel).shard_specs
+    return {
+        (spec.fragmenter, tuple(spec.logical_shape), parallel.tp, rank)
+        for spec in specs.values()
+        if spec.pattern == PATTERN_FRAGMENT
+        for rank in range(parallel.tp)
+    }
+
+
 def test_bench_convert_stream(benchmark, tmp_path):
     rows = []
     gate_fraction = None
@@ -71,16 +116,27 @@ def test_bench_convert_stream(benchmark, tmp_path):
         # serial, so that peak_resident_bytes is the plan's own figure
         # (above one worker it depends on which atoms overlap); every
         # byte column is the same at any worker count
-        streamed = ucp_convert(ckpt, stream_dir, workers=1)
+        intervals.clear_memo()
+        with fragmenter_executions() as convert_calls:
+            streamed = ucp_convert(ckpt, stream_dir, workers=1)
         # conversion must never read the model_states / padding bytes
         assert 0 < streamed.bytes_read < ckpt_bytes, label
+        # CI planner gate: one fragmenter execution per shape class
+        convert_classes = shape_classes(model, source)
+        assert sorted(convert_calls, key=repr) == sorted(
+            convert_classes, key=repr
+        ), (label, len(convert_calls), len(convert_classes))
 
         # the base policy injects nothing; it counts every read call
         reads = FaultPolicy()
         ucp_store = ObjectStore(stream_dir, faults=reads)
-        load_ucp_into_engine(
-            make_engine(model, parallel=target, seed=0), stream_dir,
-            store=ucp_store,
+        target_engine = make_engine(model, parallel=target, seed=0)
+        intervals.clear_memo()
+        with fragmenter_executions() as load_calls:
+            load_ucp_into_engine(target_engine, stream_dir, store=ucp_store)
+        load_classes = shape_classes(model, target)
+        assert sorted(load_calls, key=repr) == sorted(load_classes, key=repr), (
+            label, len(load_calls), len(load_classes),
         )
         sliced_bytes = ucp_store.bytes_read
         ucp_dir_bytes = sum(ucp_store.size(rel) for rel in ucp_store.list("."))
@@ -118,6 +174,13 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "load_read_calls": reads.read_ops,
                 "atom_state_files": state_files,
                 "per_rank_read_fraction": round(fraction, 4),
+                "fragmenter_executions": {
+                    "convert": len(convert_calls), "load": len(load_calls),
+                },
+                "shape_classes": {
+                    "convert": len(convert_classes), "load": len(load_classes),
+                },
+                "plan_s": round(streamed.stage_seconds["plan"], 4),
             }
         )
 
@@ -161,6 +224,14 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "load_read_calls": "store read calls of the whole-engine "
                     "load, gated at 2 per atom state file (header, "
                     "payload) + 1 for ucp_meta",
+                "fragmenter_executions": "Fragmenter.shard calls during "
+                    "the row's cold (memo emptied) conversion / "
+                    "whole-engine load; gated equal to shape_classes",
+                "shape_classes": "distinct (fragmenter, logical shape, "
+                    "degree, rank) shard maps the source / target "
+                    "topology implies — 0 at tp 1",
+                "plan_s": "the cold conversion's planning stage, wall "
+                    "seconds on the calling thread (recorded, not gated)",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "
                     "target rank's sliced UCP read over the "
                     "checkpoint's state bytes — about loading the "

@@ -29,11 +29,16 @@ executes the conversion plan over **intervals, not tensors**:
      data (UCP019).
 
 The only tensor-shaped computation is one ``int64`` index map per
-``fragment_params`` parameter, executed through the *real* fragmenter
-(:meth:`Fragmenter.shard` over ``arange``) and immediately collapsed to
-maximal contiguous runs — so the provenance model cannot drift from the
-executable sharding semantics, and disk IO stays header-only
-(kilobytes for a multi-terabyte checkpoint).
+``fragment_params`` *shape class* — ``(fragmenter, logical shape, TP
+degree, rank)``, shared by every layer — executed through the *real*
+fragmenter (:meth:`Fragmenter.shard` over ``arange``) once, collapsed to
+maximal contiguous runs and kept as a read-only columnar table by
+:mod:`repro.core.intervals` — so the provenance model cannot drift from
+the executable sharding semantics, and disk IO stays header-only
+(kilobytes for a multi-terabyte checkpoint).  Composition stays
+columnar as well: a parameter's extents are int64 columns from here into
+the converter's read plans, and :class:`SourceExtent` objects exist only
+where a diagnostic or a provenance chain needs to name one.
 
 Violations carry the stable rule IDs UCP017-UCP022 and exact
 ``(tensor, rank, byte-range)`` provenance chains; see
@@ -51,10 +56,12 @@ from repro.analysis.diagnostics import LintReport, error
 from repro.ckpt import naming
 from repro.ckpt.loader import resolve_tag
 from repro.core.intervals import (
-    MapRun,
+    ShardRuns,
     data_intervals,
+    intersect_tilings,
+    is_identity_map,
     merge_intervals as _merge_intervals,
-    shard_to_full_runs,
+    shard_runs,
     subtract_intervals as _subtract_intervals,
 )
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
@@ -125,6 +132,115 @@ class SourceExtent:
         )
 
 
+_Source = Tuple[str, str, Tuple[int, int, int], int]
+"""``(file, field, mp coord, dp rank)`` of one source fragment."""
+
+
+class ExtentTable:
+    """The provenance extents of one parameter copy, columnar.
+
+    Row ``i`` says consolidated elements ``[full_start[i], full_end[i])``
+    are supplied by elements ``[file_start[i], ...)`` of the fragment
+    ``sources[source[i]]``.  Rows are sorted by ``(full_start, full_end,
+    file)``.  The int64 columns are what the converter lowers into read
+    plans; iterating (or :meth:`extent` / :meth:`overlapping`)
+    materialises :class:`SourceExtent` objects for diagnostics and
+    provenance chains only.
+    """
+
+    __slots__ = (
+        "full_start", "full_end", "file_start", "source", "sources", "_covered"
+    )
+
+    def __init__(
+        self,
+        full_start: np.ndarray,
+        full_end: np.ndarray,
+        file_start: np.ndarray,
+        source: np.ndarray,
+        sources: Sequence[_Source],
+        covered: Optional[List[Tuple[int, int]]] = None,
+    ) -> None:
+        self.full_start = full_start
+        self.full_end = full_end
+        self.file_start = file_start
+        self.source = source
+        self.sources = sources
+        self._covered = covered
+
+    @classmethod
+    def from_rows(
+        cls, rows: List[Tuple[int, int, str, int, int]], sources: Sequence[_Source]
+    ) -> "ExtentTable":
+        """A (small) table from Python ``(full_start, full_end, file,
+        file_start, source)`` rows — no per-column numpy dispatch."""
+        rows.sort(key=lambda r: r[:3])
+        cols = np.array(
+            [(r[0], r[1], r[3], r[4]) for r in rows], dtype=np.int64
+        ).reshape(-1, 4).T
+        return cls(
+            *cols, sources,
+            covered=_merge_intervals([(r[0], r[1]) for r in rows]),
+        )
+
+    @classmethod
+    def from_extents(cls, extents: Sequence[SourceExtent]) -> "ExtentTable":
+        """Columnar form of already materialised extents."""
+        index: Dict[_Source, int] = {}
+        rows = [
+            (
+                e.full_start, e.full_end, e.file, e.file_start,
+                index.setdefault(
+                    (e.file, e.field, e.coord, e.dp_rank), len(index)
+                ),
+            )
+            for e in extents
+        ]
+        return cls.from_rows(rows, list(index))
+
+    def __len__(self) -> int:
+        return int(self.full_start.size)
+
+    def __iter__(self):
+        return (self.extent(i) for i in range(len(self)))
+
+    def extent(self, i: int) -> SourceExtent:
+        """Row ``i`` as the provenance leaf diagnostics render."""
+        file, field, coord, dp_rank = self.sources[int(self.source[i])]
+        return SourceExtent(
+            full_start=int(self.full_start[i]),
+            full_end=int(self.full_end[i]),
+            file=file,
+            field=field,
+            file_start=int(self.file_start[i]),
+            coord=coord,
+            dp_rank=dp_rank,
+        )
+
+    def overlapping(self, start: int, end: int) -> List[SourceExtent]:
+        """Extents intersecting a consolidated element interval."""
+        hits = np.flatnonzero((self.full_start < end) & (self.full_end > start))
+        return [self.extent(i) for i in hits]
+
+    def covered(self) -> List[Tuple[int, int]]:
+        """Merged consolidated intervals the rows supply."""
+        if self._covered is None:
+            starts, reach = self.full_start, np.maximum.accumulate(self.full_end)
+            if starts.size == 0:
+                self._covered = []
+            else:
+                # rows are sorted by start: a new interval opens where a
+                # row starts past everything before it
+                first = np.flatnonzero(
+                    np.concatenate(([True], starts[1:] > reach[:-1]))
+                )
+                last = np.concatenate((first[1:] - 1, [starts.size - 1]))
+                self._covered = list(
+                    zip(starts[first].tolist(), reach[last].tolist())
+                )
+        return self._covered
+
+
 @dataclasses.dataclass
 class ParamProvenance:
     """Interval map over one parameter's consolidated flat element space.
@@ -136,29 +252,29 @@ class ParamProvenance:
     only when the pattern demands it (``params_to_average`` averages
     every copy; ``replicated_params`` under ``verify_replicas`` must
     compare them), so a plan knows the *full* byte cost of each policy.
+    Both are :class:`ExtentTable` columns (a sequence of
+    :class:`SourceExtent` is accepted and converted).
     """
 
     name: str
     spec: ShardSpec
-    extents: List[SourceExtent]
+    extents: ExtentTable
     data: List[Tuple[int, int]]
-    replicas: Dict[Tuple[int, int, int], List[SourceExtent]] = dataclasses.field(
+    replicas: Dict[Tuple[int, int, int], ExtentTable] = dataclasses.field(
         default_factory=dict
     )
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.extents, ExtentTable):
+            self.extents = ExtentTable.from_extents(self.extents)
+
     def covered(self) -> List[Tuple[int, int]]:
         """Merged consolidated intervals any source byte supplies."""
-        return _merge_intervals(
-            [(e.full_start, e.full_end) for e in self.extents]
-        )
+        return self.extents.covered()
 
     def lookup(self, start: int, end: int) -> List[SourceExtent]:
         """Extents intersecting a consolidated element interval."""
-        return [
-            e
-            for e in self.extents
-            if e.full_start < end and e.full_end > start
-        ]
+        return self.extents.overlapping(start, end)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,16 +309,10 @@ class ProvenanceAnalysis:
         self.source_cfg = source_cfg
         self.params = params
         self.report = report
-        self._runs_cache: Dict[Tuple[str, int, int], List[MapRun]] = {}
 
-    def runs(self, name: str, degree: int, rank: int) -> List[MapRun]:
-        """Cached shard -> consolidated runs for one parameter."""
-        key = (name, degree, rank)
-        if key not in self._runs_cache:
-            self._runs_cache[key] = shard_to_full_runs(
-                self.params[name].spec, degree, rank
-            )
-        return self._runs_cache[key]
+    def runs(self, name: str, degree: int, rank: int) -> ShardRuns:
+        """Shard -> consolidated runs of one parameter's shape class."""
+        return shard_runs(self.params[name].spec, degree, rank)
 
     def explain(
         self,
@@ -235,25 +345,30 @@ class ProvenanceAnalysis:
                 f"{_byte_range(local_element, local_element + 1)} of "
                 f"{name!r}"
             )
-            for run in self.runs(name, target_cfg.tp, tp_rank):
-                if run.shard_start <= shard_element < run.shard_end:
-                    full = run.full_start + (shard_element - run.shard_start)
-                    mid = f"consolidated {_byte_range(full, full + 1)}"
-                    prov = self.params.get(name)
-                    if prov is not None:
-                        for extent in prov.lookup(full, full + 1):
-                            return (
-                                f"{head} <- {mid} <- "
-                                f"{extent.chain(full, full + 1)}"
-                            )
-                    for d_start, d_end in (
-                        prov.data if prov is not None
-                        else data_intervals(layout.shard_specs[name])
-                    ):
-                        if d_start <= full < d_end:
-                            return f"{head} <- {mid} <- <no source byte>"
-                    return f"{head} <- {mid} <- structural padding (zero)"
-            return f"{head} <- <element outside the shard map>"
+            runs = self.runs(name, target_cfg.tp, tp_rank)
+            # runs tile the shard in order: the one holding the element
+            # is the last that starts at or before it
+            i = int(np.searchsorted(runs.shard_start, shard_element, "right")) - 1
+            if i < 0 or shard_element >= runs.shard_start[i] + runs.length[i]:
+                return f"{head} <- <element outside the shard map>"
+            full = int(runs.full_start[i]) + (
+                shard_element - int(runs.shard_start[i])
+            )
+            mid = f"consolidated {_byte_range(full, full + 1)}"
+            prov = self.params.get(name)
+            if prov is not None:
+                for extent in prov.lookup(full, full + 1):
+                    return (
+                        f"{head} <- {mid} <- "
+                        f"{extent.chain(full, full + 1)}"
+                    )
+            for d_start, d_end in (
+                prov.data if prov is not None
+                else data_intervals(layout.shard_specs[name])
+            ):
+                if d_start <= full < d_end:
+                    return f"{head} <- {mid} <- <no source byte>"
+            return f"{head} <- {mid} <- structural padding (zero)"
         raise KeyError(
             f"element {local_element} of {name!r} is not in partition "
             f"dp={dp_rank} of pp={pp_stage}.sp={sp_rank}.tp={tp_rank}"
@@ -558,6 +673,82 @@ def _assemble_shard_intervals(
     return kept
 
 
+_Copy = Tuple[int, Tuple[int, int, int], List[_ShardPiece]]
+"""``(tp rank, mp coord, assembled dp pieces)`` of one shard copy."""
+
+
+def _map_to_consolidated(
+    spec: ShardSpec, tp_degree: int, copies: Sequence[_Copy]
+) -> ExtentTable:
+    """Map shard copies' dp pieces into consolidated space, as one table.
+
+    Each copy's pieces and its tp rank's run table
+    (:func:`~repro.core.intervals.shard_runs`) are two tilings of one
+    shard; their intersection, shifted through the runs, is the copy's
+    extents.
+    """
+    sources: List[_Source] = []
+    if is_identity_map(spec, tp_degree):
+        # the shard *is* the consolidated tensor (every parameter of a
+        # tp1 source, every non-fragment pattern): pieces map through
+        # unchanged, no table and no numpy dispatch
+        full_numel = _numel(spec.logical_shape)
+        rows = []
+        for _, coord, pieces in copies:
+            for piece in pieces:
+                lo = max(piece.shard_start, 0)
+                hi = min(piece.shard_end, full_numel)
+                if lo < hi:
+                    rows.append((
+                        lo, hi, piece.file,
+                        piece.file_start + (lo - piece.shard_start),
+                        len(sources),
+                    ))
+                    sources.append(
+                        (piece.file, piece.field, coord, piece.dp_rank)
+                    )
+        return ExtentTable.from_rows(rows, sources)
+    parts = []
+    for tp_rank, coord, pieces in copies:
+        if not pieces:
+            continue
+        runs = shard_runs(spec, tp_degree, tp_rank)
+        p_lo, p_hi, p_file = np.array(
+            [(p.shard_start, p.shard_end, p.file_start) for p in pieces],
+            dtype=np.int64,
+        ).T
+        piece, run, lo, hi = intersect_tilings(
+            p_lo, p_hi, runs.shard_start, runs.shard_start + runs.length
+        )
+        full_start = runs.full_start[run] + (lo - runs.shard_start[run])
+        parts.append((
+            full_start,
+            full_start + (hi - lo),
+            p_file[piece] + (lo - p_lo[piece]),
+            piece + len(sources),
+        ))
+        sources.extend((p.file, p.field, coord, p.dp_rank) for p in pieces)
+    if not parts:
+        return ExtentTable.from_rows([], sources)
+    full_start, full_end, file_start, source = (
+        np.concatenate(cols) for cols in zip(*parts)
+    )
+    order = np.argsort(full_start, kind="stable")
+    starts = full_start[order]
+    if not (starts[1:] > starts[:-1]).all():
+        # two extents start together (an unsound source): order by the
+        # whole (full_start, full_end, file) key the diagnostics follow
+        names = sorted({src[0] for src in sources})
+        file_rank = np.array(
+            [names.index(src[0]) for src in sources], dtype=np.int64
+        )
+        order = np.lexsort((file_rank[source], full_end, full_start))
+    return ExtentTable(
+        full_start[order], full_end[order], file_start[order],
+        source[order], sources,
+    )
+
+
 def _compose_param(
     name: str,
     spec: ShardSpec,
@@ -621,80 +812,46 @@ def _compose_param(
                 ))
             selected.append((0, coords[0]))
 
-    # the shard -> consolidated map depends only on the tp rank, and a
-    # dp-replicated layout maps several coords through the same rank —
-    # memoize so the fragmenter (which executes over a full-size arange
-    # index tensor) runs once per distinct rank, not once per coord
-    runs_by_rank: Dict[int, List[MapRun]] = {}
-
-    def _runs(tp_rank: int) -> List[MapRun]:
-        runs = runs_by_rank.get(tp_rank)
-        if runs is None:
-            runs = shard_to_full_runs(spec, tp_degree, tp_rank)
-            runs_by_rank[tp_rank] = runs
-        return runs
-
-    def _map_through_runs(
-        coord: Tuple[int, int, int], tp_rank: int
-    ) -> List[SourceExtent]:
-        runs = _runs(tp_rank)
-        mapped: List[SourceExtent] = []
-        for piece in assembled[coord]:
-            for run in runs:
-                lo = max(piece.shard_start, run.shard_start)
-                hi = min(piece.shard_end, run.shard_end)
-                if lo >= hi:
-                    continue
-                mapped.append(SourceExtent(
-                    full_start=run.full_start + (lo - run.shard_start),
-                    full_end=run.full_start + (hi - run.shard_start),
-                    file=piece.file,
-                    field=piece.field,
-                    file_start=piece.file_start + (lo - piece.shard_start),
-                    coord=coord,
-                    dp_rank=piece.dp_rank,
-                ))
-        mapped.sort(key=lambda e: (e.full_start, e.full_end, e.file))
-        return mapped
-
-    extents: List[SourceExtent] = []
-    for tp_rank, coord in selected:
-        extents.extend(_map_through_runs(coord, tp_rank))
-    extents.sort(key=lambda e: (e.full_start, e.full_end, e.file))
+    extents = _map_to_consolidated(
+        spec, tp_degree,
+        [(tp_rank, coord, assembled[coord]) for tp_rank, coord in selected],
+    )
 
     # non-selected copies, mapped through the same runs as their tp
     # rank: union discards them (or averages / verifies them, pattern
     # permitting), but a read plan must know where their bytes live
     selected_coords = {coord for _, coord in selected}
-    replicas: Dict[Tuple[int, int, int], List[SourceExtent]] = {}
-    for coord in sorted(by_coord):
-        if coord in selected_coords:
-            continue
-        replicas[coord] = _map_through_runs(coord, coord[2])
+    replicas = {
+        coord: _map_to_consolidated(
+            spec, tp_degree, [(coord[2], coord, assembled[coord])]
+        )
+        for coord in sorted(by_coord)
+        if coord not in selected_coords
+    }
 
     # consolidated-space exclusivity across selected shards: a sound
     # fragmenter partitions the space, so any overlap here means the
     # recorded metadata stitched two sources onto the same bytes
-    cursor = 0
-    for extent in extents:
-        if extent.full_start < cursor:
+    if len(extents) > 1:
+        reach = np.maximum.accumulate(extents.full_end)
+        for i in np.flatnonzero(extents.full_start[1:] < reach[:-1]) + 1:
+            extent = extents.extent(i)
+            end = min(int(reach[i - 1]), extent.full_end)
             report.add(error(
                 "UCP018",
                 f"consolidated "
-                f"{_byte_range(extent.full_start, min(cursor, extent.full_end))} "
-                f"written twice (second writer: {extent.chain(extent.full_start, min(cursor, extent.full_end))})",
+                f"{_byte_range(extent.full_start, end)} "
+                f"written twice (second writer: {extent.chain(extent.full_start, end)})",
                 location=name,
             ))
-        cursor = max(cursor, extent.full_end)
 
-    prov = ParamProvenance(
+    return ParamProvenance(
         name=name,
         spec=spec,
         extents=extents,
         data=data_intervals(spec),
         replicas=replicas,
     )
-    return prov
 
 
 def analyze_source(
@@ -890,13 +1047,16 @@ def check_target_provenance(
                         ))
                     continue
                 runs = analysis.runs(piece.name, target_cfg.tp, tp)
-                for run in runs:
-                    lo = max(piece.shard_start, run.shard_start)
-                    hi = min(piece.shard_end, run.shard_end)
-                    if lo >= hi:
-                        continue
-                    full_lo = run.full_start + (lo - run.shard_start)
-                    full_hi = run.full_start + (hi - run.shard_start)
+                _, run, lo, hi = intersect_tilings(
+                    np.array([piece.shard_start]),
+                    np.array([piece.shard_end]),
+                    runs.shard_start,
+                    runs.shard_start + runs.length,
+                )
+                full = runs.full_start[run] + (lo - runs.shard_start[run])
+                for full_lo, full_hi in zip(
+                    full.tolist(), (full + (hi - lo)).tolist()
+                ):
                     needed = [
                         iv for iv in (
                             (max(full_lo, d_lo), min(full_hi, d_hi))

@@ -66,8 +66,8 @@ import numpy as np
 from repro.analysis.diagnostics import LayoutLintError, LintReport, error
 from repro.analysis.interchange import preflight_convert
 from repro.analysis.provenance import (
+    ExtentTable,
     ProvenanceAnalysis,
-    SourceExtent,
     analyze_source,
 )
 from repro.ckpt import manifest as manifest_mod
@@ -76,7 +76,11 @@ from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import ATOMS_DIR, STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.errors import PatternMatchError, UCPError, UCPFormatError
-from repro.core.intervals import numel as _numel
+from repro.core.intervals import (
+    data_bounds,
+    intersect_tilings,
+    numel as _numel,
+)
 from repro.core.metadata import UCPMetadata
 from repro.core.ops import _KIND_TO_FIELD, strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
@@ -255,22 +259,8 @@ class ParamReadPlan:
         return total
 
 
-def _data_bounds(
-    data: Sequence[Tuple[int, int]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted data intervals as ``(d_lo, d_hi)`` index arrays.
-
-    Hoisted out of :func:`_lower_batch` so one parameter's data
-    intervals are converted once and shared across its primary part and
-    every replica copy (they clip against the same intervals).
-    """
-    d_lo = np.fromiter((d[0] for d in data), np.int64, len(data))
-    d_hi = np.fromiter((d[1] for d in data), np.int64, len(data))
-    return d_lo, d_hi
-
-
 def _build_blocks(
-    extents: Sequence[SourceExtent],
+    extents: ExtentTable,
     rows_ext: np.ndarray,
     file_starts: np.ndarray,
     lengths: np.ndarray,
@@ -279,16 +269,15 @@ def _build_blocks(
     """Group clipped slice rows into per-(file, field) blocks.
 
     ``rows_ext`` maps each row to the extent (hence file/field) it was
-    clipped from; rows of one block come out sorted by ``file_starts``
-    so the downstream fetch plan walks each file forward.
+    clipped from; blocks come out in order of first appearance among the
+    extents, the rows of one block sorted by ``file_starts`` so the
+    downstream scatter walks each file forward.
     """
-    groups: Dict[Tuple[str, str], int] = {}
-    for e in extents:
-        groups.setdefault((e.file, e.field), len(groups))
-    if len(groups) == 1:
-        # overwhelmingly common shape: one source (file, field) per
-        # part — skip the group-id machinery entirely
-        ((rel, field),) = groups
+    fields = [(src[0], src[1]) for src in extents.sources]
+    if len(set(fields)) == 1:
+        # one source (file, field) for the whole part (a dp1 source, a
+        # replica copy): skip the group-id machinery entirely
+        rel, field = fields[0]
         order = np.argsort(file_starts, kind="stable")
         return (SliceBlock(
             file=rel,
@@ -297,10 +286,13 @@ def _build_blocks(
             lengths=lengths[order],
             full_starts=full_starts[order],
         ),)
-    gids = np.fromiter(
-        (groups[(e.file, e.field)] for e in extents), np.int64, len(extents)
+    groups: Dict[Tuple[str, str], int] = {}
+    for i in _first_appearance(extents.source):
+        groups.setdefault(fields[i], len(groups))
+    gid_of_source = np.array(
+        [groups.get(key, -1) for key in fields], dtype=np.int64
     )
-    row_gid = gids[rows_ext]
+    row_gid = gid_of_source[extents.source[rows_ext]]
     blocks: List[SliceBlock] = []
     for (rel, field), gid in groups.items():
         mask = row_gid == gid
@@ -318,95 +310,66 @@ def _build_blocks(
     return tuple(blocks)
 
 
+def _first_appearance(ids: np.ndarray) -> List[int]:
+    """The distinct values of ``ids`` in order of first appearance."""
+    values, first = np.unique(ids, return_index=True)
+    return values[np.argsort(first, kind="stable")].tolist()
+
+
 _GROUP_STRIDE = np.int64(1) << 41
 """Element-space stride separating lowering jobs inside the one batched
 searchsorted domain — far above any real parameter's element count."""
 
 
 def _lower_batch(
-    jobs: Sequence[Tuple[
-        Sequence[SourceExtent],
-        Sequence[Tuple[int, int]],
-        Optional[Tuple[np.ndarray, np.ndarray]],
-    ]]
+    jobs: Sequence[Tuple[ExtentTable, Tuple[np.ndarray, np.ndarray]]]
 ) -> List[Tuple[SliceBlock, ...]]:
-    """Clip many (extents, data, bounds) jobs in one vectorized pass.
+    """Clip many (extents, data bounds) jobs in one vectorized pass.
 
     Each job intersects its provenance extents with its sorted disjoint
-    non-padding data intervals: two ``searchsorted`` calls locate each
-    extent's window of overlapping intervals and one repeat/arange
-    expansion materializes every (extent × interval) intersection at
-    once — no per-slice Python loop however fragmented the layout is.
+    non-padding data intervals (:func:`~repro.core.intervals.intersect_tilings`).
     Every job's extent and data intervals are shifted into a private
     ``_GROUP_STRIDE``-wide window of one shared element space, so that
     single pass lowers the whole conversion's plans — the per-call
     numpy dispatch overhead that dominated per-parameter lowering is
-    paid once, not once per (parameter, replica) pair.
+    paid once, not once per (parameter, replica) pair.  The extents
+    arrive columnar from the provenance composition and stay so.
     """
     out: List[Tuple[SliceBlock, ...]] = [() for _ in jobs]
-    live = [i for i, (ext, data, _) in enumerate(jobs) if ext and data]
+    live = [
+        (i, ext, d_lo, d_hi)
+        for i, (ext, (d_lo, d_hi)) in enumerate(jobs)
+        if len(ext) and d_lo.size
+    ]
     if not live:
         return out
-    n_live = len(live)
-    e_lo_l: List[np.ndarray] = []
-    e_hi_l: List[np.ndarray] = []
-    f0_l: List[np.ndarray] = []
-    d_lo_l: List[np.ndarray] = []
-    d_hi_l: List[np.ndarray] = []
-    first_ext = np.empty(n_live + 1, np.int64)
-    ext_counts = np.empty(n_live, np.int64)
-    d_counts = np.empty(n_live, np.int64)
-    tot_ext = 0
-    for k, gi in enumerate(live):
-        extents, data, bounds = jobs[gi]
-        n = len(extents)
-        first_ext[k] = tot_ext
-        ext_counts[k] = n
-        tot_ext += n
-        e_lo_l.append(np.fromiter((e.full_start for e in extents), np.int64, n))
-        e_hi_l.append(np.fromiter((e.full_end for e in extents), np.int64, n))
-        f0_l.append(np.fromiter((e.file_start for e in extents), np.int64, n))
-        if bounds is None:
-            bounds = _data_bounds(data)
-        d_lo_l.append(bounds[0])
-        d_hi_l.append(bounds[1])
-        d_counts[k] = bounds[0].size
-    first_ext[n_live] = tot_ext
-    bases = np.arange(n_live, dtype=np.int64) * _GROUP_STRIDE
+    index, tables, lows, highs = zip(*live)
+    ext_counts = np.array([len(table) for table in tables], dtype=np.int64)
+    d_counts = np.array([low.size for low in lows], dtype=np.int64)
+    first_ext = np.concatenate(([0], np.cumsum(ext_counts)))
+    bases = np.arange(len(live), dtype=np.int64) * _GROUP_STRIDE
     e_base = np.repeat(bases, ext_counts)
-    e_lo = np.concatenate(e_lo_l) + e_base
-    e_hi = np.concatenate(e_hi_l) + e_base
-    f0 = np.concatenate(f0_l)
+    e_lo = np.concatenate([table.full_start for table in tables]) + e_base
+    e_hi = np.concatenate([table.full_end for table in tables]) + e_base
+    f0 = np.concatenate([table.file_start for table in tables])
     d_base = np.repeat(bases, d_counts)
-    d_lo = np.concatenate(d_lo_l) + d_base
-    d_hi = np.concatenate(d_hi_l) + d_base
-    # extent e overlaps exactly the interval window [i0, i1): those with
-    # d_hi > e.full_start and d_lo < e.full_end
-    i0 = np.searchsorted(d_hi, e_lo, side="right")
-    i1 = np.searchsorted(d_lo, e_hi, side="left")
-    counts = np.maximum(i1 - i0, 0)
-    total = int(counts.sum())
-    if total == 0:
+    d_lo = np.concatenate(lows) + d_base
+    d_hi = np.concatenate(highs) + d_base
+    ext, _, lo, hi = intersect_tilings(e_lo, e_hi, d_lo, d_hi)
+    if ext.size == 0:
         return out
-    ext = np.repeat(np.arange(tot_ext), counts)
-    flat0 = np.cumsum(counts) - counts
-    ivl = np.repeat(i0, counts) + (np.arange(total) - np.repeat(flat0, counts))
-    lo = np.maximum(e_lo[ext], d_lo[ivl])
-    hi = np.minimum(e_hi[ext], d_hi[ivl])
-    keep = hi > lo
-    ext, lo, hi = ext[keep], lo[keep], hi[keep]
     lengths = hi - lo
     file_starts = f0[ext] + (lo - e_lo[ext])
     full_starts = lo - e_base[ext]
     # rows come out sorted by global extent index, so each job's rows
     # are one contiguous stretch
     cut = np.searchsorted(ext, first_ext)
-    for k, gi in enumerate(live):
+    for k, gi in enumerate(index):
         a, b = int(cut[k]), int(cut[k + 1])
         if a == b:
             continue
         out[gi] = _build_blocks(
-            jobs[gi][0],
+            tables[k],
             ext[a:b] - first_ext[k],
             file_starts[a:b],
             lengths[a:b],
@@ -448,16 +411,18 @@ def lower_read_plans(
         pattern = prov.spec.pattern
         if patterns is not None and name in patterns:
             pattern = patterns[name]
-        bounds = _data_bounds(prov.data) if prov.data else None
+        # one parameter's primary part and every replica copy clip
+        # against the same (per shape class) data intervals
+        bounds = data_bounds(prov.spec)
         coords: List[Tuple[int, int, int]] = []
         if pattern == PATTERN_TO_AVERAGE or (
             pattern == PATTERN_REPLICATED and verify_replicas
         ):
             coords = sorted(prov.replicas)
         meta.append((name, pattern, coords))
-        jobs.append((prov.extents, prov.data, bounds))
+        jobs.append((prov.extents, bounds))
         for coord in coords:
-            jobs.append((prov.replicas[coord], prov.data, bounds))
+            jobs.append((prov.replicas[coord], bounds))
     lowered = _lower_batch(jobs)
     plans: Dict[str, ParamReadPlan] = {}
     j = 0

@@ -16,11 +16,7 @@ import numpy as np
 
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
-from repro.core.intervals import (
-    data_intervals,
-    numel as _interval_numel,
-    shard_to_full_runs,
-)
+from repro.core.intervals import AtomRows, atom_rows, numel as _interval_numel
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.layout import ModelParallelLayout, PartitionSlice
@@ -351,9 +347,6 @@ def gen_ucp_metadata(
     )
 
 
-_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
-"""Columnar shard -> atom map: ``(shard_lo, shard_hi, atom_lo)`` int64."""
-
 _Piece = Tuple[str, int, int, int, Sequence[np.ndarray]]
 """``(atom name, tp rank, shard lo, shard hi, one target array per kind)``."""
 
@@ -362,11 +355,13 @@ class AtomShardCache:
     """Planned reader of atom state files for one target plan.
 
     The load side's one lowering and one executor.  The lowering
-    (:meth:`_shard_map`) composes, once per (atom, tp rank), the same
-    interval maps the provenance theorems are proven over — shard ->
-    consolidated runs, then the non-padding data intervals, whose
-    concatenation *is* the atom file — into a columnar shard -> atom
-    element map.  The executor (:meth:`_fill`) takes any set of target
+    (:meth:`_shard_map`) is a lookup: the columnar shard -> atom element
+    map of a parameter's *shape class* — the same interval maps the
+    provenance theorems are proven over, shard -> consolidated runs
+    composed with the non-padding data intervals, whose concatenation
+    *is* the atom file — built once per class by
+    :func:`repro.core.intervals.atom_rows`, so identical layers lower
+    once.  The executor (:meth:`_fill`) takes any set of target
     pieces (shard ranges with the arrays they land in), groups them by
     atom, and per atom state file issues one header read and one
     payload read of exactly the bytes the pieces need, scattering
@@ -379,57 +374,34 @@ class AtomShardCache:
     def __init__(self, atom_store: AtomStore, plan: LoadPlan) -> None:
         self.atom_store = atom_store
         self.plan = plan
-        # (name, tp rank) -> (shard_lo, shard_hi, atom_lo) int64 columns,
-        # sorted and disjoint in shard space
-        self._maps: Dict[Tuple[str, int], _Rows] = {}
         self._entries: Dict[Tuple[str, str], TensorIndexEntry] = {}
 
-    def _shard_map(self, name: str, tp_rank: int) -> _Rows:
-        """Shard -> atom-file element map of one (atom, tp rank).
-
-        Row ``i`` says shard elements ``[shard_lo[i], shard_hi[i])`` are
-        atom file elements starting at ``atom_lo[i]``; shard positions
-        no row covers are structural padding.  Every (run x data
-        interval) intersection is materialized by two ``searchsorted``
-        calls and one repeat/arange expansion, the idiom of
-        ``core.convert._lower_batch``.
-        """
-        key = (name, tp_rank)
-        rows = self._maps.get(key)
-        if rows is None:
-            spec = self.plan.layout.spec(name)
-            runs = shard_to_full_runs(spec, self.plan.target_cfg.tp, tp_rank)
-            n = len(runs)
-            r_full = np.fromiter((r.full_start for r in runs), np.int64, n)
-            r_end = r_full + np.fromiter((r.length for r in runs), np.int64, n)
-            r_shard = np.fromiter((r.shard_start for r in runs), np.int64, n)
-            data = data_intervals(spec)
-            d_lo = np.fromiter((d[0] for d in data), np.int64, len(data))
-            d_hi = np.fromiter((d[1] for d in data), np.int64, len(data))
-            d_atom = np.cumsum(d_hi - d_lo) - (d_hi - d_lo)
-            i0 = np.searchsorted(d_hi, r_full, side="right")
-            i1 = np.searchsorted(d_lo, r_end, side="left")
-            counts = np.maximum(i1 - i0, 0)
-            run = np.repeat(np.arange(n), counts)
-            first = np.cumsum(counts) - counts
-            ivl = np.repeat(i0 - first, counts) + np.arange(int(counts.sum()))
-            lo = np.maximum(r_full[run], d_lo[ivl])
-            hi = np.minimum(r_end[run], d_hi[ivl])
-            shard_lo = r_shard[run] + (lo - r_full[run])
-            rows = (shard_lo, shard_lo + (hi - lo), d_atom[ivl] + (lo - d_lo[ivl]))
-            self._maps[key] = rows
-        return rows
+    def _shard_map(self, name: str, tp_rank: int) -> AtomRows:
+        """Shard -> atom-file element map of one (atom, tp rank)."""
+        return atom_rows(
+            self.plan.layout.spec(name), self.plan.target_cfg.tp, tp_rank
+        )
 
     def _state_entry(self, name: str, kind: str) -> TensorIndexEntry:
-        """Tensor index entry of one atom state file (header-only read)."""
+        """Tensor index entry of one atom state file (header-only read).
+
+        One open per file: the size the header's claim is checked
+        against comes from the handle the index was read through.
+        """
         key = (name, kind)
         entry = self._entries.get(key)
         if entry is None:
-            store = self.atom_store.store
             rel = self.atom_store._atom_path(name, f"{kind}.npt")
-            if not store.exists(rel):
-                raise AtomMissingError(f"missing atom state {rel}")
-            entry = store.load_index(rel)["values"]
+            try:
+                tree, file_size = self.atom_store.store.load_index_sized(rel)
+            except FileNotFoundError:
+                raise AtomMissingError(f"missing atom state {rel}") from None
+            entry = tree.get("values") if isinstance(tree, dict) else None
+            if not isinstance(entry, TensorIndexEntry):
+                raise UCPFormatError(
+                    f"atom state file {rel} is damaged: it decodes, but "
+                    f"holds no 'values' array"
+                )
             spec = self.plan.layout.spec(name)
             expected = _interval_numel(spec.unpadded_shape)
             if np.dtype(entry.dtype) != np.float32 or entry.numel != expected:
@@ -439,7 +411,6 @@ class AtomShardCache:
                     f"shape {spec.unpadded_shape} ({expected} float32)"
                 )
             payload_end = entry.offset + entry.numel * entry.itemsize
-            file_size = store.size(rel)
             if payload_end > file_size:
                 raise UCPFormatError(
                     f"atom state file {rel} is damaged: its header places "

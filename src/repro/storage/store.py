@@ -250,13 +250,16 @@ class ObjectStore:
         self.simulated_write_s = 0.0
         self.simulated_read_s = 0.0
 
-    def _resolve(self, rel_path: str) -> pathlib.Path:
+    def _resolve_str(self, rel_path: str) -> str:
         # lexical containment check (no symlink resolution syscalls:
         # this runs once per atom access on the load hot path)
         normalized = os.path.normpath(os.path.join(self._base_str, rel_path))
         if not (normalized + os.sep).startswith(self._base_str + os.sep):
             raise ValueError(f"path {rel_path!r} escapes the store root")
-        return pathlib.Path(normalized)
+        return normalized
+
+    def _resolve(self, rel_path: str) -> pathlib.Path:
+        return pathlib.Path(self._resolve_str(rel_path))
 
     def _attempt_with_retry(self, hook, charge_to: str) -> None:
         """Run a fault hook, absorbing transient faults per the policy."""
@@ -482,19 +485,36 @@ class ObjectStore:
         lowers into exact :meth:`read_range` calls.  Only header bytes
         are charged.
         """
-        path = self._resolve(rel_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
-        if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_read(rel_path, path), "read"
-            )
-        with open(path, "rb") as fh:
+        return self.load_index_sized(rel_path)[0]
+
+    def load_index_sized(self, rel_path: str) -> Tuple[Any, int]:
+        """:meth:`load_index` plus the object's on-disk byte size.
+
+        One ``open`` and no path ``stat``: a missing object is the
+        ``open`` failing, and the size is ``fstat`` of the handle the
+        header was read through — so a caller can check where a header
+        claims its payloads end before reading any of them, at no
+        extra file-system round trip.
+        """
+        path = self._resolve_str(rel_path)
+        try:
+            fh = open(path, "rb")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise FileNotFoundError(
+                f"no object at {rel_path!r} in {self.base}"
+            ) from None
+        with fh:
+            if self.faults is not None:
+                self._attempt_with_retry(
+                    lambda: self.faults.on_read(rel_path, pathlib.Path(path)),
+                    "read",
+                )
             obj = read_npt_index(fh)
             header_bytes = fh.tell()
+            file_size = os.fstat(fh.fileno()).st_size
         self.bytes_read += header_bytes
         self.simulated_read_s += self.nvme.read_time(header_bytes, 1)
-        return obj
+        return obj, file_size
 
     def digest(self, rel_path: str) -> str:
         """SHA-256 of an object's current on-disk bytes (no accounting)."""

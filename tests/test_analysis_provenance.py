@@ -15,8 +15,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import make_engine
+from tests.reference_convert import assert_matches_reference
 from repro.analysis import (
     LintReport,
     analyze_interchange,
@@ -30,7 +33,9 @@ from repro.analysis import (
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.saver import save_distributed_checkpoint
+from repro.core import intervals
 from repro.core.convert import ucp_convert
+from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
 from repro.storage.store import ObjectStore
@@ -297,3 +302,109 @@ class TestConvertPreflight:
         with pytest.raises(LayoutLintError) as exc:
             ucp_convert(str(tmp_path / "src"), str(tmp_path / "ucp"))
         assert "UCP019" in str(exc.value)
+
+
+def _tiling(cuts):
+    """Sorted disjoint non-empty intervals from a strictly rising cut list
+    (every other gap is a hole, so queries can fall between tiles)."""
+    pairs = list(zip(cuts[:-1], cuts[1:]))
+    keep = pairs[::2] + pairs[1::4]
+    lo, hi = zip(*sorted(keep)) if keep else ((), ())
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+class TestSharedShardMap:
+    """The planners compose one columnar table; the loops stay here."""
+
+    @given(
+        cuts=st.lists(st.integers(0, 200), min_size=2, max_size=24, unique=True),
+        queries=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(0, 40)), max_size=12
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_intersect_tilings_equals_the_double_loop(self, cuts, queries):
+        t_lo, t_hi = _tiling(sorted(cuts))
+        q_lo = np.array([q for q, _ in queries], dtype=np.int64)
+        q_hi = q_lo + np.array([n for _, n in queries], dtype=np.int64)
+        expected = [
+            (i, j, max(a, c), min(b, d))
+            for i, (a, b) in enumerate(zip(q_lo.tolist(), q_hi.tolist()))
+            for j, (c, d) in enumerate(zip(t_lo.tolist(), t_hi.tolist()))
+            if max(a, c) < min(b, d)
+        ]
+        got = intervals.intersect_tilings(q_lo, q_hi, t_lo, t_hi)
+        assert list(zip(*(col.tolist() for col in got))) == expected
+
+    def test_extents_name_the_real_source_bytes(self, tmp_path):
+        """Every columnar extent of a tp4 x dp2 source, checked against
+        the bytes: the consolidated elements it claims equal the file
+        elements it names."""
+        parallel = ParallelConfig(tp=4, pp=1, dp=2, sp=1, zero_stage=1)
+        engine = make_engine(parallel=parallel)
+        engine.train(1)
+        tag = save_distributed_checkpoint(engine, str(tmp_path)).tag
+        store = ObjectStore(str(tmp_path))
+        analysis = analyze_source(store, tag, get_config("gpt3-mini"), parallel)
+        assert analysis.report.ok, analysis.report.render_text()
+        consolidated = engine.zero.consolidated_tensors("fp32")
+        payloads = {}
+        for name, prov in analysis.params.items():
+            full = consolidated[name].reshape(-1)
+            table = prov.extents
+            assert len(table) > 0
+            assert list(table) == [table.extent(i) for i in range(len(table))]
+            for e in table:
+                flat = payloads.setdefault(
+                    e.file, store.load(e.file)
+                )[e.field]
+                n = e.full_end - e.full_start
+                assert np.array_equal(
+                    full[e.full_start:e.full_end],
+                    np.asarray(flat)[e.file_start:e.file_start + n],
+                ), (name, e)
+            covered = prov.covered()
+            assert covered == intervals.merge_intervals(
+                [(e.full_start, e.full_end) for e in table]
+            )
+            assert prov.lookup(0, 1) == [table.extent(0)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memo_that_keeps_nothing_changes_no_byte(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """A conversion and whole-engine load planned from tables that
+        are rebuilt on every lookup equal the warm-memo run: same UCP
+        digest map (and the reference oracle's atoms), same bytes read,
+        same engine state."""
+        source = ParallelConfig(tp=4, pp=1, dp=2, sp=1, zero_stage=1)
+        target = ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1)
+        engine = make_engine(parallel=source)
+        engine.train(1)
+        ckpt = str(tmp_path / "ckpt")
+        engine.save_checkpoint(ckpt)
+
+        def run(label):
+            ucp = str(tmp_path / label)
+            report = ucp_convert(ckpt, ucp, workers=workers)
+            ucp_store = ObjectStore(ucp)
+            digests = {rel: ucp_store.digest(rel) for rel in ucp_store.list(".")}
+            loaded = make_engine(parallel=target, seed=0)
+            load_ucp_into_engine(loaded, ucp, store=ucp_store)
+            state = [
+                partition.fp32.tobytes()
+                + partition.state.exp_avg.tobytes()
+                + partition.state.exp_avg_sq.tobytes()
+                for coord in loaded.layout.mp_coords()
+                for partition in loaded.zero.partitions[coord]
+            ]
+            return ucp, digests, report.bytes_read, ucp_store.bytes_read, state
+
+        intervals.clear_memo()
+        run("fill")  # leaves every class of this pair memoised
+        warm = run("warm")
+        intervals.clear_memo()
+        monkeypatch.setattr(intervals, "MEMO_MAX_BYTES", 0)
+        cold = run("cold")
+        assert cold[1:] == warm[1:]
+        assert_matches_reference(cold[0], ckpt)

@@ -243,3 +243,27 @@ class TestConversionIdempotency:
         target = make_engine(parallel=ParallelConfig(dp=2))
         load_ucp_into_engine(target, ucp_dir)
         assert target.iteration == 3
+
+
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        pytest.param({"other": np.zeros(2, dtype=np.float32)}, id="no-values"),
+        pytest.param([1, 2, 3], id="not-a-mapping"),
+        pytest.param({"values": 7}, id="values-not-a-tensor"),
+    ],
+)
+def test_wrong_shaped_atom_state_is_a_typed_error(tmp_path, damaged):
+    """An atom state file that decodes cleanly but is not ``{"values":
+    tensor}`` is damage, named by file — not a KeyError / TypeError /
+    AttributeError out of the loader's header pass."""
+    source = make_engine("moe-mini", parallel=ParallelConfig(pp=2, dp=2))
+    source.train(1)
+    ckpt_dir, ucp_dir = str(tmp_path / "ckpt"), str(tmp_path / "ucp")
+    source.save_checkpoint(ckpt_dir)
+    ucp_convert(ckpt_dir, ucp_dir)
+    rel = "atoms/final_norm.weight/exp_avg.npt"
+    ObjectStore(ucp_dir).save(rel, damaged)
+    target = make_engine("moe-mini", parallel=ParallelConfig(tp=2, dp=2))
+    with pytest.raises(UCPFormatError, match=rel):
+        load_ucp_into_engine(target, ucp_dir)

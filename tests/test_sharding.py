@@ -1,17 +1,23 @@
 """Tests + properties for the fragment sub-patterns (paper Fig 5)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import intervals
 from repro.parallel.sharding import (
     EvenFragment,
     ExpertFragment,
+    ExpertParallelFragment,
     Fragmenter,
     FusedSectionsFragment,
     VocabFragment,
 )
+from repro.parallel.tp import PATTERN_FRAGMENT, PATTERN_REPLICATED, ShardSpec
 
 
 def roundtrip(frag, full, degree):
@@ -206,3 +212,226 @@ def test_expert_fragment_roundtrip_property(experts, per_rank, degree, inner, sh
     frag = ExpertFragment(expert_axis=0, shard_dim=shard_dim)
     shards = [frag.shard(full, degree, r) for r in range(degree)]
     assert np.array_equal(frag.join(shards), full)
+
+
+# --- the shared shard -> consolidated table (repro.core.intervals) ----------
+
+def _fragment_spec(fragmenter, shape, unpadded=None):
+    return ShardSpec(PATTERN_FRAGMENT, shape, unpadded or shape, fragmenter)
+
+
+# every fragmenter of the model zoo, on a shape every degree in {1,2,4,8} divides
+ZOO = [
+    pytest.param(_fragment_spec(EvenFragment(dim=0), (16, 6)), id="even-rows"),
+    pytest.param(_fragment_spec(EvenFragment(dim=1), (6, 16)), id="even-cols"),
+    pytest.param(_fragment_spec(EvenFragment(dim=0), (24,)), id="even-bias"),
+    pytest.param(
+        _fragment_spec(
+            FusedSectionsFragment(dim=0, section_sizes=(32, 8, 8)), (48, 3)
+        ),
+        id="fused-gqa",
+    ),
+    pytest.param(
+        _fragment_spec(
+            FusedSectionsFragment(dim=0, section_sizes=(32, 8, 8)), (48,)
+        ),
+        id="fused-gqa-bias",
+    ),
+    pytest.param(
+        _fragment_spec(ExpertFragment(expert_axis=0, shard_dim=1), (3, 16, 5)),
+        id="expert-dim1",
+    ),
+    pytest.param(
+        _fragment_spec(ExpertFragment(expert_axis=0, shard_dim=2), (3, 5, 16)),
+        id="expert-dim2",
+    ),
+    pytest.param(
+        _fragment_spec(ExpertParallelFragment(expert_axis=0), (8, 4, 3)),
+        id="expert-parallel",
+    ),
+    pytest.param(
+        _fragment_spec(VocabFragment(logical_rows=13), (16, 5), (13, 5)),
+        id="vocab-padded",
+    ),
+]
+
+
+def _brute_force_maps(spec, degree, rank):
+    """(shard -> consolidated, shard -> atom file) element maps, by
+    executing the fragmenter over an arange; padding maps to -1."""
+    total = intervals.numel(spec.logical_shape)
+    idx = np.arange(total, dtype=np.int64).reshape(spec.logical_shape)
+    if degree > 1:
+        idx = spec.fragmenter.shard(idx, degree, rank)
+    to_full = np.ascontiguousarray(idx).reshape(-1)
+    is_data = np.zeros(spec.logical_shape, dtype=bool)
+    is_data[tuple(slice(0, d) for d in spec.unpadded_shape)] = True
+    full_to_atom = np.full(total, -1, dtype=np.int64)
+    full_to_atom[is_data.reshape(-1)] = np.arange(int(is_data.sum()))
+    return to_full, full_to_atom[to_full]
+
+
+def _expand(starts, values, lengths, size):
+    out = np.full(size, -1, dtype=np.int64)
+    for s, v, n in zip(starts.tolist(), values.tolist(), lengths.tolist()):
+        out[s:s + n] = np.arange(v, v + n)
+    return out
+
+
+def _runs_map(runs, size):
+    return _expand(runs.shard_start, runs.full_start, runs.length, size)
+
+
+def _rows_map(rows, size):
+    return _expand(
+        rows.shard_lo, rows.atom_lo, rows.shard_hi - rows.shard_lo, size
+    )
+
+
+class TestShardMapTables:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        intervals.clear_memo()
+        yield
+        intervals.clear_memo()
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, 8])
+    @pytest.mark.parametrize("spec", ZOO)
+    def test_tables_equal_the_brute_force_map_and_are_maximal(self, spec, degree):
+        for rank in range(degree):
+            to_full, to_atom = _brute_force_maps(spec, degree, rank)
+            runs = intervals.shard_runs(spec, degree, rank)
+            # element for element, tiling the shard in order
+            assert np.array_equal(_runs_map(runs, to_full.size), to_full)
+            assert np.array_equal(
+                runs.shard_start, np.cumsum(runs.length) - runs.length
+            )
+            # maximal: no run continues where the previous one ended
+            assert not np.any(
+                runs.full_start[1:] == (runs.full_start + runs.length)[:-1]
+            )
+            rows = intervals.atom_rows(spec, degree, rank)
+            assert np.array_equal(_rows_map(rows, to_atom.size), to_atom)
+            assert np.all(rows.shard_lo[1:] >= rows.shard_hi[:-1])
+            mergeable = (rows.shard_lo[1:] == rows.shard_hi[:-1]) & (
+                rows.atom_lo[1:]
+                == (rows.atom_lo + rows.shard_hi - rows.shard_lo)[:-1]
+            )
+            assert not mergeable.any()
+
+    def test_non_fragment_patterns_are_the_identity(self):
+        spec = ShardSpec(PATTERN_REPLICATED, (4, 5), (4, 5))
+        for rank in range(4):
+            runs = intervals.shard_runs(spec, 4, rank)
+            assert [c.tolist() for c in runs] == [[0], [0], [20]]
+
+    def test_tables_are_read_only(self):
+        spec = ZOO[-1].values[0]
+        tables = (
+            intervals.shard_runs(spec, 2, 0),
+            intervals.atom_rows(spec, 2, 0),
+            intervals.data_bounds(spec),
+        )
+        for table in tables:
+            for column in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[...] = 0
+
+    def test_keys_are_values_not_identities(self):
+        a = _fragment_spec(EvenFragment(dim=1), (6, 16))
+        b = _fragment_spec(EvenFragment(dim=1), [6, 16])  # list-typed shape
+        assert intervals.shard_runs(a, 4, 3) is intervals.shard_runs(b, 4, 3)
+        assert intervals.atom_rows(a, 4, 3) is intervals.atom_rows(b, 4, 3)
+        assert intervals.shard_runs(a, 4, 3) is not intervals.shard_runs(a, 4, 2)
+        # same shape, degree and rank; the fragmenter's value differs
+        v13 = _fragment_spec(VocabFragment(logical_rows=13), (16, 5), (13, 5))
+        v11 = _fragment_spec(VocabFragment(logical_rows=11), (16, 5), (11, 5))
+        assert intervals.shard_runs(v13, 2, 1) is not intervals.shard_runs(v11, 2, 1)
+        for spec in (v13, v11):
+            _, to_atom = _brute_force_maps(spec, 2, 1)
+            rows = intervals.atom_rows(spec, 2, 1)
+            assert np.array_equal(_rows_map(rows, to_atom.size), to_atom)
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch):
+        specs = [_fragment_spec(EvenFragment(dim=1), (4, 8 * k)) for k in (1, 2, 3)]
+        tables = [intervals.shard_runs(spec, 2, 0) for spec in specs]
+        each = sum(c.nbytes for c in tables[0])
+        assert {sum(c.nbytes for c in t) for t in tables} == {each}
+        intervals.clear_memo()
+        monkeypatch.setattr(intervals, "MEMO_MAX_BYTES", 2 * each)
+        first = intervals.shard_runs(specs[0], 2, 0)
+        second = intervals.shard_runs(specs[1], 2, 0)
+        assert intervals.shard_runs(specs[0], 2, 0) is first  # refreshes it
+        intervals.shard_runs(specs[2], 2, 0)  # evicts specs[1], the oldest
+        assert intervals.shard_runs(specs[0], 2, 0) is first
+        rebuilt = intervals.shard_runs(specs[1], 2, 0)
+        assert rebuilt is not second
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, second))
+
+    def test_oversize_table_is_served_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(intervals, "MEMO_MAX_BYTES", 0)
+        spec = ZOO[3].values[0]
+        to_full, _ = _brute_force_maps(spec, 4, 1)
+        once = intervals.shard_runs(spec, 4, 1)
+        again = intervals.shard_runs(spec, 4, 1)
+        assert once is not again
+        for runs in (once, again):
+            assert np.array_equal(_runs_map(runs, to_full.size), to_full)
+
+    def test_fragmenter_runs_once_per_class(self, monkeypatch):
+        calls = []
+        real = EvenFragment.shard
+
+        def counting(self, full, degree, rank):
+            calls.append((self, full.shape, degree, rank))
+            return real(self, full, degree, rank)
+
+        monkeypatch.setattr(EvenFragment, "shard", counting)
+        layers = [_fragment_spec(EvenFragment(dim=1), (6, 16)) for _ in range(24)]
+        for spec in layers:
+            for rank in range(4):
+                intervals.shard_runs(spec, 4, rank)
+                intervals.atom_rows(spec, 4, rank)
+        assert len(calls) == len(set(calls)) == 4
+
+    def test_threads_racing_on_a_churning_memo_get_equal_tables(self, monkeypatch):
+        specs = [p.values[0] for p in ZOO]
+        expected = {
+            (i, rank): [c.copy() for c in intervals.shard_runs(spec, 4, rank)]
+            + [c.copy() for c in intervals.atom_rows(spec, 4, rank)]
+            for i, spec in enumerate(specs)
+            for rank in range(4)
+        }
+        intervals.clear_memo()
+        # room for a handful of tables: every thread keeps evicting the others'
+        monkeypatch.setattr(intervals, "MEMO_MAX_BYTES", 2048)
+        errors = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(len(specs) * 4)
+            try:
+                for _ in range(6):
+                    for k in order.tolist():
+                        i, rank = divmod(k, 4)
+                        got = list(intervals.shard_runs(specs[i], 4, rank))
+                        got += list(intervals.atom_rows(specs[i], 4, rank))
+                        if not all(
+                            np.array_equal(a, b)
+                            for a, b in zip(got, expected[(i, rank)])
+                        ):
+                            errors.append((i, rank))
+            except BaseException as exc:  # surfaced below, on the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
