@@ -22,6 +22,9 @@ the CI ``convert-perf`` job gates on) and records, per point:
   ``arange``), gated *exactly* at the number of distinct ``(fragmenter,
   logical shape, degree, rank)`` shape classes the topology implies: a
   count, not a stopwatch (``plan_s`` is recorded beside it, ungated).
+  The same cold conversion is gated at one header decode per source rank
+  file and one ``ModelParallelLayout`` construction: the plan is built
+  once, from one header pass.
 
 Wall time lives in the repo benchmark (``benchmarks/e2e``, ``convert_s``
 on four workloads); the retired full-read converter's last measurement
@@ -88,6 +91,37 @@ def fragmenter_executions():
             cls.shard = real
 
 
+@contextlib.contextmanager
+def planner_counts():
+    """What the block's planner did, as counts: ``header_decodes`` of
+    source rank files (through either header-only store entry point) and
+    ``layout_builds`` (``ModelParallelLayout`` constructions)."""
+    counts = {"header_decodes": 0, "layout_builds": 0}
+    originals = []
+
+    def counting(owner, attr, key, counted=lambda *args: True):
+        real = getattr(owner, attr)
+        originals.append((owner, attr, real))
+
+        def wrapper(self, *args, **kwargs):
+            counts[key] += counted(*args)
+            return real(self, *args, **kwargs)
+
+        setattr(owner, attr, wrapper)
+
+    def is_rank_file(rel_path, *_):
+        return rel_path.endswith("_optim_states.npt")
+
+    counting(ObjectStore, "load_header", "header_decodes", is_rank_file)
+    counting(ObjectStore, "load_index_sized", "header_decodes", is_rank_file)
+    counting(ModelParallelLayout, "__init__", "layout_builds")
+    try:
+        yield counts
+    finally:
+        for owner, attr, real in originals:
+            setattr(owner, attr, real)
+
+
 def shape_classes(model: str, parallel: ParallelConfig) -> set:
     """The distinct shard maps a topology implies (none at tp 1)."""
     if parallel.tp == 1:
@@ -117,7 +151,7 @@ def test_bench_convert_stream(benchmark, tmp_path):
         # (above one worker it depends on which atoms overlap); every
         # byte column is the same at any worker count
         intervals.clear_memo()
-        with fragmenter_executions() as convert_calls:
+        with fragmenter_executions() as convert_calls, planner_counts() as planned:
             streamed = ucp_convert(ckpt, stream_dir, workers=1)
         # conversion must never read the model_states / padding bytes
         assert 0 < streamed.bytes_read < ckpt_bytes, label
@@ -126,6 +160,10 @@ def test_bench_convert_stream(benchmark, tmp_path):
         assert sorted(convert_calls, key=repr) == sorted(
             convert_classes, key=repr
         ), (label, len(convert_calls), len(convert_classes))
+        # CI planner gate: one header pass, one layout, per conversion
+        assert planned == {
+            "header_decodes": streamed.num_files, "layout_builds": 1
+        }, (label, planned, streamed.num_files)
 
         # the base policy injects nothing; it counts every read call
         reads = FaultPolicy()
@@ -180,6 +218,9 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "shape_classes": {
                     "convert": len(convert_classes), "load": len(load_classes),
                 },
+                "header_decodes": planned["header_decodes"],
+                "rank_files": streamed.num_files,
+                "layout_builds": planned["layout_builds"],
                 "plan_s": round(streamed.stage_seconds["plan"], 4),
             }
         )
@@ -230,6 +271,11 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "shape_classes": "distinct (fragmenter, logical shape, "
                     "degree, rank) shard maps the source / target "
                     "topology implies — 0 at tp 1",
+                "header_decodes": "header-only decodes of source rank "
+                    "files during the row's cold conversion; gated equal "
+                    "to rank_files (one header pass)",
+                "layout_builds": "ModelParallelLayout constructions "
+                    "during the same conversion; gated at 1",
                 "plan_s": "the cold conversion's planning stage, wall "
                     "seconds on the calling thread (recorded, not gated)",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "

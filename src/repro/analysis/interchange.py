@@ -101,14 +101,23 @@ def config_diagnostics(
                 location=prefix,
             ))
         else:
-            for diag in layout.tiling_diagnostics():
-                out.append(Diagnostic(
-                    diag.rule_id,
-                    diag.severity,
-                    diag.message,
-                    location=f"{prefix}.{diag.location}",
-                ))
+            out.extend(_tiling_diagnostics(layout, prefix))
     return out
+
+
+def _tiling_diagnostics(
+    layout: ModelParallelLayout, prefix: str
+) -> List[Diagnostic]:
+    """A derived layout's UCP005 / UCP006 findings, located under ``prefix``."""
+    return [
+        Diagnostic(
+            diag.rule_id,
+            diag.severity,
+            diag.message,
+            location=f"{prefix}.{diag.location}",
+        )
+        for diag in layout.tiling_diagnostics()
+    ]
 
 
 def lint_plan(
@@ -155,46 +164,46 @@ def preflight_convert(
     src_store: ObjectStore,
     src_tag: str,
     manifest: Dict,
-    model_cfg: ModelConfig,
-    source_cfg: ParallelConfig,
+    analysis,
     optimizer_layout: str = "flat",
-    analysis=None,
 ) -> LintReport:
     """The converter's mandatory pre-pass over a committed source tag.
 
-    Runs before any rank file is read: proves the source config
-    self-consistent (fragment divisibility + partition tiling) and
-    that the commit manifest records every rank file the layout
-    derives — a manifest that never listed a rank's optimizer state
-    means the save was structurally incomplete, which per-file digest
-    verification alone cannot see.  When the structural checks pass,
-    the byte-provenance theorems (:mod:`repro.analysis.provenance`)
-    run over the rank-file *headers*: every consolidated data byte
-    must be supplied exactly once with no padding read as data
-    (UCP017-UCP022) — still without touching any tensor payload.
+    Runs before any tensor payload is read: proves the source layout's
+    partition slices tile every flat buffer (its fragment divisibility
+    was settled when ``analysis.layout`` was derived) and that the
+    commit manifest records every rank file the layout derives — a
+    manifest that never listed a rank's optimizer state means the save
+    was structurally incomplete, which per-file digest verification
+    alone cannot see.  When the structural checks pass, the
+    byte-provenance findings made while the conversion plan was composed
+    from the rank-file *headers* are folded in: every consolidated data
+    byte must be supplied exactly once with no padding read as data
+    (UCP017-UCP022).
 
     Args:
         src_store: source checkpoint store.
         src_tag: the committed tag being converted.
         manifest: the tag's commit-manifest payload.
-        model_cfg: model config recorded in the tag's job config.
-        source_cfg: parallel config recorded in the tag's job config.
+        analysis: the source's
+            :class:`~repro.core.plan.ProvenanceAnalysis`
+            (:func:`~repro.core.plan.analyze_source`) — the object the
+            converter goes on to lower into read plans, so the source
+            is analyzed, and its layout derived, exactly once.
         optimizer_layout: the job's recorded optimizer layout.
-        analysis: a pre-built
-            :class:`~repro.analysis.provenance.ProvenanceAnalysis` of
-            the same source; its report is folded in instead of
-            re-running the provenance pass, so a converter that also
-            *lowers* the interval maps into read plans analyzes the
-            source exactly once.
     """
+    source_cfg = analysis.source_cfg
     report = LintReport(subject=f"{src_store.base}/{src_tag}")
-    report.extend(config_diagnostics(model_cfg, source_cfg, role="source"))
+    report.extend(_tiling_diagnostics(
+        analysis.layout, f"source:{source_cfg.describe()}"
+    ))
     if not report.ok:
         return report
 
-    layout = ModelParallelLayout(model_cfg, source_cfg)
     recorded = set(manifest["files"])
-    expected = expected_tag_basenames(source_cfg, layout, optimizer_layout)
+    expected = expected_tag_basenames(
+        source_cfg, analysis.layout, optimizer_layout
+    )
     for basename in sorted(expected - recorded):
         report.add(error(
             "UCP008",
@@ -204,12 +213,5 @@ def preflight_convert(
             location=f"{src_tag}/{basename}",
         ))
     if report.ok:
-        if analysis is not None:
-            report.extend(analysis.report.diagnostics)
-        else:
-            from repro.analysis.provenance import check_source_provenance
-
-            report.extend(check_source_provenance(
-                src_store, src_tag, model_cfg, source_cfg, optimizer_layout
-            ).diagnostics)
+        report.extend(analysis.report.diagnostics)
     return report

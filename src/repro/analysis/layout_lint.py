@@ -7,7 +7,7 @@ shapes, padded flat-partition extents, segment tables — via
 against what a tag actually recorded: its commit manifest and the
 *headers* of its rank files.  Tensor payloads are never read (rank
 files are decoded via :func:`ObjectStore.load_header`, so flat arrays
-surface as :class:`~repro.storage.serializer.TensorStub` shapes), which
+surface as :class:`~repro.storage.serializer.TensorIndexEntry` shapes), which
 is what makes linting a multi-terabyte checkpoint cost kilobytes of IO.
 
 Findings carry the stable rule IDs from
@@ -34,15 +34,10 @@ from repro.parallel.layout import ModelParallelLayout, RankShardLayout
 from repro.storage.serializer import SerializationError
 from repro.storage.store import ObjectStore
 
-_OPTIM_RE = re.compile(r"^zero_dp_rank_(\d+)_mp_rank_(\d+)_optim_states\.npt$")
 _MODEL_RE = re.compile(r"^mp_rank_(\d+)_model_states\.npt$")
 _ZERO3_RE = re.compile(r"^zero3_dp_rank_(\d+)_model_states\.npt$")
 
-_FLAT_FIELDS = (
-    "fp32_flat_partition",
-    "exp_avg_flat_partition",
-    "exp_avg_sq_flat_partition",
-)
+_FLAT_FIELDS = tuple(naming.FLAT_STATE_FIELDS.values())
 
 
 def expected_tag_basenames(
@@ -212,7 +207,7 @@ def _lint_optim_header(
                 location=rel,
             ))
 
-    # the flat arrays themselves, by header shape only (TensorStub)
+    # the flat arrays themselves, by header shape only (index entries)
     for field in _FLAT_FIELDS:
         stub = payload.get(field)
         if stub is None:
@@ -356,7 +351,7 @@ def lint_checkpoint(
             location=f"{src_tag}/{basename}",
         ))
     for basename in sorted(on_disk - expected):
-        if _OPTIM_RE.match(basename) or _MODEL_RE.match(basename) \
+        if naming.OPTIM_STATES_RE.match(basename) or _MODEL_RE.match(basename) \
                 or _ZERO3_RE.match(basename):
             report.add(warning(
                 "UCP009",
@@ -367,7 +362,7 @@ def lint_checkpoint(
 
     mp_size = parallel_cfg.pp * parallel_cfg.sp * parallel_cfg.tp
     for basename in sorted(expected & on_disk):
-        match = _OPTIM_RE.match(basename)
+        match = naming.OPTIM_STATES_RE.match(basename)
         if not match:
             continue
         dp_rank, mp_rank = int(match.group(1)), int(match.group(2))

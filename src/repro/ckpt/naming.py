@@ -24,6 +24,13 @@ JOB_CONFIG_FILE = "job_config.npt"
 MANIFEST_FILE = "manifest.npt"
 TRACE_FILE = "collective_trace.npt"
 
+FLAT_STATE_FIELDS = {
+    "fp32": "fp32_flat_partition",
+    "exp_avg": "exp_avg_flat_partition",
+    "exp_avg_sq": "exp_avg_sq_flat_partition",
+}
+"""State kind -> the flat array holding it in an ``optim_states`` file."""
+
 _TAG_RE = re.compile(r"^global_step(\d+)$")
 
 
@@ -54,6 +61,10 @@ def optim_states_name(dp_rank: int, mp_rank: int) -> str:
     if dp_rank < 0 or mp_rank < 0:
         raise ValueError(f"ranks must be >= 0, got dp={dp_rank} mp={mp_rank}")
     return f"zero_dp_rank_{dp_rank}_mp_rank_{mp_rank:02d}_optim_states.npt"
+
+
+OPTIM_STATES_RE = re.compile(r"^zero_dp_rank_(\d+)_mp_rank_(\d+)_optim_states\.npt$")
+"""Inverse of :func:`optim_states_name`: groups are ``(dp_rank, mp_rank)``."""
 
 
 def zero3_model_states_name(dp_rank: int) -> str:

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
 from repro.core.intervals import AtomRows, atom_rows, numel as _interval_numel
@@ -29,13 +30,7 @@ from repro.parallel.tp import (
     ShardSpec,
 )
 from repro.storage.rangeio import WINDOW_AUTO_CAP_BYTES
-from repro.storage.serializer import TensorIndexEntry
-
-_KIND_TO_FIELD = {
-    "fp32": "fp32_flat_partition",
-    "exp_avg": "exp_avg_flat_partition",
-    "exp_avg_sq": "exp_avg_sq_flat_partition",
-}
+from repro.storage.serializer import SerializationError, TensorIndexEntry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +94,7 @@ def extract(payload: Dict, kinds: Sequence[str] = STATE_KINDS) -> List[ParamFrag
 
     fragments: List[ParamFragment] = []
     for kind in kinds:
-        field = _KIND_TO_FIELD.get(kind)
+        field = FLAT_STATE_FIELDS.get(kind)
         if field is None:
             raise KeyError(f"unknown state kind {kind!r}")
         flat = np.asarray(payload[field], dtype=np.float32)
@@ -165,7 +160,7 @@ def _assemble_shard(pieces: List[ParamFragment]) -> np.ndarray:
     """Reassemble one rank's full TP shard from its dp-split pieces.
 
     The runtime twin of the static shard-assembly proof in
-    :mod:`repro.analysis.provenance`: a gap here is what the checker
+    :mod:`repro.core.plan`: a gap here is what the planner
     reports as UCP017 and an over/under-run as UCP021 — both caught at
     header cost before this function ever materializes a tensor, so
     these raises only fire when the pre-flight was explicitly skipped.
@@ -385,17 +380,22 @@ class AtomShardCache:
     def _state_entry(self, name: str, kind: str) -> TensorIndexEntry:
         """Tensor index entry of one atom state file (header-only read).
 
-        One open per file: the size the header's claim is checked
-        against comes from the handle the index was read through.
+        One open per file: the index decode itself checks where the
+        header places the payload against the size of the handle it was
+        read through.
         """
         key = (name, kind)
         entry = self._entries.get(key)
         if entry is None:
             rel = self.atom_store._atom_path(name, f"{kind}.npt")
             try:
-                tree, file_size = self.atom_store.store.load_index_sized(rel)
+                tree = self.atom_store.store.load_index(rel)
             except FileNotFoundError:
                 raise AtomMissingError(f"missing atom state {rel}") from None
+            except SerializationError as exc:
+                raise UCPFormatError(
+                    f"atom state file {rel} is damaged: {exc}"
+                ) from exc
             entry = tree.get("values") if isinstance(tree, dict) else None
             if not isinstance(entry, TensorIndexEntry):
                 raise UCPFormatError(
@@ -409,13 +409,6 @@ class AtomShardCache:
                     f"atom {name!r} ({kind}) holds {entry.numel} "
                     f"{entry.dtype} elements; target expects unpadded "
                     f"shape {spec.unpadded_shape} ({expected} float32)"
-                )
-            payload_end = entry.offset + entry.numel * entry.itemsize
-            if payload_end > file_size:
-                raise UCPFormatError(
-                    f"atom state file {rel} is damaged: its header places "
-                    f"{entry.numel} {entry.dtype} elements up to byte "
-                    f"{payload_end}, the file ends at {file_size}"
                 )
             self._entries[key] = entry
         return entry

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import zlib
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
@@ -70,7 +71,13 @@ def _encode(obj: Any, tensors: List[np.ndarray]) -> Any:
 def _decode(node: Any, tensors: List[np.ndarray]) -> Any:
     if isinstance(node, dict):
         if set(node) == {"__tensor__"}:
-            return tensors[node["__tensor__"]]
+            try:
+                return tensors[node["__tensor__"]]
+            except (IndexError, TypeError) as exc:
+                raise SerializationError(
+                    f"malformed header: tensor marker {node!r} outside a "
+                    f"table of {len(tensors)}"
+                ) from exc
         return {key: _decode(value, tensors) for key, value in node.items()}
     if isinstance(node, list):
         return [_decode(v, tensors) for v in node]
@@ -138,81 +145,18 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def read_npt(fh: BinaryIO, verify_checksums: bool = True) -> Any:
-    """Read an object tree from a binary stream.
-
-    Args:
-        fh: binary stream positioned at the file start.
-        verify_checksums: validate each tensor payload's CRC32 (on by
-            default — silent bit-rot in optimizer state is far worse
-            than the verification cost).
-    """
-    magic = _read_exact(fh, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}; not an .npt file")
-    header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
-    header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-    header_block = len(MAGIC) + 8 + header_len
-    _read_exact(fh, _align(header_block) - header_block, "header padding")
-
-    tensors: List[np.ndarray] = []
-    cursor = 0
-    for index, entry in enumerate(header["tensors"]):
-        pad = entry["offset"] - cursor
-        if pad:
-            _read_exact(fh, pad, "tensor padding")
-            cursor += pad
-        raw = _read_exact(fh, entry["nbytes"], "tensor payload")
-        cursor += entry["nbytes"]
-        expected_crc = entry.get("crc32")
-        if verify_checksums and expected_crc is not None:
-            actual = zlib.crc32(raw) & 0xFFFFFFFF
-            if actual != expected_crc:
-                raise ChecksumError(
-                    f"tensor {index} failed CRC32: stored "
-                    f"{expected_crc:#010x}, computed {actual:#010x} "
-                    f"(corrupt or tampered payload)"
-                )
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-        tensors.append(arr.reshape(entry["shape"]).copy())
-    return _decode(header["tree"], tensors)
-
-
-def deserialize(data: bytes) -> Any:
-    """Decode ``.npt`` bytes back to the object tree."""
-    return read_npt(io.BytesIO(data))
-
-
-@dataclasses.dataclass(frozen=True)
-class TensorStub:
-    """Header-level description of a tensor payload that was not read.
-
-    Stands in for the ``np.ndarray`` leaves when an object is decoded
-    from its header alone (:func:`read_npt_header`) — shape/dtype
-    analysis without touching payload bytes.
-    """
-
-    dtype: str
-    shape: Tuple[int, ...]
-    nbytes: int
-
-    @property
-    def numel(self) -> int:
-        """Element count implied by the shape."""
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
-
 @dataclasses.dataclass(frozen=True)
 class TensorIndexEntry:
-    """Header-level description of a tensor payload *with its location*.
+    """Header-level description of a tensor payload that was not read,
+    *with its location*.
 
-    Like :class:`TensorStub`, but carrying the payload's absolute byte
-    offset inside the ``.npt`` file — the handle a byte-range reader
-    needs to ``pread`` any element sub-range of the tensor without
-    materializing the file.
+    Stands in for the ``np.ndarray`` leaves when an object is decoded
+    from its header alone (:func:`read_npt_header`,
+    :func:`read_npt_index`) — shape/dtype analysis without touching
+    payload bytes — and carries the payload's absolute byte offset
+    inside the ``.npt`` file: the handle a byte-range reader needs to
+    ``pread`` any element sub-range of the tensor without materializing
+    the file.
     """
 
     dtype: str
@@ -245,93 +189,150 @@ class TensorIndexEntry:
         return self.offset + start * item, count * item
 
 
+def _stream_size(fh: BinaryIO) -> int:
+    """The real byte size behind a stream: the buffer length of
+    in-memory bytes, ``fstat`` of an open file's handle."""
+    if isinstance(fh, io.BytesIO):
+        return fh.getbuffer().nbytes
+    return os.fstat(fh.fileno()).st_size
+
+
+def _parse_header(fh: BinaryIO) -> Tuple[Any, List[TensorIndexEntry]]:
+    """Decode magic -> header length -> header JSON, trusting none of it.
+
+    The one place an ``.npt`` header is parsed.  The declared header
+    length and every tensor's ``offset + nbytes`` are bounded by the
+    stream's real size *before* anything that long is read or
+    allocated, and any JSON / key / type / dtype / shape failure is a
+    :class:`SerializationError` naming the file.  Returns the object
+    tree (tensor leaves still ``__tensor__`` markers) and the tensor
+    table as entries with absolute file offsets; only the magic, the
+    length and the header JSON are consumed from the stream.
+    """
+    name = getattr(fh, "name", "<bytes>")
+    size = _stream_size(fh)
+    magic = _read_exact(fh, len(MAGIC), "magic")
+    if magic != MAGIC:
+        raise SerializationError(f"{name}: bad magic {magic!r}; not an .npt file")
+    header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
+    header_block = len(MAGIC) + 8 + header_len
+    if header_block > size:
+        raise SerializationError(
+            f"{name}: truncated file: the header declares {header_len} "
+            f"bytes, the file holds {size}"
+        )
+    raw_header = _read_exact(fh, header_len, "header")
+    payload_start = _align(header_block)
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+        tree = header["tree"]
+        entries = [
+            TensorIndexEntry(
+                dtype=raw["dtype"],
+                shape=tuple(int(d) for d in raw["shape"]),
+                offset=payload_start + int(raw["offset"]),
+                nbytes=int(raw["nbytes"]),
+                crc32=raw.get("crc32"),
+            )
+            for raw in header["tensors"]
+        ]
+        for entry in entries:
+            dtype = np.dtype(entry.dtype)
+            if (
+                dtype.hasobject
+                or min(entry.shape, default=0) < 0
+                or entry.nbytes != entry.numel * dtype.itemsize
+            ):
+                raise ValueError(f"{entry} describes no array")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise SerializationError(f"{name}: malformed header: {exc!r}") from exc
+    for index, entry in enumerate(entries):
+        if entry.offset < payload_start or entry.offset + entry.nbytes > size:
+            raise SerializationError(
+                f"{name}: truncated file: tensor {index} is placed at bytes "
+                f"[{entry.offset}, {entry.offset + entry.nbytes}), the file "
+                f"holds {size}"
+            )
+    return tree, entries
+
+
+def _payloads(fh: BinaryIO, entries: List[TensorIndexEntry], verify: bool):
+    """Yield each tensor's raw payload bytes, CRC32-checked on request."""
+    for index, entry in enumerate(entries):
+        fh.seek(entry.offset)
+        raw = _read_exact(fh, entry.nbytes, "tensor payload")
+        if verify and entry.crc32 is not None:
+            actual = zlib.crc32(raw) & 0xFFFFFFFF
+            if actual != entry.crc32:
+                raise ChecksumError(
+                    f"tensor {index} failed CRC32: stored "
+                    f"{entry.crc32:#010x}, computed {actual:#010x} "
+                    f"(corrupt or tampered payload)"
+                )
+        yield raw
+
+
+def read_npt(fh: BinaryIO, verify_checksums: bool = True) -> Any:
+    """Read an object tree from a binary stream.
+
+    Args:
+        fh: binary stream positioned at the file start.
+        verify_checksums: validate each tensor payload's CRC32 (on by
+            default — silent bit-rot in optimizer state is far worse
+            than the verification cost).
+    """
+    tree, entries = _parse_header(fh)
+    tensors = [
+        np.frombuffer(raw, dtype=np.dtype(entry.dtype)).reshape(entry.shape).copy()
+        for entry, raw in zip(entries, _payloads(fh, entries, verify_checksums))
+    ]
+    return _decode(tree, tensors)
+
+
+def deserialize(data: bytes) -> Any:
+    """Decode ``.npt`` bytes back to the object tree."""
+    return read_npt(io.BytesIO(data))
+
+
 def read_npt_index(fh: BinaryIO) -> Any:
     """Decode an object tree whose tensor leaves carry file offsets.
 
-    The byte-range counterpart of :func:`read_npt_header`: tensor
-    leaves come back as :class:`TensorIndexEntry` with the *absolute*
-    file offset of each payload, so a planner can turn (tensor, element
-    range) into exact ``pread`` calls.  Only the header bytes are
-    consumed from the stream.
+    Tensor leaves come back as :class:`TensorIndexEntry` with the
+    *absolute* file offset of each payload, so a planner can turn
+    (tensor, element range) into exact ``pread`` calls.  Only the header
+    bytes are consumed from the stream.
     """
-    magic = _read_exact(fh, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}; not an .npt file")
-    header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
-    header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-    payload_start = _align(len(MAGIC) + 8 + header_len)
-    entries = [
-        TensorIndexEntry(
-            dtype=entry["dtype"],
-            shape=tuple(int(d) for d in entry["shape"]),
-            offset=payload_start + int(entry["offset"]),
-            nbytes=int(entry["nbytes"]),
-            crc32=entry.get("crc32"),
-        )
-        for entry in header["tensors"]
-    ]
-    return _decode(header["tree"], entries)
+    return _decode(*_parse_header(fh))
 
 
 def read_npt_header(fh: BinaryIO) -> Any:
     """Decode an object tree from the ``.npt`` header only.
 
-    Tensor leaves come back as :class:`TensorStub` (dtype, shape,
-    nbytes) instead of arrays: no payload bytes are read, validated, or
-    materialized.  This is what lets the static layout linter inspect a
-    rank file's partition metadata and flat-array shapes at header cost
-    regardless of checkpoint size.
+    Tensor leaves come back as :class:`TensorIndexEntry` (dtype, shape,
+    nbytes, placement) instead of arrays: no payload bytes are read,
+    validated, or materialized.  This is what lets the static layout
+    linter inspect a rank file's partition metadata and flat-array
+    shapes at header cost regardless of checkpoint size.  (The same
+    decode as :func:`read_npt_index`; the two names are the analyzers'
+    and the planners' entry points.)
 
     Args:
         fh: binary stream positioned at the file start.  Only the magic,
             header length, and header JSON are consumed.
     """
-    magic = _read_exact(fh, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}; not an .npt file")
-    header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
-    header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-    stubs = [
-        TensorStub(
-            dtype=entry["dtype"],
-            shape=tuple(int(d) for d in entry["shape"]),
-            nbytes=int(entry["nbytes"]),
-        )
-        for entry in header["tensors"]
-    ]
-    return _decode(header["tree"], stubs)
+    return _decode(*_parse_header(fh))
 
 
 def validate_npt(data: bytes) -> None:
     """Structurally validate ``.npt`` bytes without materializing arrays.
 
     Walks the container exactly like :func:`read_npt` — magic, header,
-    padding, per-tensor CRC32 — but never copies or reshapes payloads,
-    so integrity sweeps over large checkpoints stay cheap.  Raises
+    per-tensor placement and CRC32 — but never reshapes payloads, so
+    integrity sweeps over large checkpoints stay cheap.  Raises
     :class:`SerializationError` / :class:`ChecksumError` on any damage.
     """
     fh = io.BytesIO(data)
-    magic = _read_exact(fh, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise SerializationError(f"bad magic {magic!r}; not an .npt file")
-    header_len = int.from_bytes(_read_exact(fh, 8, "header length"), "little")
-    header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-    header_block = len(MAGIC) + 8 + header_len
-    _read_exact(fh, _align(header_block) - header_block, "header padding")
-    cursor = 0
-    for index, entry in enumerate(header["tensors"]):
-        pad = entry["offset"] - cursor
-        if pad:
-            _read_exact(fh, pad, "tensor padding")
-            cursor += pad
-        raw = _read_exact(fh, entry["nbytes"], "tensor payload")
-        cursor += entry["nbytes"]
-        expected_crc = entry.get("crc32")
-        if expected_crc is not None:
-            actual = zlib.crc32(raw) & 0xFFFFFFFF
-            if actual != expected_crc:
-                raise ChecksumError(
-                    f"tensor {index} failed CRC32: stored "
-                    f"{expected_crc:#010x}, computed {actual:#010x} "
-                    f"(corrupt or tampered payload)"
-                )
+    _, entries = _parse_header(fh)
+    for _ in _payloads(fh, entries, True):
+        pass

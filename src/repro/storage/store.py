@@ -240,7 +240,9 @@ class ObjectStore:
     ) -> None:
         self.base = pathlib.Path(base_dir)
         self.base.mkdir(parents=True, exist_ok=True)
-        self._base_str = os.path.normpath(str(self.base))
+        # anchored once: containment below is then purely lexical, for
+        # "." and other relative bases too
+        self._base_str = os.path.abspath(str(self.base))
         self.nvme = nvme
         self.faults = faults
         self.retry = retry if retry is not None else RetryPolicy()
@@ -456,30 +458,18 @@ class ObjectStore:
         """Decode one object from its ``.npt`` header only.
 
         Tensor leaves come back as
-        :class:`~repro.storage.serializer.TensorStub` objects; payload
-        bytes are never read from disk, so only the header bytes are
-        charged to read accounting.  This is the static analyzer's
+        :class:`~repro.storage.serializer.TensorIndexEntry` objects;
+        payload bytes are never read from disk, so only the header bytes
+        are charged to read accounting.  This is the static analyzer's
         entry point — layout linting over a multi-terabyte checkpoint
         costs a few KB of IO per rank file.
         """
-        path = self._resolve(rel_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
-        if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_read(rel_path, path), "read"
-            )
-        with open(path, "rb") as fh:
-            obj = read_npt_header(fh)
-            header_bytes = fh.tell()
-        self.bytes_read += header_bytes
-        self.simulated_read_s += self.nvme.read_time(header_bytes, 1)
-        return obj
+        return self._load_head(rel_path, read_npt_header)[0]
 
     def load_index(self, rel_path: str) -> Any:
         """Decode one object from its header, with tensor file offsets.
 
-        Like :meth:`load_header`, but tensor leaves come back as
+        Like :meth:`load_header`: tensor leaves come back as
         :class:`~repro.storage.serializer.TensorIndexEntry` carrying
         each payload's absolute byte offset — the input a read planner
         lowers into exact :meth:`read_range` calls.  Only header bytes
@@ -492,10 +482,14 @@ class ObjectStore:
 
         One ``open`` and no path ``stat``: a missing object is the
         ``open`` failing, and the size is ``fstat`` of the handle the
-        header was read through — so a caller can check where a header
-        claims its payloads end before reading any of them, at no
-        extra file-system round trip.
+        header was read through — the size the header's own claims were
+        checked against — at no extra file-system round trip.
         """
+        return self._load_head(rel_path, read_npt_index)
+
+    def _load_head(self, rel_path: str, read) -> Tuple[Any, int]:
+        """Decode an object's header through ``read``; returns the
+        decoded tree and the file's size, charging the header bytes."""
         path = self._resolve_str(rel_path)
         try:
             fh = open(path, "rb")
@@ -509,7 +503,7 @@ class ObjectStore:
                     lambda: self.faults.on_read(rel_path, pathlib.Path(path)),
                     "read",
                 )
-            obj = read_npt_index(fh)
+            obj = read(fh)
             header_bytes = fh.tell()
             file_size = os.fstat(fh.fileno()).st_size
         self.bytes_read += header_bytes
@@ -539,7 +533,7 @@ class ObjectStore:
         out = []
         for path in root.rglob("*"):
             if path.is_file() and not path.name.endswith(".tmp"):
-                out.append(str(path.relative_to(self.base)))
+                out.append(os.path.relpath(str(path), self._base_str))
         return sorted(out)
 
     def delete(self, rel_path: str) -> None:

@@ -30,6 +30,7 @@ from repro.analysis import (
     error,
     warning,
 )
+from repro.analysis.provenance import explain
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.saver import save_distributed_checkpoint
@@ -134,8 +135,8 @@ class TestTargetTheorems:
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
         analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
         target = ParallelConfig(tp=1, pp=1, dp=2, sp=1, zero_stage=1)
-        chain = analysis.explain(
-            "embedding.weight", target,
+        chain = explain(
+            analysis, "embedding.weight", target,
             pp_stage=0, sp_rank=0, tp_rank=0, dp_rank=0, local_element=5,
         )
         assert "target pp=0" in chain
@@ -146,8 +147,8 @@ class TestTargetTheorems:
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
         analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
         with pytest.raises(KeyError):
-            analysis.explain(
-                "embedding.weight", FLAT_PARALLEL,
+            explain(
+                analysis, "embedding.weight", FLAT_PARALLEL,
                 pp_stage=0, sp_rank=0, tp_rank=0, dp_rank=0,
                 local_element=10 ** 9,
             )

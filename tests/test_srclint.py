@@ -317,3 +317,36 @@ class TestRepoIsClean:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_core_does_not_import_its_plan_checker(self):
+        """Layering: the planner lives in ``repro.core.plan`` and the
+        provenance checker imports it, never the reverse — no module
+        under ``repro/core`` may import ``repro.analysis.provenance``
+        (the ``diagnostics`` leaf and the ``preflight_convert`` check
+        stay importable) — and each package still imports first in a
+        fresh interpreter, so the ``core`` <-> ``analysis.diagnostics``
+        cycle got no new edge."""
+        import ast
+
+        offenders = []
+        for path in sorted((Path(repro.__file__).parent / "core").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(m.startswith("repro.analysis.provenance") for m in modules):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+        for module in ("repro.core", "repro.analysis", "repro.core.plan"):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import {module}"],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0, (module, proc.stderr)

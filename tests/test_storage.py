@@ -203,10 +203,50 @@ class TestObjectStore:
         assert store.list() == ["a/1.npt", "b/2.npt"]
         assert store.list("a") == ["a/1.npt"]
 
-    def test_path_escape_rejected(self, tmp_path):
-        store = ObjectStore(str(tmp_path / "inner"))
-        with pytest.raises(ValueError, match="escapes"):
-            store.save("../outside.npt", {"v": 1})
+    def test_path_escape_rejected(self, tmp_path, monkeypatch):
+        """Objects resolve under the root and ``..`` out of it is
+        refused, whether the root was given absolute, as the working
+        directory, or as a relative path that normalises."""
+        monkeypatch.chdir(tmp_path)
+        for base in (str(tmp_path / "inner"), ".", "sub/../inner2"):
+            store = ObjectStore(base)
+            store.save("a/x.npt", {"v": 1})
+            assert store.exists("a/x.npt") and store.load("a/x.npt") == {"v": 1}
+            assert "a/x.npt" in store.list()
+            with pytest.raises(ValueError, match="escapes"):
+                store.save("../escape.npt", {"v": 1})
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["header_len_2**40", "no_tensors_table", "not_utf8", "shape_vs_nbytes"],
+    )
+    def test_lying_header_is_a_serialization_error(self, tmp_path, damage):
+        """Every reader decodes through one header parse that believes
+        nothing the file says about itself: the error is typed, names
+        the file, and nothing of the declared size is allocated."""
+        good = serialize({"x": np.arange(8, dtype=np.float32)})
+        header_len = int.from_bytes(good[4:12], "little")
+        header, payload = good[12:12 + header_len], good[12 + header_len:]
+
+        def npt(header: bytes, declared: int) -> bytes:
+            return MAGIC + declared.to_bytes(8, "little") + header + payload
+
+        if damage == "header_len_2**40":
+            data = npt(header, 1 << 40)
+        elif damage == "no_tensors_table":
+            lying = header.replace(b'"tensors"', b'"tensorz"')
+            data = npt(lying, len(lying))
+        elif damage == "not_utf8":
+            data = npt(b"\xff" + header[1:], header_len)
+        else:
+            lying = header.replace(b'"shape": [8]', b'"shape": [9]')
+            data = npt(lying, len(lying))
+        assert data != good
+        store = ObjectStore(str(tmp_path))
+        (tmp_path / "lying.npt").write_bytes(data)
+        for read in (store.load_header, store.load_index, store.load):
+            with pytest.raises(SerializationError, match="lying.npt|<bytes>"):
+                read("lying.npt")
 
     def test_byte_accounting(self, tmp_path, rng):
         store = ObjectStore(str(tmp_path))
