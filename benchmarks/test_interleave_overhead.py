@@ -6,8 +6,9 @@ Three measurements keep the cooperative scheduler honest:
   (overlapping planned sets of 4 MiB source files through the real
   source-file table, 1 MiB slices) run serially with nothing attached
   — the context number.
-* **witnessed_s**: the same workload under the three per-run witnesses
-  every explored schedule pays (sanitizer, lock witness, FS trace).
+* **witnessed_s**: the same workload under the two per-run witnesses
+  every explored schedule pays (sanitizer, lock witness — store ops
+  reach the scheduler through the hook slot itself, no FS trace).
   Their cost is budgeted by their *own* benches
   (``BENCH_lockwitness_overhead``, ``BENCH_sanitizer_overhead``); this
   bench does not re-gate it.
@@ -19,9 +20,10 @@ Three measurements keep the cooperative scheduler honest:
   ``Event`` round trips (~tens of µs); at production window sizes they
   amortize into the real IO/digest work between them.
 
-Off-mode, the whole subsystem must vanish: with ``REPRO_INTERLEAVE``
-unset no controller is installed, and every hook site is one module
-global load plus a ``None`` check.  The micro-ratio budget is loose on
+Off-mode, the whole subsystem must vanish: outside ``run_schedule``
+nothing is subscribed to the hook slot (``repro.obs``), and every hook
+site is one module-global load plus a truthiness check.  The
+micro-ratio budget is loose on
 purpose — it exists to catch an accidental always-on regression
 (unconditional stack capture or event recording is ~100x), not to
 police nanoseconds.
@@ -30,8 +32,8 @@ police nanoseconds.
 import os
 import time
 
-from repro.analysis import interleave, schedpoint
-from repro.analysis.fswitness import fstrace
+from repro import obs
+from repro.analysis import interleave
 from repro.analysis.lockwitness import lockcheck
 from repro.analysis.sanitizer import sanitize
 from repro.storage.rangeio import BlockCache, RangeReader
@@ -106,8 +108,7 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
         case.cleanup()
 
     def witnessed():
-        with sanitize(strict=False), lockcheck(strict=False), \
-                fstrace(capture_data=False):
+        with sanitize(strict=False), lockcheck(strict=False):
             plain()
 
     def controlled():
@@ -134,9 +135,9 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
 
     benchmark.pedantic(controlled, rounds=1, iterations=1)
 
-    # off-mode micro: a yield point with no controller installed is a
-    # global load + None check around a no-op
-    assert schedpoint.controller() is None
+    # off-mode micro: a yield point with nothing subscribed to the one
+    # slot is a global load + truthiness check around a no-op
+    assert obs._ACTIVE == ()
 
     def baseline():
         for _ in range(OFF_CALLS):
@@ -177,17 +178,14 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
     )
     assert off_ratio <= MAX_OFF_MODE_RATIO, (
         f"inactive yield point costs {off_ratio:.1f}x an empty loop "
-        f"body (budget {MAX_OFF_MODE_RATIO}x): the None fast path "
-        f"regressed"
+        f"body (budget {MAX_OFF_MODE_RATIO}x): the empty-slot fast "
+        f"path regressed"
     )
 
 
-def test_interleave_off_mode_is_inert(monkeypatch):
-    """With ``REPRO_INTERLEAVE`` unset nothing may be installed: the
-    env gate reads off, no controller exists, and a hook call leaves
-    no trace behind."""
-    monkeypatch.delenv(interleave.ENV_VAR, raising=False)
-    assert not interleave.enabled_from_env()
-    assert schedpoint.controller() is None
+def test_interleave_off_mode_is_inert():
+    """Outside a controlled run nothing is subscribed: no controller
+    exists, and a hook call leaves no trace behind."""
+    assert obs.current("sched") is None and obs._ACTIVE == ()
     interleave.access("off-mode", write=True)
-    assert schedpoint.controller() is None
+    assert obs.current("sched") is None and obs._ACTIVE == ()

@@ -6,18 +6,20 @@ Two budgets keep the witness honest:
   ``ucp_convert`` whose reader and source-file-table locks are all
   witnessed — run with and without a strict :func:`lockcheck` active
   must cost at most ``MAX_OVERHEAD``x the plain run, median against
-  median over alternating plain/witnessed runs (the CI ``concurrency``
-  job keeps ``REPRO_LOCKCHECK=1`` on only while this holds).
-* **Off-mode cost**: with no witness active a :class:`WitnessedLock`
-  must stay a near-free wrapper (one list-truthiness check around a
-  plain lock).  The micro-ratio budget is deliberately loose — it
+  median over alternating plain/witnessed runs (the CI ``checked``
+  job keeps the witness on under ``REPRO_SANITIZE=1`` only while this
+  holds).
+* **Off-mode cost**: with nothing subscribed to the one hook slot
+  (``repro.obs``) a :class:`WitnessedLock` must stay a near-free
+  wrapper (one ``obs._ACTIVE`` truthiness check around a plain lock).  The micro-ratio budget is deliberately loose — it
   exists to catch an accidental always-on instrumentation regression
   (unconditional stack capture is ~100x), not to police nanoseconds.
 """
 
 import time
 
-from repro.analysis.lockwitness import lockcheck, make_lock
+from repro import obs
+from repro.analysis.lockwitness import lockcheck
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.convert import ucp_convert
 from repro.dist.topology import ParallelConfig
@@ -74,7 +76,8 @@ def test_lockwitness_overhead_within_budget(benchmark, tmp_path):
     # off-mode micro: an unwitnessed WitnessedLock vs a plain lock
     import threading
 
-    wlock, plock = make_lock("bench"), threading.Lock()
+    assert obs._ACTIVE == ()
+    wlock, plock = obs.make_lock("bench"), threading.Lock()
 
     def spin(lock):
         for _ in range(ACQUIRES):
@@ -111,7 +114,7 @@ def test_lockwitness_overhead_within_budget(benchmark, tmp_path):
     )
     assert off_ratio <= MAX_OFF_MODE_RATIO, (
         f"inactive WitnessedLock costs {off_ratio:.1f}x a plain lock "
-        f"(budget {MAX_OFF_MODE_RATIO}x): the lazy-activation fast "
+        f"(budget {MAX_OFF_MODE_RATIO}x): the empty-slot fast "
         f"path regressed"
     )
 

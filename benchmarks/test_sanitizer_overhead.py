@@ -8,9 +8,11 @@ steps on a TP×DP ZeRO-1 engine plus a checkpoint save — with and
 without a strict sanitizer active, and fails if the sanitized median
 costs more than ``MAX_OVERHEAD``× the plain one.  Plain and sanitized
 runs alternate so order effects (warm caches, allocator growth) land on
-both sides.
+both sides.  The plain side is the off-mode cost of every hook site:
+one ``obs._ACTIVE`` truthiness check with nothing subscribed.
 """
 
+from repro import obs
 from repro.analysis.sanitizer import sanitize
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.dist.topology import ParallelConfig
@@ -38,6 +40,7 @@ def test_sanitizer_overhead_within_budget(benchmark, tmp_path):
     runs = [0]
 
     def plain():
+        assert obs._ACTIVE == ()  # really plain: the one slot is empty
         runs[0] += 1
         _workload(tmp_path, f"plain{runs[0]}")
 

@@ -17,11 +17,15 @@ Four analyzers, none of which ever materializes a tensor:
   detecting deadlock cycles and critical-section overlaps
   (``repro lint-trace``).
 
+The runtime witnesses below never reach into the code they watch: the
+byte-moving layers name *events* on the one hook slot (:mod:`repro.obs`)
+and a witness's activation context subscribes it there.
+
 Two enforcement layers guard the *memory* side of the same contracts:
 
 - :mod:`~repro.analysis.sanitizer` — runtime buffer-ownership and
   write-protection checks at every isolation boundary of the simulated
-  cluster (collectives, snapshots, atom/block caches, zero-copy loads);
+  cluster (collectives, snapshots, replica commits, UCP loads);
   activate with :func:`~repro.analysis.sanitizer.sanitize` or
   ``REPRO_SANITIZE=1``.
 - :mod:`~repro.analysis.srclint` — an AST lint over ``src/repro``
@@ -32,11 +36,12 @@ And two for the *concurrency* side (the threaded IO layer):
 
 - :mod:`~repro.analysis.locks` — the guarded-by/lock-discipline lint
   (SRC005-SRC008), run as part of ``repro lint-src``.
-- :mod:`~repro.analysis.lockwitness` — instrumented lock wrappers
-  recording per-thread acquisition stacks and a global lock-order
-  graph (UCP029-UCP031); activate with
-  :func:`~repro.analysis.lockwitness.lockcheck`, ``REPRO_LOCKCHECK=1``,
-  or ``REPRO_SANITIZE=1``.  ``repro lint-trace --locks`` replays a
+- :mod:`~repro.analysis.lockwitness` — the witness behind the
+  instrumented locks (:class:`repro.obs.WitnessedLock`), recording
+  per-thread acquisition stacks and a global lock-order graph
+  (UCP029-UCP031); activate with
+  :func:`~repro.analysis.lockwitness.lockcheck` or
+  ``REPRO_SANITIZE=1``.  ``repro lint-trace --locks`` replays a
   recorded witness payload offline.
 
 And two for the *crash-consistency* side (the commit protocol):

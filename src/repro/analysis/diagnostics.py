@@ -49,6 +49,7 @@ RULES: Dict[str, str] = {
     "UCP024": "collective-arg-mismatch",
     "UCP025": "cross-rank-writable-aliasing",
     "UCP026": "snapshot-aliases-live-state",
+    # retired in PR 22 (no registrant since PR 14); the IDs stay reserved
     "UCP027": "cache-return-mutation",
     "UCP028": "loaded-param-aliases-cache",
     "UCP029": "lock-order-cycle",

@@ -9,9 +9,9 @@ adversarial persistence model.
 Recording
     Every :class:`~repro.storage.store.ObjectStore` file operation —
     data write, fsync, publishing rename, directory fsync, unlink —
-    lands in the innermost active :class:`FSOpRecorder` (activate with
-    the :func:`fstrace` context manager).  Zero cost when no trace is
-    active: the store's hook is one ``current()`` stack check.  Ops
+    lands in the innermost active :class:`FSOpRecorder` (:func:`fstrace`
+    subscribes it to the one hook slot, :mod:`repro.obs`, role
+    ``"fs"``; zero cost when nothing is subscribed).  Ops
     from different stores (a save's checkpoint dir, a conversion's
     output dir) are namespaced by a per-root label (``s0/``, ``s1/``,
     assigned in first-touch order), so one trace can cover a whole
@@ -65,11 +65,11 @@ import posixpath
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis import schedpoint as _schedpoint
+from repro import obs
 from repro.analysis.diagnostics import LintReport, error, warning
 
 PAYLOAD_VERSION = 1
@@ -149,15 +149,23 @@ class FSOp:
         )
 
 
+def label_path(roots: Dict[str, str], root: str, rel: str) -> str:
+    """Root-labeled form of a store path (``s0/...``, ``s1/...``: labels
+    are assigned in first-touch order and kept in ``roots``)."""
+    label = roots.setdefault(root, f"s{len(roots)}")
+    # normpath collapses the store root itself ("s0/." -> "s0") so
+    # directory-fsync paths match _dirname() of the entries they cover
+    return posixpath.normpath(f"{label}/{rel}")
+
+
 class FSOpRecorder:
     """Thread-safe append-only trace of store file effects.
 
-    Every ``record_*`` method takes the recording store's identity
-    (its base-directory string) first; the recorder maps each distinct
-    root to a stable label (``s0``, ``s1``, ... in first-touch order)
-    and prefixes recorded paths with it, so ops from several stores
-    never collide and replay output stays free of machine-specific
-    temp paths.
+    Every op arrives with the recording store's identity (its
+    base-directory string); the recorder maps each distinct root to a
+    stable label (``s0``, ``s1``, ... in first-touch order) and prefixes
+    recorded paths with it, so ops from several stores never collide and
+    replay output stays free of machine-specific temp paths.
 
     Args:
         capture_data: record each write's payload bytes (required for
@@ -172,55 +180,28 @@ class FSOpRecorder:
         self._ops: List[FSOp] = []  # guarded-by: self._mu
         self._roots: Dict[str, str] = {}  # guarded-by: self._mu
 
-    def _rel(self, root: str, rel: str) -> str:
+    def on_fs_op(
+        self, kind: str, root: str, rel: str,
+        dst: Optional[str] = None, data: Optional[bytes] = None,
+    ) -> None:
+        """Slot handler: store ``root`` performed one file effect.
+
+        ``write`` carries the payload (typically to a ``*.tmp``);
+        ``fsync`` makes the file at ``rel`` durable; ``rename`` is the
+        atomic publish ``rel -> dst``; ``fsync_dir`` makes the entry ops
+        under directory ``rel`` durable; ``unlink`` removes a file.
+        """
+        nbytes, digest, kept = 0, "", None
+        if kind == WRITE:
+            nbytes, digest = len(data), hashlib.sha256(data).hexdigest()
+            kept = bytes(data) if self.capture_data else None
+        thread = threading.current_thread().name
         with self._mu:
-            label = self._roots.get(root)
-            if label is None:
-                label = f"s{len(self._roots)}"
-                self._roots[root] = label
-        # normpath collapses the store root itself ("s0/." -> "s0") so
-        # directory-fsync paths match _dirname() of the entries they
-        # cover
-        return posixpath.normpath(f"{label}/{rel}")
-
-    def _add(self, op: FSOp) -> None:
-        if not op.thread:
-            op = replace(op, thread=threading.current_thread().name)
-        with self._mu:
-            self._ops.append(op)
-        # yield AFTER recording: under the cooperative scheduler only
-        # one thread runs at a time, so trace order == effect order
-        ctl = _schedpoint._CONTROLLER
-        if ctl is not None:
-            ctl.on_fs(op.kind, op.path)
-
-    def record_write(self, root: str, rel: str, data: bytes) -> None:
-        """A data write of ``data`` to ``rel`` (typically a ``*.tmp``)."""
-        self._add(FSOp(
-            kind=WRITE,
-            path=self._rel(root, rel),
-            nbytes=len(data),
-            sha256=hashlib.sha256(data).hexdigest(),
-            data=bytes(data) if self.capture_data else None,
-        ))
-
-    def record_fsync(self, root: str, rel: str) -> None:
-        """An ``fsync`` of the open file at ``rel`` (data now durable)."""
-        self._add(FSOp(kind=FSYNC, path=self._rel(root, rel)))
-
-    def record_rename(self, root: str, src: str, dst: str) -> None:
-        """An atomic publishing rename ``src -> dst``."""
-        self._add(FSOp(
-            kind=RENAME, path=self._rel(root, src), dst=self._rel(root, dst),
-        ))
-
-    def record_fsync_dir(self, root: str, rel_dir: str) -> None:
-        """A directory fsync (entry ops under ``rel_dir`` now durable)."""
-        self._add(FSOp(kind=FSYNC_DIR, path=self._rel(root, rel_dir or ".")))
-
-    def record_unlink(self, root: str, rel: str) -> None:
-        """A file removal."""
-        self._add(FSOp(kind=UNLINK, path=self._rel(root, rel)))
+            self._ops.append(FSOp(
+                kind, label_path(self._roots, root, rel),
+                None if dst is None else label_path(self._roots, root, dst),
+                nbytes, digest, kept, thread,
+            ))
 
     def ops(self) -> List[FSOp]:
         """Snapshot of the trace so far."""
@@ -262,13 +243,10 @@ def ops_from_payload(payload: Dict) -> List[FSOp]:
 
 # --- activation (mirrors lockwitness/sanitizer) -----------------------
 
-_STACK: List[FSOpRecorder] = []
-_STACK_MU = threading.Lock()
-
 
 def current() -> Optional[FSOpRecorder]:
-    """The innermost active recorder, or None (the store's fast path)."""
-    return _STACK[-1] if _STACK else None
+    """The innermost active recorder, or None."""
+    return obs.current("fs")
 
 
 @contextlib.contextmanager
@@ -282,16 +260,8 @@ def fstrace(capture_data: bool = True) -> Iterator[FSOpRecorder]:
         report = check_fs_trace(rec)
     """
     recorder = FSOpRecorder(capture_data=capture_data)
-    with _STACK_MU:
-        _STACK.append(recorder)
-    try:
+    with obs.subscribed("fs", recorder):
         yield recorder
-    finally:
-        with _STACK_MU:
-            for i in range(len(_STACK) - 1, -1, -1):
-                if _STACK[i] is recorder:
-                    del _STACK[i]
-                    break
 
 
 # --- persistence model ------------------------------------------------

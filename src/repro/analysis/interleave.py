@@ -9,15 +9,17 @@ points, and a DFS explorer with dynamic partial-order reduction and a
 preemption bound drives the scenario through every inequivalent
 schedule it can afford, checking per-schedule invariants.
 
-Yield points are the hooks the runtime checkers already own, plus one
-for a wait the lock model cannot see:
+The scheduler does not instrument code itself: its :class:`Controller`
+subscribes to the one hook slot (:mod:`repro.obs`, role ``"sched"`` —
+delivered after the FS recorder, before the lock witness) and yields at
+the events the byte-moving layers already name there:
 
-* :class:`~repro.analysis.lockwitness.WitnessedLock` acquire/release,
-* the source-file table's (``BlockCache``) accessor hooks behind UCP030
-  (carrying a read/write flag),
+* :class:`~repro.obs.WitnessedLock` acquire/release,
+* the source-file table's (``BlockCache``) guarded accesses behind
+  UCP030 (carrying a read/write flag),
 * a conversion worker's wait on a peer's file load
   (:meth:`Controller.on_wait`: runnable again once the future is done),
-* every :class:`~repro.analysis.fswitness.FSOpRecorder` store op,
+* every store file op — with or without an FS recorder active,
 * explicit :func:`access` calls for scenario-declared shared state.
 
 Per-schedule invariants and the rules they report:
@@ -66,17 +68,16 @@ reproduced.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.analysis import lockwitness as _lockwitness
-from repro.analysis import schedpoint
 from repro.analysis.collective_trace import clock_lte
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -84,9 +85,7 @@ from repro.analysis.diagnostics import (
     error,
     warning,
 )
-
-ENV_VAR = "REPRO_INTERLEAVE"
-"""Set to ``1`` to opt tests/CI into deeper (slower) exploration caps."""
+from repro.analysis.fswitness import label_path
 
 DEFAULT_SCHEDULE_CAP = 256
 """Executed-schedule budget per exploration (UCP039 when exceeded)."""
@@ -113,11 +112,6 @@ class _Abort(BaseException):
     A ``BaseException`` so scenario code's ``except Exception`` blocks
     cannot swallow the unwind.
     """
-
-
-def enabled_from_env() -> bool:
-    """Whether ``REPRO_INTERLEAVE`` asks for deep exploration caps."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
 # --- events and per-run results ----------------------------------------
@@ -249,8 +243,9 @@ class Controller:
         self._held: Dict[_TState, List[object]] = {}
         self._lock_uids: Dict[int, str] = {}
         self._acq_stacks: Dict[Tuple[int, int], str] = {}
+        self._fs_roots: Dict[str, str] = {}  # store root -> s0, s1, ...
 
-    # --- controlled-thread side (hook entry points) ------------------
+    # --- controlled-thread side (slot handlers) ----------------------
 
     def _state(self) -> Optional[_TState]:
         return self._by_ident.get(threading.get_ident())
@@ -265,45 +260,47 @@ class Controller:
             ts.aborting = True
             raise _Abort()
 
-    def lock_enter(self, lock) -> None:
-        """Hook from ``WitnessedLock.__enter__`` (pre real acquire)."""
+    def _yield(self, kind, resource, key="", write=False, obj=None, skip=0) -> None:
+        """Park the calling thread at one yield point (a no-op off the
+        controlled threads and once the run is over); ``skip`` > 0 also
+        records where, minus that many innermost frames."""
         ts = self._state()
         if ts is None or ts.aborting or self._finished:
             return
-        stack = _lockwitness._fmt_stack(_lockwitness._capture_stack(skip=3))
-        self._park(ts, ("acquire", lock.name, "", False, lock, stack))
+        stack = ""
+        if skip:
+            stack = _lockwitness._fmt_stack(_lockwitness._capture_stack(skip))
+        self._park(ts, (kind, resource, key, write, obj, stack))
 
-    def lock_exit(self, lock) -> None:
-        """Hook from ``WitnessedLock.__exit__`` (pre real release)."""
-        ts = self._state()
-        if ts is None or ts.aborting or self._finished:
-            return
-        self._park(ts, ("release", lock.name, "", False, lock, ""))
+    def on_lock_enter(self, lock) -> None:
+        """``WitnessedLock.__enter__``, before the real acquire."""
+        self._yield("acquire", lock.name, obj=lock, skip=3)
 
-    def on_access(self, resource: str, write: bool) -> None:
-        """Hook for guarded-state accessors and :func:`access`."""
-        ts = self._state()
-        if ts is None or ts.aborting or self._finished:
-            return
-        self._park(ts, ("access", resource, resource, write, None, ""))
+    def on_lock_exit(self, lock) -> None:
+        """``WitnessedLock.__exit__``, before the real release."""
+        self._yield("release", lock.name, obj=lock)
 
-    def on_fs(self, kind: str, path: str) -> None:
-        """Hook from the FS-op recorder: store file effects."""
-        ts = self._state()
-        if ts is None or ts.aborting or self._finished:
-            return
+    def on_access(self, lock, resource: str, item=None, write=False) -> None:
+        """A guarded-state access (keyed per ``item`` where the
+        container's entries are independent), or :func:`access`."""
+        if item is not None:
+            resource = f"{resource}[{item}]"
+        self._yield("access", resource, resource, write)
+
+    def on_fs_op(self, kind: str, root: str, rel: str, dst=None, data=None) -> None:
+        """A store file effect, already performed (and, with an FS
+        recorder active, already recorded)."""
+        if self._state() is None:
+            return  # only the controlled threads (one at a time) label
+        path = label_path(self._fs_roots, root, rel)
         write = kind in ("write", "rename", "unlink")
-        self._park(ts, ("fs", f"{kind}:{path}", path, write, None, ""))
+        self._yield("fs", f"{kind}:{path}", path, write)
 
     def on_wait(self, resource: str, ready: Callable[[], bool]) -> None:
-        """Hook before a blocking wait on a peer (a future): the thread
+        """Before a blocking wait on a peer (a future): the thread
         is runnable again once ``ready()`` holds, so the real wait that
         follows a dispatch can never block."""
-        ts = self._state()
-        if ts is None or ts.aborting or self._finished:
-            return
-        stack = _lockwitness._fmt_stack(_lockwitness._capture_stack(skip=3))
-        self._park(ts, ("wait", resource, resource, False, ready, stack))
+        self._yield("wait", resource, resource, obj=ready, skip=4)
 
     # --- scheduler side ----------------------------------------------
 
@@ -512,9 +509,8 @@ def access(resource: str, write: bool = False) -> None:
     global load.  Unsynchronized conflicting pairs across threads are
     reported as UCP038.
     """
-    ctl = schedpoint._CONTROLLER
-    if ctl is not None:
-        ctl.on_access(resource, write)
+    if obs._ACTIVE:
+        obs.emit("access", None, resource, None, write)
 
 
 # --- dependency relation and race reversal -----------------------------
@@ -875,14 +871,20 @@ def run_schedule(
 ) -> RunResult:
     """Execute one :class:`RunCase` under a forced branch schedule.
 
-    The run is wrapped in its own non-strict lock witness, FS-op
-    recorder, and memory sanitizer, so "witness and sanitizer clean"
-    is checked per schedule and findings are *collected*, never raised
-    mid-run.
+    The run is wrapped in its own non-strict lock witness and memory
+    sanitizer, so "witness and sanitizer clean" is checked per schedule
+    and findings are *collected*, never raised mid-run.
+
+    Nested explorations are a programming error (a controlled thread
+    reaching a second scheduler could deadlock both): they raise.
     """
-    from repro.analysis import fswitness as _fswitness
     from repro.analysis import sanitizer as _sanitizer
 
+    if obs.current("sched") is not None:
+        raise RuntimeError(
+            "an interleaving controller is already installed; "
+            "nested explorations are not supported"
+        )
     ctl = Controller(
         len(case.threads), forced, preemption_bound, max_steps
     )
@@ -893,12 +895,8 @@ def run_schedule(
             with _lockwitness.lockcheck(
                 strict=False, subject="interleave"
             ) as witness:
-                with _fswitness.fstrace(capture_data=False):
-                    schedpoint.install(ctl)
-                    try:
-                        ctl.run(case.threads)
-                    finally:
-                        schedpoint.uninstall(ctl)
+                with obs.subscribed("sched", ctl):
+                    ctl.run(case.threads)
         fingerprint = None
         if ctl.deadlock is None and not ctl.bound_exceeded:
             fingerprint = case.fingerprint()

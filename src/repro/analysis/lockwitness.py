@@ -24,12 +24,11 @@ UCP031    lock-held-across-blocking-io  a lock not marked ``blocking_ok``
                                         (simulated) cost exceeds the budget
 ========  ============================  =====================================
 
-Activation mirrors :mod:`repro.analysis.sanitizer`: a context manager
-(:func:`lockcheck`) or environment-driven — ``REPRO_LOCKCHECK=1`` (or
-``REPRO_SANITIZE=1``, so the sanitizer CI job witnesses locks too) makes
-the test session fixture wrap the whole run.  When no witness is active
-every hook is one list-truthiness check, so instrumented locks cost
-nothing in production mode.
+Activation mirrors :mod:`repro.analysis.sanitizer`: :func:`lockcheck`
+subscribes a witness to the one hook slot (:mod:`repro.obs`, role
+``"locks"`` — where the locks themselves live, so ``storage`` uses them
+without importing this checker); ``REPRO_SANITIZE=1`` makes the test
+session fixture wrap the whole run in a strict one.
 
 The witness also records a bounded event log (acquire / release /
 access / blocking, with a global sequence number).  Its
@@ -46,12 +45,11 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import threading
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis import schedpoint as _schedpoint
+from repro import obs
 from repro.analysis.collective_trace import clock_lte, find_cycle
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -59,9 +57,7 @@ from repro.analysis.diagnostics import (
     LintReport,
     error,
 )
-
-ENV_VAR = "REPRO_LOCKCHECK"
-"""Set to ``1`` to run the test session under a strict lock witness."""
+from repro.obs import WitnessedLock, make_lock  # noqa: F401 (re-export)
 
 DEFAULT_IO_BUDGET_S = 0.05
 """Max (simulated) blocking-IO seconds tolerated under a held lock."""
@@ -81,8 +77,12 @@ class LockWitnessError(LayoutLintError):
 
 
 def _capture_stack(skip: int = 2) -> Tuple[str, ...]:
-    """Compact acquisition stack: innermost-last ``file:line in fn``."""
-    frames = traceback.extract_stack()[:-skip]
+    """Compact acquisition stack: innermost-last ``file:line in fn``
+    (the hook slot's own frames never count: a handler reached through
+    ``obs.emit`` sees the stack a direct call from the site would)."""
+    frames = [
+        f for f in traceback.extract_stack() if f.filename != obs.__file__
+    ][:-skip]
     return tuple(
         f"{f.filename.rsplit('/', 1)[-1]}:{f.lineno} in {f.name}"
         for f in frames[-_STACK_FRAMES:]
@@ -91,73 +91,6 @@ def _capture_stack(skip: int = 2) -> Tuple[str, ...]:
 
 def _fmt_stack(stack: Tuple[str, ...]) -> str:
     return " <- ".join(reversed(stack[-4:])) if stack else "<no stack>"
-
-
-class WitnessedLock:
-    """A named lock that reports acquisitions to the active witness.
-
-    Drop-in for ``threading.Lock``/``RLock`` in ``with`` statements.
-    ``blocking_ok=True`` declares the lock as *designed* to be held
-    across blocking IO (e.g. ``RangeReader``'s IO-serialization lock)
-    so UCP031 does not fire for it; any other lock held across a
-    blocking call beyond the witness budget is flagged.
-    """
-
-    __slots__ = ("name", "blocking_ok", "_inner")
-
-    def __init__(
-        self, name: str, blocking_ok: bool = False, reentrant: bool = False
-    ) -> None:
-        self.name = name
-        self.blocking_ok = blocking_ok
-        self._inner = threading.RLock() if reentrant else threading.Lock()
-
-    def __repr__(self) -> str:
-        return f"WitnessedLock({self.name!r})"
-
-    def __enter__(self) -> "WitnessedLock":
-        ctl = _schedpoint._CONTROLLER
-        if ctl is not None:
-            # under the interleaving explorer the thread parks here and
-            # the scheduler dispatches it only once the lock is free in
-            # its model, so the real acquire below can never block
-            ctl.lock_enter(self)
-        if _STACK:
-            # edge recording happens BEFORE the real acquire: in strict
-            # mode a would-be ABBA cycle reports/raises instead of
-            # actually deadlocking the test run
-            _STACK[-1].before_acquire(self)
-            self._inner.acquire()
-            _STACK[-1].after_acquire(self)
-        else:
-            self._inner.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        ctl = _schedpoint._CONTROLLER
-        if ctl is not None:
-            ctl.lock_exit(self)
-        if _STACK:
-            # the release event is logged while still holding the lock,
-            # so a competing acquire always sequences after it
-            _STACK[-1].on_release(self)
-        self._inner.release()
-
-    def acquire(self) -> bool:
-        """Bare acquire (prefer ``with``); witnessed like ``__enter__``."""
-        self.__enter__()
-        return True
-
-    def release(self) -> None:
-        """Bare release counterpart of :meth:`acquire`."""
-        self.__exit__(None, None, None)
-
-
-def make_lock(
-    name: str, blocking_ok: bool = False, reentrant: bool = False
-) -> WitnessedLock:
-    """A :class:`WitnessedLock`; the one lock factory instrumented code uses."""
-    return WitnessedLock(name, blocking_ok=blocking_ok, reentrant=reentrant)
 
 
 class LockWitness:
@@ -245,7 +178,7 @@ class LockWitness:
 
     # --- lock hooks (UCP029) -----------------------------------------
 
-    def before_acquire(self, lock: WitnessedLock) -> None:
+    def on_lock_enter(self, lock: WitnessedLock) -> None:
         """Record order edges held-lock -> ``lock`` and check for cycles.
 
         Runs *before* the real acquire so a strict witness reports the
@@ -271,7 +204,7 @@ class LockWitness:
         if not fresh:
             return
         thread = threading.current_thread().name
-        stack = _capture_stack(skip=3)
+        stack = _capture_stack(skip=2)
         pending: List[Diagnostic] = []
         with self._mu:
             for edge in fresh:
@@ -333,12 +266,12 @@ class LockWitness:
                     stack.append((nxt, path + [nxt]))
         return None
 
-    def after_acquire(self, lock: WitnessedLock) -> None:
+    def on_lock_acquired(self, lock: WitnessedLock) -> None:
         """Push onto the held stack and log, post-acquisition."""
         self._held().append(lock)
         self._log("acquire", lock.name)
 
-    def on_release(self, lock: WitnessedLock) -> None:
+    def on_lock_exit(self, lock: WitnessedLock) -> None:
         """Pop the held stack and log, pre-release."""
         held = self._held()
         for i in range(len(held) - 1, -1, -1):
@@ -350,14 +283,17 @@ class LockWitness:
     # --- accessor hook (UCP030) --------------------------------------
 
     def check_guarded(
-        self, lock: Optional[WitnessedLock], resource: str
+        self, lock: Optional[WitnessedLock], resource: str,
+        item: Optional[str] = None, write: bool = False,
     ) -> Optional[Diagnostic]:
         """Assert the calling thread holds ``lock`` while touching ``resource``.
 
-        Instrumented containers call this from inside their mutators
-        (no ``sys.settrace``): the locked public API always passes, a
-        bypass — or a future refactor that grows an unlocked path —
-        fires UCP030 with the offending access stack.
+        Instrumented containers report this from inside their mutators
+        (no ``sys.settrace``; it is the ``access`` event's handler, whose
+        per-item key and read/write flag are the scheduler's): the
+        locked public API always passes, a bypass — or a future refactor
+        that grows an unlocked path — fires UCP030 with the offending
+        access stack.
         """
         self.checks += 1
         held = self._held()
@@ -377,6 +313,8 @@ class LockWitness:
         )
         self._violation(diag)
         return diag
+
+    on_access = check_guarded
 
     # --- blocking-IO hook (UCP031) -----------------------------------
 
@@ -430,6 +368,8 @@ class LockWitness:
         )
         self._violation(diag)
         return diag
+
+    on_blocking = note_blocking
 
     # --- replay payload ----------------------------------------------
 
@@ -547,26 +487,10 @@ def check_lock_trace(payload: Dict) -> LintReport:
 
 # --- activation --------------------------------------------------------
 
-_STACK: List[LockWitness] = []
-
 
 def current() -> Optional[LockWitness]:
-    """The innermost active witness, or ``None``.
-
-    Instrumented containers check this before their accessor hooks;
-    inactive cost is one list check.
-    """
-    return _STACK[-1] if _STACK else None
-
-
-def enabled_from_env() -> bool:
-    """Whether ``REPRO_LOCKCHECK`` (or ``REPRO_SANITIZE``) requests a
-    witnessed run — the witness rides along with the sanitizer."""
-    if os.environ.get(ENV_VAR, "") not in ("", "0"):
-        return True
-    from repro.analysis.sanitizer import enabled_from_env as _san_env
-
-    return _san_env()
+    """The innermost active witness, or ``None``."""
+    return obs.current("locks")
 
 
 @contextlib.contextmanager
@@ -590,12 +514,9 @@ def lockcheck(
     witness = LockWitness(
         strict=strict, subject=subject, io_budget_s=io_budget_s
     )
-    _STACK.append(witness)
-    try:
+    with obs.subscribed("locks", witness):
         yield witness
-    finally:
-        _STACK.remove(witness)
     # only reached when the body exited cleanly: violations that raised
-    # on this thread already propagated through the ``finally`` above
+    # on this thread already propagated through the subscription above
     if strict and witness.report.errors:
         raise LockWitnessError(witness.report)

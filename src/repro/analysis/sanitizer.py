@@ -20,8 +20,6 @@ rule      name                           boundary
 ========  =============================  =====================================
 UCP025    cross-rank-writable-aliasing   collectives / engine rank partitions
 UCP026    snapshot-aliases-live-state    CheckFreq snapshots, Gemini replicas
-UCP027    cache-return-mutation          buffers a cache hands out views of
-UCP028    loaded-param-aliases-cache     ``Load`` targets
 ========  =============================  =====================================
 
 Activation
@@ -35,10 +33,11 @@ The sanitizer is a context manager::
         engine.train(5)
         engine.save_checkpoint(ckpt)
 
-or environment-driven — ``REPRO_SANITIZE=1`` makes the test suite's
-session fixture (``tests/conftest.py``) wrap the whole tier-1 run, which
-is how CI runs fully sanitized.  When no sanitizer is active every hook
-is a cheap ``None`` check, so instrumented production paths pay nothing.
+subscribed to the one hook slot (:mod:`repro.obs`, role ``"mem"``; the
+``on_<event>`` handlers below receive what the instrumented sites name
+there, and the off-mode cost is that module's).  ``REPRO_SANITIZE=1``
+makes the test suite's session fixture (``tests/conftest.py``) wrap the
+whole tier-1 run in a strict sanitizer *and* a strict lock witness.
 
 Escape hatches: :meth:`MemorySanitizer.claim` returns a writable private
 copy of a protected array (ownership transfer by copy — always safe);
@@ -56,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.diagnostics import (
     Diagnostic,
     LayoutLintError,
@@ -64,7 +64,7 @@ from repro.analysis.diagnostics import (
 )
 
 ENV_VAR = "REPRO_SANITIZE"
-"""Set to ``1`` to run the test session under a strict sanitizer."""
+"""Set to ``1`` to run the test session checked (the one switch)."""
 
 
 class SanitizerError(LayoutLintError):
@@ -108,6 +108,18 @@ def zero_state_arrays(zero) -> Iterable[Tuple[str, np.ndarray]]:
             yield f"{label}:exp_avg_sq", part.state.exp_avg_sq
 
 
+def replica_arrays(staged) -> Iterable[Tuple[str, np.ndarray]]:
+    """``(rank-label@host:kind, array)`` pairs over an in-memory
+    commit's staged replica map (``(coord, dp_rank) -> [replica]``)."""
+    for (coord, dp_rank), replicas in staged.items():
+        pp, sp, tp = coord
+        base = f"pp{pp}.sp{sp}.tp{tp}/dp{dp_rank}"
+        for r in replicas:
+            yield f"{base}@host{r.host_rank}:fp32", r.fp32
+            yield f"{base}@host{r.host_rank}:exp_avg", r.exp_avg
+            yield f"{base}@host{r.host_rank}:exp_avg_sq", r.exp_avg_sq
+
+
 def model_param_arrays(engine) -> Iterable[Tuple[str, np.ndarray]]:
     """``(param-label, array)`` pairs over an engine's model parameters.
 
@@ -143,8 +155,6 @@ class MemorySanitizer:
         self.report = LintReport(subject=subject)
         self.checks = 0
         self._lock = threading.Lock()
-        # root-buffer id -> (weakref to the registered array, cache key)
-        self._cache_owned: Dict[int, Tuple[weakref.ref, str]] = {}  # guarded-by: self._lock
         # snapshot label -> [(weakref, state key, root id at capture)]
         self._snapshots: Dict[str, List[Tuple[weakref.ref, str, int]]] = {}  # guarded-by: self._lock
         # root ids deliberately un-protected via thaw()
@@ -213,6 +223,21 @@ class MemorySanitizer:
         return found
 
     # --- snapshot boundary (UCP026) ----------------------------------
+
+    def on_snapshot_capture(self, label: str, captured_zero, live_zero) -> None:
+        """Slot handler: a CheckFreq capture of ``live_zero`` was taken."""
+        live = zero_state_arrays(live_zero)
+        self.guard_snapshot(label, zero_state_arrays(captured_zero), live)
+
+    def on_snapshot_persist(self, label: str, live_zero) -> None:
+        """Slot handler: capture ``label`` is about to be written out."""
+        self.verify_snapshot(label, zero_state_arrays(live_zero))
+
+    def on_replica_commit(self, label: str, staged, live_zero) -> None:
+        """Slot handler: an in-memory commit staged its peer replicas."""
+        self.guard_snapshot(
+            label, replica_arrays(staged), zero_state_arrays(live_zero)
+        )
 
     def guard_snapshot(
         self,
@@ -301,79 +326,12 @@ class MemorySanitizer:
             self._violation(diag)
         return found
 
-    # --- cache boundary (UCP027 / UCP028) ----------------------------
-
-    def register_cache(self, key: str, arr: np.ndarray) -> None:
-        """Record one cached array (a buffer served as views) as cache-owned.
-
-        The array is write-protected; :meth:`check_cache_integrity`
-        later flags any cache-owned buffer that became writable again
-        without :meth:`thaw` (UCP027), and :meth:`check_engine` flags
-        engine state backed by cache memory (UCP028).
-
-        Integrity is tracked on the buffer's *root owner*: a cache may
-        register both a buffer and a view of it, but un-protecting
-        the owner is what makes poisoning possible, so that is the
-        object the scan watches.  The first registration for a buffer
-        keeps its key (the owner's name, not a view's).
-        """
-        arr.setflags(write=False)
-        root = _root(arr)
-        if isinstance(root, np.ndarray):
-            root.setflags(write=False)
-            target = root
-        else:
-            target = arr
-        with self._lock:
-            self._cache_owned.setdefault(
-                id(root), (weakref.ref(target), key)
-            )
-
-    def _cache_key_for(self, rid: int) -> Optional[str]:
-        with self._lock:
-            entry = self._cache_owned.get(rid)
-            if entry is None:
-                return None
-            ref, key = entry
-            if ref() is None:
-                self._cache_owned.pop(rid, None)
-                return None
-        return key
-
-    def check_cache_integrity(self, context: str = "") -> List[Diagnostic]:
-        """Scan cache-owned buffers for lost write protection (UCP027)."""
-        self.checks += 1
-        found: List[Diagnostic] = []
-        with self._lock:
-            items = list(self._cache_owned.items())
-            thawed = set(self._thawed)
-        for rid, (ref, key) in items:
-            arr = ref()
-            if arr is None:
-                with self._lock:
-                    self._cache_owned.pop(rid, None)
-                continue
-            if _writable(arr) and rid not in thawed:
-                where = f"{context}: " if context else ""
-                found.append(error(
-                    "UCP027",
-                    f"{where}cached state {key} became writable again "
-                    f"(cache poisoning): every later reader of this block "
-                    f"would see the mutation as verified data",
-                    location=key,
-                ))
-        for diag in found:
-            self._violation(diag)
-        return found
-
-    # --- engine sweep (UCP025 + UCP028) ------------------------------
+    # --- engine sweep (UCP025) ---------------------------------------
 
     def check_engine(self, engine, context: str = "") -> List[Diagnostic]:
         """Sweep an engine's per-rank state for isolation violations.
 
-        Two simulated ranks sharing one writable base buffer is UCP025;
-        rank state backed by a cache-owned buffer (a loaded parameter
-        that stayed a view of an atom/block cache entry) is UCP028.
+        Two simulated ranks sharing one writable base buffer is UCP025.
         Model-parameter buffers are swept too: a parameter whose memory
         aliases a rank's optimizer partition writes through every
         ``sync_model_from_masters`` — the cross-rank alias the shard
@@ -386,16 +344,6 @@ class MemorySanitizer:
         for key, arr in zero_state_arrays(engine.zero):
             rank_label = key.split(":", 1)[0]
             rid = id(_root(arr))
-            cache_key = self._cache_key_for(rid)
-            if cache_key is not None:
-                found.append(error(
-                    "UCP028",
-                    f"{where}rank state {key} aliases cached atom "
-                    f"{cache_key}; a training step on this rank would "
-                    f"poison the shared cache (and every rank loading "
-                    f"from it)",
-                    location=key,
-                ))
             if not _writable(arr):
                 continue
             prev = owners.get(rid)
@@ -411,15 +359,6 @@ class MemorySanitizer:
                 owners.setdefault(rid, (rank_label, key))
         for key, arr in model_param_arrays(engine):
             rid = id(_root(arr))
-            cache_key = self._cache_key_for(rid)
-            if cache_key is not None:
-                found.append(error(
-                    "UCP028",
-                    f"{where}model parameter {key} aliases cached atom "
-                    f"{cache_key}; the next optimizer sync would poison "
-                    f"the shared cache",
-                    location=key,
-                ))
             if not _writable(arr):
                 continue
             prev = owners.get(rid)
@@ -436,6 +375,8 @@ class MemorySanitizer:
             self._violation(diag)
         return found
 
+    on_engine_loaded = check_engine  # the UCP loader's event
+
     # --- escape hatches ----------------------------------------------
 
     def claim(self, arr: np.ndarray) -> np.ndarray:
@@ -445,8 +386,9 @@ class MemorySanitizer:
     def thaw(self, arr: np.ndarray) -> np.ndarray:
         """Deliberately re-enable writes on a protected array, in place.
 
-        The buffer is recorded so integrity scans do not flag it; the
-        caller takes responsibility for every alias of it.
+        The buffer is recorded so the persist-time re-check (UCP026)
+        does not flag it; the caller takes responsibility for every
+        alias of it.
         """
         with self._lock:
             self._thawed.add(id(_root(arr)))
@@ -456,21 +398,14 @@ class MemorySanitizer:
 
 # --- activation --------------------------------------------------------
 
-_STACK: List[MemorySanitizer] = []
-
 
 def current() -> Optional[MemorySanitizer]:
-    """The innermost active sanitizer, or ``None``.
-
-    Instrumented modules (collectives, snapshot capture, atom caches,
-    the UCP loader) call this on their hot paths; inactive cost is one
-    list check.
-    """
-    return _STACK[-1] if _STACK else None
+    """The innermost active sanitizer, or ``None``."""
+    return obs.current("mem")
 
 
 def enabled_from_env() -> bool:
-    """Whether ``REPRO_SANITIZE`` requests a sanitized run."""
+    """Whether ``REPRO_SANITIZE`` requests a checked run."""
     return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
@@ -480,30 +415,16 @@ def sanitize(strict: bool = True, subject: str = "memory-sanitizer"):
 
     Nested activations stack; hooks always report to the innermost one,
     so an injection test may run its own permissive sanitizer inside a
-    strict session-wide one.  On exit a final cache-integrity scan runs
-    (catching poisoning that happened after the last instrumented call).
+    strict session-wide one.
     """
     san = MemorySanitizer(strict=strict, subject=subject)
-    _STACK.append(san)
-    try:
+    with obs.subscribed("mem", san):
         yield san
-        san.check_cache_integrity(context="exit scan")
-    finally:
-        _STACK.remove(san)
 
 
-def check_engine_isolation(engine, sanitizer: Optional[MemorySanitizer] = None) -> LintReport:
-    """Standalone rank-isolation sweep of one engine (UCP025/UCP028).
-
-    Uses the given sanitizer's cache-ownership knowledge when provided
-    (or the active one), else a fresh permissive instance — callable
-    from tests without any activation ceremony.
-    """
-    san = sanitizer if sanitizer is not None else current()
-    if san is None:
-        san = MemorySanitizer(strict=False, subject="engine-isolation")
-        san.check_engine(engine)
-        return san.report
-    report = LintReport(subject="engine-isolation")
-    report.extend(san.check_engine(engine))
-    return report
+def check_engine_isolation(engine) -> LintReport:
+    """Standalone rank-isolation sweep of one engine (UCP025), on a
+    fresh permissive sanitizer — no activation ceremony."""
+    san = MemorySanitizer(strict=False, subject="engine-isolation")
+    san.check_engine(engine)
+    return san.report

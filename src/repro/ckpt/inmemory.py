@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.analysis import lockwitness as _lockwitness
-from repro.analysis import schedpoint as _schedpoint
+from repro import obs
 from repro.ckpt.errors import CheckpointError
 
 PartitionKey = Tuple[Tuple[int, int, int], int]
@@ -61,19 +60,17 @@ class InMemoryCheckpoint:
         # a supervisor thread may call recover()/surviving_replicas()
         # while a training thread is mid-commit; the replica map swap is
         # atomic under the lock and readers snapshot it
-        self._lock = _lockwitness.make_lock("InMemoryCheckpoint._lock")
+        self._lock = obs.make_lock("InMemoryCheckpoint._lock")
         self._replicas: Dict[PartitionKey, List[_Replica]] = {}  # guarded-by: self._lock
         self.commit_bytes = 0
 
     def _check_guarded(self, write: bool = False) -> None:
-        """UCP030/interleave hook: every replica-map access under the
+        """Guarded-access event: every replica-map access under the
         lock reports itself (readers snapshot, commit swaps)."""
-        ctl = _schedpoint._CONTROLLER
-        if ctl is not None:
-            ctl.on_access("InMemoryCheckpoint._replicas", write)
-        witness = _lockwitness.current()
-        if witness is not None:
-            witness.check_guarded(self._lock, "InMemoryCheckpoint._replicas")
+        if obs._ACTIVE:
+            obs.emit(
+                "access", self._lock, "InMemoryCheckpoint._replicas", None, write
+            )
 
     def _owner_rank(self, coord, dp_rank: int) -> int:
         """The global rank that owns a partition."""
@@ -122,8 +119,18 @@ class InMemoryCheckpoint:
                     )
                     copied += int(part.fp32.nbytes) * 3
                 staged[(coord, dp_rank)] = replicas
-        self._sanitize_commit(staged)
-        # the expensive copy/sanitize work happened outside the lock;
+        # a replica aliasing the owner's live partition defeats the whole
+        # scheme — the "checkpoint" would track training instead of
+        # pinning an iteration (UCP026, when a memory sanitizer listens;
+        # it also freezes clean replicas so a recovering rank cannot
+        # scribble on peer memory).  Named on the commit-local ``staged``
+        # map *before* it is published, so no lock is needed
+        if obs._ACTIVE:
+            obs.emit(
+                "replica_commit", f"inmemory@it{iteration}", staged,
+                self.engine.zero,
+            )
+        # the expensive copy/check work happened outside the lock;
         # a reader sees either the old complete map or the new one
         with self._lock:
             self._check_guarded(write=True)
@@ -135,40 +142,6 @@ class InMemoryCheckpoint:
                 "broadcast", self.replication_factor, copied
             )
         return copied
-
-    def _sanitize_commit(
-        self, staged: Dict[PartitionKey, List[_Replica]]
-    ) -> None:
-        """Register the staged replicas with the active sanitizer.
-
-        A replica aliasing the owner's live partition defeats the whole
-        scheme — the "checkpoint" would track training instead of
-        pinning an iteration (UCP026).  Clean replicas are frozen so a
-        recovering rank cannot scribble on peer memory.  Runs on the
-        commit-local ``staged`` map *before* it is published, so no lock
-        is needed.  Lazy import: ``repro.ckpt`` stays free of analysis
-        imports at module scope.
-        """
-        from repro.analysis import sanitizer as _sanitizer
-
-        san = _sanitizer.current()
-        if san is None:
-            return
-
-        def replica_arrays():
-            for (coord, dp_rank), replicas in staged.items():
-                pp, sp, tp = coord
-                base = f"pp{pp}.sp{sp}.tp{tp}/dp{dp_rank}"
-                for r in replicas:
-                    yield f"{base}@host{r.host_rank}:fp32", r.fp32
-                    yield f"{base}@host{r.host_rank}:exp_avg", r.exp_avg
-                    yield f"{base}@host{r.host_rank}:exp_avg_sq", r.exp_avg_sq
-
-        san.guard_snapshot(
-            f"inmemory@it{self.engine.iteration}",
-            replica_arrays(),
-            _sanitizer.zero_state_arrays(self.engine.zero),
-        )
 
     def surviving_replicas(self, failed_ranks: Set[int]) -> Dict[PartitionKey, int]:
         """How many replicas of each partition survive a failure set."""

@@ -39,15 +39,30 @@ from repro.storage.store import ObjectStore
 
 
 def resolve_tag(store: ObjectStore, tag: Optional[str]) -> str:
-    """The requested tag, or the one named by the ``latest`` file."""
+    """The requested tag, or the one named by the ``latest`` file.
+
+    Raises:
+        CheckpointIntegrityError: ``latest`` does not decode, or names
+            anything but a single tag directory (blank, ``../x``).
+    """
     if tag is not None:
         return tag
     try:
-        return store.read_text(naming.LATEST_FILE).strip()
+        tag = store.read_text(naming.LATEST_FILE).strip()
     except FileNotFoundError:
         raise CheckpointNotFoundError(
             f"no 'latest' file in {store.base}; is this a checkpoint dir?"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise CheckpointIntegrityError(
+            f"{naming.LATEST_FILE}: tag pointer is corrupt: {exc}"
+        ) from exc
+    if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
+        raise CheckpointIntegrityError(
+            f"{naming.LATEST_FILE}: tag pointer is corrupt: {tag!r} is not "
+            f"a single tag directory name"
+        )
+    return tag
 
 
 def latest_committed_tag(directory: str) -> str:

@@ -72,6 +72,11 @@ def read_manifest(store: ObjectStore, tag: str) -> Optional[Dict]:
         raise CheckpointIntegrityError(
             f"{rel}: commit manifest is corrupt: {exc}"
         ) from exc
+    if not isinstance(payload, dict):
+        raise CheckpointIntegrityError(
+            f"{rel}: commit manifest is corrupt: decodes to "
+            f"{type(payload).__name__}, not a mapping"
+        )
     version = payload.get("format_version")
     if version != MANIFEST_VERSION:
         raise CheckpointIntegrityError(

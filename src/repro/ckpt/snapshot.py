@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.analysis import lockwitness as _lockwitness
+from repro import obs
 from repro.ckpt.saver import CheckpointInfo, save_distributed_checkpoint
 from repro.parallel.zero import ZeroOptimizer
 
@@ -73,7 +73,7 @@ class SnapshotManager:
         # the persist phase is meant to run on a background thread while
         # the training thread keeps snapshotting; only the bookkeeping
         # is locked — disk writes happen outside the critical section
-        self._lock = _lockwitness.make_lock("SnapshotManager._lock")
+        self._lock = obs.make_lock("SnapshotManager._lock")
         self._pending: List[EngineSnapshot] = []  # guarded-by: self._lock
         self._captures = 0  # guarded-by: self._lock
 
@@ -100,7 +100,12 @@ class SnapshotManager:
             source_engine=self.engine,
             label=f"snapshot#{capture_id}@it{self.engine.iteration}",
         )
-        self._sanitize_capture(snap)
+        # a listening memory sanitizer checks every captured array is
+        # backed by memory disjoint from the live engine (a missing
+        # ``clone()`` is UCP026) and write-protects the clean captures so
+        # nothing can mutate them between capture and persist
+        if obs._ACTIVE:
+            obs.emit("snapshot_capture", snap.label, snap.zero, self.engine.zero)
         with self._lock:
             self._pending.append(snap)
         return snap
@@ -111,7 +116,8 @@ class SnapshotManager:
         Training may have advanced arbitrarily since ``snapshot()``;
         the files reflect the snapshot instant regardless.
         """
-        self._sanitize_persist(snapshot)
+        if obs._ACTIVE:  # the capture is re-verified (UCP026 on regression)
+            obs.emit("snapshot_persist", snapshot.label, self.engine.zero)
         # the disk write must not happen under the lock (SRC007/UCP031):
         # a concurrent snapshot() would stall behind the whole persist
         info = save_distributed_checkpoint(_SnapshotView(snapshot), directory)
@@ -119,35 +125,6 @@ class SnapshotManager:
             if snapshot in self._pending:
                 self._pending.remove(snapshot)
         return info
-
-    def _sanitize_capture(self, snap: EngineSnapshot) -> None:
-        """Register the capture with the active memory sanitizer (if any).
-
-        The sanitizer checks every captured array is backed by memory
-        disjoint from the live engine (a missing ``clone()`` is UCP026)
-        and write-protects the clean captures so nothing can mutate them
-        between capture and persist.  Lazy import: ``repro.ckpt`` never
-        pulls in ``repro.analysis`` at module scope.
-        """
-        from repro.analysis import sanitizer as _sanitizer
-
-        san = _sanitizer.current()
-        if san is not None:
-            san.guard_snapshot(
-                snap.label,
-                _sanitizer.zero_state_arrays(snap.zero),
-                _sanitizer.zero_state_arrays(self.engine.zero),
-            )
-
-    def _sanitize_persist(self, snap: EngineSnapshot) -> None:
-        """Re-verify a capture at persist time (UCP026 on regression)."""
-        from repro.analysis import sanitizer as _sanitizer
-
-        san = _sanitizer.current()
-        if san is not None:
-            san.verify_snapshot(
-                snap.label, _sanitizer.zero_state_arrays(self.engine.zero)
-            )
 
     def save_async(self, directory: str) -> EngineSnapshot:
         """Snapshot immediately; caller persists when convenient."""

@@ -219,17 +219,21 @@ def verify_directory(directory: str, deep: bool = True) -> VerificationReport:
                 corrupt.append((rel, str(exc)))
 
     if store.exists(naming.LATEST_FILE):
-        tag = store.read_text(naming.LATEST_FILE).strip()
-        if not (store.base / tag).is_dir():
-            missing.append(
-                (naming.LATEST_FILE,
-                 f"points at tag {tag!r} which does not exist")
-            )
-        elif tag not in manifests:
-            corrupt.append(
-                (naming.LATEST_FILE,
-                 f"points at tag {tag!r} which has no commit manifest")
-            )
+        try:
+            tag = resolve_tag(store, None)
+        except CheckpointIntegrityError as exc:
+            corrupt.append((naming.LATEST_FILE, str(exc)))
+        else:
+            if not (store.base / tag).is_dir():
+                missing.append(
+                    (naming.LATEST_FILE,
+                     f"points at tag {tag!r} which does not exist")
+                )
+            elif tag not in manifests:
+                corrupt.append(
+                    (naming.LATEST_FILE,
+                     f"points at tag {tag!r} which has no commit manifest")
+                )
 
     return VerificationReport(
         total=len(files),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import obs
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import UCPIncompatibleError
 from repro.core.metadata import UCPMetadata
@@ -97,12 +98,9 @@ def load_ucp_into_engine(
         engine.loss_scaler.load_state_dict(metadata.loss_scaler)
     engine.sync_model_from_masters()
 
-    # with a memory sanitizer active, prove the loaded state is isolated:
-    # no partition may remain a writable alias of a cached atom (UCP028)
-    # or share a base buffer with another simulated rank (UCP025)
-    from repro.analysis import sanitizer as _sanitizer
-
-    san = _sanitizer.current()
-    if san is not None:
-        san.check_engine(engine, context=f"load_ucp_into_engine({ucp_dir})")
+    # a listening memory sanitizer proves the loaded state is isolated:
+    # no partition may share a base buffer with another simulated rank
+    # (UCP025)
+    if obs._ACTIVE:
+        obs.emit("engine_loaded", engine, f"load_ucp_into_engine({ucp_dir})")
     return metadata

@@ -6,6 +6,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core.errors import UCPFormatError
+from repro.storage.serializer import SerializationError
 from repro.storage.store import ObjectStore
 
 UCP_VERSION = 1
@@ -84,4 +85,13 @@ class UCPMetadata:
             raise UCPFormatError(
                 f"no {UCP_META_FILE} in {store.base}; not a UCP directory"
             )
-        return cls.from_payload(store.load(UCP_META_FILE))
+        try:
+            payload = store.load(UCP_META_FILE)
+        except SerializationError as exc:
+            raise UCPFormatError(f"{UCP_META_FILE} is corrupt: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise UCPFormatError(
+                f"{UCP_META_FILE} is corrupt: decodes to "
+                f"{type(payload).__name__}, not a mapping"
+            )
+        return cls.from_payload(payload)

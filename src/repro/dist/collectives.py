@@ -13,6 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
+
 
 def sanitize_boundary(
     op: str,
@@ -20,25 +22,20 @@ def sanitize_boundary(
     outputs: Sequence[np.ndarray],
     group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> Sequence[np.ndarray]:
-    """Hand a collective's per-rank results to the active memory sanitizer.
+    """Name a collective's per-rank results as a ``collective`` event.
 
-    Every collective calls this just before returning: with a sanitizer
-    active (``repro.analysis.sanitizer.sanitize`` /``REPRO_SANITIZE=1``)
-    the results are checked for writable cross-rank aliasing (UCP025);
-    with none, the cost is one function call.  ``group`` carries
-    ``(name, ranks)`` when the caller is a :class:`ProcessGroup`, so
-    violations name real global ranks; direct module-level calls (e.g.
-    sequence parallelism's ``all_to_all``) fall back to local indices.
-
-    Imported lazily so ``repro.dist`` stays free of analysis imports at
-    module scope (same layering rule as the trace recorder).
+    Every collective calls this just before returning: with a memory
+    sanitizer listening on :mod:`repro.obs` (``sanitize()`` /
+    ``REPRO_SANITIZE=1``) the results are checked for writable
+    cross-rank aliasing (UCP025); with none, the cost is one function
+    call.  ``group`` carries ``(name, ranks)`` when the caller is a
+    :class:`ProcessGroup`, so violations name real global ranks; direct
+    module-level calls (e.g. sequence parallelism's ``all_to_all``) fall
+    back to local indices.
     """
-    from repro.analysis import sanitizer as _sanitizer
-
-    san = _sanitizer.current()
-    if san is not None:
+    if obs._ACTIVE:
         name, ranks = group if group is not None else (op, range(len(outputs)))
-        san.on_collective(op, name, list(ranks), inputs, outputs)
+        obs.emit("collective", op, name, list(ranks), inputs, outputs)
     return outputs
 
 

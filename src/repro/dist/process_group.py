@@ -87,17 +87,10 @@ class ProcessGroup:
         if self.trace is None:
             return
         # record each member's own shape/dtype (argument-mismatch lint
-        # needs the per-rank view); older recorders without record_call
-        # keep the fan-copied single-sample behavior
-        if hasattr(self.trace, "record_call"):
-            self.trace.record_call(
-                op, self.name, self.ranks, arrays, reduce_op=reduce_op
-            )
-        else:
-            arr = np.asarray(arrays[0])
-            self.trace.record(
-                op, self.name, self.ranks, int(arr.size), str(arr.dtype)
-            )
+        # needs the per-rank view)
+        self.trace.record_call(
+            op, self.name, self.ranks, arrays, reduce_op=reduce_op
+        )
 
     def _check_width(self, shards: Sequence[np.ndarray], op: str) -> None:
         if len(shards) != self.size:

@@ -17,8 +17,9 @@ discovered at run time: plan -> one verified sequential read per file
   can obtain a slice of a file whose digest has not matched.
 
 Two locks, never nested: the table's ``_lock`` guards its containers
-(``# guarded-by:``; ``_check_guarded`` feeds UCP030 and the schedule
-explorer); the reader's ``_io_lock`` serializes store reads (``ObjectStore``
+(``# guarded-by:``; ``_check_guarded`` names each touch as an ``access``
+event on :mod:`repro.obs`, feeding UCP030 and the schedule explorer when
+they listen); the reader's ``_io_lock`` serializes store reads (``ObjectStore``
 byte accounting is not thread-safe) and is ``blocking_ok`` because
 holding it across the read *is* the serialization — hashing is outside.
 The names predate the design: ``benchmarks/e2e/trace.py`` patches them.
@@ -30,8 +31,7 @@ import concurrent.futures
 import hashlib
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.analysis import lockwitness as _lockwitness
-from repro.analysis import schedpoint as _schedpoint
+from repro import obs
 from repro.storage.store import ObjectStore
 
 WINDOW_AUTO_CAP_BYTES = 64 << 20
@@ -49,7 +49,7 @@ class BlockCache:
     def __init__(self, consumers: Dict[str, int]) -> None:
         self.hits = self.misses = 0
         self.resident_bytes = self.peak_resident_bytes = 0
-        self._lock = _lockwitness.make_lock("BlockCache._lock")
+        self._lock = obs.make_lock("BlockCache._lock")
         # planned consumers that have not released the file yet
         self._pending: Dict[str, int] = dict(consumers)  # guarded-by: self._lock
         # resolved by the file's loader once its bytes are verified
@@ -58,13 +58,9 @@ class BlockCache:
         self._views: Dict[str, memoryview] = {}  # guarded-by: self._lock
 
     def _check_guarded(self, rel: str, write: bool = False) -> None:
-        """UCP030 / explorer hook (per file: entries are independent)."""
-        ctl = _schedpoint._CONTROLLER
-        if ctl is not None:
-            ctl.on_access(f"BlockCache._files[{rel}]", write)
-        witness = _lockwitness.current()
-        if witness is not None:
-            witness.check_guarded(self._lock, "BlockCache._files")
+        """Guarded-access event (per file: entries are independent)."""
+        if obs._ACTIVE:
+            obs.emit("access", self._lock, "BlockCache._files", rel, write)
 
     def claim(self, rel: str) -> Tuple[concurrent.futures.Future, bool]:
         """The file's future, and whether the caller must load it."""
@@ -138,7 +134,7 @@ class RangeReader:
         self.verify = verify
         self.read_ops = self.num_batches = 0
         self.ranges_coalesced = self.peak_window_bytes = 0
-        self._io_lock = _lockwitness.make_lock("RangeReader._io_lock", blocking_ok=True)
+        self._io_lock = obs.make_lock("RangeReader._io_lock", blocking_ok=True)
 
     def digest(self, rel: str) -> str:
         """Stream a claimed file into the table; returns its SHA-256."""
@@ -180,9 +176,8 @@ class RangeReader:
                     raise
                 fut.set_result(None)
         for _, fut, _ in claims:
-            ctl = _schedpoint._CONTROLLER
-            if ctl is not None:  # a yield point the schedule explorer sees
-                ctl.on_wait("BlockCache.load", fut.done)
+            if obs._ACTIVE:  # a yield point the schedule explorer sees
+                obs.emit("wait", "BlockCache.load", fut.done)
             fut.result()
 
     def read_multi(

@@ -23,11 +23,12 @@ faults are retried under a :class:`~repro.storage.faults.RetryPolicy`
 whose backoff is charged to the simulated NVMe clock.
 
 Every file effect (write / fsync / rename / directory fsync / unlink)
-is reported to the active FS-op witness
-(:mod:`repro.analysis.fswitness`) when one is tracing, feeding the
-crash-state enumerator behind ``repro lint-trace --fs``; the commit
-sequence itself is statically checked by ``repro lint-src --fs``
-(SRC009-SRC012).  Both hooks are one ``sys.modules`` lookup when off.
+is named as an ``fs_op`` event on the one hook slot (:mod:`repro.obs`);
+whoever subscribed — the FS-op recorder feeding the crash-state
+enumerator behind ``repro lint-trace --fs``, the schedule explorer — is
+not this module's business.  The commit sequence itself is statically
+checked by ``repro lint-src --fs`` (SRC009-SRC012).  With nothing
+subscribed each hook is one truthiness check.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import sys
 from typing import Any, List, Optional, Tuple
 
+from repro import obs
 from repro.storage.faults import FaultPolicy, RetryPolicy, TransientIOError
 from repro.storage.nvme import DEFAULT_NVME, NVMeModel
 from repro.storage.serializer import (
@@ -89,25 +90,6 @@ def _fsync_dir(dir_path: pathlib.Path) -> None:
     _fsync_path(dir_path)
 
 
-def _fs_recorder():
-    """The active FS-op recorder, or None — without importing analysis.
-
-    The witness can only be active if :mod:`repro.analysis.fswitness`
-    was imported (its ``fstrace`` context manager is the sole
-    activation path), so a ``sys.modules`` probe keeps the off-path
-    free of any import cost and breaks the store <- analysis import
-    cycle.
-    """
-    mod = sys.modules.get("repro.analysis.fswitness")
-    return None if mod is None else mod.current()
-
-
-def _lock_witness():
-    """The active lock witness, or None (same probe as above)."""
-    mod = sys.modules.get("repro.analysis.lockwitness")
-    return None if mod is None else mod.current()
-
-
 class CommitGroup:
     """Files staged as ``*.tmp`` siblings, then published together.
 
@@ -148,9 +130,8 @@ class CommitGroup:
             store._attempt_with_retry(
                 lambda: store.faults.on_write(rel_path, tmp, data), "write"
             )
-        recorder = _fs_recorder()
-        if recorder is not None:
-            recorder.record_write(store._base_str, store._rel(tmp), data)
+        if obs._ACTIVE:
+            store._emit_fs("write", tmp, data=data)
         self._staged.append((rel_path, tmp, path))
         try:
             with open(tmp, "wb") as fh:
@@ -169,31 +150,24 @@ class CommitGroup:
     def publish(self) -> None:
         """Make every staged file durable and visible; empties the group."""
         store = self.store
-        recorder = _fs_recorder()
         try:
             if store.durable:
-                witness = _lock_witness()
                 for rel_path, tmp, _ in self._staged:
                     _fsync_path(tmp)
-                    if recorder is not None:
-                        recorder.record_fsync(store._base_str, store._rel(tmp))
-                    if witness is not None:
-                        witness.note_blocking(
-                            f"fsync({rel_path})", 0.0, kind="fsync"
-                        )
+                    if obs._ACTIVE:
+                        store._emit_fs("fsync", tmp)
+                        obs.emit("blocking", f"fsync({rel_path})", 0.0, "fsync")
             parents: List[pathlib.Path] = []
             for rel_path, tmp, path in self._staged:
                 if store.faults is not None:
                     store.faults.on_publish(rel_path, tmp)
                 os.replace(tmp, path)
-                if recorder is not None:
-                    recorder.record_rename(
-                        store._base_str, store._rel(tmp), store._rel(path)
-                    )
+                if obs._ACTIVE:
+                    store._emit_fs("rename", tmp, dst=path)
                 if path.parent not in parents:
                     parents.append(path.parent)
             for parent in parents:
-                store._sync_dir(parent, recorder)
+                store._sync_dir(parent)
         except BaseException:
             self.abandon()
             raise
@@ -201,16 +175,13 @@ class CommitGroup:
 
     def abandon(self) -> None:
         """Unlink every temp the group still owns; empties the group."""
-        recorder = _fs_recorder()
         for _, tmp, _ in self._staged:
             try:
                 tmp.unlink()
             except OSError:
                 continue  # already renamed, or never created
-            if recorder is not None:
-                recorder.record_unlink(
-                    self.store._base_str, self.store._rel(tmp)
-                )
+            if obs._ACTIVE:
+                self.store._emit_fs("unlink", tmp)
         self._staged.clear()
 
 
@@ -310,18 +281,29 @@ class ObjectStore:
         ``mkdir(parents=True)`` on the way to a staged file is an entry
         of *its* parent, which that file's group never fsyncs.
         """
-        self._sync_dir(self._resolve(rel_dir), _fs_recorder())
+        self._sync_dir(self._resolve(rel_dir))
 
     def _rel(self, path: pathlib.Path) -> str:
         """Store-relative ``/``-separated form of a resolved path — the
-        FS witness's vocabulary (``"."`` is the root)."""
+        ``fs_op`` event's vocabulary (``"."`` is the root)."""
         return os.path.relpath(str(path), self._base_str).replace(os.sep, "/")
 
-    def _sync_dir(self, dir_path: pathlib.Path, recorder) -> None:
+    def _emit_fs(
+        self, kind: str, path: pathlib.Path,
+        dst: Optional[pathlib.Path] = None, data: Optional[bytes] = None,
+    ) -> None:
+        """Name one file effect of this store on the hook slot (callers
+        check ``obs._ACTIVE`` first, so the off path builds nothing)."""
+        obs.emit(
+            "fs_op", kind, self._base_str, self._rel(path),
+            None if dst is None else self._rel(dst), data,
+        )
+
+    def _sync_dir(self, dir_path: pathlib.Path) -> None:
         if self.durable:
             _fsync_dir(dir_path)
-            if recorder is not None:
-                recorder.record_fsync_dir(self._base_str, self._rel(dir_path))
+            if obs._ACTIVE:
+                self._emit_fs("fsync_dir", dir_path)
 
     def read_bytes(self, rel_path: str, parallel: int = 1) -> bytes:
         """Read one object's raw bytes."""
@@ -546,10 +528,9 @@ class ObjectStore:
         path = self._resolve(rel_path)
         if path.is_file():
             path.unlink()
-            recorder = _fs_recorder()
-            if recorder is not None:
-                recorder.record_unlink(self._base_str, self._rel(path))
-            self._sync_dir(path.parent, recorder)
+            if obs._ACTIVE:
+                self._emit_fs("unlink", path)
+            self._sync_dir(path.parent)
 
     def write_text(self, rel_path: str, text: str) -> None:
         """Atomically write a small text marker file (e.g. ``latest``).

@@ -32,41 +32,25 @@ def _session_durability():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _session_sanitizer():
-    """Run the whole suite under a strict memory sanitizer when asked.
+def _session_checked():
+    """Run the whole suite under the strict witnesses when asked.
 
-    ``REPRO_SANITIZE=1 pytest`` (the CI sanitizer job) wraps every test
-    in one strict :func:`repro.analysis.sanitizer.sanitize` activation:
-    any boundary-crossing buffer violation (UCP025-UCP028) raises at the
-    point of the offense.  Injection tests that *want* violations push
-    their own non-strict sanitizer on the stack — the innermost wins —
-    so they keep working under the sanitized run.
+    ``REPRO_SANITIZE=1 pytest`` (the CI ``checked`` job) wraps every
+    test in one strict :func:`repro.analysis.sanitizer.sanitize` and one
+    strict :func:`repro.analysis.lockwitness.lockcheck` activation: any
+    boundary-crossing buffer violation (UCP025-UCP026), lock-order
+    cycle, unguarded access to witnessed state, or lock held across
+    over-budget IO (UCP029-UCP031) raises at the point of the offense.
+    Injection tests that *want* violations subscribe their own
+    non-strict witness — per role the innermost wins — so they keep
+    working under the checked run.
     """
+    from repro.analysis.lockwitness import lockcheck
     from repro.analysis.sanitizer import enabled_from_env, sanitize
 
     if not enabled_from_env():
         yield
         return
     with sanitize(strict=True, subject="tier-1 session"):
-        yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _session_lockwitness():
-    """Run the whole suite under a strict lock witness when asked.
-
-    ``REPRO_LOCKCHECK=1 pytest`` (the CI concurrency job) — or
-    ``REPRO_SANITIZE=1``, which implies it — wraps every test in one
-    strict :func:`repro.analysis.lockwitness.lockcheck` activation: a
-    lock-order cycle, unguarded access to witnessed state, or a lock
-    held across over-budget IO (UCP029-UCP031) raises at the point of
-    the offense.  Injection tests push their own non-strict witness —
-    the innermost wins — so they keep working under the checked run.
-    """
-    from repro.analysis.lockwitness import enabled_from_env, lockcheck
-
-    if not enabled_from_env():
-        yield
-        return
-    with lockcheck(strict=True, subject="tier-1 session"):
-        yield
+        with lockcheck(strict=True, subject="tier-1 session"):
+            yield

@@ -8,8 +8,13 @@ from repro.ckpt.consolidated import (
     load_consolidated_checkpoint,
     save_consolidated_checkpoint,
 )
-from repro.ckpt.errors import CheckpointIncompatibleError, CheckpointNotFoundError
-from repro.ckpt.loader import read_job_config
+from repro.ckpt.errors import (
+    CheckpointIncompatibleError,
+    CheckpointIntegrityError,
+    CheckpointNotFoundError,
+)
+from repro.ckpt.loader import latest_committed_tag, read_job_config, resolve_tag
+from repro.ckpt.manifest import read_manifest
 from repro.dist.topology import ParallelConfig
 from repro.storage.store import ObjectStore
 
@@ -148,6 +153,50 @@ class TestLoad:
         dst = make_engine("llama-mini")
         with pytest.raises(CheckpointIncompatibleError, match="model"):
             dst.load_checkpoint(str(tmp_path))
+
+
+class TestDamagedCommitRecords:
+    """A commit record that decodes to the wrong thing ends in a typed
+    error naming the file — never an AttributeError / UnicodeDecodeError
+    / "escapes the store root" traceback from a caller further down."""
+
+    @pytest.mark.parametrize(
+        "payload", [[1, 2, 3], "manifest", 7], ids=["list", "str", "int"]
+    )
+    def test_manifest_that_is_not_a_mapping(self, tmp_path, payload):
+        from repro.core.inspect import verify_directory
+
+        src = make_engine()
+        src.train(1)
+        src.save_checkpoint(str(tmp_path))
+        store = ObjectStore(str(tmp_path))
+        rel = f"{naming.tag_for_step(1)}/{naming.MANIFEST_FILE}"
+        store.save(rel, payload)
+        with pytest.raises(CheckpointIntegrityError, match="manifest.npt"):
+            read_manifest(store, naming.tag_for_step(1))
+        # the supervisor's recovery entry point names the damaged tag
+        with pytest.raises(CheckpointIntegrityError, match="manifest.npt"):
+            latest_committed_tag(str(tmp_path))
+        report = verify_directory(str(tmp_path))
+        assert any(rel == path for path, _ in report.corrupt)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe\x00bad", b"", b"  \n", b"../x", b"a/b", b".."],
+        ids=["non-utf8", "empty", "blank", "dotdot-slash", "nested", "dotdot"],
+    )
+    def test_latest_that_is_not_a_tag_name(self, tmp_path, raw):
+        src = make_engine()
+        src.train(1)
+        src.save_checkpoint(str(tmp_path))
+        (tmp_path / naming.LATEST_FILE).write_bytes(raw)
+        store = ObjectStore(str(tmp_path))
+        with pytest.raises(CheckpointIntegrityError, match="latest"):
+            resolve_tag(store, None)
+        with pytest.raises(CheckpointIntegrityError, match="latest"):
+            make_engine().load_checkpoint(str(tmp_path))
+        # an explicit tag never reads the pointer
+        assert resolve_tag(store, "global_step1") == "global_step1"
 
 
 class TestConsolidatedBaseline:

@@ -219,6 +219,34 @@ class TestLoadIntoEngine:
             load_ucp_into_engine(make_engine(), ucp_dir, store=store)
 
 
+class TestDamagedUCPMetadata:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda store: store.save("ucp_meta.npt", [1, 2, 3]),
+            lambda store: store.put_bytes("ucp_meta.npt", b"not an npt file"),
+            lambda store: store.put_bytes("ucp_meta.npt", b""),
+        ],
+        ids=["list-payload", "junk-bytes", "empty"],
+    )
+    def test_ucp_meta_that_does_not_decode(self, tmp_path, damage):
+        """``ucp_meta.npt`` that decodes to the wrong thing, or not at
+        all, is a ``UCPFormatError`` naming the file."""
+        src = make_engine(parallel=ParallelConfig(tp=1, dp=1))
+        src.train(1)
+        src.save_checkpoint(str(tmp_path / "ckpt"))
+        ucp_convert(str(tmp_path / "ckpt"), str(tmp_path / "ucp"))
+        store = ObjectStore(str(tmp_path / "ucp"))
+        damage(store)
+        with pytest.raises(UCPFormatError, match="ucp_meta.npt"):
+            UCPMetadata.load(store)
+        with pytest.raises(UCPFormatError, match="ucp_meta.npt"):
+            load_ucp_into_engine(
+                make_engine(parallel=ParallelConfig(tp=1, dp=1)),
+                str(tmp_path / "ucp"),
+            )
+
+
 class TestConversionIdempotency:
     def test_reconversion_overwrites_cleanly(self, source_checkpoint):
         """Running the converter twice into the same directory is safe

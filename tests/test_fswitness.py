@@ -371,7 +371,7 @@ class TestCLIReplay:
         from repro.cli import main
 
         payload = FSOpRecorder()
-        payload.record_write("r", "x.npt.tmp", b"a")
+        payload.on_fs_op("write", "r", "x.npt.tmp", data=b"a")
         path = self._write(tmp_path, payload.to_payload())
         assert main(["lint-trace", "--fs", path]) == 1
         assert "UCP034" in capsys.readouterr().out

@@ -264,14 +264,6 @@ class TestLoadSchedule:
 
 
 class TestEnvGate:
-    def test_env_flag(self, monkeypatch):
-        monkeypatch.delenv(interleave.ENV_VAR, raising=False)
-        assert not interleave.enabled_from_env()
-        monkeypatch.setenv(interleave.ENV_VAR, "0")
-        assert not interleave.enabled_from_env()
-        monkeypatch.setenv(interleave.ENV_VAR, "1")
-        assert interleave.enabled_from_env()
-
     def test_hooks_are_inert_outside_a_run(self):
         # the zero-cost-when-off contract: calling the yield points
         # with no controller installed must be a no-op

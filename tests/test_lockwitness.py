@@ -3,7 +3,7 @@ injected violation with full witness context, safe shapes stay quiet,
 and a recorded payload replays offline through ``check_lock_trace``.
 
 Injection tests run their own *non-strict* witness (pushed inside the
-session-wide strict one when ``REPRO_LOCKCHECK=1``), so they work
+session-wide strict one when ``REPRO_SANITIZE=1``), so they work
 identically under the checked CI run.  The strict-mode tests pin the
 two delivery paths: a main-thread violation raises at the acquisition
 site; a worker-thread violation — swallowed by ``threading`` — is
@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.analysis import lockwitness
 from repro.analysis.lockwitness import (
     LockWitnessError,
@@ -294,19 +295,14 @@ class TestPayloadReplay:
 
 
 class TestActivation:
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOCKCHECK", raising=False)
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not lockwitness.enabled_from_env()
-        monkeypatch.setenv("REPRO_LOCKCHECK", "1")
-        assert lockwitness.enabled_from_env()
-        monkeypatch.setenv("REPRO_LOCKCHECK", "0")
-        assert not lockwitness.enabled_from_env()
+    def test_sanitizer_env_implies_lockcheck(self):
+        """``REPRO_SANITIZE`` is the one switch: the session fixture
+        turns the strict lock witness on exactly when it is set."""
+        from repro.analysis.sanitizer import enabled_from_env
 
-    def test_sanitizer_env_implies_lockcheck(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LOCKCHECK", raising=False)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert lockwitness.enabled_from_env()
+        session = lockwitness.current()
+        assert (session is not None) == enabled_from_env()
+        assert session is None or session.strict
 
     def test_innermost_witness_wins(self):
         """An injection test's permissive witness shields the strict
@@ -322,13 +318,13 @@ class TestActivation:
     def test_off_mode_is_inert(self):
         """With no witness active a WitnessedLock is a plain lock:
         nothing records, nothing checks."""
-        base = len(lockwitness._STACK)
-        lock = make_lock("plain")
-        with lock:
-            pass
-        lock.acquire()
-        lock.release()
-        assert len(lockwitness._STACK) == base
+        with obs.subscribed("locks", None):  # mask the session witness
+            assert lockwitness.current() is None
+            lock = make_lock("plain")
+            with lock:
+                pass
+            lock.acquire()
+            lock.release()
         # a later witness sees none of the pre-activation traffic
         with lockcheck(strict=True) as w:
             pass

@@ -2,12 +2,11 @@
 
 Each test class injects one of the bug classes the sanitizer exists
 for — a rank mutating a shared collective result (UCP025), a snapshot
-aliasing live engine state (UCP026), a poisoned cache return (UCP027),
-a loaded parameter still backed by cache memory (UCP028) — and asserts
-the diagnostic fires with the offending rank/key named.  Buggy variants
-simulate a *missing copy at the boundary itself*: they produce aliased
-results and hand them to the same public ``sanitize_boundary`` /
-``guard_snapshot`` hooks the real code paths call.
+aliasing live engine state (UCP026) — and asserts the diagnostic fires
+with the offending rank/key named.  Buggy variants simulate a *missing
+copy at the boundary itself*: they produce aliased results and hand
+them to the same public ``sanitize_boundary`` hook / slot events the
+real code paths use.
 
 The injection tests run their own non-strict sanitizer; under
 ``REPRO_SANITIZE=1`` it nests inside the session-wide strict one (the
@@ -19,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis import sanitizer as sanitizer_module
 from repro.analysis.diagnostics import LayoutLintError
 from repro.analysis.sanitizer import (
@@ -34,6 +34,13 @@ from repro.dist import collectives
 from repro.dist.process_group import ProcessGroup
 
 from tests.helpers import make_engine
+
+
+@pytest.fixture
+def no_sanitizer():
+    """Mask the session-wide sanitizer ``REPRO_SANITIZE=1`` installs."""
+    with obs.subscribed("mem", None):
+        yield
 
 
 def bad_broadcast(value, group_size, group=None):
@@ -101,9 +108,7 @@ class TestCollectiveBoundary:
         assert isinstance(err.value, LayoutLintError)
         assert err.value.report.by_rule("UCP025")
 
-    def test_no_active_sanitizer_is_a_no_op(self, monkeypatch):
-        # the REPRO_SANITIZE=1 session fixture may have one installed
-        monkeypatch.setattr(sanitizer_module, "_STACK", [])
+    def test_no_active_sanitizer_is_a_no_op(self, no_sanitizer):
         assert current() is None
         outs = bad_broadcast(np.ones(4), 2)  # silent without a sanitizer
         assert len(outs) == 2
@@ -220,89 +225,45 @@ class TestSnapshotBoundary:
             imc._replicas[key][0].fp32 = (
                 eng.zero.partitions[coord][dp_rank].fp32
             )
-            imc._sanitize_commit(imc._replicas)
+            obs.emit("replica_commit", "inmemory@it0", imc._replicas, eng.zero)
         found = san.report.by_rule("UCP026")
         assert found
         assert any("host" in d.location for d in found)
 
 
-CACHE_KEY = "atom:word_embeddings:fp32:tp0"
-
-
-@pytest.fixture
-def cached_block():
-    """A buffer some cache owns and hands out views of.
-
-    The loader no longer keeps one (it scatters straight into the
-    engine), so the cache-boundary rules are exercised on a buffer
-    registered directly, the way a cache would.
-    """
-    return np.arange(64, dtype=np.float32)
-
-
 class TestCacheBoundary:
-    def test_cached_atoms_are_read_only(self, cached_block):
+    """The escape hatches, on buffers the sanitizer protects (snapshot
+    captures)."""
+
+    def _protected(self):
+        from repro.ckpt.snapshot import SnapshotManager
+
+        eng = make_engine(seed=11)
+        mgr = SnapshotManager(eng)
+        snap = mgr.snapshot()
+        coord = next(iter(snap.zero.partitions))
+        return mgr, snap, snap.zero.partitions[coord][0].fp32
+
+    def test_claim_returns_private_writable_copy(self):
         with sanitize(strict=True) as san:
-            san.register_cache(CACHE_KEY, cached_block)
-        assert not cached_block.flags.writeable
-        with pytest.raises(ValueError):
-            cached_block[0] = 99.0
-
-    def test_poisoned_cache_is_ucp027(self, cached_block):
-        with sanitize(strict=False) as san:
-            san.register_cache(CACHE_KEY, cached_block)
-            cached_block.setflags(write=True)  # force past the protection
-            cached_block[0] = -1.0
-            san.check_cache_integrity(context="test")
-        found = san.report.by_rule("UCP027")
-        assert found
-        assert any(CACHE_KEY in d.message for d in found)
-
-    def test_exit_scan_catches_late_poisoning(self, cached_block):
-        with sanitize(strict=False) as san:
-            san.register_cache(CACHE_KEY, cached_block)
-            cached_block.setflags(write=True)
-        # the context-manager exit ran the final integrity scan
-        assert san.report.by_rule("UCP027")
-
-    def test_claim_returns_private_writable_copy(self, cached_block):
-        with sanitize(strict=True) as san:
-            san.register_cache(CACHE_KEY, cached_block)
-            view = cached_block[:16]
-            before = view[0]
-            mine = san.claim(view)
+            _, _, frozen = self._protected()
+            assert not frozen.flags.writeable
+            before = frozen[0]
+            mine = san.claim(frozen[:16])
             mine[0] = before + 123.0  # private copy: no violation
-            assert view[0] == before  # source untouched
-            san.check_cache_integrity(context="after claim")
+            assert frozen[0] == before  # source untouched
         assert san.report.ok
 
-    def test_thaw_exempts_buffer_from_integrity_scan(self, cached_block):
+    def test_thaw_exempts_buffer_from_integrity_scan(self, tmp_path):
         with sanitize(strict=True) as san:
-            san.register_cache(CACHE_KEY, cached_block)
-            san.thaw(cached_block)
-            cached_block[0] = 7.0  # deliberate, claimed mutation
-            san.check_cache_integrity(context="after thaw")
+            mgr, snap, frozen = self._protected()
+            san.thaw(frozen)
+            frozen[0] = 7.0  # deliberate, claimed mutation
+            mgr.persist(snap, str(tmp_path / "ckpt"))  # persist-time re-check
         assert san.report.ok
 
 
 class TestEngineSweep:
-    def test_loaded_param_aliasing_cache_is_ucp028(self):
-        eng = make_engine(seed=3)
-        with sanitize(strict=False) as san:
-            coord = next(iter(eng.zero.partitions))
-            part = eng.zero.partitions[coord][0]
-            fake_block = np.array(part.fp32)
-            san.register_cache("atom:word_embeddings:fp32", fake_block)
-            part.fp32 = fake_block  # load that kept the zero-copy view
-            san.check_engine(eng, context="after load")
-        found = san.report.by_rule("UCP028")
-        assert found
-        # names both the rank state key and the cached atom
-        assert any(
-            "word_embeddings" in d.message and "pp0" in d.location
-            for d in found
-        )
-
     def test_cross_rank_shared_partition_is_ucp025(self):
         eng = make_engine(seed=3)
         parts = eng.zero.partitions
@@ -364,20 +325,6 @@ class TestModelParameterSweep:
             for d in found
         ), san.report.render_text()
 
-    def test_param_kept_as_cache_view_is_ucp028(self):
-        eng = make_engine(seed=3)
-        name, param = next(iter(eng.model.named_parameters()))
-        with sanitize(strict=False) as san:
-            fake_block = np.array(param.data)
-            san.register_cache("block:rank0:model", fake_block)
-            param.data = fake_block  # zero-copy load kept the cache view
-            san.check_engine(eng, context="after load")
-        found = san.report.by_rule("UCP028")
-        assert any(
-            "model parameter" in d.message and name in d.location
-            for d in found
-        ), san.report.render_text()
-
     def test_clean_engine_params_stay_quiet_after_training(self):
         eng = make_engine(seed=3)
         eng.train(1)
@@ -385,8 +332,7 @@ class TestModelParameterSweep:
 
 
 class TestActivation:
-    def test_current_is_none_by_default(self, monkeypatch):
-        monkeypatch.setattr(sanitizer_module, "_STACK", [])
+    def test_current_is_none_by_default(self, no_sanitizer):
         assert current() is None
 
     def test_nesting_innermost_wins(self):
@@ -459,8 +405,7 @@ class TestEngineDPGradientSync:
         assert diags
         assert any("all_gather" in d.message for d in diags)
 
-    def test_no_active_sanitizer_keeps_step_running(self, monkeypatch):
-        monkeypatch.setattr(sanitizer_module, "_STACK", [])
+    def test_no_active_sanitizer_keeps_step_running(self, no_sanitizer):
         engine = self._dp_engine()
         coord = next(iter(engine.zero.partitions))
         parts = engine.zero.partitions[coord]

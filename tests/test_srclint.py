@@ -318,31 +318,87 @@ class TestRepoIsClean:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_core_does_not_import_its_plan_checker(self):
-        """Layering: the planner lives in ``repro.core.plan`` and the
-        provenance checker imports it, never the reverse — no module
-        under ``repro/core`` may import ``repro.analysis.provenance``
-        (the ``diagnostics`` leaf and the ``preflight_convert`` check
-        stay importable) — and each package still imports first in a
-        fresh interpreter, so the ``core`` <-> ``analysis.diagnostics``
-        cycle got no new edge."""
+    # every import of ``repro.analysis`` from below it, by name: the
+    # next one added fails this gate and has to be argued for here
+    ANALYSIS_IMPORTS_FROM_BELOW = {
+        ("core/convert.py", "repro.analysis.diagnostics"),
+        ("core/convert.py", "repro.analysis.interchange"),
+        ("core/plan.py", "repro.analysis.diagnostics"),
+        ("core/inspect.py", "repro.analysis.layout_lint"),
+        ("parallel/layout.py", "repro.analysis.diagnostics"),
+        ("dist/supervisor.py", "repro.analysis.continuity"),
+        ("dist/supervisor.py", "repro.analysis.interchange"),
+        ("dist/cluster.py", "repro.analysis.collective_trace"),
+    }
+
+    @staticmethod
+    def _imported_modules(path):
+        """``(lineno, module)`` for every import statement in a file, at
+        any depth (function-local imports count); ``from a import b``
+        yields both ``a`` and ``a.b``."""
         import ast
 
-        offenders = []
-        for path in sorted((Path(repro.__file__).parent / "core").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module or ""] + [
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    ]
-                else:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            for module in modules:
+                yield node.lineno, module
+
+    def test_core_does_not_import_its_plan_checker(self):
+        """The layering gate for the whole tree.
+
+        * ``repro/obs.py`` — the one hook slot every layer imports —
+          imports only the standard library.
+        * Nothing under ``src/repro`` outside ``analysis/`` and
+          ``cli.py`` imports a switchable witness (``sanitizer``,
+          ``lockwitness``, ``fswitness``, ``interleave``): hook sites
+          name events on the slot, never a checker.
+        * The planner lives in ``repro.core.plan`` and the provenance
+          checker imports it, never the reverse.
+        * What still reaches up into ``repro.analysis`` from below is
+          exactly :attr:`ANALYSIS_IMPORTS_FROM_BELOW`.
+        * Each package still imports first in a fresh interpreter.
+        """
+        root = Path(repro.__file__).parent
+        stdlib = set(getattr(  # 3.10+; the literal is what obs.py uses
+            sys, "stdlib_module_names", ("contextlib", "threading", "typing")
+        )) | {"__future__"}
+        foreign = [
+            module for _, module in self._imported_modules(root / "obs.py")
+            if module.split(".")[0] not in stdlib
+        ]
+        assert foreign == []
+
+        witnesses = ("sanitizer", "lockwitness", "fswitness", "interleave",
+                     "schedpoint", "provenance")
+        offenders, reaching_up = [], set()
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel.startswith("analysis/") or rel == "cli.py":
+                continue
+            for lineno, module in self._imported_modules(path):
+                parts = module.split(".")
+                if parts[:2] != ["repro", "analysis"]:
                     continue
-                if any(m.startswith("repro.analysis.provenance") for m in modules):
-                    offenders.append(f"{path.name}:{node.lineno}")
+                if len(parts) == 2:  # could hide any re-exported witness
+                    offenders.append(f"{rel}:{lineno} imports the package")
+                elif parts[2] in witnesses:
+                    offenders.append(f"{rel}:{lineno} imports {module}")
+                elif len(parts) == 3 and (
+                    root / "analysis" / f"{parts[2]}.py"
+                ).is_file():
+                    reaching_up.add((rel, module))
         assert offenders == []
-        for module in ("repro.core", "repro.analysis", "repro.core.plan"):
+        assert reaching_up == self.ANALYSIS_IMPORTS_FROM_BELOW
+
+        for module in ("repro.core", "repro.analysis", "repro.core.plan",
+                       "repro.storage.rangeio", "repro.obs"):
             proc = subprocess.run(
                 [sys.executable, "-c", f"import {module}"],
                 capture_output=True,
