@@ -70,7 +70,7 @@ _DIR_FSYNC_HELPERS = frozenset({
     "fsync_dir", "_fsync_dir", "sync_dir", "_sync_dir",
 })
 _LATEST_WRITERS = frozenset({
-    "write_text", "put_bytes", "save", "save_with_digest", "write_marker",
+    "write_text", "put_bytes", "save", "write_marker",
 })
 _MANIFEST_WRITERS = frozenset({"write_manifest"})
 

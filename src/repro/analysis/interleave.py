@@ -68,8 +68,12 @@ reproduced.
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import dataclasses
+import errno
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -744,6 +748,13 @@ SCENARIOS: Dict[str, str] = {
         "invariant: recovery sees a complete replica map, never a "
         "torn one"
     ),
+    "commit-pool": (
+        "two stagers and two commit threads drive the store's "
+        "CommitPool (reserve -> stage -> submit, publish, drain): three "
+        "groups over the two free slots of 2 x workers, one publish "
+        "failing; invariants: no deadlock, every reserved slot "
+        "released, drain raises the failure, no temp survives"
+    ),
 }
 """Registry names -> one-line descriptions (``repro explore --list``)."""
 
@@ -765,6 +776,7 @@ def build_scenario(name: str, seed: int = 0, root: Optional[str] = None) -> Scen
     builder = {
         "source-files": _build_source_files,
         "inmemory": _build_inmemory,
+        "commit-pool": _build_commit_pool,
     }[name]
     return builder(seed, root)
 
@@ -858,6 +870,159 @@ def _build_inmemory(seed: int, root: str) -> Scenario:
         return RunCase([committer, recoverer], fingerprint)
 
     return scenario("inmemory", fresh, SCENARIOS["inmemory"])
+
+
+class _ExploredExecutor:
+    """Stands in for the commit pool's ``ThreadPoolExecutor``: the same
+    ``submit() -> Future`` contract, but the tasks are run by the
+    scenario's controlled threads (:meth:`worker`), so the explorer
+    schedules the commit side as well as the stagers.  Commit threads
+    are interchangeable, so each serves one stager's FIFO (stager ``Ti``
+    -> commit thread ``i``): one legal assignment, and the one that
+    keeps the schedule space enumerable — the stagers still contend for
+    the pool's slots and its list of futures."""
+
+    def __init__(self, producers: int) -> None:
+        self._locks = [obs.make_lock(f"commit-queue[{i}]") for i in range(producers)]
+        self._tasks: List[collections.deque] = [
+            collections.deque() for _ in range(producers)
+        ]
+        self._open = [True] * producers  # stager i may still submit
+        self._futures: List[concurrent.futures.Future] = []
+
+    @staticmethod
+    def _stager() -> int:
+        return int(threading.current_thread().name[1:])  # "T0" / "T1"
+
+    def submit(self, fn, *args) -> concurrent.futures.Future:
+        fut: concurrent.futures.Future = concurrent.futures.Future()
+        i = self._stager()
+        with self._locks[i]:
+            access(f"commit-queue[{i}]", write=True)
+            self._tasks[i].append((fut, fn, args))
+        self._futures.append(fut)
+        return fut
+
+    def producer_done(self) -> None:
+        i = self._stager()
+        with self._locks[i]:
+            access(f"commit-queue[{i}]", write=True)
+            self._open[i] = False
+
+    @property
+    def open(self) -> bool:
+        return any(self._open)
+
+    def worker(self, i: int) -> Callable[[], None]:
+        """Commit thread ``i``'s life: run stager ``i``'s queued tasks
+        until the queue is empty and the stager has finished."""
+        def run() -> None:
+            tasks = self._tasks[i]
+
+            def ready() -> bool:
+                return bool(tasks) or not self._open[i]
+
+            while True:
+                obs.emit("wait", f"commit-queue[{i}]", ready)
+                with self._locks[i]:
+                    access(f"commit-queue[{i}]", write=True)
+                    if not tasks:
+                        return
+                    fut, fn, args = tasks.popleft()
+                try:
+                    fut.set_result(fn(*args))
+                except BaseException as exc:
+                    fut.set_exception(exc)
+
+        return run
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Like the real one's: returns once every submitted task ran."""
+        for fut in self._futures:
+            obs.emit("wait", "commit-queue.shutdown", fut.done)
+            fut.exception()
+
+
+def _build_commit_pool(seed: int, root: str) -> Scenario:
+    from repro.storage.faults import FaultPolicy
+    from repro.storage.store import CommitGroup, CommitPool, ObjectStore
+
+    workers = 2
+    held = 2  # slots an earlier writer's groups still occupy
+    # each stager's groups (two files each): three groups over the two
+    # free slots of 2 * workers, so some reserve has to wait for a publish
+    plans = [["a0", "a1"], ["b0"]]
+    failing = "a1/y.bin"  # the second rename of its group
+    blob = _blob(seed, "group", 256)
+    runs = itertools.count()
+
+    class FailOne(FaultPolicy):
+        def _publish_fault(self, op_index, rel_path, tmp_path) -> None:
+            if rel_path == failing:
+                raise OSError(errno.ENOSPC, f"injected ENOSPC publishing {rel_path}")
+
+    def fresh() -> RunCase:
+        base = os.path.join(root, f"run{next(runs)}")
+        store = ObjectStore(base, faults=FailOne(), durable=False)
+        pool = CommitPool(workers)
+        pool._pool.shutdown()  # the explorer's threads do the publishing
+        for _ in range(held):
+            pool.reserve()
+        executor = pool._pool = _ExploredExecutor(len(plans))
+        out: Dict[str, object] = {}
+
+        def stager(index: int) -> Callable[[], None]:
+            def stage_all() -> None:
+                try:
+                    for name in plans[index]:
+                        pool.reserve()
+                        group = CommitGroup(store)
+                        try:
+                            for leaf in ("x.bin", "y.bin"):
+                                group.stage(f"{name}/{leaf}", blob)
+                        except BaseException:
+                            pool.release()
+                            raise
+                        pool.submit(group)
+                finally:
+                    executor.producer_done()
+
+            def run() -> None:
+                if index:
+                    return stage_all()
+                # the first stager is also the writer that owns the
+                # pool: it joins the other, drains, and leaves the block
+                with pool:
+                    stage_all()
+                    obs.emit("wait", "stagers", lambda: not executor.open)
+                    try:
+                        pool.drain()
+                    except OSError as exc:
+                        out["drain"] = errno.errorcode[exc.errno]
+                # every publish has finished, one of them by failing
+                tmps = sorted(p.name for p in store.base.rglob("*.tmp"))
+                free = pool._slots._value
+                if out.get("drain") != "ENOSPC" or free != 2 * workers - held or tmps:
+                    raise AssertionError(
+                        f"left the pool with drain -> {out.get('drain')}, "
+                        f"{free} of {2 * workers - held} slots free, temps {tmps}"
+                    )
+
+            return run
+
+        def fingerprint() -> str:
+            return json.dumps({
+                "drain": out.get("drain"),
+                "files": store.list(),
+                "submitted": len(pool._publishes),
+            }, sort_keys=True)
+
+        return RunCase(
+            [stager(0), stager(1), executor.worker(0), executor.worker(1)],
+            fingerprint,
+        )
+
+    return scenario("commit-pool", fresh, SCENARIOS["commit-pool"])
 
 
 # --- one controlled execution ------------------------------------------

@@ -71,7 +71,7 @@ BLOCKING_CALL_NAMES = frozenset({
     "result", "wait", "sleep", "barrier", "acquire",
     # object-store / checkpoint IO
     "read_range", "read_ranges", "put_bytes", "write_bytes",
-    "save", "save_with_digest", "save_distributed_checkpoint", "persist",
+    "save", "save_distributed_checkpoint", "persist",
 }) | frozenset(COLLECTIVE_NAMES)
 """Terminal call names treated as blocking for SRC007."""
 

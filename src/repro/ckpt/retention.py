@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from repro.ckpt import naming
 from repro.ckpt.errors import CheckpointNotFoundError
+from repro.ckpt.loader import resolve_tag
 from repro.storage.store import ObjectStore
 
 
@@ -62,6 +63,11 @@ def prune_checkpoints(
     The ``latest`` tag is always protected even if the policy would
     not keep it.  Cached UCP conversions (``ucp_<tag>`` directories)
     of pruned tags are removed too.
+
+    Raises:
+        CheckpointIntegrityError: ``latest`` is damaged (does not
+            decode, blank, not a tag name) — nothing is pruned, since
+            the tag it was protecting can no longer be told.
     """
     policy = policy if policy is not None else RetentionPolicy()
     store = ObjectStore(directory)
@@ -71,9 +77,9 @@ def prune_checkpoints(
 
     protected = set(tags[-policy.keep_last :])
     try:
-        protected.add(store.read_text(naming.LATEST_FILE).strip())
-    except FileNotFoundError:
-        pass
+        protected.add(resolve_tag(store, None))
+    except CheckpointNotFoundError:
+        pass  # no pointer at all: the window alone decides
     if policy.keep_every:
         for tag in tags:
             if naming.step_from_tag(tag) % policy.keep_every == 0:

@@ -11,7 +11,18 @@ save-time work beyond metadata that is already known at save time.
 
 Saves are crash-consistent: every file is an atomic commit, a per-tag
 manifest (:mod:`repro.ckpt.manifest`) records each file's digest, and
-``latest`` advances only after the manifest is durable.  That ordering
+``latest`` advances only after the manifest is durable.  The commit is
+the conversion's: payloads are built in rank order on the calling
+thread, ``serialize`` + SHA-256 of each rank file fan out over
+``min(8, cpu_count)`` threads (order-preserving, at most ``workers + 1``
+encoded files alive at once), the calling thread *stages* each file in
+rank order — so store write *k* names the same file at every width and
+the fault hooks and byte/simulated-time accounting stay single-threaded
+— and the store's :class:`~repro.storage.store.CommitPool` publishes
+behind it (fsync, rename, directory fsync).  The manifest is staged
+only once that pool has drained, and leaving the save, however it ends,
+waits for every submitted publish.  There is no knob: the width is the
+machine's, and at one core the save is the serial one.  That ordering
 is machine-checked twice over: statically by the filesystem-effect
 lint (SRC009-SRC012, ``repro lint-src --fs``) and at runtime by the
 FS-op witness (:mod:`repro.analysis.fswitness`), whose crash-state
@@ -21,13 +32,23 @@ every legal post-crash disk state (UCP032-UCP035).
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
+import contextlib
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.dist.topology import ParallelConfig
-from repro.storage.store import ObjectStore
+from repro.storage.serializer import serialize
+from repro.storage.store import (
+    CommitGroup,
+    CommitPool,
+    ObjectStore,
+    resolve_workers,
+    sha256_hex,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +113,147 @@ def _partition_meta(rank_layout, dp_rank: int) -> Dict:
     }
 
 
+def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
+    """``(basename, payload)`` of every data file of a save, in rank
+    order: the job config, then per model-parallel rank its module
+    shard(s) and its optimizer partition(s)."""
+    cfg: ParallelConfig = engine.parallel_cfg
+    job_config = _job_config_payload(engine)
+    job_config["optimizer_layout"] = optimizer_layout
+    yield naming.JOB_CONFIG_FILE, job_config
+
+    scaler_state = (
+        engine.loss_scaler.state_dict() if engine.loss_scaler is not None else None
+    )
+
+    for coord in engine.layout.mp_coords():
+        pp_stage, sp_rank, tp_rank = coord
+        mp_rank = engine.layout.mp_rank_index(*coord)
+        rank_layout = engine.layout.rank_layout(*coord)
+        names = [e.name for e in rank_layout.entries]
+
+        if cfg.zero_stage < 3:
+            shards = engine.zero.shard_tensors(coord)
+            module = {
+                entry.name: engine.mp_policy.working_copy(shards[entry.name])
+                for entry in rank_layout.entries
+            }
+            yield naming.model_states_name(mp_rank), {
+                "module": module,
+                "iteration": engine.iteration,
+                "mp_rank": mp_rank,
+                "pp_stage": pp_stage,
+                "sp_rank": sp_rank,
+                "tp_rank": tp_rank,
+                "parallel_config": cfg.to_dict(),
+                "sharding": _sharding_metadata(engine, names),
+            }
+        else:
+            # ZeRO-3: parameters are flat partitions per dp rank
+            for d in range(cfg.dp):
+                part = engine.zero.partitions[coord][d]
+                yield naming.zero3_model_states_name(d), {
+                    "flat_param_partition": engine.mp_policy.working_copy(part.fp32),
+                    "iteration": engine.iteration,
+                    "dp_rank": d,
+                    "parallel_config": cfg.to_dict(),
+                    "partition_meta": _partition_meta(rank_layout, d),
+                    "sharding": _sharding_metadata(engine, names),
+                }
+
+        if optimizer_layout == "per_param":
+            yield naming.optim_states_name(0, mp_rank), {
+                "param_states": {
+                    kind: engine.zero.shard_tensors(coord, kind)
+                    for kind in ("fp32", "exp_avg", "exp_avg_sq")
+                },
+                "optimizer_step": engine.zero.partitions[coord][0].state.step,
+                "zero_stage": cfg.zero_stage,
+                "parallel_config": cfg.to_dict(),
+                "pp_stage": pp_stage,
+                "sp_rank": sp_rank,
+                "tp_rank": tp_rank,
+                "adam": engine.adam.hyperparameters(),
+                "loss_scaler": scaler_state,
+                "sharding": _sharding_metadata(engine, names),
+            }
+            continue
+
+        dp_ranks = [0] if cfg.zero_stage == 0 else list(range(cfg.dp))
+        for d in dp_ranks:
+            if cfg.zero_stage == 0:
+                fp32 = engine.zero.full_flat(coord, "fp32")
+                exp_avg = engine.zero.full_flat(coord, "exp_avg")
+                exp_avg_sq = engine.zero.full_flat(coord, "exp_avg_sq")
+                step = engine.zero.partitions[coord][0].state.step
+                meta = _partition_meta(rank_layout, 0)
+                meta["partition_numel"] = rank_layout.flat_numel
+            else:
+                part = engine.zero.partitions[coord][d]
+                fp32 = part.fp32
+                exp_avg = part.state.exp_avg
+                exp_avg_sq = part.state.exp_avg_sq
+                step = part.state.step
+                meta = _partition_meta(rank_layout, d)
+            yield naming.optim_states_name(d, mp_rank), {
+                "fp32_flat_partition": fp32,
+                "exp_avg_flat_partition": exp_avg,
+                "exp_avg_sq_flat_partition": exp_avg_sq,
+                "optimizer_step": step,
+                "partition_meta": meta,
+                "zero_stage": cfg.zero_stage,
+                "parallel_config": cfg.to_dict(),
+                "pp_stage": pp_stage,
+                "sp_rank": sp_rank,
+                "tp_rank": tp_rank,
+                "adam": engine.adam.hyperparameters(),
+                "loss_scaler": scaler_state,
+                "sharding": _sharding_metadata(engine, names),
+            }
+
+
+def _encode(payload: Dict) -> Tuple[bytes, str]:
+    """A file's committed bytes and the digest its manifest entry
+    records — computed over those exact bytes, so the entry detects any
+    later mutation."""
+    data = serialize(payload)
+    return data, sha256_hex(data)
+
+
+def _encoded(
+    payloads: Iterable[Tuple[str, Dict]], workers: int
+) -> Iterator[Tuple[str, bytes, str]]:
+    """``(basename, bytes, sha256)`` per payload, in input order.
+
+    Above one worker the encodes run on a thread pool while the caller
+    stages: a payload is pulled (built) only when fewer than
+    ``workers + 1`` files are encoded-or-encoding and not yet handed
+    over, which bounds the save's transient memory.  Closing the
+    generator joins the pool.
+    """
+    if workers <= 1:
+        for basename, payload in payloads:
+            yield (basename, *_encode(payload))
+        return
+    window: collections.deque = collections.deque()
+
+    def oldest() -> Tuple[str, bytes, str]:
+        # no reference to the future (and so to its bytes) stays behind
+        basename, fut = window.popleft()
+        return (basename, *fut.result())
+
+    with concurrent.futures.ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="ucp-encode"
+    ) as pool:
+        for basename, payload in payloads:
+            window.append((basename, pool.submit(_encode, payload)))
+            del payload  # the encoder's reference is the last one
+            if len(window) > workers:
+                yield oldest()
+        while window:
+            yield oldest()
+
+
 def save_distributed_checkpoint(
     engine,
     directory: str,
@@ -133,120 +295,35 @@ def save_distributed_checkpoint(
     cluster = getattr(engine, "cluster", None)
     if cluster is not None:
         cluster.barrier(f"save:{tag}:enter")
-    cfg: ParallelConfig = engine.parallel_cfg
-    files: List[str] = []
-    entries: Dict[str, Dict] = {}
-    total = 0
+    entries: Dict[str, Dict] = {}  # basename -> manifest entry, rank order
 
-    def _commit(basename: str, payload: Dict) -> None:
-        # every data file is an atomic commit; its digest feeds the
-        # tag manifest written at the end (the tag's commit point)
-        nonlocal total
-        nbytes, digest = store.save_with_digest(f"{tag}/{basename}", payload)
-        entries[basename] = {"nbytes": nbytes, "sha256": digest}
-        files.append(f"{tag}/{basename}")
-        total += nbytes
+    # every data file is an atomic commit; its digest feeds the tag
+    # manifest written at the end (the tag's commit point).  Encoded on
+    # the fan-out, staged here in rank order, published behind: leaving
+    # the block joins both pools, whatever ended the save
+    workers = resolve_workers(None)
+    with CommitPool(workers) as commits, contextlib.closing(
+        _encoded(_rank_payloads(engine, optimizer_layout), workers)
+    ) as encoded:
+        for basename, data, digest in encoded:
+            group = CommitGroup(store)
+            commits.reserve()
+            try:
+                nbytes = group.stage(f"{tag}/{basename}", data)
+            except BaseException:
+                # staging died before the group reached the pool
+                commits.release()
+                raise
+            commits.submit(group)
+            del data  # staged: only the page cache holds the bytes now
+            entries[basename] = {"nbytes": nbytes, "sha256": digest}
+        # a publish that failed fails the save here, before the manifest
+        commits.drain()
 
-    job_config = _job_config_payload(engine)
-    job_config["optimizer_layout"] = optimizer_layout
-    _commit(naming.JOB_CONFIG_FILE, job_config)
-
-    scaler_state = (
-        engine.loss_scaler.state_dict() if engine.loss_scaler is not None else None
-    )
-
-    for coord in engine.layout.mp_coords():
-        pp_stage, sp_rank, tp_rank = coord
-        mp_rank = engine.layout.mp_rank_index(*coord)
-        rank_layout = engine.layout.rank_layout(*coord)
-        names = [e.name for e in rank_layout.entries]
-
-        if cfg.zero_stage < 3:
-            shards = engine.zero.shard_tensors(coord)
-            module = {
-                entry.name: engine.mp_policy.working_copy(shards[entry.name])
-                for entry in rank_layout.entries
-            }
-            payload = {
-                "module": module,
-                "iteration": engine.iteration,
-                "mp_rank": mp_rank,
-                "pp_stage": pp_stage,
-                "sp_rank": sp_rank,
-                "tp_rank": tp_rank,
-                "parallel_config": cfg.to_dict(),
-                "sharding": _sharding_metadata(engine, names),
-            }
-            _commit(naming.model_states_name(mp_rank), payload)
-        else:
-            # ZeRO-3: parameters are flat partitions per dp rank
-            for d in range(cfg.dp):
-                part = engine.zero.partitions[coord][d]
-                payload = {
-                    "flat_param_partition": engine.mp_policy.working_copy(part.fp32),
-                    "iteration": engine.iteration,
-                    "dp_rank": d,
-                    "parallel_config": cfg.to_dict(),
-                    "partition_meta": _partition_meta(rank_layout, d),
-                    "sharding": _sharding_metadata(engine, names),
-                }
-                _commit(naming.zero3_model_states_name(d), payload)
-
-        if optimizer_layout == "per_param":
-            payload = {
-                "param_states": {
-                    kind: engine.zero.shard_tensors(coord, kind)
-                    for kind in ("fp32", "exp_avg", "exp_avg_sq")
-                },
-                "optimizer_step": engine.zero.partitions[coord][0].state.step,
-                "zero_stage": cfg.zero_stage,
-                "parallel_config": cfg.to_dict(),
-                "pp_stage": pp_stage,
-                "sp_rank": sp_rank,
-                "tp_rank": tp_rank,
-                "adam": engine.adam.hyperparameters(),
-                "loss_scaler": scaler_state,
-                "sharding": _sharding_metadata(engine, names),
-            }
-            _commit(naming.optim_states_name(0, mp_rank), payload)
-            continue
-
-        dp_ranks = [0] if cfg.zero_stage == 0 else list(range(cfg.dp))
-        for d in dp_ranks:
-            if cfg.zero_stage == 0:
-                fp32 = engine.zero.full_flat(coord, "fp32")
-                exp_avg = engine.zero.full_flat(coord, "exp_avg")
-                exp_avg_sq = engine.zero.full_flat(coord, "exp_avg_sq")
-                step = engine.zero.partitions[coord][0].state.step
-                meta = _partition_meta(rank_layout, 0)
-                meta["partition_numel"] = rank_layout.flat_numel
-            else:
-                part = engine.zero.partitions[coord][d]
-                fp32 = part.fp32
-                exp_avg = part.state.exp_avg
-                exp_avg_sq = part.state.exp_avg_sq
-                step = part.state.step
-                meta = _partition_meta(rank_layout, d)
-            payload = {
-                "fp32_flat_partition": fp32,
-                "exp_avg_flat_partition": exp_avg,
-                "exp_avg_sq_flat_partition": exp_avg_sq,
-                "optimizer_step": step,
-                "partition_meta": meta,
-                "zero_stage": cfg.zero_stage,
-                "parallel_config": cfg.to_dict(),
-                "pp_stage": pp_stage,
-                "sp_rank": sp_rank,
-                "tp_rank": tp_rank,
-                "adam": engine.adam.hyperparameters(),
-                "loss_scaler": scaler_state,
-                "sharding": _sharding_metadata(engine, names),
-            }
-            _commit(naming.optim_states_name(d, mp_rank), payload)
-
-    # commit protocol: manifest after every data file, `latest` only
-    # after the manifest — a crash anywhere leaves the previous tag
-    # fully intact and this tag either committed or provably torn
+    # commit protocol: manifest after every data file is durable,
+    # `latest` only after the manifest — a crash anywhere leaves the
+    # previous tag fully intact and this tag either committed or
+    # provably torn
     manifest_mod.write_manifest(store, tag, entries)
     manifest_digest = store.digest(manifest_mod.manifest_path(tag))
     store.write_text(naming.LATEST_FILE, tag)
@@ -262,8 +339,8 @@ def save_distributed_checkpoint(
         directory=directory,
         tag=tag,
         step=engine.iteration,
-        files=files,
-        total_bytes=total,
+        files=[f"{tag}/{basename}" for basename in entries],
+        total_bytes=sum(entry["nbytes"] for entry in entries.values()),
         simulated_write_s=store.simulated_write_s,
         manifest_digest=manifest_digest,
     )

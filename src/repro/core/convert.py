@@ -53,10 +53,7 @@ only after re-reading it CRC-checked, never because it is there.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
-import os
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -94,7 +91,7 @@ from repro.parallel.tp import (
 )
 from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.serializer import SerializationError
-from repro.storage.store import CommitGroup, ObjectStore
+from repro.storage.store import CommitPool, ObjectStore, resolve_workers
 
 CONVERT_SOURCE_FILE = "ucp_convert_source.npt"
 """Marker recording which committed source a (possibly partial)
@@ -173,20 +170,6 @@ def _optim_files(store: ObjectStore, tag: str) -> List[str]:
     if not files:
         raise UCPFormatError(f"no optimizer-state files under tag {tag!r}")
     return files
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    """CPU-aware worker count: ``None`` means ``min(8, cpu_count)``.
-
-    Explicit ``0``/``1`` stay serial; explicit counts are respected.
-    The *output bytes* are the same at any count — the parallel map
-    preserves input order regardless of completion order.  Which atoms
-    have landed when a run dies is only fixed at ``0``/``1``.  Above 1
-    the same count also sizes the commit pool (:class:`_CommitPool`).
-    """
-    if workers is None:
-        return min(8, os.cpu_count() or 1)
-    return workers
 
 
 def _map_maybe_parallel(fn, items, workers: int):
@@ -394,76 +377,6 @@ def _claim_destination(
     return reused
 
 
-class _CommitPool:
-    """Write-behind publisher of the fan-out's staged atoms.
-
-    A fan-out worker stages an atom's :class:`CommitGroup` and hands it
-    to :meth:`submit` (installed as the atom store's ``publish``); one
-    of ``workers`` commit threads then runs the group's fsyncs and
-    renames while the worker is already assembling its next atom — the
-    fsyncs wait for writeback with the GIL released, so a pool as wide
-    as the fan-out keeps up with it without taking CPU from it.
-
-    A worker :meth:`reserve`-s a slot before it stages and the commit
-    thread frees it once the group is published, so at most
-    ``2 * workers`` atoms are ever staged-but-unpublished (dirty page
-    cache and temp files, not process memory).  Leaving the ``with``
-    block waits for every submitted publish, success or not: no file
-    effect outlives the conversion that caused it.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="ucp-commit"
-        )
-        self._slots = threading.BoundedSemaphore(2 * workers)
-        # appended by workers (list.append is atomic), read by drain()
-        # only after the fan-out has joined
-        self._publishes: List[concurrent.futures.Future] = []
-        # Start the commit threads now, ahead of the fan-out's, rather
-        # than at the first submit.  glibc hands a new thread the most
-        # recently freed malloc arena; with a fixed start order the
-        # threads that allocate atoms get the same arenas conversion
-        # after conversion, instead of trading them with the commit
-        # threads and leaving every arena holding freed atom buffers
-        # (measured: ~40 MB of peak RSS per process, at any model size).
-        started = threading.Barrier(workers + 1)
-        for _ in range(workers):
-            self._pool.submit(started.wait)
-        started.wait()
-
-    def __enter__(self) -> "_CommitPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._pool.shutdown(wait=True)
-
-    def reserve(self) -> None:
-        """Block until fewer than ``2 * workers`` atoms are in flight."""
-        self._slots.acquire()
-
-    def release(self) -> None:
-        """Give back a reserved slot whose atom was never submitted."""
-        self._slots.release()
-
-    def submit(self, group: CommitGroup) -> None:
-        """Queue a fully staged group for publishing."""
-        self._publishes.append(self._pool.submit(self._publish, group))
-
-    def _publish(self, group: CommitGroup) -> float:
-        t_p = time.perf_counter()
-        try:
-            group.publish()
-        finally:
-            self._slots.release()
-        return time.perf_counter() - t_p
-
-    def drain(self) -> float:
-        """Wait until every submitted group is durable; returns the
-        publish thread-seconds.  Raises the first publish failure."""
-        return sum(fut.result() for fut in self._publishes)
-
-
 def _open_reader(
     src_store: ObjectStore, plan: ConversionPlan
 ) -> Tuple[RangeReader, List[float]]:
@@ -519,13 +432,13 @@ def _convert_atom(
     plan: ConversionPlan,
     reader: RangeReader,
     atom_store: AtomStore,
-    commits: Optional[_CommitPool],
+    commits: CommitPool,
     name: str,
 ) -> Tuple[str, int, Dict, Dict]:
     """Execute: Extract + Union + StripPadding + write, fused for one
     parameter; returns ``(name, bytes written, metadata entry, stats)``.
-    ``commits`` is the write-behind pool ``atom_store.publish`` points
-    at, or None when atoms are published inline.
+    ``commits`` is the pool ``atom_store.publish`` points at
+    (write-behind above one worker, inline otherwise).
 
     The atom is written the moment it consolidates, so in-flight memory
     is bounded by workers x parameter size, not checkpoint size.
@@ -570,15 +483,13 @@ def _convert_atom(
         reader.cache.release(rel)
     stats["assemble"] = time.perf_counter() - t_task - stats["read"]
     atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
-    if commits is not None:
-        commits.reserve()
+    commits.reserve()
     t_w = time.perf_counter()
     try:
         nbytes = atom_store.write(atom)
     except BaseException:
         # staging died before the group reached the pool
-        if commits is not None:
-            commits.release()
+        commits.release()
         raise
     stats["write"] = time.perf_counter() - t_w
     return name, nbytes, {
@@ -590,7 +501,7 @@ def _convert_atom(
 
 def _commit(
     dst_store: ObjectStore,
-    commits: Optional[_CommitPool],
+    commits: CommitPool,
     params: Dict[str, Dict],
     job_config: Dict,
     analysis: ProvenanceAnalysis,
@@ -606,7 +517,7 @@ def _commit(
     group publish fsyncs only the directory *its files* are in.
     Returns ``ucp_meta.npt``'s byte size and the drained publishes'
     thread-seconds."""
-    publish_s = commits.drain() if commits is not None else 0.0
+    publish_s = commits.drain()
     dst_store.fsync_dir(ATOMS_DIR)
     metadata = UCPMetadata(
         iteration=int(job_config["iteration"]),
@@ -682,7 +593,7 @@ def ucp_convert(
             manifest structurally incomplete (a UCPFormatError
             subclass; carries the individual rule-ID diagnostics).
     """
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     src_store = ObjectStore(ckpt_dir)
     src_tag = resolve_tag(src_store, tag)
     if not (src_store.base / src_tag).is_dir():
@@ -736,11 +647,8 @@ def ucp_convert(
     # scheduling is free to chase locality. ---
     fan_order = sorted(fresh_names, key=lambda n: (read_plans[n].files, n))
     reader, digest_seconds = _open_reader(src_store, plan)
-    with (
-        _CommitPool(workers) if workers > 1 else contextlib.nullcontext()
-    ) as commits:
-        if commits is not None:
-            atom_store.publish = commits.submit
+    with CommitPool(workers) as commits:
+        atom_store.publish = commits.submit
         try:
             results = _map_maybe_parallel(
                 lambda name: _convert_atom(plan, reader, atom_store, commits, name),

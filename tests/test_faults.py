@@ -189,10 +189,20 @@ class TestValidateNpt:
 
 
 class TestDigests:
-    def test_save_with_digest_matches_disk(self, tmp_path, rng):
+    def test_manifest_entries_match_disk(self, tmp_path):
+        """The saver digests the exact bytes it commits: every manifest
+        entry's size and SHA-256 are the on-disk file's."""
+        from repro.ckpt.manifest import read_manifest
+        from tests.helpers import make_engine
+
+        engine = make_engine()
+        engine.train(1)
+        info = engine.save_checkpoint(str(tmp_path))
         store = ObjectStore(str(tmp_path))
-        obj = {"x": rng.standard_normal(16).astype(np.float32)}
-        nbytes, digest = store.save_with_digest("x.npt", obj)
-        on_disk = (store.base / "x.npt").read_bytes()
-        assert nbytes == len(on_disk)
-        assert digest == sha256_hex(on_disk) == store.digest("x.npt")
+        entries = read_manifest(store, info.tag)["files"]
+        assert sorted(f"{info.tag}/{name}" for name in entries) == sorted(info.files)
+        for name, entry in entries.items():
+            on_disk = (store.base / info.tag / name).read_bytes()
+            assert entry["nbytes"] == len(on_disk)
+            assert entry["sha256"] == sha256_hex(on_disk)
+            assert entry["sha256"] == store.digest(f"{info.tag}/{name}")

@@ -222,8 +222,32 @@ class TestRegistryScenarios:
         assert result.ok
         assert result.exhaustive
 
+    def test_commit_pool_sample_is_clean(self):
+        """A sample of the pool's schedule space (CI's ``checked`` job
+        runs all 2064 schedules with ``--require-exhaustive``): every
+        schedule ends with the failure raised by ``drain``, the slots
+        back and no temp — the scenario's own threads assert it."""
+        result = interleave.explore("commit-pool", schedules=48)
+        assert result.report.errors == []
+        assert result.schedules_run == 48
+        assert not result.exhaustive  # and says so (UCP039)
+
+    def test_commit_pool_slot_leak_is_caught(self, monkeypatch):
+        from repro.storage.store import CommitPool
+
+        def leaky_publish(self, group):
+            group.publish()  # a publish that raises skips the release
+            self._slots.release()
+            return 0.0
+
+        monkeypatch.setattr(CommitPool, "_publish", leaky_publish)
+        with pytest.raises(interleave.ExploreError, match="slots free"):
+            interleave.explore("commit-pool", schedules=4)
+
     def test_registry_names_build(self):
-        assert set(interleave.SCENARIOS) == {"source-files", "inmemory"}
+        assert set(interleave.SCENARIOS) == {
+            "source-files", "inmemory", "commit-pool",
+        }
 
 
 class TestDeterminism:

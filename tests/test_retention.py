@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ckpt.errors import CheckpointNotFoundError
+from repro.ckpt import naming
+from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
 from repro.ckpt.retention import RetentionPolicy, list_tags, prune_checkpoints
 from repro.core.resume import resume_training
 from repro.dist.topology import ParallelConfig
@@ -137,3 +138,23 @@ class TestPruneEdgeCases:
         resumed = resume_training(ckpt, ParallelConfig())
         assert resumed.iteration == 2
         assert verify_directory(ckpt).ok
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe\x00bad", b"", b"  \n", b"../x", b"a/b", b".."],
+        ids=["non-utf8", "empty", "blank", "dotdot-slash", "nested", "dotdot"],
+    )
+    def test_damaged_latest_prunes_nothing(self, tmp_path, raw):
+        """``latest`` named the only committed tag and a newer save tore:
+        with the pointer damaged, pruning must refuse (naming the file)
+        rather than keep the torn tag and delete the committed one."""
+        engine = make_engine(seed=7)
+        engine.train(2)
+        engine.save_checkpoint(str(tmp_path))
+        base = ObjectStore(str(tmp_path)).base
+        (base / "global_step4").mkdir()  # a save that died before its manifest
+        (base / naming.LATEST_FILE).write_bytes(raw)
+        with pytest.raises(CheckpointIntegrityError, match="latest"):
+            prune_checkpoints(str(tmp_path), RetentionPolicy(keep_last=1))
+        assert list_tags(str(tmp_path)) == ["global_step2", "global_step4"]
+        assert (base / "global_step2" / naming.MANIFEST_FILE).is_file()
