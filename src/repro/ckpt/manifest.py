@@ -106,7 +106,7 @@ def manifest_entry(manifest: Optional[Dict], basename: str) -> Optional[Dict]:
 
 
 def load_verified(
-    store: ObjectStore, rel_path: str, entry: Optional[Dict], parallel: int = 1
+    store: ObjectStore, rel_path: str, entry: Optional[Dict]
 ) -> Any:
     """Read + deserialize one object, verifying its manifest entry.
 
@@ -120,7 +120,7 @@ def load_verified(
         FileNotFoundError: no object at the path.
         CheckpointIntegrityError: digest mismatch or malformed bytes.
     """
-    data = store.read_bytes(rel_path, parallel=parallel)
+    data = store.read_bytes(rel_path)
     if entry is not None and (
         len(data) != int(entry["nbytes"]) or sha256_hex(data) != entry["sha256"]
     ):

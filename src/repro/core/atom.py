@@ -92,7 +92,7 @@ class AtomStore:
             raise UCPFormatError(f"illegal atom name {name!r}")
         return f"{ATOMS_DIR}/{name}/{filename}"
 
-    def write(self, atom: AtomCheckpoint, parallel: int = 1) -> int:
+    def write(self, atom: AtomCheckpoint) -> int:
         """Persist one atom as one commit group; returns bytes written."""
         group = CommitGroup(self.store)
         total = 0
@@ -100,7 +100,6 @@ class AtomStore:
             total += group.stage(
                 self._atom_path(atom.name, f"{kind}.npt"),
                 serialize({"values": np.asarray(values, dtype=np.float32)}),
-                parallel=parallel,
             )
         total += group.stage(
             self._atom_path(atom.name, ATOM_META_FILE),
@@ -114,12 +113,12 @@ class AtomStore:
         self.publish(group)
         return total
 
-    def read_state(self, name: str, kind: str, parallel: int = 1) -> np.ndarray:
+    def read_state(self, name: str, kind: str) -> np.ndarray:
         """Read one state array of one parameter."""
         rel = self._atom_path(name, f"{kind}.npt")
         if not self.store.exists(rel):
             raise AtomMissingError(f"missing atom state {rel}")
-        obj = self.store.load(rel, parallel=parallel)
+        obj = self.store.load(rel)
         if not isinstance(obj, dict) or not isinstance(
             obj.get("values"), np.ndarray
         ):

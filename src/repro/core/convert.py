@@ -179,20 +179,38 @@ def _map_maybe_parallel(fn, items, workers: int):
     return [fn(item) for item in items]
 
 
-_GATHER_INDEX_THRESHOLD = 8
-"""Slice count above which an item scatters through precomputed index
-arrays (one fancy-index assignment) instead of a per-slice copy loop.
-Below it the loop is cheaper than building the indices: the index
-arrays cost ~6 numpy ops to build but are reused across all three
-state kinds, so the break-even sits at a handful of slices."""
+def _strided_runs(item: ReadItem) -> List[Tuple[int, int, int, int, int, int]]:
+    """An item's rows as ``(source start, destination start, length,
+    source step, destination step, row count)`` runs, sources counted
+    from the item's first row.  Row ``i`` joins row ``i - 1``'s run when
+    it has the same length, both starts advance by a positive step (the
+    destination's by at least the length: no overlap where rows land)
+    and — if row ``i - 1`` met that too — by the same steps; every other
+    row starts a run.  The row-major tiling of a TP shard is one run."""
+    fs, dst, lengths = item.file_starts, item.full_starts, item.lengths
+    n = int(fs.size)
+    if n == 1:
+        return [(0, int(dst[0]), int(lengths[0]), 0, 0, 1)]
+    src = fs - fs[0]
+    ds, dd = np.diff(src), np.diff(dst)
+    joins = (lengths[1:] == lengths[:-1]) & (ds > 0) & (dd >= lengths[1:])
+    joins[1:] &= ~joins[:-1] | ((ds[1:] == ds[:-1]) & (dd[1:] == dd[:-1]))
+    first = np.flatnonzero(np.concatenate(([True], ~joins)))
+    second = np.minimum(first + 1, n - 1)
+    return list(zip(
+        src[first].tolist(), dst[first].tolist(), lengths[first].tolist(),
+        (src[second] - src[first]).tolist(), (dst[second] - dst[first]).tolist(),
+        np.diff(np.append(first, n)).tolist(),
+    ))
 
-_GATHER_INDEX_MAX_AVG_ELEMS = 1024
-"""Mean slice length (elements) above which fancy indexing loses to a
-per-slice contiguous copy.  Element-index gather moves one element per
-index (and materializes int64 index arrays as large as the data); a
-contiguous ``arr[a:b] = view[c:d]`` is a memcpy.  The loop's ~µs of
-Python per slice amortizes once slices reach a few KiB, so only blocks
-of many *small* slices take the index path."""
+
+def _rows(flat: np.ndarray, start: int, step: int, count: int, length: int):
+    """``count`` rows of ``length`` elements of ``flat``, ``step`` apart
+    (a view: writable iff ``flat`` is)."""
+    size = flat.itemsize
+    return np.lib.stride_tricks.as_strided(
+        flat[start:], (count, length), (step * size, size)
+    )
 
 
 def _scatter_item(
@@ -200,34 +218,39 @@ def _scatter_item(
 ) -> None:
     """Scatter one :class:`~repro.core.plan.ReadItem`'s source slices —
     one buffer per state kind, ``item.ranges`` of the resident file —
-    into the consolidated arrays.
+    into the consolidated arrays, one strided assignment per run.
 
     The flat ``fp32``/``exp_avg``/``exp_avg_sq`` buffers share one
-    segment map, so the index arrays (or slice rows) are built once and
-    reused across all three kinds.  The float32 views over the
-    (read-only) file bytes are consumed in place — the only copy on the
-    whole path is the assignment into ``arrs`` itself.
+    segment map, so the runs are derived once for all three kinds.  The
+    float32 views over the (read-only) file bytes are consumed in place
+    — the only copy on the whole path is the assignment into ``arrs``.
+    Strided views are not bounds-checked, so each run's extent (first
+    row lowest, last row highest) is checked on both sides first.
     """
-    fs, ln, fu = item.file_starts, item.lengths, item.full_starts
-    lo = int(fs[0])  # rows are sorted into file order
-    n = int(fs.size)
-    total = int(ln.sum())
-    rows = dest_idx = src_idx = None
-    if n > _GATHER_INDEX_THRESHOLD and total < n * _GATHER_INDEX_MAX_AVG_ELEMS:
-        pos = np.arange(total) - np.repeat(np.cumsum(ln) - ln, ln)
-        dest_idx = np.repeat(fu, ln) + pos
-        src_idx = np.repeat(fs - lo, ln) + pos
-    else:
-        # (source start, destination start, length) per slice
-        rows = list(zip((fs - lo).tolist(), fu.tolist(), ln.tolist()))
-    for kind, buf in zip(STATE_KINDS, bufs):
+    runs = _strided_runs(item)
+    views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
+    lo = min(min(s, d) for s, d, *_ in runs)
+    src_end = max(s + (k - 1) * s_step + n for s, _, n, s_step, _, k in runs)
+    dst_end = max(d + (k - 1) * d_step + n for _, d, n, _, d_step, k in runs)
+    if (
+        lo < 0
+        or src_end > min(view.size for view in views)
+        or dst_end > min(arr.size for arr in arrs.values())
+    ):
+        raise UCPFormatError(
+            f"{item.file}: read item of {item.field!r} reaches source element "
+            f"{src_end} and destination element {dst_end} (lowest start "
+            f"{lo}); it does not fit the arrays it scatters between"
+        )
+    for kind, view in zip(STATE_KINDS, views):
         arr = arrs[kind]
-        view = np.frombuffer(buf, dtype=np.float32)
-        if rows is None:
-            arr[dest_idx] = view[src_idx]
-            continue
-        for src, dst, length in rows:
-            arr[dst:dst + length] = view[src:src + length]
+        for s, d, length, s_step, d_step, count in runs:
+            if count == 1:
+                arr[d:d + length] = view[s:s + length]
+            else:
+                _rows(arr, d, d_step, count, length)[...] = _rows(
+                    view, s, s_step, count, length
+                )
 
 
 def _verify_source_commit(
@@ -337,12 +360,12 @@ def _claim_destination(
     src_store: ObjectStore,
     src_tag: str,
     specs: Dict[str, ShardSpec],
-    resume: bool,
 ) -> Dict[str, Dict]:
     """Plan: the resumability gate; returns the reusable atoms' entries.
 
     Only atoms proven to come from this exact committed source (tag +
-    manifest digest) are reused.
+    manifest digest) are reused: without a matching source marker the
+    destination starts over, whatever is already in it.
     """
     dst_store = atom_store.store
     src_digest = src_store.digest(manifest_mod.manifest_path(src_tag))
@@ -369,7 +392,7 @@ def _claim_destination(
             },
         )
     reused: Dict[str, Dict] = {}
-    if resume and marker_matches:
+    if marker_matches:
         for name, spec in specs.items():
             entry = _reusable_atom_entry(atom_store, name, spec)
             if entry is not None:
@@ -545,13 +568,13 @@ def ucp_convert(
     tag: Optional[str] = None,
     program: Optional[PatternProgram] = None,
     workers: Optional[int] = None,
-    verify_replicas: bool = True,
-    strict_spec_check: bool = True,
     dst_store: Optional[ObjectStore] = None,
-    resume: bool = True,
-    cluster=None,
 ) -> ConversionReport:
     """Convert a distributed checkpoint into UCP atom format.
+
+    One fixed pipeline: the program is always checked against the
+    placement recorded at save time, replicated copies always compared,
+    and a partial conversion of the same committed source always resumed.
 
     Args:
         ckpt_dir: source distributed-checkpoint directory.
@@ -567,18 +590,8 @@ def ucp_convert(
             fixed only when serial (marker, then per atom four staged
             writes and one group publish).  Above 1 the publishes run
             write-behind on a commit pool of the same width.
-        verify_replicas: fail if replicated copies are not bit-equal.
-        strict_spec_check: cross-check the program's classification
-            against the sharding metadata recorded at save time.
         dst_store: optional pre-built destination store (shares
             simulated-IO accounting and fault policy with the caller).
-        resume: reuse intact atoms left by a previous interrupted
-            conversion of the same committed source.
-        cluster: optional :class:`~repro.dist.cluster.Cluster` whose
-            collective trace should bracket the conversion with
-            ``convert:<tag>:enter``/``:commit`` barriers — the
-            happens-before analyzer then proves the conversion's
-            critical section does not overlap a concurrent save's.
 
     Raises:
         CheckpointNotFoundError: missing directory or tag.
@@ -592,6 +605,8 @@ def ucp_convert(
             byte-provenance theorems (UCP017-UCP022) included — or the
             manifest structurally incomplete (a UCPFormatError
             subclass; carries the individual rule-ID diagnostics).
+        PatternMatchError: the program places a parameter differently
+            than the checkpoint recorded, or replicated copies differ.
     """
     workers = resolve_workers(workers)
     src_store = ObjectStore(ckpt_dir)
@@ -607,8 +622,6 @@ def ucp_convert(
     src_manifest, files, job_config, analysis = _verify_source(
         src_store, src_tag, ckpt_dir
     )
-    if cluster is not None:
-        cluster.barrier(f"convert:{src_tag}:enter")
     if program is None:
         program = program_for_config(
             analysis.model_cfg,
@@ -618,18 +631,18 @@ def ucp_convert(
         analysis
     )
     names = sorted(analysis.params)
-    specs = _resolve_specs(program, analysis, strict_spec_check)
+    specs = _resolve_specs(program, analysis)
 
     atom_store = AtomStore(ucp_dir, dst_store)
     dst_store = atom_store.store
     dst_written0 = dst_store.bytes_written
-    reused = _claim_destination(atom_store, src_store, src_tag, specs, resume)
+    reused = _claim_destination(atom_store, src_store, src_tag, specs)
     fresh_names = [n for n in names if n not in reused]
 
     header_bytes = src_store.bytes_read - src_read0
     t_lower = time.perf_counter()
     read_plans = lower_read_plans(
-        analysis, {n: specs[n].pattern for n in fresh_names}, verify_replicas
+        analysis, {n: specs[n].pattern for n in fresh_names}
     )
     stage_seconds = {"lower": time.perf_counter() - t_lower}
     plan = _plan_reads(analysis, src_manifest, specs, read_plans)
@@ -677,8 +690,6 @@ def ucp_convert(
         )
     atom_bytes = sum(nbytes for _, nbytes, _, _ in results) + meta_bytes
     stage_seconds["write"] += publish_s
-    if cluster is not None:
-        cluster.barrier(f"convert:{src_tag}:commit")
     t3 = time.perf_counter()
     stage_seconds["finalize"] = t3 - t2
 

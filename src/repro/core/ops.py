@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -518,21 +518,18 @@ def load(
     sp_rank: int,
     tp_rank: int,
     dp_rank: int,
-    cache: Optional[AtomShardCache] = None,
 ) -> np.ndarray:
     """Materialize one target rank's flat partition of one state kind.
 
     The paper's *Load*: streams atom checkpoints into the rank's flat
     buffer in layer order, alignment padding re-added (zeros).  Each
-    partition slice reads only its own byte range of each atom file;
-    pass one ``cache`` across calls to share its lowered shard maps and
-    parsed atom headers.
+    partition slice reads only its own byte range of each atom file.
+    (A whole-engine load goes through one :class:`AtomShardCache`
+    instead: :func:`repro.core.loader.load_ucp_into_engine`.)
     """
     rank_layout = plan.layout.rank_layout(pp_stage, sp_rank, tp_rank)
     partition = np.zeros(rank_layout.partition_numel, dtype=np.float32)
-    if cache is None:
-        cache = AtomShardCache(atom_store, plan)
-    cache._fill(
+    AtomShardCache(atom_store, plan)._fill(
         (kind,),
         [
             (

@@ -238,8 +238,8 @@ class ParamProvenance:
     (other ``(pp, sp)`` holders of a replicated / averaged parameter),
     keyed by their mp coordinate: the streaming converter reads them
     only when the pattern demands it (``params_to_average`` averages
-    every copy; ``replicated_params`` under ``verify_replicas`` must
-    compare them), so a plan knows the *full* byte cost of each policy.
+    every copy; ``replicated_params`` must compare them), so a plan
+    knows the *full* byte cost of each policy.
     Both are :class:`ExtentTable` columns (a sequence of
     :class:`SourceExtent` is accepted and converted).
     """
@@ -923,12 +923,20 @@ def _check_cross_rank_consistency(
     return adam_hyper, scaler_state, optimizer_step
 
 
+def _placement(spec: ShardSpec) -> Tuple[str, object]:
+    """Where a parameter's bytes live: pattern and fragmenter, averaged
+    and replicated copies alike (a whole copy on every holder)."""
+    averaged = spec.pattern == PATTERN_TO_AVERAGE
+    return PATTERN_REPLICATED if averaged else spec.pattern, spec.fragmenter
+
+
 def _resolve_specs(
-    program: PatternProgram,
-    analysis: ProvenanceAnalysis,
-    strict_spec_check: bool,
+    program: PatternProgram, analysis: ProvenanceAnalysis
 ) -> Dict[str, ShardSpec]:
-    """Every analyzed parameter's spec through the UCP-language program."""
+    """Every analyzed parameter's spec through the UCP-language program,
+    refused where its :func:`_placement` disagrees with the sharding
+    recorded at save time (a program may average replicated copies
+    instead of comparing them, never move bytes)."""
     shapes: Dict[str, Dict] = {}
     for rel in sorted(analysis.headers):
         for name, saved_spec in analysis.headers[rel]["sharding"].items():
@@ -943,19 +951,16 @@ def _resolve_specs(
             tuple(saved["logical_shape"]),
             tuple(saved["unpadded_shape"]),
         )
-        if strict_spec_check:
-            saved_spec = ShardSpec.from_dict(
-                {k: saved[k] for k in
-                 ("pattern", "logical_shape", "unpadded_shape", "fragmenter")}
+        saved_spec = ShardSpec.from_dict(
+            {k: saved[k] for k in
+             ("pattern", "logical_shape", "unpadded_shape", "fragmenter")}
+        )
+        if _placement(saved_spec) != _placement(spec):
+            raise PatternMatchError(
+                f"pattern program classifies {name!r} as {spec.pattern} "
+                f"({spec.fragmenter}), but the checkpoint was saved as "
+                f"{saved_spec.pattern} ({saved_spec.fragmenter})"
             )
-            if (saved_spec.pattern, saved_spec.fragmenter) != (
-                spec.pattern, spec.fragmenter
-            ):
-                raise PatternMatchError(
-                    f"pattern program classifies {name!r} as {spec.pattern} "
-                    f"({spec.fragmenter}), but the checkpoint was saved as "
-                    f"{saved_spec.pattern} ({saved_spec.fragmenter})"
-                )
         specs[name] = spec
     return specs
 
@@ -1001,11 +1006,11 @@ class ParamReadPlan:
 
     ``primary`` covers the selected copies (what ``union`` consumes);
     ``copies`` the non-selected mp-coordinate replicas, in coordinate
-    order, the pattern additionally demands (all of them for ``params_to_average``, all
-    of them under ``verify_replicas`` for ``replicated_params``, none
-    otherwise).  All slices are pre-clipped to the parameter's
-    non-padding data intervals, so a plan never reads a padding byte —
-    the runtime enforcement of UCP019.
+    order, the pattern additionally demands (all of them for
+    ``params_to_average`` and ``replicated_params``, none otherwise).
+    All slices are pre-clipped to the parameter's non-padding data
+    intervals, so a plan never reads a padding byte — the runtime
+    enforcement of UCP019.
     """
 
     name: str
@@ -1201,9 +1206,7 @@ def _lower_batch(
 
 
 def lower_read_plans(
-    analysis: ProvenanceAnalysis,
-    patterns: Dict[str, str],
-    verify_replicas: bool = True,
+    analysis: ProvenanceAnalysis, patterns: Dict[str, str]
 ) -> Dict[str, ParamReadPlan]:
     """Lower provenance interval maps into per-parameter read plans.
 
@@ -1218,10 +1221,9 @@ def lower_read_plans(
         patterns: the parameters to plan, each with its pattern from the
             resolved UCP-language program — a custom program may e.g.
             reclassify a replicated norm as ``params_to_average``, which
-            changes *which* copies the plan must read.
-        verify_replicas: include replica reads for ``replicated_params``
-            so the converter can bit-compare them; ``False`` plans the
-            primary copy only, so the replica files are never read.
+            changes *which* copies the plan must read.  Both read every
+            copy: ``params_to_average`` to average them,
+            ``replicated_params`` to bit-compare them.
 
     Raises:
         UCPFormatError: a planned slice has no float32 state array of
@@ -1235,9 +1237,7 @@ def lower_read_plans(
         # against the same (per shape class) data intervals
         bounds = data_bounds(prov.spec)
         copies: List[ExtentTable] = []
-        if pattern == PATTERN_TO_AVERAGE or (
-            pattern == PATTERN_REPLICATED and verify_replicas
-        ):
+        if pattern in (PATTERN_TO_AVERAGE, PATTERN_REPLICATED):
             copies = [prov.replicas[coord] for coord in sorted(prov.replicas)]
         num_copies[name] = len(copies)
         jobs.extend((table, bounds) for table in [prov.extents] + copies)

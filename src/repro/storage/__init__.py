@@ -7,7 +7,7 @@ calibrated NVMe timing model so benchmarks can report simulated I/O
 time alongside wall-clock time.
 """
 
-from repro.storage.serializer import deserialize, serialize, read_npt, write_npt
+from repro.storage.serializer import deserialize, serialize, read_npt
 from repro.storage.store import ObjectStore, sha256_hex
 from repro.storage.nvme import NVMeModel, DEFAULT_NVME
 from repro.storage.faults import (
@@ -24,7 +24,6 @@ __all__ = [
     "serialize",
     "deserialize",
     "read_npt",
-    "write_npt",
     "ObjectStore",
     "sha256_hex",
     "NVMeModel",

@@ -162,12 +162,14 @@ class RangeReader:
     def load(self, rels: Sequence[str]) -> None:
         """Block until every file in ``rels`` is resident and verified.
 
-        Claim every unclaimed file first, load the claims, then wait: a
-        worker never blocks on a peer's load while it could be loading
-        itself.  A failed load raises the same error in every waiter.
+        Claim one file, load it if the claim is ours, then claim the next;
+        wait for peers' loads last: a worker never blocks on a peer's load
+        while it could be loading itself, nor holds a claim it has not
+        started.  A failed load raises the same error in every waiter.
         """
-        claims = [(rel, *self.cache.claim(rel)) for rel in rels]
-        for rel, fut, mine in claims:
+        futures = []
+        for rel in rels:
+            fut, mine = self.cache.claim(rel)
             if mine:
                 try:
                     self.verify(self, rel)
@@ -175,7 +177,8 @@ class RangeReader:
                     fut.set_exception(exc)
                     raise
                 fut.set_result(None)
-        for _, fut, _ in claims:
+            futures.append(fut)
+        for fut in futures:
             if obs._ACTIVE:  # a yield point the schedule explorer sees
                 obs.emit("wait", "BlockCache.load", fut.done)
             fut.result()

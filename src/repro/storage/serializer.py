@@ -84,12 +84,12 @@ def _decode(node: Any, tensors: List[np.ndarray]) -> Any:
     return node
 
 
-def _npt_parts(obj: Any) -> List[Any]:
-    """The file as an ordered list of bytes-like parts, payloads uncopied.
+def serialize(obj: Any) -> bytes:
+    """Encode an object tree to ``.npt`` bytes.
 
     Tensor payloads are flat ``uint8`` views of the (contiguous) arrays
     themselves: the CRC runs over the array's own buffer and the one
-    copy a payload ever takes is the caller's join or stream write.
+    copy a payload ever takes is the final join.
     """
     tensors: List[np.ndarray] = []
     tree = _encode(obj, tensors)
@@ -125,17 +125,7 @@ def _npt_parts(obj: Any) -> List[Any]:
             parts.append(b"\x00" * pad)
         parts.append(memoryview(payload))
         cursor = entry["offset"] + entry["nbytes"]
-    return parts
-
-
-def serialize(obj: Any) -> bytes:
-    """Encode an object tree to ``.npt`` bytes."""
-    return b"".join(_npt_parts(obj))
-
-
-def write_npt(fh: BinaryIO, obj: Any) -> int:
-    """Write an object tree to a binary stream; returns bytes written."""
-    return sum(fh.write(part) for part in _npt_parts(obj))
+    return b"".join(parts)
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
@@ -257,12 +247,12 @@ def _parse_header(fh: BinaryIO) -> Tuple[Any, List[TensorIndexEntry]]:
     return tree, entries
 
 
-def _payloads(fh: BinaryIO, entries: List[TensorIndexEntry], verify: bool):
-    """Yield each tensor's raw payload bytes, CRC32-checked on request."""
+def _payloads(fh: BinaryIO, entries: List[TensorIndexEntry]):
+    """Yield each tensor's raw payload bytes, CRC32-checked."""
     for index, entry in enumerate(entries):
         fh.seek(entry.offset)
         raw = _read_exact(fh, entry.nbytes, "tensor payload")
-        if verify and entry.crc32 is not None:
+        if entry.crc32 is not None:
             actual = zlib.crc32(raw) & 0xFFFFFFFF
             if actual != entry.crc32:
                 raise ChecksumError(
@@ -273,19 +263,14 @@ def _payloads(fh: BinaryIO, entries: List[TensorIndexEntry], verify: bool):
         yield raw
 
 
-def read_npt(fh: BinaryIO, verify_checksums: bool = True) -> Any:
-    """Read an object tree from a binary stream.
-
-    Args:
-        fh: binary stream positioned at the file start.
-        verify_checksums: validate each tensor payload's CRC32 (on by
-            default — silent bit-rot in optimizer state is far worse
-            than the verification cost).
-    """
+def read_npt(fh: BinaryIO) -> Any:
+    """Read an object tree from a binary stream positioned at the file
+    start, validating every tensor payload's CRC32 (silent bit-rot in
+    optimizer state is far worse than the verification cost)."""
     tree, entries = _parse_header(fh)
     tensors = [
         np.frombuffer(raw, dtype=np.dtype(entry.dtype)).reshape(entry.shape).copy()
-        for entry, raw in zip(entries, _payloads(fh, entries, verify_checksums))
+        for entry, raw in zip(entries, _payloads(fh, entries))
     ]
     return _decode(tree, tensors)
 
@@ -334,5 +319,5 @@ def validate_npt(data: bytes) -> None:
     """
     fh = io.BytesIO(data)
     _, entries = _parse_header(fh)
-    for _ in _payloads(fh, entries, True):
+    for _ in _payloads(fh, entries):
         pass

@@ -126,7 +126,7 @@ class CommitGroup:
         # (rel_path, temp, final) per staged file, in staging order
         self._staged: List[Tuple[str, pathlib.Path, pathlib.Path]] = []
 
-    def stage(self, rel_path: str, data: bytes, parallel: int = 1) -> int:
+    def stage(self, rel_path: str, data: bytes) -> int:
         """Write ``data`` to ``rel_path``'s temp sibling; returns its size."""
         store = self.store
         path = store._resolve(rel_path)
@@ -146,7 +146,7 @@ class CommitGroup:
             self.abandon()
             raise
         store.bytes_written += len(data)
-        store.simulated_write_s += store.nvme.write_time(len(data), parallel)
+        store.simulated_write_s += store.nvme.write_time(len(data))
         if store.faults is not None:
             store.simulated_write_s += store.faults.write_latency_s(
                 rel_path, len(data)
@@ -363,7 +363,7 @@ class ObjectStore:
 
     # --- byte-level primitives (all object IO funnels through these) ---
 
-    def put_bytes(self, rel_path: str, data: bytes, parallel: int = 1) -> int:
+    def put_bytes(self, rel_path: str, data: bytes) -> int:
         """Atomically commit raw bytes; returns bytes written.
 
         The one-file :class:`CommitGroup`: the write goes to a temp
@@ -379,7 +379,7 @@ class ObjectStore:
         crash would.
         """
         group = CommitGroup(self)
-        nbytes = group.stage(rel_path, data, parallel=parallel)
+        nbytes = group.stage(rel_path, data)
         group.publish()
         return nbytes
 
@@ -415,7 +415,7 @@ class ObjectStore:
             if obs._ACTIVE:
                 self._emit_fs("fsync_dir", dir_path)
 
-    def read_bytes(self, rel_path: str, parallel: int = 1) -> bytes:
+    def read_bytes(self, rel_path: str) -> bytes:
         """Read one object's raw bytes."""
         path = self._resolve(rel_path)
         if not path.is_file():
@@ -426,63 +426,28 @@ class ObjectStore:
             )
         data = path.read_bytes()
         self.bytes_read += len(data)
-        self.simulated_read_s += self.nvme.read_time(len(data), parallel)
+        self.simulated_read_s += self.nvme.read_time(len(data))
         if self.faults is not None:
             self.simulated_read_s += self.faults.read_latency_s(
                 rel_path, len(data)
             )
         return data
 
-    def read_range(
-        self, rel_path: str, offset: int, length: int, parallel: int = 1
-    ) -> bytes:
-        """``pread``-style windowed read: ``length`` bytes at ``offset``.
-
-        Only the requested bytes are charged to read accounting and the
-        simulated NVMe clock — this is the primitive the streaming
-        conversion and sliced-atom load pipelines are built on.  A
-        range extending past end-of-file is an error (the caller's
-        plan referenced bytes the object does not have).
-        """
-        if offset < 0 or length < 0:
-            raise ValueError(
-                f"invalid byte range ({offset}, {length}) for {rel_path!r}"
-            )
-        path = self._resolve(rel_path)
-        if not path.is_file():
-            raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
-        if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_read(rel_path, path), "read"
-            )
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read(length)
-        if len(data) != length:
-            raise EOFError(
-                f"{rel_path}: range [{offset}, {offset + length}) reads past "
-                f"end of file ({offset + len(data)} bytes available)"
-            )
-        self.bytes_read += length
-        self.simulated_read_s += self.nvme.read_time(length, parallel)
-        if self.faults is not None:
-            self.simulated_read_s += self.faults.read_latency_s(
-                rel_path, length
-            )
-        return data
+    def read_range(self, rel_path: str, offset: int, length: int) -> bytes:
+        """``pread``-style windowed read: ``length`` bytes at ``offset`` —
+        one range of :meth:`read_ranges`, checked and charged as that."""
+        return self.read_ranges(rel_path, [(offset, length)])[0]
 
     def read_ranges(
-        self,
-        rel_path: str,
-        ranges: List[Tuple[int, int]],
-        parallel: int = 1,
+        self, rel_path: str, ranges: List[Tuple[int, int]]
     ) -> List[bytes]:
         """Batched ``pread``: many ``(offset, length)`` ranges, one open.
 
-        Byte accounting and the simulated NVMe clock are charged
-        exactly as if :meth:`read_range` were issued per range; the
-        single file open amortizes per-call latency for plans with
-        thousands of small ranges (interleaved TP shard slices).
+        Only the requested bytes are charged to read accounting and the
+        simulated NVMe clock, each range as one request.  A negative
+        range is a ``ValueError``; one extending past end-of-file an
+        ``EOFError`` (the caller's plan referenced bytes the object does
+        not have).
         """
         for offset, length in ranges:
             if offset < 0 or length < 0:
@@ -509,7 +474,7 @@ class ObjectStore:
                     )
                 out.append(data)
                 self.bytes_read += length
-                self.simulated_read_s += self.nvme.read_time(length, parallel)
+                self.simulated_read_s += self.nvme.read_time(length)
                 if self.faults is not None:
                     self.simulated_read_s += self.faults.read_latency_s(
                         rel_path, length
@@ -525,13 +490,13 @@ class ObjectStore:
 
     # --- object API ---
 
-    def save(self, rel_path: str, obj: Any, parallel: int = 1) -> int:
+    def save(self, rel_path: str, obj: Any) -> int:
         """Serialize and write one object; returns bytes written."""
-        return self.put_bytes(rel_path, serialize(obj), parallel=parallel)
+        return self.put_bytes(rel_path, serialize(obj))
 
-    def load(self, rel_path: str, parallel: int = 1) -> Any:
+    def load(self, rel_path: str) -> Any:
         """Read and deserialize one object."""
-        return deserialize(self.read_bytes(rel_path, parallel=parallel))
+        return deserialize(self.read_bytes(rel_path))
 
     def load_header(self, rel_path: str) -> Any:
         """Decode one object from its ``.npt`` header only.
@@ -586,7 +551,7 @@ class ObjectStore:
             header_bytes = fh.tell()
             file_size = os.fstat(fh.fileno()).st_size
         self.bytes_read += header_bytes
-        self.simulated_read_s += self.nvme.read_time(header_bytes, 1)
+        self.simulated_read_s += self.nvme.read_time(header_bytes)
         return obj, file_size
 
     def digest(self, rel_path: str) -> str:

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.cli import main
+from repro.core.convert import ucp_convert
+from repro.core.errors import PatternMatchError
+from repro.core.patterns import PatternProgram, PatternRule, program_for_config
 from repro.dist.topology import ParallelConfig
+from repro.models import get_config
+from repro.parallel.tp import PATTERN_REPLICATED
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
+from tests.reference_convert import assert_matches_reference
 
 
 @pytest.fixture
@@ -66,6 +72,32 @@ class TestConvert:
         ckpt, tmp = checkpoint
         code = main(["convert", ckpt, str(tmp / "u"), "--tag", "global_step99"])
         assert code == 1
+
+    def test_average_replicas_flag(self, checkpoint, capsys):
+        """The tp2 source holds every norm as replicated copies; the
+        flag's program averages them instead of comparing them, which
+        moves no byte, so the conversion is admitted and matches the
+        reference operators under the same program."""
+        ckpt, tmp = checkpoint
+        ucp = str(tmp / "ucp-avg")
+        assert main(["convert", ckpt, ucp, "--average-replicas"]) == 0
+        assert "atoms" in capsys.readouterr().out
+        program = program_for_config(get_config("gpt3-mini"), average_replicas=True)
+        assert_matches_reference(ucp, ckpt, program)
+
+    def test_program_moving_fragmented_bytes_is_refused(self, checkpoint):
+        """Reclassifying a tp-fragmented tensor as replicated would
+        consolidate one shard as the whole tensor: refused on placement,
+        before the destination is created."""
+        ckpt, tmp = checkpoint
+        program = program_for_config(get_config("gpt3-mini"))
+        bad = PatternProgram(
+            [PatternRule(r"^blocks\.0\.attn\.qkv\.weight$", PATTERN_REPLICATED)]
+            + program.rules
+        )
+        with pytest.raises(PatternMatchError, match="qkv.weight"):
+            ucp_convert(ckpt, str(tmp / "ucp-bad"), program=bad)
+        assert not (tmp / "ucp-bad").exists()
 
 
 class TestPlan:

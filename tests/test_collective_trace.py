@@ -310,11 +310,12 @@ class TestHappensBefore:
             parallel=ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1)
         )
         eng.train(1)
-        save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
-        ucp_convert(
-            str(tmp_path / "ckpt"), str(tmp_path / "ucp"),
-            cluster=eng.cluster,
-        )
+        info = save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
+        # the caller brackets a conversion it runs on the cluster's
+        # behalf, as the saver brackets its own section
+        eng.cluster.barrier(f"convert:{info.tag}:enter")
+        ucp_convert(str(tmp_path / "ckpt"), str(tmp_path / "ucp"))
+        eng.cluster.barrier(f"convert:{info.tag}:commit")
         report = check_trace(eng.cluster.trace)
         assert report.ok, report.render_text()
         ops = [e.op for e in eng.cluster.trace.events_of(0, "world")]

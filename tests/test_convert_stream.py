@@ -17,15 +17,18 @@ import pytest
 
 from repro.ckpt.errors import CheckpointIntegrityError
 from repro.ckpt.loader import resolve_tag
+from repro.ckpt.manifest import load_verified
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.atom import STATE_KINDS, AtomStore
-from repro.core.convert import ucp_convert
+from repro.core.convert import _scatter_item, _strided_runs, ucp_convert
+from repro.core.errors import UCPFormatError
 from repro.core.loader import load_ucp_into_engine
 from repro.core.ops import AtomShardCache, gen_ucp_metadata
 from repro.core.patterns import program_for_config
+from repro.core.plan import ReadItem
 from repro.dist.topology import ParallelConfig
 from repro.storage.faults import CrashAtWrite, InjectedCrash, RankKillAtWrite
-from repro.storage.store import ObjectStore
+from repro.storage.store import CommitGroup, CommitPool, ObjectStore
 
 from tests.helpers import make_engine, record_source_tables
 from tests.reference_convert import (
@@ -99,20 +102,20 @@ class CountingStore(ObjectStore):
         self.payload_reads = collections.Counter()
         self.largest_range = 0
 
-    def read_bytes(self, rel_path, parallel=1):
+    def read_bytes(self, rel_path):
         self.payload_reads[rel_path] += 1
-        return super().read_bytes(rel_path, parallel=parallel)
+        return super().read_bytes(rel_path)
 
-    def read_range(self, rel_path, offset, length, parallel=1):
+    def read_range(self, rel_path, offset, length):
         self.payload_reads[rel_path] += 1
-        return super().read_range(rel_path, offset, length, parallel=parallel)
+        return super().read_range(rel_path, offset, length)
 
-    def read_ranges(self, rel_path, ranges, parallel=1):
+    def read_ranges(self, rel_path, ranges):
         self.payload_reads[rel_path] += 1
         self.largest_range = max(
             [self.largest_range] + [length for _, length in ranges]
         )
-        return super().read_ranges(rel_path, ranges, parallel=parallel)
+        return super().read_ranges(rel_path, ranges)
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +174,7 @@ class TestByteIdentityWithReference:
         engine, ckpt_dir = tp4_checkpoint
         program = program_for_config(engine.model_cfg, average_replicas=True)
         ucp_dir = str(tmp_path / "ucp")
-        ucp_convert(
-            ckpt_dir, ucp_dir, program=program, strict_spec_check=False
-        )
+        ucp_convert(ckpt_dir, ucp_dir, program=program)
         assert_matches_reference(ucp_dir, ckpt_dir, program)
 
     def test_worker_count_does_not_change_bytes(self, tp4_checkpoint, tmp_path):
@@ -343,20 +344,36 @@ class TestConversionKnobs:
     """The batching/overlap knobs tune IO shape, never output bytes."""
 
     def test_invalid_knobs_rejected(self, tp4_checkpoint, tmp_path):
-        """The read side has no knobs: eight optional arguments, and the
-        window / cache ones that used to exist are refused."""
+        """No switch without a caller: four optional arguments, and every
+        knob that used to exist is refused."""
         _, ckpt_dir = tp4_checkpoint
         optional = [
             p.name for p in inspect.signature(ucp_convert).parameters.values()
             if p.default is not inspect.Parameter.empty
         ]
-        assert optional == [
-            "tag", "program", "workers", "verify_replicas",
-            "strict_spec_check", "dst_store", "resume", "cluster",
-        ]
-        for knob in ("window_bytes", "cache"):
+        assert optional == ["tag", "program", "workers", "dst_store"]
+        for knob in (
+            "window_bytes", "cache", "verify_replicas", "strict_spec_check",
+            "resume", "cluster",
+        ):
             with pytest.raises(TypeError):
                 ucp_convert(ckpt_dir, str(tmp_path / "y"), **{knob: None})
+
+    def test_storage_takes_no_parallel_argument(self):
+        """The simulated clock charges every store call as one request;
+        no store, commit-group or atom method, and no verified load,
+        takes a ``parallel`` count."""
+        methods = [load_verified]
+        for cls in (ObjectStore, CommitGroup, CommitPool, AtomStore):
+            methods += [
+                fn for name, fn in vars(cls).items()
+                if callable(fn) and not name.startswith("__")
+            ]
+        takes = [
+            fn.__qualname__ for fn in methods
+            if "parallel" in inspect.signature(fn).parameters
+        ]
+        assert takes == []
 
     def test_stage_timings_and_counters_populated(
         self, tp4_checkpoint, tmp_path
@@ -646,17 +663,62 @@ class TestCrashResumeUnderParallelFanOut:
             if committed:
                 assert resumed.bytes_written < clean.bytes_written
 
-    def test_crash_resume_disabled_restarts_from_scratch(
-        self, tp4_checkpoint, tmp_path
-    ):
-        _, ckpt_dir = tp4_checkpoint
-        ucp_dir = str(tmp_path / "ucp")
-        with pytest.raises(InjectedCrash):
-            ucp_convert(
-                ckpt_dir,
-                ucp_dir,
-                workers=4,
-                dst_store=ObjectStore(ucp_dir, faults=CrashAtWrite(9)),
-            )
-        report = ucp_convert(ckpt_dir, ucp_dir, resume=False)
-        assert report.num_reused == 0
+
+def read_item(file_starts, lengths, full_starts):
+    file_starts, lengths, full_starts = (
+        np.asarray(column, dtype=np.int64)
+        for column in (file_starts, lengths, full_starts)
+    )
+    return ReadItem(
+        file="f.npt", field="fp32_flat_partition", file_starts=file_starts,
+        lengths=lengths, full_starts=full_starts, ranges=(),
+    )
+
+
+class TestStridedScatter:
+    """One strided assignment per run of equal-length, equal-step rows."""
+
+    def scatter(self, item, source_numel, dest_numel):
+        sources = [
+            np.arange(source_numel, dtype=np.float32) + 1000 * k
+            for k in range(len(STATE_KINDS))
+        ]
+        arrs = {
+            kind: np.full(dest_numel, -1.0, dtype=np.float32)
+            for kind in STATE_KINDS
+        }
+        _scatter_item(
+            item, arrs, [memoryview(src).toreadonly() for src in sources]
+        )
+        return sources, arrs
+
+    def test_matches_a_row_by_row_copy(self):
+        """Runs with overlapping source rows, a length change and a
+        destination stepping back land exactly where a per-row loop
+        puts them."""
+        rows = [  # (file start, length, full start), in file order
+            (10, 4, 0), (18, 4, 6), (26, 4, 12), (34, 4, 18),  # steps 8 / 6
+            (40, 2, 30),  # another length: a lone row
+            (44, 4, 40), (46, 4, 50), (48, 4, 60),  # source rows overlap
+            (60, 4, 24),  # the destination steps back: a lone row
+            (70, 7, 80), (80, 7, 90),
+        ]
+        file_starts, lengths, full_starts = zip(*rows)
+        item = read_item(file_starts, lengths, full_starts)
+        runs = _strided_runs(item)
+        assert [count for *_, count in runs] == [4, 1, 3, 1, 2]
+        sources, arrs = self.scatter(item, 80, 100)
+        for kind, source in zip(STATE_KINDS, sources):
+            expected = np.full(100, -1.0, dtype=np.float32)
+            for f, n, u in rows:
+                expected[u:u + n] = source[f - 10:f - 10 + n]
+            assert arrs[kind].tobytes() == expected.tobytes(), kind
+
+    def test_run_overrunning_its_destination_is_refused(self):
+        """A strided view is not bounds-checked: a run whose last row
+        would land past the destination fails before anything moves."""
+        item = read_item([0, 8, 16], [4, 4, 4], [0, 4, 8])  # ends at 12
+        with pytest.raises(UCPFormatError, match="does not fit"):
+            self.scatter(item, 20, 10)
+        with pytest.raises(UCPFormatError, match="does not fit"):
+            self.scatter(read_item([0, 8, 16], [4, 4, 4], [0, 4, 8]), 18, 20)

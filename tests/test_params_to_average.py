@@ -90,9 +90,7 @@ class TestDivergedReplicas:
     def test_average_program_consolidates_by_mean(self, diverged_checkpoint):
         engine, ckpt, tmp, base_value, noise = diverged_checkpoint
         program = program_for_config(engine.model_cfg, average_replicas=True)
-        ucp_convert(
-            ckpt, str(tmp / "ucp-avg"), program=program, strict_spec_check=False
-        )
+        ucp_convert(ckpt, str(tmp / "ucp-avg"), program=program)
         atom = AtomStore(str(tmp / "ucp-avg")).read_state(NORM_NAME, "fp32")
         expected = base_value + (noise[0] + noise[1]) / 2.0
         assert np.allclose(atom, expected, atol=1e-6)
@@ -103,9 +101,7 @@ class TestDivergedReplicas:
         continued = [r.loss for r in engine.train(3)]
 
         program = program_for_config(engine.model_cfg, average_replicas=True)
-        ucp_convert(
-            ckpt, str(tmp / "ucp-avg"), program=program, strict_spec_check=False
-        )
+        ucp_convert(ckpt, str(tmp / "ucp-avg"), program=program)
         target = make_engine(parallel=ParallelConfig(dp=2), seed=0)
         target.load_universal(str(tmp / "ucp-avg"))
         resumed = [r.loss for r in target.train(3)]
@@ -113,13 +109,3 @@ class TestDivergedReplicas:
         # the 1e-3 perturbation moves the curve slightly; the paper's
         # 0.02 band is the acceptance criterion
         assert max(deltas) <= 0.02
-
-    def test_unverified_replicated_conversion_takes_first_copy(
-        self, diverged_checkpoint
-    ):
-        """verify_replicas=False reproduces the old silent behaviour:
-        the lowest-coordinate copy wins."""
-        engine, ckpt, tmp, base_value, noise = diverged_checkpoint
-        ucp_convert(ckpt, str(tmp / "ucp-loose"), verify_replicas=False)
-        atom = AtomStore(str(tmp / "ucp-loose")).read_state(NORM_NAME, "fp32")
-        assert np.allclose(atom, base_value + noise[0], atol=1e-6)

@@ -1,6 +1,7 @@
 """Source-file table and reader: verified loads, read-only slices."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -177,6 +178,49 @@ class TestRangeReader:
         reader.cache.release("blob.bin")
         assert reader.cache.resident_bytes == 0
         assert reader.cache.peak_resident_bytes == len(payload)
+
+    def test_peers_split_a_shared_file_group(self, tmp_path):
+        """Two workers load the same four files: each claims one file,
+        loads it, then claims the next, so while one is still verifying
+        its first file the other loads the rest — instead of waiting on
+        claims its peer has not started."""
+        store = ObjectStore(str(tmp_path))
+        files = [f"f{i}.bin" for i in range(4)]
+        for i, rel in enumerate(files):
+            (tmp_path / rel).write_bytes(bytes([i]) * 1024)
+        verified = []  # (file, thread) per verify call
+        first_verifying, peer_verified = threading.Event(), threading.Event()
+
+        def verify(reader, rel):
+            me = threading.current_thread().name
+            verified.append((rel, me))
+            if me == "first":
+                first_verifying.set()
+                peer_verified.wait(timeout=2)  # the parent's claims never let it
+            else:
+                peer_verified.set()
+            reader.digest(rel)
+
+        reader = RangeReader(store, BlockCache(dict.fromkeys(files, 2)), verify)
+        errors = []
+
+        def worker():
+            try:
+                reader.load(files)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        first = threading.Thread(target=worker, name="first")
+        first.start()
+        assert first_verifying.wait(timeout=10)
+        second = threading.Thread(target=worker, name="second")
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert errors == []
+        assert sorted(rel for rel, _ in verified) == files
+        assert {me for _, me in verified} == {"first", "second"}
 
     @pytest.mark.parametrize("damage", ["digest", "size"])
     def test_unverified_file_is_never_served(self, store, damage):

@@ -213,9 +213,9 @@ class TestBound:
                 live["largest"] = max(live["largest"], len(data))
             return data
 
-        def counting_stage(self, rel_path, data, parallel=1):
+        def counting_stage(self, rel_path, data):
             try:
-                return real_stage(self, rel_path, data, parallel=parallel)
+                return real_stage(self, rel_path, data)
             finally:
                 with lock:
                     if id(data) in encoded:  # not the manifest / `latest`
