@@ -6,12 +6,10 @@ Three measurements keep the cooperative scheduler honest:
   (overlapping planned sets of 4 MiB source files through the real
   source-file table, 1 MiB slices) run serially with nothing attached
   — the context number.
-* **witnessed_s**: the same workload under the two per-run witnesses
-  every explored schedule pays (sanitizer, lock witness — store ops
-  reach the scheduler through the hook slot itself, no FS trace).
-  Their cost is budgeted by their *own* benches
-  (``BENCH_lockwitness_overhead``, ``BENCH_sanitizer_overhead``); this
-  bench does not re-gate it.
+* **witnessed_s**: the same workload under the per-run sanitizer every
+  explored schedule pays (store ops reach the scheduler through the
+  hook slot itself, no FS trace).  Its cost is budgeted by its *own*
+  bench (``BENCH_sanitizer_overhead``); this bench does not re-gate it.
 * **controlled_s**: the full :func:`interleave.run_schedule` — park
   every thread at every yield point, dispatch serially, record the
   trace.  The gate: ``controlled_s / witnessed_s <= MAX_OVERHEAD``,
@@ -34,7 +32,6 @@ import time
 
 from repro import obs
 from repro.analysis import interleave
-from repro.analysis.lockwitness import lockcheck
 from repro.analysis.sanitizer import sanitize
 from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.store import ObjectStore
@@ -108,7 +105,7 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
         case.cleanup()
 
     def witnessed():
-        with sanitize(strict=False), lockcheck(strict=False):
+        with sanitize(strict=False):
             plain()
 
     def controlled():

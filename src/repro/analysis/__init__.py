@@ -36,13 +36,10 @@ And two for the *concurrency* side (the threaded IO layer):
 
 - :mod:`~repro.analysis.locks` — the guarded-by/lock-discipline lint
   (SRC005-SRC008), run as part of ``repro lint-src``.
-- :mod:`~repro.analysis.lockwitness` — the witness behind the
-  instrumented locks (:class:`repro.obs.WitnessedLock`), recording
-  per-thread acquisition stacks and a global lock-order graph
-  (UCP029-UCP031); activate with
-  :func:`~repro.analysis.lockwitness.lockcheck` or
-  ``REPRO_SANITIZE=1``.  ``repro lint-trace --locks`` replays a
-  recorded witness payload offline.
+- :mod:`~repro.analysis.interleave` — the schedule explorer over the
+  instrumented locks (:class:`repro.obs.WitnessedLock`) and guarded
+  accesses: deadlocks (UCP037) and unsynchronized access pairs
+  (UCP038) on every explored schedule (``repro explore``).
 
 And two for the *crash-consistency* side (the commit protocol):
 
@@ -117,14 +114,6 @@ from repro.analysis.fswitness import (
     enumerate_crash_states,
     fstrace,
 )
-from repro.analysis.lockwitness import (
-    LockWitness,
-    LockWitnessError,
-    WitnessedLock,
-    check_lock_trace,
-    lockcheck,
-    make_lock,
-)
 from repro.analysis.sanitizer import (
     MemorySanitizer,
     SanitizerError,
@@ -152,13 +141,10 @@ __all__ = [
     "Diagnostic",
     "LayoutLintError",
     "LintReport",
-    "LockWitness",
-    "LockWitnessError",
     "MemorySanitizer",
     "ProvenanceAnalysis",
     "SanitizerError",
     "TraceEvent",
-    "WitnessedLock",
     "analyze_interchange",
     "analyze_source",
     "analyze_ucp_source",
@@ -167,7 +153,6 @@ __all__ = [
     "check_engine_isolation",
     "check_fs_trace",
     "check_happens_before",
-    "check_lock_trace",
     "check_plan_provenance",
     "check_source_provenance",
     "check_target_provenance",
@@ -183,8 +168,6 @@ __all__ = [
     "lint_locks",
     "lint_plan",
     "lint_source_tree",
-    "lockcheck",
-    "make_lock",
     "model_param_arrays",
     "numel_class",
     "preflight_convert",

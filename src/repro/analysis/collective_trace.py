@@ -470,7 +470,7 @@ def clock_lte(a: Dict, b: Dict) -> bool:
     """Vector-clock partial order: ``a`` happened-before-or-equal ``b``.
 
     Keys are event-source identities — simulated ranks here, thread
-    names in :mod:`repro.analysis.lockwitness`'s thread-level replay,
+    names in :mod:`repro.analysis.interleave`'s happens-before check,
     which reuses this exact partial order.
     """
     return all(count <= b.get(r, 0) for r, count in a.items())

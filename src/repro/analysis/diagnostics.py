@@ -52,6 +52,8 @@ RULES: Dict[str, str] = {
     # retired in PR 22 (no registrant since PR 14); the IDs stay reserved
     "UCP027": "cache-return-mutation",
     "UCP028": "loaded-param-aliases-cache",
+    # the runtime lock witness, retired: lock order is SRC006/UCP037,
+    # guarded access SRC005/UCP038, blocking under a lock SRC007
     "UCP029": "lock-order-cycle",
     "UCP030": "unguarded-state-access",
     "UCP031": "lock-held-across-blocking-io",

@@ -5,7 +5,7 @@ The static half of the crash-consistency checker (the runtime half is
 temp file, fsync, publishing rename, directory fsync, manifest before
 ``latest`` — was until now only *documented*; this lint makes each leg
 of it checkable from the source text alone, the same shape as the
-locks/lockwitness split for concurrency:
+locks/interleave split for concurrency:
 
 ========  ============================  =====================================
 rule      name                          pattern

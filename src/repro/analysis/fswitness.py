@@ -1,8 +1,7 @@
 """Runtime FS-op witness + ALICE-style crash-state enumeration.
 
 The runtime half of the crash-consistency checker (the static half is
-:mod:`repro.analysis.fseffects`), in the same shape as the
-locks/lockwitness split: the store's file effects are *recorded* while
+:mod:`repro.analysis.fseffects`): the store's file effects are *recorded* while
 code runs, and the resulting trace is *replayed* offline against an
 adversarial persistence model.
 
@@ -241,7 +240,7 @@ def ops_from_payload(payload: Dict) -> List[FSOp]:
     return [FSOp.from_dict(raw) for raw in payload.get("fs_ops", [])]
 
 
-# --- activation (mirrors lockwitness/sanitizer) -----------------------
+# --- activation (mirrors the sanitizer) -------------------------------
 
 
 def current() -> Optional[FSOpRecorder]:

@@ -1,8 +1,8 @@
 """Deterministic interleaving explorer for the threaded IO layer.
 
-The witnesses of PRs 7-8 check the *one* schedule the OS happened to
-run.  The concurrency claims the multi-tenant checkpoint hub and the
-async persister rest on are quantified over *all* schedules, so this
+A threaded test checks the *one* schedule the OS happened to run.  The
+concurrency claims the multi-tenant checkpoint hub and the async
+persister rest on are quantified over *all* schedules, so this
 module explores the schedule *space*: a cooperative scheduler runs a
 scenario's threads one at a time, switching only at instrumented yield
 points, and a DFS explorer with dynamic partial-order reduction and a
@@ -11,12 +11,12 @@ schedule it can afford, checking per-schedule invariants.
 
 The scheduler does not instrument code itself: its :class:`Controller`
 subscribes to the one hook slot (:mod:`repro.obs`, role ``"sched"`` —
-delivered after the FS recorder, before the lock witness) and yields at
+delivered after the FS recorder, before the sanitizer) and yields at
 the events the byte-moving layers already name there:
 
 * :class:`~repro.obs.WitnessedLock` acquire/release,
-* the source-file table's (``BlockCache``) guarded accesses behind
-  UCP030 (carrying a read/write flag),
+* the source-file table's (``BlockCache``) guarded accesses (carrying
+  a read/write flag),
 * a conversion worker's wait on a peer's file load
   (:meth:`Controller.on_wait`: runnable again once the future is done),
 * every store file op — with or without an FS recorder active,
@@ -78,10 +78,10 @@ import json
 import os
 import tempfile
 import threading
+import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.analysis import lockwitness as _lockwitness
 from repro.analysis.collective_trace import clock_lte
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -104,6 +104,9 @@ DEFAULT_SHRINK_BUDGET = 64
 _TRACE_LIMIT = 400
 """Events kept per serialized yield trace in reports (head)."""
 
+_STACK_FRAMES = 10
+"""Frames kept per recorded acquisition stack."""
+
 
 class ExploreError(Exception):
     """The exploration itself is misconfigured (bad scenario, bad
@@ -116,6 +119,24 @@ class _Abort(BaseException):
     A ``BaseException`` so scenario code's ``except Exception`` blocks
     cannot swallow the unwind.
     """
+
+
+def _capture_stack(skip: int) -> Tuple[str, ...]:
+    """Compact acquisition stack minus the ``skip`` innermost frames:
+    innermost-last ``file:line in fn`` (the hook slot's own frames never
+    count: a handler reached through ``obs.emit`` sees the stack a
+    direct call from the site would)."""
+    frames = [
+        f for f in traceback.extract_stack() if f.filename != obs.__file__
+    ][:-skip]
+    return tuple(
+        f"{f.filename.rsplit('/', 1)[-1]}:{f.lineno} in {f.name}"
+        for f in frames[-_STACK_FRAMES:]
+    )
+
+
+def _fmt_stack(stack: Tuple[str, ...]) -> str:
+    return " <- ".join(reversed(stack[-4:])) if stack else "<no stack>"
 
 
 # --- events and per-run results ----------------------------------------
@@ -182,7 +203,6 @@ class RunResult:
     fingerprint: Optional[str]
     preemptions: int
     bound_exceeded: bool
-    witness_errors: List[Diagnostic]
     sanitizer_errors: List[Diagnostic]
 
 
@@ -273,7 +293,7 @@ class Controller:
             return
         stack = ""
         if skip:
-            stack = _lockwitness._fmt_stack(_lockwitness._capture_stack(skip))
+            stack = _fmt_stack(_capture_stack(skip))
         self._park(ts, (kind, resource, key, write, obj, stack))
 
     def on_lock_enter(self, lock) -> None:
@@ -1036,9 +1056,9 @@ def run_schedule(
 ) -> RunResult:
     """Execute one :class:`RunCase` under a forced branch schedule.
 
-    The run is wrapped in its own non-strict lock witness and memory
-    sanitizer, so "witness and sanitizer clean" is checked per schedule
-    and findings are *collected*, never raised mid-run.
+    The run is wrapped in its own non-strict memory sanitizer, so
+    "sanitizer clean" is checked per schedule and findings are
+    *collected*, never raised mid-run.
 
     Nested explorations are a programming error (a controlled thread
     reaching a second scheduler could deadlock both): they raise.
@@ -1057,11 +1077,8 @@ def run_schedule(
         with _sanitizer.sanitize(
             strict=False, subject="interleave"
         ) as san:
-            with _lockwitness.lockcheck(
-                strict=False, subject="interleave"
-            ) as witness:
-                with obs.subscribed("sched", ctl):
-                    ctl.run(case.threads)
+            with obs.subscribed("sched", ctl):
+                ctl.run(case.threads)
         fingerprint = None
         if ctl.deadlock is None and not ctl.bound_exceeded:
             fingerprint = case.fingerprint()
@@ -1072,7 +1089,6 @@ def run_schedule(
             fingerprint=fingerprint,
             preemptions=ctl.preemptions,
             bound_exceeded=ctl.bound_exceeded,
-            witness_errors=list(witness.report.errors),
             sanitizer_errors=list(san.report.errors),
         )
     finally:
@@ -1210,7 +1226,7 @@ class _Explorer:
     # --- per-run analysis --------------------------------------------
 
     def _analyze(self, result: RunResult) -> None:
-        for diag in result.witness_errors + result.sanitizer_errors:
+        for diag in result.sanitizer_errors:
             self._add(dataclasses.replace(
                 diag,
                 location=f"{self.scen.name}/{diag.location}",

@@ -1,7 +1,7 @@
 """Guarded-by / lock-discipline AST lint (SRC005-SRC008).
 
-The static half of the concurrency checker (the runtime half is
-:mod:`repro.analysis.lockwitness`).  A lightweight annotation convention
+The static half of the concurrency checker (the explored half is
+:mod:`repro.analysis.interleave`).  A lightweight annotation convention
 makes lock discipline checkable from the source text alone:
 
 * ``self._blocks = {}  # guarded-by: self._lock`` — declares a class
@@ -20,7 +20,7 @@ SRC005    guarded-attr-outside-lock   a ``self.X`` read/write of a declared
 SRC006    inconsistent-lock-order     lexically nested ``with``-lock
                                       acquisitions form a cycle across the
                                       file's functions (static ABBA)
-SRC007    blocking-call-under-lock    a blocking call (disk read,
+SRC007    blocking-call-under-lock    a blocking call (disk read, fsync,
                                       ``Future.result``, a collective) while
                                       a lock is lexically held
 SRC008    guarded-container-escape    ``return``/``yield`` of a guarded
@@ -47,7 +47,7 @@ expression text* (``with self._lock:`` matches the declaration
 ``guarded-by: self._lock``), so aliasing a lock through another name
 defeats the check; lock identities are scoped per enclosing class, so
 cross-object call chains (reader lock -> cache lock through a method
-call) are the runtime witness's job, not this lint's.  Nested functions
+call) are the schedule explorer's job, not this lint's.  Nested functions
 reset the held set — a closure may run after the ``with`` exits.
 
 Suppression shares :mod:`repro.analysis.srclint`'s mechanism:
@@ -72,6 +72,8 @@ BLOCKING_CALL_NAMES = frozenset({
     # object-store / checkpoint IO
     "read_range", "read_ranges", "put_bytes", "write_bytes",
     "save", "save_distributed_checkpoint", "persist",
+    # durable-write latency is device-dependent and unbounded
+    "fsync", "fsync_dir",
 }) | frozenset(COLLECTIVE_NAMES)
 """Terminal call names treated as blocking for SRC007."""
 
@@ -603,8 +605,9 @@ class _LockChecker:
                     f"blocking call {name}() while holding {held_names}: "
                     f"every thread contending for the lock stalls behind "
                     f"this IO/wait; move the call outside the critical "
-                    f"section or mark the lock blocking_ok with a "
-                    f"rationale",
+                    f"section, or, where holding the lock across it is "
+                    f"the design, say why in a comment and suppress it "
+                    f"with '# srclint: disable=SRC007'",
                 )
         for child in ast.iter_child_nodes(node):
             self._order_visit(child, clsname, fnname, held)

@@ -118,7 +118,7 @@ class SnapshotManager:
         """
         if obs._ACTIVE:  # the capture is re-verified (UCP026 on regression)
             obs.emit("snapshot_persist", snapshot.label, self.engine.zero)
-        # the disk write must not happen under the lock (SRC007/UCP031):
+        # the disk write must not happen under the lock (SRC007):
         # a concurrent snapshot() would stall behind the whole persist
         info = save_distributed_checkpoint(_SnapshotView(snapshot), directory)
         with self._lock:

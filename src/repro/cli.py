@@ -212,36 +212,18 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
     import json as _json
     import pathlib
 
-    if args.locks or args.fs:
-        from repro.analysis import LintReport
+    if args.fs:
+        from repro.analysis import check_fs_trace
+        from repro.analysis.fswitness import DEFAULT_STATE_CAP
 
-        payload = _json.loads(pathlib.Path(args.trace).read_text())
-        # one JSON file can carry both payloads ({"locks": .., "fs": ..});
-        # a bare payload is accepted when a single family is requested
-        families = []
-        if args.locks:
-            from repro.analysis import check_lock_trace
-
-            families.append(check_lock_trace(payload.get("locks", payload)))
-        if args.fs:
-            from repro.analysis import check_fs_trace
-            from repro.analysis.fswitness import DEFAULT_STATE_CAP
-
-            families.append(check_fs_trace(
-                payload.get("fs", payload),
-                state_cap=(
-                    args.state_cap if args.state_cap is not None
-                    else DEFAULT_STATE_CAP
-                ),
-                clean_exit=not args.crashed,
-            ))
-        report = LintReport(
-            subject="+".join(
-                n for n, on in (("locks", args.locks), ("fs", args.fs)) if on
-            )
+        report = check_fs_trace(
+            _json.loads(pathlib.Path(args.trace).read_text()),
+            state_cap=(
+                args.state_cap if args.state_cap is not None
+                else DEFAULT_STATE_CAP
+            ),
+            clean_exit=not args.crashed,
         )
-        for family in families:
-            report.extend(family.diagnostics)
         if args.format == "json":
             print(report.to_json())
         else:
@@ -566,21 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tag", default=None, help="tag to read (default: latest)")
     p.add_argument(
-        "--locks",
-        action="store_true",
-        help="treat the input as a lock-witness payload (JSON from "
-             "LockWitness.to_payload) and replay it for lock-order "
-             "cycles and data races (UCP029/UCP030)",
-    )
-    p.add_argument(
         "--fs",
         action="store_true",
         help="treat the input as an FS-op trace (JSON from "
              "FSOpRecorder.to_payload) and replay it: durability "
              "ordering (UCP032), exhaustive crash-state enumeration "
              "with recovery from every state (UCP033), tmp leaks "
-             "(UCP034); combine with --locks on a "
-             "{'locks': .., 'fs': ..} file for one merged report",
+             "(UCP034)",
     )
     p.add_argument(
         "--state-cap",

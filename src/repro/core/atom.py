@@ -109,7 +109,8 @@ class AtomStore:
         return where if part is None else f"{where}/{part}.npt"
 
     def _file(self, name: str, part: str) -> str:
-        if not name or name.startswith(("/", ".")) or ".." in name.split("."):
+        # no empty, "." or ".." component: the file stays under atoms/
+        if {"", ".", ".."} & set(name.split("/")):
             raise UCPFormatError(f"illegal atom name {name!r}")
         return self.path(name, part)
 

@@ -12,6 +12,19 @@ from repro.storage.store import ObjectStore
 UCP_VERSION = 1
 UCP_META_FILE = "ucp_meta.npt"
 
+_MAPPINGS = (
+    "model_config", "source_parallel_config", "params", "adam", "training",
+    "pattern_program",
+)
+
+
+def _damaged(what: str) -> UCPFormatError:
+    return UCPFormatError(f"{UCP_META_FILE} is damaged: {what}")
+
+
+def _kind(value) -> str:
+    return "missing" if value is None else type(value).__name__
+
 
 @dataclasses.dataclass
 class UCPMetadata:
@@ -54,25 +67,35 @@ class UCPMetadata:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "UCPMetadata":
-        """Inverse of :meth:`to_payload`, with version checking."""
-        version = int(payload.get("version", -1))
-        if version != UCP_VERSION:
+        """Inverse of :meth:`to_payload`.  The tree is checked here, once:
+        a damaged one is a :class:`UCPFormatError` naming the file."""
+        version = payload.get("version")
+        if type(version) is not int or version != UCP_VERSION:
             raise UCPFormatError(
-                f"unsupported UCP version {version}; this build reads "
-                f"version {UCP_VERSION}"
+                f"{UCP_META_FILE}: unsupported UCP version {version!r}; "
+                f"this build reads version {UCP_VERSION}"
             )
-        return cls(
-            iteration=int(payload["iteration"]),
-            optimizer_step=int(payload["optimizer_step"]),
-            model_config=payload["model_config"],
-            source_parallel_config=payload["source_parallel_config"],
-            params=payload["params"],
-            adam=payload["adam"],
-            training=payload["training"],
-            pattern_program=payload["pattern_program"],
-            loss_scaler=payload.get("loss_scaler"),
-            version=version,
-        )
+        for key in ("iteration", "optimizer_step"):
+            if type(payload.get(key)) is not int:
+                raise _damaged(f"{key} is {_kind(payload.get(key))}, not an int")
+        for key in _MAPPINGS:
+            if not isinstance(payload.get(key), dict):
+                raise _damaged(f"{key} is {_kind(payload.get(key))}, not a mapping")
+        if not isinstance(payload.get("loss_scaler", {}), (dict, type(None))):
+            raise _damaged("loss_scaler is neither None nor a mapping")
+        for name, entry in payload["params"].items():
+            entry = entry if isinstance(entry, dict) else {}
+            shape, kinds = entry.get("shape"), entry.get("kinds")
+            if not (
+                isinstance(name, str) and isinstance(entry.get("spec"), dict)
+                and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)
+                and isinstance(kinds, list)
+                and all(isinstance(k, str) for k in kinds)
+            ):
+                raise _damaged(f"params entry {name!r} is not "
+                               f"{{shape: [int >= 0], spec: mapping, kinds: [str]}}")
+        return cls(**{f.name: payload.get(f.name) for f in dataclasses.fields(cls)})
 
     def save(self, store: ObjectStore) -> int:
         """Write to a UCP directory; returns bytes written."""

@@ -39,9 +39,9 @@ fragmenter once and kept as a read-only columnar run table by
 executable sharding semantics and disk IO stays header-only (kilobytes
 for a multi-terabyte checkpoint).
 
-Nothing here imports the checker, the executor, :mod:`repro.core.ops` or
-:mod:`repro.storage.rangeio`: this module is first loaded while those
-are still initialising (``core.ops`` -> ``rangeio`` -> ``repro.analysis``).
+Nothing here imports the checker or the executor: this module is first
+loaded while both are still initialising (``core.convert`` ->
+``repro.analysis`` -> ``analysis.provenance`` -> here).
 """
 
 from __future__ import annotations

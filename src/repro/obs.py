@@ -7,26 +7,25 @@ each implementing ``on_<event>`` for the events it cares about.  This
 module has no dependencies, so everyone can import it at module scope.
 
 Roles, in delivery order (:data:`ROLES`): the FS-op recorder, the
-interleaving scheduler, the lock witness, the memory sanitizer.  The
-order is fixed because the sites rely on it: the scheduler parks a
-thread *before* the witness records a lock edge or an access, and
-yields *after* an FS op was recorded (trace order == effect order).
-Per role the innermost activation wins, so an injection test's
-permissive witness shadows the strict session-wide one; subscribing
-``None`` masks a role for the enclosed block.
+interleaving scheduler, the memory sanitizer.  The order is fixed
+because the sites rely on it: the scheduler yields *after* an FS op was
+recorded (trace order == effect order).  Per role the innermost
+activation wins, so an injection test's permissive witness shadows the
+strict session-wide one; subscribing ``None`` masks a role for the
+enclosed block.
 
-Events, with their arguments: ``lock_enter`` / ``lock_acquired`` /
-``lock_exit`` ``(lock)``; ``access (lock, resource, item, write)`` for
-guarded state; ``wait (resource, ready)`` before blocking on a peer;
-``fs_op (kind, root, rel, dst, data)`` for a store file effect;
-``blocking (desc, seconds, kind)``; ``collective (op, group, ranks,
-inputs, outputs)``; ``snapshot_capture (label, captured_zero,
-live_zero)``, ``snapshot_persist (label, live_zero)``, ``replica_commit
-(label, staged, live_zero)``; ``engine_loaded (engine, context)``.
+Events, with their arguments: ``lock_enter`` / ``lock_exit``
+``(lock)``; ``access (lock, resource, item, write)`` for guarded state;
+``wait (resource, ready)`` before blocking on a peer; ``fs_op (kind,
+root, rel, dst, data)`` for a store file effect; ``collective (op,
+group, ranks, inputs, outputs)``; ``snapshot_capture (label,
+captured_zero, live_zero)``, ``snapshot_persist (label, live_zero)``,
+``replica_commit (label, staged, live_zero)``; ``engine_loaded
+(engine, context)``.
 
 Cost model: when nothing is subscribed every hook site is a single
 module-global load plus a truthiness check — the zero-when-off contract
-``benchmarks/test_{lockwitness,interleave,sanitizer}_overhead.py`` gate.
+``benchmarks/test_{interleave,sanitizer}_overhead.py`` gate.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import contextlib
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
-ROLES = ("fs", "sched", "locks", "mem")
+ROLES = ("fs", "sched", "mem")
 
 _ACTIVE: Tuple[object, ...] = ()
 """Each role's innermost subscriber in :data:`ROLES` order; ``()`` when
@@ -90,21 +89,17 @@ def subscribed(role: str, subscriber: Optional[object]) -> Iterator[None]:
 
 
 class WitnessedLock:
-    """A named lock that reports acquisitions to the active witness.
+    """A named lock that reports acquire and release to the slot.
 
-    Drop-in for ``threading.Lock``/``RLock`` in ``with`` statements.
-    ``blocking_ok=True`` declares the lock as *designed* to be held
-    across blocking IO (e.g. ``RangeReader``'s IO-serialization lock)
-    so UCP031 does not fire for it; any other lock held across a
-    blocking call beyond the witness budget is flagged.
+    Drop-in for ``threading.Lock`` in ``with`` statements; the
+    interleaving scheduler is what listens.
     """
 
-    __slots__ = ("name", "blocking_ok", "_inner")
+    __slots__ = ("name", "_inner")
 
-    def __init__(self, name: str, blocking_ok: bool = False, reentrant: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.blocking_ok = blocking_ok
-        self._inner = threading.RLock() if reentrant else threading.Lock()
+        self._inner = threading.Lock()
 
     def __repr__(self) -> str:
         return f"WitnessedLock({self.name!r})"
@@ -113,14 +108,9 @@ class WitnessedLock:
         if _ACTIVE:
             # under the interleaving explorer the thread parks here and
             # is dispatched only once the lock is free in the scheduler's
-            # model, so the real acquire below can never block; the
-            # witness records its order edge BEFORE the real acquire, so
-            # a strict would-be ABBA cycle raises instead of deadlocking
+            # model, so the real acquire below can never block
             emit("lock_enter", self)
-            self._inner.acquire()
-            emit("lock_acquired", self)
-        else:
-            self._inner.acquire()
+        self._inner.acquire()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -131,7 +121,7 @@ class WitnessedLock:
         self._inner.release()
 
     def acquire(self) -> bool:
-        """Bare acquire (prefer ``with``); witnessed like ``__enter__``."""
+        """Bare acquire (prefer ``with``); reported like ``__enter__``."""
         self.__enter__()
         return True
 
@@ -140,6 +130,6 @@ class WitnessedLock:
         self.__exit__(None, None, None)
 
 
-def make_lock(name: str, blocking_ok: bool = False, reentrant: bool = False) -> WitnessedLock:
+def make_lock(name: str) -> WitnessedLock:
     """A :class:`WitnessedLock`; the one lock factory instrumented code uses."""
-    return WitnessedLock(name, blocking_ok=blocking_ok, reentrant=reentrant)
+    return WitnessedLock(name)

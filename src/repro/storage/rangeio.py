@@ -18,10 +18,11 @@ discovered at run time: plan -> one verified sequential read per file
 
 Two locks, never nested: the table's ``_lock`` guards its containers
 (``# guarded-by:``; ``_check_guarded`` names each touch as an ``access``
-event on :mod:`repro.obs`, feeding UCP030 and the schedule explorer when
-they listen); the reader's ``_io_lock`` serializes store reads (``ObjectStore``
-byte accounting is not thread-safe) and is ``blocking_ok`` because
-holding it across the read *is* the serialization — hashing is outside.
+event on :mod:`repro.obs`, feeding the schedule explorer when it
+listens); the reader's ``_io_lock`` serializes store reads (``ObjectStore``
+byte accounting is not thread-safe), so the read under it carries an
+SRC007 suppression: holding it across the read *is* the serialization —
+hashing is outside.
 The names predate the design: ``benchmarks/e2e/trace.py`` patches them.
 """
 
@@ -134,7 +135,7 @@ class RangeReader:
         self.verify = verify
         self.read_ops = self.num_batches = 0
         self.ranges_coalesced = self.peak_window_bytes = 0
-        self._io_lock = obs.make_lock("RangeReader._io_lock", blocking_ok=True)
+        self._io_lock = obs.make_lock("RangeReader._io_lock")
 
     def digest(self, rel: str) -> str:
         """Stream a claimed file into the table; returns its SHA-256."""

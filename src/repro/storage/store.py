@@ -162,7 +162,6 @@ class CommitGroup:
                     _fsync_path(tmp)
                     if obs._ACTIVE:
                         store._emit_fs("fsync", tmp)
-                        obs.emit("blocking", f"fsync({rel_path})", 0.0, "fsync")
             parents: List[pathlib.Path] = []
             for rel_path, tmp, path in self._staged:
                 if store.faults is not None:

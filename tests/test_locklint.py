@@ -6,8 +6,8 @@ under ``with <guard>:``, ``# holds:``-annotated helpers, copying
 returns, and consistently ordered nesting must never be flagged.  The
 seeded-bug tests mutate the *real* ``rangeio`` source — dropping the
 lock around a cache mutation and adding an ABBA method pair — and prove
-the lint catches exactly those regressions (the static half of the
-ISSUE acceptance; the runtime half lives in ``test_lockwitness.py``).
+the lint catches exactly those regressions (the explored half lives in
+``test_interleave.py``).
 """
 
 from pathlib import Path
@@ -454,7 +454,6 @@ class TestSeededRealSourceBugs:
             "ckpt/inmemory.py",
             "ckpt/snapshot.py",
             "analysis/sanitizer.py",
-            "analysis/lockwitness.py",
         ):
             path = REPO_SRC / rel
             source = path.read_text()

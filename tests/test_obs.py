@@ -10,7 +10,6 @@ import pytest
 from repro import obs
 from repro.analysis import interleave
 from repro.analysis.fswitness import fstrace
-from repro.analysis.lockwitness import lockcheck
 from repro.analysis.sanitizer import sanitize
 from repro.storage.store import ObjectStore
 
@@ -19,7 +18,7 @@ from repro.storage.store import ObjectStore
 def quiet_slot():
     """Mask whatever the session fixture subscribed (REPRO_SANITIZE=1),
     so ``obs._ACTIVE`` is ``()`` at the start of the test."""
-    with obs.subscribed("mem", None), obs.subscribed("locks", None):
+    with obs.subscribed("mem", None):
         assert obs._ACTIVE == ()
         yield
 
@@ -43,17 +42,17 @@ class TestOffMode:
         assert obs._ACTIVE == ()
 
     def test_slot_is_empty_after_every_activation(self, quiet_slot):
-        with sanitize(strict=False), lockcheck(strict=False), fstrace():
-            assert len(obs._ACTIVE) == 3
+        with sanitize(strict=False), fstrace():
+            assert len(obs._ACTIVE) == 2
         assert obs._ACTIVE == ()
 
     def test_slot_is_restored_on_exception(self, quiet_slot):
         with pytest.raises(KeyError):
-            with lockcheck(strict=False):
+            with sanitize(strict=False):
                 with fstrace():
                     raise KeyError("boom")
         assert obs._ACTIVE == ()
-        assert obs.current("locks") is None and obs.current("fs") is None
+        assert obs.current("mem") is None and obs.current("fs") is None
 
     def test_slot_is_restored_from_a_worker_thread(self, quiet_slot):
         seen = []
@@ -71,15 +70,15 @@ class TestOffMode:
 
 class TestDelivery:
     def test_innermost_subscriber_of_a_role_wins(self, quiet_slot):
-        """A permissive witness inside a strict one receives the event;
-        the strict one does not (and so cannot raise)."""
-        with lockcheck(strict=True) as outer:
-            with lockcheck(strict=False) as inner:
-                inner_lock = obs.make_lock("guard")
-                obs.emit("access", inner_lock, "table", None, True)  # unheld
-            assert [d.rule_id for d in inner.report.diagnostics] == ["UCP030"]
-            assert outer.report.ok and outer.checks == 0
-            assert obs.current("locks") is outer
+        """The inner subscriber of a role receives the event; the outer
+        one does not, and is back once the inner activation ends."""
+        log = []
+        outer = Listener("outer", log)
+        with obs.subscribed("sched", outer):
+            with obs.subscribed("sched", Listener("inner", log)):
+                obs.emit("access", None, "table", None, True)
+            assert obs.current("sched") is outer
+        assert log == [("inner", "access")]
 
     def test_masking_a_role_with_none(self, quiet_slot):
         with sanitize(strict=True) as san:
@@ -91,11 +90,11 @@ class TestDelivery:
         log = []
         # subscribed in reverse: delivery order is the role order anyway
         with obs.subscribed("mem", Listener("mem", log)), \
-                obs.subscribed("locks", Listener("locks", log)), \
                 obs.subscribed("sched", Listener("sched", log)), \
                 obs.subscribed("fs", Listener("fs", log)):
             obs.emit("access", None, "r", None, False)
         assert [name for name, _ in log] == list(obs.ROLES)
+        assert obs.ROLES == ("fs", "sched", "mem")
 
     def test_subscribers_receive_only_events_they_handle(self, quiet_slot):
         log = []

@@ -356,7 +356,7 @@ class TestRepoIsClean:
           imports only the standard library.
         * Nothing under ``src/repro`` outside ``analysis/`` and
           ``cli.py`` imports a switchable witness (``sanitizer``,
-          ``lockwitness``, ``fswitness``, ``interleave``): hook sites
+          ``fswitness``, ``interleave``): hook sites
           name events on the slot, never a checker.
         * The planner lives in ``repro.core.plan`` and the provenance
           checker imports it, never the reverse.
@@ -374,7 +374,7 @@ class TestRepoIsClean:
         ]
         assert foreign == []
 
-        witnesses = ("sanitizer", "lockwitness", "fswitness", "interleave",
+        witnesses = ("sanitizer", "fswitness", "interleave",
                      "schedpoint", "provenance")
         offenders, reaching_up = [], set()
         for path in sorted(root.rglob("*.py")):
