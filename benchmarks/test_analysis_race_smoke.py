@@ -1,14 +1,15 @@
 """Race-detector smoke: a real training + save trace must verify clean.
 
-The collective-ordering detector (``repro.analysis.collective_trace``)
-is wired into every process group, so an ordinary training run plus a
-checkpoint save produces the full trace for free.  This smoke gate
-verifies the happy path stays race-free at benchmark scale, and that an
-injected single-rank divergence is still caught — i.e. the detector has
-not silently become a no-op.
+A :class:`~repro.analysis.collective_trace.CollectiveTraceRecorder`
+subscribed under the ``collective`` role of :mod:`repro.obs` hears every
+collective an ordinary training run plus a checkpoint save issues.  This
+smoke gate verifies the happy path stays race-free at benchmark scale,
+and that an injected single-rank divergence is still caught — i.e. the
+detector has not silently become a no-op.
 """
 
-from repro.analysis import check_collective_ordering
+from repro import obs
+from repro.analysis import CollectiveTraceRecorder, check_collective_ordering
 from repro.dist.topology import ParallelConfig
 
 from bench_util import make_engine, record_result
@@ -18,10 +19,11 @@ PARALLEL = ParallelConfig(tp=2, pp=2, dp=2, zero_stage=1)
 
 def test_race_smoke(tmp_path):
     engine = make_engine("gpt3-mini", parallel=PARALLEL)
-    engine.train(2)
-    engine.save_checkpoint(str(tmp_path / "ckpt"))
+    trace = CollectiveTraceRecorder()
+    with obs.subscribed("collective", trace):
+        engine.train(2)
+        engine.save_checkpoint(str(tmp_path / "ckpt"))
 
-    trace = engine.cluster.trace
     report = check_collective_ordering(trace)
     assert trace.num_events > 0
     assert report.ok, report.render_text()

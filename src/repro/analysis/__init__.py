@@ -14,8 +14,9 @@ Four analyzers, none of which ever materializes a tensor:
   (``repro lint-plan --provenance`` and the conversion pre-flight).
 - :mod:`~repro.analysis.collective_trace` — per-group ordering,
   cross-rank argument lint, and a vector-clock happens-before replay
-  detecting deadlock cycles and critical-section overlaps
-  (``repro lint-trace``).
+  detecting deadlock cycles and critical-section overlaps over the
+  trace a :class:`~repro.analysis.collective_trace.CollectiveTraceRecorder`
+  records while subscribed to :mod:`repro.obs` (``repro lint-trace``).
 
 The runtime witnesses below never reach into the code they watch: the
 byte-moving layers name *events* on the one hook slot (:mod:`repro.obs`)
@@ -69,6 +70,7 @@ from repro.analysis.continuity import (
 from repro.analysis.collective_trace import (
     CollectiveTraceRecorder,
     TraceEvent,
+    TraceFormatError,
     check_collective_args,
     check_collective_ordering,
     check_happens_before,
@@ -145,6 +147,7 @@ __all__ = [
     "ProvenanceAnalysis",
     "SanitizerError",
     "TraceEvent",
+    "TraceFormatError",
     "analyze_interchange",
     "analyze_source",
     "analyze_ucp_source",

@@ -11,9 +11,9 @@ mismatched buffers silently reduce); the simulator, which executes
 collectives group-wide, cannot hang — so these bug classes would be
 invisible here without explicit checks.
 
-Three checkers close the gap, all reading the same per-rank
-:class:`TraceEvent` logs every :class:`~repro.dist.process_group.
-ProcessGroup` records:
+Three checkers read the per-rank :class:`TraceEvent` logs of a
+:class:`CollectiveTraceRecorder` subscribed under the ``collective``
+role of :mod:`repro.obs` (with nothing subscribed, no trace exists):
 
 * :func:`check_collective_ordering` — per-group sequence equality
   (UCP014), the classic skipped-collective detector.  Numel is
@@ -39,6 +39,8 @@ entry point.
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,10 +52,18 @@ TRACE_VERSION = 1
 
 _SECTION_RE = re.compile(r"^barrier:(save|convert):(.+):(enter|commit)$")
 
+_RANK_KEY_RE = re.compile(r"0|[1-9][0-9]{0,8}")
+"""An ``events`` key: ``str(rank)`` exactly (no sign, padding or
+non-ASCII digits)."""
+
 _SHAPE_STRICT_OPS = ("all_reduce", "broadcast", "reduce_scatter")
 """Ops whose per-member input shapes must match exactly (all_gather is
 exempt: members may legitimately contribute uneven shards along the
 gather axis)."""
+
+
+class TraceFormatError(ValueError):
+    """A collective-trace file whose payload is not a version-1 trace."""
 
 
 def numel_class(numel: int) -> int:
@@ -96,34 +106,35 @@ class TraceEvent:
         )
 
     def to_record(self) -> List:
-        """Serializable list form (inverse of :meth:`from_record`)."""
+        """Serializable list form (``[op, group, dtype, numel class,
+        shape, reduce op]``)."""
         return [
             self.op, self.group, self.dtype, self.numel_class,
             list(self.shape), self.reduce_op,
         ]
 
-    @classmethod
-    def from_record(cls, record: Sequence) -> "TraceEvent":
-        """Rebuild from :meth:`to_record` output (older 4-field records
-        load with empty shape/reduce_op)."""
-        op, group, dtype, nclass = record[:4]
-        shape = tuple(int(d) for d in record[4]) if len(record) > 4 else ()
-        reduce_op = str(record[5]) if len(record) > 5 else ""
-        return cls(
-            op=str(op), group=str(group), dtype=str(dtype),
-            numel_class=int(nclass), shape=shape, reduce_op=reduce_op,
-        )
+
+def _is_index(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_record(record) -> bool:
+    """A :meth:`TraceEvent.to_record` list, field types included."""
+    return (
+        isinstance(record, list) and len(record) == 6
+        and all(isinstance(record[i], str) for i in (0, 1, 2, 5))
+        and _is_index(record[3]) and isinstance(record[4], list)
+        and all(_is_index(d) for d in record[4])
+    )
 
 
 class CollectiveTraceRecorder:
     """Per-rank log of every collective a job issues.
 
-    One recorder is shared by all of a :class:`~repro.dist.cluster.
-    Cluster`'s process groups.  Well-behaved group-wide calls append
-    the same event to every member rank; the ``rank=`` override exists
-    so tests (and future per-rank execution paths) can record what one
-    rank alone observed — which is exactly the divergence the checkers
-    then catch.
+    Subscribed under the ``collective`` role of :mod:`repro.obs`,
+    :meth:`on_collective` logs each grouped call for every member rank.
+    :meth:`record`'s ``rank=`` override logs what one rank alone
+    observed — exactly the divergence the checkers then catch.
     """
 
     def __init__(self) -> None:
@@ -166,33 +177,38 @@ class CollectiveTraceRecorder:
             self.events.setdefault(r, []).append(event)
         return event
 
-    def record_call(
+    def on_collective(
         self,
         op: str,
-        group: str,
+        group: Optional[str],
         ranks: Sequence[int],
-        arrays: Sequence[np.ndarray],
+        inputs: Sequence[np.ndarray],
+        outputs: Sequence[np.ndarray],
         reduce_op: str = "",
     ) -> None:
-        """Log one collective with each member's *own* argument facts.
+        """Slot handler: log one collective with each member's *own*
+        argument facts.
 
-        Unlike :meth:`record` (one event fan-copied to all members),
-        this records per-member shape/dtype/numel — so a rank passing
-        a differently-shaped or differently-typed buffer is visible to
-        the UCP024 argument lint.  A single array is broadcast to all
-        members (the ``broadcast`` collective's calling convention).
+        Per-member shape/dtype/numel come from the member's input
+        buffer, so a rank passing a differently-shaped or
+        differently-typed buffer is visible to the UCP024 argument lint.
+        A single input is broadcast to all members (the ``broadcast``
+        calling convention); a call with no inputs (the engine's
+        modelled DP sync) reports its results; a barrier, with neither,
+        logs a payload-free ``none`` event.  A groupless module-level
+        call (``group`` is ``None``) names no real ranks and is skipped.
         """
+        if group is None:
+            return
         members = tuple(ranks)
         self.group_members.setdefault(group, members)
-        arrs = [np.asarray(a) for a in arrays]
-        if len(arrs) == 1 and len(members) > 1:
-            arrs = arrs * len(members)
-        if len(arrs) != len(members):
-            raise ValueError(
-                f"record_call on group {group!r} got {len(arrs)} arrays "
-                f"for {len(members)} members"
-            )
-        for r, arr in zip(members, arrs):
+        arrays = [np.asarray(a) for a in (inputs if len(inputs) else outputs)]
+        if not arrays:
+            self.record(op, group, members, 0, dtype="none")
+            return
+        if len(arrays) == 1:
+            arrays = arrays * len(members)
+        for r, arr in zip(members, arrays, strict=True):
             self.events.setdefault(r, []).append(TraceEvent(
                 op=op, group=group, dtype=str(arr.dtype),
                 numel_class=numel_class(int(arr.size)),
@@ -212,13 +228,8 @@ class CollectiveTraceRecorder:
         """Total logged events across all ranks."""
         return sum(len(v) for v in self.events.values())
 
-    def reset(self) -> None:
-        """Drop all logged events and group memberships."""
-        self.events.clear()
-        self.group_members.clear()
-
     def to_payload(self) -> Dict:
-        """Serializable form (``.npt``/JSON-safe: str keys, list leaves)."""
+        """JSON-safe form (str keys, list leaves)."""
         return {
             "version": TRACE_VERSION,
             "group_members": {
@@ -232,22 +243,55 @@ class CollectiveTraceRecorder:
         }
 
     @classmethod
-    def from_payload(cls, payload: Dict) -> "CollectiveTraceRecorder":
-        """Inverse of :meth:`to_payload`."""
-        version = int(payload.get("version", -1))
-        if version != TRACE_VERSION:
-            raise ValueError(
-                f"unsupported trace version {version}; this build reads "
-                f"version {TRACE_VERSION}"
-            )
+    def from_payload(
+        cls, payload, source: str = "collective trace"
+    ) -> "CollectiveTraceRecorder":
+        """Inverse of :meth:`to_payload`.  The tree is checked here, once:
+        a damaged one is a :class:`TraceFormatError` naming ``source``
+        (the file it was read from)."""
+
+        def damaged(what: str) -> TraceFormatError:
+            return TraceFormatError(f"{source} is not a collective trace: {what}")
+
+        if not isinstance(payload, dict):
+            raise damaged(f"decodes to {type(payload).__name__}, not a mapping")
+        version = payload.get("version")
+        if type(version) is not int or version != TRACE_VERSION:
+            raise damaged(f"version {version!r}, this build reads {TRACE_VERSION}")
+        groups, events = payload.get("group_members"), payload.get("events")
+        if not isinstance(groups, dict) or not isinstance(events, dict):
+            raise damaged("group_members and events must be mappings")
         recorder = cls()
-        for group, members in payload.get("group_members", {}).items():
-            recorder.group_members[group] = tuple(int(r) for r in members)
-        for rank, records in payload.get("events", {}).items():
-            recorder.events[int(rank)] = [
-                TraceEvent.from_record(r) for r in records
+        for group, members in groups.items():
+            if not (
+                isinstance(group, str) and isinstance(members, list) and members
+                and all(_is_index(r) for r in members)
+                and len(set(members)) == len(members)
+            ):
+                raise damaged(f"group_members[{group!r}] is not distinct ranks")
+            recorder.group_members[group] = tuple(members)
+        for key, records in events.items():
+            if not (
+                isinstance(key, str) and _RANK_KEY_RE.fullmatch(key)
+                and isinstance(records, list)
+                and all(_is_record(r) for r in records)
+            ):
+                raise damaged(f"events[{key!r}] is not a list of 6-field records")
+            recorder.events[int(key)] = [
+                TraceEvent(*r[:4], tuple(r[4]), r[5]) for r in records
             ]
         return recorder
+
+    @classmethod
+    def load(cls, path: str) -> "CollectiveTraceRecorder":
+        """Read a trace written as JSON :meth:`to_payload` output."""
+        try:
+            payload = json.loads(pathlib.Path(path).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TraceFormatError(
+                f"{path} is not a collective trace: not JSON ({exc})"
+            ) from exc
+        return cls.from_payload(payload, source=str(path))
 
 
 def check_collective_ordering(recorder: CollectiveTraceRecorder) -> LintReport:
@@ -476,14 +520,12 @@ def clock_lte(a: Dict, b: Dict) -> bool:
     return all(count <= b.get(r, 0) for r, count in a.items())
 
 
-_clock_lte = clock_lte
-
-
 def find_cycle(graph: Dict) -> Optional[List]:
     """One directed cycle in a wait-for/order graph, or None.
 
     Nodes may be any sortable hashable (ranks here, lock names in the
-    lock witness); traversal order is deterministic (sorted roots).
+    static lock-order lint); traversal order is deterministic (sorted
+    roots).
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {r: WHITE for r in graph}
@@ -514,9 +556,6 @@ def find_cycle(graph: Dict) -> Optional[List]:
     return None
 
 
-_find_cycle = find_cycle
-
-
 def check_happens_before(recorder: CollectiveTraceRecorder) -> LintReport:
     """Deadlock cycles and critical-section overlaps (UCP023).
 
@@ -539,7 +578,7 @@ def check_happens_before(recorder: CollectiveTraceRecorder) -> LintReport:
 
     if not result.completed:
         graph = result.wait_graph(recorder.group_members)
-        cycle = _find_cycle(graph)
+        cycle = find_cycle(graph)
         if cycle is not None:
             hops = []
             for i, rank in enumerate(cycle):
@@ -603,7 +642,7 @@ def check_happens_before(recorder: CollectiveTraceRecorder) -> LintReport:
         for j in range(i + 1, len(closed)):
             (kind_a, tag_a, _), enter_a, commit_a = closed[i]
             (kind_b, tag_b, _), enter_b, commit_b = closed[j]
-            if _clock_lte(commit_a, enter_b) or _clock_lte(commit_b, enter_a):
+            if clock_lte(commit_a, enter_b) or clock_lte(commit_b, enter_a):
                 continue
             report.add(error(
                 "UCP023",

@@ -93,9 +93,7 @@ def crosscheck_manifest(
     ]
     for rel in store.list(tag):
         basename = rel.split("/")[-1]
-        if basename in (naming.MANIFEST_FILE, naming.TRACE_FILE):
-            # the collective-trace sidecar is a debug artifact written
-            # after the commit point, deliberately outside the manifest
+        if basename == naming.MANIFEST_FILE:
             continue
         if basename not in manifest["files"]:
             out.append(warning(

@@ -173,10 +173,11 @@ class MemorySanitizer:
     def on_collective(
         self,
         op: str,
-        group_name: str,
+        group_name: Optional[str],
         ranks: Sequence[int],
         inputs: Sequence[np.ndarray],
         outputs: Sequence[np.ndarray],
+        reduce_op: str = "",
     ) -> List[Diagnostic]:
         """Check one collective's per-rank results for writable aliasing.
 
@@ -185,9 +186,12 @@ class MemorySanitizer:
         allowed).  Two ranks sharing one writable buffer, or a rank's
         output aliasing another rank's input, is the missing-``.copy()``
         bug (UCP025).  Read-only sharing is permitted: frozen broadcast
-        fan-out is safe by construction.
+        fan-out is safe by construction.  A groupless call (``None``)
+        is named by its op.
         """
         self.checks += 1
+        if group_name is None:
+            group_name = op
         found: List[Diagnostic] = []
         outs = [np.asarray(o) for o in outputs]
         roots = [id(_root(o)) for o in outs]

@@ -22,7 +22,6 @@ import re
 LATEST_FILE = "latest"
 JOB_CONFIG_FILE = "job_config.npt"
 MANIFEST_FILE = "manifest.npt"
-TRACE_FILE = "collective_trace.npt"
 
 FLAT_STATE_FIELDS = {
     "fp32": "fp32_flat_partition",

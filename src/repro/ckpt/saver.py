@@ -260,7 +260,6 @@ def save_distributed_checkpoint(
     tag: Optional[str] = None,
     store: Optional[ObjectStore] = None,
     optimizer_layout: str = "flat",
-    dump_trace: bool = False,
 ) -> CheckpointInfo:
     """Persist the engine's full training state as per-rank files.
 
@@ -274,10 +273,6 @@ def save_distributed_checkpoint(
             optimizer states (one dict entry per parameter shard) —
             only valid for ZeRO stage 0, where optimizer state is
             replicated across DP.
-        dump_trace: also commit the cluster's collective trace into the
-            tag (``collective_trace.npt``) so ``repro lint-trace`` can
-            replay it offline; off by default — the trace is a debug
-            artifact, not training state.
     """
     if optimizer_layout not in ("flat", "per_param"):
         raise ValueError(f"unknown optimizer_layout {optimizer_layout!r}")
@@ -290,8 +285,8 @@ def save_distributed_checkpoint(
         store = ObjectStore(directory)
     tag = tag if tag is not None else naming.tag_for_step(engine.iteration)
     # every rank reaches the save path together; the labelled barrier
-    # enters the collective trace so the race detector can prove the
-    # save never interleaves with a rank still in the training step
+    # lets a subscribed trace recorder prove the save never interleaves
+    # with a rank still in the training step
     cluster = getattr(engine, "cluster", None)
     if cluster is not None:
         cluster.barrier(f"save:{tag}:enter")
@@ -329,12 +324,6 @@ def save_distributed_checkpoint(
     store.write_text(naming.LATEST_FILE, tag)
     if cluster is not None:
         cluster.barrier(f"save:{tag}:commit")
-    if dump_trace and cluster is not None and cluster.trace is not None:
-        # debug sidecar, written after the commit barrier so an offline
-        # `repro lint-trace` sees the save's full enter..commit section;
-        # deliberately outside the manifest — it describes the job, not
-        # the checkpointed state
-        store.save(f"{tag}/{naming.TRACE_FILE}", cluster.trace.to_payload())
     return CheckpointInfo(
         directory=directory,
         tag=tag,

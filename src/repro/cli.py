@@ -11,8 +11,8 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-ckpt <dir> [--tag T] [--format text|json] [--deep]
     python -m repro lint-plan --source <dir> --target tp2.pp1.dp4.sp1.zero1 \
         [--provenance]
-    python -m repro lint-trace <trace.npt | ckpt_dir> [--tag T] \
-        [--locks] [--fs [--state-cap N] [--crashed]]
+    python -m repro lint-trace <trace.json> [--fs [--state-cap N] \
+        [--crashed]]
     python -m repro lint-src  [root] [--baseline F] [--write-baseline] \
         [--locks] [--fs]
     python -m repro explore   <scenario | --list> [--schedules N] \
@@ -204,15 +204,11 @@ def cmd_lint_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_trace(args: argparse.Namespace) -> int:
-    """Analyze a recorded collective trace for races and deadlocks."""
-    from repro.analysis import CollectiveTraceRecorder, check_trace
-    from repro.ckpt import naming
-    from repro.ckpt.loader import resolve_tag
-    from repro.storage.store import ObjectStore
-    import json as _json
-    import pathlib
-
+    """Analyze a recorded collective (or FS-op) trace file."""
     if args.fs:
+        import json as _json
+        import pathlib
+
         from repro.analysis import check_fs_trace
         from repro.analysis.fswitness import DEFAULT_STATE_CAP
 
@@ -224,31 +220,10 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
             ),
             clean_exit=not args.crashed,
         )
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.render_text())
-        return 0 if report.ok else 1
-
-    path = pathlib.Path(args.trace)
-    if path.is_dir():
-        store = ObjectStore(str(path))
-        tag = resolve_tag(store, args.tag)
-        rel = f"{tag}/{naming.TRACE_FILE}"
-        if not store.exists(rel):
-            print(
-                f"error: no {naming.TRACE_FILE} under {path}/{tag} (save "
-                f"with dump_trace=True to record one)",
-                file=sys.stderr,
-            )
-            return 1
-        payload = store.load(rel)
     else:
-        store = ObjectStore(str(path.parent))
-        payload = store.load(path.name)
-    recorder = CollectiveTraceRecorder.from_payload(payload)
+        from repro.analysis import CollectiveTraceRecorder, check_trace
 
-    report = check_trace(recorder)
+        report = check_trace(CollectiveTraceRecorder.load(args.trace))
     if args.format == "json":
         print(report.to_json())
     else:
@@ -543,10 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "trace",
-        help="a collective_trace.npt file, or a checkpoint directory "
-             "saved with dump_trace=True",
+        help="a JSON trace file: CollectiveTraceRecorder.to_payload "
+             "output (FSOpRecorder.to_payload with --fs)",
     )
-    p.add_argument("--tag", default=None, help="tag to read (default: latest)")
     p.add_argument(
         "--fs",
         action="store_true",

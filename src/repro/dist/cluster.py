@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.dist.collectives import CommTracker
+from repro.dist.collectives import CommTracker, sanitize_boundary
 from repro.dist.process_group import ProcessGroup
 from repro.dist.topology import AxisName, ParallelConfig, Topology
 
@@ -26,29 +26,16 @@ class Cluster:
         self,
         config: ParallelConfig,
         tracker: Optional[CommTracker] = None,
-        trace=None,
     ) -> None:
         self.config = config
         self.topology = Topology(config)
         self.tracker = tracker if tracker is not None else CommTracker()
-        # shared per-rank collective log; the race detector
-        # (repro.analysis.collective_trace) checks it for cross-rank
-        # ordering divergence after training/save paths run.  Imported
-        # lazily: repro.analysis sits above repro.dist in the layering
-        # and importing it here at module scope would be circular.
-        if trace is None:
-            from repro.analysis.collective_trace import CollectiveTraceRecorder
-
-            trace = CollectiveTraceRecorder()
-        self.trace = trace
         self._failed: Set[int] = set()
         self._groups: Dict[str, ProcessGroup] = {}
         for axis in ("tp", "pp", "dp", "sp"):
             for members in self.topology.groups(axis):
                 name = f"{axis}:{','.join(map(str, members))}"
-                self._groups[name] = ProcessGroup(
-                    name, members, tracker=self.tracker, trace=self.trace
-                )
+                self._groups[name] = ProcessGroup(name, members, tracker=self.tracker)
 
     @property
     def world_size(self) -> int:
@@ -67,20 +54,16 @@ class Cluster:
         return [g for name, g in self._groups.items() if name.startswith(f"{axis}:")]
 
     def barrier(self, label: str) -> None:
-        """Trace a world-wide synchronization point.
+        """A world-wide synchronization point, named as a collective.
 
         Barriers move no payload, so nothing is charged to the
-        :class:`CommTracker`; the event only enters the collective
-        trace, where the race detector proves every rank reached the
+        :class:`CommTracker`; the ``barrier:<label>`` collective event
+        lets a subscribed trace recorder prove every rank reached the
         same labelled sync points in the same order (e.g. the save
         path's entry and commit barriers).
         """
-        self.trace.record(
-            f"barrier:{label}",
-            "world",
-            list(self.topology.ranks()),
-            0,
-            dtype="none",
+        sanitize_boundary(
+            f"barrier:{label}", [], [], group=("world", self.topology.ranks())
         )
 
     def fail_rank(self, rank: int) -> None:

@@ -21,21 +21,23 @@ def sanitize_boundary(
     inputs: Sequence[np.ndarray],
     outputs: Sequence[np.ndarray],
     group: Optional[Tuple[str, Sequence[int]]] = None,
+    reduce_op: str = "",
 ) -> Sequence[np.ndarray]:
-    """Name a collective's per-rank results as a ``collective`` event.
+    """Name one collective call as a ``collective`` event on :mod:`repro.obs`.
 
-    Every collective calls this just before returning: with a memory
-    sanitizer listening on :mod:`repro.obs` (``sanitize()`` /
-    ``REPRO_SANITIZE=1``) the results are checked for writable
-    cross-rank aliasing (UCP025); with none, the cost is one function
-    call.  ``group`` carries ``(name, ranks)`` when the caller is a
-    :class:`ProcessGroup`, so violations name real global ranks; direct
-    module-level calls (e.g. sequence parallelism's ``all_to_all``) fall
-    back to local indices.
+    The one hook of every collective, called just before it returns: a
+    memory sanitizer checks the results for writable cross-rank
+    aliasing (UCP025) and a subscribed trace recorder logs the call;
+    with nothing subscribed the cost is one function call.  ``group``
+    carries ``(name, ranks)`` for a :class:`ProcessGroup` op, the
+    engine's modelled DP sync or a cluster barrier, so findings name
+    real global ranks; a direct module-level call (e.g. sequence
+    parallelism's ``all_to_all``) emits a ``None`` group over local
+    indices, which the sanitizer still checks and the recorder skips.
     """
     if obs._ACTIVE:
-        name, ranks = group if group is not None else (op, range(len(outputs)))
-        obs.emit("collective", op, name, list(ranks), inputs, outputs)
+        name, ranks = group if group is not None else (None, range(len(outputs)))
+        obs.emit("collective", op, name, list(ranks), inputs, outputs, reduce_op)
     return outputs
 
 
@@ -81,6 +83,24 @@ def _ring_allreduce_bytes(numel: int, itemsize: int, group_size: int) -> int:
     return 2 * (group_size - 1) * numel * itemsize // group_size
 
 
+def _reduce(shards: Sequence[np.ndarray], op: str) -> np.ndarray:
+    """The rank-ordered float32 reduction behind all-reduce and
+    reduce-scatter (no accounting, no event)."""
+    if not shards:
+        raise ValueError("all_reduce over an empty group")
+    shapes = {s.shape for s in shards}
+    if len(shapes) != 1:
+        raise ValueError(f"all_reduce shape mismatch across ranks: {shapes}")
+    total = shards[0].astype(np.float32, copy=True)
+    for shard in shards[1:]:
+        total = total + shard.astype(np.float32)
+    if op == "avg":
+        total = total / np.float32(len(shards))
+    elif op != "sum":
+        raise ValueError(f"unsupported all_reduce op {op!r}")
+    return total
+
+
 def all_reduce(
     shards: Sequence[np.ndarray],
     op: str = "sum",
@@ -97,18 +117,7 @@ def all_reduce(
         op: "sum" or "avg".
         tracker: optional traffic accounting sink.
     """
-    if not shards:
-        raise ValueError("all_reduce over an empty group")
-    shapes = {s.shape for s in shards}
-    if len(shapes) != 1:
-        raise ValueError(f"all_reduce shape mismatch across ranks: {shapes}")
-    total = shards[0].astype(np.float32, copy=True)
-    for shard in shards[1:]:
-        total = total + shard.astype(np.float32)
-    if op == "avg":
-        total = total / np.float32(len(shards))
-    elif op != "sum":
-        raise ValueError(f"unsupported all_reduce op {op!r}")
+    total = _reduce(shards, op)
     if tracker is not None:
         tracker.record(
             "all_reduce",
@@ -116,7 +125,7 @@ def all_reduce(
             _ring_allreduce_bytes(total.size, total.itemsize, len(shards)),
         )
     results = [total.copy() for _ in shards]
-    sanitize_boundary("all_reduce", shards, results, group=group)
+    sanitize_boundary("all_reduce", shards, results, group=group, reduce_op=op)
     return results
 
 
@@ -153,7 +162,7 @@ def reduce_scatter(
     if not shards:
         raise ValueError("reduce_scatter over an empty group")
     width = len(shards)
-    reduced = all_reduce(shards, op=op)[0]
+    reduced = _reduce(shards, op)
     if reduced.ndim != 1 or reduced.size % width != 0:
         raise ValueError(
             f"reduce_scatter needs 1-D arrays with length divisible by "
@@ -164,7 +173,9 @@ def reduce_scatter(
         tracker.record("reduce_scatter", width, per_rank)
     size = reduced.size // width
     results = [reduced[i * size : (i + 1) * size].copy() for i in range(width)]
-    sanitize_boundary("reduce_scatter", shards, results, group=group)
+    sanitize_boundary(
+        "reduce_scatter", shards, results, group=group, reduce_op=op
+    )
     return results
 
 

@@ -16,9 +16,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.data.corpus import SyntheticCorpus
 from repro.data.dataloader import DataLoader
 from repro.dist.cluster import Cluster
+from repro.dist.collectives import sanitize_boundary
 from repro.dist.topology import ParallelConfig, RankCoord
 from repro.models.builder import build_transformer
 from repro.models.configs import ModelConfig
@@ -122,38 +124,25 @@ class TrainingEngine:
                     f"{param.shape} for {name!r}"
                 )
 
-    def _trace_dp_collective(self, op: str, coord, numel: int) -> None:
-        """Log an accounted DP collective into the race-detector trace.
+    def _dp_boundary(self, op: str, coord, arrays, reduce_op: str = "") -> None:
+        """Name one analytically-modelled DP collective on the obs bus.
 
-        The engine accounts DP traffic analytically (one record per
-        model-parallel coordinate) rather than through ProcessGroup
-        calls, so those collectives must be mirrored into the trace by
-        hand for the ordering check to see them.
+        The engine accounts DP traffic per model-parallel coordinate
+        rather than through ProcessGroup calls, so each dp rank's
+        persistent partition arrays stand in for the buffers the
+        collective would land in: a memory sanitizer checks them for
+        aliasing (UCP025) and a subscribed trace recorder logs the call.
         """
+        if not obs._ACTIVE:
+            return
         pp_stage, sp_rank, tp_rank = coord
         rank = self.cluster.topology.rank(
             RankCoord(tp=tp_rank, pp=pp_stage, dp=0, sp=sp_rank)
         )
         group = self.cluster.group_for("dp", rank)
-        self.cluster.trace.record(op, group.name, group.ranks, numel)
-
-    def _sanitize_dp_boundary(self, op: str, coord, arrays) -> None:
-        """Run the analytically-modelled DP collective's per-rank result
-        buffers through the memory sanitizer (UCP025).
-
-        The engine never routes DP traffic through ProcessGroup, so its
-        gradient/parameter sync would otherwise be invisible to the
-        sanitizer: each dp rank's persistent partition arrays stand in
-        for the buffers the collective would land in.
-        """
-        from repro.dist.collectives import sanitize_boundary
-
-        pp_stage, sp_rank, tp_rank = coord
-        rank = self.cluster.topology.rank(
-            RankCoord(tp=tp_rank, pp=pp_stage, dp=0, sp=sp_rank)
+        sanitize_boundary(
+            op, [], arrays, group=(group.name, group.ranks), reduce_op=reduce_op
         )
-        group = self.cluster.group_for("dp", rank)
-        sanitize_boundary(op, [], arrays, group=(group.name, group.ranks))
 
     def sync_model_from_masters(self) -> None:
         """Refresh model working weights from the fp32 masters (the
@@ -213,14 +202,14 @@ class TrainingEngine:
                 self.cluster.tracker.record(
                     "all_reduce", dp, 2 * (dp - 1) * numel * 4 // dp
                 )
-                self._trace_dp_collective("all_reduce", coord, numel)
-                self._sanitize_dp_boundary(
+                self._dp_boundary(
                     "all_reduce",
                     coord,
                     [
                         self.zero.partitions[coord][d].state.exp_avg
                         for d in range(dp)
                     ],
+                    reduce_op="sum",
                 )
 
         grad_norm = clip_grad_norm(list(grads.values()), self.grad_clip)
@@ -231,8 +220,7 @@ class TrainingEngine:
             for coord in self.layout.mp_coords():
                 numel = self.layout.rank_layout(*coord).flat_numel
                 self.cluster.tracker.record("all_gather", dp, numel * 4)
-                self._trace_dp_collective("all_gather", coord, numel)
-                self._sanitize_dp_boundary(
+                self._dp_boundary(
                     "all_gather",
                     coord,
                     [self.zero.partitions[coord][d].fp32 for d in range(dp)],

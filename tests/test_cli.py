@@ -1,5 +1,7 @@
 """Tests for the repro CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -172,43 +174,49 @@ class TestLintPlan:
 
 class TestLintTrace:
     @pytest.fixture
-    def traced_checkpoint(self, tmp_path):
-        from repro.ckpt.saver import save_distributed_checkpoint
-
-        engine = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=7)
-        engine.train(1)
-        ckpt = str(tmp_path / "ckpt")
-        save_distributed_checkpoint(engine, ckpt, dump_trace=True)
-        return ckpt
-
-    def test_clean_trace_from_directory(self, traced_checkpoint, capsys):
-        assert main(["lint-trace", traced_checkpoint]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_clean_trace_from_file_json(self, traced_checkpoint, capsys):
-        import json
-
-        trace = f"{traced_checkpoint}/global_step1/collective_trace.npt"
-        assert main(["lint-trace", trace, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"] is True
-
-    def test_corrupt_trace_flags_ucp023(self, traced_checkpoint, capsys):
+    def trace_file(self, tmp_path):
+        """A tp2.dp2 train + save, recorded by a subscribed recorder and
+        written as JSON."""
+        from repro import obs
         from repro.analysis import CollectiveTraceRecorder
 
-        store = ObjectStore(traced_checkpoint)
-        rel = "global_step1/collective_trace.npt"
-        rec = CollectiveTraceRecorder.from_payload(store.load(rel))
-        ranks = rec.group_members["world"]
-        rec.record("barrier:save:torn:enter", "world", ranks, 0, dtype="none")
-        store.save(rel, rec.to_payload())
+        engine = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=7)
+        recorder = CollectiveTraceRecorder()
+        with obs.subscribed("collective", recorder):
+            engine.train(1)
+            engine.save_checkpoint(str(tmp_path / "ckpt"))
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(recorder.to_payload()))
+        return path
 
-        assert main(["lint-trace", traced_checkpoint]) == 1
+    def test_clean_trace_from_file_json(self, trace_file, capsys):
+        assert main(["lint-trace", str(trace_file), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_corrupt_trace_flags_ucp023(self, trace_file, capsys):
+        payload = json.loads(trace_file.read_text())
+        # a save section entered on every rank but never committed
+        for log in payload["events"].values():
+            log.append(["barrier:save:torn:enter", "world", "none", 0, [], ""])
+        trace_file.write_text(json.dumps(payload))
+
+        assert main(["lint-trace", str(trace_file)]) == 1
         assert "UCP023" in capsys.readouterr().out
 
-    def test_missing_trace_fails_with_hint(self, checkpoint, capsys):
-        ckpt, _ = checkpoint  # saved without dump_trace
+    def test_checkpoint_directory_is_not_a_trace(self, checkpoint, capsys):
+        ckpt, _ = checkpoint
         assert main(["lint-trace", ckpt]) == 1
-        assert "dump_trace=True" in capsys.readouterr().err
+        assert ckpt in capsys.readouterr().err
+
+    def test_damaged_trace_file_is_named(self, trace_file, capsys):
+        payload = json.loads(trace_file.read_text())
+        payload["group_members"]["world"] = "0,1,2,3"
+        trace_file.write_text(json.dumps(payload))
+
+        assert main(["lint-trace", str(trace_file)]) == 1
+        err = capsys.readouterr().err
+        assert str(trace_file) in err and "group_members" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:

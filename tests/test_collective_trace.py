@@ -1,15 +1,23 @@
 """Collective-trace analyzers: ordering races, argument lint, and the
-vector-clock happens-before replay (deadlocks, critical sections)."""
+vector-clock happens-before replay (deadlocks, critical sections) — and
+the recorder as an ``obs`` subscriber: one event per collective call,
+nothing kept when nothing listens."""
 
 from __future__ import annotations
+
+import contextlib
+import gc
+import json
 
 import numpy as np
 import pytest
 
 from tests.helpers import make_engine
+from repro import obs
 from repro.analysis.collective_trace import (
     CollectiveTraceRecorder,
     TraceEvent,
+    TraceFormatError,
     check_collective_args,
     check_collective_ordering,
     check_happens_before,
@@ -19,7 +27,28 @@ from repro.analysis.collective_trace import (
 )
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.convert import ucp_convert
+from repro.dist import collectives
+from repro.dist.cluster import Cluster
+from repro.dist.process_group import ProcessGroup
 from repro.dist.topology import ParallelConfig
+
+
+@contextlib.contextmanager
+def recording():
+    """Subscribe a fresh recorder under the ``collective`` role."""
+    recorder = CollectiveTraceRecorder()
+    with obs.subscribed("collective", recorder):
+        yield recorder
+
+
+def traced_engine(parallel, steps=1, directory=None):
+    """Train ``steps`` steps (and save into ``directory``, if given)
+    under a subscribed recorder; returns ``(recorder, save info)``."""
+    eng = make_engine(parallel=parallel)
+    with recording() as rec:
+        eng.train(steps)
+        info = save_distributed_checkpoint(eng, directory) if directory else None
+    return rec, info
 
 
 class TestNumelClass:
@@ -53,13 +82,6 @@ class TestRecorder:
         rec.record("all_reduce", "dp:0", (0, 1), 64)
         rec.record("broadcast", "tp:0", (0, 1), 32)
         assert [e.op for e in rec.events_of(0, "tp:0")] == ["broadcast"]
-
-    def test_reset(self):
-        rec = CollectiveTraceRecorder()
-        rec.record("all_reduce", "dp:0", (0, 1), 64)
-        rec.reset()
-        assert rec.num_events == 0
-        assert rec.group_members == {}
 
     def test_event_render(self):
         event = TraceEvent("all_reduce", "dp:0", "float32", 14)
@@ -110,20 +132,18 @@ class TestCheckOrdering:
 
 class TestEngineTrace:
     def test_training_and_save_trace_is_race_free(self, tmp_path):
-        eng = make_engine(
-            parallel=ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1)
+        trace, _ = traced_engine(
+            ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1),
+            steps=2, directory=str(tmp_path / "ckpt"),
         )
-        eng.train(2)
-        save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
-        trace = eng.cluster.trace
         assert trace.num_events > 0
         assert check_collective_ordering(trace).ok
 
     def test_save_path_emits_commit_barriers(self, tmp_path):
-        eng = make_engine(parallel=ParallelConfig(dp=2))
-        eng.train(1)
-        info = save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
-        ops = [e.op for e in eng.cluster.trace.events_of(0, "world")]
+        trace, info = traced_engine(
+            ParallelConfig(dp=2), directory=str(tmp_path / "ckpt")
+        )
+        ops = [e.op for e in trace.events_of(0, "world")]
         assert f"barrier:save:{info.tag}:enter" in ops
         assert f"barrier:save:{info.tag}:commit" in ops
         # the commit barrier comes last: no rank may see the latest
@@ -133,11 +153,9 @@ class TestEngineTrace:
         )
 
     def test_dp_gradient_reduction_is_traced(self):
-        eng = make_engine(
-            parallel=ParallelConfig(tp=1, pp=1, dp=2, sp=1, zero_stage=1)
+        trace, _ = traced_engine(
+            ParallelConfig(tp=1, pp=1, dp=2, sp=1, zero_stage=1)
         )
-        eng.train(1)
-        trace = eng.cluster.trace
         dp_groups = [g for g in trace.group_members if g.startswith("dp")]
         assert dp_groups
         ops = [
@@ -149,17 +167,92 @@ class TestEngineTrace:
         assert "all_gather" in ops  # zero1 parameter re-gather
 
     def test_injected_rank_divergence_is_caught(self):
-        eng = make_engine(
-            parallel=ParallelConfig(tp=1, pp=1, dp=2, sp=1, zero_stage=1)
+        trace, _ = traced_engine(
+            ParallelConfig(tp=1, pp=1, dp=2, sp=1, zero_stage=1)
         )
-        eng.train(1)
-        trace = eng.cluster.trace
         group = next(g for g in trace.group_members if g.startswith("dp"))
         members = trace.group_members[group]
         trace.record("all_reduce", group, members, 4096, rank=members[0])
         report = check_collective_ordering(trace)
         assert not report.ok
         assert any(d.rule_id == "UCP014" for d in report.errors)
+
+    # per rank, what the always-on recorder every Cluster used to own
+    # logged for a tp2.dp2.zero1 train(2) + save: the subscriber sees
+    # the same calls in the same order
+    PINNED = {
+        rank: [
+            ("all_reduce", group, "float32"),
+            ("all_gather", group, "float32"),
+            ("all_reduce", group, "float32"),
+            ("all_gather", group, "float32"),
+            ("barrier:save:global_step2:enter", "world", "none"),
+            ("barrier:save:global_step2:commit", "world", "none"),
+        ]
+        for rank, group in (
+            (0, "dp:0,2"), (1, "dp:1,3"), (2, "dp:0,2"), (3, "dp:1,3"),
+        )
+    }
+
+    def test_subscriber_sees_what_the_cluster_recorder_saw(self, tmp_path):
+        trace, _ = traced_engine(
+            ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1),
+            steps=2, directory=str(tmp_path / "ckpt"),
+        )
+        assert {
+            rank: [(e.op, e.group, e.dtype) for e in trace.events_of(rank)]
+            for rank in sorted(trace.events)
+        } == self.PINNED
+        report = check_trace(trace)
+        assert report.ok, report.render_text()
+
+    def test_unsubscribed_training_keeps_no_trace_state(self, tmp_path):
+        eng = make_engine(parallel=ParallelConfig(dp=2, zero_stage=1))
+        gc.collect()
+        before = sum(isinstance(o, TraceEvent) for o in gc.get_objects())
+        eng.train(2)
+        save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
+        gc.collect()
+        assert sum(isinstance(o, TraceEvent) for o in gc.get_objects()) == before
+        assert not hasattr(eng.cluster, "trace")
+        assert not any(hasattr(g, "trace") for g in eng.cluster.groups("dp"))
+
+
+class Counter:
+    """Logs ``(op, group, ranks)`` of every ``collective`` event."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_collective(self, op, group, ranks, inputs, outputs, reduce_op=""):
+        self.calls.append((op, group, tuple(ranks)))
+
+
+class TestOneEventPerCollective:
+    def test_each_call_is_one_event_on_its_real_group(self):
+        """``reduce_scatter`` used to emit its inner all-reduce first,
+        under a made-up group over local ranks 0 and 1."""
+        pg = ProcessGroup("dp:4,5", [4, 5])
+        counter = Counter()
+        with obs.subscribed("collective", counter):
+            pg.all_reduce([np.ones(4), np.ones(4)])
+            pg.all_gather([np.ones(2), np.ones(2)])
+            pg.reduce_scatter([np.arange(4.0), np.arange(4.0)])
+            pg.broadcast(np.ones(4))
+            Cluster(ParallelConfig(dp=2)).barrier("sync")
+        assert counter.calls == [
+            ("all_reduce", "dp:4,5", (4, 5)),
+            ("all_gather", "dp:4,5", (4, 5)),
+            ("reduce_scatter", "dp:4,5", (4, 5)),
+            ("broadcast", "dp:4,5", (4, 5)),
+            ("barrier:sync", "world", (0, 1)),
+        ]
+
+    def test_groupless_calls_are_not_trace_events(self):
+        with recording() as rec:
+            collectives.all_to_all([np.arange(4.0), np.arange(4.0)])
+            collectives.all_reduce([np.ones(2), np.ones(2)])
+        assert rec.num_events == 0 and rec.group_members == {}
 
 
 class TestPayloadRoundTrip:
@@ -176,20 +269,11 @@ class TestPayloadRoundTrip:
         assert back.events_of(0)[0].shape == (8, 8)
         assert back.events_of(0)[0].reduce_op == "sum"
 
-    def test_old_four_field_records_still_decode(self):
-        # traces dumped before shape/reduce_op existed remain readable
-        event = TraceEvent.from_record(["all_reduce", "dp:0", "float32", 14])
-        assert event.signature == ("all_reduce", "dp:0", "float32", 14)
-        assert event.shape == ()
-        assert event.reduce_op == ""
-
-    def test_record_call_derives_per_member_metadata(self):
+    def test_on_collective_derives_per_member_metadata(self):
         rec = CollectiveTraceRecorder()
-        rec.record_call(
-            "all_reduce", "dp:0", (0, 1),
-            [np.zeros((4, 8), dtype=np.float32),
-             np.zeros((4, 8), dtype=np.float32)],
-            reduce_op="sum",
+        inputs = [np.zeros((4, 8), dtype=np.float32)] * 2
+        rec.on_collective(
+            "all_reduce", "dp:0", (0, 1), inputs, inputs, reduce_op="sum"
         )
         for rank in (0, 1):
             (event,) = rec.events_of(rank)
@@ -309,16 +393,17 @@ class TestHappensBefore:
         eng = make_engine(
             parallel=ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1)
         )
-        eng.train(1)
-        info = save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
-        # the caller brackets a conversion it runs on the cluster's
-        # behalf, as the saver brackets its own section
-        eng.cluster.barrier(f"convert:{info.tag}:enter")
-        ucp_convert(str(tmp_path / "ckpt"), str(tmp_path / "ucp"))
-        eng.cluster.barrier(f"convert:{info.tag}:commit")
-        report = check_trace(eng.cluster.trace)
+        with recording() as rec:
+            eng.train(1)
+            info = save_distributed_checkpoint(eng, str(tmp_path / "ckpt"))
+            # the caller brackets a conversion it runs on the cluster's
+            # behalf, as the saver brackets its own section
+            eng.cluster.barrier(f"convert:{info.tag}:enter")
+            ucp_convert(str(tmp_path / "ckpt"), str(tmp_path / "ucp"))
+            eng.cluster.barrier(f"convert:{info.tag}:commit")
+        report = check_trace(rec)
         assert report.ok, report.render_text()
-        ops = [e.op for e in eng.cluster.trace.events_of(0, "world")]
+        ops = [e.op for e in rec.events_of(0, "world")]
         assert any(o.startswith("barrier:convert:") for o in ops)
 
     def test_check_trace_composes_all_three_analyzers(self):
@@ -332,32 +417,65 @@ class TestHappensBefore:
 
 
 class TestTraceDump:
-    def test_dump_trace_sidecar_verifies_clean(self, tmp_path):
-        from repro.ckpt import naming
-        from repro.storage.store import ObjectStore
-
-        eng = make_engine(parallel=ParallelConfig(dp=2, zero_stage=1))
-        eng.train(1)
-        info = save_distributed_checkpoint(
-            eng, str(tmp_path), dump_trace=True
+    def test_subscribed_trace_json_verifies_clean(self, tmp_path):
+        rec, _ = traced_engine(
+            ParallelConfig(dp=2, zero_stage=1), directory=str(tmp_path / "ckpt")
         )
-        store = ObjectStore(str(tmp_path))
-        rel = f"{info.tag}/{naming.TRACE_FILE}"
-        assert store.exists(rel)
-        rec = CollectiveTraceRecorder.from_payload(store.load(rel))
-        report = check_trace(rec)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(rec.to_payload()))
+        back = CollectiveTraceRecorder.load(str(path))
+        assert back.events == rec.events
+        assert back.group_members == rec.group_members
+        report = check_trace(back)
         assert report.ok, report.render_text()
 
-    def test_trace_sidecar_is_not_manifested(self, tmp_path):
+    def test_traced_save_writes_only_manifested_files(self, tmp_path):
         from repro.ckpt import manifest as manifest_mod
         from repro.ckpt import naming
         from repro.storage.store import ObjectStore
 
-        eng = make_engine(parallel=ParallelConfig(dp=2, zero_stage=1))
-        eng.train(1)
-        info = save_distributed_checkpoint(
-            eng, str(tmp_path), dump_trace=True
+        _, info = traced_engine(
+            ParallelConfig(dp=2, zero_stage=1), directory=str(tmp_path)
         )
-        manifest = manifest_mod.read_manifest(ObjectStore(str(tmp_path)),
-                                              info.tag)
-        assert naming.TRACE_FILE not in manifest["files"]
+        store = ObjectStore(str(tmp_path))
+        manifest = manifest_mod.read_manifest(store, info.tag)
+        on_disk = {rel.split("/")[-1] for rel in store.list(info.tag)}
+        assert on_disk == set(manifest["files"]) | {naming.MANIFEST_FILE}
+
+
+class TestTraceFormat:
+    GOOD = {
+        "version": 1,
+        "group_members": {"world": [0, 1]},
+        "events": {
+            "0": [["barrier:x", "world", "none", 0, [], ""]],
+            "1": [["barrier:x", "world", "none", 0, [], ""]],
+        },
+    }
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.update(version="1"),
+        lambda p: p.update(version=True),
+        lambda p: p.update(group_members=[["world", [0, 1]]]),
+        lambda p: p["group_members"].update(world=[0, "1"]),
+        lambda p: p["group_members"].update(world=[]),
+        lambda p: p["events"].update({"01": []}),
+        lambda p: p["events"].update({"-1": []}),
+        lambda p: p["events"].update({"9" * 5000: []}),
+        lambda p: p["events"]["0"][0].pop(),  # a field short
+        lambda p: p["events"]["0"][0].__setitem__(3, -1),
+        lambda p: p["events"]["0"][0].__setitem__(4, [2.0]),
+        lambda p: p["events"]["0"][0].__setitem__(5, None),
+    ])
+    def test_damaged_payload_is_a_typed_error_naming_the_file(self, damage):
+        payload = json.loads(json.dumps(self.GOOD))
+        assert CollectiveTraceRecorder.from_payload(payload).num_events == 2
+        damage(payload)
+        with pytest.raises(TraceFormatError, match="trace.json"):
+            CollectiveTraceRecorder.from_payload(payload, source="trace.json")
+
+    def test_non_json_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b"\x80 not json")
+        with pytest.raises(TraceFormatError, match=str(path)):
+            CollectiveTraceRecorder.load(str(path))

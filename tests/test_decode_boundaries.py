@@ -1,11 +1,13 @@
 """Damaged input ends at its decode boundary, never in a raw traceback.
 
-Three boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
+Four boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
 manifest's file table, :meth:`repro.core.metadata.UCPMetadata.from_payload`
-for the ``ucp_meta`` tree, and :class:`repro.core.atom.AtomStore` for
-atom names, an atom's sidecar and its state headers.  Whatever each is
-handed, a reader above it sees a typed error (``CheckpointIntegrityError``,
-``AtomMissingError``, ``UCPFormatError``) or "atom not reusable".
+for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
+names, an atom's sidecar and its state headers, and
+:meth:`repro.analysis.collective_trace.CollectiveTraceRecorder.from_payload`
+for a collective-trace file.  Whatever each is handed, a reader above it
+sees a typed error (``CheckpointIntegrityError``, ``AtomMissingError``,
+``UCPFormatError``, ``TraceFormatError``) or "atom not reusable".
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.collective_trace import (
+    CollectiveTraceRecorder,
+    TraceFormatError,
+    check_trace,
+)
 from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt.errors import CheckpointIntegrityError
@@ -225,6 +232,21 @@ table_cases = st.tuples(
     ),
 )
 
+TRACE = CollectiveTraceRecorder()
+TRACE.record("all_reduce", "dp:0,1", (0, 1), 64, shape=(8, 8), reduce_op="sum")
+TRACE.record("barrier:save:t:enter", "world", (0, 1), 0, dtype="none")
+TRACE.record("barrier:save:t:commit", "world", (0, 1), 0, dtype="none")
+trace_cases = st.tuples(
+    st.just("trace"),
+    st.sampled_from(["drop", "extra", "retype"]),
+    st.sampled_from([
+        "version", "group_members", "events", "group_members.world",
+        "group_members.world.0", "events.0", "events.0.0",
+        *(f"events.1.0.{i}" for i in range(6)),
+    ]),
+    WRONG,
+)
+
 
 def _atom_store(root: str) -> AtomStore:
     """A one-atom UCP directory: atom ``p``, shape (3, 2)."""
@@ -300,6 +322,32 @@ def _check_meta(root, how, field, value):
     dict(loaded.model_config), dict(loaded.loss_scaler or {})
 
 
+def _check_trace(root, how, field, value):
+    payload = TRACE.to_payload()
+    *path, key = field.split(".")
+    tree = payload
+    for step in path:
+        tree = tree[int(step)] if isinstance(tree, list) else tree[step]
+    if isinstance(tree, list):
+        key = int(key)
+    if how == "drop":
+        del tree[key]
+    elif how == "extra":
+        if isinstance(tree, list):
+            tree.append(value)
+        else:
+            tree[f"{key}_extra"] = value
+    else:
+        tree[key] = value
+    try:
+        recorder = CollectiveTraceRecorder.from_payload(payload, source="t.json")
+    except TraceFormatError as exc:
+        assert "t.json" in str(exc)
+        return
+    # a tree the boundary let through is replayed without guards
+    check_trace(recorder)
+
+
 def _check_name(root, name):
     atoms = _atom_store(root)
     for read in (
@@ -332,14 +380,15 @@ def _check_table(root, files):
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.one_of(
-    sidecar_cases, state_cases, table_cases, meta_cases, name_cases
+    sidecar_cases, state_cases, table_cases, meta_cases, name_cases,
+    trace_cases,
 ))
 def test_damaged_trees_end_typed_or_not_reusable(case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
-    state header's ``values`` dtype/shape, a manifest file table and a
-    ``ucp_meta`` tree, and atom names built from ``.``/``..``/empty
-    components: nothing escapes but the typed errors and "not
-    reusable"."""
+    state header's ``values`` dtype/shape, a manifest file table, a
+    ``ucp_meta`` tree and a collective-trace payload, and atom names
+    built from ``.``/``..``/empty components: nothing escapes but the
+    typed errors and "not reusable"."""
     with tempfile.TemporaryDirectory() as root:
         {
             "sidecar": _check_sidecar,
@@ -347,4 +396,5 @@ def test_damaged_trees_end_typed_or_not_reusable(case):
             "table": _check_table,
             "meta": _check_meta,
             "name": _check_name,
+            "trace": _check_trace,
         }[case[0]](root, *case[1:])
