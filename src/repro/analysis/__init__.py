@@ -42,19 +42,15 @@ And two for the *concurrency* side (the threaded IO layer):
   accesses: deadlocks (UCP037) and unsynchronized access pairs
   (UCP038) on every explored schedule (``repro explore``).
 
-And two for the *crash-consistency* side (the commit protocol):
+And one for the *crash-consistency* side (the commit protocol):
 
-- :mod:`~repro.analysis.fseffects` — the filesystem-effect lint
-  (SRC009-SRC012: publishes of never-fsynced bytes, missing directory
-  fsyncs, temp-file leaks on exception paths, ``latest``-before-
-  manifest order violations), run as part of ``repro lint-src``
-  (``--fs`` to filter).
 - :mod:`~repro.analysis.fswitness` — an FS-op recorder over every
   store file effect plus an ALICE-style crash-state enumerator that
   materializes every legal post-crash disk state of a trace and proves
   recovery from each one (UCP032-UCP035); activate with
   :func:`~repro.analysis.fswitness.fstrace`, replay with
-  ``repro lint-trace --fs``.
+  ``repro lint-trace --fs``.  The protocol it checks has one
+  implementation, :class:`~repro.storage.store.CommitGroup`.
 
 All findings carry stable rule IDs (``UCP001``... / ``SRC001``...); see
 ``docs/ANALYSIS.md`` for the catalogue.
@@ -107,7 +103,6 @@ from repro.analysis.provenance import (
     check_source_provenance,
     check_target_provenance,
 )
-from repro.analysis.fseffects import lint_fs_effects
 from repro.analysis.fswitness import (
     CrashState,
     FSOp,
@@ -167,7 +162,6 @@ __all__ = [
     "expected_tag_basenames",
     "fstrace",
     "lint_checkpoint",
-    "lint_fs_effects",
     "lint_locks",
     "lint_plan",
     "lint_source_tree",

@@ -73,6 +73,8 @@ RULES: Dict[str, str] = {
     "SRC006": "inconsistent-lock-order",
     "SRC007": "blocking-call-under-lock",
     "SRC008": "guarded-container-escape",
+    # the static crash-consistency lint, retired: CommitGroup.publish is
+    # the one publish site and the runtime checks own each finding
     "SRC009": "publish-without-durable-temp",
     "SRC010": "missing-dir-fsync-after-publish",
     "SRC011": "temp-file-leak-on-exception",

@@ -1,9 +1,10 @@
 """Runtime FS-op witness + ALICE-style crash-state enumeration.
 
-The runtime half of the crash-consistency checker (the static half is
-:mod:`repro.analysis.fseffects`): the store's file effects are *recorded* while
-code runs, and the resulting trace is *replayed* offline against an
-adversarial persistence model.
+The crash-consistency checker: the store's file effects are *recorded*
+while code runs, and the resulting trace is *replayed* offline against
+an adversarial persistence model.  Every effect comes from one commit
+implementation (:class:`~repro.storage.store.CommitGroup`), so the
+traces the tests record cover every publish ``src/`` performs.
 
 Recording
     Every :class:`~repro.storage.store.ObjectStore` file operation —
@@ -47,8 +48,7 @@ The persistence model (what "legal post-crash state" means)
     - anything not yet durable at the crash point may independently be
       lost or (for writes) torn to a prefix — in particular a rename
       can survive while the data write it published is lost, leaving a
-      committed-looking empty file, exactly the state SRC009 warns
-      about statically.
+      committed-looking empty file.
 
 All diagnostics carry deterministic state labels (``crash@i/drop#k``)
 and store-root labels, never scratch-directory paths, so

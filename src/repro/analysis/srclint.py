@@ -22,15 +22,12 @@ SRC004    mutable-default-argument     a mutable default (list/dict/set/
                                        ndarray) shared across calls
 ========  ===========================  =======================================
 
-The lock-discipline rules SRC005-SRC008 (guarded-by annotations, static
-lock-order cycles, blocking calls under a lock, guarded-container
-escapes) live in :mod:`repro.analysis.locks`, and the crash-consistency
-rules SRC009-SRC012 (publish-without-durable-temp, missing directory
-fsync after a publish, temp-file leak on an exception path,
-manifest-before-``latest`` commit-order violations) live in
-:mod:`repro.analysis.fseffects`; both run as part of
+The lock-discipline rules SRC005-SRC008 and SRC013-SRC014 (guarded-by
+annotations, static lock-order cycles, blocking calls under a lock,
+guarded-container escapes, check-then-act and split compound ops) live
+in :mod:`repro.analysis.locks`; they run as part of
 :func:`lint_source_file` and can be filtered via ``repro lint-src
---locks`` / ``--fs``.
+--locks``.
 
 Both statically-safe sinks and the analysis' own limits are deliberate:
 plain ``name = collective(...)`` assignments and slice-stores
@@ -461,15 +458,13 @@ class _Checker:
 
 def lint_source_file(path: Path, rel: str) -> List[Diagnostic]:
     """Lint one Python file; ``rel`` is the location prefix."""
-    # imported lazily: both modules use this module's helpers at import
-    # time
-    from repro.analysis import fseffects, locks
+    # imported lazily: locks uses this module's helpers at import time
+    from repro.analysis import locks
 
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     findings = _Checker(rel, source, tree).run()
     findings.extend(locks.lint_locks(rel, source, tree))
-    findings.extend(fseffects.lint_fs_effects(rel, source, tree))
     return findings
 
 

@@ -23,11 +23,10 @@ behind it (fsync, rename, directory fsync).  The manifest is staged
 only once that pool has drained, and leaving the save, however it ends,
 waits for every submitted publish.  There is no knob: the width is the
 machine's, and at one core the save is the serial one.  That ordering
-is machine-checked twice over: statically by the filesystem-effect
-lint (SRC009-SRC012, ``repro lint-src --fs``) and at runtime by the
-FS-op witness (:mod:`repro.analysis.fswitness`), whose crash-state
-enumerator replays a recorded save trace and proves recovery from
-every legal post-crash disk state (UCP032-UCP035).
+is machine-checked at runtime by the FS-op witness
+(:mod:`repro.analysis.fswitness`), whose crash-state enumerator replays
+a recorded save trace and proves recovery from every legal post-crash
+disk state (UCP032-UCP035).
 """
 
 from __future__ import annotations

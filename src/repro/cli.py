@@ -14,7 +14,7 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-trace <trace.json> [--fs [--state-cap N] \
         [--crashed]]
     python -m repro lint-src  [root] [--baseline F] [--write-baseline] \
-        [--locks] [--fs]
+        [--locks]
     python -m repro explore   <scenario | --list> [--schedules N] \
         [--preemptions K] [--schedule FILE] [--seed S] [--report PATH] \
         [--require-exhaustive] [--format text|json]
@@ -232,7 +232,8 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_src(args: argparse.Namespace) -> int:
-    """AST-lint the repro source tree itself (SRC001-SRC014)."""
+    """AST-lint the repro source tree itself (SRC001-SRC008,
+    SRC013-SRC014)."""
     import json as _json
     import pathlib
 
@@ -249,14 +250,8 @@ def cmd_lint_src(args: argparse.Namespace) -> int:
         args.root if args.root else pathlib.Path(repro.__file__).parent
     )
     report = lint_source_tree(root)
-    if args.locks or args.fs:
-        wanted = ()
-        if args.locks:
-            wanted += (
-                "SRC005", "SRC006", "SRC007", "SRC008", "SRC013", "SRC014",
-            )
-        if args.fs:
-            wanted += ("SRC009", "SRC010", "SRC011", "SRC012")
+    if args.locks:
+        wanted = ("SRC005", "SRC006", "SRC007", "SRC008", "SRC013", "SRC014")
         report = LintReport(
             subject=report.subject,
             diagnostics=[
@@ -551,9 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint-src",
-        help="AST-lint the repro sources for aliasing, determinism, "
-             "lock-discipline, and crash-consistency hazards "
-             "(SRC001-SRC012)",
+        help="AST-lint the repro sources for aliasing, determinism "
+             "and lock-discipline hazards (SRC001-SRC008, SRC013-SRC014)",
     )
     p.add_argument(
         "root",
@@ -583,14 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report only the lock-discipline rules (SRC005-SRC008, "
              "SRC013-SRC014)",
-    )
-    p.add_argument(
-        "--fs",
-        action="store_true",
-        help="report only the crash-consistency rules (SRC009-SRC012: "
-             "unfsynced publishes, missing directory fsyncs, temp-file "
-             "leaks, manifest/latest commit-order violations); "
-             "combines with --locks",
     )
     p.set_defaults(func=cmd_lint_src)
 

@@ -213,6 +213,12 @@ class AtomStore:
         ``mkdir``; a group publish fsyncs only its files' directory)."""
         self.store.fsync_dir(ATOMS_DIR)
 
+    def clear(self) -> None:
+        """Delete every atom on disk, durably: once this returns no crash
+        brings one back (how a destination another source's conversion
+        left is emptied before it is claimed)."""
+        self.store.delete(*self.store.list(ATOMS_DIR))
+
     def list_atoms(self) -> List[str]:
         """Names of all atoms present, sorted."""
         skip = len(ATOMS_DIR) + 1

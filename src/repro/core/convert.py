@@ -69,7 +69,7 @@ from repro.ckpt.loader import resolve_tag
 from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.intervals import numel as _numel
-from repro.core.metadata import UCPMetadata
+from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.core.ops import strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.core.plan import (
@@ -326,6 +326,25 @@ def _verify_source(
     return src_manifest, files, job_config, analysis
 
 
+def converted_from(
+    dst_store: ObjectStore, src_store: ObjectStore, src_tag: str
+) -> bool:
+    """Whether the source marker in ``dst_store`` names ``src_tag``'s
+    current commit manifest (tag and SHA-256) — the only evidence that
+    output already in a directory came from that source.  A missing or
+    torn marker, or a tag without a manifest, proves nothing."""
+    try:
+        marker = dst_store.load(CONVERT_SOURCE_FILE)
+        src_digest = src_store.digest(manifest_mod.manifest_path(src_tag))
+    except (FileNotFoundError, SerializationError):
+        return False
+    return (
+        isinstance(marker, dict)
+        and marker.get("source_tag") == src_tag
+        and marker.get("source_manifest_sha256") == src_digest
+    )
+
+
 def _claim_destination(
     atom_store: AtomStore,
     src_store: ObjectStore,
@@ -334,36 +353,35 @@ def _claim_destination(
 ) -> Dict[str, Dict]:
     """Plan: the resumability gate; returns the reusable atoms' entries.
 
-    Only atoms proven to come from this exact committed source (tag +
-    manifest digest) are reused: without a matching source marker the
-    destination starts over, whatever is already in it.
+    Only atoms proven to come from this exact committed source
+    (:func:`converted_from`) are reused.  Otherwise the destination
+    starts over: its commit point and every atom in it are deleted,
+    durably, before the new marker is declared — so no crash point
+    leaves another source's output under this source's marker.  An
+    empty destination has nothing to delete.
     """
-    dst_store = atom_store.store
-    src_digest = src_store.digest(manifest_mod.manifest_path(src_tag))
-    marker = None
-    if dst_store.exists(CONVERT_SOURCE_FILE):
-        try:
-            marker = dst_store.load(CONVERT_SOURCE_FILE)
-        except SerializationError:
-            pass  # a torn marker proves nothing
-    if not (
-        isinstance(marker, dict)
-        and marker.get("source_tag") == src_tag
-        and marker.get("source_manifest_sha256") == src_digest
-    ):
-        # declare intent before the first atom write, so a crashed run
-        # leaves enough evidence for the next one to trust its output
-        dst_store.save(
-            CONVERT_SOURCE_FILE,
-            {
-                "source_dir": str(src_store.base),
-                "source_tag": src_tag,
-                "source_manifest_sha256": src_digest,
-            },
+    if converted_from(atom_store.store, src_store, src_tag):
+        entries = (
+            (n, atom_store.reusable_entry(n, s.to_dict()))
+            for n, s in specs.items()
         )
-        return {}
-    entries = ((n, atom_store.reusable_entry(n, s.to_dict())) for n, s in specs.items())
-    return {name: entry for name, entry in entries if entry is not None}
+        return {name: entry for name, entry in entries if entry is not None}
+    dst_store = atom_store.store
+    dst_store.delete(UCP_META_FILE)
+    atom_store.clear()
+    # declare intent before the first atom write, so a crashed run
+    # leaves enough evidence for the next one to trust its output
+    dst_store.save(
+        CONVERT_SOURCE_FILE,
+        {
+            "source_dir": str(src_store.base),
+            "source_tag": src_tag,
+            "source_manifest_sha256": src_store.digest(
+                manifest_mod.manifest_path(src_tag)
+            ),
+        },
+    )
+    return {}
 
 
 def _open_reader(

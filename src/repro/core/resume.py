@@ -16,8 +16,9 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.ckpt.loader import read_job_config, resolve_tag
-from repro.core.convert import ucp_convert
+from repro.core.convert import converted_from, ucp_convert
 from repro.core.errors import UCPError
+from repro.core.metadata import UCP_META_FILE
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.engine import TrainingEngine
@@ -52,7 +53,9 @@ def resume_training(
     distributed load (no conversion).  Otherwise the checkpoint is
     converted to UCP (cached next to the checkpoint as
     ``<ckpt_dir>/ucp_<tag>``, at :func:`ucp_convert`'s default width)
-    and loaded under the new strategy.
+    and loaded under the new strategy.  A cached conversion is reused
+    only while its source marker names the tag's current commit
+    manifest; a tag re-saved since (a rollback) is converted again.
 
     Args:
         ckpt_dir: the job's checkpoint directory.
@@ -75,7 +78,10 @@ def resume_training(
     if ucp_dir is None:
         ucp_dir = f"{ckpt_dir}/ucp_{src_tag}"
     ucp_store = ObjectStore(ucp_dir)
-    if not ucp_store.exists("ucp_meta.npt"):
+    if not (
+        ucp_store.exists(UCP_META_FILE)
+        and converted_from(ucp_store, store, src_tag)
+    ):
         ucp_convert(ckpt_dir, ucp_dir, tag=src_tag)
     engine.load_universal(ucp_dir)
     return engine

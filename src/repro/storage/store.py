@@ -29,9 +29,11 @@ Every file effect (write / fsync / rename / directory fsync / unlink)
 is named as an ``fs_op`` event on the one hook slot (:mod:`repro.obs`);
 whoever subscribed — the FS-op recorder feeding the crash-state
 enumerator behind ``repro lint-trace --fs``, the schedule explorer — is
-not this module's business.  The commit sequence itself is statically
-checked by ``repro lint-src --fs`` (SRC009-SRC012).  With nothing
-subscribed each hook is one truthiness check.
+not this module's business.  An fsync is named by the one helper that
+makes the syscall (:meth:`ObjectStore._fsync`), so a recorded fsync is
+always a real one.  This module is the only one in ``src/`` that
+renames, replaces or fsyncs a file (a repo test holds it to that).
+With nothing subscribed each hook is one truthiness check.
 """
 
 from __future__ import annotations
@@ -69,31 +71,6 @@ def _durable_default() -> bool:
     runtime of tiny checkpoints.
     """
     return os.environ.get("REPRO_DURABLE", "1") != "0"
-
-
-def _fsync_path(path: pathlib.Path) -> None:
-    """Fsync a file or directory through a fresh read-only descriptor.
-
-    The kernel flushes the inode's dirty pages whichever descriptor
-    asks, so a staged temp needs no handle kept open from its write to
-    its publish (possibly on another thread).
-    """
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(dir_path: pathlib.Path) -> None:
-    """Fsync a directory so entry ops inside it survive power loss.
-
-    A rename or unlink only mutates the parent directory; POSIX makes
-    that mutation durable at the next fsync of the *directory*, not of
-    any file.  Skipping this leaves a committed-looking publish that a
-    crash can roll back — exactly what SRC010/UCP032 flag.
-    """
-    _fsync_path(dir_path)
 
 
 class CommitGroup:
@@ -158,10 +135,8 @@ class CommitGroup:
         store = self.store
         try:
             if store.durable:
-                for rel_path, tmp, _ in self._staged:
-                    _fsync_path(tmp)
-                    if obs._ACTIVE:
-                        store._emit_fs("fsync", tmp)
+                for _, tmp, _ in self._staged:
+                    store._fsync(tmp)
             parents: List[pathlib.Path] = []
             for rel_path, tmp, path in self._staged:
                 if store.faults is not None:
@@ -408,11 +383,36 @@ class ObjectStore:
             None if dst is None else self._rel(dst), data,
         )
 
+    def _fsync(self, path: pathlib.Path, kind: str = "fsync") -> None:
+        """Fsync a file or directory through a fresh read-only
+        descriptor, then name it (``kind``) on the hook slot.
+
+        The kernel flushes the inode's dirty pages whichever descriptor
+        asks, so a staged temp needs no handle kept open from its write
+        to its publish (possibly on another thread).  The event is
+        emitted here, after the syscall and nowhere else, so a trace
+        check never sees an fsync that did not happen.
+        """
+        fd = os.open(str(path), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        if obs._ACTIVE:
+            self._emit_fs(kind, path)
+
     def _sync_dir(self, dir_path: pathlib.Path) -> None:
+        """Fsync a directory (under :attr:`durable`) so entry ops inside
+        it survive power loss.
+
+        A rename or unlink only mutates the parent directory; POSIX
+        makes that mutation durable at the next fsync of the
+        *directory*, not of any file.  Skipping this leaves a
+        committed-looking publish that a crash can roll back — what
+        UCP032 flags in a recorded trace.
+        """
         if self.durable:
-            _fsync_dir(dir_path)
-            if obs._ACTIVE:
-                self._emit_fs("fsync_dir", dir_path)
+            self._fsync(dir_path, "fsync_dir")
 
     def read_bytes(self, rel_path: str) -> bytes:
         """Read one object's raw bytes."""
@@ -579,19 +579,24 @@ class ObjectStore:
                 out.append(os.path.relpath(str(path), self._base_str))
         return sorted(out)
 
-    def delete(self, rel_path: str) -> None:
-        """Remove one object (missing objects are ignored).
+    def delete(self, *rel_paths: str) -> None:
+        """Remove objects (missing objects are ignored).
 
-        Under :attr:`durable` the parent directory is fsynced so the
-        removal itself survives power loss — retention decisions stay
-        made.
+        Under :attr:`durable` every directory that lost an entry is then
+        fsynced once, so the removals themselves survive power loss —
+        retention decisions stay made, a cleared directory stays clear.
         """
-        path = self._resolve(rel_path)
-        if path.is_file():
-            path.unlink()
-            if obs._ACTIVE:
-                self._emit_fs("unlink", path)
-            self._sync_dir(path.parent)
+        parents: List[pathlib.Path] = []
+        for rel_path in rel_paths:
+            path = self._resolve(rel_path)
+            if path.is_file():
+                path.unlink()
+                if obs._ACTIVE:
+                    self._emit_fs("unlink", path)
+                if path.parent not in parents:
+                    parents.append(path.parent)
+        for parent in parents:
+            self._sync_dir(parent)
 
     def write_text(self, rel_path: str, text: str) -> None:
         """Atomically write a small text marker file (e.g. ``latest``).

@@ -23,7 +23,7 @@ def _session_durability():
     which dominates the runtime of suites that write thousands of tiny
     checkpoints.  The suite therefore opts out via ``REPRO_DURABLE=0``;
     durability-specific tests pass ``durable=True`` explicitly, and the
-    CI ``crashfs`` job proves the durable protocol end to end.  An
+    CI ``chaos`` job proves the durable protocol end to end.  An
     explicit ``REPRO_DURABLE`` in the environment (e.g. a CI job
     exercising the suite durably) wins over this default.
     """

@@ -25,6 +25,7 @@ from repro.core.convert import CONVERT_SOURCE_FILE, ucp_convert
 from repro.core.inspect import verify_directory
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
+from repro.optim.lr_schedule import ConstantLRSchedule
 from repro.parallel.engine import TrainingEngine
 from repro.storage.faults import (
     CrashAtWrite,
@@ -340,6 +341,96 @@ class TestConversionCrashMatrix:
         assert dir_digests(work) == ref_digests
 
 
+def rolled_back(root):
+    """A checkpoint directory whose ``global_step4`` was converted in
+    full into ``root/ucp``, then rolled back to ``global_step2``,
+    retrained (another learning rate) and re-saved under the same tag.
+    Returns ``(ckpt, ucp, num_params)``."""
+    ckpt, ucp = root / "ckpt", root / "ucp"
+    engine = tiny_engine()
+    engine.train(2)
+    save_distributed_checkpoint(engine, str(ckpt))
+    engine.train(2)
+    save_distributed_checkpoint(engine, str(ckpt))
+    ucp_convert(str(ckpt), str(ucp))
+    old = ObjectStore(str(ckpt)).digest(f"global_step4/{MANIFEST_FILE}")
+    redo = TrainingEngine(
+        engine.model_cfg, PARALLEL, seed=7, global_batch_size=4, seq_len=16,
+        lr_schedule=ConstantLRSchedule(5e-5),
+    )
+    redo.load_checkpoint(str(ckpt), tag="global_step2")
+    redo.train(2)
+    save_distributed_checkpoint(redo, str(ckpt))
+    assert ObjectStore(str(ckpt)).digest(f"global_step4/{MANIFEST_FILE}") != old
+    return ckpt, ucp, len(engine.layout.shard_specs)
+
+
+class TestStaleDestination:
+    """A destination that holds another commit's conversion — here the
+    same tag, re-saved after a rollback — is emptied before it is
+    claimed: a killed re-conversion and its resume reuse only atoms of
+    the new commit."""
+
+    def test_killed_reconversion_resumes_only_its_own_atoms(self, tmp_path):
+        ckpt, ucp, num_params = rolled_back(tmp_path)
+        store = ObjectStore(
+            str(ucp), faults=RankKillAtWrite(ranks=[0], at=2 * num_params)
+        )
+        with pytest.raises(RankKilled):
+            ucp_convert(str(ckpt), str(ucp), workers=1, dst_store=store)
+        # the old commit point and every old atom are gone; what is
+        # whole is what this run wrote before the kill
+        assert not (ucp / "ucp_meta.npt").exists()
+        assert len(whole_atoms(ucp)) == (2 * num_params - 1) // 4
+
+        report = ucp_convert(str(ckpt), str(ucp))
+        assert report.num_reused == (2 * num_params - 1) // 4
+        clean = tmp_path / "clean"
+        ucp_convert(str(ckpt), str(clean))
+        assert dir_digests(ucp) == dir_digests(clean)
+
+    def test_old_output_is_durably_gone_before_the_marker(self, tmp_path):
+        """``ucp_meta.npt`` first, then every atom file, each removal
+        covered by a directory fsync — all before the new marker's first
+        byte is written, so no crash point leaves another commit's atom
+        under this commit's marker."""
+        from repro.analysis.fswitness import fstrace
+
+        ckpt, ucp, num_params = rolled_back(tmp_path)
+        with fstrace(capture_data=False) as rec:
+            ucp_convert(
+                str(ckpt), str(ucp), workers=1,
+                dst_store=ObjectStore(str(ucp), durable=True),
+            )
+        ops = rec.ops()
+        marker = min(
+            i for i, op in enumerate(ops)
+            if op.kind == "write" and op.path == f"s0/{CONVERT_SOURCE_FILE}.tmp"
+        )
+        unlinked = [
+            (i, op.path) for i, op in enumerate(ops) if op.kind == "unlink"
+        ]
+        assert unlinked[0][1] == "s0/ucp_meta.npt"
+        assert len(unlinked) == 1 + 4 * num_params
+        for i, path in unlinked:
+            parent = path.rsplit("/", 1)[0]
+            assert any(
+                op.kind == "fsync_dir" and op.path == parent
+                for op in ops[i + 1:marker]
+            ), path
+
+    def test_empty_destination_deletes_nothing(self, convert_setup, tmp_path):
+        """The clearing costs an empty destination no file effect: its
+        trace is the marker, the atoms and ``ucp_meta.npt``."""
+        from repro.analysis.fswitness import fstrace
+
+        _, ckpt, _, _ = convert_setup
+        with fstrace(capture_data=False) as rec:
+            ucp_convert(str(ckpt), str(tmp_path / "ucp"), workers=1)
+        assert "unlink" not in {op.kind for op in rec.ops()}
+        assert rec.ops()[0].path == f"s0/{CONVERT_SOURCE_FILE}.tmp"
+
+
 class TestGroupCommitProtocol:
     """The conversion's write-behind group commit: publish failures,
     the ``atoms/`` fsync, and the FS witness's verdict on a
@@ -408,7 +499,7 @@ class TestGroupCommitProtocol:
         enumerated post-crash state recovers — exhaustively, not capped.
 
         The traced run resumes over all but four atoms, which keeps the
-        enumeration at a few hundred states (the CI ``crashfs`` job
+        enumeration at a few hundred states (the CI ``chaos`` job
         enumerates a whole conversion)."""
         from repro.analysis.fswitness import check_fs_trace, fstrace
 

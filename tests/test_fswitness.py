@@ -303,7 +303,7 @@ class TestEndToEnd:
 
     def test_save_convert_trace_bounded_run_reports_cap(self, tmp_path):
         """The full pipeline trace is too big for an in-suite exhaustive
-        sweep (the CI crashfs job runs that); a bounded replay must pass
+        sweep (the CI chaos job runs that); a bounded replay must pass
         with the cap *reported*, never silently."""
         from repro.core.convert import ucp_convert
         from repro.dist.topology import ParallelConfig

@@ -44,6 +44,38 @@ class TestResumeTraining:
         resume_training(ckpt, ParallelConfig(dp=4))  # different target, same UCP
         assert (store.base / "ucp_meta.npt").stat().st_mtime_ns == marker_mtime
 
+    def test_rolled_back_tag_is_converted_again(self, tmp_path):
+        """``ucp_global_step3`` caches a conversion of one commit of the
+        tag; after a rollback re-saves the tag, the resume converts the
+        new commit instead of loading the cache."""
+        from repro.core.convert import ucp_convert
+        from repro.optim.lr_schedule import ConstantLRSchedule
+
+        source = ParallelConfig(tp=2, pp=2, dp=2)
+        ckpt = str(tmp_path / "ckpt")
+        engine = make_engine(parallel=source, seed=7)
+        engine.train(2)
+        engine.save_checkpoint(ckpt)
+        engine.train(1)
+        engine.save_checkpoint(ckpt)
+        resume_training(ckpt, ParallelConfig(dp=2))
+
+        redo = make_engine(
+            parallel=source, seed=7, lr_schedule=ConstantLRSchedule(5e-5)
+        )
+        redo.load_checkpoint(ckpt, tag="global_step2")
+        redo.train(1)
+        redo.save_checkpoint(ckpt)  # global_step3 again, other bytes
+
+        resumed = resume_training(ckpt, ParallelConfig(dp=2))
+        fresh = str(tmp_path / "fresh")
+        ucp_convert(ckpt, fresh)
+        want = make_engine(parallel=ParallelConfig(dp=2), seed=7)
+        want.load_universal(fresh)
+        got_fp32 = resumed.zero.consolidated_tensors("fp32")
+        for name, values in want.zero.consolidated_tensors("fp32").items():
+            assert np.array_equal(got_fp32[name], values), name
+
     def test_loss_continuity_across_topology_change(self, trained_ckpt):
         src, ckpt = trained_ckpt
         continued = [r.loss for r in src.train(3)]

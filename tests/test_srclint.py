@@ -432,3 +432,71 @@ class TestRepoIsClean:
                 if named in private or spelled:
                     offenders.append(f"{rel}:{getattr(node, 'lineno', '?')}")
         assert offenders == []
+
+    @staticmethod
+    def _publish_calls(source):
+        """``(lineno, call)`` for every rename, replace or fsync a module
+        makes: ``os.replace`` / ``os.rename`` / ``os.fsync`` (qualified,
+        or imported by name) and ``Path.rename`` / ``Path.replace`` —
+        any ``.rename(...)``, and a ``.replace(...)`` with exactly one
+        argument (``str.replace`` takes two, ``dataclasses.replace``
+        keywords)."""
+        import ast
+
+        os_calls = {"replace", "rename", "fsync"}
+        bare = set()
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                bare |= {a.asname or a.name for a in node.names
+                         if a.name in os_calls}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in bare:
+                yield node.lineno, f"os.{func.id}"
+            if not isinstance(func, ast.Attribute):
+                continue
+            if (isinstance(func.value, ast.Name) and func.value.id == "os"
+                    and func.attr in os_calls):
+                yield node.lineno, f"os.{func.attr}"
+            elif func.attr == "rename" or (
+                func.attr == "replace"
+                and len(node.args) == 1 and not node.keywords
+            ):
+                yield node.lineno, f"Path.{func.attr}"
+
+    def test_only_the_store_publishes(self):
+        """``CommitGroup`` (``storage/store.py``) is the one place
+        ``src/`` renames, replaces or fsyncs a file, so the runtime
+        checks that record its effects — the FS-op trace, the crash
+        enumerator, the fsync counts — cover every publish there is.
+        A second publish site would be one no trace check sees."""
+        root = Path(repro.__file__).parent
+        found = {}
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            for lineno, call in self._publish_calls(path.read_text()):
+                found.setdefault(rel, []).append(f"{call}:{lineno}")
+        store = found.pop("storage/store.py")
+        # the detector sees the real protocol ...
+        assert {c.split(":")[0] for c in store} == {"os.replace", "os.fsync"}
+        # ... and nothing else in src/ renames, replaces or fsyncs
+        assert found == {}
+
+    @pytest.mark.parametrize("snippet", [
+        "import os\nos.replace(a, b)\n",
+        "import os\nos.rename(a, b)\n",
+        "from os import fsync\nfsync(fd)\n",
+        "tmp.rename(path)\n",
+        "tmp.replace(path)\n",
+    ])
+    def test_publish_detector_sees_each_spelling(self, snippet):
+        ((_, call),) = self._publish_calls(snippet)
+        assert call.split(".")[1] in snippet
+
+    def test_publish_detector_ignores_string_and_dataclass_replace(self):
+        assert list(self._publish_calls(
+            "s.replace(os.sep, '/')\ndataclasses.replace(x, a=1)\n"
+        )) == []
