@@ -108,8 +108,8 @@ class FSOp:
             enumerator needs these to materialize states.
         thread: name of the thread that performed the op (stamped by
             the recorder) — what lets interleaving traces and
-            crash-state enumeration compose once the async persister's
-            queue coalesces writes from several threads.
+            crash-state enumeration compose now that the commit pool
+            publishes groups staged on several threads.
     """
 
     kind: str

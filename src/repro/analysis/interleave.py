@@ -1,13 +1,14 @@
 """Deterministic interleaving explorer for the threaded IO layer.
 
 A threaded test checks the *one* schedule the OS happened to run.  The
-concurrency claims the multi-tenant checkpoint hub and the async
-persister rest on are quantified over *all* schedules, so this
-module explores the schedule *space*: a cooperative scheduler runs a
-scenario's threads one at a time, switching only at instrumented yield
-points, and a DFS explorer with dynamic partial-order reduction and a
-preemption bound drives the scenario through every inequivalent
-schedule it can afford, checking per-schedule invariants.
+concurrency claims the commit pool
+(:class:`~repro.storage.store.CommitPool`) and the source-file table
+(:mod:`repro.storage.rangeio`) rest on are quantified over *all*
+schedules, so this module explores the schedule *space*: a cooperative
+scheduler runs a scenario's threads one at a time, switching only at
+instrumented yield points, and a DFS explorer with dynamic partial-order
+reduction and a preemption bound drives the scenario through every
+inequivalent schedule it can afford, checking per-schedule invariants.
 
 The scheduler does not instrument code itself: its :class:`Controller`
 subscribes to the one hook slot (:mod:`repro.obs`, role ``"sched"`` —

@@ -57,7 +57,7 @@ def resolve_tag(store: ObjectStore, tag: Optional[str]) -> str:
         raise CheckpointIntegrityError(
             f"{naming.LATEST_FILE}: tag pointer is corrupt: {exc}"
         ) from exc
-    if tag in ("", ".", "..") or "/" in tag or "\\" in tag:
+    if tag in ("", ".", "..") or any(c in tag for c in "/\\\0"):
         raise CheckpointIntegrityError(
             f"{naming.LATEST_FILE}: tag pointer is corrupt: {tag!r} is not "
             f"a single tag directory name"
@@ -73,11 +73,13 @@ def latest_committed_tag(directory: str) -> str:
     name yet; conversely a crash before the manifest leaves a newer
     directory that never committed.  Elastic recovery must trust
     neither the pointer nor directory mtimes: it scans every tag and
-    picks the highest step whose manifest parses — torn or partial
-    saves are skipped, committed-but-unpointed saves are found.
+    picks the highest step that has a manifest — saves cut before
+    their commit point are skipped, committed-but-unpointed saves are
+    found.  A manifest that exists but does not decode is not skipped.
 
     Raises:
         CheckpointNotFoundError: no committed tag exists at all.
+        CheckpointIntegrityError: the newest manifest is damaged.
     """
     from repro.ckpt.retention import list_tags
 

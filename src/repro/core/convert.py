@@ -332,17 +332,17 @@ def converted_from(
     """Whether the source marker in ``dst_store`` names ``src_tag``'s
     current commit manifest (tag and SHA-256) — the only evidence that
     output already in a directory came from that source.  A missing or
-    torn marker, or a tag without a manifest, proves nothing."""
+    torn marker, one of another shape, or a tag without a manifest,
+    proves nothing."""
     try:
         marker = dst_store.load(CONVERT_SOURCE_FILE)
         src_digest = src_store.digest(manifest_mod.manifest_path(src_tag))
     except (FileNotFoundError, SerializationError):
         return False
-    return (
-        isinstance(marker, dict)
-        and marker.get("source_tag") == src_tag
-        and marker.get("source_manifest_sha256") == src_digest
-    )
+    if not isinstance(marker, dict):
+        return False
+    claimed = (marker.get("source_tag"), marker.get("source_manifest_sha256"))
+    return all(type(c) is str for c in claimed) and claimed == (src_tag, src_digest)
 
 
 def _claim_destination(

@@ -250,7 +250,8 @@ class RecoveryReport:
             lines.append(
                 f"  recovery {e.index}: {e.trigger_phase}@step"
                 f"{e.trigger_step} killed {list(e.killed_ranks)} -> "
-                f"{e.target_config} from {e.resume_tag} "
+                f"{e.target_config} from "
+                f"{e.resume_tag or 'step 0 (cold restart)'} "
                 f"(lost {e.lost_steps} steps, reused {e.atoms_reused} "
                 f"atoms, {e.timings.total_s:.4f}s, {status})"
             )

@@ -14,10 +14,6 @@ from repro.storage.faults import (
     CrashAtWrite,
     FaultPolicy,
     InjectedCrash,
-    LatencySpikes,
-    RetryPolicy,
-    TransientFaults,
-    TransientIOError,
 )
 
 __all__ = [
@@ -30,9 +26,5 @@ __all__ = [
     "DEFAULT_NVME",
     "FaultPolicy",
     "InjectedCrash",
-    "TransientIOError",
-    "RetryPolicy",
     "CrashAtWrite",
-    "TransientFaults",
-    "LatencySpikes",
 ]

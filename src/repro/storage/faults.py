@@ -14,12 +14,12 @@ survive:
 * :class:`NoSpaceAtPublish` — the Nth publishing rename fails with
   ``OSError(ENOSPC)``: the store stays up, the commit group the rename
   belonged to must fail whole and leave no ``*.tmp`` behind.
-* :class:`TransientFaults` — the first N operations raise
-  :class:`TransientIOError`; the store's :class:`RetryPolicy` absorbs
-  them with exponential backoff (charged to simulated device time).
-* :class:`LatencySpikes` — periodic slow requests add simulated
-  seconds to the store's NVMe accounting, modelling a shared device
-  under interference (pair with :meth:`NVMeModel.degraded`).
+* :class:`RankKillAtWrite` — named ranks die at a write boundary
+  (positional, or the first write matching a path), leaving survivors
+  a supervisor regroups onto a smaller topology.
+
+The store retries nothing: an IO error, injected or real, is a failure
+to survive and surfaces to the caller.
 
 Policies are plugged in at construction time::
 
@@ -60,42 +60,13 @@ class RankKilled(InjectedCrash):
         self.ranks: Tuple[int, ...] = tuple(sorted(ranks))
 
 
-class TransientIOError(OSError):
-    """An injected transient IO failure (EIO-style); safe to retry."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """How the store retries :class:`TransientIOError`.
-
-    Attributes:
-        max_attempts: total tries per operation (>= 1; 1 disables retry).
-        backoff_s: simulated delay before the first retry.
-        multiplier: exponential backoff factor between retries.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 0.002
-    multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0 or self.multiplier < 1.0:
-            raise ValueError("backoff_s must be >= 0 and multiplier >= 1")
-
-    def delay_s(self, attempt: int) -> float:
-        """Simulated backoff before retry number ``attempt`` (1-based)."""
-        return self.backoff_s * self.multiplier ** (attempt - 1)
-
-
 class FaultPolicy:
     """Base policy: observes every IO boundary, injects nothing.
 
-    ``write_ops`` / ``read_ops`` count *attempts* (a retried operation
-    counts each try), which is how tests enumerate the write boundaries
-    of a save or conversion before replaying it with crashes;
-    ``publish_ops`` counts publishing renames the same way.
+    ``write_ops`` / ``publish_ops`` / ``read_ops`` count the writes,
+    publishing renames and reads the store performs, which is how tests
+    enumerate the write boundaries of a save or conversion before
+    replaying it with crashes.
     """
 
     def __init__(self) -> None:
@@ -119,15 +90,6 @@ class FaultPolicy:
     def on_read(self, rel_path: str, path: pathlib.Path) -> None:
         """Called before bytes are read from ``path``."""
         self.read_ops += 1
-        self._read_fault(self.read_ops, rel_path, path)
-
-    def write_latency_s(self, rel_path: str, nbytes: int) -> float:
-        """Extra simulated seconds to charge this write."""
-        return 0.0
-
-    def read_latency_s(self, rel_path: str, nbytes: int) -> float:
-        """Extra simulated seconds to charge this read."""
-        return 0.0
 
     # --- subclass extension points ---
 
@@ -138,11 +100,6 @@ class FaultPolicy:
 
     def _publish_fault(
         self, op_index: int, rel_path: str, tmp_path: pathlib.Path
-    ) -> None:
-        pass
-
-    def _read_fault(
-        self, op_index: int, rel_path: str, path: pathlib.Path
     ) -> None:
         pass
 
@@ -205,65 +162,6 @@ class NoSpaceAtPublish(FaultPolicy):
                 errno.ENOSPC,
                 f"injected ENOSPC publishing {rel_path}",
             )
-
-
-class TransientFaults(FaultPolicy):
-    """The first N write / read attempts fail with :class:`TransientIOError`.
-
-    Each retry consumes one failure, so an operation succeeds once the
-    budget is exhausted — the canonical flaky-device profile for
-    exercising the store's retry/backoff path.
-    """
-
-    def __init__(self, write_failures: int = 0, read_failures: int = 0) -> None:
-        super().__init__()
-        if write_failures < 0 or read_failures < 0:
-            raise ValueError("failure counts must be >= 0")
-        self.write_failures = write_failures
-        self.read_failures = read_failures
-
-    def _write_fault(
-        self, op_index: int, rel_path: str, tmp_path: pathlib.Path, data: bytes
-    ) -> None:
-        if self.write_failures > 0:
-            self.write_failures -= 1
-            raise TransientIOError(f"injected transient write fault ({rel_path})")
-
-    def _read_fault(
-        self, op_index: int, rel_path: str, path: pathlib.Path
-    ) -> None:
-        if self.read_failures > 0:
-            self.read_failures -= 1
-            raise TransientIOError(f"injected transient read fault ({rel_path})")
-
-
-class LatencySpikes(FaultPolicy):
-    """Every ``every``-th operation takes ``spike_s`` extra simulated time.
-
-    Models interference on a shared NVMe device; the spikes land in the
-    store's ``simulated_write_s`` / ``simulated_read_s`` so cost-model
-    benchmarks can study tail behaviour without real slow hardware.
-    """
-
-    def __init__(self, spike_s: float, every: int = 2) -> None:
-        super().__init__()
-        if spike_s < 0 or every < 1:
-            raise ValueError("spike_s must be >= 0 and every >= 1")
-        self.spike_s = spike_s
-        self.every = every
-        self.spikes = 0
-
-    def write_latency_s(self, rel_path: str, nbytes: int) -> float:
-        if self.write_ops % self.every == 0:
-            self.spikes += 1
-            return self.spike_s
-        return 0.0
-
-    def read_latency_s(self, rel_path: str, nbytes: int) -> float:
-        if self.read_ops % self.every == 0:
-            self.spikes += 1
-            return self.spike_s
-        return 0.0
 
 
 class RankKillAtWrite(FaultPolicy):

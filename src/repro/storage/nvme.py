@@ -49,22 +49,6 @@ class NVMeModel:
         # parallel requests amortize latency but share device bandwidth
         return self.latency_s / effective + nbytes / (gbps * 1e9)
 
-    def degraded(self, factor: float) -> "NVMeModel":
-        """A profile with bandwidth divided by ``factor`` (>= 1).
-
-        Models a device under interference (noisy neighbours, garbage
-        collection); used by fault-injection latency spikes and the
-        storage ablations to bound worst-case checkpoint IO time.
-        """
-        if factor < 1.0:
-            raise ValueError(f"degradation factor must be >= 1, got {factor}")
-        return NVMeModel(
-            read_gbps=self.read_gbps / factor,
-            write_gbps=self.write_gbps / factor,
-            latency_s=self.latency_s * factor,
-            max_parallel=self.max_parallel,
-        )
-
 
 DEFAULT_NVME = NVMeModel()
 """A mid-range datacenter NVMe profile."""

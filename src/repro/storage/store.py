@@ -19,11 +19,10 @@ thread, because nothing but the group's own temps is touched by it.
 rank files, the converter's atoms): the store's one write-behind
 publisher, as wide as :func:`resolve_workers` says.
 
-Every IO boundary runs through the optional
-:class:`~repro.storage.faults.FaultPolicy` hook (crash injection,
-transient errors, latency spikes, publish failures), and transient
-faults are retried under a :class:`~repro.storage.faults.RetryPolicy`
-whose backoff is charged to the simulated NVMe clock.
+Every write, publish and read runs through the optional
+:class:`~repro.storage.faults.FaultPolicy` hook (crash, rank-kill and
+publish-failure injection).  Nothing is retried: an IO error, injected
+or real, propagates to the caller.
 
 Every file effect (write / fsync / rename / directory fsync / unlink)
 is named as an ``fs_op`` event on the one hook slot (:mod:`repro.obs`);
@@ -47,8 +46,8 @@ import time
 from typing import Any, List, Optional, Tuple
 
 from repro import obs
-from repro.storage.faults import FaultPolicy, RetryPolicy, TransientIOError
-from repro.storage.nvme import DEFAULT_NVME, NVMeModel
+from repro.storage.faults import FaultPolicy
+from repro.storage.nvme import DEFAULT_NVME
 from repro.storage.serializer import (
     deserialize,
     read_npt_header,
@@ -110,9 +109,7 @@ class CommitGroup:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
         if store.faults is not None:
-            store._attempt_with_retry(
-                lambda: store.faults.on_write(rel_path, tmp, data), "write"
-            )
+            store.faults.on_write(rel_path, tmp, data)
         if obs._ACTIVE:
             store._emit_fs("write", tmp, data=data)
         self._staged.append((rel_path, tmp, path))
@@ -123,11 +120,7 @@ class CommitGroup:
             self.abandon()
             raise
         store.bytes_written += len(data)
-        store.simulated_write_s += store.nvme.write_time(len(data))
-        if store.faults is not None:
-            store.simulated_write_s += store.faults.write_latency_s(
-                rel_path, len(data)
-            )
+        store.simulated_write_s += DEFAULT_NVME.write_time(len(data))
         return len(data)
 
     def publish(self) -> None:
@@ -272,15 +265,14 @@ class CommitPool:
 class ObjectStore:
     """Persist ``.npt`` objects under a base directory.
 
-    Tracks bytes read/written and accumulates simulated NVMe time, so
-    the benchmark harness can report the same save/load cost curves as
-    the paper's Figs 11-12 without real datacenter storage.
+    Tracks bytes read/written and accumulates simulated time on the
+    :data:`~repro.storage.nvme.DEFAULT_NVME` profile, so the benchmark
+    harness can report the same save/load cost curves as the paper's
+    Figs 11-12 without real datacenter storage.
 
     Args:
         base_dir: directory all relative paths resolve under.
-        nvme: device profile for simulated-time accounting.
         faults: optional fault-injection policy hooked into every IO.
-        retry: how injected transient faults are retried.
         durable: fsync commits for power-loss safety; None defers to
             the ``REPRO_DURABLE`` environment default (on).
     """
@@ -288,9 +280,7 @@ class ObjectStore:
     def __init__(
         self,
         base_dir: str,
-        nvme: NVMeModel = DEFAULT_NVME,
         faults: Optional[FaultPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
         durable: Optional[bool] = None,
     ) -> None:
         self.base = pathlib.Path(base_dir)
@@ -298,9 +288,7 @@ class ObjectStore:
         # anchored once: containment below is then purely lexical, for
         # "." and other relative bases too
         self._base_str = os.path.abspath(str(self.base))
-        self.nvme = nvme
         self.faults = faults
-        self.retry = retry if retry is not None else RetryPolicy()
         self.durable = _durable_default() if durable is None else durable
         self.bytes_written = 0
         self.bytes_read = 0
@@ -317,23 +305,6 @@ class ObjectStore:
 
     def _resolve(self, rel_path: str) -> pathlib.Path:
         return pathlib.Path(self._resolve_str(rel_path))
-
-    def _attempt_with_retry(self, hook, charge_to: str) -> None:
-        """Run a fault hook, absorbing transient faults per the policy."""
-        attempt = 1
-        while True:
-            try:
-                hook()
-                return
-            except TransientIOError:
-                if attempt >= self.retry.max_attempts:
-                    raise
-                backoff = self.retry.delay_s(attempt)
-                if charge_to == "write":
-                    self.simulated_write_s += backoff
-                else:
-                    self.simulated_read_s += backoff
-                attempt += 1
 
     # --- byte-level primitives (all object IO funnels through these) ---
 
@@ -420,16 +391,10 @@ class ObjectStore:
         if not path.is_file():
             raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
         if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_read(rel_path, path), "read"
-            )
+            self.faults.on_read(rel_path, path)
         data = path.read_bytes()
         self.bytes_read += len(data)
-        self.simulated_read_s += self.nvme.read_time(len(data))
-        if self.faults is not None:
-            self.simulated_read_s += self.faults.read_latency_s(
-                rel_path, len(data)
-            )
+        self.simulated_read_s += DEFAULT_NVME.read_time(len(data))
         return data
 
     def read_range(self, rel_path: str, offset: int, length: int) -> bytes:
@@ -457,9 +422,7 @@ class ObjectStore:
         if not path.is_file():
             raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
         if self.faults is not None:
-            self._attempt_with_retry(
-                lambda: self.faults.on_read(rel_path, path), "read"
-            )
+            self.faults.on_read(rel_path, path)
         out: List[bytes] = []
         with open(path, "rb") as fh:
             for offset, length in ranges:
@@ -473,11 +436,7 @@ class ObjectStore:
                     )
                 out.append(data)
                 self.bytes_read += length
-                self.simulated_read_s += self.nvme.read_time(length)
-                if self.faults is not None:
-                    self.simulated_read_s += self.faults.read_latency_s(
-                        rel_path, length
-                    )
+                self.simulated_read_s += DEFAULT_NVME.read_time(length)
         return out
 
     def size(self, rel_path: str) -> int:
@@ -542,15 +501,12 @@ class ObjectStore:
             ) from None
         with fh:
             if self.faults is not None:
-                self._attempt_with_retry(
-                    lambda: self.faults.on_read(rel_path, pathlib.Path(path)),
-                    "read",
-                )
+                self.faults.on_read(rel_path, pathlib.Path(path))
             obj = read(fh)
             header_bytes = fh.tell()
             file_size = os.fstat(fh.fileno()).st_size
         self.bytes_read += header_bytes
-        self.simulated_read_s += self.nvme.read_time(header_bytes)
+        self.simulated_read_s += DEFAULT_NVME.read_time(header_bytes)
         return obj, file_size
 
     def digest(self, rel_path: str) -> str:
@@ -614,10 +570,3 @@ class ObjectStore:
         if not path.is_file():
             raise FileNotFoundError(f"no text file at {rel_path!r} in {self.base}")
         return path.read_text()
-
-    def reset_accounting(self) -> None:
-        """Zero the byte and simulated-time counters."""
-        self.bytes_written = 0
-        self.bytes_read = 0
-        self.simulated_write_s = 0.0
-        self.simulated_read_s = 0.0

@@ -182,8 +182,9 @@ class TestDamagedCommitRecords:
 
     @pytest.mark.parametrize(
         "raw",
-        [b"\xff\xfe\x00bad", b"", b"  \n", b"../x", b"a/b", b".."],
-        ids=["non-utf8", "empty", "blank", "dotdot-slash", "nested", "dotdot"],
+        [b"\xff\xfe\x00bad", b"", b"  \n", b"../x", b"a/b", b"..", b"a\x00b"],
+        ids=["non-utf8", "empty", "blank", "dotdot-slash", "nested", "dotdot",
+             "nul"],
     )
     def test_latest_that_is_not_a_tag_name(self, tmp_path, raw):
         src = make_engine()

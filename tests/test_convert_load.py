@@ -1,5 +1,7 @@
 """Tests for UCP conversion (Algorithm 1) and target-side loading."""
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,24 @@ from repro.core.metadata import UCPMetadata
 from repro.core.patterns import PatternProgram, PatternRule
 from repro.dist.topology import ParallelConfig
 from repro.parallel.tp import PATTERN_REPLICATED
-from repro.storage.faults import RetryPolicy, TransientFaults, TransientIOError
+from repro.storage.faults import FaultPolicy
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
+
+
+class EIOAtRead(FaultPolicy):
+    """Counts like the base policy; the ``at``-th read (1-based) fails
+    with ``OSError(EIO)``, as a failing device would."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__()
+        self.at = at
+
+    def on_read(self, rel_path, path) -> None:
+        super().on_read(rel_path, path)
+        if self.read_ops == self.at:
+            raise OSError(errno.EIO, f"injected EIO reading {rel_path}")
 
 
 def unpadded(engine, name, values):
@@ -189,34 +205,17 @@ class TestLoadIntoEngine:
         with pytest.raises(UCPFormatError, match=rel):
             load_ucp_into_engine(make_engine(), ucp_dir)
 
-    def test_transient_read_fault_is_retried(self, source_checkpoint):
-        """Every loader read goes through the store's fault hook: a
-        device that fails twice and recovers costs retries, not state."""
+    def test_read_fault_propagates(self, source_checkpoint):
+        """Every loader read goes through the store's fault hook, and the
+        store retries nothing: a device error surfaces from the load."""
         _, ckpt_dir, ucp_dir = source_checkpoint
         ucp_convert(ckpt_dir, ucp_dir)
-        clean = make_engine(parallel=ParallelConfig(tp=2, dp=2))
-        load_ucp_into_engine(clean, ucp_dir)
-        faults = TransientFaults(read_failures=2)
+        faults = EIOAtRead(at=3)
         store = ObjectStore(ucp_dir, faults=faults)
-        flaky = make_engine(parallel=ParallelConfig(tp=2, dp=2))
-        load_ucp_into_engine(flaky, ucp_dir, store=store)
-        assert faults.read_failures == 0
-        for coord, partitions in clean.zero.partitions.items():
-            for d, partition in enumerate(partitions):
-                assert np.array_equal(
-                    partition.fp32, flaky.zero.partitions[coord][d].fp32
-                ), (coord, d)
-
-    def test_persistent_read_fault_propagates(self, source_checkpoint):
-        _, ckpt_dir, ucp_dir = source_checkpoint
-        ucp_convert(ckpt_dir, ucp_dir)
-        store = ObjectStore(
-            ucp_dir,
-            faults=TransientFaults(read_failures=10**6),
-            retry=RetryPolicy(max_attempts=3),
-        )
-        with pytest.raises(TransientIOError):
+        with pytest.raises(OSError, match="injected EIO") as err:
             load_ucp_into_engine(make_engine(), ucp_dir, store=store)
+        assert err.value.errno == errno.EIO
+        assert faults.read_ops == 3
 
 
 class TestDamagedUCPMetadata:

@@ -1,17 +1,22 @@
 """Damaged input ends at its decode boundary, never in a raw traceback.
 
-Four boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
-manifest's file table, :meth:`repro.core.metadata.UCPMetadata.from_payload`
+Six boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
+manifest's file table, :func:`repro.ckpt.loader.resolve_tag` for the
+``latest`` pointer, :meth:`repro.core.metadata.UCPMetadata.from_payload`
 for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
-names, an atom's sidecar and its state headers, and
+names, an atom's sidecar and its state headers,
+:func:`repro.core.convert.converted_from` for the conversion's source
+marker, and
 :meth:`repro.analysis.collective_trace.CollectiveTraceRecorder.from_payload`
 for a collective-trace file.  Whatever each is handed, a reader above it
-sees a typed error (``CheckpointIntegrityError``, ``AtomMissingError``,
-``UCPFormatError``, ``TraceFormatError``) or "atom not reusable".
+sees a typed error (``CheckpointIntegrityError``,
+``CheckpointNotFoundError``, ``AtomMissingError``, ``UCPFormatError``,
+``TraceFormatError``), "atom not reusable" or "marker proves nothing".
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
@@ -27,19 +32,27 @@ from repro.analysis.collective_trace import (
 )
 from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.ckpt import manifest as manifest_mod
-from repro.ckpt.errors import CheckpointIntegrityError
+from repro.ckpt import naming
+from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
+from repro.ckpt.loader import resolve_tag
 from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
-from repro.core.convert import ucp_convert
+from repro.core.convert import (
+    CONVERT_SOURCE_FILE,
+    _claim_destination,
+    converted_from,
+    ucp_convert,
+)
 from repro.core.errors import AtomMissingError, UCPFormatError
 from repro.core.inspect import verify_directory
 from repro.core.loader import load_ucp_into_engine
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.dist.topology import ParallelConfig
-from repro.parallel.tp import PATTERN_REPLICATED
+from repro.parallel.tp import PATTERN_REPLICATED, ShardSpec
 from repro.storage.serializer import TensorIndexEntry
 from repro.storage.store import ObjectStore
 
 from tests.helpers import make_engine
+from tests.test_crash_consistency import dir_digests
 
 TP2_DP2 = ParallelConfig(tp=2, dp=2)
 
@@ -134,6 +147,36 @@ def test_damaged_ucp_meta_is_a_typed_error(converted, tmp_path, damage, reader):
         return
     with pytest.raises(UCPFormatError, match=UCP_META_FILE):
         load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+
+
+MARKER_DAMAGE = {
+    "junk-bytes": lambda store: store.put_bytes(CONVERT_SOURCE_FILE, b"junk"),
+    "tag-as-array": lambda store: store.save(CONVERT_SOURCE_FILE, {
+        **store.load(CONVERT_SOURCE_FILE),
+        "source_tag": np.zeros(2, np.float32),
+    }),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MARKER_DAMAGE))
+def test_reconversion_over_damaged_marker_starts_over(
+    committed, converted, tmp_path, damage
+):
+    """A damaged source marker proves nothing: re-converting into the
+    directory rewrites every atom (a tampered one is not reused) and
+    ends byte-identical to a clean conversion."""
+    ucp = tmp_path / "ucp"
+    shutil.copytree(converted, ucp)
+    store = ObjectStore(str(ucp))
+    rel = "atoms/final_norm.weight/fp32.npt"
+    values = store.load(rel)
+    values["values"] = values["values"] + 1.0
+    store.save(rel, values)
+    MARKER_DAMAGE[damage](store)
+
+    report = ucp_convert(str(committed[0]), str(ucp))
+    assert report.num_reused == 0
+    assert dir_digests(ucp) == dir_digests(converted)
 
 
 ESCAPING_NAMES = ["a/../../x", "../x", "a/./b", "a//b", "a/", "/etc/passwd", ""]
@@ -248,14 +291,34 @@ trace_cases = st.tuples(
 )
 
 
-def _atom_store(root: str) -> AtomStore:
+MARKER_FIELDS = ("source_tag", "source_manifest_sha256")
+marker_cases = st.one_of(
+    st.tuples(st.just("marker"), st.just("bytes"), st.binary(max_size=48)),
+    st.tuples(st.just("marker"), st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("marker"), st.just("tree"), WRONG),
+    st.tuples(
+        st.just("marker"),
+        st.sampled_from(["drop", "retype"]),
+        st.tuples(st.sampled_from(MARKER_FIELDS), WRONG),
+    ),
+)
+latest_cases = st.tuples(
+    st.just("latest"),
+    st.one_of(
+        st.binary(max_size=16),
+        st.text("ab./\\\x00 \n\xe9", max_size=6).map(str.encode),
+    ),
+)
+
+
+def _atom_store(root: str, spec=SPEC) -> AtomStore:
     """A one-atom UCP directory: atom ``p``, shape (3, 2)."""
     store = AtomStore(root)
     rng = np.random.default_rng(0)
     store.write(AtomCheckpoint(
         "p",
         {k: rng.standard_normal((3, 2)).astype(np.float32) for k in STATE_KINDS},
-        dict(SPEC),
+        dict(spec),
     ))
     return store
 
@@ -363,6 +426,53 @@ def _check_name(root, name):
         assert found is None or name == "p"
 
 
+def _check_latest(root, data):
+    store = ObjectStore(root)
+    store.put_bytes(naming.LATEST_FILE, data)
+    try:
+        tag = resolve_tag(store, None)
+    except (CheckpointIntegrityError, CheckpointNotFoundError):
+        return
+    # a pointer the boundary let through names one entry of the root
+    assert tag not in ("", ".", "..") and "\x00" not in tag
+    assert os.path.basename(tag) == tag and "\\" not in tag
+    assert store._resolve(tag).parent == store._resolve(".")
+
+
+def _check_marker(root, how, damage):
+    src = ObjectStore(os.path.join(root, "src"))
+    manifest_mod.write_manifest(src, TAG, {})
+    specs = {"p": ShardSpec(PATTERN_REPLICATED, (3, 2), (3, 2))}
+    atoms = AtomStore(os.path.join(root, "ucp"))
+    assert _claim_destination(atoms, src, TAG, specs) == {}  # writes the marker
+    atoms = _atom_store(atoms.store.base, specs["p"].to_dict())
+    assert set(_claim_destination(atoms, src, TAG, specs)) == {"p"}
+
+    dst = atoms.store
+    clean = dst.read_bytes(CONVERT_SOURCE_FILE)
+    if how == "bytes":
+        dst.put_bytes(CONVERT_SOURCE_FILE, damage)
+    elif how == "truncate":
+        # cut before the header ends; the trailing NULs are alignment
+        # padding, and a marker without them is whole
+        header = clean.rstrip(b"\0")
+        dst.put_bytes(CONVERT_SOURCE_FILE, clean[: damage % len(header)])
+    elif how == "tree":
+        dst.save(CONVERT_SOURCE_FILE, damage)
+    else:
+        marker = dst.load(CONVERT_SOURCE_FILE)
+        field, value = damage
+        if how == "drop":
+            del marker[field]
+        else:
+            marker[field] = value
+        dst.save(CONVERT_SOURCE_FILE, marker)
+    assert not converted_from(dst, src, TAG)
+    assert _claim_destination(atoms, src, TAG, specs) == {}
+    assert atoms.list_atoms() == []
+    assert dst.read_bytes(CONVERT_SOURCE_FILE) == clean
+
+
 def _check_table(root, files):
     store = ObjectStore(root)
     store.put_bytes(f"{TAG}/a", b"x" * 7)
@@ -381,14 +491,15 @@ def _check_table(root, files):
 @settings(max_examples=60, deadline=None)
 @given(case=st.one_of(
     sidecar_cases, state_cases, table_cases, meta_cases, name_cases,
-    trace_cases,
+    trace_cases, latest_cases, marker_cases,
 ))
 def test_damaged_trees_end_typed_or_not_reusable(case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
     state header's ``values`` dtype/shape, a manifest file table, a
-    ``ucp_meta`` tree and a collective-trace payload, and atom names
-    built from ``.``/``..``/empty components: nothing escapes but the
-    typed errors and "not reusable"."""
+    ``ucp_meta`` tree, a collective-trace payload and a conversion's
+    source marker, arbitrary ``latest`` bytes, and atom names built from
+    ``.``/``..``/empty components: nothing escapes but the typed errors,
+    "not reusable" and "marker proves nothing"."""
     with tempfile.TemporaryDirectory() as root:
         {
             "sidecar": _check_sidecar,
@@ -397,4 +508,6 @@ def test_damaged_trees_end_typed_or_not_reusable(case):
             "meta": _check_meta,
             "name": _check_name,
             "trace": _check_trace,
+            "latest": _check_latest,
+            "marker": _check_marker,
         }[case[0]](root, *case[1:])

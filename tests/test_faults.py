@@ -7,13 +7,8 @@ from repro.storage.faults import (
     CrashAtWrite,
     FaultPolicy,
     InjectedCrash,
-    LatencySpikes,
     NoSpaceAtPublish,
-    RetryPolicy,
-    TransientFaults,
-    TransientIOError,
 )
-from repro.storage.nvme import NVMeModel
 from repro.storage.serializer import (
     ChecksumError,
     SerializationError,
@@ -21,20 +16,6 @@ from repro.storage.serializer import (
     validate_npt,
 )
 from repro.storage.store import ObjectStore, sha256_hex
-
-
-class TestRetryPolicy:
-    def test_backoff_is_exponential(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.01, multiplier=2.0)
-        assert policy.delay_s(1) == pytest.approx(0.01)
-        assert policy.delay_s(2) == pytest.approx(0.02)
-        assert policy.delay_s(3) == pytest.approx(0.04)
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
 
 
 class TestFaultPolicyCounting:
@@ -113,58 +94,6 @@ class TestNoSpaceAtPublish:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="at must be >= 0"):
             NoSpaceAtPublish(at=-1)
-
-
-class TestTransientFaults:
-    def test_retries_absorb_faults_and_charge_backoff(self, tmp_path):
-        policy = TransientFaults(write_failures=2)
-        retry = RetryPolicy(max_attempts=3, backoff_s=0.01, multiplier=2.0)
-        store = ObjectStore(str(tmp_path), faults=policy, retry=retry)
-        base_cost = ObjectStore(str(tmp_path / "ref")).save("x.npt", {"v": 1})
-        assert base_cost > 0
-        store.save("x.npt", {"v": 1})
-        assert store.load("x.npt") == {"v": 1}
-        assert policy.write_ops == 3  # two failed attempts + the success
-        # both backoffs (0.01 + 0.02) were charged to simulated time
-        assert store.simulated_write_s >= 0.03
-
-    def test_exhausted_retries_surface_the_fault(self, tmp_path):
-        policy = TransientFaults(write_failures=5)
-        store = ObjectStore(
-            str(tmp_path), faults=policy, retry=RetryPolicy(max_attempts=3)
-        )
-        with pytest.raises(TransientIOError):
-            store.save("x.npt", {"v": 1})
-        assert not store.exists("x.npt")
-
-    def test_read_faults_also_retried(self, tmp_path):
-        store = ObjectStore(str(tmp_path))
-        store.save("x.npt", {"v": 7})
-        flaky = ObjectStore(
-            str(tmp_path), faults=TransientFaults(read_failures=1)
-        )
-        assert flaky.load("x.npt") == {"v": 7}
-        assert flaky.simulated_read_s > 0
-
-
-class TestLatencySpikes:
-    def test_spikes_add_simulated_time(self, tmp_path, rng):
-        obj = {"x": rng.standard_normal(128).astype(np.float32)}
-        plain = ObjectStore(str(tmp_path / "plain"))
-        plain.save("x.npt", obj)
-        spiky = ObjectStore(
-            str(tmp_path / "spiky"), faults=LatencySpikes(spike_s=0.5, every=1)
-        )
-        spiky.save("x.npt", obj)
-        assert spiky.simulated_write_s >= plain.simulated_write_s + 0.5
-
-    def test_degraded_nvme_profile(self):
-        nvme = NVMeModel()
-        slow = nvme.degraded(4.0)
-        nbytes = 10**8
-        assert slow.write_time(nbytes) > nvme.write_time(nbytes)
-        with pytest.raises(ValueError):
-            nvme.degraded(0.5)
 
 
 class TestValidateNpt:

@@ -251,8 +251,6 @@ class TestObjectStore:
         store.load("x.npt")
         assert store.bytes_written == n
         assert store.bytes_read == n
-        store.reset_accounting()
-        assert store.bytes_written == 0
 
     def test_simulated_time_accumulates(self, tmp_path, rng):
         store = ObjectStore(str(tmp_path))

@@ -350,3 +350,22 @@ class TestReportDeterminism:
         assert report.continuity is not None
         assert report.continuity.ok
         assert_cell_invariants(report, tmp_path / "run")
+
+
+class TestReportText:
+    def test_cold_restart_names_its_resume_point(self, tmp_path):
+        """A kill before the first commit restarts from step 0; the text
+        report says so instead of printing the empty resume tag."""
+        sup = Supervisor(
+            MODEL,
+            SOURCE4,
+            str(tmp_path),
+            horizon=4,
+            save_every=SAVE_EVERY,
+            schedule=KillSchedule.from_specs(["2:step:3"]),
+        )
+        report = sup.run()
+        (event,) = report.events
+        assert event.resume_tag == "" and event.resume_step == 0
+        line = report.render_text().splitlines()[-1]
+        assert " from step 0 (cold restart) (lost 2 steps," in line, line
