@@ -84,7 +84,7 @@ def test_sanitizer_overhead_within_budget(benchmark, tmp_path):
 
 def test_sanitizer_checks_actually_ran(tmp_path):
     """Guard the benchmark itself: the sanitized workload must cross
-    collective and snapshot boundaries, or the timing is meaningless."""
+    the collective boundary on every step, or the timing is meaningless."""
     with sanitize(strict=True) as san:
         _workload(tmp_path, "probe")
     assert san.checks > STEPS

@@ -1,10 +1,15 @@
-"""Checkpoint strategies side by side: sync disk, async snapshot,
-in-memory replication, and UCP — plus the cluster-scale arithmetic.
+"""Checkpoint strategies side by side on one node loss.
 
-The paper positions UCP against a landscape of checkpointing systems
-(CheckFreq, Gemini, Check-N-Run).  This example runs the ones this
-repository implements on a single failure scenario, then uses the
-resilience planner to project the comparison to GPT-4 scale.
+The paper's Fig 1 story with the three strategies this repository
+implements: an 8-GPU job checkpoints, a node failure leaves 4
+survivors, and each strategy tries to continue on them.
+
+* standard distributed checkpoint — cheap to save, but the strict
+  loader refuses the shrunk topology;
+* consolidated single file — loads on any topology, but every save
+  first all-gathers the whole model through one rank;
+* UCP — saves the same distributed checkpoint, then converts it and
+  resumes on the survivors.
 
 Run:  python examples/checkpoint_strategies.py
 """
@@ -12,74 +17,89 @@ Run:  python examples/checkpoint_strategies.py
 import tempfile
 import time
 
-from repro import ParallelConfig, TrainingEngine, get_config, resume_training
-from repro.ckpt.inmemory import InMemoryCheckpoint
-from repro.ckpt.planner import plan_resilience
-from repro.ckpt.snapshot import SnapshotManager, tune_checkpoint_interval
+from repro import (
+    CheckpointIncompatibleError,
+    ParallelConfig,
+    TrainingEngine,
+    get_config,
+    resume_training,
+)
+from repro.ckpt.consolidated import (
+    load_consolidated_checkpoint,
+    save_consolidated_checkpoint,
+)
+
+
+def _gathered_bytes(engine) -> int:
+    return sum(
+        r.bytes_per_rank * r.group_size
+        for r in engine.cluster.tracker.records if r.op == "all_gather"
+    )
 
 
 def main() -> None:
+    model_cfg = get_config("gpt3-mini")
+
+    def build(topology):
+        return TrainingEngine(
+            model_cfg, topology, seed=7, global_batch_size=8, seq_len=32,
+        )
+
     with tempfile.TemporaryDirectory() as workdir:
-        topology = ParallelConfig(tp=2, pp=2, dp=2, zero_stage=1)
-        engine = TrainingEngine(
-            get_config("gpt3-mini"), topology, seed=7,
-            global_batch_size=8, seq_len=32,
-        )
+        source = ParallelConfig(tp=2, pp=2, dp=2, zero_stage=1)
+        survivors = ParallelConfig(tp=2, pp=2, dp=1, zero_stage=1)
+        engine = build(source)
         engine.train(10)
-        print(f"training gpt3-mini on {topology.world_size} GPUs; "
-              f"comparing checkpoint strategies at iteration 10\n")
+        print(f"training gpt3-mini on {source.world_size} GPUs "
+              f"({source.describe()}); checkpointing at iteration 10\n")
 
         start = time.perf_counter()
-        engine.save_checkpoint(f"{workdir}/sync")
-        sync_s = time.perf_counter() - start
+        engine.save_checkpoint(f"{workdir}/dist")
+        dist_save_s = time.perf_counter() - start
 
-        manager = SnapshotManager(engine)
+        gathered_before = _gathered_bytes(engine)
         start = time.perf_counter()
-        snap = manager.snapshot()
-        block_s = time.perf_counter() - start
-        engine.train(2)  # training continues while the persist runs
-        manager.persist(snap, f"{workdir}/async")
+        written = save_consolidated_checkpoint(engine, f"{workdir}/consolidated")
+        cons_save_s = time.perf_counter() - start
+        gathered = _gathered_bytes(engine) - gathered_before
 
-        mem = InMemoryCheckpoint(engine, replication_factor=2)
-        start = time.perf_counter()
-        mem.commit()
-        commit_s = time.perf_counter() - start
+        print("save cost:")
+        print(f"  standard distributed:  {dist_save_s * 1e3:7.1f} ms "
+              f"({source.world_size} ranks write their own shards)")
+        print(f"  consolidated file:     {cons_save_s * 1e3:7.1f} ms "
+              f"(all-gather of {gathered / 1e6:.1f} MB, "
+              f"then one rank writes {written / 1e6:.1f} MB)")
+        print(f"  UCP:                   {dist_save_s * 1e3:7.1f} ms "
+              f"(the standard checkpoint; conversion waits for a restart)")
 
-        print(f"  sync disk save:            {sync_s * 1e3:7.1f} ms (blocks training)")
-        print(f"  CheckFreq snapshot:        {block_s * 1e3:7.1f} ms (blocks), "
-              f"persist overlapped")
-        print(f"  Gemini in-memory commit:   {commit_s * 1e3:7.1f} ms "
-              f"(to 2 peer replicas)")
-
-        freq = tune_checkpoint_interval(
-            step_time_s=0.05, snapshot_time_s=block_s,
-            max_overhead_fraction=0.035,
-        )
-        print(f"\n  CheckFreq tuner: snapshot every {freq.interval_steps} steps "
-              f"keeps overhead at {freq.overhead_fraction:.1%}")
-
-        print("\nfailure: rank 5 dies")
-        start = time.perf_counter()
-        mem.recover(failed_ranks={5})
-        mem_s = time.perf_counter() - start
-        print(f"  Gemini recovery (same topology, spare required): "
-              f"{mem_s * 1e3:.1f} ms")
+        print(f"\nfailure: a node dies, {survivors.world_size} survivors "
+              f"({survivors.describe()})")
+        print("restart time:")
 
         start = time.perf_counter()
-        shrunk = resume_training(f"{workdir}/sync", ParallelConfig(tp=2, pp=2, dp=1))
+        try:
+            build(survivors).load_checkpoint(f"{workdir}/dist")
+        except CheckpointIncompatibleError as exc:
+            fail_s = time.perf_counter() - start
+            print(f"  standard distributed:  refused after "
+                  f"{fail_s * 1e3:.1f} ms — {exc}")
+
+        start = time.perf_counter()
+        restored = build(survivors)
+        load_consolidated_checkpoint(restored, f"{workdir}/consolidated")
+        cons_load_s = time.perf_counter() - start
+        print(f"  consolidated file:     {cons_load_s * 1e3:7.1f} ms "
+              f"(resumes at iteration {restored.iteration})")
+
+        start = time.perf_counter()
+        shrunk = resume_training(f"{workdir}/dist", survivors)
         ucp_s = time.perf_counter() - start
-        print(f"  UCP resume (continue on 4 survivors, no spare): "
-              f"{ucp_s * 1e3:.1f} ms, now {shrunk.parallel_cfg.describe()}")
+        print(f"  UCP resume:            {ucp_s * 1e3:7.1f} ms "
+              f"(convert + load, resumes at iteration {shrunk.iteration} "
+              f"on {shrunk.parallel_cfg.describe()})")
 
-        plan = plan_resilience(
-            num_gpus=24576, gpus_per_node=8, node_mtbf_hours=50_000,
-            checkpoint_cost_hours=0.05, repair_hours=6.0,
-        )
-        print(f"\nprojected to a 24,576-GPU job "
-              f"({plan.failures_per_30_days:.0f} failures/month):")
-        print(f"  wait-for-repair waste:  {plan.waste_wait_gpuh:10,.0f} GPU-hours/failure")
-        print(f"  UCP elastic waste:      {plan.waste_elastic_gpuh:10,.0f} GPU-hours/failure "
-              f"({plan.elastic_savings_fraction:.0%} saved)")
+        loss = shrunk.train(1)[0].loss
+        print(f"\nUCP job keeps training on the survivors: loss {loss:.4f}")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,9 @@ and a witness's activation context subscribes it there.
 
 Two enforcement layers guard the *memory* side of the same contracts:
 
-- :mod:`~repro.analysis.sanitizer` — runtime buffer-ownership and
-  write-protection checks at every isolation boundary of the simulated
-  cluster (collectives, snapshots, replica commits, UCP loads);
-  activate with :func:`~repro.analysis.sanitizer.sanitize` or
+- :mod:`~repro.analysis.sanitizer` — runtime buffer-ownership checks
+  at every isolation boundary of the simulated cluster (collectives,
+  UCP loads); activate with :func:`~repro.analysis.sanitizer.sanitize` or
   ``REPRO_SANITIZE=1``.
 - :mod:`~repro.analysis.srclint` — an AST lint over ``src/repro``
   itself that flags the code patterns *causing* those violations

@@ -48,6 +48,8 @@ RULES: Dict[str, str] = {
     "UCP023": "collective-deadlock",
     "UCP024": "collective-arg-mismatch",
     "UCP025": "cross-rank-writable-aliasing",
+    # the snapshot/replica sanitizer boundary, retired with the
+    # CheckFreq/Gemini baselines; the ID stays reserved
     "UCP026": "snapshot-aliases-live-state",
     # retired in PR 22 (no registrant since PR 14); the IDs stay reserved
     "UCP027": "cache-return-mutation",

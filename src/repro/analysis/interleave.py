@@ -764,11 +764,6 @@ SCENARIOS: Dict[str, str] = {
         "schedule-independent, each file is read once, nothing is "
         "resident at the end"
     ),
-    "inmemory": (
-        "InMemoryCheckpoint commit racing recover on one engine; "
-        "invariant: recovery sees a complete replica map, never a "
-        "torn one"
-    ),
     "commit-pool": (
         "two stagers and two commit threads drive the store's "
         "CommitPool (reserve -> stage -> submit, publish, drain): three "
@@ -785,7 +780,7 @@ def build_scenario(name: str, seed: int = 0, root: Optional[str] = None) -> Scen
 
     ``root`` is a directory for the scenario's on-disk stores; the
     caller owns its lifetime (the CLI uses a temp dir).  Expensive
-    shared state (source files, engines) is built once here —
+    shared state (source files, stores) is built once here —
     *outside* any controlled run — and ``fresh()`` only rebuilds the
     cheap per-run state (caches, readers, outputs).
     """
@@ -796,7 +791,6 @@ def build_scenario(name: str, seed: int = 0, root: Optional[str] = None) -> Scen
         root = tempfile.mkdtemp(prefix=f"interleave-{name}-")
     builder = {
         "source-files": _build_source_files,
-        "inmemory": _build_inmemory,
         "commit-pool": _build_commit_pool,
     }[name]
     return builder(seed, root)
@@ -850,47 +844,6 @@ def _build_source_files(seed: int, root: str) -> Scenario:
         return RunCase([worker(0), worker(1)], fingerprint)
 
     return scenario("source-files", fresh, SCENARIOS["source-files"])
-
-
-def _build_inmemory(seed: int, root: str) -> Scenario:
-    import dataclasses as _dc
-
-    from repro.ckpt.inmemory import InMemoryCheckpoint
-    from repro.dist.topology import ParallelConfig
-    from repro.models import get_config
-    from repro.parallel.engine import TrainingEngine
-
-    cfg = _dc.replace(get_config("gpt3-mini"), num_layers=1)
-    engine = TrainingEngine(
-        cfg,
-        ParallelConfig(tp=1, dp=2, zero_stage=1),
-        seed=seed + 1,
-        global_batch_size=2,
-        seq_len=8,
-    )
-    engine.train(1)
-    ckpt = InMemoryCheckpoint(engine, replication_factor=1)
-    ckpt.commit()
-
-    def fresh() -> RunCase:
-        recovered: Dict[str, int] = {}
-
-        def committer() -> None:
-            ckpt.commit()
-
-        def recoverer() -> None:
-            recovered["iteration"] = ckpt.recover(set())
-
-        def fingerprint() -> str:
-            return json.dumps({
-                "recovered": recovered.get("iteration"),
-                "committed": ckpt.iteration,
-                "engine": engine.iteration,
-            }, sort_keys=True)
-
-        return RunCase([committer, recoverer], fingerprint)
-
-    return scenario("inmemory", fresh, SCENARIOS["inmemory"])
 
 
 class _ExploredExecutor:

@@ -3,23 +3,21 @@
 `repro.dist` simulates NCCL in a single Python process, so the address-
 space isolation real DeepSpeed ranks get for free does not exist here: a
 single missing ``.copy()`` lets rank 3 silently mutate rank 0's fp32
-partition, or lets a CheckFreq-style background persist write state the
-engine has already advanced past.  The resulting files are internally
+partition, or lets a loaded engine's parameters write through another
+rank's optimizer state.  The resulting files are internally
 *consistent* — manifests, digests, and the byte-provenance checker all
 pass — which is exactly what makes this bug class invisible to every
 analyzer below this one.
 
 This module is the runtime half of the defense (the static half is
 :mod:`repro.analysis.srclint`).  It tracks ndarray *base-buffer*
-ownership per simulated rank, write-protects buffers that cross an
-isolation boundary, and reports violations through the standard
-:class:`~repro.analysis.diagnostics.LintReport` machinery:
+ownership per simulated rank and reports violations through the
+standard :class:`~repro.analysis.diagnostics.LintReport` machinery:
 
 ========  =============================  =====================================
 rule      name                           boundary
 ========  =============================  =====================================
 UCP025    cross-rank-writable-aliasing   collectives / engine rank partitions
-UCP026    snapshot-aliases-live-state    CheckFreq snapshots, Gemini replicas
 ========  =============================  =====================================
 
 Activation
@@ -37,12 +35,7 @@ subscribed to the one hook slot (:mod:`repro.obs`, role ``"mem"``; the
 ``on_<event>`` handlers below receive what the instrumented sites name
 there, and the off-mode cost is that module's).  ``REPRO_SANITIZE=1``
 makes the test suite's session fixture (``tests/conftest.py``) wrap the
-whole tier-1 run in a strict sanitizer *and* a strict lock witness.
-
-Escape hatches: :meth:`MemorySanitizer.claim` returns a writable private
-copy of a protected array (ownership transfer by copy — always safe);
-:meth:`MemorySanitizer.thaw` re-enables writes *in place* and records
-the buffer as deliberately unprotected so later scans do not flag it.
+whole tier-1 run in a strict sanitizer.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,18 +100,6 @@ def zero_state_arrays(zero) -> Iterable[Tuple[str, np.ndarray]]:
             yield f"{label}:exp_avg_sq", part.state.exp_avg_sq
 
 
-def replica_arrays(staged) -> Iterable[Tuple[str, np.ndarray]]:
-    """``(rank-label@host:kind, array)`` pairs over an in-memory
-    commit's staged replica map (``(coord, dp_rank) -> [replica]``)."""
-    for (coord, dp_rank), replicas in staged.items():
-        pp, sp, tp = coord
-        base = f"pp{pp}.sp{sp}.tp{tp}/dp{dp_rank}"
-        for r in replicas:
-            yield f"{base}@host{r.host_rank}:fp32", r.fp32
-            yield f"{base}@host{r.host_rank}:exp_avg", r.exp_avg
-            yield f"{base}@host{r.host_rank}:exp_avg_sq", r.exp_avg_sq
-
-
 def model_param_arrays(engine) -> Iterable[Tuple[str, np.ndarray]]:
     """``(param-label, array)`` pairs over an engine's model parameters.
 
@@ -155,10 +135,6 @@ class MemorySanitizer:
         self.report = LintReport(subject=subject)
         self.checks = 0
         self._lock = threading.Lock()
-        # snapshot label -> [(weakref, state key, root id at capture)]
-        self._snapshots: Dict[str, List[Tuple[weakref.ref, str, int]]] = {}  # guarded-by: self._lock
-        # root ids deliberately un-protected via thaw()
-        self._thawed: set = set()  # guarded-by: self._lock
 
     # --- violation plumbing ------------------------------------------
 
@@ -226,110 +202,6 @@ class MemorySanitizer:
             self._violation(diag)
         return found
 
-    # --- snapshot boundary (UCP026) ----------------------------------
-
-    def on_snapshot_capture(self, label: str, captured_zero, live_zero) -> None:
-        """Slot handler: a CheckFreq capture of ``live_zero`` was taken."""
-        live = zero_state_arrays(live_zero)
-        self.guard_snapshot(label, zero_state_arrays(captured_zero), live)
-
-    def on_snapshot_persist(self, label: str, live_zero) -> None:
-        """Slot handler: capture ``label`` is about to be written out."""
-        self.verify_snapshot(label, zero_state_arrays(live_zero))
-
-    def on_replica_commit(self, label: str, staged, live_zero) -> None:
-        """Slot handler: an in-memory commit staged its peer replicas."""
-        self.guard_snapshot(
-            label, replica_arrays(staged), zero_state_arrays(live_zero)
-        )
-
-    def guard_snapshot(
-        self,
-        label: str,
-        captured: Iterable[Tuple[str, np.ndarray]],
-        live: Iterable[Tuple[str, np.ndarray]],
-    ) -> List[Diagnostic]:
-        """Register a point-in-time capture and check it against live state.
-
-        Every captured array must be backed by memory disjoint from the
-        live engine state (else a later training step leaks into the
-        persisted files — UCP026).  Clean captures are write-protected
-        so the background persist writes exactly the captured bytes.
-        """
-        self.checks += 1
-        live_roots: Dict[int, str] = {}
-        for key, arr in live:
-            live_roots.setdefault(id(_root(arr)), key)
-        found: List[Diagnostic] = []
-        entries: List[Tuple[weakref.ref, str, int]] = []
-        for key, arr in captured:
-            rid = id(_root(arr))
-            live_key = live_roots.get(rid)
-            if live_key is not None:
-                found.append(error(
-                    "UCP026",
-                    f"snapshot {label!r}: captured state {key} aliases live "
-                    f"engine state {live_key}; training past the snapshot "
-                    f"instant would leak into the persisted files",
-                    location=f"{label}:{key}",
-                ))
-            else:
-                arr.setflags(write=False)
-                entries.append((weakref.ref(arr), key, rid))
-        with self._lock:
-            # prune snapshots whose arrays are all gone (superseded
-            # commits), keeping the registry bounded over long runs
-            for old in [
-                lbl for lbl, ents in self._snapshots.items()
-                if all(ref() is None for ref, _, _ in ents)
-            ]:
-                del self._snapshots[old]
-            self._snapshots[label] = entries
-        for diag in found:
-            self._violation(diag)
-        return found
-
-    def verify_snapshot(
-        self, label: str, live: Iterable[Tuple[str, np.ndarray]]
-    ) -> List[Diagnostic]:
-        """Re-check a registered capture at persist time (UCP026).
-
-        Training may have advanced arbitrarily since the capture; the
-        snapshot buffers must still be disjoint from the live state and
-        still write-protected (unless explicitly :meth:`thaw`-ed).
-        """
-        self.checks += 1
-        live_roots: Dict[int, str] = {}
-        for key, arr in live:
-            live_roots.setdefault(id(_root(arr)), key)
-        found: List[Diagnostic] = []
-        with self._lock:
-            entries = list(self._snapshots.get(label, ()))
-            thawed = set(self._thawed)
-        for ref, key, rid in entries:
-            arr = ref()
-            if arr is None:
-                continue
-            live_key = live_roots.get(id(_root(arr)))
-            if live_key is not None:
-                found.append(error(
-                    "UCP026",
-                    f"snapshot {label!r}: state {key} aliases live engine "
-                    f"state {live_key} at persist time; the files would "
-                    f"record post-snapshot training",
-                    location=f"{label}:{key}",
-                ))
-            elif _writable(arr) and rid not in thawed:
-                found.append(error(
-                    "UCP026",
-                    f"snapshot {label!r}: write protection of {key} was "
-                    f"removed before the background persist completed",
-                    location=f"{label}:{key}",
-                ))
-        for diag in found:
-            self._violation(diag)
-        return found
-
     # --- engine sweep (UCP025) ---------------------------------------
 
     def check_engine(self, engine, context: str = "") -> List[Diagnostic]:
@@ -380,24 +252,6 @@ class MemorySanitizer:
         return found
 
     on_engine_loaded = check_engine  # the UCP loader's event
-
-    # --- escape hatches ----------------------------------------------
-
-    def claim(self, arr: np.ndarray) -> np.ndarray:
-        """Ownership transfer by copy: a writable private copy of ``arr``."""
-        return np.array(arr)
-
-    def thaw(self, arr: np.ndarray) -> np.ndarray:
-        """Deliberately re-enable writes on a protected array, in place.
-
-        The buffer is recorded so the persist-time re-check (UCP026)
-        does not flag it; the caller takes responsibility for every
-        alias of it.
-        """
-        with self._lock:
-            self._thawed.add(id(_root(arr)))
-        arr.setflags(write=True)
-        return arr
 
 
 # --- activation --------------------------------------------------------

@@ -38,12 +38,6 @@ from repro.ckpt.consolidated import (
     load_consolidated_checkpoint,
     save_consolidated_checkpoint,
 )
-from repro.ckpt.snapshot import (
-    SnapshotManager,
-    tune_checkpoint_interval,
-)
-from repro.ckpt.inmemory import InMemoryCheckpoint
-from repro.ckpt.planner import plan_resilience, young_daly_interval_hours
 from repro.ckpt.retention import RetentionPolicy, prune_checkpoints
 
 __all__ = [
@@ -69,11 +63,6 @@ __all__ = [
     "read_job_config",
     "save_consolidated_checkpoint",
     "load_consolidated_checkpoint",
-    "SnapshotManager",
-    "tune_checkpoint_interval",
-    "InMemoryCheckpoint",
-    "plan_resilience",
-    "young_daly_interval_hours",
     "RetentionPolicy",
     "prune_checkpoints",
 ]

@@ -21,10 +21,8 @@ Events, with their arguments: ``lock_enter`` / ``lock_exit``
 root, rel, dst, data)`` for a store file effect; ``collective (op,
 group, ranks, inputs, outputs, reduce_op)`` once per collective call,
 barriers included (``group`` is ``None`` for a groupless module-level
-call, whose ``ranks`` are then local indices); ``snapshot_capture
-(label, captured_zero, live_zero)``, ``snapshot_persist (label,
-live_zero)``, ``replica_commit (label, staged, live_zero)``;
-``engine_loaded (engine, context)``.
+call, whose ``ranks`` are then local indices); ``engine_loaded
+(engine, context)``.
 
 Cost model: when nothing is subscribed every hook site is a single
 module-global load plus a truthiness check — the zero-when-off contract

@@ -46,7 +46,7 @@ import time
 from typing import Any, List, Optional, Tuple
 
 from repro import obs
-from repro.storage.faults import FaultPolicy
+from repro.storage.faults import FaultPolicy, InjectedCrash
 from repro.storage.nvme import DEFAULT_NVME
 from repro.storage.serializer import (
     deserialize,
@@ -90,11 +90,12 @@ class CommitGroup:
       writeback the kernel has had since staging to start.
 
     A stage whose write fails, and a publish that raises, unlink every
-    temp the group still owns and re-raise.  Injected crashes fire from
-    the write hook, *before* the write, and leave the group's temps
-    where a real crash would.  A group belongs to one thread at a time;
-    staging on one thread and publishing on another is the intended
-    write-behind use.
+    temp the group still owns and re-raise — an ``OSError`` the write
+    hook injects (ENOSPC, EIO) included, as if the write had raised it.
+    Injected crashes fire from the write hook, *before* the write, and
+    leave the group's temps where a real crash would.  A group belongs
+    to one thread at a time; staging on one thread and publishing on
+    another is the intended write-behind use.
     """
 
     def __init__(self, store: "ObjectStore") -> None:
@@ -108,14 +109,16 @@ class CommitGroup:
         path = store._resolve(rel_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        if store.faults is not None:
-            store.faults.on_write(rel_path, tmp, data)
-        if obs._ACTIVE:
-            store._emit_fs("write", tmp, data=data)
-        self._staged.append((rel_path, tmp, path))
         try:
+            if store.faults is not None:
+                store.faults.on_write(rel_path, tmp, data)
+            if obs._ACTIVE:
+                store._emit_fs("write", tmp, data=data)
+            self._staged.append((rel_path, tmp, path))
             with open(tmp, "wb") as fh:
                 fh.write(data)
+        except InjectedCrash:
+            raise  # a dead process unlinks nothing
         except BaseException:
             self.abandon()
             raise

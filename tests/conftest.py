@@ -37,10 +37,10 @@ def _session_checked():
 
     ``REPRO_SANITIZE=1 pytest`` (the CI ``checked`` job) wraps every
     test in one strict :func:`repro.analysis.sanitizer.sanitize`
-    activation: any boundary-crossing buffer violation (UCP025-UCP026)
-    raises at the point of the offense.  Injection tests that *want*
-    violations subscribe their own non-strict sanitizer — per role the
-    innermost wins — so they keep working under the checked run.
+    activation: any cross-rank buffer violation (UCP025) raises at the
+    point of the offense.  Injection tests that *want* violations
+    subscribe their own non-strict sanitizer — per role the innermost
+    wins — so they keep working under the checked run.
     """
     from repro.analysis.sanitizer import enabled_from_env, sanitize
 

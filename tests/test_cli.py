@@ -366,7 +366,7 @@ class TestExplore:
     def test_list_scenarios(self, capsys):
         assert main(["explore", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("source-files", "inmemory", "commit-pool"):
+        for name in ("source-files", "commit-pool"):
             assert name in out
 
     def test_missing_scenario_fails(self, capsys):

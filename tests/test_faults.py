@@ -1,8 +1,11 @@
 """Tests for the fault-injection harness and the store's commit path."""
 
+import errno
+
 import numpy as np
 import pytest
 
+from repro.core.convert import ucp_convert
 from repro.storage.faults import (
     CrashAtWrite,
     FaultPolicy,
@@ -16,6 +19,8 @@ from repro.storage.serializer import (
     validate_npt,
 )
 from repro.storage.store import ObjectStore, sha256_hex
+
+from tests.test_crash_consistency import dir_digests, leftover_tmps, tiny_engine
 
 
 class TestFaultPolicyCounting:
@@ -94,6 +99,53 @@ class TestNoSpaceAtPublish:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="at must be >= 0"):
             NoSpaceAtPublish(at=-1)
+
+
+class NoSpaceAtWrite(FaultPolicy):
+    """The Nth write boundary (1-based) fails with ``ENOSPC``, once —
+    the way a full disk fails the ``write`` it precedes."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__()
+        self.at = at
+
+    def _write_fault(self, op_index, rel_path, tmp_path, data) -> None:
+        if op_index == self.at:
+            raise OSError(errno.ENOSPC, "injected: no space left", str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def converted_source(tmp_path_factory):
+    """A committed one-layer checkpoint and its clean conversion's digests."""
+    root = tmp_path_factory.mktemp("write_enospc")
+    engine = tiny_engine()
+    engine.train(1)
+    engine.save_checkpoint(str(root / "ckpt"))
+    ucp_convert(str(root / "ckpt"), str(root / "ref"))
+    return root / "ckpt", dir_digests(root / "ref")
+
+
+class TestNoSpaceAtWrite:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    def test_write_hook_enospc_abandons_the_group(
+        self, converted_source, tmp_path, at, workers
+    ):
+        """Write 1 is the conversion's source marker and writes 2-5 the
+        first atom's four files, so ``at`` fails that atom mid-group:
+        the error surfaces, the group's earlier temps are unlinked, and
+        a plain re-run converts to the clean bytes."""
+        ckpt, ref_digests = converted_source
+        work = tmp_path / "ucp"
+        store = ObjectStore(str(work), faults=NoSpaceAtWrite(at))
+        with pytest.raises(OSError) as excinfo:
+            ucp_convert(str(ckpt), str(work), workers=workers, dst_store=store)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert leftover_tmps(work) == []
+
+        ucp_convert(str(ckpt), str(work), workers=workers)
+        assert dir_digests(work) == ref_digests
+        assert leftover_tmps(work) == []
 
 
 class TestValidateNpt:

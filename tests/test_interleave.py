@@ -215,11 +215,6 @@ class TestRegistryScenarios:
         assert result.exhaustive
         assert result.schedules_run > 100  # a real space, not a stub
 
-    def test_inmemory_is_exhaustively_clean(self):
-        result = interleave.explore("inmemory")
-        assert result.ok
-        assert result.exhaustive
-
     def test_commit_pool_sample_is_clean(self):
         """A sample of the pool's schedule space (CI's ``checked`` job
         runs all 2064 schedules with ``--require-exhaustive``): every
@@ -244,7 +239,7 @@ class TestRegistryScenarios:
 
     def test_registry_names_build(self):
         assert set(interleave.SCENARIOS) == {
-            "source-files", "inmemory", "commit-pool",
+            "source-files", "commit-pool",
         }
 
 

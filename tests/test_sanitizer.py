@@ -1,9 +1,9 @@
 """Memory sanitizer: injected isolation violations are caught and named.
 
 Each test class injects one of the bug classes the sanitizer exists
-for — a rank mutating a shared collective result (UCP025), a snapshot
-aliasing live engine state (UCP026) — and asserts the diagnostic fires
-with the offending rank/key named.  Buggy variants simulate a *missing
+for — a rank mutating a shared collective result, two ranks sharing
+one optimizer partition, a parameter aliasing rank state (all UCP025)
+— and asserts the diagnostic fires with the offending rank/key named.  Buggy variants simulate a *missing
 copy at the boundary itself*: they produce aliased results and hand
 them to the same public ``sanitize_boundary`` hook / slot events the
 real code paths use.
@@ -12,8 +12,6 @@ The injection tests run their own non-strict sanitizer; under
 ``REPRO_SANITIZE=1`` it nests inside the session-wide strict one (the
 innermost activation wins), so the suite stays green either way.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -28,7 +26,6 @@ from repro.analysis.sanitizer import (
     current,
     enabled_from_env,
     sanitize,
-    zero_state_arrays,
 )
 from repro.dist import collectives
 from repro.dist.process_group import ProcessGroup
@@ -112,155 +109,6 @@ class TestCollectiveBoundary:
         assert current() is None
         outs = bad_broadcast(np.ones(4), 2)  # silent without a sanitizer
         assert len(outs) == 2
-
-
-class TestSnapshotBoundary:
-    def _engine(self):
-        return make_engine(seed=11)
-
-    def test_clean_snapshot_and_persist(self, tmp_path):
-        from repro.ckpt.snapshot import SnapshotManager
-
-        eng = self._engine()
-        eng.train(1)
-        with sanitize(strict=True) as san:
-            mgr = SnapshotManager(eng)
-            snap = mgr.snapshot()
-            eng.train(1)
-            mgr.persist(snap, str(tmp_path / "ckpt"))
-        assert san.report.ok
-
-    def test_snapshot_arrays_are_write_protected(self):
-        from repro.ckpt.snapshot import SnapshotManager
-
-        eng = self._engine()
-        with sanitize(strict=True):
-            snap = SnapshotManager(eng).snapshot()
-        for _, arr in zero_state_arrays(snap.zero):
-            assert not arr.flags.writeable
-
-    def test_aliasing_clone_is_ucp026_at_capture(self, monkeypatch):
-        from repro.ckpt.snapshot import SnapshotManager
-        from repro.parallel.zero import ZeroPartition
-
-        orig_clone = ZeroPartition.clone
-
-        def bad_clone(self):
-            out = orig_clone(self)
-            out.fp32 = self.fp32  # the missing .copy()
-            return out
-
-        monkeypatch.setattr(ZeroPartition, "clone", bad_clone)
-        eng = self._engine()
-        with sanitize(strict=False) as san:
-            SnapshotManager(eng).snapshot()
-        found = san.report.by_rule("UCP026")
-        assert found
-        # names the offending per-rank state key on both sides
-        assert any(
-            "fp32" in d.message and "aliases live engine state" in d.message
-            for d in found
-        )
-        assert any("pp0" in d.location for d in found)
-
-    def test_engine_adopting_snapshot_buffer_is_ucp026_at_persist(
-        self, tmp_path
-    ):
-        from repro.ckpt.snapshot import SnapshotManager
-
-        eng = self._engine()
-        with sanitize(strict=False) as san:
-            mgr = SnapshotManager(eng)
-            snap = mgr.snapshot()
-            # a "restore" that forgot to copy: the live engine now shares
-            # the snapshot's buffer, so training would leak into the files
-            coord = next(iter(eng.zero.partitions))
-            eng.zero.partitions[coord][0].fp32 = (
-                snap.zero.partitions[coord][0].fp32
-            )
-            mgr.persist(snap, str(tmp_path / "ckpt"))
-        assert any(
-            "at persist time" in d.message
-            for d in san.report.by_rule("UCP026")
-        )
-
-    def test_unprotecting_snapshot_is_ucp026_at_persist(self, tmp_path):
-        from repro.ckpt.snapshot import SnapshotManager
-
-        eng = self._engine()
-        with sanitize(strict=False) as san:
-            mgr = SnapshotManager(eng)
-            snap = mgr.snapshot()
-            coord = next(iter(snap.zero.partitions))
-            snap.zero.partitions[coord][0].fp32.setflags(write=True)
-            mgr.persist(snap, str(tmp_path / "ckpt"))
-        assert any(
-            "write protection" in d.message
-            for d in san.report.by_rule("UCP026")
-        )
-
-    def test_inmemory_commit_clean_and_replicas_frozen(self):
-        from repro.ckpt.inmemory import InMemoryCheckpoint
-
-        eng = self._engine()
-        eng.train(1)
-        with sanitize(strict=True) as san:
-            imc = InMemoryCheckpoint(eng, replication_factor=1)
-            imc.commit()
-        assert san.report.ok
-        for replicas in imc._replicas.values():
-            for r in replicas:
-                assert not r.fp32.flags.writeable
-
-    def test_inmemory_replica_aliasing_owner_is_ucp026(self):
-        from repro.ckpt.inmemory import InMemoryCheckpoint
-
-        eng = self._engine()
-        with sanitize(strict=False) as san:
-            imc = InMemoryCheckpoint(eng, replication_factor=1)
-            imc.commit()
-            # inject the missing .copy(): one replica now IS the live state
-            key = next(iter(imc._replicas))
-            (coord, dp_rank) = key
-            imc._replicas[key][0].fp32 = (
-                eng.zero.partitions[coord][dp_rank].fp32
-            )
-            obs.emit("replica_commit", "inmemory@it0", imc._replicas, eng.zero)
-        found = san.report.by_rule("UCP026")
-        assert found
-        assert any("host" in d.location for d in found)
-
-
-class TestCacheBoundary:
-    """The escape hatches, on buffers the sanitizer protects (snapshot
-    captures)."""
-
-    def _protected(self):
-        from repro.ckpt.snapshot import SnapshotManager
-
-        eng = make_engine(seed=11)
-        mgr = SnapshotManager(eng)
-        snap = mgr.snapshot()
-        coord = next(iter(snap.zero.partitions))
-        return mgr, snap, snap.zero.partitions[coord][0].fp32
-
-    def test_claim_returns_private_writable_copy(self):
-        with sanitize(strict=True) as san:
-            _, _, frozen = self._protected()
-            assert not frozen.flags.writeable
-            before = frozen[0]
-            mine = san.claim(frozen[:16])
-            mine[0] = before + 123.0  # private copy: no violation
-            assert frozen[0] == before  # source untouched
-        assert san.report.ok
-
-    def test_thaw_exempts_buffer_from_integrity_scan(self, tmp_path):
-        with sanitize(strict=True) as san:
-            mgr, snap, frozen = self._protected()
-            san.thaw(frozen)
-            frozen[0] = 7.0  # deliberate, claimed mutation
-            mgr.persist(snap, str(tmp_path / "ckpt"))  # persist-time re-check
-        assert san.report.ok
 
 
 class TestEngineSweep:
