@@ -102,9 +102,10 @@ def test_fig11_save_cost(benchmark, tmp_path):
         {
             "parallel": PARALLEL.describe(),
             "rows": rows,
-            "code_path": "staged save (repro.ckpt.saver): serialize + SHA-256 on "
-                         "a fan-out, rank-order staging on the calling thread, "
-                         "write-behind publish on storage.store.CommitPool; "
+            "code_path": "staged save (repro.ckpt.saver): encode (header block, "
+                         "pads, views of the arrays' own buffers) + SHA-256 on a "
+                         "fan-out, rank-order staging of the parts on the calling "
+                         "thread, write-behind publish on storage.store.CommitPool; "
                          "both sides call the same engine.save_checkpoint",
             "environment": {
                 "cpus": os.cpu_count(),

@@ -5,8 +5,13 @@ fan-out encodes ahead of it and the store's commit pool publishes behind
 it (``repro.ckpt.saver``).  Overlap must not buy its speed with extra
 work, so the CI ``convert-perf`` step gates, per save and *exactly*:
 
-* one ``serialize`` and one SHA-256 pass per data file — the digest is
-  taken over the bytes that are committed, once;
+* one encode (``repro.storage.serializer.encode``) and one SHA-256 pass
+  per data file — the digest is taken over the bytes that are
+  committed, once;
+* each data file is staged as parts that sum to its size: its header
+  block, then pads and payloads none larger than the file's largest
+  tensor payload — the file is never joined into one buffer, whatever
+  the allocator does with buffers that size;
 * ``os.fsync`` calls at most the serial save's ``2 x files + 4`` (temp +
   directory per data file, then the manifest's and ``latest``'s) and
   ``os.replace`` calls exactly ``files + 2``;
@@ -24,7 +29,8 @@ import pytest
 
 from repro.ckpt import saver
 from repro.dist.topology import ParallelConfig
-from repro.storage.store import ObjectStore, resolve_workers
+from repro.storage.serializer import TensorIndexEntry
+from repro.storage.store import CommitGroup, ObjectStore, resolve_workers
 
 from bench_util import make_engine, record_result
 
@@ -43,9 +49,10 @@ WIDTHS = (1, 2, 8)
 def save_counts(monkeypatch, width):
     """What a save inside the block did: encodes, hashes, fsyncs,
     renames, and the commit threads it started — on a ``width``-core
-    machine as the save resolves it."""
-    counts = {"serialize": 0, "sha256": 0, "fsync": 0, "replace": 0,
-              "commit_threads": 0}
+    machine as the save resolves it — plus the part sizes each file was
+    staged from, under ``counts["staged"][rel_path]``."""
+    counts = {"encode": 0, "sha256": 0, "fsync": 0, "replace": 0,
+              "commit_threads": 0, "staged": {}}
     lock = threading.Lock()
 
     with monkeypatch.context() as patch:
@@ -63,13 +70,52 @@ def save_counts(monkeypatch, width):
         patch.setattr(os, "cpu_count", lambda: width)
         # the saver's own names: the manifest's encode and digest go
         # through the store's and are not rank-file work
-        counting(saver, "serialize", "serialize")
+        counting(saver, "encode", "encode")
         counting(saver, "sha256_hex", "sha256")
         counting(os, "fsync", "fsync")
         counting(os, "replace", "replace")
         counting(threading.Thread, "start", "commit_threads",
                  lambda thread: thread.name.startswith("ucp-commit"))
+        real_stage = CommitGroup.stage
+
+        def stage(group, rel_path, *parts):
+            counts["staged"][rel_path] = [memoryview(p).nbytes for p in parts]
+            return real_stage(group, rel_path, *parts)
+
+        patch.setattr(CommitGroup, "stage", stage)
         yield counts
+
+
+def split_staged(root, rel_path, parts):
+    """Whether a committed ``.npt`` file was staged from ``parts`` (their
+    sizes) that sum to the file, the first its header block and none
+    other larger than its largest tensor payload; and that payload's
+    size."""
+    path = os.path.join(root, rel_path)
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+    header_len = int.from_bytes(head[4:12], "little")
+    header_block = -(-(12 + header_len) // 64) * 64
+    index = ObjectStore(root).load_index(rel_path)
+    largest = max((entry.nbytes for entry in tensor_entries(index)), default=0)
+    size = os.path.getsize(path)
+    ok = (
+        sum(parts) == size
+        and parts[0] == header_block
+        and max(parts[1:], default=0) <= largest
+    )
+    return ok, largest
+
+
+def tensor_entries(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from tensor_entries(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from tensor_entries(value)
+    elif isinstance(node, TensorIndexEntry):
+        yield node
 
 
 @pytest.fixture(scope="module")
@@ -93,10 +139,17 @@ def test_bench_save_commit(engines, monkeypatch, tmp_path):
                 )
                 resolved = resolve_workers(None)
             files = len(info.files)
+            staged = counts.pop("staged")
+            split = {rel: split_staged(root, rel, staged[rel]) for rel in info.files}
             row = {"save": label, "cpus": width, "data_files": files,
-                   "width": resolved, **counts}
+                   "width": resolved, **counts,
+                   "max_staged_part": max(max(staged[rel][1:], default=0)
+                                          for rel in info.files),
+                   "max_tensor_payload": max(largest for _, largest in split.values()),
+                   "files_split": sum(ok for ok, _ in split.values())}
             rows.append(row)
-            assert counts["serialize"] == counts["sha256"] == files, row
+            assert counts["encode"] == counts["sha256"] == files, row
+            assert row["files_split"] == files, row
             assert counts["fsync"] <= 2 * files + 4, row
             assert counts["replace"] == files + 2, row
             assert counts["commit_threads"] == (resolved if resolved > 1 else 0), row
@@ -106,7 +159,7 @@ def test_bench_save_commit(engines, monkeypatch, tmp_path):
         {
             "rows": rows,
             "fields": {
-                "serialize": "encodes of rank-file payloads (gated == data_files)",
+                "encode": "encodes of rank-file payloads (gated == data_files)",
                 "sha256": "SHA-256 passes over rank-file bytes (gated == "
                           "data_files: one digest, over the committed bytes)",
                 "fsync": "os.fsync calls of the durable save, manifest and "
@@ -116,6 +169,14 @@ def test_bench_save_commit(engines, monkeypatch, tmp_path):
                 "commit_threads": "ucp-commit threads started (gated == "
                                   "width, 0 when width is 1: inline publish)",
                 "width": "min(8, cpus): the fan-out's and the commit pool's",
+                "files_split": "data files staged as their header block, "
+                               "then parts none larger than the file's "
+                               "largest tensor payload, summing to the "
+                               "file's size (gated == data_files)",
+                "max_staged_part": "largest part staged after a header "
+                                   "block, over the save's data files (B)",
+                "max_tensor_payload": "largest tensor payload of any data "
+                                      "file (B)",
             },
         },
     )

@@ -13,13 +13,16 @@ Saves are crash-consistent: every file is an atomic commit, a per-tag
 manifest (:mod:`repro.ckpt.manifest`) records each file's digest, and
 ``latest`` advances only after the manifest is durable.  The commit is
 the conversion's: payloads are built in rank order on the calling
-thread, ``serialize`` + SHA-256 of each rank file fan out over
-``min(8, cpu_count)`` threads (order-preserving, at most ``workers + 1``
-encoded files alive at once), the calling thread *stages* each file in
-rank order — so store write *k* names the same file at every width and
-the fault hooks and byte/simulated-time accounting stay single-threaded
-— and the store's :class:`~repro.storage.store.CommitPool` publishes
-behind it (fsync, rename, directory fsync).  The manifest is staged
+thread, the encode (:func:`~repro.storage.serializer.encode`: a header
+block, pads and views of the arrays' own buffers) + SHA-256 of each
+rank file fan out over ``min(8, cpu_count)`` threads (order-preserving,
+at most ``workers + 1`` encoded files alive at once), the calling thread
+*stages* each file's parts in rank order — the page-cache write is the
+only copy a payload takes, store write *k* names the same file at every
+width, and the fault hooks and byte/simulated-time accounting stay
+single-threaded — and the store's
+:class:`~repro.storage.store.CommitPool` publishes behind it (fsync,
+rename, directory fsync).  The manifest is staged
 only once that pool has drained, and leaving the save, however it ends,
 waits for every submitted publish.  There is no knob: the width is the
 machine's, and at one core the save is the serial one.  That ordering
@@ -40,7 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.dist.topology import ParallelConfig
-from repro.storage.serializer import serialize
+from repro.storage.serializer import encode
 from repro.storage.store import (
     CommitGroup,
     CommitPool,
@@ -211,18 +214,18 @@ def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
             }
 
 
-def _encode(payload: Dict) -> Tuple[bytes, str]:
-    """A file's committed bytes and the digest its manifest entry
-    records — computed over those exact bytes, so the entry detects any
-    later mutation."""
-    data = serialize(payload)
-    return data, sha256_hex(data)
+def _encode(payload: Dict) -> Tuple[List, str]:
+    """A file's committed bytes, as parts, and the digest its manifest
+    entry records — one pass over those exact bytes, so the entry
+    detects any later mutation."""
+    parts = encode(payload)
+    return parts, sha256_hex(*parts)
 
 
 def _encoded(
     payloads: Iterable[Tuple[str, Dict]], workers: int
-) -> Iterator[Tuple[str, bytes, str]]:
-    """``(basename, bytes, sha256)`` per payload, in input order.
+) -> Iterator[Tuple[str, List, str]]:
+    """``(basename, parts, sha256)`` per payload, in input order.
 
     Above one worker the encodes run on a thread pool while the caller
     stages: a payload is pulled (built) only when fewer than
@@ -236,8 +239,8 @@ def _encoded(
         return
     window: collections.deque = collections.deque()
 
-    def oldest() -> Tuple[str, bytes, str]:
-        # no reference to the future (and so to its bytes) stays behind
+    def oldest() -> Tuple[str, List, str]:
+        # no reference to the future (and so to its parts) stays behind
         basename, fut = window.popleft()
         return (basename, *fut.result())
 
@@ -299,17 +302,17 @@ def save_distributed_checkpoint(
     with CommitPool(workers) as commits, contextlib.closing(
         _encoded(_rank_payloads(engine, optimizer_layout), workers)
     ) as encoded:
-        for basename, data, digest in encoded:
+        for basename, parts, digest in encoded:
             group = CommitGroup(store)
             commits.reserve()
             try:
-                nbytes = group.stage(f"{tag}/{basename}", data)
+                nbytes = group.stage(f"{tag}/{basename}", *parts)
             except BaseException:
                 # staging died before the group reached the pool
                 commits.release()
                 raise
             commits.submit(group)
-            del data  # staged: only the page cache holds the bytes now
+            del parts  # staged: only the page cache holds the bytes now
             entries[basename] = {"nbytes": nbytes, "sha256": digest}
         # a publish that failed fails the save here, before the manifest
         commits.drain()

@@ -32,7 +32,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import AtomMissingError, UCPError, UCPFormatError
-from repro.storage.serializer import SerializationError, TensorIndexEntry, serialize
+from repro.storage.serializer import (
+    SerializationError,
+    TensorIndexEntry,
+    encode,
+    serialize,
+)
 from repro.storage.store import CommitGroup, ObjectStore
 
 STATE_KINDS: Tuple[str, ...] = ("fp32", "exp_avg", "exp_avg_sq")
@@ -139,13 +144,14 @@ class AtomStore:
         return values
 
     def write(self, atom: AtomCheckpoint) -> int:
-        """Persist one atom as one commit group; returns bytes written."""
+        """Persist one atom as one commit group; returns bytes written.
+        Each state is staged from its array's own buffer."""
         group = CommitGroup(self.store)
         total = 0
         for kind, values in atom.states.items():
             total += group.stage(
                 self._file(atom.name, kind),
-                serialize({"values": np.asarray(values, dtype=np.float32)}),
+                *encode({"values": np.asarray(values, dtype=np.float32)}),
             )
         total += group.stage(self._file(atom.name, SIDECAR), _sidecar(
             atom.name, list(atom.shape), sorted(atom.states), atom.spec

@@ -62,8 +62,10 @@ class UCPMetadata:
         return sorted(self.params)
 
     def to_payload(self) -> Dict:
-        """Serializable form."""
-        return dataclasses.asdict(self)
+        """Serializable form: the fields themselves, not copies — the
+        ``params`` tree is read once, by the encode; a caller that edits
+        the payload copies it first."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "UCPMetadata":

@@ -84,16 +84,23 @@ def _decode(node: Any, tensors: List[np.ndarray]) -> Any:
     return node
 
 
-def serialize(obj: Any) -> bytes:
-    """Encode an object tree to ``.npt`` bytes.
+def encode(obj: Any) -> List[Any]:
+    """Encode an object tree to the ``.npt`` file's bytes, as parts.
 
-    Tensor payloads are flat ``uint8`` views of the (contiguous) arrays
-    themselves: the CRC runs over the array's own buffer and the one
-    copy a payload ever takes is the final join.
+    In file order: the header block (magic, length, header JSON, pad to
+    the payload boundary), then per tensor its alignment pad, if any,
+    and a read-only flat ``uint8`` view of the (contiguous) array's own
+    buffer — the buffer its CRC ran over.  Joined, the parts are the
+    file; a writer that hands them to the file one by one makes the
+    page-cache write the only copy a payload takes.  The views alias
+    the arrays, which must not change until the parts are written.
     """
     tensors: List[np.ndarray] = []
     tree = _encode(obj, tensors)
-    payloads = [tensor.reshape(-1).view(np.uint8) for tensor in tensors]
+    payloads = [
+        memoryview(tensor.reshape(-1).view(np.uint8)).toreadonly()
+        for tensor in tensors
+    ]
 
     table: List[Dict] = []
     offset = 0
@@ -112,20 +119,28 @@ def serialize(obj: Any) -> bytes:
 
     header = json.dumps({"tree": tree, "tensors": table}).encode("utf-8")
     header_block = len(MAGIC) + 8 + len(header)
-    parts: List[Any] = [
+    parts: List[Any] = [b"".join((
         MAGIC,
         len(header).to_bytes(8, "little"),
         header,
         b"\x00" * (_align(header_block) - header_block),
-    ]
+    ))]
     cursor = 0
     for payload, entry in zip(payloads, table):
         pad = entry["offset"] - cursor
         if pad:
             parts.append(b"\x00" * pad)
-        parts.append(memoryview(payload))
+        parts.append(payload)
         cursor = entry["offset"] + entry["nbytes"]
-    return b"".join(parts)
+    return parts
+
+
+def serialize(obj: Any) -> bytes:
+    """Encode an object tree to ``.npt`` bytes: :func:`encode`'s parts
+    joined — one copy of every payload, for small objects and for
+    callers that need the file as one value.  The bulk writers stage
+    the parts themselves."""
+    return b"".join(encode(obj))
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

@@ -43,7 +43,7 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.storage.faults import FaultPolicy, InjectedCrash
@@ -56,9 +56,13 @@ from repro.storage.serializer import (
 )
 
 
-def sha256_hex(data: bytes) -> str:
-    """Content digest used by checkpoint manifests."""
-    return hashlib.sha256(data).hexdigest()
+def sha256_hex(*parts: Any) -> str:
+    """Content digest used by checkpoint manifests: SHA-256 of the
+    bytes ``parts`` join to, taken in one pass over the parts."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def _durable_default() -> bool:
@@ -80,8 +84,12 @@ class CommitGroup:
 
     * :meth:`stage` — write hook (:meth:`FaultPolicy.on_write`), then
       the bytes land in ``<name>.tmp``: page cache only, nothing visible
-      or durable yet.  The file is charged to the store's byte and
-      simulated-time accounting here, one file at a time.
+      or durable yet.  The bytes may come as parts (a header, pads,
+      views of the arrays' own buffers, see
+      :func:`~repro.storage.serializer.encode`), written in order: the
+      write is the only copy they take.  The file is charged to the
+      store's byte and simulated-time accounting here, one file at a
+      time.
     * :meth:`publish` — fsync every staged temp back to back, rename
       them all in staging order (so a file staged last is visible only
       once everything before it is), fsync each distinct parent
@@ -102,29 +110,42 @@ class CommitGroup:
         self.store = store
         # (rel_path, temp, final) per staged file, in staging order
         self._staged: List[Tuple[str, pathlib.Path, pathlib.Path]] = []
+        # parent directories this group has made sure exist
+        self._made: Set[pathlib.Path] = set()
 
-    def stage(self, rel_path: str, data: bytes) -> int:
-        """Write ``data`` to ``rel_path``'s temp sibling; returns its size."""
+    def stage(self, rel_path: str, *parts: Any) -> int:
+        """Write the bytes ``parts`` join to, part by part, to
+        ``rel_path``'s temp sibling; returns the file's size.
+
+        The write hook and the ``fs_op`` event get the file's exact
+        bytes, joined only when a policy or a subscriber is there to
+        look at them.
+        """
         store = self.store
         path = store._resolve(rel_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.parent not in self._made:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._made.add(path.parent)
         tmp = path.with_suffix(path.suffix + ".tmp")
         try:
-            if store.faults is not None:
-                store.faults.on_write(rel_path, tmp, data)
-            if obs._ACTIVE:
-                store._emit_fs("write", tmp, data=data)
+            if store.faults is not None or obs._ACTIVE:
+                data = b"".join(parts)
+                if store.faults is not None:
+                    store.faults.on_write(rel_path, tmp, data)
+                if obs._ACTIVE:
+                    store._emit_fs("write", tmp, data=data)
             self._staged.append((rel_path, tmp, path))
             with open(tmp, "wb") as fh:
-                fh.write(data)
+                fh.writelines(parts)
         except InjectedCrash:
             raise  # a dead process unlinks nothing
         except BaseException:
             self.abandon()
             raise
-        store.bytes_written += len(data)
-        store.simulated_write_s += DEFAULT_NVME.write_time(len(data))
-        return len(data)
+        nbytes = sum(memoryview(part).nbytes for part in parts)
+        store.bytes_written += nbytes
+        store.simulated_write_s += DEFAULT_NVME.write_time(nbytes)
+        return nbytes
 
     def publish(self) -> None:
         """Make every staged file durable and visible; empties the group."""

@@ -63,6 +63,22 @@ class TestAtomStore:
             "atom_meta.npt", "exp_avg.npt", "exp_avg_sq.npt", "fp32.npt",
         ]
 
+    def test_one_mkdir_per_atom(self, tmp_path, rng, monkeypatch):
+        """An atom's four files share a directory: its commit group makes
+        sure of it once, not once per file."""
+        import os
+
+        store = AtomStore(str(tmp_path))
+        store.write(make_atom(rng, name="p"))
+        made = []
+        real_mkdir = os.mkdir
+        monkeypatch.setattr(
+            os, "mkdir", lambda path, *a, **k: (made.append(str(path)),
+                                               real_mkdir(path, *a, **k))
+        )
+        store.write(make_atom(rng, name="p"))
+        assert made == [str(tmp_path / "atoms" / "p")]
+
     def test_list_atoms(self, tmp_path, rng):
         store = AtomStore(str(tmp_path))
         store.write(make_atom(rng, name="b.weight"))

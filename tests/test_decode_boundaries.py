@@ -16,6 +16,7 @@ sees a typed error (``CheckpointIntegrityError``,
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import tempfile
@@ -362,7 +363,7 @@ def _check_state(root, kind, dtype, shape, variant):
 
 def _check_meta(root, how, field, value):
     store = ObjectStore(root)
-    meta = META.to_payload()
+    meta = copy.deepcopy(META.to_payload())  # the payload aliases META's fields
     *path, key = field.split(".")
     tree = meta
     for step in path:

@@ -201,28 +201,30 @@ class TestBound:
         width(workers)
         lock = threading.Lock()
         live = {"now": 0, "peak": 0, "largest": 0}
-        encoded = set()  # id() of every rank file's bytes, while alive
-        real_serialize, real_stage = saver_mod.serialize, CommitGroup.stage
+        # id() of every encoded rank file's header block -> the file's
+        # size, while its parts are alive
+        encoded = {}
+        real_encode, real_stage = saver_mod.encode, CommitGroup.stage
 
-        def counting_serialize(obj):
-            data = real_serialize(obj)
+        def counting_encode(obj):
+            parts = real_encode(obj)
+            nbytes = sum(len(part) for part in parts)
             with lock:
-                encoded.add(id(data))
-                live["now"] += len(data)
+                encoded[id(parts[0])] = nbytes
+                live["now"] += nbytes
                 live["peak"] = max(live["peak"], live["now"])
-                live["largest"] = max(live["largest"], len(data))
-            return data
+                live["largest"] = max(live["largest"], nbytes)
+            return parts
 
-        def counting_stage(self, rel_path, data):
+        def counting_stage(self, rel_path, *parts):
             try:
-                return real_stage(self, rel_path, data)
+                return real_stage(self, rel_path, *parts)
             finally:
                 with lock:
-                    if id(data) in encoded:  # not the manifest / `latest`
-                        encoded.remove(id(data))
-                        live["now"] -= len(data)
+                    # not the manifest / `latest`
+                    live["now"] -= encoded.pop(id(parts[0]), 0)
 
-        monkeypatch.setattr(saver_mod, "serialize", counting_serialize)
+        monkeypatch.setattr(saver_mod, "encode", counting_encode)
         monkeypatch.setattr(CommitGroup, "stage", counting_stage)
         info = save_distributed_checkpoint(engine, str(tmp_path))
         assert len(info.files) > 2 * (workers + 1)  # the window had to slide

@@ -10,9 +10,29 @@ from repro.storage.serializer import (
     MAGIC,
     SerializationError,
     deserialize,
+    encode,
     serialize,
 )
-from repro.storage.store import CommitGroup, ObjectStore
+from repro.storage.store import CommitGroup, ObjectStore, sha256_hex
+
+
+def layout_matrix(rng):
+    """Every array shape the zero-copy encode could get wrong, in one
+    object: strided, Fortran-ordered, 0-d, empty, byte-swapped, bool,
+    read-only, and odd sizes that need an alignment pad after them."""
+    base = rng.standard_normal((6, 10)).astype(np.float32)
+    frozen = rng.standard_normal(33).astype(np.float32)
+    frozen.setflags(write=False)
+    return {
+        "strided": base[:, ::2],
+        "fortran": np.asfortranarray(base),
+        "scalar": np.array(2.5, dtype=np.float64),
+        "empty": np.zeros((0, 3), dtype=np.float16),
+        "big_endian": np.arange(5, dtype=">i4"),
+        "bools": np.array([True, False, True]),
+        "read_only": frozen,
+        "odd": [rng.standard_normal(7), {"tail": np.arange(3, dtype=np.int8)}],
+    }
 
 
 class TestSerializer:
@@ -144,25 +164,51 @@ class TestSerializerLayout:
         return out.getvalue()
 
     def test_payloads_and_crcs_match_tobytes(self, rng):
-        base = rng.standard_normal((6, 10)).astype(np.float32)
-        frozen = rng.standard_normal(33).astype(np.float32)
-        frozen.setflags(write=False)
-        obj = {
-            "strided": base[:, ::2],
-            "fortran": np.asfortranarray(base),
-            "scalar": np.array(2.5, dtype=np.float64),
-            "empty": np.zeros((0, 3), dtype=np.float16),
-            "big_endian": np.arange(5, dtype=">i4"),
-            "bools": np.array([True, False, True]),
-            "read_only": frozen,
-            "odd": [rng.standard_normal(7), {"tail": np.arange(3, dtype=np.int8)}],
-        }
+        obj = layout_matrix(rng)
+        base = obj["fortran"]
         data = serialize(obj)
         assert data == self.reference_bytes(obj)
         out = deserialize(data)
         assert np.array_equal(out["strided"], base[:, ::2])
         assert np.array_equal(out["fortran"], base)
         assert out["big_endian"].tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("case", [
+        "matrix", "nested", "no_tensors", "non_contiguous", "empty", "zero_d",
+        "pads",
+    ])
+    def test_encode_parts_join_to_serialize(self, rng, case):
+        obj = {
+            "matrix": lambda: layout_matrix(rng),
+            "nested": lambda: {
+                "w": rng.standard_normal((3, 4)).astype(np.float32),
+                "meta": {"step": 100, "name": "gpt", "flag": True, "none": None},
+                "history": [1.5, (2, 3), {"inner": np.arange(5, dtype=np.int16)}],
+            },
+            "no_tensors": lambda: {"i": np.int64(5), "f": np.float32(1.5), "s": "x"},
+            "non_contiguous": lambda: {
+                "t": rng.standard_normal((5, 7)).T, "s": np.arange(20)[::3],
+            },
+            "empty": lambda: {"a": np.zeros(0, dtype=np.float32),
+                              "b": np.zeros((2, 0), dtype=np.int8)},
+            "zero_d": lambda: [np.array(7, dtype=np.int32), np.array(1.5)],
+            # 3 + 5 + 1 bytes: each payload but the first starts on a pad
+            "pads": lambda: [np.arange(3, dtype=np.int8), np.ones(5, dtype=np.uint8),
+                             np.array([True])],
+        }[case]()
+        parts = encode(obj)
+        assert b"".join(parts) == serialize(obj)
+        # every payload part is a read-only flat byte view
+        for part in parts:
+            if isinstance(part, memoryview):
+                assert part.readonly and part.format == "B" and part.ndim == 1
+
+    def test_contiguous_payloads_alias_their_arrays(self, rng):
+        arr = rng.standard_normal(100).astype(np.float32)
+        parts = encode({"a": arr, "b": np.arange(4)})
+        views = [part for part in parts if isinstance(part, memoryview)]
+        assert len(views) == 2
+        assert np.shares_memory(np.frombuffer(views[0], dtype=np.uint8), arr)
 
     def test_stream_writer_emits_the_same_bytes(self, rng, tmp_path):
         """What the store commits is exactly what ``serialize`` encodes."""
@@ -384,6 +430,23 @@ class TestDurability:
         assert leftover.read_bytes() == b"data"
         assert not (tmp_path / "x.npt").exists()
 
+    def test_torn_multi_part_write_leaves_half_the_joined_bytes(
+        self, tmp_path, rng
+    ):
+        from repro.storage.faults import CrashAtWrite, InjectedCrash
+
+        parts = encode(layout_matrix(rng))
+        assert len(parts) > 2
+        data = b"".join(parts)
+        store = ObjectStore(
+            str(tmp_path), faults=CrashAtWrite(0, torn=True), durable=True
+        )
+        with pytest.raises(InjectedCrash):
+            CommitGroup(store).stage("x.npt", *parts)
+        (leftover,) = tmp_path.rglob("*.tmp")
+        assert leftover.read_bytes() == data[: len(data) // 2]
+        assert not (tmp_path / "x.npt").exists()
+
 
 class TestCommitGroup:
     """The two-step commit under ``put_bytes``: stage, then publish a
@@ -427,6 +490,41 @@ class TestCommitGroup:
             group.publish()
         dirs = [op.path for op in rec.ops() if op.kind == "fsync_dir"]
         assert dirs == ["s0/x", "s0/y", "s0"]
+
+    def test_staged_parts_publish_their_join(self, tmp_path, rng):
+        """The file, the returned size and the ``fs_op`` write event all
+        see the bytes the parts join to."""
+        store, trace = self.traced(tmp_path)
+        obj = layout_matrix(rng)
+        parts = encode(obj)
+        with trace as rec:
+            group = CommitGroup(store)
+            nbytes = group.stage("d/x.npt", *parts)
+            group.publish()
+        published = (tmp_path / "d" / "x.npt").read_bytes()
+        assert published == serialize(obj)
+        assert nbytes == len(published) == store.bytes_written
+        (write,) = [op for op in rec.ops() if op.kind == "write"]
+        assert write.sha256 == sha256_hex(published) == sha256_hex(*parts)
+        assert write.nbytes == len(published)
+
+    def test_one_mkdir_per_distinct_parent(self, tmp_path, monkeypatch):
+        import os
+
+        store = ObjectStore(str(tmp_path))
+        (tmp_path / "d").mkdir()
+        (tmp_path / "e").mkdir()
+        made = []
+        real_mkdir = os.mkdir
+        monkeypatch.setattr(
+            os, "mkdir", lambda path, *a, **k: (made.append(str(path)),
+                                               real_mkdir(path, *a, **k))
+        )
+        group = CommitGroup(store)
+        for rel in ("d/1.npt", "d/2.npt", "e/1.npt", "d/3.npt", "e/2.npt"):
+            group.stage(rel, b"v")
+        group.publish()
+        assert made == [str(tmp_path / "d"), str(tmp_path / "e")]
 
     def test_stage_charges_accounting_per_file(self, tmp_path):
         store = ObjectStore(str(tmp_path))
