@@ -1,6 +1,6 @@
-"""Static analysis over checkpoint layouts and collective schedules.
+"""Static analysis over checkpoint layouts and conversion plans.
 
-Four analyzers, none of which ever materializes a tensor:
+Three analyzers, none of which ever materializes a tensor:
 
 - :mod:`~repro.analysis.layout_lint` — derive every rank's expected
   checkpoint contents from the configs and diff against a tag's commit
@@ -12,11 +12,6 @@ Four analyzers, none of which ever materializes a tensor:
   that executes a conversion plan over byte *intervals*: every target
   data byte must come from exactly one real (non-padding) source byte
   (``repro lint-plan --provenance`` and the conversion pre-flight).
-- :mod:`~repro.analysis.collective_trace` — per-group ordering,
-  cross-rank argument lint, and a vector-clock happens-before replay
-  detecting deadlock cycles and critical-section overlaps over the
-  trace a :class:`~repro.analysis.collective_trace.CollectiveTraceRecorder`
-  records while subscribed to :mod:`repro.obs` (``repro lint-trace``).
 
 The runtime witnesses below never reach into the code they watch: the
 byte-moving layers name *events* on the one hook slot (:mod:`repro.obs`)
@@ -48,7 +43,7 @@ And one for the *crash-consistency* side (the commit protocol):
   materializes every legal post-crash disk state of a trace and proves
   recovery from each one (UCP032-UCP035); activate with
   :func:`~repro.analysis.fswitness.fstrace`, replay with
-  ``repro lint-trace --fs``.  The protocol it checks has one
+  ``repro lint-trace``.  The protocol it checks has one
   implementation, :class:`~repro.storage.store.CommitGroup`.
 
 All findings carry stable rule IDs (``UCP001``... / ``SRC001``...); see
@@ -61,17 +56,6 @@ from repro.analysis.continuity import (
     ContinuityReport,
     assert_loss_continuity,
     check_loss_continuity,
-)
-from repro.analysis.collective_trace import (
-    CollectiveTraceRecorder,
-    TraceEvent,
-    TraceFormatError,
-    check_collective_args,
-    check_collective_ordering,
-    check_happens_before,
-    check_trace,
-    numel_class,
-    simulate_happens_before,
 )
 from repro.analysis.diagnostics import (
     RULES,
@@ -106,6 +90,7 @@ from repro.analysis.fswitness import (
     CrashState,
     FSOp,
     FSOpRecorder,
+    TraceFormatError,
     check_fs_trace,
     enumerate_crash_states,
     fstrace,
@@ -126,7 +111,6 @@ __all__ = [
     "RULES",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "CollectiveTraceRecorder",
     "ContinuityError",
     "ContinuityReport",
     "CrashState",
@@ -140,20 +124,15 @@ __all__ = [
     "MemorySanitizer",
     "ProvenanceAnalysis",
     "SanitizerError",
-    "TraceEvent",
     "TraceFormatError",
     "analyze_interchange",
     "analyze_source",
     "analyze_ucp_source",
-    "check_collective_args",
-    "check_collective_ordering",
     "check_engine_isolation",
     "check_fs_trace",
-    "check_happens_before",
     "check_plan_provenance",
     "check_source_provenance",
     "check_target_provenance",
-    "check_trace",
     "config_diagnostics",
     "crosscheck_manifest",
     "enumerate_crash_states",
@@ -165,10 +144,8 @@ __all__ = [
     "lint_plan",
     "lint_source_tree",
     "model_param_arrays",
-    "numel_class",
     "preflight_convert",
     "sanitize",
-    "simulate_happens_before",
     "stale_baseline_entries",
     "warning",
     "zero_state_arrays",

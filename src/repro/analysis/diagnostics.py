@@ -36,6 +36,9 @@ RULES: Dict[str, str] = {
     "UCP011": "flat-extent-mismatch",
     "UCP012": "expert-count-mismatch",
     "UCP013": "config-mismatch",
+    # the collective-trace analyzer, retired: the simulator runs every
+    # collective group-wide, and the collectives refuse members whose
+    # shapes or dtypes differ; UCP014/UCP023/UCP024 stay reserved
     "UCP014": "collective-order-mismatch",
     "UCP015": "cross-rank-divergence",
     "UCP016": "uncommitted-tag",

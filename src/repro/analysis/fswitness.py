@@ -17,7 +17,7 @@ Recording
     assigned in first-touch order), so one trace can cover a whole
     save→convert pipeline without path collisions.
 
-Replay (``repro lint-trace --fs``)
+Replay (``repro lint-trace``)
     :func:`check_fs_trace` analyzes a recorded trace two ways:
 
     - *structurally*: a publishing rename whose source bytes were never
@@ -60,6 +60,8 @@ from __future__ import annotations
 import base64
 import contextlib
 import hashlib
+import json
+import os
 import posixpath
 import shutil
 import tempfile
@@ -81,9 +83,14 @@ FSYNC = "fsync"
 RENAME = "rename"
 FSYNC_DIR = "fsync_dir"
 UNLINK = "unlink"
+_KINDS = (WRITE, FSYNC, RENAME, FSYNC_DIR, UNLINK)
 
 _ENTRY_OPS = (WRITE, RENAME, UNLINK)
 """Ops that change disk contents (fsyncs only change durability)."""
+
+
+class TraceFormatError(ValueError):
+    """An FS-op trace file whose payload is not a version-1 trace."""
 
 
 def _dirname(rel: str) -> str:
@@ -135,17 +142,48 @@ class FSOp:
         return out
 
     @staticmethod
-    def from_dict(raw: Dict) -> "FSOp":
-        data = raw.get("data_b64")
+    def from_dict(raw) -> "FSOp":
+        """Inverse of :meth:`to_dict`; a missing or wrong-typed field is
+        a ``ValueError`` saying which."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"is {type(raw).__name__}, not a mapping")
+        kind, dst = raw.get("kind"), raw.get("dst")
+        if not (isinstance(kind, str) and kind in _KINDS):
+            raise ValueError(f"kind {kind!r} is not one of {'/'.join(_KINDS)}")
+        if not _is_rel(raw.get("path")):
+            raise ValueError("path is not a store-relative path")
+        if not (_is_rel(dst) if kind == RENAME else dst is None):
+            raise ValueError(
+                "dst is not a store-relative path" if kind == RENAME
+                else f"a {kind} carries a dst"
+            )
+        nbytes, data = raw.get("nbytes", 0), raw.get("data_b64")
+        if type(nbytes) is not int or nbytes < 0:
+            raise ValueError(f"nbytes {nbytes!r} is not a byte count")
+        for key in ("sha256", "thread"):
+            if not isinstance(raw.get(key, ""), str):
+                raise ValueError(f"{key} is not a string")
+        if data is not None and not isinstance(data, str):
+            raise ValueError("data_b64 is not a string")
         return FSOp(
-            kind=raw["kind"],
+            kind=kind,
             path=raw["path"],
-            dst=raw.get("dst"),
-            nbytes=int(raw.get("nbytes", 0)),
+            dst=dst,
+            nbytes=nbytes,
             sha256=raw.get("sha256", ""),
-            data=base64.b64decode(data) if data is not None else None,
+            data=None if data is None else base64.b64decode(data, validate=True),
             thread=raw.get("thread", ""),
         )
+
+
+def _is_rel(path) -> bool:
+    """A normalized store-relative path: materialized under a scratch
+    root, it can neither leave it nor be refused by the OS."""
+    return (
+        isinstance(path, str) and path == posixpath.normpath(path)
+        and not path.startswith("/") and "\0" not in path
+        and path != ".." and not path.startswith("../")
+    )
 
 
 def label_path(roots: Dict[str, str], root: str, rel: str) -> str:
@@ -217,7 +255,7 @@ class FSOpRecorder:
             return len(self._ops)
 
     def to_payload(self) -> Dict:
-        """JSON-able trace for offline replay (``lint-trace --fs``)."""
+        """JSON-able trace for offline replay (``repro lint-trace``)."""
         with self._mu:
             return {
                 "version": PAYLOAD_VERSION,
@@ -229,15 +267,42 @@ class FSOpRecorder:
             }
 
 
-def ops_from_payload(payload: Dict) -> List[FSOp]:
-    """Decode a :meth:`FSOpRecorder.to_payload` dict."""
+def ops_from_payload(payload, source: str = "fs trace") -> List[FSOp]:
+    """Decode a :meth:`FSOpRecorder.to_payload` dict: the trace's one
+    decode boundary.
+
+    ``fs_ops`` must be a list of ops whose fields have the right types
+    and ``roots`` a list of store labels (str); anything else is a
+    :class:`TraceFormatError` naming ``source`` (the file it was read
+    from), so a truncated or wrong-kind trace never replays as clean.
+    """
+
+    def damaged(what: str) -> TraceFormatError:
+        return TraceFormatError(f"{source} is not an fs-op trace: {what}")
+
+    if not isinstance(payload, dict):
+        raise damaged(f"decodes to {type(payload).__name__}, not a mapping")
     version = payload.get("version")
-    if version != PAYLOAD_VERSION:
-        raise ValueError(
-            f"unsupported fs-trace payload version {version!r}; this build "
-            f"replays version {PAYLOAD_VERSION}"
+    if type(version) is not int or version != PAYLOAD_VERSION:
+        raise damaged(
+            f"unsupported payload version {version!r}; this build replays "
+            f"version {PAYLOAD_VERSION}"
         )
-    return [FSOp.from_dict(raw) for raw in payload.get("fs_ops", [])]
+    for key in ("fs_ops", "roots"):
+        if key not in payload:
+            raise damaged(f"no {key}")
+    roots, raw_ops = payload["roots"], payload["fs_ops"]
+    if not (isinstance(roots, list) and all(_is_rel(r) for r in roots)):
+        raise damaged("roots is not a list of store labels")
+    if not isinstance(raw_ops, list):
+        raise damaged(f"fs_ops is {type(raw_ops).__name__}, not a list")
+    ops = []
+    for i, raw in enumerate(raw_ops):
+        try:
+            ops.append(FSOp.from_dict(raw))
+        except ValueError as exc:
+            raise damaged(f"fs_ops[{i}]: {exc}") from None
+    return ops
 
 
 # --- activation (mirrors the sanitizer) -------------------------------
@@ -540,7 +605,7 @@ def _check_recovery(
     return None
 
 
-# --- the replay check (lint-trace --fs) -------------------------------
+# --- the replay check (lint-trace) ------------------------------------
 
 def check_fs_trace(
     trace,
@@ -552,8 +617,9 @@ def check_fs_trace(
 
     Args:
         trace: an :class:`FSOpRecorder`, a payload dict from
-            :meth:`FSOpRecorder.to_payload`, or a raw :class:`FSOp`
-            list (replayed as one anonymous store domain).
+            :meth:`FSOpRecorder.to_payload`, the path of a JSON file
+            holding one, or a raw :class:`FSOp` list (replayed as one
+            anonymous store domain).
         state_cap: materialization budget for the enumerator.
         enumerate_states: run the crash-state enumeration (needs a
             trace captured with file contents); the structural
@@ -565,9 +631,18 @@ def check_fs_trace(
     if isinstance(trace, FSOpRecorder):
         ops = trace.ops()
         domains = trace.roots() or ["."]
-    elif isinstance(trace, dict):
-        ops = ops_from_payload(trace)
-        domains = list(trace.get("roots") or ["."])
+    elif isinstance(trace, (dict, str, os.PathLike)):
+        source = "fs trace"
+        if not isinstance(trace, dict):
+            source = str(trace)
+            try:
+                trace = json.loads(Path(trace).read_bytes())
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise TraceFormatError(
+                    f"{source} is not an fs-op trace: not JSON ({exc})"
+                ) from None
+        ops = ops_from_payload(trace, source)
+        domains = list(trace["roots"] or ["."])
     else:
         ops = list(trace)
         domains = ["."]

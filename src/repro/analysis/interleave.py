@@ -83,7 +83,6 @@ import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.analysis.collective_trace import clock_lte
 from repro.analysis.diagnostics import (
     Diagnostic,
     LintReport,
@@ -641,6 +640,12 @@ def _reversal_candidates(result: RunResult) -> List[Tuple[int, ...]]:
                     tuple(result.choices[:ei.branch]) + (ej.thread,)
                 )
     return sorted(out)
+
+
+def clock_lte(a: Dict, b: Dict) -> bool:
+    """Vector-clock partial order: ``a`` happened-before-or-equal ``b``
+    (keys are thread ids)."""
+    return all(count <= b.get(t, 0) for t, count in a.items())
 
 
 def _hb_races(trace: List[Event]) -> List[Tuple]:

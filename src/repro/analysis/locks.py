@@ -104,6 +104,40 @@ def _terminal_name(expr: ast.expr) -> str:
             return ""
 
 
+def find_cycle(graph: Dict[str, List[str]]) -> Optional[List[str]]:
+    """One directed cycle in a lock-order graph, or None.
+
+    Traversal order is deterministic (sorted roots, edges in list order).
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in graph}
+    for start in sorted(graph):
+        if color[start] != WHITE:
+            continue
+        stack: List[Tuple[str, int]] = [(start, 0)]
+        path: List[str] = []
+        while stack:
+            node, edge_index = stack.pop()
+            if edge_index == 0:
+                color[node] = GRAY
+                path.append(node)
+            edges = graph.get(node, [])
+            advanced = False
+            for i in range(edge_index, len(edges)):
+                nxt = edges[i]
+                if color.get(nxt, BLACK) == GRAY:
+                    return path[path.index(nxt):]
+                if color.get(nxt, BLACK) == WHITE:
+                    stack.append((node, i + 1))
+                    stack.append((nxt, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                path.pop()
+    return None
+
+
 def _is_self_attr(node: ast.expr) -> Optional[str]:
     """The attribute name when ``node`` is exactly ``self.X``."""
     if (
@@ -613,8 +647,6 @@ class _LockChecker:
             self._order_visit(child, clsname, fnname, held)
 
     def _report_cycles(self) -> None:
-        from repro.analysis.collective_trace import find_cycle
-
         edges = dict(self.edges)
         reported: Set[frozenset] = set()
         for _ in range(16):  # bound independent-cycle extraction

@@ -153,7 +153,6 @@ class MemorySanitizer:
         ranks: Sequence[int],
         inputs: Sequence[np.ndarray],
         outputs: Sequence[np.ndarray],
-        reduce_op: str = "",
     ) -> List[Diagnostic]:
         """Check one collective's per-rank results for writable aliasing.
 

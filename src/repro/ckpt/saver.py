@@ -286,12 +286,6 @@ def save_distributed_checkpoint(
     if store is None:
         store = ObjectStore(directory)
     tag = tag if tag is not None else naming.tag_for_step(engine.iteration)
-    # every rank reaches the save path together; the labelled barrier
-    # lets a subscribed trace recorder prove the save never interleaves
-    # with a rank still in the training step
-    cluster = getattr(engine, "cluster", None)
-    if cluster is not None:
-        cluster.barrier(f"save:{tag}:enter")
     entries: Dict[str, Dict] = {}  # basename -> manifest entry, rank order
 
     # every data file is an atomic commit; its digest feeds the tag
@@ -324,8 +318,6 @@ def save_distributed_checkpoint(
     manifest_mod.write_manifest(store, tag, entries)
     manifest_digest = store.digest(manifest_mod.manifest_path(tag))
     store.write_text(naming.LATEST_FILE, tag)
-    if cluster is not None:
-        cluster.barrier(f"save:{tag}:commit")
     return CheckpointInfo(
         directory=directory,
         tag=tag,

@@ -11,8 +11,7 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-ckpt <dir> [--tag T] [--format text|json] [--deep]
     python -m repro lint-plan --source <dir> --target tp2.pp1.dp4.sp1.zero1 \
         [--provenance]
-    python -m repro lint-trace <trace.json> [--fs [--state-cap N] \
-        [--crashed]]
+    python -m repro lint-trace <fs_trace.json> [--state-cap N] [--crashed]
     python -m repro lint-src  [root] [--baseline F] [--write-baseline] \
         [--locks]
     python -m repro explore   <scenario | --list> [--schedules N] \
@@ -204,26 +203,17 @@ def cmd_lint_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_trace(args: argparse.Namespace) -> int:
-    """Analyze a recorded collective (or FS-op) trace file."""
-    if args.fs:
-        import json as _json
-        import pathlib
+    """Replay a recorded FS-op trace file (UCP032-UCP035)."""
+    from repro.analysis import check_fs_trace
+    from repro.analysis.fswitness import DEFAULT_STATE_CAP
 
-        from repro.analysis import check_fs_trace
-        from repro.analysis.fswitness import DEFAULT_STATE_CAP
-
-        report = check_fs_trace(
-            _json.loads(pathlib.Path(args.trace).read_text()),
-            state_cap=(
-                args.state_cap if args.state_cap is not None
-                else DEFAULT_STATE_CAP
-            ),
-            clean_exit=not args.crashed,
-        )
-    else:
-        from repro.analysis import CollectiveTraceRecorder, check_trace
-
-        report = check_trace(CollectiveTraceRecorder.load(args.trace))
+    report = check_fs_trace(
+        args.trace,
+        state_cap=(
+            args.state_cap if args.state_cap is not None else DEFAULT_STATE_CAP
+        ),
+        clean_exit=not args.crashed,
+    )
     if args.format == "json":
         print(report.to_json())
     else:
@@ -508,35 +498,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint-trace",
-        help="analyze a recorded collective trace (ordering, argument "
-             "mismatches, deadlocks, critical-section overlaps)",
+        help="replay a recorded FS-op trace: durability ordering "
+             "(UCP032), exhaustive crash-state enumeration with recovery "
+             "from every state (UCP033), tmp leaks (UCP034)",
     )
     p.add_argument(
         "trace",
-        help="a JSON trace file: CollectiveTraceRecorder.to_payload "
-             "output (FSOpRecorder.to_payload with --fs)",
-    )
-    p.add_argument(
-        "--fs",
-        action="store_true",
-        help="treat the input as an FS-op trace (JSON from "
-             "FSOpRecorder.to_payload) and replay it: durability "
-             "ordering (UCP032), exhaustive crash-state enumeration "
-             "with recovery from every state (UCP033), tmp leaks "
-             "(UCP034)",
+        help="a JSON trace file: FSOpRecorder.to_payload output",
     )
     p.add_argument(
         "--state-cap",
         type=int,
         default=None,
-        help="crash-state materialization budget for --fs (default "
-             "512; hitting the cap is reported as UCP035)",
+        help="crash-state materialization budget (default 512; hitting "
+             "the cap is reported as UCP035)",
     )
     p.add_argument(
         "--crashed",
         action="store_true",
-        help="the --fs trace came from a deliberately killed run: "
-             "leftover *.tmp files are expected, so UCP034 is skipped",
+        help="the trace came from a deliberately killed run: leftover "
+             "*.tmp files are expected, so UCP034 is skipped",
     )
     p.add_argument(
         "--format", choices=("text", "json"), default="text",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.dist.collectives import CommTracker, sanitize_boundary
+from repro.dist.collectives import CommTracker
 from repro.dist.process_group import ProcessGroup
 from repro.dist.topology import AxisName, ParallelConfig, Topology
 
@@ -52,19 +52,6 @@ class Cluster:
     def groups(self, axis: AxisName) -> List[ProcessGroup]:
         """All process groups along one axis."""
         return [g for name, g in self._groups.items() if name.startswith(f"{axis}:")]
-
-    def barrier(self, label: str) -> None:
-        """A world-wide synchronization point, named as a collective.
-
-        Barriers move no payload, so nothing is charged to the
-        :class:`CommTracker`; the ``barrier:<label>`` collective event
-        lets a subscribed trace recorder prove every rank reached the
-        same labelled sync points in the same order (e.g. the save
-        path's entry and commit barriers).
-        """
-        sanitize_boundary(
-            f"barrier:{label}", [], [], group=("world", self.topology.ranks())
-        )
 
     def fail_rank(self, rank: int) -> None:
         """Mark a rank as failed (simulated hardware failure)."""

@@ -21,23 +21,21 @@ def sanitize_boundary(
     inputs: Sequence[np.ndarray],
     outputs: Sequence[np.ndarray],
     group: Optional[Tuple[str, Sequence[int]]] = None,
-    reduce_op: str = "",
 ) -> Sequence[np.ndarray]:
     """Name one collective call as a ``collective`` event on :mod:`repro.obs`.
 
     The one hook of every collective, called just before it returns: a
     memory sanitizer checks the results for writable cross-rank
-    aliasing (UCP025) and a subscribed trace recorder logs the call;
-    with nothing subscribed the cost is one function call.  ``group``
-    carries ``(name, ranks)`` for a :class:`ProcessGroup` op, the
-    engine's modelled DP sync or a cluster barrier, so findings name
-    real global ranks; a direct module-level call (e.g. sequence
-    parallelism's ``all_to_all``) emits a ``None`` group over local
-    indices, which the sanitizer still checks and the recorder skips.
+    aliasing (UCP025); with nothing subscribed the cost is one function
+    call.  ``group`` carries ``(name, ranks)`` for a
+    :class:`ProcessGroup` op or the engine's modelled DP sync, so
+    findings name real global ranks; a direct module-level call (e.g.
+    sequence parallelism's ``all_to_all``) emits a ``None`` group over
+    local indices.
     """
     if obs._ACTIVE:
         name, ranks = group if group is not None else (None, range(len(outputs)))
-        obs.emit("collective", op, name, list(ranks), inputs, outputs, reduce_op)
+        obs.emit("collective", op, name, list(ranks), inputs, outputs)
     return outputs
 
 
@@ -83,6 +81,17 @@ def _ring_allreduce_bytes(numel: int, itemsize: int, group_size: int) -> int:
     return 2 * (group_size - 1) * numel * itemsize // group_size
 
 
+def _same_dtype(op: str, arrays: Sequence[np.ndarray]) -> None:
+    """Members must contribute one dtype: a real communicator would
+    reinterpret the odd member's bytes, never upcast them."""
+    first = arrays[0].dtype
+    for arr in arrays[1:]:
+        if arr.dtype != first:
+            raise ValueError(
+                f"{op} dtype mismatch across ranks: {first} vs {arr.dtype}"
+            )
+
+
 def _reduce(shards: Sequence[np.ndarray], op: str) -> np.ndarray:
     """The rank-ordered float32 reduction behind all-reduce and
     reduce-scatter (no accounting, no event)."""
@@ -91,6 +100,7 @@ def _reduce(shards: Sequence[np.ndarray], op: str) -> np.ndarray:
     shapes = {s.shape for s in shards}
     if len(shapes) != 1:
         raise ValueError(f"all_reduce shape mismatch across ranks: {shapes}")
+    _same_dtype("all_reduce", shards)
     total = shards[0].astype(np.float32, copy=True)
     for shard in shards[1:]:
         total = total + shard.astype(np.float32)
@@ -125,7 +135,7 @@ def all_reduce(
             _ring_allreduce_bytes(total.size, total.itemsize, len(shards)),
         )
     results = [total.copy() for _ in shards]
-    sanitize_boundary("all_reduce", shards, results, group=group, reduce_op=op)
+    sanitize_boundary("all_reduce", shards, results, group=group)
     return results
 
 
@@ -139,9 +149,11 @@ def all_gather(
     """All-gather: every rank receives the rank-order concatenation."""
     if not shards:
         raise ValueError("all_gather over an empty group")
-    gathered = np.concatenate([np.asarray(s) for s in shards], axis=axis)
+    arrays = [np.asarray(s) for s in shards]
+    _same_dtype("all_gather", arrays)
+    gathered = np.concatenate(arrays, axis=axis)
     if tracker is not None:
-        per_rank = sum(int(np.asarray(s).nbytes) for s in shards)
+        per_rank = sum(int(a.nbytes) for a in arrays)
         tracker.record("all_gather", len(shards), per_rank)
     results = [gathered.copy() for _ in shards]
     sanitize_boundary("all_gather", shards, results, group=group)
@@ -173,9 +185,7 @@ def reduce_scatter(
         tracker.record("reduce_scatter", width, per_rank)
     size = reduced.size // width
     results = [reduced[i * size : (i + 1) * size].copy() for i in range(width)]
-    sanitize_boundary(
-        "reduce_scatter", shards, results, group=group, reduce_op=op
-    )
+    sanitize_boundary("reduce_scatter", shards, results, group=group)
     return results
 
 

@@ -7,22 +7,20 @@ each implementing ``on_<event>`` for the events it cares about.  This
 module has no dependencies, so everyone can import it at module scope.
 
 Roles, in delivery order (:data:`ROLES`): the FS-op recorder, the
-interleaving scheduler, the collective-trace recorder, the memory
-sanitizer.  The order is fixed because the sites rely on it: the
-scheduler yields *after* an FS op was recorded (trace order == effect
-order), and a collective is logged before a strict sanitizer may raise
-on it.  Per role the innermost activation wins, so an injection test's
-permissive witness shadows the strict session-wide one; subscribing
-``None`` masks a role for the enclosed block.
+interleaving scheduler, the memory sanitizer.  The order is fixed
+because the sites rely on it: the scheduler yields *after* an FS op was
+recorded (trace order == effect order).  Per role the innermost
+activation wins, so an injection test's permissive witness shadows the
+strict session-wide one; subscribing ``None`` masks a role for the
+enclosed block.
 
 Events, with their arguments: ``lock_enter`` / ``lock_exit``
 ``(lock)``; ``access (lock, resource, item, write)`` for guarded state;
 ``wait (resource, ready)`` before blocking on a peer; ``fs_op (kind,
 root, rel, dst, data)`` for a store file effect; ``collective (op,
-group, ranks, inputs, outputs, reduce_op)`` once per collective call,
-barriers included (``group`` is ``None`` for a groupless module-level
-call, whose ``ranks`` are then local indices); ``engine_loaded
-(engine, context)``.
+group, ranks, inputs, outputs)`` once per collective call (``group`` is
+``None`` for a groupless module-level call, whose ``ranks`` are then
+local indices); ``engine_loaded (engine, context)``.
 
 Cost model: when nothing is subscribed every hook site is a single
 module-global load plus a truthiness check — the zero-when-off contract
@@ -35,7 +33,7 @@ import contextlib
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
-ROLES = ("fs", "sched", "collective", "mem")
+ROLES = ("fs", "sched", "mem")
 
 _ACTIVE: Tuple[object, ...] = ()
 """Each role's innermost subscriber in :data:`ROLES` order; ``()`` when

@@ -124,14 +124,14 @@ class TrainingEngine:
                     f"{param.shape} for {name!r}"
                 )
 
-    def _dp_boundary(self, op: str, coord, arrays, reduce_op: str = "") -> None:
+    def _dp_boundary(self, op: str, coord, arrays) -> None:
         """Name one analytically-modelled DP collective on the obs bus.
 
         The engine accounts DP traffic per model-parallel coordinate
         rather than through ProcessGroup calls, so each dp rank's
         persistent partition arrays stand in for the buffers the
         collective would land in: a memory sanitizer checks them for
-        aliasing (UCP025) and a subscribed trace recorder logs the call.
+        aliasing (UCP025).
         """
         if not obs._ACTIVE:
             return
@@ -140,9 +140,7 @@ class TrainingEngine:
             RankCoord(tp=tp_rank, pp=pp_stage, dp=0, sp=sp_rank)
         )
         group = self.cluster.group_for("dp", rank)
-        sanitize_boundary(
-            op, [], arrays, group=(group.name, group.ranks), reduce_op=reduce_op
-        )
+        sanitize_boundary(op, [], arrays, group=(group.name, group.ranks))
 
     def sync_model_from_masters(self) -> None:
         """Refresh model working weights from the fp32 masters (the
@@ -209,7 +207,6 @@ class TrainingEngine:
                         self.zero.partitions[coord][d].state.exp_avg
                         for d in range(dp)
                     ],
-                    reduce_op="sum",
                 )
 
         grad_norm = clip_grad_norm(list(grads.values()), self.grad_clip)

@@ -27,7 +27,7 @@ or real, propagates to the caller.
 Every file effect (write / fsync / rename / directory fsync / unlink)
 is named as an ``fs_op`` event on the one hook slot (:mod:`repro.obs`);
 whoever subscribed — the FS-op recorder feeding the crash-state
-enumerator behind ``repro lint-trace --fs``, the schedule explorer — is
+enumerator behind ``repro lint-trace``, the schedule explorer — is
 not this module's business.  An fsync is named by the one helper that
 makes the syscall (:meth:`ObjectStore._fsync`), so a recorded fsync is
 always a real one.  This module is the only one in ``src/`` that

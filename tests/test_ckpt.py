@@ -52,6 +52,15 @@ class TestSave:
         assert len(info.files) == 1 + 4 * 3
         assert info.tag == "global_step2"
 
+    def test_save_writes_only_manifested_files(self, tmp_path):
+        engine = make_engine(parallel=ParallelConfig(dp=2, zero_stage=1))
+        engine.train(1)
+        info = engine.save_checkpoint(str(tmp_path))
+        store = ObjectStore(str(tmp_path))
+        manifest = read_manifest(store, info.tag)
+        on_disk = {rel.split("/")[-1] for rel in store.list(info.tag)}
+        assert on_disk == set(manifest["files"]) | {naming.MANIFEST_FILE}
+
     def test_zero0_saves_single_optim_file_per_mp_rank(self, tmp_path):
         engine = make_engine(parallel=ParallelConfig(dp=2, zero_stage=0))
         engine.train(1)

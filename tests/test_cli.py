@@ -175,33 +175,38 @@ class TestLintPlan:
 class TestLintTrace:
     @pytest.fixture
     def trace_file(self, tmp_path):
-        """A tp2.dp2 train + save, recorded by a subscribed recorder and
-        written as JSON."""
-        from repro import obs
-        from repro.analysis import CollectiveTraceRecorder
+        """A durable dp2 save, recorded by the FS-op witness and written
+        as JSON."""
+        from repro.analysis.fswitness import fstrace
+        from repro.ckpt.saver import save_distributed_checkpoint
 
-        engine = make_engine(parallel=ParallelConfig(tp=2, dp=2), seed=7)
-        recorder = CollectiveTraceRecorder()
-        with obs.subscribed("collective", recorder):
-            engine.train(1)
-            engine.save_checkpoint(str(tmp_path / "ckpt"))
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(recorder.to_payload()))
+        engine = make_engine(parallel=ParallelConfig(dp=2), seed=7)
+        engine.train(1)
+        ckpt = str(tmp_path / "ckpt")
+        with fstrace() as rec:
+            save_distributed_checkpoint(
+                engine, ckpt, store=ObjectStore(ckpt, durable=True)
+            )
+        path = tmp_path / "fs_trace.json"
+        path.write_text(json.dumps(rec.to_payload()))
         return path
 
     def test_clean_trace_from_file_json(self, trace_file, capsys):
         assert main(["lint-trace", str(trace_file), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
-    def test_corrupt_trace_flags_ucp023(self, trace_file, capsys):
+    def test_leaked_temp_flags_ucp034(self, trace_file, capsys):
         payload = json.loads(trace_file.read_text())
-        # a save section entered on every rank but never committed
-        for log in payload["events"].values():
-            log.append(["barrier:save:torn:enter", "world", "none", 0, [], ""])
+        # a write that was never published nor cleaned up
+        payload["fs_ops"].append(
+            {"kind": "write", "path": "s0/stray.npt.tmp", "nbytes": 0,
+             "sha256": "", "data_b64": ""}
+        )
         trace_file.write_text(json.dumps(payload))
 
         assert main(["lint-trace", str(trace_file)]) == 1
-        assert "UCP023" in capsys.readouterr().out
+        assert "UCP034" in capsys.readouterr().out
+        assert main(["lint-trace", "--crashed", str(trace_file)]) == 0
 
     def test_checkpoint_directory_is_not_a_trace(self, checkpoint, capsys):
         ckpt, _ = checkpoint
@@ -210,13 +215,30 @@ class TestLintTrace:
 
     def test_damaged_trace_file_is_named(self, trace_file, capsys):
         payload = json.loads(trace_file.read_text())
-        payload["group_members"]["world"] = "0,1,2,3"
+        payload["roots"] = 5
         trace_file.write_text(json.dumps(payload))
 
         assert main(["lint-trace", str(trace_file)]) == 1
         err = capsys.readouterr().err
-        assert str(trace_file) in err and "group_members" in err
+        assert str(trace_file) in err and "roots" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"version": 1}',
+        '{"version": 1, "roots": [], "fs_ops": [{"kind": "write"}]}',
+        '{"version": 1, "roots": [], "fs_ops": "xyz"}',
+        '{"version": 1, "roots": 5, "fs_ops": []}',
+        '{"version": 1, "roots": ["s0"], "fs_ops": [',
+    ], ids=["no-ops", "op-without-path", "ops-as-str", "roots-as-int",
+            "truncated"])
+    def test_damaged_trace_is_refused_by_name(self, tmp_path, capsys, text):
+        """Neither passed as clean nor answered with bare exception text."""
+        path = tmp_path / "fs_trace.json"
+        path.write_text(text)
+        assert main(["lint-trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path} is not an fs-op trace: " in captured.err
 
 
 class TestVerify:

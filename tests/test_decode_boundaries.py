@@ -6,9 +6,8 @@ manifest's file table, :func:`repro.ckpt.loader.resolve_tag` for the
 for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
 names, an atom's sidecar and its state headers,
 :func:`repro.core.convert.converted_from` for the conversion's source
-marker, and
-:meth:`repro.analysis.collective_trace.CollectiveTraceRecorder.from_payload`
-for a collective-trace file.  Whatever each is handed, a reader above it
+marker, and :func:`repro.analysis.fswitness.ops_from_payload` for an
+FS-op trace file.  Whatever each is handed, a reader above it
 sees a typed error (``CheckpointIntegrityError``,
 ``CheckpointNotFoundError``, ``AtomMissingError``, ``UCPFormatError``,
 ``TraceFormatError``), "atom not reusable" or "marker proves nothing".
@@ -17,6 +16,7 @@ sees a typed error (``CheckpointIntegrityError``,
 from __future__ import annotations
 
 import copy
+import json
 import os
 import shutil
 import tempfile
@@ -26,10 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.collective_trace import (
-    CollectiveTraceRecorder,
+from repro.analysis.fswitness import (
+    FSOpRecorder,
     TraceFormatError,
-    check_trace,
+    check_fs_trace,
+    enumerate_crash_states,
+    ops_from_payload,
 )
 from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.ckpt import manifest as manifest_mod
@@ -276,19 +278,33 @@ table_cases = st.tuples(
     ),
 )
 
-TRACE = CollectiveTraceRecorder()
-TRACE.record("all_reduce", "dp:0,1", (0, 1), 64, shape=(8, 8), reduce_op="sum")
-TRACE.record("barrier:save:t:enter", "world", (0, 1), 0, dtype="none")
-TRACE.record("barrier:save:t:commit", "world", (0, 1), 0, dtype="none")
-trace_cases = st.tuples(
-    st.just("trace"),
-    st.sampled_from(["drop", "extra", "retype"]),
-    st.sampled_from([
-        "version", "group_members", "events", "group_members.world",
-        "group_members.world.0", "events.0", "events.0.0",
-        *(f"events.1.0.{i}" for i in range(6)),
-    ]),
-    WRONG,
+FS_TRACE = FSOpRecorder()
+for _op in [
+    ("write", "t/f.npt.tmp", None, b"data"),
+    ("fsync", "t/f.npt.tmp", None, None),
+    ("rename", "t/f.npt.tmp", "t/f.npt", None),
+    ("fsync_dir", "t", None, None),
+    ("unlink", "t/old.npt", None, None),
+]:
+    FS_TRACE.on_fs_op(_op[0], "/ckpt", *_op[1:])
+FS_TRACE_JSON = json.dumps(FS_TRACE.to_payload())
+trace_cases = st.one_of(
+    st.tuples(
+        st.just("trace"),
+        st.sampled_from(["drop", "extra", "retype"]),
+        st.sampled_from([
+            "version", "captured_data", "roots", "fs_ops", "roots.0",
+            "fs_ops.0", "fs_ops.4", "fs_ops.2.dst",
+            *(f"fs_ops.0.{key}" for key in (
+                "kind", "path", "nbytes", "sha256", "data_b64", "thread",
+            )),
+        ]),
+        WRONG,
+    ),
+    st.tuples(
+        st.just("trace"), st.just("truncate"), st.just(""),
+        st.integers(0, len(FS_TRACE_JSON)),
+    ),
 )
 
 
@@ -387,7 +403,18 @@ def _check_meta(root, how, field, value):
 
 
 def _check_trace(root, how, field, value):
-    payload = TRACE.to_payload()
+    if how == "truncate":
+        path = os.path.join(root, "fs_trace.json")
+        with open(path, "w") as f:
+            f.write(FS_TRACE_JSON[:value])
+        try:
+            check_fs_trace(path, enumerate_states=False)
+        except TraceFormatError as exc:
+            assert path in str(exc)
+            return
+        assert value == len(FS_TRACE_JSON)  # only the whole file decodes
+        return
+    payload = FS_TRACE.to_payload()
     *path, key = field.split(".")
     tree = payload
     for step in path:
@@ -404,12 +431,13 @@ def _check_trace(root, how, field, value):
     else:
         tree[key] = value
     try:
-        recorder = CollectiveTraceRecorder.from_payload(payload, source="t.json")
+        ops = ops_from_payload(payload, source="t.json")
     except TraceFormatError as exc:
         assert "t.json" in str(exc)
         return
     # a tree the boundary let through is replayed without guards
-    check_trace(recorder)
+    check_fs_trace(payload, enumerate_states=False)
+    enumerate_crash_states(ops)
 
 
 def _check_name(root, name):
@@ -497,7 +525,7 @@ def _check_table(root, files):
 def test_damaged_trees_end_typed_or_not_reusable(case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
     state header's ``values`` dtype/shape, a manifest file table, a
-    ``ucp_meta`` tree, a collective-trace payload and a conversion's
+    ``ucp_meta`` tree, an FS-op trace and a conversion's
     source marker, arbitrary ``latest`` bytes, and atom names built from
     ``.``/``..``/empty components: nothing escapes but the typed errors,
     "not reusable" and "marker proves nothing"."""

@@ -101,6 +101,16 @@ class TestCollectives:
         with pytest.raises(ValueError, match="shape mismatch"):
             all_reduce([np.zeros(2, dtype=np.float32), np.zeros(3, dtype=np.float32)])
 
+    @pytest.mark.parametrize(
+        "collective", [all_reduce, all_gather, reduce_scatter],
+        ids=["all_reduce", "all_gather", "reduce_scatter"],
+    )
+    def test_mixed_dtypes_raise(self, collective):
+        """A member of another dtype is refused, never silently upcast."""
+        shards = [np.zeros(4, dtype=np.float32), np.zeros(4, dtype=np.float16)]
+        with pytest.raises(ValueError, match="float32 vs float16"):
+            collective(shards)
+
     def test_all_gather_concatenates_in_rank_order(self):
         shards = [np.full(2, i, dtype=np.float32) for i in range(3)]
         out = all_gather(shards)[0]

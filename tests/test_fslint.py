@@ -439,7 +439,7 @@ class TestTreeIsClean:
         path = tmp_path / "fs_trace.json"
         path.write_text(json.dumps(rec.to_payload()))
         return subprocess.run(
-            [sys.executable, "-m", "repro", "lint-trace", "--fs",
+            [sys.executable, "-m", "repro", "lint-trace",
              "--format", "json", str(path)],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
@@ -447,7 +447,7 @@ class TestTreeIsClean:
 
     def test_cli_fs_filter_gate_passes(self, tmp_path):
         """The gate CI runs now: a recorded durable trace replays clean
-        through ``repro lint-trace --fs``; ``lint-src --fs`` is gone."""
+        through ``repro lint-trace``; ``lint-src --fs`` is gone."""
         rec = traced_group(tmp_path / "store")
         proc = self._lint_trace(tmp_path, rec)
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -331,7 +331,7 @@ class TestEndToEnd:
 
 
 class TestCLIReplay:
-    """``repro lint-trace --fs``."""
+    """``repro lint-trace``."""
 
     def _fs_payload(self, tmp_path, durable):
         with fstrace() as rec:
@@ -348,14 +348,14 @@ class TestCLIReplay:
         from repro.cli import main
 
         path = self._write(tmp_path, self._fs_payload(tmp_path, True))
-        assert main(["lint-trace", "--fs", "--format", "json", path]) == 0
+        assert main(["lint-trace", "--format", "json", path]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_non_durable_fs_payload_fails_with_rules(self, tmp_path, capsys):
         from repro.cli import main
 
         path = self._write(tmp_path, self._fs_payload(tmp_path, False))
-        assert main(["lint-trace", "--fs", path]) == 1
+        assert main(["lint-trace", path]) == 1
         out = capsys.readouterr().out
         assert "UCP032" in out and "UCP033" in out
 
@@ -364,7 +364,7 @@ class TestCLIReplay:
 
         path = self._write(tmp_path, self._fs_payload(tmp_path, True))
         assert main(
-            ["lint-trace", "--fs", "--state-cap", "3", path]) == 0
+            ["lint-trace", "--state-cap", "3", path]) == 0
         assert "UCP035" in capsys.readouterr().out
 
     def test_crashed_flag_excuses_tmp_leftovers(self, tmp_path, capsys):
@@ -373,16 +373,16 @@ class TestCLIReplay:
         payload = FSOpRecorder()
         payload.on_fs_op("write", "r", "x.npt.tmp", data=b"a")
         path = self._write(tmp_path, payload.to_payload())
-        assert main(["lint-trace", "--fs", path]) == 1
+        assert main(["lint-trace", path]) == 1
         assert "UCP034" in capsys.readouterr().out
-        assert main(["lint-trace", "--fs", "--crashed", path]) == 0
+        assert main(["lint-trace", "--crashed", path]) == 0
 
     def test_fs_report_is_deterministic(self, tmp_path, capsys):
         """One JSON report, byte-identical across invocations."""
         from repro.cli import main
 
         path = self._write(tmp_path, self._fs_payload(tmp_path, False))
-        argv = ["lint-trace", "--fs", "--format", "json", path]
+        argv = ["lint-trace", "--format", "json", path]
         assert main(argv) == 1
         first = capsys.readouterr().out
         assert main(argv) == 1
@@ -392,11 +392,11 @@ class TestCLIReplay:
         assert "UCP032" in {d["rule_id"] for d in report["diagnostics"]}
 
     def test_wrapped_payload_is_refused(self, tmp_path, capsys):
-        """``--fs`` reads one recorder payload: a ``{"fs": ..}`` wrapper
-        is an error, never a silently empty (clean) trace."""
+        """``lint-trace`` reads one recorder payload: a ``{"fs": ..}``
+        wrapper is an error, never a silently empty (clean) trace."""
         from repro.cli import main
 
         payload = {"fs": self._fs_payload(tmp_path, False)}
-        assert main(["lint-trace", "--fs", self._write(tmp_path, payload)]) == 1
+        assert main(["lint-trace", self._write(tmp_path, payload)]) == 1
         captured = capsys.readouterr()
         assert "payload version" in captured.err and captured.out == ""

@@ -90,12 +90,11 @@ class TestDelivery:
         log = []
         # subscribed in reverse: delivery order is the role order anyway
         with obs.subscribed("mem", Listener("mem", log)), \
-                obs.subscribed("collective", Listener("collective", log)), \
                 obs.subscribed("sched", Listener("sched", log)), \
                 obs.subscribed("fs", Listener("fs", log)):
             obs.emit("access", None, "r", None, False)
         assert [name for name, _ in log] == list(obs.ROLES)
-        assert obs.ROLES == ("fs", "sched", "collective", "mem")
+        assert obs.ROLES == ("fs", "sched", "mem")
 
     def test_subscribers_receive_only_events_they_handle(self, quiet_slot):
         log = []

@@ -40,7 +40,7 @@ def no_sanitizer():
         yield
 
 
-def bad_broadcast(value, group_size, group=None):
+def bad_broadcast(value, group_size, tracker=None, group=None):
     """A broadcast that forgot the per-rank copy (the injected bug)."""
     arr = np.asarray(value)
     results = [arr for _ in range(group_size)]
@@ -97,6 +97,15 @@ class TestCollectiveBoundary:
             collectives.sanitize_boundary(
                 "all_reduce", [a, b], [a, b], group=("tp", [0, 1])
             )
+
+    def test_strict_mode_fires_through_a_process_group_op(self, monkeypatch):
+        """The group's name and real ranks reach the strict sanitizer."""
+        monkeypatch.setattr(collectives, "broadcast", bad_broadcast)
+        with pytest.raises(SanitizerError) as err:
+            with sanitize(strict=True):
+                ProcessGroup("dp:4,5", [4, 5]).broadcast(np.ones(4))
+        (diag,) = err.value.report.by_rule("UCP025")
+        assert "'dp:4,5'" in diag.message and "ranks 4 and 5" in diag.message
 
     def test_strict_mode_raises_typed_error(self):
         with pytest.raises(SanitizerError) as err:

@@ -355,8 +355,8 @@ class TestRepoIsClean:
           imports only the standard library.
         * Nothing under ``src/repro`` outside ``analysis/`` and
           ``cli.py`` imports a switchable witness (``sanitizer``,
-          ``fswitness``, ``interleave``, ``collective_trace``): hook
-          sites name events on the slot, never a checker.
+          ``fswitness``, ``interleave``): hook sites name events on the
+          slot, never a checker.
         * The planner lives in ``repro.core.plan`` and the provenance
           checker imports it, never the reverse.
         * What still reaches up into ``repro.analysis`` from below is
@@ -374,7 +374,7 @@ class TestRepoIsClean:
         assert foreign == []
 
         witnesses = ("sanitizer", "fswitness", "interleave",
-                     "schedpoint", "provenance", "collective_trace")
+                     "schedpoint", "provenance")
         offenders, reaching_up = [], set()
         for path in sorted(root.rglob("*.py")):
             rel = path.relative_to(root).as_posix()
