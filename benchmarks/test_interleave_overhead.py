@@ -60,8 +60,9 @@ def _best_of(fn, repeats=REPEATS):
 
 def _bench_scenario(root) -> interleave.Scenario:
     """The ``source-files`` shape at production granularity: two
-    workers whose planned file sets overlap claim, load (verified),
-    slice and release through one table, each publishing an atom."""
+    workers whose planned file sets overlap take, load (verified),
+    slice and release their files one at a time through one table,
+    each publishing an atom."""
     src = ObjectStore(os.path.join(root, "src"), durable=False)
     for name in "abc":
         src.put_bytes(f"{name}.bin", interleave._blob(0, name, FILE_BYTES))
@@ -70,17 +71,24 @@ def _bench_scenario(root) -> interleave.Scenario:
 
     def fresh() -> interleave.RunCase:
         dst = ObjectStore(dst_root, durable=False)
-        table = BlockCache({"a.bin": 1, "b.bin": 2, "c.bin": 1})
+        table = BlockCache({"a.bin": 1, "b.bin": 2, "c.bin": 1}, buffers=3)
         reader = RangeReader(src, table, lambda r, rel: r.digest(rel))
 
         def worker(index: int):
             def run() -> None:
-                reader.load(PLANS[index])
-                parts = []
-                for rel in PLANS[index]:
-                    parts += reader.read_multi(rel, slices)
+                # file by file, as the table hands them out; a file's
+                # slices are copied out before it is released (its
+                # buffer may take another file next)
+                parts = {}
+                left = list(PLANS[index])
+                while left:
+                    rel = reader.next_ready(left)
+                    left.remove(rel)
+                    parts[rel] = b"".join(reader.read_multi(rel, slices))
                     table.release(rel)
-                dst.put_bytes(f"atom{index}.bin", b"".join(parts))
+                dst.put_bytes(
+                    f"atom{index}.bin", b"".join(parts[rel] for rel in PLANS[index])
+                )
 
             return run
 

@@ -764,10 +764,14 @@ def _blob(seed: int, tag: str, nbytes: int) -> bytes:
 SCENARIOS: Dict[str, str] = {
     "source-files": (
         "two conversion workers whose planned file sets overlap "
-        "({a, b} and {b, c}) claim, load, slice and release through "
-        "the real source-file table; invariants: output is "
-        "schedule-independent, each file is read once, nothing is "
-        "resident at the end"
+        "({a, b} then {c}, and {b}) take, load, slice and release "
+        "their files one at a time through the real source-file table, "
+        "in the plan's order (c waits until b has left) and into "
+        "recycled read buffers; invariants: output is "
+        "schedule-independent, each file is read once, every slice "
+        "holds its own file's bytes (none is read after its buffer is "
+        "refilled), at most workers + 1 buffers are allocated and one "
+        "is reused, nothing is resident at the end"
     ),
     "commit-pool": (
         "two stagers and two commit threads drive the store's "
@@ -806,35 +810,50 @@ def _build_source_files(seed: int, root: str) -> Scenario:
     from repro.storage.store import ObjectStore
 
     store = ObjectStore(os.path.join(root, "src"), durable=False)
-    for name in "abc":
-        store.put_bytes(f"{name}.bin", _blob(seed, name, 1024))
-    # each worker's planned slices: (file, [(offset, length), ...])
+    blobs = {f"{name}.bin": _blob(seed, name, 1024) for name in "abc"}
+    for rel, data in blobs.items():
+        store.put_bytes(rel, data)
+    # each worker's atoms — (position in the plan's order, planned
+    # slices per file); c.bin is loaded only once a.bin and b.bin have
+    # left the table, so in every schedule it refills a recycled buffer
     plans = [
-        [("a.bin", [(0, 512)]), ("b.bin", [(256, 512), (0, 64)])],
-        [("b.bin", [(512, 512)]), ("c.bin", [(128, 256)])],
+        [
+            (0, {"a.bin": [(0, 512)], "b.bin": [(256, 512), (0, 64)]}),
+            (2, {"c.bin": [(128, 256), (768, 256)]}),
+        ],
+        [(1, {"b.bin": [(512, 512)]})],
     ]
+    consumers = {"a.bin": 1, "b.bin": 2, "c.bin": 1}
+    last_use = {"a.bin": 0, "b.bin": 1, "c.bin": 2}
+    buffers = len(plans) + 1
 
     def fresh() -> RunCase:
         loads: Dict[str, int] = {}
+        stale = [0]  # slices whose bytes are not their file's
 
         def verify(reader, rel: str) -> None:
             loads[rel] = loads.get(rel, 0) + 1
             reader.digest(rel)
 
-        table = BlockCache({"a.bin": 1, "b.bin": 2, "c.bin": 1})
+        table = BlockCache(consumers, buffers, last_use)
         reader = RangeReader(store, table, verify)
         out: Dict[str, str] = {}
 
         def worker(index: int) -> Callable[[], None]:
             def run() -> None:
-                plan = plans[index]
-                reader.load([rel for rel, _ in plan])
-                hasher = hashlib.sha256()
-                for rel, ranges in plan:
-                    for view in reader.read_multi(rel, ranges):
-                        hasher.update(view)
-                    table.release(rel)
-                out[f"T{index}"] = hasher.hexdigest()
+                for position, atom in plans[index]:
+                    left = sorted(atom)
+                    while left:
+                        rel = reader.next_ready(left, position)
+                        hasher = hashlib.sha256()
+                        views = reader.read_multi(rel, atom[rel])
+                        for (offset, length), view in zip(atom[rel], views):
+                            hasher.update(view)
+                            stale[0] += bytes(view) != blobs[rel][offset:offset + length]
+                        # read, so released (the conversion's order)
+                        left.remove(rel)
+                        table.release(rel)
+                        out[f"{position}:{rel}"] = hasher.hexdigest()
 
             return run
 
@@ -844,6 +863,9 @@ def _build_source_files(seed: int, root: str) -> Scenario:
                 "loads": loads,
                 "read_ops": reader.read_ops,
                 "resident": table.resident_bytes,
+                "stale_slices": stale[0],
+                "buffers_bounded": table.allocations <= buffers,
+                "recycled": table.allocations < table.misses,
             }, sort_keys=True)
 
         return RunCase([worker(0), worker(1)], fingerprint)

@@ -70,7 +70,7 @@ BLOCKING_CALL_NAMES = frozenset({
     # concurrency waits
     "result", "wait", "sleep", "barrier", "acquire",
     # object-store / checkpoint IO
-    "read_range", "read_ranges", "put_bytes", "write_bytes",
+    "read_range", "read_ranges", "read_into", "put_bytes", "write_bytes",
     "save", "save_distributed_checkpoint", "persist",
     # durable-write latency is device-dependent and unbounded
     "fsync", "fsync_dir",

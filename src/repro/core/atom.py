@@ -18,6 +18,13 @@ An atom's four files only mean something together, so they are one
 :class:`~repro.storage.store.CommitGroup`: staged in the order above and
 published as a unit, the sidecar renamed last — a visible
 ``atom_meta.npt`` implies the three state files beside it are whole.
+That is all the sidecar is: the atom's commit marker, which the resume
+gate (:meth:`AtomStore.reusable_entry`) checks.  Its fields duplicate
+the atom's ``ucp_meta`` params entry, and the load
+(:func:`repro.core.loader.load_ucp_into_engine`) never opens it — it
+reads each state file's header and payload, the payload checked
+against the header's CRC32, so a load reads the same bytes whether or
+not the sidecar is there.
 
 :class:`AtomStore` is the only code that knows this container (where an
 atom's parts live, how they decode, when one on disk is whole); every

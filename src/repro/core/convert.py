@@ -17,16 +17,20 @@ commits a plan that :mod:`repro.core.plan` builds.
   range) -> consolidated range`` read items with their byte ranges, plus
   which atoms consume which optimizer files.
 * **Execute** (here) — no rank file is ever decoded.  The plan fixes the
-  read side before the first payload byte moves.  Each touched file is
-  loaded exactly once, by the first atom that needs it: one sequential
-  read through :class:`~repro.storage.rangeio.RangeReader`, hashed as it
-  streams and checked against its manifest entry before any consumer
-  sees a byte; every consumer scatters straight out of read-only slices
-  of that one buffer, and the buffer leaves the source-file table
-  (:class:`~repro.storage.rangeio.BlockCache`) when its last planned
-  consumer is assembled.  **StripPadding** and the atom write follow as
-  soon as a parameter consolidates, so in-flight memory is one file
-  group plus the workers' atoms, not the checkpoint.  The in-memory
+  read side before the first payload byte moves, the fan-out order
+  included: atoms run file group by file group, each dp-straddling atom
+  as the later group opens.  Each touched file is loaded exactly once,
+  by the first atom that needs it: one sequential read through
+  :class:`~repro.storage.rangeio.RangeReader` into a recycled buffer,
+  hashed as it streams and checked against its manifest entry before
+  any consumer sees a byte.  An atom takes its files one at a time —
+  resident ones first — scatters each straight out of read-only slices
+  of that one buffer and releases it at once; the file leaves the
+  source-file table (:class:`~repro.storage.rangeio.BlockCache`) with
+  its last planned consumer, and no worker loads a file while one only
+  earlier atoms still need is held.  **StripPadding** and the atom
+  write follow as soon as a parameter consolidates, so in-flight memory
+  is one file group plus the workers' atoms, not the checkpoint.  The in-memory
   operators of :mod:`repro.core.ops` stay the reference semantics the
   pipeline is tested byte-for-byte against
   (``tests/reference_convert.py``).
@@ -74,6 +78,7 @@ from repro.core.ops import strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.core.plan import (
     ConversionPlan,
+    ParamReadPlan,
     ProvenanceAnalysis,
     ReadItem,
     _check_cross_rank_consistency,
@@ -113,8 +118,9 @@ class ConversionReport:
     ``peak_window_bytes`` is the largest single store read the run
     issued (at most :data:`~repro.storage.rangeio.WINDOW_AUTO_CAP_BYTES`)
     and ``peak_resident_bytes`` the observed high-water mark of source
-    bytes held in the source-file table — the files with a planned
-    consumer still pending, never the whole source.
+    bytes held in the source-file table, counted from the moment a
+    file's read starts — the files with a planned consumer still
+    pending, never the whole source.
 
     Byte decomposition: ``bytes_read`` splits into ``header_bytes``
     (manifest + job config + the planner's one index pass: each rank
@@ -385,12 +391,14 @@ def _claim_destination(
 
 
 def _open_reader(
-    src_store: ObjectStore, plan: ConversionPlan
+    src_store: ObjectStore, plan: ConversionPlan, workers: int
 ) -> Tuple[RangeReader, List[float]]:
     """Execute: the reader over the plan's source-file table, and the
     list its verify step appends each file's digest seconds to (one
     ``list.append`` per verified file).  The table is the one piece of
-    state the fan-out's workers share and mutate, behind its own lock."""
+    state the fan-out's workers share and mutate, behind its own lock;
+    it recycles up to ``workers + 1`` read buffers — one per worker
+    loading, one for the file its group is finishing."""
     digest_seconds: List[float] = []
 
     def verify(reader: RangeReader, rel: str) -> None:
@@ -398,40 +406,61 @@ def _open_reader(
         manifest_mod.verify_streaming(reader, rel, plan.entries[rel])
         digest_seconds.append(time.perf_counter() - t_v)
 
-    reader = RangeReader(src_store, BlockCache(plan.consumers), verify)
-    return reader, digest_seconds
+    cache = BlockCache(
+        plan.consumers, buffers=max(workers, 1) + 1, last_use=plan.last_use
+    )
+    return RangeReader(src_store, cache, verify), digest_seconds
 
 
-def _materialize_part(
+def _extract(
     reader: RangeReader,
-    items: Tuple[ReadItem, ...],
+    read_plan: ParamReadPlan,
     full_numel: int,
-    stats: Dict,
-) -> Dict[str, np.ndarray]:
-    """Execute: all three state arrays of one plan part at once.
+    position: int,
+    stats: Dict[str, float],
+) -> List[Dict[str, np.ndarray]]:
+    """Execute: the state arrays of an atom's primary part and of each
+    copy, filled file by file as the table hands the files out.
 
-    One ``read_multi`` per touched file carries the source slice of
-    every (field, state kind) pair together — the three flat state
-    buffers live in the same file.  Read seconds accumulate into
-    ``stats``.
+    One ``read_multi`` per file carries the source slice of every (part,
+    field, state kind); the file is released the moment they are
+    scattered.  Seconds in ``read_multi`` add to ``stats["read"]``,
+    seconds taking files (loading or waiting) to ``stats["wait"]``.
     """
-    # np.empty, not zeros: the UCP017 coverage theorem the pipeline is
-    # gated on proves the plan writes every data element, and
-    # strip_padding drops the rest before anything escapes
-    arrs = {
-        kind: np.empty(full_numel, dtype=np.float32) for kind in STATE_KINDS
-    }
-    by_file: Dict[str, List[ReadItem]] = {}
-    for item in items:
-        by_file.setdefault(item.file, []).append(item)
-    for rel in sorted(by_file):
-        ranges = [rng for item in by_file[rel] for rng in item.ranges]
-        t_r = time.perf_counter()
-        bufs = reader.read_multi(rel, ranges)
-        stats["read"] += time.perf_counter() - t_r
+    left = list(read_plan.files)
+    try:
+        # np.empty, not zeros: the UCP017 coverage theorem the pipeline
+        # is gated on proves the plan writes every data element, and
+        # strip_padding drops the rest before anything escapes
+        parts = [read_plan.primary, *read_plan.copies]
+        arrs = [
+            {kind: np.empty(full_numel, dtype=np.float32) for kind in STATE_KINDS}
+            for _ in parts
+        ]
+        by_file: Dict[str, List[Tuple[int, ReadItem]]] = {}
+        for p, items in enumerate(parts):
+            for item in items:
+                by_file.setdefault(item.file, []).append((p, item))
         k = len(STATE_KINDS)  # one buffer per state kind, item after item
-        for i, item in enumerate(by_file[rel]):
-            _scatter_item(item, arrs, bufs[i * k:(i + 1) * k])
+        while left:
+            t_n = time.perf_counter()
+            rel = reader.next_ready(left, position)
+            t_r = time.perf_counter()
+            stats["wait"] += t_r - t_n
+            bufs = reader.read_multi(
+                rel, [rng for _, item in by_file[rel] for rng in item.ranges]
+            )
+            stats["read"] += time.perf_counter() - t_r
+            for i, (p, item) in enumerate(by_file[rel]):
+                _scatter_item(item, arrs[p], bufs[i * k:(i + 1) * k])
+            # scattered, so released: the buffer may take another file next
+            left.remove(rel)
+            reader.cache.release(rel)
+    finally:
+        # a failed atom is done with its files too: a peer waiting for
+        # one of them to leave the table must not wait forever
+        for rel in left:
+            reader.cache.release(rel)
     return arrs
 
 
@@ -440,15 +469,22 @@ def _convert_atom(
     reader: RangeReader,
     atom_store: AtomStore,
     commits: CommitPool,
-    name: str,
+    position: int,
 ) -> Tuple[str, int, Dict, Dict]:
-    """Execute: Extract + Union + StripPadding + write, fused for one
-    parameter; returns ``(name, bytes written, metadata entry, stats)``.
-    ``commits`` is the pool ``atom_store.publish`` points at
-    (write-behind above one worker, inline otherwise).
+    """Execute: Extract + Union + StripPadding + write, fused for the
+    parameter at ``position`` in the plan's order; returns ``(name,
+    bytes written, metadata entry, stats)``.  ``commits`` is the pool
+    ``atom_store.publish`` points at (write-behind above one worker,
+    inline otherwise).
 
-    The atom is written the moment it consolidates, so in-flight memory
-    is bounded by workers x parameter size, not checkpoint size.
+    Extract (:func:`_extract`) runs file by file, in the order the table
+    hands the files out (:meth:`~repro.storage.rangeio.RangeReader.next_ready`:
+    resident ones first, a peer's load waited on last, and no new file
+    loaded while one only earlier atoms still need is held), releasing
+    each file the moment it is scattered, so its last consumer drops it
+    before loading the next.  The atom is written the moment it consolidates,
+    so in-flight memory is bounded by workers x parameter size, not
+    checkpoint size.
     "Written" means staged and handed to ``atom_store.publish``: inline
     that is durable and visible on return; under the commit pool it is
     four temps whose publish is queued.  Either way a crash mid-fan-out
@@ -456,39 +492,27 @@ def _convert_atom(
     temps — and the resume gate reuses an atom only after re-reading
     all four files CRC-checked, so it never has to know which.
     """
+    name = plan.order[position]
     read_plan = plan.reads[name]
-    reader.load(read_plan.files)
     spec = plan.specs[name]
-    full_numel = _numel(spec.logical_shape)
-    stats = {"read": 0.0}
+    stats = {"read": 0.0, "wait": 0.0}
     t_task = time.perf_counter()
-
-    primary_arrs = _materialize_part(reader, read_plan.primary, full_numel, stats)
-    copy_arrs = [
-        _materialize_part(reader, items, full_numel, stats)
-        for items in read_plan.copies
-    ]
+    arrs = _extract(reader, read_plan, _numel(spec.logical_shape), position, stats)
     states = {}
     for kind in STATE_KINDS:
-        merged = primary_arrs[kind]
-        if read_plan.pattern == PATTERN_TO_AVERAGE and copy_arrs:
-            merged = average_param_copies(
-                [merged] + [arrs[kind] for arrs in copy_arrs]
-            )
+        merged = arrs[0][kind]
+        if read_plan.pattern == PATTERN_TO_AVERAGE and len(arrs) > 1:
+            merged = average_param_copies([a[kind] for a in arrs])
         elif read_plan.pattern == PATTERN_REPLICATED:
-            for arrs in copy_arrs:
-                if not np.array_equal(merged, arrs[kind]):
+            for copy in arrs[1:]:
+                if not np.array_equal(merged, copy[kind]):
                     raise PatternMatchError(
                         f"{name!r} is replicated_params but rank "
                         f"copies differ; use params_to_average for "
                         f"independently updated parameters"
                     )
         states[kind] = strip_padding(merged.reshape(spec.logical_shape), spec)
-    # this atom no longer needs its source files: the last planned
-    # consumer of a file drops it from the table
-    for rel in read_plan.files:
-        reader.cache.release(rel)
-    stats["assemble"] = time.perf_counter() - t_task - stats["read"]
+    stats["assemble"] = time.perf_counter() - t_task - stats["read"] - stats["wait"]
     atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
     commits.reserve()
     t_w = time.perf_counter()
@@ -631,20 +655,21 @@ def ucp_convert(
     # stage map accounts for the whole wall
     stage_seconds["plan"] = time.perf_counter() - t0 - stage_seconds["lower"]
 
-    # --- execute: fan the per-parameter pipeline out, grouped by the
-    # source files the plans touch, so each file's consumers run back to
-    # back and the file leaves the table as soon as the last of them is
-    # assembled — the resident set is one file group, not the source.
-    # Output is order-independent (atoms are keyed by name), so
-    # scheduling is free to chase locality. ---
-    fan_order = sorted(fresh_names, key=lambda n: (read_plans[n].files, n))
-    reader, digest_seconds = _open_reader(src_store, plan)
+    # --- execute: fan the per-parameter pipeline out in the plan's
+    # order, so each file group's consumers run back to back and a file
+    # leaves the table as soon as the last of them has scattered it —
+    # the resident set is one file group, not the source.  Output is
+    # order-independent (atoms are keyed by name), so scheduling is
+    # free to chase locality. ---
+    reader, digest_seconds = _open_reader(src_store, plan, workers)
     with CommitPool(workers) as commits:
         atom_store.publish = commits.submit
         try:
             results = _map_maybe_parallel(
-                lambda name: _convert_atom(plan, reader, atom_store, commits, name),
-                fan_order,
+                lambda position: _convert_atom(
+                    plan, reader, atom_store, commits, position
+                ),
+                range(len(plan.order)),
                 workers,
             )
         finally:

@@ -32,8 +32,8 @@ def load_ucp_into_engine(
 
     The load is planned and atom-major: every partition slice of every
     target rank is scattered in place from one sequential read of each
-    atom state file.  Tensor payloads are not CRC-checked on this path
-    (``repro verify <ucp_dir>`` does that).
+    atom state file, and each payload is checked against the CRC32 its
+    header records as it streams.
 
     Args:
         engine: target :class:`repro.parallel.engine.TrainingEngine`.
@@ -48,7 +48,8 @@ def load_ucp_into_engine(
         UCPIncompatibleError: model architecture mismatch.
         AtomMissingError: an atom state file is absent.
         UCPFormatError: an atom state file has the wrong dtype or element
-            count, or is shorter than its header says.
+            count, is shorter than its header says, or its payload does
+            not match its header's CRC32.
     """
     if store is None:
         store = ObjectStore(ucp_dir)

@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -439,11 +440,17 @@ class AtomShardCache:
         # one read call per state file and window; a payload within the
         # cap (every atom of the benchmark models) is a single window
         window = WINDOW_AUTO_CAP_BYTES // np.dtype(np.float32).itemsize
+        # while the spans read so far are one run from element 0, every
+        # payload is CRC-folded as it streams (whole-engine loads read
+        # whole payloads); ``covered`` is that run's end, -1 once broken
+        covered = 0
+        crcs = [0] * len(kinds)
         for w_lo in range(
             int(pos[0]) // window * window, int(end.max()), window
         ):
             live = np.flatnonzero((end > w_lo) & (pos < w_lo + window))
             if live.size == 0:
+                covered = -1
                 continue
             lo = np.maximum(pos[live], w_lo)
             hi = np.minimum(end[live], w_lo + window)
@@ -455,6 +462,10 @@ class AtomShardCache:
             span_lo = lo[first]
             span_hi = np.maximum.reduceat(hi, first)
             span = np.cumsum(new_span) - 1
+            if first.size == 1 and int(span_lo[0]) == covered:
+                covered = int(span_hi[0])
+            else:
+                covered = -1
             rows = list(zip(
                 dst[live].tolist(),
                 (off[live] + (lo - pos[live])).tolist(),
@@ -470,10 +481,21 @@ class AtomShardCache:
                         for s, e in zip(span_lo, span_hi)
                     ],
                 )
+                if covered >= 0:
+                    crcs[j] = zlib.crc32(bufs[0], crcs[j])
                 views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
                 dests = [piece[4][j] for piece in pieces]
                 for d, o, s, r, n in rows:
                     dests[d][o:o + n] = views[s][r:r + n]
+        for j, kind in enumerate(kinds):
+            entry = self._state_entry(name, kind)
+            if covered == entry.numel and entry.crc32 not in (None, crcs[j]):
+                raise UCPFormatError(
+                    f"{self.atom_store.path(name, kind)}: payload CRC "
+                    f"mismatch: the header records {entry.crc32:#010x}, "
+                    f"the bytes read give {crcs[j]:#010x} — the atom was "
+                    f"damaged after it was written"
+                )
 
     def shard_slice(
         self, name: str, kind: str, tp_rank: int, lo: int, hi: int

@@ -1041,16 +1041,20 @@ class ConversionPlan:
 
     Shared by every worker and never written after :func:`_plan_reads`
     returned it.  ``reads`` holds the atoms still to convert (a resumed
-    run lowers only those); ``consumers`` counts, per touched source
-    file, the atoms that read it — the source-file table drops a file
-    when that many have released it; ``entries`` is each touched file's
-    commit-manifest record, checked while the file streams in;
-    ``file_sizes`` its on-disk size as the header pass saw it.
+    run lowers only those) and ``order`` the order they fan out in;
+    ``consumers`` counts, per touched source file, the atoms that read
+    it — the source-file table drops a file when that many have
+    released it — and ``last_use`` is the position in ``order`` of the
+    last of them; ``entries`` is each touched file's commit-manifest
+    record, checked while the file streams in; ``file_sizes`` its
+    on-disk size as the header pass saw it.
     """
 
     specs: Dict[str, ShardSpec]
     reads: Dict[str, ParamReadPlan]
+    order: Tuple[str, ...]
     consumers: Dict[str, int]
+    last_use: Dict[str, int]
     entries: Dict[str, Optional[Dict]]
     file_sizes: Dict[str, int]
 
@@ -1253,24 +1257,57 @@ def lower_read_plans(
     return plans
 
 
+def _fan_order(read_plans: Dict[str, ParamReadPlan]) -> Tuple[str, ...]:
+    """The atoms in the order the fan-out runs them: each by the last
+    source file it reads, then by its first and by its name, with files
+    numbered by first use over the atoms sorted by the files they read.
+
+    Sorting by the file *names* alone — ``zero_dp_rank_{d}_mp_rank_{m}``
+    — puts every dp-0 file first: an atom straddling two dp partitions
+    then loads dp-1 files that stay resident until their own group runs,
+    after every dp-0 group.  Numbered by first use, the straddler's
+    dp-1 files come right after its dp-0 ones, so their group runs
+    next, the straddler first: it finishes the earlier group's files
+    (their last consumer drops them) before its own are loaded.
+    """
+    number: Dict[str, int] = {}
+    for name in sorted(read_plans, key=lambda n: (read_plans[n].files, n)):
+        for rel in read_plans[name].files:
+            number.setdefault(rel, len(number))
+
+    def key(name: str) -> Tuple[int, int, str]:
+        used = [number[rel] for rel in read_plans[name].files]
+        return max(used, default=-1), min(used, default=-1), name
+
+    return tuple(sorted(read_plans, key=key))
+
+
 def _plan_reads(
     analysis: ProvenanceAnalysis,
     src_manifest: Dict,
     specs: Dict[str, ShardSpec],
     read_plans: Dict[str, ParamReadPlan],
 ) -> ConversionPlan:
-    """Complete the plan: count each touched file's consumers and attach
-    its manifest entry and size.  A file is loaded once by the first
+    """Complete the plan: the fan-out order, each touched file's consumer
+    count, manifest entry and size.  A file is loaded once by the first
     atom that needs it — verified against its manifest entry before any
-    consumer sees a byte — and leaves when its last planned atom is
-    assembled."""
+    consumer sees a byte — and leaves when its last planned atom has
+    scattered it."""
     consumers = collections.Counter(
         rel for plan in read_plans.values() for rel in plan.files
     )
+    order = _fan_order(read_plans)
+    last_use = {
+        rel: position
+        for position, name in enumerate(order)
+        for rel in read_plans[name].files
+    }
     return ConversionPlan(
         specs=specs,
         reads=read_plans,
+        order=order,
         consumers=dict(consumers),
+        last_use=last_use,
         entries={
             rel: manifest_mod.manifest_entry(src_manifest, rel.split("/")[-1])
             for rel in consumers

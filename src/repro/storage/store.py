@@ -463,6 +463,35 @@ class ObjectStore:
                 self.simulated_read_s += DEFAULT_NVME.read_time(length)
         return out
 
+    def read_into(self, rel_path: str, offset: int, out: memoryview) -> None:
+        """``pread`` into the caller's buffer: ``len(out)`` bytes at
+        ``offset`` land in the writable byte view ``out`` — one range of
+        :meth:`read_ranges`, checked and charged as that, with no copy."""
+        length = len(out)
+        if offset < 0:
+            raise ValueError(
+                f"invalid byte range ({offset}, {length}) for {rel_path!r}"
+            )
+        path = self._resolve(rel_path)
+        if not path.is_file():
+            raise FileNotFoundError(f"no object at {rel_path!r} in {self.base}")
+        if self.faults is not None:
+            self.faults.on_read(rel_path, path)
+        got = 0
+        with open(path, "rb", buffering=0) as fh:
+            fh.seek(offset)
+            while got < length:
+                n = fh.readinto(out[got:])
+                if not n:
+                    raise EOFError(
+                        f"{rel_path}: range [{offset}, {offset + length}) "
+                        f"reads past end of file "
+                        f"({offset + got} bytes available)"
+                    )
+                got += n
+        self.bytes_read += length
+        self.simulated_read_s += DEFAULT_NVME.read_time(length)
+
     def size(self, rel_path: str) -> int:
         """An object's on-disk byte size (no accounting)."""
         path = self._resolve(rel_path)

@@ -33,8 +33,8 @@ def record_source_tables(monkeypatch) -> list:
     tables = []
     real_init = BlockCache.__init__
 
-    def recording_init(self, consumers):
-        real_init(self, consumers)
+    def recording_init(self, consumers, *args, **kwargs):
+        real_init(self, consumers, *args, **kwargs)
         tables.append((self, dict(consumers)))
 
     monkeypatch.setattr(BlockCache, "__init__", recording_init)

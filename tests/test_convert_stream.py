@@ -117,6 +117,11 @@ class CountingStore(ObjectStore):
         )
         return super().read_ranges(rel_path, ranges)
 
+    def read_into(self, rel_path, offset, out):
+        self.payload_reads[rel_path] += 1
+        self.largest_range = max(self.largest_range, len(out))
+        return super().read_into(rel_path, offset, out)
+
 
 @pytest.fixture(scope="module")
 def pp2_checkpoint(tmp_path_factory):
@@ -286,6 +291,27 @@ class TestPlannedResidency:
         assert table.resident_bytes == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_file_group_resident_in_recycled_buffers(
+        self, pp2_checkpoint, tmp_path, monkeypatch, workers
+    ):
+        """A tp2.pp2.dp2 source streams one file group at a time: the
+        plan's order runs each dp-straddling atom as the next group
+        opens, and no worker loads a file while one only an earlier atom
+        still needs is held.  So at most two files are ever resident
+        (ordered by file name, 5.75x the largest file were), and the
+        table allocates at most ``workers + 1`` read buffers."""
+        _, ckpt_dir = pp2_checkpoint
+        tables = record_source_tables(monkeypatch)
+        report = ucp_convert(ckpt_dir, str(tmp_path / "ucp"), workers=workers)
+        ((table, consumers),) = tables
+        src = ObjectStore(ckpt_dir)
+        largest = max(src.size(rel) for rel in consumers)
+        assert report.peak_resident_bytes <= 2 * largest
+        assert table.allocations <= workers + 1
+        assert table.misses == len(consumers)  # each file loaded once
+        assert table.resident_bytes == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_nothing_resident_after_a_failed_conversion(
         self, pp2_checkpoint, tmp_path, monkeypatch, workers
     ):
@@ -300,6 +326,7 @@ class TestPlannedResidency:
         ((table, _),) = tables
         assert table.peak_resident_bytes > 0
         assert table.resident_bytes == 0
+        assert table.allocations <= workers + 1
 
     def test_flipped_byte_fails_every_consumer_before_commit(
         self, tp4_checkpoint, tmp_path, monkeypatch

@@ -1,13 +1,15 @@
 """Damaged input ends at its decode boundary, never in a raw traceback.
 
-Six boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
+Seven boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
 manifest's file table, :func:`repro.ckpt.loader.resolve_tag` for the
 ``latest`` pointer, :meth:`repro.core.metadata.UCPMetadata.from_payload`
 for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
-names, an atom's sidecar and its state headers,
-:func:`repro.core.convert.converted_from` for the conversion's source
-marker, and :func:`repro.analysis.fswitness.ops_from_payload` for an
-FS-op trace file.  Whatever each is handed, a reader above it
+names, an atom's sidecar and its state headers, the UCP load
+(:func:`repro.core.loader.load_ucp_into_engine`) for an atom's state
+payloads, :func:`repro.core.convert.converted_from` for the
+conversion's source marker, and
+:func:`repro.analysis.fswitness.ops_from_payload` for an FS-op trace
+file.  Whatever each is handed, a reader above it
 sees a typed error (``CheckpointIntegrityError``,
 ``CheckpointNotFoundError``, ``AtomMissingError``, ``UCPFormatError``,
 ``TraceFormatError``), "atom not reusable" or "marker proves nothing".
@@ -18,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import shutil
 import tempfile
 
@@ -150,6 +153,33 @@ def test_damaged_ucp_meta_is_a_typed_error(converted, tmp_path, damage, reader):
         return
     with pytest.raises(UCPFormatError, match=UCP_META_FILE):
         load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+
+
+def _flip_payload_bit(ucp, kind: str, pick: int, bit: int) -> None:
+    """Flip one bit of one atom's ``kind`` payload; the load must refuse
+    it with a ``UCPFormatError`` naming the file.  The file is restored
+    afterwards (``ucp`` is shared)."""
+    atoms = AtomStore(str(ucp))
+    names = atoms.list_atoms()
+    name = names[pick % len(names)]
+    entry = atoms.state_index(name, kind)
+    path = atoms.store.base / atoms.path(name, kind)
+    clean = path.read_bytes()
+    damaged = bytearray(clean)
+    damaged[entry.offset + (bit // 8) % entry.nbytes] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    try:
+        with pytest.raises(UCPFormatError, match=re.escape(atoms.path(name, kind))):
+            load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+    finally:
+        path.write_bytes(clean)
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_flipped_payload_bit_fails_the_load(converted, kind):
+    """One flipped bit in an atom's payload, which the header's CRC32
+    catches (it used to load with no error)."""
+    _flip_payload_bit(converted, kind, pick=0, bit=0)
 
 
 MARKER_DAMAGE = {
@@ -318,6 +348,12 @@ marker_cases = st.one_of(
         st.sampled_from(["drop", "retype"]),
         st.tuples(st.sampled_from(MARKER_FIELDS), WRONG),
     ),
+)
+payload_cases = st.tuples(
+    st.just("payload"),
+    st.sampled_from(STATE_KINDS),
+    st.integers(0, 10**3),
+    st.integers(0, 2**40),
 )
 latest_cases = st.tuples(
     st.just("latest"),
@@ -520,15 +556,16 @@ def _check_table(root, files):
 @settings(max_examples=60, deadline=None)
 @given(case=st.one_of(
     sidecar_cases, state_cases, table_cases, meta_cases, name_cases,
-    trace_cases, latest_cases, marker_cases,
+    trace_cases, latest_cases, marker_cases, payload_cases,
 ))
-def test_damaged_trees_end_typed_or_not_reusable(case):
+def test_damaged_trees_end_typed_or_not_reusable(converted, case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
     state header's ``values`` dtype/shape, a manifest file table, a
     ``ucp_meta`` tree, an FS-op trace and a conversion's
-    source marker, arbitrary ``latest`` bytes, and atom names built from
-    ``.``/``..``/empty components: nothing escapes but the typed errors,
-    "not reusable" and "marker proves nothing"."""
+    source marker, arbitrary ``latest`` bytes, atom names built from
+    ``.``/``..``/empty components, and a single flipped bit in an
+    atom's ``fp32``/``exp_avg``/``exp_avg_sq`` payload: nothing escapes
+    but the typed errors, "not reusable" and "marker proves nothing"."""
     with tempfile.TemporaryDirectory() as root:
         {
             "sidecar": _check_sidecar,
@@ -539,4 +576,5 @@ def test_damaged_trees_end_typed_or_not_reusable(case):
             "trace": _check_trace,
             "latest": _check_latest,
             "marker": _check_marker,
+            "payload": lambda _, *args: _flip_payload_bit(converted, *args),
         }[case[0]](root, *case[1:])

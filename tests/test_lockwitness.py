@@ -152,16 +152,17 @@ class TestUCP030UnguardedStateAccess:
         assert rules(found) == ["SRC005", "SRC005"]
 
     def test_blockcache_public_api_is_quiet_under_strict(self):
-        """Claim, fill, view and release from two threads through the
-        public API: every explored schedule is clean."""
+        """Claim, lend (fill the lent buffer), view and release from two
+        threads through the public API: every explored schedule is
+        clean."""
 
         def fresh() -> interleave.RunCase:
             table = BlockCache({"f": 2})
 
             def consumer() -> None:
-                fut, mine = table.claim("f")
+                _, fut, mine = table.claim_next(["f"])
                 if mine:
-                    table.fill("f", memoryview(b"bytes"))
+                    table.lend("f", 5)[:] = b"bytes"
                     fut.set_result(None)
                 else:
                     if obs._ACTIVE:
@@ -190,7 +191,7 @@ class TestUCP031LockHeldAcrossBlockingIO:
         """``RangeReader._io_lock`` is held across its store read by
         design; the suppression beside the read says so."""
         source = RANGEIO.read_text()
-        assert "read_ranges(  # srclint: disable=SRC007" in source
+        assert "read_into(rel, cursor, window)  # srclint: disable=SRC007" in source
         found = lint_locks("repro/storage/rangeio.py", source, ast.parse(source))
         assert found == []
 

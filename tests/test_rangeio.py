@@ -31,9 +31,17 @@ def open_reader(store, consumers=1, entry=None):
     )
 
 
+def load(reader, rels):
+    """Take every file of ``rels`` the way a conversion worker does:
+    each as the table hands it out, resident and verified."""
+    left = list(rels)
+    while left:
+        left.remove(reader.next_ready(left))
+
+
 def loaded(store, **kwargs):
     reader = open_reader(store, **kwargs)
-    reader.load(["blob.bin"])
+    load(reader, ["blob.bin"])
     return reader
 
 
@@ -63,6 +71,19 @@ class TestReadRange:
         before = store.bytes_read
         store.read_range("blob.bin", 0, 512)
         assert store.bytes_read - before == 512
+
+    def test_read_into_lands_in_place_and_is_accounted(self, store):
+        store, payload = store
+        buf = bytearray(300)
+        store.read_into("blob.bin", 1000, memoryview(buf)[100:])
+        assert bytes(buf[100:]) == payload[1000:1200]
+        assert bytes(buf[:100]) == bytes(100)  # nothing outside the view
+        assert store.bytes_read == 200
+        with pytest.raises(EOFError):
+            store.read_into("blob.bin", len(payload) - 10, memoryview(buf))
+        with pytest.raises(ValueError):
+            store.read_into("blob.bin", -1, memoryview(buf))
+        assert store.bytes_read == 200  # a failed read charges nothing
 
 
 class TestRangeReader:
@@ -121,7 +142,7 @@ class TestRangeReader:
             BlockCache({"blob.bin": 1}),
             lambda reader, rel: digests.append(reader.digest(rel)),
         )
-        reader.load(["blob.bin"])
+        load(reader, ["blob.bin"])
         assert digests == [hashlib.sha256(payload).hexdigest()]
         ops = reader.read_ops
         (view,) = reader.read_multi("blob.bin", [(0, len(payload))])
@@ -140,7 +161,7 @@ class TestRangeReader:
             store, BlockCache({"nope.bin": 1}), lambda r, rel: r.digest(rel)
         )
         with pytest.raises(FileNotFoundError):
-            reader.load(["nope.bin"])
+            load(reader, ["nope.bin"])
         # the failed load is what every later consumer gets, too
         with pytest.raises(FileNotFoundError):
             reader.read_multi("nope.bin", [(0, 10)])
@@ -161,8 +182,8 @@ class TestRangeReader:
         with pytest.raises(LookupError):  # planned, but nobody loaded it
             reader.read_multi("blob.bin", [(0, 4)])
         with pytest.raises(LookupError):  # not in the plan at all
-            reader.load(["other.bin"])
-        reader.load(["blob.bin"])
+            load(reader, ["other.bin"])
+        load(reader, ["blob.bin"])
         reader.cache.release("blob.bin")  # its one planned consumer is done
         assert reader.cache.resident_bytes == 0
         with pytest.raises(LookupError):
@@ -171,7 +192,7 @@ class TestRangeReader:
     def test_file_stays_until_its_last_planned_consumer(self, store):
         store, payload = store
         reader = loaded(store, consumers=2)
-        reader.load(["blob.bin"])  # the second consumer: no second read
+        load(reader, ["blob.bin"])  # the second consumer: no second read
         assert (reader.read_ops, reader.cache.misses) == (1, 1)
         reader.cache.release("blob.bin")
         assert reader.cache.resident_bytes == len(payload)
@@ -206,7 +227,7 @@ class TestRangeReader:
 
         def worker():
             try:
-                reader.load(files)
+                load(reader, files)
             except BaseException as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -233,16 +254,61 @@ class TestRangeReader:
         }
         reader = open_reader(store, consumers=2, entry=entry)
         with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
-            reader.load(["blob.bin"])
+            load(reader, ["blob.bin"])
         # neither a slice request nor the second planned consumer can
         # get past the failed verification, and nothing is re-read
         with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
             reader.read_multi("blob.bin", [(0, 4)])
         with pytest.raises(CheckpointIntegrityError, match="blob.bin"):
-            reader.load(["blob.bin"])
+            load(reader, ["blob.bin"])
         assert reader.read_ops == (damage == "digest")
         reader.cache.clear()
         assert reader.cache.resident_bytes == 0
+
+
+class TestRecycledBuffers:
+    """A dropped file's buffer takes the next file loaded."""
+
+    def two_files(self, tmp_path, buffers=1):
+        store = ObjectStore(str(tmp_path))
+        blobs = {"a.bin": bytes(range(256)) * 8, "b.bin": bytes([7]) * 1500}
+        for rel, data in blobs.items():
+            (tmp_path / rel).write_bytes(data)
+        cache = BlockCache(dict.fromkeys(blobs, 1), buffers=buffers)
+        return RangeReader(store, cache, lambda r, rel: r.digest(rel)), blobs
+
+    def test_next_file_lands_in_the_dropped_files_buffer(self, tmp_path):
+        reader, blobs = self.two_files(tmp_path)
+        load(reader, ["a.bin"])
+        (a_view,) = reader.read_multi("a.bin", [(0, 2048)])
+        assert bytes(a_view) == blobs["a.bin"]
+        reader.cache.release("a.bin")
+        load(reader, ["b.bin"])
+        (b_view,) = reader.read_multi("b.bin", [(0, 1500)])
+        assert bytes(b_view) == blobs["b.bin"]
+        assert b_view.obj is a_view.obj  # one buffer, two files
+        assert reader.cache.allocations == 1
+        assert reader.cache.peak_resident_bytes == 2048
+
+    def test_a_buffer_too_small_is_not_reused(self, tmp_path):
+        reader, blobs = self.two_files(tmp_path)
+        load(reader, ["b.bin"])
+        reader.cache.release("b.bin")
+        load(reader, ["a.bin"])  # 2048 bytes do not fit in 1500
+        (view,) = reader.read_multi("a.bin", [(0, 2048)])
+        assert bytes(view) == blobs["a.bin"]
+        assert reader.cache.allocations == 2
+
+    def test_free_list_keeps_at_most_its_cap(self, tmp_path):
+        reader, _ = self.two_files(tmp_path, buffers=1)
+        load(reader, ["a.bin", "b.bin"])  # both resident: two buffers
+        assert reader.cache.allocations == 2
+        reader.cache.release("b.bin")
+        reader.cache.release("a.bin")
+        # the larger buffer stays; clear() frees the list too
+        assert [buf.size for buf in reader.cache._free] == [2048]
+        reader.cache.clear()
+        assert reader.cache._free == []
 
 
 class TestCoalescingEdgeCases:
