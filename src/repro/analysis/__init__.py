@@ -27,14 +27,14 @@ Two enforcement layers guard the *memory* side of the same contracts:
   itself that flags the code patterns *causing* those violations
   (``repro lint-src``).
 
-And two for the *concurrency* side (the threaded IO layer):
+And one for the *concurrency* side (the threaded IO layer):
 
-- :mod:`~repro.analysis.locks` — the guarded-by/lock-discipline lint
-  (SRC005-SRC008), run as part of ``repro lint-src``.
 - :mod:`~repro.analysis.interleave` — the schedule explorer over the
   instrumented locks (:class:`repro.obs.WitnessedLock`) and guarded
-  accesses: deadlocks (UCP037) and unsynchronized access pairs
-  (UCP038) on every explored schedule (``repro explore``).
+  accesses: output divergence (UCP036), deadlocks (UCP037) and
+  unsynchronized access pairs (UCP038) on every explored schedule of
+  the real threaded code (``repro explore``).  It is the one
+  concurrency checker; there is no static lock lint.
 
 And one for the *crash-consistency* side (the commit protocol):
 
@@ -103,8 +103,7 @@ from repro.analysis.sanitizer import (
     sanitize,
     zero_state_arrays,
 )
-from repro.analysis.srclint import lint_source_tree, stale_baseline_entries
-from repro.analysis.locks import lint_locks
+from repro.analysis.srclint import lint_source_tree
 
 __all__ = [
     "PAPER_LOSS_BAND",
@@ -140,13 +139,11 @@ __all__ = [
     "expected_tag_basenames",
     "fstrace",
     "lint_checkpoint",
-    "lint_locks",
     "lint_plan",
     "lint_source_tree",
     "model_param_arrays",
     "preflight_convert",
     "sanitize",
-    "stale_baseline_entries",
     "warning",
     "zero_state_arrays",
 ]

@@ -57,8 +57,8 @@ RULES: Dict[str, str] = {
     # retired in PR 22 (no registrant since PR 14); the IDs stay reserved
     "UCP027": "cache-return-mutation",
     "UCP028": "loaded-param-aliases-cache",
-    # the runtime lock witness, retired: lock order is SRC006/UCP037,
-    # guarded access SRC005/UCP038, blocking under a lock SRC007
+    # the runtime lock witness, retired: lock order is UCP037, guarded
+    # access UCP038
     "UCP029": "lock-order-cycle",
     "UCP030": "unguarded-state-access",
     "UCP031": "lock-held-across-blocking-io",
@@ -74,6 +74,8 @@ RULES: Dict[str, str] = {
     "SRC002": "frombuffer-escape",
     "SRC003": "unordered-set-iteration",
     "SRC004": "mutable-default-argument",
+    # the static lock-discipline lint, retired: the schedule explorer
+    # (UCP036-UCP038) checks the threaded code; the IDs stay reserved
     "SRC005": "guarded-attr-outside-lock",
     "SRC006": "inconsistent-lock-order",
     "SRC007": "blocking-call-under-lock",
@@ -84,6 +86,7 @@ RULES: Dict[str, str] = {
     "SRC010": "missing-dir-fsync-after-publish",
     "SRC011": "temp-file-leak-on-exception",
     "SRC012": "commit-order-violation",
+    # retired with the static lock-discipline lint, like SRC005-SRC008
     "SRC013": "check-then-act-on-guarded-state",
     "SRC014": "compound-op-spans-critical-sections",
 }

@@ -22,12 +22,9 @@ SRC004    mutable-default-argument     a mutable default (list/dict/set/
                                        ndarray) shared across calls
 ========  ===========================  =======================================
 
-The lock-discipline rules SRC005-SRC008 and SRC013-SRC014 (guarded-by
-annotations, static lock-order cycles, blocking calls under a lock,
-guarded-container escapes, check-then-act and split compound ops) live
-in :mod:`repro.analysis.locks`; they run as part of
-:func:`lint_source_file` and can be filtered via ``repro lint-src
---locks``.
+Lock discipline is not checked here: the schedule explorer
+(:mod:`repro.analysis.interleave`, ``repro explore``) runs the threaded
+code itself through every inequivalent schedule.
 
 Both statically-safe sinks and the analysis' own limits are deliberate:
 plain ``name = collective(...)`` assignments and slice-stores
@@ -41,11 +38,8 @@ dataflow.
 
 Suppression: append ``# srclint: disable`` (all rules) or
 ``# srclint: disable=SRC002,SRC003`` to the offending physical line.
-
-A committed baseline (``srclint-baseline.json``, ``{"RULE:file": count}``)
-lets a gate adopt the lint on a codebase with known findings;
-:func:`apply_baseline` subtracts up to the recorded count per key.  This
-repo's baseline is empty — the tree lints clean.
+The tree lints clean, and any finding fails the ``repro lint-src``
+gate.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, error
 
@@ -458,14 +452,9 @@ class _Checker:
 
 def lint_source_file(path: Path, rel: str) -> List[Diagnostic]:
     """Lint one Python file; ``rel`` is the location prefix."""
-    # imported lazily: locks uses this module's helpers at import time
-    from repro.analysis import locks
-
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
-    findings = _Checker(rel, source, tree).run()
-    findings.extend(locks.lint_locks(rel, source, tree))
-    return findings
+    return _Checker(rel, source, tree).run()
 
 
 def lint_source_tree(root: Path) -> LintReport:
@@ -480,46 +469,3 @@ def lint_source_tree(root: Path) -> LintReport:
         report.extend(lint_source_file(path, rel))
     return report
 
-
-def baseline_counts(report: LintReport) -> Dict[str, int]:
-    """Baseline form of a report: ``{"RULE:file": count}`` (sorted keys)."""
-    counts: Dict[str, int] = {}
-    for diag in report.sorted_diagnostics():
-        file_part = diag.location.rsplit(":", 1)[0]
-        key = f"{diag.rule_id}:{file_part}"
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def stale_baseline_entries(
-    report: LintReport, baseline: Dict[str, int]
-) -> List[str]:
-    """Baseline keys no longer backed by any current finding.
-
-    The baseline is shrink-only: once the code a ``"RULE:file"`` entry
-    excused is fixed, the entry must be deleted, or the gate fails —
-    otherwise a stale allowance would silently excuse the next
-    regression in that file.  Returns the offending keys, sorted.
-    """
-    current = baseline_counts(report)
-    return sorted(
-        key for key, allowed in baseline.items()
-        if current.get(key, 0) < allowed
-    )
-
-
-def apply_baseline(report: LintReport, baseline: Dict[str, int]) -> LintReport:
-    """Subtract known findings: up to ``baseline[key]`` per rule+file.
-
-    Lets a gate adopt the lint incrementally — existing findings stay
-    recorded in the committed baseline, *new* ones fail the build.
-    """
-    remaining = dict(baseline)
-    kept = []
-    for diag in report.sorted_diagnostics():
-        key = f"{diag.rule_id}:{diag.location.rsplit(':', 1)[0]}"
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            kept.append(diag)
-    return LintReport(subject=report.subject, diagnostics=kept)

@@ -12,8 +12,7 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-plan --source <dir> --target tp2.pp1.dp4.sp1.zero1 \
         [--provenance]
     python -m repro lint-trace <fs_trace.json> [--state-cap N] [--crashed]
-    python -m repro lint-src  [root] [--baseline F] [--write-baseline] \
-        [--locks]
+    python -m repro lint-src  [root] [--format text|json]
     python -m repro explore   <scenario | --list> [--schedules N] \
         [--preemptions K] [--schedule FILE] [--seed S] [--report PATH] \
         [--require-exhaustive] [--format text|json]
@@ -222,58 +221,17 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_src(args: argparse.Namespace) -> int:
-    """AST-lint the repro source tree itself (SRC001-SRC008,
-    SRC013-SRC014)."""
-    import json as _json
+    """AST-lint the repro source tree itself (SRC001-SRC004); any
+    finding fails."""
     import pathlib
 
     import repro
-    from repro.analysis import LintReport
-    from repro.analysis.srclint import (
-        apply_baseline,
-        baseline_counts,
-        lint_source_tree,
-        stale_baseline_entries,
-    )
+    from repro.analysis.srclint import lint_source_tree
 
     root = pathlib.Path(
         args.root if args.root else pathlib.Path(repro.__file__).parent
     )
     report = lint_source_tree(root)
-    if args.locks:
-        wanted = ("SRC005", "SRC006", "SRC007", "SRC008", "SRC013", "SRC014")
-        report = LintReport(
-            subject=report.subject,
-            diagnostics=[
-                d for d in report.diagnostics if d.rule_id in wanted
-            ],
-        )
-    if args.write_baseline:
-        pathlib.Path(args.write_baseline).write_text(
-            _json.dumps(baseline_counts(report), indent=2, sort_keys=True)
-            + "\n"
-        )
-        print(
-            f"wrote baseline ({len(report.diagnostics)} findings) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-    if args.baseline:
-        baseline = _json.loads(pathlib.Path(args.baseline).read_text())
-        stale = stale_baseline_entries(report, baseline)
-        if stale:
-            # shrink-only: an allowance no longer backed by a finding
-            # must be deleted, or it would excuse the next regression
-            for key in stale:
-                print(f"stale baseline entry: {key}", file=sys.stderr)
-            print(
-                f"error: {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} in {args.baseline}; "
-                f"remove them (the findings they excused are fixed)",
-                file=sys.stderr,
-            )
-            return 1
-        report = apply_baseline(report, baseline)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -527,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint-src",
-        help="AST-lint the repro sources for aliasing, determinism "
-             "and lock-discipline hazards (SRC001-SRC008, SRC013-SRC014)",
+        help="AST-lint the repro sources for aliasing and determinism "
+             "hazards (SRC001-SRC004)",
     )
     p.add_argument(
         "root",
@@ -540,24 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output rendering (json is stable for CI gates)",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON ({'RULE:file': count}); known findings are "
-             "subtracted so only new ones fail",
-    )
-    p.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current findings as a baseline JSON and exit 0",
-    )
-    p.add_argument(
-        "--locks",
-        action="store_true",
-        help="report only the lock-discipline rules (SRC005-SRC008, "
-             "SRC013-SRC014)",
     )
     p.set_defaults(func=cmd_lint_src)
 

@@ -6,6 +6,8 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core.errors import UCPFormatError
+from repro.dist.topology import ParallelConfig
+from repro.models.configs import ModelConfig
 from repro.storage.serializer import SerializationError
 from repro.storage.store import ObjectStore
 
@@ -69,8 +71,10 @@ class UCPMetadata:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "UCPMetadata":
-        """Inverse of :meth:`to_payload`.  The tree is checked here, once:
-        a damaged one is a :class:`UCPFormatError` naming the file."""
+        """Inverse of :meth:`to_payload`.  The tree is checked here, once
+        (``model_config`` and ``source_parallel_config`` must decode to
+        their config classes): a damaged one is a
+        :class:`UCPFormatError` naming the file."""
         version = payload.get("version")
         if type(version) is not int or version != UCP_VERSION:
             raise UCPFormatError(
@@ -85,6 +89,12 @@ class UCPMetadata:
                 raise _damaged(f"{key} is {_kind(payload.get(key))}, not a mapping")
         if not isinstance(payload.get("loss_scaler", {}), (dict, type(None))):
             raise _damaged("loss_scaler is neither None nor a mapping")
+        for key, config in (("model_config", ModelConfig),
+                            ("source_parallel_config", ParallelConfig)):
+            try:
+                config.from_dict(payload[key])
+            except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
+                raise _damaged(f"{key} is not a {config.__name__}: {exc}") from exc
         for name, entry in payload["params"].items():
             entry = entry if isinstance(entry, dict) else {}
             shape, kinds = entry.get("shape"), entry.get("kinds")

@@ -27,13 +27,15 @@ discovered at run time: plan -> one verified sequential read per file
   has not matched.
 
 Two locks, never nested: the table's ``_lock`` guards its containers
-(``# guarded-by:``; ``_check_guarded`` names each touch of a file's entry,
+(the ``# guarded-by:`` comments say which; nothing checks them
+statically); ``_check_guarded`` names each touch of a file's entry,
 and each drop, as an ``access`` event on :mod:`repro.obs`, feeding the
 schedule explorer when it listens — the free list's touches are not
-named: which buffer a file lands in changes no byte served); the reader's ``_io_lock`` serializes store reads (``ObjectStore``
-byte accounting is not thread-safe), so the read under it carries an
-SRC007 suppression: holding it across the read *is* the serialization —
-hashing is outside.
+named: which buffer a file lands in changes no byte served.  The
+reader's ``_io_lock`` serializes store reads (``ObjectStore`` byte
+accounting is not thread-safe), so it is held across each read:
+holding it across the read *is* the serialization — hashing is
+outside.
 The names predate the design: ``benchmarks/e2e/trace.py`` patches them.
 """
 
@@ -263,8 +265,9 @@ class RangeReader:
         for cursor in range(0, size, WINDOW_AUTO_CAP_BYTES):
             window = view[cursor:cursor + WINDOW_AUTO_CAP_BYTES]
             with self._io_lock:
-                # deliberate: this lock exists to serialize store reads
-                self.store.read_into(rel, cursor, window)  # srclint: disable=SRC007
+                # deliberate: holding this lock across the read is the
+                # serialization of store reads
+                self.store.read_into(rel, cursor, window)
                 self.read_ops += 1
                 self.num_batches += 1
                 self.peak_window_bytes = max(self.peak_window_bytes, len(window))

@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fswitness import (
@@ -48,11 +48,13 @@ from repro.core.convert import (
     converted_from,
     ucp_convert,
 )
-from repro.core.errors import AtomMissingError, UCPFormatError
+from repro.core.errors import AtomMissingError, UCPFormatError, UCPIncompatibleError
 from repro.core.inspect import verify_directory
 from repro.core.loader import load_ucp_into_engine
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.dist.topology import ParallelConfig
+from repro.models import get_config
+from repro.models.configs import ModelConfig
 from repro.parallel.tp import PATTERN_REPLICATED, ShardSpec
 from repro.storage.serializer import TensorIndexEntry
 from repro.storage.store import ObjectStore
@@ -127,19 +129,26 @@ def _drop_iteration(meta):
     del meta["iteration"]
 
 
+def _flip_model_config_key(meta):
+    """What one flipped bit of ``ucp_meta.npt`` makes of the key ``name``."""
+    meta["model_config"]["oame"] = meta["model_config"].pop("name")
+
+
 META_DAMAGE = {
     "version-one": lambda meta: meta.update(version="one"),
     "iteration-missing": _drop_iteration,
     "model-config-int": lambda meta: meta.update(model_config=5),
+    "model-config-key-flipped": _flip_model_config_key,
 }
 
 
 @pytest.mark.parametrize("reader", ["load", "lint"])
 @pytest.mark.parametrize("damage", sorted(META_DAMAGE))
 def test_damaged_ucp_meta_is_a_typed_error(converted, tmp_path, damage, reader):
-    """A ``ucp_meta`` tree of the wrong shape is a ``UCPFormatError``
-    naming the file, which the lint reports as UCP013 (it used to be
-    ValueError / KeyError / TypeError out of the first reader)."""
+    """A ``ucp_meta`` tree of the wrong shape, or a model config that
+    does not decode, is a ``UCPFormatError`` naming the file, which the
+    lint reports as UCP013 (it used to be ValueError / KeyError /
+    TypeError out of the first reader)."""
     ucp = tmp_path / "ucp"
     shutil.copytree(converted, ucp)
     store = ObjectStore(str(ucp))
@@ -153,6 +162,23 @@ def test_damaged_ucp_meta_is_a_typed_error(converted, tmp_path, damage, reader):
         return
     with pytest.raises(UCPFormatError, match=UCP_META_FILE):
         load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+
+
+def _flip_meta_bit(ucp, position: int, bit: int) -> None:
+    """Flip one bit of ``ucp_meta.npt``; the load must end in a typed
+    error or load cleanly.  The file is restored afterwards (``ucp`` is
+    shared)."""
+    path = ucp / UCP_META_FILE
+    clean = path.read_bytes()
+    damaged = bytearray(clean)
+    damaged[position % len(clean)] ^= 1 << bit
+    path.write_bytes(bytes(damaged))
+    try:
+        load_ucp_into_engine(make_engine(parallel=ParallelConfig()), str(ucp))
+    except (UCPFormatError, UCPIncompatibleError):
+        pass
+    finally:
+        path.write_bytes(clean)
 
 
 def _flip_payload_bit(ucp, kind: str, pick: int, bit: int) -> None:
@@ -281,8 +307,8 @@ ENTRY = st.one_of(
     }),
 )
 META = UCPMetadata(
-    iteration=1, optimizer_step=1, model_config={"name": "m"},
-    source_parallel_config={"tp": 1}, adam={"lr": 0.1}, training={},
+    iteration=1, optimizer_step=1, model_config=get_config("gpt3-mini").to_dict(),
+    source_parallel_config=ParallelConfig().to_dict(), adam={"lr": 0.1}, training={},
     pattern_program={"rules": []},
     params={"p": {"shape": [3, 2], "spec": SPEC, "kinds": sorted(STATE_KINDS)}},
 )
@@ -290,8 +316,14 @@ meta_cases = st.tuples(
     st.just("meta"),
     st.sampled_from(["drop", "extra", "retype"]),
     st.sampled_from(sorted(META.to_payload()) + ["params.p.shape", "params.p.spec",
-                                                 "params.p.kinds", "params.p"]),
+                                                 "params.p.kinds", "params.p",
+                                                 "model_config.name",
+                                                 "model_config.num_heads",
+                                                 "source_parallel_config.tp"]),
     WRONG,
+)
+meta_byte_cases = st.tuples(
+    st.just("meta-bytes"), st.integers(0, 2**20), st.integers(0, 7)
 )
 name_cases = st.tuples(
     st.just("name"),
@@ -435,7 +467,8 @@ def _check_meta(root, how, field, value):
     assert loaded.version == 1 and type(loaded.iteration) is int
     for info in loaded.params.values():
         tuple(info["shape"]), dict(info["spec"]), sorted(info["kinds"])
-    dict(loaded.model_config), dict(loaded.loss_scaler or {})
+    ModelConfig.from_dict(loaded.model_config), dict(loaded.loss_scaler or {})
+    ParallelConfig.from_dict(loaded.source_parallel_config)
 
 
 def _check_trace(root, how, field, value):
@@ -556,16 +589,18 @@ def _check_table(root, files):
 @settings(max_examples=60, deadline=None)
 @given(case=st.one_of(
     sidecar_cases, state_cases, table_cases, meta_cases, name_cases,
-    trace_cases, latest_cases, marker_cases, payload_cases,
+    trace_cases, latest_cases, marker_cases, payload_cases, meta_byte_cases,
 ))
+@example(case=("meta", "extra", "model_config.name", 0))
 def test_damaged_trees_end_typed_or_not_reusable(converted, case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
     state header's ``values`` dtype/shape, a manifest file table, a
-    ``ucp_meta`` tree, an FS-op trace and a conversion's
-    source marker, arbitrary ``latest`` bytes, atom names built from
-    ``.``/``..``/empty components, and a single flipped bit in an
-    atom's ``fp32``/``exp_avg``/``exp_avg_sq`` payload: nothing escapes
-    but the typed errors, "not reusable" and "marker proves nothing"."""
+    ``ucp_meta`` tree (its model and source configs included), an FS-op
+    trace and a conversion's source marker, arbitrary ``latest`` bytes,
+    atom names built from ``.``/``..``/empty components, a single
+    flipped bit in an atom's ``fp32``/``exp_avg``/``exp_avg_sq`` payload
+    and one in ``ucp_meta.npt``: nothing escapes but the typed errors,
+    "not reusable" and "marker proves nothing"."""
     with tempfile.TemporaryDirectory() as root:
         {
             "sidecar": _check_sidecar,
@@ -577,4 +612,5 @@ def test_damaged_trees_end_typed_or_not_reusable(converted, case):
             "latest": _check_latest,
             "marker": _check_marker,
             "payload": lambda _, *args: _flip_payload_bit(converted, *args),
+            "meta-bytes": lambda _, *args: _flip_meta_bit(converted, *args),
         }[case[0]](root, *case[1:])

@@ -2,25 +2,56 @@
 that watch them.
 
 The three lock findings once had a runtime depth of their own (UCP029 -
-UCP031, retired; the IDs stay reserved and name the classes below).
-Each keeps a depth CI runs, and each class pins its finding there:
+UCP031, retired; the IDs stay reserved and name the classes below), and
+then a static one (the lock-discipline lint, SRC005-SRC008 and
+SRC013-SRC014, retired; those IDs stay reserved too).  The schedule
+explorer is the one checker left, and each class pins its finding there:
 
-* lock order — SRC006 statically, UCP037 under the schedule explorer;
-* guarded access — SRC005 statically, UCP038 under the explorer;
-* blocking under a lock — SRC007 statically.
+* lock order — UCP037 (a deadlock schedule);
+* guarded access — UCP038 on every access ``BlockCache._check_guarded``
+  names; a check-then-act on the table shows as UCP036 divergence;
+* blocking under a lock — no checker is left.  A wait on a peer while
+  holding a lock that peer needs is a UCP037 deadlock; a slow read
+  under a lock shows in the benchmark's ``convert_s``.
 """
 
-import ast
 import threading
+import types
+from pathlib import Path
 
 from repro import obs
 from repro.analysis import interleave
-from repro.analysis.locks import lint_locks
+from repro.storage import rangeio
 from repro.storage.rangeio import BlockCache
 
-from tests.test_locklint import REPO_SRC, lint_snippet, rules
+RANGEIO = Path(rangeio.__file__)
 
-RANGEIO = REPO_SRC / "storage" / "rangeio.py"
+
+def two_consumers(table_cls):
+    """Two threads claim, lend (fill the lent buffer), view and release
+    one file through the public API of a ``table_cls`` table."""
+
+    def fresh() -> interleave.RunCase:
+        table = table_cls({"f": 2})
+
+        def consumer() -> None:
+            _, fut, mine = table.claim_next(["f"])
+            if mine:
+                table.lend("f", 5)[:] = b"bytes"
+                fut.set_result(None)
+            else:
+                if obs._ACTIVE:
+                    obs.emit("wait", "f", fut.done)
+                fut.result()
+            assert bytes(table.view("f")) == b"bytes"
+            table.release("f")
+
+        return interleave.RunCase(
+            threads=[consumer, consumer],
+            fingerprint=lambda: str(table.resident_bytes),
+        )
+
+    return interleave.scenario("table", fresh)
 
 
 def nested(first_second_pairs, name="nested"):
@@ -69,17 +100,6 @@ def accesses(locked: bool, name="accesses"):
     return interleave.scenario(name, fresh)
 
 
-def blocking_under_lock(call: str, suppress: bool = False) -> str:
-    marker = "  # srclint: disable=SRC007" if suppress else ""
-    return (
-        "import os\n"
-        "\n"
-        "def f(lock, store, fd):\n"
-        "    with lock:\n"
-        f"        {call}{marker}\n"
-    )
-
-
 class TestUCP029LockOrderCycle:
     def test_abba_fires_with_both_witness_stacks(self):
         result = interleave.explore(nested([("A", "B"), ("B", "A")]))
@@ -93,25 +113,6 @@ class TestUCP029LockOrderCycle:
     def test_consistent_order_is_quiet(self):
         result = interleave.explore(nested([("A", "B"), ("A", "B")]))
         assert result.ok and result.exhaustive
-
-    def test_single_thread_reversal_raises_strict_at_the_site(self, tmp_path):
-        """One class reversing its own lock order is an ABBA statically,
-        with no second thread needed, named at both nesting sites."""
-        src = (
-            "class Pair:\n"
-            "    def ab(self):\n"
-            "        with self._a_lock:\n"
-            "            with self._b_lock:\n"
-            "                pass\n"
-            "\n"
-            "    def ba(self):\n"
-            "        with self._b_lock:\n"
-            "            with self._a_lock:\n"
-            "                pass\n"
-        )
-        (diag,) = lint_snippet(tmp_path, src)
-        assert diag.rule_id == "SRC006"
-        assert "ab()" in diag.message and "ba()" in diag.message
 
     def test_worker_thread_violation_surfaces_at_context_exit(self):
         """A deadlock between worker threads ends the exploration with a
@@ -140,83 +141,34 @@ class TestUCP030UnguardedStateAccess:
         assert result.ok and result.exhaustive
 
     def test_blockcache_bypass_fires(self):
-        """Touch the table's files outside its lock: SRC005."""
-        source = RANGEIO.read_text().replace(
+        """A ``view`` that looks the file up outside the table's lock,
+        driven through the public API by two consumers: UCP038 on the
+        table's file entries."""
+        source = RANGEIO.read_text()
+        bypass = source.replace(
+            "        with self._lock:\n"
+            "            self._check_guarded(rel)\n"
             "            fut, view = self._files.get(rel), self._views.get(rel)\n"
             "            self.hits += 1\n",
-            "            self.hits += 1\n"
-            "        fut, view = self._files.get(rel), self._views.get(rel)\n",
+            "        self._check_guarded(rel)\n"
+            "        fut, view = self._files.get(rel), self._views.get(rel)\n"
+            "        with self._lock:\n"
+            "            self.hits += 1\n",
         )
-        assert source != RANGEIO.read_text()
-        found = lint_locks("repro/storage/rangeio.py", source, ast.parse(source))
-        assert rules(found) == ["SRC005", "SRC005"]
+        assert bypass != source
+        module = types.ModuleType("rangeio_bypass")
+        exec(compile(bypass, str(RANGEIO), "exec"), module.__dict__)
+
+        result = interleave.explore(two_consumers(module.BlockCache))
+        races = result.report.by_rule("UCP038")
+        assert races and all("BlockCache._files[f]" in d.message for d in races)
 
     def test_blockcache_public_api_is_quiet_under_strict(self):
         """Claim, lend (fill the lent buffer), view and release from two
         threads through the public API: every explored schedule is
         clean."""
-
-        def fresh() -> interleave.RunCase:
-            table = BlockCache({"f": 2})
-
-            def consumer() -> None:
-                _, fut, mine = table.claim_next(["f"])
-                if mine:
-                    table.lend("f", 5)[:] = b"bytes"
-                    fut.set_result(None)
-                else:
-                    if obs._ACTIVE:
-                        obs.emit("wait", "f", fut.done)
-                    fut.result()
-                assert bytes(table.view("f")) == b"bytes"
-                table.release("f")
-
-            return interleave.RunCase(
-                threads=[consumer, consumer],
-                fingerprint=lambda: str(table.resident_bytes),
-            )
-
-        result = interleave.explore(interleave.scenario("table", fresh))
+        result = interleave.explore(two_consumers(BlockCache))
         assert result.ok and result.exhaustive
-
-
-class TestUCP031LockHeldAcrossBlockingIO:
-    def test_over_budget_io_under_lock_fires(self, tmp_path):
-        found = lint_snippet(tmp_path, blocking_under_lock(
-            "store.read_ranges('f', [])"
-        ))
-        assert rules(found) == ["SRC007"]
-
-    def test_blocking_ok_lock_is_quiet(self):
-        """``RangeReader._io_lock`` is held across its store read by
-        design; the suppression beside the read says so."""
-        source = RANGEIO.read_text()
-        assert "read_into(rel, cursor, window)  # srclint: disable=SRC007" in source
-        found = lint_locks("repro/storage/rangeio.py", source, ast.parse(source))
-        assert found == []
-
-    def test_under_budget_and_unlocked_are_quiet(self, tmp_path):
-        assert lint_snippet(tmp_path, blocking_under_lock("len(store)")) == []
-        assert lint_snippet(tmp_path, (
-            "def f(lock, store):\n"
-            "    with lock:\n"
-            "        pass\n"
-            "    store.read_ranges('f', [])\n"
-        )) == []
-
-    def test_fsync_kind_fires_regardless_of_budget(self, tmp_path):
-        for call in ("os.fsync(fd)", "store.fsync_dir('atoms')"):
-            found = lint_snippet(tmp_path, blocking_under_lock(call))
-            assert rules(found) == ["SRC007"], call
-            assert "srclint: disable=SRC007" in found[0].message
-
-    def test_fsync_under_blocking_ok_lock_is_quiet(self, tmp_path):
-        assert lint_snippet(
-            tmp_path, blocking_under_lock("os.fsync(fd)", suppress=True)
-        ) == []
-
-    def test_fsync_unlocked_is_quiet(self, tmp_path):
-        assert lint_snippet(tmp_path, "import os\n\ndef f(fd):\n    os.fsync(fd)\n") == []
 
 
 class TestPayloadReplay:

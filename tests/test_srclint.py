@@ -4,9 +4,9 @@ the patterns the codebase legitimately uses.
 The safe-shape tests encode the lint's precision contract: the exact
 idioms ``src/repro`` relies on (returning collective results from
 ``ProcessGroup``, slice-storing ``frombuffer`` reads into fresh buffers,
-``sorted()``-wrapped set iteration) must never be flagged — the final
-test pins the whole tree lint-clean against the committed empty
-baseline.
+``sorted()``-wrapped set iteration) must never be flagged —
+``TestRepoIsClean`` pins the whole tree lint-clean, with no baseline
+and no suppression naming a rule the lint no longer has.
 """
 
 import json
@@ -18,11 +18,9 @@ import pytest
 
 import repro
 from repro.analysis.srclint import (
-    apply_baseline,
-    baseline_counts,
+    _suppressions,
     lint_source_file,
     lint_source_tree,
-    stale_baseline_entries,
 )
 from repro.cli import main
 
@@ -184,42 +182,6 @@ class TestSuppression:
         assert rules(lint_snippet(tmp_path, src)) == ["SRC003"]
 
 
-class TestBaseline:
-    def test_roundtrip_silences_known_findings(self, tmp_path):
-        (tmp_path / "m.py").write_text("self.r = all_reduce(s)\n")
-        report = lint_source_tree(tmp_path)
-        assert not report.ok
-        baseline = baseline_counts(report)
-        assert baseline == {f"SRC001:{tmp_path.name}/m.py": 1}
-        assert apply_baseline(report, baseline).ok
-
-    def test_new_findings_exceed_baseline(self, tmp_path):
-        (tmp_path / "m.py").write_text(
-            "self.r = all_reduce(s)\nself.q = all_gather(s)\n"
-        )
-        report = lint_source_tree(tmp_path)
-        residual = apply_baseline(
-            report, {f"SRC001:{tmp_path.name}/m.py": 1}
-        )
-        assert len(residual.diagnostics) == 1
-
-    def test_stale_entries_are_detected(self, tmp_path):
-        """Shrink-only: an entry the tree no longer produces (fully or
-        in part) must be surfaced, not silently carried."""
-        (tmp_path / "m.py").write_text("self.r = all_reduce(s)\n")
-        report = lint_source_tree(tmp_path)
-        baseline = baseline_counts(report)
-        assert stale_baseline_entries(report, baseline) == []
-        baseline[f"SRC002:{tmp_path.name}/gone.py"] = 1
-        assert stale_baseline_entries(report, baseline) == [
-            f"SRC002:{tmp_path.name}/gone.py"
-        ]
-        # a count above what the tree still produces is stale too
-        assert stale_baseline_entries(
-            report, {f"SRC001:{tmp_path.name}/m.py": 2}
-        ) == [f"SRC001:{tmp_path.name}/m.py"]
-
-
 class TestCLI:
     def test_lint_src_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
@@ -243,44 +205,6 @@ class TestCLI:
         assert doc["num_errors"] == 1
         assert doc["diagnostics"][0]["rule_id"] == "SRC001"
 
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("self.r = all_reduce(s)\n")
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint-src", str(tmp_path), "--write-baseline", str(baseline)
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "lint-src", str(tmp_path), "--baseline", str(baseline)
-        ]) == 0
-
-    def test_stale_baseline_entry_fails_the_run(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps({f"SRC001:{tmp_path.name}/gone.py": 1})
-        )
-        assert main([
-            "lint-src", str(tmp_path), "--baseline", str(baseline)
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err and "gone.py" in err
-
-    def test_locks_mode_reports_only_lock_rules(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(
-            "self.r = all_reduce(s)\n"                       # SRC001
-            "def f(lock, fut):\n"
-            "    with lock:\n"
-            "        fut.result()\n"                         # SRC007
-        )
-        assert main(["lint-src", str(tmp_path), "--locks"]) == 1
-        out = capsys.readouterr().out
-        assert "SRC007" in out and "SRC001" not in out
-        capsys.readouterr()
-        assert main(["lint-src", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "SRC007" in out and "SRC001" in out
-
     def test_default_root_is_the_installed_package(self, capsys):
         assert main(["lint-src"]) == 0
         assert "repro" in capsys.readouterr().out
@@ -291,11 +215,19 @@ class TestRepoIsClean:
         report = lint_source_tree(Path(repro.__file__).parent)
         assert report.diagnostics == [], report.render_text()
 
-    def test_committed_baseline_is_empty(self):
-        baseline = json.loads(
-            (REPO_ROOT / "srclint-baseline.json").read_text()
-        )
-        assert baseline == {}
+    def test_suppressions_name_only_live_rules(self):
+        """Every ``# srclint: disable=`` directive under ``src/repro``
+        names only rules the lint still produces: a directive for a
+        retired rule excuses nothing and hides nothing."""
+        live = {"SRC001", "SRC002", "SRC003", "SRC004"}
+        root = Path(repro.__file__).parent
+        stale = [
+            f"{path.relative_to(root)}:{lineno} {sorted(named - live)}"
+            for path in sorted(root.rglob("*.py"))
+            for lineno, named in _suppressions(path.read_text()).items()
+            if named is not None and named - live
+        ]
+        assert stale == []
 
     def test_cli_gate_deterministic_under_hash_seeds(self):
         """The CI gate's exact invocation, run under two hash seeds."""
@@ -303,8 +235,7 @@ class TestRepoIsClean:
         for seed in ("0", "12345"):
             proc = subprocess.run(
                 [sys.executable, "-m", "repro", "lint-src",
-                 "--format", "json",
-                 "--baseline", str(REPO_ROOT / "srclint-baseline.json")],
+                 "--format", "json"],
                 capture_output=True,
                 text=True,
                 cwd=str(REPO_ROOT),
