@@ -13,7 +13,7 @@ import statistics
 import time
 from typing import Callable, Dict, List, Tuple
 
-from repro.analysis.continuity import PAPER_LOSS_BAND, check_loss_continuity
+from repro.dist.continuity import PAPER_LOSS_BAND, check_loss_continuity
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
 from repro.parallel.engine import TrainingEngine
@@ -24,7 +24,6 @@ __all__ = [
     "make_engine",
     "record_result",
     "loss_curve",
-    "max_abs_delta",
     "time_alternating",
     "median_and_iqr",
 ]
@@ -62,11 +61,6 @@ def record_result(experiment: str, payload: Dict) -> pathlib.Path:
 def loss_curve(engine: TrainingEngine, steps: int) -> List[float]:
     """Train and return the per-step LM losses."""
     return [round(r.loss, 6) for r in engine.train(steps)]
-
-
-def max_abs_delta(a: List[float], b: List[float]) -> float:
-    """Largest pointwise loss difference between two curves."""
-    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def time_alternating(

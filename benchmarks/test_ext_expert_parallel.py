@@ -13,9 +13,9 @@ from repro.dist.topology import ParallelConfig
 
 from bench_util import (
     PAPER_LOSS_BAND,
+    check_loss_continuity,
     loss_curve,
     make_engine,
-    max_abs_delta,
     record_result,
 )
 
@@ -40,8 +40,8 @@ def test_ext_expert_parallel(benchmark, tmp_path):
     to_ep = loss_curve(resume_training(ckpt, EP_TARGET), TOTAL - RESUME_AT)
 
     deltas = {
-        "ep->tensor_sliced": max_abs_delta(baseline, to_tensor_sliced),
-        "ep->ep_new_shape": max_abs_delta(baseline, to_ep),
+        "ep->tensor_sliced": check_loss_continuity(baseline, to_tensor_sliced).max_delta,
+        "ep->ep_new_shape": check_loss_continuity(baseline, to_ep).max_delta,
     }
     for name, delta in deltas.items():
         assert delta <= PAPER_LOSS_BAND, name

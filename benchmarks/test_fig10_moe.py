@@ -12,9 +12,9 @@ from repro.dist.topology import ParallelConfig
 
 from bench_util import (
     PAPER_LOSS_BAND,
+    check_loss_continuity,
     loss_curve,
     make_engine,
-    max_abs_delta,
     record_result,
 )
 
@@ -35,7 +35,7 @@ def test_fig10_moe_resume(benchmark, tmp_path):
         lambda: resume_training(ckpt, TARGET), rounds=1, iterations=1
     )
     resumed = loss_curve(engine, TOTAL - RESUME_AT)
-    delta = max_abs_delta(baseline, resumed)
+    delta = check_loss_continuity(baseline, resumed).max_delta
     assert delta <= PAPER_LOSS_BAND
     assert baseline[-1] < pre[0]
 

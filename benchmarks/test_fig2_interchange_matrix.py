@@ -9,7 +9,13 @@ single UCP path and benchmark one complete convert+load.
 from repro.core.resume import resume_training
 from repro.dist.topology import ParallelConfig
 
-from bench_util import PAPER_LOSS_BAND, loss_curve, make_engine, max_abs_delta, record_result
+from bench_util import (
+    PAPER_LOSS_BAND,
+    check_loss_continuity,
+    loss_curve,
+    make_engine,
+    record_result,
+)
 
 SOURCES = [
     ParallelConfig(tp=2, pp=2, dp=2),
@@ -49,7 +55,7 @@ def test_fig2_interchange_matrix(benchmark, tmp_path):
         for target in TARGETS:
             engine = resume_training(checkpoints[source.describe()], target)
             resumed = loss_curve(engine, 2)
-            delta = max_abs_delta(baselines[source.describe()], resumed)
+            delta = check_loss_continuity(baselines[source.describe()], resumed).max_delta
             matrix.append(
                 {
                     "source": source.describe(),

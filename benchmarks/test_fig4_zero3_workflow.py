@@ -13,7 +13,13 @@ from repro.core.ops import gen_ucp_metadata
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
 
-from bench_util import PAPER_LOSS_BAND, loss_curve, make_engine, max_abs_delta, record_result
+from bench_util import (
+    PAPER_LOSS_BAND,
+    check_loss_continuity,
+    loss_curve,
+    make_engine,
+    record_result,
+)
 
 SOURCE = ParallelConfig(tp=1, pp=1, dp=4, zero_stage=3)
 TARGET = ParallelConfig(tp=1, pp=1, dp=2, zero_stage=3)
@@ -50,7 +56,7 @@ def test_fig4_zero3_workflow(benchmark, tmp_path):
     dst = make_engine(parallel=TARGET, seed=0)
     load_ucp_into_engine(dst, ucp_dir)
     resumed = loss_curve(dst, 3)
-    delta = max_abs_delta(baseline, resumed)
+    delta = check_loss_continuity(baseline, resumed).max_delta
     assert delta <= PAPER_LOSS_BAND
 
     record_result(

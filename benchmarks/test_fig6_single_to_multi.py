@@ -12,9 +12,9 @@ from repro.dist.topology import ParallelConfig
 
 from bench_util import (
     PAPER_LOSS_BAND,
+    check_loss_continuity,
     loss_curve,
     make_engine,
-    max_abs_delta,
     record_result,
 )
 
@@ -54,7 +54,7 @@ def test_fig6_single_source_to_multiple_targets(benchmark, tmp_path):
     for name, curve in curves.items():
         if name == "source_continued":
             continue
-        deltas[name] = max_abs_delta(baseline, curve)
+        deltas[name] = check_loss_continuity(baseline, curve).max_delta
         assert deltas[name] <= PAPER_LOSS_BAND, name
 
     # the curve keeps descending across the resume boundary

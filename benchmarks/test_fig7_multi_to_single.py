@@ -12,9 +12,9 @@ from repro.dist.topology import ParallelConfig
 
 from bench_util import (
     PAPER_LOSS_BAND,
+    check_loss_continuity,
     loss_curve,
     make_engine,
-    max_abs_delta,
     record_result,
 )
 
@@ -49,7 +49,7 @@ def test_fig7_multiple_sources_to_single_target(benchmark, tmp_path):
     for source in SOURCES:
         engine = resume_training(checkpoints[source.describe()], TARGET)
         curve = loss_curve(engine, TOTAL - RESUME_AT)
-        delta = max_abs_delta(continuations[source.describe()], curve)
+        delta = check_loss_continuity(continuations[source.describe()], curve).max_delta
         results[source.describe()] = {
             "resumed_losses": curve,
             "max_delta_vs_own_continuation": delta,
@@ -58,7 +58,7 @@ def test_fig7_multiple_sources_to_single_target(benchmark, tmp_path):
 
     # all sources share the seed, so their resumed curves also agree
     curves = [r["resumed_losses"] for r in results.values()]
-    cross = max(max_abs_delta(curves[0], c) for c in curves[1:])
+    cross = max(check_loss_continuity(curves[0], c).max_delta for c in curves[1:])
     assert cross <= 2 * PAPER_LOSS_BAND
 
     record_result(

@@ -12,9 +12,9 @@ from repro.dist.topology import ParallelConfig
 
 from bench_util import (
     PAPER_LOSS_BAND,
+    check_loss_continuity,
     loss_curve,
     make_engine,
-    max_abs_delta,
     record_result,
 )
 
@@ -39,7 +39,7 @@ def test_fig8_llama_resume(benchmark, tmp_path):
         resume_training(ckpt, TARGETS[1]), TOTAL - RESUME_AT
     )
 
-    deltas = {name: max_abs_delta(baseline, c) for name, c in curves.items()}
+    deltas = {name: check_loss_continuity(baseline, c).max_delta for name, c in curves.items()}
     for name, delta in deltas.items():
         assert delta <= PAPER_LOSS_BAND, name
     assert baseline[-1] < pre[0]  # loss still descending after resume

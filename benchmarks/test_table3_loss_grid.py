@@ -8,8 +8,8 @@ sample every 4 iterations to 40).
 """
 
 
-from repro.analysis.continuity import assert_loss_continuity
 from repro.core.resume import resume_training
+from repro.dist.continuity import assert_loss_continuity
 from repro.dist.topology import ParallelConfig
 
 from bench_util import (

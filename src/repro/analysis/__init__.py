@@ -1,13 +1,16 @@
 """Static analysis over checkpoint layouts and conversion plans.
 
-Three analyzers, none of which ever materializes a tensor:
+A leaf: nothing outside it (bar ``repro.cli``) imports it.  What the
+production path runs lives in the layer that runs it — the diagnostic
+types in :mod:`repro.core.diagnostics`, the conversion and replan
+pre-flight (``preflight_convert``, ``lint_plan``) in
+:mod:`repro.core.plan`, the loss-continuity check in
+:mod:`repro.dist.continuity` — and is re-exported here.  Two analyzers,
+neither of which ever materializes a tensor:
 
 - :mod:`~repro.analysis.layout_lint` — derive every rank's expected
   checkpoint contents from the configs and diff against a tag's commit
   manifest and rank-file headers (``repro lint-ckpt``).
-- :mod:`~repro.analysis.interchange` — prove a source -> target
-  reconfiguration well-formed before any IO (``repro lint-plan`` and
-  ``ucp_convert``'s mandatory pre-flight).
 - :mod:`~repro.analysis.provenance` — a symbolic shadow interpreter
   that executes a conversion plan over byte *intervals*: every target
   data byte must come from exactly one real (non-padding) source byte
@@ -50,33 +53,7 @@ All findings carry stable rule IDs (``UCP001``... / ``SRC001``...); see
 ``docs/ANALYSIS.md`` for the catalogue.
 """
 
-from repro.analysis.continuity import (
-    PAPER_LOSS_BAND,
-    ContinuityError,
-    ContinuityReport,
-    assert_loss_continuity,
-    check_loss_continuity,
-)
-from repro.analysis.diagnostics import (
-    RULES,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Diagnostic,
-    LayoutLintError,
-    LintReport,
-    error,
-    warning,
-)
-from repro.analysis.interchange import (
-    config_diagnostics,
-    lint_plan,
-    preflight_convert,
-)
-from repro.analysis.layout_lint import (
-    crosscheck_manifest,
-    expected_tag_basenames,
-    lint_checkpoint,
-)
+from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.analysis.provenance import (
     ProvenanceAnalysis,
     analyze_interchange,
@@ -104,6 +81,29 @@ from repro.analysis.sanitizer import (
     zero_state_arrays,
 )
 from repro.analysis.srclint import lint_source_tree
+from repro.core.diagnostics import (
+    RULES,
+    SEVERITY_ERROR,
+    SEVERITY_WARNING,
+    Diagnostic,
+    LayoutLintError,
+    LintReport,
+    error,
+    warning,
+)
+from repro.core.plan import (
+    config_diagnostics,
+    expected_tag_basenames,
+    lint_plan,
+    preflight_convert,
+)
+from repro.dist.continuity import (
+    PAPER_LOSS_BAND,
+    ContinuityError,
+    ContinuityReport,
+    assert_loss_continuity,
+    check_loss_continuity,
+)
 
 __all__ = [
     "PAPER_LOSS_BAND",

@@ -71,7 +71,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.analysis.diagnostics import LintReport, error, warning
+from repro.core.diagnostics import LintReport, error, warning
 
 PAYLOAD_VERSION = 1
 

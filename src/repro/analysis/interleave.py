@@ -83,13 +83,13 @@ import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.analysis.diagnostics import (
+from repro.analysis.fswitness import label_path
+from repro.core.diagnostics import (
     Diagnostic,
     LintReport,
     error,
     warning,
 )
-from repro.analysis.fswitness import label_path
 
 DEFAULT_SCHEDULE_CAP = 256
 """Executed-schedule budget per exploration (UCP039 when exceeded)."""

@@ -11,23 +11,24 @@ surface as :class:`~repro.storage.serializer.TensorIndexEntry` shapes), which
 is what makes linting a multi-terabyte checkpoint cost kilobytes of IO.
 
 Findings carry the stable rule IDs from
-:data:`repro.analysis.diagnostics.RULES`; ``repro lint-ckpt`` renders
+:data:`repro.core.diagnostics.RULES`; ``repro lint-ckpt`` renders
 them as text or JSON and CI gates on error severity.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, LintReport, error, warning
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import SIDECAR, AtomStore
+from repro.core.diagnostics import Diagnostic, LintReport, error, warning
 from repro.core.errors import AtomMissingError, UCPError, UCPFormatError
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
+from repro.core.plan import expected_tag_basenames
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.layout import ModelParallelLayout, RankShardLayout
@@ -38,34 +39,6 @@ _MODEL_RE = re.compile(r"^mp_rank_(\d+)_model_states\.npt$")
 _ZERO3_RE = re.compile(r"^zero3_dp_rank_(\d+)_model_states\.npt$")
 
 _FLAT_FIELDS = tuple(naming.FLAT_STATE_FIELDS.values())
-
-
-def expected_tag_basenames(
-    parallel_cfg: ParallelConfig,
-    layout: ModelParallelLayout,
-    optimizer_layout: str = "flat",
-) -> Set[str]:
-    """Every data-file basename a complete save of this config writes.
-
-    The symbolic twin of :func:`repro.ckpt.saver.
-    save_distributed_checkpoint`: derived from the configs alone, never
-    from the directory being linted.
-    """
-    names: Set[str] = {naming.JOB_CONFIG_FILE}
-    for coord in layout.mp_coords():
-        mp_rank = layout.mp_rank_index(*coord)
-        if parallel_cfg.zero_stage < 3:
-            names.add(naming.model_states_name(mp_rank))
-        else:
-            for d in range(parallel_cfg.dp):
-                names.add(naming.zero3_model_states_name(d))
-        if optimizer_layout == "per_param":
-            names.add(naming.optim_states_name(0, mp_rank))
-        else:
-            dp_ranks = [0] if parallel_cfg.zero_stage == 0 else range(parallel_cfg.dp)
-            for d in dp_ranks:
-                names.add(naming.optim_states_name(d, mp_rank))
-    return names
 
 
 def crosscheck_manifest(

@@ -35,10 +35,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.diagnostics import LintReport, error
 from repro.ckpt import naming
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import AtomStore
+from repro.core.diagnostics import LintReport, error
 from repro.core.errors import AtomMissingError, UCPFormatError
 from repro.core.intervals import (
     data_intervals,

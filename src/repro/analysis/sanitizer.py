@@ -12,7 +12,7 @@ analyzer below this one.
 This module is the runtime half of the defense (the static half is
 :mod:`repro.analysis.srclint`).  It tracks ndarray *base-buffer*
 ownership per simulated rank and reports violations through the
-standard :class:`~repro.analysis.diagnostics.LintReport` machinery:
+standard :class:`~repro.core.diagnostics.LintReport` machinery:
 
 ========  =============================  =====================================
 rule      name                           boundary
@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.analysis.diagnostics import (
+from repro.core.diagnostics import (
     Diagnostic,
     LayoutLintError,
     LintReport,

@@ -49,7 +49,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.diagnostics import Diagnostic, LintReport, error
+from repro.core.diagnostics import Diagnostic, LintReport, error
 
 COLLECTIVE_NAMES = {
     "all_reduce", "all_gather", "reduce_scatter", "all_to_all", "broadcast",

@@ -64,13 +64,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.diagnostics import LayoutLintError
-from repro.analysis.interchange import preflight_convert
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
+from repro.core.diagnostics import LayoutLintError
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.intervals import numel as _numel
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
@@ -86,6 +85,7 @@ from repro.core.plan import (
     _resolve_specs,
     analyze_source,
     lower_read_plans,
+    preflight_convert,
 )
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
@@ -603,7 +603,7 @@ def ucp_convert(
         UCPFormatError: structurally valid but semantically
             inconsistent source (e.g. rank files disagreeing on Adam
             hyperparameters).
-        repro.analysis.diagnostics.LayoutLintError: the mandatory
+        repro.core.diagnostics.LayoutLintError: the mandatory
             static pre-flight found the source layout unsound — the
             byte-provenance theorems (UCP017-UCP022) included — or the
             manifest structurally incomplete (a UCPFormatError

@@ -1,10 +1,14 @@
-"""Structured diagnostics for the static-analysis layer.
+"""Structured diagnostics: the one finding vocabulary of every check.
 
-Every check in :mod:`repro.analysis` reports through the same three
-types: a :class:`Diagnostic` (one finding, carrying a stable rule ID),
-a :class:`LintReport` (an ordered collection with text/JSON rendering),
+The conversion pre-flight (:mod:`repro.core.plan`), the layout's tiling
+proof (:mod:`repro.parallel.layout`) and every analyzer in
+:mod:`repro.analysis` report through the same three types: a
+:class:`Diagnostic` (one finding, carrying a stable rule ID), a
+:class:`LintReport` (an ordered collection with text/JSON rendering),
 and :class:`LayoutLintError` (the typed exception raised when a caller
 needs a hard failure — e.g. ``ucp_convert``'s mandatory pre-flight).
+Only the standard library and :mod:`repro.core.errors` are imported, so
+production code carries these types without loading a checker.
 
 Rule IDs are part of the tool's contract: scripts and CI gates key off
 them, so an ID is never renumbered or reused.  The catalogue lives in

@@ -39,23 +39,29 @@ fragmenter once and kept as a read-only columnar run table by
 executable sharding semantics and disk IO stays header-only (kilobytes
 for a multi-terabyte checkpoint).
 
-Nothing here imports the checker or the executor: this module is first
-loaded while both are still initialising (``core.convert`` ->
-``repro.analysis`` -> ``analysis.provenance`` -> here).
+The pre-flight sits beside the header pass it consumes:
+:func:`preflight_convert` gates every conversion and :func:`lint_plan`
+every replan and ``repro lint-plan``, before any payload byte is read.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analysis.diagnostics import LayoutLintError, LintReport, error
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.core.atom import STATE_KINDS
+from repro.core.diagnostics import (
+    Diagnostic,
+    LayoutLintError,
+    LintReport,
+    error,
+    warning,
+)
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.intervals import (
     data_bounds,
@@ -77,6 +83,7 @@ from repro.parallel.tp import (
     PATTERN_TO_AVERAGE,
     PATTERN_UNIQUE,
     ShardSpec,
+    build_shard_specs,
 )
 from repro.storage.serializer import SerializationError, TensorIndexEntry
 from repro.storage.store import ObjectStore
@@ -849,6 +856,225 @@ def analyze_source(
     return ProvenanceAnalysis(
         model_cfg, source_cfg, params, report, layout, headers, file_sizes
     )
+
+
+def expected_tag_basenames(
+    parallel_cfg: ParallelConfig,
+    layout: ModelParallelLayout,
+    optimizer_layout: str = "flat",
+) -> Set[str]:
+    """Every data-file basename a complete save of this config writes.
+
+    The symbolic twin of :func:`repro.ckpt.saver.
+    save_distributed_checkpoint`: derived from the configs alone, never
+    from the directory being linted.
+    """
+    names: Set[str] = {naming.JOB_CONFIG_FILE}
+    for coord in layout.mp_coords():
+        mp_rank = layout.mp_rank_index(*coord)
+        if parallel_cfg.zero_stage < 3:
+            names.add(naming.model_states_name(mp_rank))
+        else:
+            for d in range(parallel_cfg.dp):
+                names.add(naming.zero3_model_states_name(d))
+        if optimizer_layout == "per_param":
+            names.add(naming.optim_states_name(0, mp_rank))
+        else:
+            dp_ranks = [0] if parallel_cfg.zero_stage == 0 else range(parallel_cfg.dp)
+            for d in dp_ranks:
+                names.add(naming.optim_states_name(d, mp_rank))
+    return names
+
+
+def config_diagnostics(
+    model_cfg: ModelConfig,
+    parallel_cfg: ParallelConfig,
+    atom_names: Optional[Iterable[str]] = None,
+    role: str = "target",
+) -> List[Diagnostic]:
+    """Statically check one ``(model, parallel)`` pair.
+
+    Proves, per parameter: the fragmenter divides the config's TP
+    degree (UCP007 / UCP012 for expert axes), and — when no
+    indivisibility blocks layout construction — that the derived
+    layout's partition slices tile every rank's flat buffer (UCP005 /
+    UCP006).  With ``atom_names`` (the atoms available in a UCP
+    directory), every derived parameter must be among them (UCP001).
+
+    Args:
+        model_cfg: the model being reconfigured.
+        parallel_cfg: the strategy to prove loadable.
+        atom_names: optional atom inventory to check coverage against.
+        role: diagnostic location prefix (``"source"`` / ``"target"``).
+    """
+    out: List[Diagnostic] = []
+    prefix = f"{role}:{parallel_cfg.describe()}"
+    specs = build_shard_specs(
+        model_cfg, expert_parallel=parallel_cfg.expert_parallel
+    )
+
+    divisible = True
+    for name in sorted(specs):
+        spec = specs[name]
+        try:
+            spec.shard_shape(parallel_cfg.tp)
+        except ValueError as exc:
+            divisible = False
+            kind = getattr(spec.fragmenter, "kind", None)
+            if kind == "expert_parallel":
+                out.append(error(
+                    "UCP012",
+                    f"{name!r} cannot split across tp={parallel_cfg.tp} "
+                    f"expert-parallel ranks: {exc}",
+                    location=prefix,
+                ))
+            else:
+                out.append(error(
+                    "UCP007",
+                    f"{name!r} fragment dimension does not divide "
+                    f"tp={parallel_cfg.tp}: {exc}",
+                    location=prefix,
+                ))
+
+    if atom_names is not None:
+        available = set(atom_names)
+        for name in sorted(set(specs) - available):
+            out.append(error(
+                "UCP001",
+                f"{role} layout needs parameter {name!r} but no atom "
+                f"provides it",
+                location=prefix,
+            ))
+        for name in sorted(available - set(specs)):
+            out.append(warning(
+                "UCP002",
+                f"atom {name!r} is not consumed by the {role} layout",
+                location=prefix,
+            ))
+
+    if divisible:
+        try:
+            layout = ModelParallelLayout(model_cfg, parallel_cfg)
+        except ValueError as exc:
+            out.append(error(
+                "UCP007",
+                f"layout underivable for {parallel_cfg.describe()}: {exc}",
+                location=prefix,
+            ))
+        else:
+            out.extend(_tiling_diagnostics(layout, prefix))
+    return out
+
+
+def _tiling_diagnostics(
+    layout: ModelParallelLayout, prefix: str
+) -> List[Diagnostic]:
+    """A derived layout's UCP005 / UCP006 findings, located under ``prefix``."""
+    return [
+        Diagnostic(
+            diag.rule_id,
+            diag.severity,
+            diag.message,
+            location=f"{prefix}.{diag.location}",
+        )
+        for diag in layout.tiling_diagnostics()
+    ]
+
+
+def lint_plan(
+    model_cfg: ModelConfig,
+    source_cfg: ParallelConfig,
+    target_cfg: ParallelConfig,
+    atom_names: Optional[Iterable[str]] = None,
+) -> LintReport:
+    """Statically prove a source -> target conversion well-formed.
+
+    Both sides are checked: the source config must itself be derivable
+    (its rank files were written under it), and the target config must
+    be reachable — every fragment dimension divides the target degrees
+    and the target's partition tiling is exact.  Nothing is read from
+    disk; this is the pre-flight ``repro lint-plan`` exposes.
+
+    Args:
+        model_cfg: the shared model configuration.
+        source_cfg: the strategy the checkpoint was saved under.
+        target_cfg: the strategy to resume under.
+        atom_names: when converting from a UCP directory, the atoms it
+            actually holds; coverage is proven against the target.
+    """
+    report = LintReport(
+        subject=f"{source_cfg.describe()} -> {target_cfg.describe()}"
+    )
+    report.extend(config_diagnostics(model_cfg, source_cfg, role="source"))
+    report.extend(config_diagnostics(
+        model_cfg, target_cfg, atom_names=atom_names, role="target"
+    ))
+    if model_cfg.is_moe and source_cfg.expert_parallel != target_cfg.expert_parallel:
+        report.add(warning(
+            "UCP013",
+            f"expert layout changes across the plan "
+            f"(expert_parallel {source_cfg.expert_parallel} -> "
+            f"{target_cfg.expert_parallel}); conversion re-fragments "
+            f"{model_cfg.num_experts} experts through atoms",
+            location=f"{source_cfg.describe()} -> {target_cfg.describe()}",
+        ))
+    return report
+
+
+def preflight_convert(
+    src_store: ObjectStore,
+    src_tag: str,
+    manifest: Dict,
+    analysis: ProvenanceAnalysis,
+    optimizer_layout: str = "flat",
+) -> LintReport:
+    """The converter's mandatory pre-pass over a committed source tag.
+
+    Runs before any tensor payload is read: proves the source layout's
+    partition slices tile every flat buffer (its fragment divisibility
+    was settled when ``analysis.layout`` was derived) and that the
+    commit manifest records every rank file the layout derives — a
+    manifest that never listed a rank's optimizer state means the save
+    was structurally incomplete, which per-file digest verification
+    alone cannot see.  When the structural checks pass, the
+    byte-provenance findings made while the conversion plan was composed
+    from the rank-file *headers* are folded in: every consolidated data
+    byte must be supplied exactly once with no padding read as data
+    (UCP017-UCP022).
+
+    Args:
+        src_store: source checkpoint store.
+        src_tag: the committed tag being converted.
+        manifest: the tag's commit-manifest payload.
+        analysis: the source's :class:`ProvenanceAnalysis`
+            (:func:`analyze_source`) — the object the converter goes on
+            to lower into read plans, so the source is analyzed, and
+            its layout derived, exactly once.
+        optimizer_layout: the job's recorded optimizer layout.
+    """
+    source_cfg = analysis.source_cfg
+    report = LintReport(subject=f"{src_store.base}/{src_tag}")
+    report.extend(_tiling_diagnostics(
+        analysis.layout, f"source:{source_cfg.describe()}"
+    ))
+    if not report.ok:
+        return report
+
+    recorded = set(manifest["files"])
+    expected = expected_tag_basenames(
+        source_cfg, analysis.layout, optimizer_layout
+    )
+    for basename in sorted(expected - recorded):
+        report.add(error(
+            "UCP008",
+            f"the {source_cfg.describe()} layout derives rank file "
+            f"{basename!r} but the commit manifest never recorded it; "
+            f"the save was structurally incomplete",
+            location=f"{src_tag}/{basename}",
+        ))
+    if report.ok:
+        report.extend(analysis.report.diagnostics)
+    return report
 
 
 def _rank_label(rel: str) -> str:

@@ -38,19 +38,15 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# repro.core must initialize before repro.analysis: the analysis
-# package's diagnostics module imports repro.core.errors mid-cycle and
-# only survives when repro.core started first (the same entry order
-# repro/__init__ establishes) — so UCPError is pulled ahead of the
-# continuity import here, deliberately out of alphabetical order.
+from repro.ckpt import naming
+from repro.ckpt.loader import latest_committed_tag, read_job_config
 from repro.core.errors import UCPError
-from repro.analysis.continuity import (
+from repro.core.plan import lint_plan
+from repro.dist.continuity import (
     PAPER_LOSS_BAND,
     ContinuityReport,
     check_loss_continuity,
 )
-from repro.ckpt import naming
-from repro.ckpt.loader import latest_committed_tag, read_job_config
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.storage.faults import (
@@ -419,7 +415,6 @@ class Supervisor:
         self, source_cfg: ParallelConfig
     ) -> Tuple[ParallelConfig, str]:
         """Choose (and pre-flight validate) the surviving topology."""
-        from repro.analysis.interchange import lint_plan
         from repro.core.resume import ElasticResumeManager
 
         if self._overrides:

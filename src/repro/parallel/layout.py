@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Tuple
 
+from repro.core.diagnostics import Diagnostic, LayoutLintError, LintReport, error
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.pp import StagePlan, build_stage_plan
@@ -156,7 +157,7 @@ class RankShardLayout:
                     out.append(ps)
         return out
 
-    def tiling_diagnostics(self) -> List["Diagnostic"]:
+    def tiling_diagnostics(self) -> List[Diagnostic]:
         """Statically prove the partition slices tile the flat buffer.
 
         Checks, from metadata alone: shard entries pack the payload
@@ -167,8 +168,6 @@ class RankShardLayout:
         nothing extending into the padding tail.  Returns structured
         diagnostics (empty when the layout is sound).
         """
-        from repro.analysis.diagnostics import error
-
         where = f"pp={self.pp_stage}.sp={self.sp_rank}.tp={self.tp_rank}"
         out: List = []
         cursor = 0
@@ -298,7 +297,7 @@ class ModelParallelLayout:
                         alignment=alignment,
                     )
 
-    def tiling_diagnostics(self) -> List["Diagnostic"]:
+    def tiling_diagnostics(self) -> List[Diagnostic]:
         """Tiling diagnostics across every model-parallel rank."""
         out: List = []
         for coord in self.mp_coords():
@@ -315,13 +314,11 @@ class ModelParallelLayout:
         source and target layouts are held to the same invariant.
 
         Raises:
-            repro.analysis.diagnostics.LayoutLintError: with the full
+            repro.core.diagnostics.LayoutLintError: with the full
                 diagnostic list when any rank's tiling is unsound.
         """
         diagnostics = self.tiling_diagnostics()
         if diagnostics:
-            from repro.analysis.diagnostics import LayoutLintError, LintReport
-
             raise LayoutLintError(LintReport(
                 subject=f"layout {self.parallel_cfg.describe()}",
                 diagnostics=diagnostics,

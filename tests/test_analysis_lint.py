@@ -8,8 +8,8 @@ import pytest
 
 from tests.helpers import make_engine
 from repro.analysis import LayoutLintError, lint_checkpoint
-from repro.analysis.diagnostics import Diagnostic, LintReport, RULES, error
 from repro.ckpt.saver import save_distributed_checkpoint
+from repro.core.diagnostics import Diagnostic, LintReport, RULES, error
 from repro.dist.topology import ParallelConfig
 from repro.parallel.layout import RankShardLayout, ShardEntry
 from repro.storage.store import ObjectStore

@@ -33,7 +33,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.diagnostics import RULES
 from repro.analysis.fswitness import check_fs_trace, enumerate_crash_states, fstrace
 from repro.analysis.layout_lint import lint_checkpoint
 from repro.ckpt import saver
@@ -44,6 +43,7 @@ from repro.ckpt.loader import (
     resolve_tag,
 )
 from repro.ckpt.naming import LATEST_FILE, MANIFEST_FILE
+from repro.core.diagnostics import RULES
 from repro.core.inspect import verify_directory
 from repro.storage.faults import (
     CrashAtWrite,

@@ -18,7 +18,6 @@ import pytest
 
 from repro import obs
 from repro.analysis import sanitizer as sanitizer_module
-from repro.analysis.diagnostics import LayoutLintError
 from repro.analysis.sanitizer import (
     MemorySanitizer,
     SanitizerError,
@@ -27,6 +26,7 @@ from repro.analysis.sanitizer import (
     enabled_from_env,
     sanitize,
 )
+from repro.core.diagnostics import LayoutLintError
 from repro.dist import collectives
 from repro.dist.process_group import ProcessGroup
 

@@ -249,17 +249,6 @@ class TestRepoIsClean:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-    # every import of ``repro.analysis`` from below it, by name: the
-    # next one added fails this gate and has to be argued for here
-    ANALYSIS_IMPORTS_FROM_BELOW = {
-        ("core/convert.py", "repro.analysis.diagnostics"),
-        ("core/convert.py", "repro.analysis.interchange"),
-        ("core/plan.py", "repro.analysis.diagnostics"),
-        ("parallel/layout.py", "repro.analysis.diagnostics"),
-        ("dist/supervisor.py", "repro.analysis.continuity"),
-        ("dist/supervisor.py", "repro.analysis.interchange"),
-    }
-
     @staticmethod
     def _imported_modules(path):
         """``(lineno, module)`` for every import statement in a file, at
@@ -285,13 +274,10 @@ class TestRepoIsClean:
         * ``repro/obs.py`` — the one hook slot every layer imports —
           imports only the standard library.
         * Nothing under ``src/repro`` outside ``analysis/`` and
-          ``cli.py`` imports a switchable witness (``sanitizer``,
-          ``fswitness``, ``interleave``): hook sites name events on the
-          slot, never a checker.
-        * The planner lives in ``repro.core.plan`` and the provenance
-          checker imports it, never the reverse.
-        * What still reaches up into ``repro.analysis`` from below is
-          exactly :attr:`ANALYSIS_IMPORTS_FROM_BELOW`.
+          ``cli.py`` imports ``repro.analysis`` at any depth: hook sites
+          name events on the slot, and what production runs of the
+          checkers' vocabulary (diagnostics, pre-flight, continuity)
+          lives in the layer that runs it.
         * Each package still imports first in a fresh interpreter.
         """
         root = Path(repro.__file__).parent
@@ -304,27 +290,15 @@ class TestRepoIsClean:
         ]
         assert foreign == []
 
-        witnesses = ("sanitizer", "fswitness", "interleave",
-                     "schedpoint", "provenance")
-        offenders, reaching_up = [], set()
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            if rel.startswith("analysis/") or rel == "cli.py":
-                continue
-            for lineno, module in self._imported_modules(path):
-                parts = module.split(".")
-                if parts[:2] != ["repro", "analysis"]:
-                    continue
-                if len(parts) == 2:  # could hide any re-exported witness
-                    offenders.append(f"{rel}:{lineno} imports the package")
-                elif parts[2] in witnesses:
-                    offenders.append(f"{rel}:{lineno} imports {module}")
-                elif len(parts) == 3 and (
-                    root / "analysis" / f"{parts[2]}.py"
-                ).is_file():
-                    reaching_up.add((rel, module))
+        offenders = [
+            f"{rel}:{lineno} imports {module}"
+            for path in sorted(root.rglob("*.py"))
+            for rel in [path.relative_to(root).as_posix()]
+            if not (rel.startswith("analysis/") or rel == "cli.py")
+            for lineno, module in self._imported_modules(path)
+            if module.split(".")[:2] == ["repro", "analysis"]
+        ]
         assert offenders == []
-        assert reaching_up == self.ANALYSIS_IMPORTS_FROM_BELOW
 
         for module in ("repro.core", "repro.analysis", "repro.core.plan",
                        "repro.storage.rangeio", "repro.obs"):
@@ -335,6 +309,24 @@ class TestRepoIsClean:
                 env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
             )
             assert proc.returncode == 0, (module, proc.stderr)
+
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.core", "repro.ckpt", "repro.dist", "repro.storage",
+        "repro.parallel",
+    ])
+    def test_fresh_import_loads_no_checker(self, package):
+        """Importing a production package, first thing in a fresh
+        interpreter, loads no ``repro.analysis`` module."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {package}; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[:2] == ['repro', 'analysis']))"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_only_the_atom_store_knows_the_atom_container(self):
         """Where an atom's files live and what they are called is spelled

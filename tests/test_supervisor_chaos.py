@@ -23,9 +23,13 @@ import json
 
 import pytest
 
-from repro.analysis.continuity import check_loss_continuity
 from repro.ckpt.loader import latest_committed_tag
 from repro.core.inspect import verify_directory
+from repro.dist.continuity import (
+    ContinuityError,
+    assert_loss_continuity,
+    check_loss_continuity,
+)
 from repro.dist.supervisor import Supervisor, TopologyRejectedError, supervise
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
@@ -369,3 +373,30 @@ class TestReportText:
         assert event.resume_tag == "" and event.resume_step == 0
         line = report.render_text().splitlines()[-1]
         assert " from step 0 (cold restart) (lost 2 steps," in line, line
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestLossContinuity:
+    @pytest.mark.parametrize("golden_curve, resumed, step", [
+        ([1.0, 2.0, 3.0], [NAN, NAN, NAN], 0),
+        ([1.0, 2.0, 3.0], [1.0, NAN, 3.0], 1),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, INF], 2),
+        ([1.0, NAN, 3.0], [1.0, 2.0, 3.0], 1),
+    ], ids=["all-nan-resumed", "one-nan-step", "plus-inf", "nan-in-golden"])
+    def test_non_finite_loss_fails_at_its_step(self, golden_curve, resumed, step):
+        """A NaN or infinite loss on either curve fails the check at its
+        step, and the report still renders as strict JSON."""
+        report = check_loss_continuity(golden_curve, resumed)
+        assert not report.ok
+        assert report.worst_step == step
+        payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert payload["ok"] is False and payload["worst_step"] == step
+        with pytest.raises(ContinuityError, match=f"at compared step {step} "):
+            assert_loss_continuity(golden_curve, resumed)
+
+    def test_finite_curves_report_the_worst_step(self):
+        report = check_loss_continuity([1.0, 2.0, 3.0], [1.0, 2.01, 3.03])
+        assert report.worst_step == 2 and not report.ok
+        assert report.to_dict()["max_delta"] == 0.03
