@@ -250,7 +250,7 @@ class MemorySanitizer:
             self._violation(diag)
         return found
 
-    on_engine_loaded = check_engine  # the UCP loader's event
+    on_engine_loaded = check_engine  # every restart path's event
 
 
 # --- activation --------------------------------------------------------

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
+from repro import obs
 from repro.ckpt.errors import CheckpointIncompatibleError, CheckpointNotFoundError
 from repro.models.configs import ModelConfig
 from repro.storage.store import ObjectStore
@@ -72,30 +71,14 @@ def load_consolidated_checkpoint(
         )
 
     step = int(payload["optimizer_step"])
-    _scatter_kind(engine, payload["fp32"], "fp32")
-    _scatter_kind(engine, payload["exp_avg"], "exp_avg")
-    _scatter_kind(engine, payload["exp_avg_sq"], "exp_avg_sq")
+    for kind in ("fp32", "exp_avg", "exp_avg_sq"):
+        engine.zero._scatter(payload[kind], kind)
     for coord in engine.layout.mp_coords():
         for part in engine.zero.partitions[coord]:
             part.state.step = step
     engine.iteration = int(payload["iteration"])
     engine.sync_model_from_masters()
+    # a listening memory sanitizer sweeps the loaded state (UCP025)
+    if obs._ACTIVE:
+        obs.emit("engine_loaded", engine, f"load_consolidated_checkpoint({directory})")
 
-
-def _scatter_kind(engine, tensors, kind: str) -> None:
-    """Shard consolidated tensors of one state kind into partitions."""
-    dp = engine.parallel_cfg.dp
-    for coord in engine.layout.mp_coords():
-        rank_layout = engine.layout.rank_layout(*coord)
-        flat = np.zeros(rank_layout.flat_numel, dtype=np.float32)
-        for entry in rank_layout.entries:
-            shard = engine.zero._shard_full_tensor(
-                entry.name, tensors[entry.name], rank_layout.tp_rank
-            )
-            flat[entry.offset : entry.end] = shard.reshape(-1)
-        size = rank_layout.partition_numel
-        for d in range(dp):
-            target = engine.zero._partition_array(
-                engine.zero.partitions[coord][d], kind
-            )
-            target[...] = flat[d * size : (d + 1) * size]

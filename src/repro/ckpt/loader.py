@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import (
@@ -230,6 +231,8 @@ def _load_per_param(
 
     engine.iteration = int(job_config["iteration"])
     engine.sync_model_from_masters()
+    if obs._ACTIVE:
+        obs.emit("engine_loaded", engine, f"load_distributed_checkpoint({tag})")
 
 
 def load_distributed_checkpoint(
@@ -312,4 +315,7 @@ def load_distributed_checkpoint(
 
     engine.iteration = int(job_config["iteration"])
     engine.sync_model_from_masters()
+    # a listening memory sanitizer sweeps the loaded state (UCP025)
+    if obs._ACTIVE:
+        obs.emit("engine_loaded", engine, f"load_distributed_checkpoint({tag})")
     return tag

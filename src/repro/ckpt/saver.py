@@ -135,10 +135,11 @@ def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
         names = [e.name for e in rank_layout.entries]
 
         if cfg.zero_stage < 3:
-            shards = engine.zero.shard_tensors(coord)
+            # read-only partition views: at fp32 they are staged
+            # zero-copy, like the optimizer partitions below
             module = {
-                entry.name: engine.mp_policy.working_copy(shards[entry.name])
-                for entry in rank_layout.entries
+                name: engine.mp_policy.working_copy(engine.zero.shard(coord, name))
+                for name in names
             }
             yield naming.model_states_name(mp_rank), {
                 "module": module,

@@ -23,7 +23,9 @@ def generator_for(seed: int, name: str) -> np.random.Generator:
 def normal_init(seed: int, name: str, shape, std: float = 0.02) -> np.ndarray:
     """N(0, std^2) init keyed by name."""
     gen = generator_for(seed, name)
-    return (gen.standard_normal(shape) * std).astype(np.float32)
+    out = gen.standard_normal(shape)
+    out *= std  # in place: one float64 draw, then the float32 cast
+    return out.astype(np.float32)
 
 
 def zeros_init(shape) -> np.ndarray:

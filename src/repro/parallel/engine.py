@@ -91,7 +91,9 @@ class TrainingEngine:
 
         self.adam = adam if adam is not None else Adam()
         self.zero = ZeroOptimizer(self.layout, self.adam)
-        self.zero.initialize_from(self.model.state_dict())
+        self.zero.initialize_from(
+            {name: p.data for name, p in self.model.named_parameters()}
+        )
         self.lr_schedule = (
             lr_schedule if lr_schedule is not None else ConstantLRSchedule(self.adam.lr)
         )
@@ -144,10 +146,16 @@ class TrainingEngine:
 
     def sync_model_from_masters(self) -> None:
         """Refresh model working weights from the fp32 masters (the
-        paper's rebroadcast into ``fp16_partitioned_groups_flat``)."""
-        masters = self.zero.consolidated_tensors("fp32")
+        paper's rebroadcast into ``fp16_partitioned_groups_flat``).
+
+        One parameter at a time: its master is a read-only view of a
+        partition (joined across TP where the parameter is split), and
+        the copy into ``param.data`` is the only one it takes — model
+        weights never alias a partition (UCP025).
+        """
         for name, param in self.model.named_parameters():
-            param.data[...] = self.mp_policy.working_copy(masters[name])
+            master = self.zero._consolidated(name, "fp32")
+            param.data[...] = self.mp_policy.working_copy(master)
 
     def train_step(self) -> TrainStepResult:
         """Run one full training step (all ranks), return the metrics."""
@@ -175,18 +183,24 @@ class TrainingEngine:
                 )
         loss = float(np.mean(np.asarray(losses, dtype=np.float64)))
 
+        # gradients are averaged in place and released when the step
+        # ends, on either exit: between steps the engine holds only what
+        # a checkpoint persists
         grads: Dict[str, np.ndarray] = {}
         overflow = False
         inv_dp = np.float32(1.0 / (dp * self.micro_batches))
         for name, param in self.model.named_parameters():
             if param.grad is None:
                 raise RuntimeError(f"parameter {name!r} received no gradient")
-            grad = param.grad * inv_dp
-            if self.loss_scaler is not None and self.loss_scaler.check_overflow(grad):
+            param.grad *= inv_dp
+            if self.loss_scaler is not None and self.loss_scaler.check_overflow(
+                param.grad
+            ):
                 overflow = True
-            grads[name] = grad
+            grads[name] = param.grad
 
         if overflow:
+            self.model.zero_grad()
             self.loss_scaler.update(True)
             self.iteration += 1
             self.loss_history.append(loss)
@@ -211,6 +225,8 @@ class TrainingEngine:
 
         grad_norm = clip_grad_norm(list(grads.values()), self.grad_clip)
         self.zero.apply_grads(grads, lr)
+        del grads
+        self.model.zero_grad()
 
         # account the ZeRO parameter all-gather per model-parallel rank
         if dp > 1 and self.parallel_cfg.zero_stage >= 1:

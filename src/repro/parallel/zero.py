@@ -19,6 +19,13 @@ ZeRO stage semantics here:
   partitions *gradients*, which are transient and never checkpointed);
 * stage 3 — parameters themselves also partitioned: model-state
   checkpoints hold flat parameter partitions instead of full tensors.
+
+Every read of the partitions goes through :meth:`ZeroOptimizer.shard`,
+a read-only view of one parameter's shard, so the engine's sync, the
+saver and the consolidated baseline work one parameter at a time and
+hold no whole-model copy.  :meth:`ZeroOptimizer.full_flat` joins a
+rank's partitions only for a file that stores the join (the zero-stage-0
+saver).
 """
 
 from __future__ import annotations
@@ -75,44 +82,48 @@ class ZeroOptimizer:
         first = next(iter(self.partitions.values()))
         return first[0].state.step
 
-    def _shard_full_tensor(
-        self, name: str, full: np.ndarray, tp_rank: int
+    def _flat_shard(
+        self, rank_layout: RankShardLayout, name: str, full: np.ndarray
     ) -> np.ndarray:
-        """The TP shard of a consolidated tensor for one tp rank."""
+        """One rank's TP shard of a consolidated tensor, flattened and
+        checked against the layout's shard shape."""
         spec = self.layout.spec(name)
         tp = self.layout.parallel_cfg.tp
-        if spec.fragmenter is None or tp == 1:
-            return np.asarray(full, dtype=np.float32)
-        return np.asarray(
-            spec.fragmenter.shard(full, tp, tp_rank), dtype=np.float32
-        )
-
-    def _flatten_for_rank(
-        self, rank_layout: RankShardLayout, full_tensors: Dict[str, np.ndarray]
-    ) -> np.ndarray:
-        """Build one rank's flat buffer from consolidated tensors."""
-        flat = np.zeros(rank_layout.flat_numel, dtype=np.float32)
-        for entry in rank_layout.entries:
-            shard = self._shard_full_tensor(
-                entry.name, full_tensors[entry.name], rank_layout.tp_rank
+        if spec.fragmenter is not None and tp > 1:
+            full = spec.fragmenter.shard(full, tp, rank_layout.tp_rank)
+        shard = np.asarray(full, dtype=np.float32)
+        expected = rank_layout.entry(name).shard_shape
+        if shard.shape != expected:
+            raise ValueError(
+                f"shard of {name!r} has shape {shard.shape}, "
+                f"layout expects {expected}"
             )
-            if shard.shape != entry.shard_shape:
-                raise ValueError(
-                    f"shard of {entry.name!r} has shape {shard.shape}, "
-                    f"layout expects {entry.shard_shape}"
-                )
-            flat[entry.offset : entry.end] = shard.reshape(-1)
-        return flat
+        return shard.reshape(-1)
 
-    def initialize_from(self, full_tensors: Dict[str, np.ndarray]) -> None:
-        """Seed fp32 master partitions from consolidated model tensors."""
-        dp = self.layout.parallel_cfg.dp
+    def _scatter(self, full_tensors: Dict[str, np.ndarray], kind: str) -> None:
+        """Write consolidated tensors of one state kind into every
+        rank's partitions, shard by shard, through the partition slices
+        each shard covers; alignment padding is zeroed."""
         for coord in self.layout.mp_coords():
             rank_layout = self.layout.rank_layout(*coord)
-            flat = self._flatten_for_rank(rank_layout, full_tensors)
+            arrays = [self._partition_array(p, kind) for p in self.partitions[coord]]
+            for entry in rank_layout.entries:
+                flat = self._flat_shard(rank_layout, entry.name, full_tensors[entry.name])
+                for ps in rank_layout.partition_slices(entry.name):
+                    arrays[ps.partition][ps.local_start : ps.local_end] = flat[
+                        ps.shard_start : ps.shard_end
+                    ]
             size = rank_layout.partition_numel
-            for d in range(dp):
-                self.partitions[coord][d].fp32[...] = flat[d * size : (d + 1) * size]
+            for d, array in enumerate(arrays):
+                array[max(rank_layout.payload_numel - d * size, 0) :] = 0.0
+
+    def initialize_from(self, full_tensors: Dict[str, np.ndarray]) -> None:
+        """Seed fp32 master partitions from consolidated model tensors.
+
+        The tensors are only read, so views of the model's own
+        parameters serve: no copy of the model is made or kept.
+        """
+        self._scatter(full_tensors, "fp32")
 
     @staticmethod
     def _partition_array(partition: ZeroPartition, kind: str) -> np.ndarray:
@@ -127,18 +138,37 @@ class ZeroOptimizer:
         )
 
     def full_flat(self, coord: MpCoord, kind: str = "fp32") -> np.ndarray:
-        """Join one rank's partitions of one state kind into a flat buffer."""
+        """Join one rank's partitions of one state kind into a flat buffer
+        (a copy: only a file that stores the concatenation needs one)."""
         return np.concatenate(
             [self._partition_array(p, kind) for p in self.partitions[coord]]
         )
 
-    def shard_tensors(self, coord: MpCoord, kind: str = "fp32") -> Dict[str, np.ndarray]:
-        """One rank's shards of one state kind, unflattened to shard shapes."""
+    def shard(self, coord: MpCoord, name: str, kind: str = "fp32") -> np.ndarray:
+        """One parameter's TP shard of one state kind on one rank.
+
+        A shard inside one dp partition is a view of that partition;
+        only a shard a partition boundary cuts is concatenated.  Either
+        way the result is read-only, so nothing writes through it into
+        a partition; a view follows later updates, so a caller that
+        keeps the values across a step copies them.
+        """
         rank_layout = self.layout.rank_layout(*coord)
-        flat = self.full_flat(coord, kind)
+        arrays = [self._partition_array(p, kind) for p in self.partitions[coord]]
+        pieces = [
+            arrays[ps.partition][ps.local_start : ps.local_end]
+            for ps in rank_layout.partition_slices(name)
+        ]
+        flat = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        out = flat.reshape(rank_layout.entry(name).shard_shape)
+        out.flags.writeable = False
+        return out
+
+    def shard_tensors(self, coord: MpCoord, kind: str = "fp32") -> Dict[str, np.ndarray]:
+        """One rank's shards of one state kind (read-only; see :meth:`shard`)."""
         return {
-            e.name: flat[e.offset : e.end].reshape(e.shard_shape).copy()
-            for e in rank_layout.entries
+            e.name: self.shard(coord, e.name, kind)
+            for e in self.layout.rank_layout(*coord).entries
         }
 
     def apply_grads(
@@ -149,49 +179,49 @@ class ZeroOptimizer:
         """One optimizer step from consolidated (averaged) gradients.
 
         Each model-parallel rank shards the gradients exactly as its
-        parameters are sharded, and each DP rank updates its partition.
+        parameters are sharded, and each DP rank gathers the gradient
+        of its own partition only and updates that partition.
         """
-        dp = self.layout.parallel_cfg.dp
         for coord in self.layout.mp_coords():
             rank_layout = self.layout.rank_layout(*coord)
-            grad_flat = self._flatten_for_rank(rank_layout, full_grads)
-            size = rank_layout.partition_numel
-            for d in range(dp):
-                part = self.partitions[coord][d]
-                self.adam.step(
-                    part.fp32,
-                    grad_flat[d * size : (d + 1) * size],
-                    part.state,
-                    lr=lr,
-                )
+            for d, part in enumerate(self.partitions[coord]):
+                grad = np.zeros(rank_layout.partition_numel, dtype=np.float32)
+                for ps in rank_layout.slices_in_partition(d):
+                    flat = self._flat_shard(rank_layout, ps.name, full_grads[ps.name])
+                    grad[ps.local_start : ps.local_end] = flat[
+                        ps.shard_start : ps.shard_end
+                    ]
+                self.adam.step(part.fp32, grad, part.state, lr=lr)
+
+    def _consolidated(self, name: str, kind: str) -> np.ndarray:
+        """One parameter's consolidated state, read-only, from the shards
+        of its first owner (see :meth:`consolidated_tensors`)."""
+        spec = self.layout.spec(name)
+        pp_stage = self.layout.stage_plan.stages_of(name)[0]
+        tp = self.layout.parallel_cfg.tp
+        if spec.fragmenter is None or tp == 1:
+            return self.shard((pp_stage, 0, 0), name, kind)
+        out = spec.fragmenter.join(
+            [self.shard((pp_stage, 0, r), name, kind) for r in range(tp)]
+        )
+        out.flags.writeable = False
+        return out
 
     def consolidated_tensors(self, kind: str = "fp32") -> Dict[str, np.ndarray]:
         """Reassemble every parameter's state to its consolidated tensor.
 
         TP shards join via each parameter's fragmenter; parameters
         replicated across TP/PP/SP take the first owner's copy (owners
-        are identical by construction — verified by tests).
+        are identical by construction — verified by tests).  Read-only,
+        one parameter at a time through :meth:`shard`: an unsplit
+        parameter is a view of its partition.
 
         Args:
             kind: "fp32", "exp_avg", or "exp_avg_sq".
         """
-        cfg = self.layout.parallel_cfg
-        shard_cache: Dict[MpCoord, Dict[str, np.ndarray]] = {
-            coord: self.shard_tensors(coord, kind)
-            for coord in self.layout.mp_coords()
+        return {
+            name: self._consolidated(name, kind) for name in self.layout.shard_specs
         }
-        out: Dict[str, np.ndarray] = {}
-        for name, spec in self.layout.shard_specs.items():
-            stages = self.layout.stage_plan.stages_of(name)
-            pp_stage = stages[0]
-            if spec.fragmenter is not None and cfg.tp > 1:
-                shards = [
-                    shard_cache[(pp_stage, 0, tp)][name] for tp in range(cfg.tp)
-                ]
-                out[name] = spec.fragmenter.join(shards)
-            else:
-                out[name] = shard_cache[(pp_stage, 0, 0)][name]
-        return out
 
     def verify_replica_consistency(self, atol: float = 0.0) -> None:
         """Assert that every replicated copy of every state is identical.

@@ -29,6 +29,7 @@ from repro.analysis.sanitizer import (
 from repro.core.diagnostics import LayoutLintError
 from repro.dist import collectives
 from repro.dist.process_group import ProcessGroup
+from repro.parallel.engine import TrainingEngine
 
 from tests.helpers import make_engine
 
@@ -268,3 +269,73 @@ class TestEngineDPGradientSync:
         parts = engine.zero.partitions[coord]
         parts[1].state.exp_avg = parts[0].state.exp_avg
         engine.train_step()  # hook is a no-op without a sanitizer
+
+
+class TestEveryRestartPathIsSwept:
+    """The standard and the consolidated load end in the same
+    ``engine_loaded`` sweep as the UCP load: a final
+    ``sync_model_from_masters`` that leaves a parameter aliasing a
+    partition fails a strict run at the load."""
+
+    LOADERS = {
+        "standard": "load_distributed_checkpoint",
+        "consolidated": "load_consolidated_checkpoint",
+    }
+
+    @staticmethod
+    def _grafting_sync(engine):
+        """The injected bug: after the per-parameter copy, one model
+        parameter is left as a writable view of a master partition."""
+        TrainingEngine.sync_model_from_masters(engine)
+        coord = (0, 0, 0)
+        rank_layout = engine.layout.rank_layout(*coord)
+        for name, param in engine.model.named_parameters():
+            (piece, *rest) = rank_layout.partition_slices(name)
+            if not rest:
+                part = engine.zero.partitions[coord][piece.partition]
+                param.data = part.fp32[piece.local_start : piece.local_end].reshape(
+                    param.data.shape
+                )
+                return
+
+    def _saved(self, path, tmp_path):
+        from repro.ckpt.consolidated import (
+            load_consolidated_checkpoint,
+            save_consolidated_checkpoint,
+        )
+        from repro.dist.topology import ParallelConfig
+
+        parallel = ParallelConfig(dp=2)
+        source = make_engine(parallel=parallel)
+        source.train(1)
+        directory = str(tmp_path / path)
+        if path == "standard":
+            source.save_checkpoint(directory)
+            load = lambda engine: engine.load_checkpoint(directory)  # noqa: E731
+        else:
+            save_consolidated_checkpoint(source, directory)
+            load = lambda engine: load_consolidated_checkpoint(  # noqa: E731
+                engine, directory
+            )
+        return make_engine(parallel=parallel), load
+
+    @pytest.mark.parametrize("path", ["standard", "consolidated"])
+    def test_partition_view_left_in_a_parameter_is_ucp025(
+        self, path, tmp_path, monkeypatch
+    ):
+        target, load = self._saved(path, tmp_path)
+        monkeypatch.setattr(target, "sync_model_from_masters",
+                            lambda: self._grafting_sync(target))
+        with pytest.raises(SanitizerError) as err:
+            with sanitize(strict=True):
+                load(target)
+        (diag,) = err.value.report.by_rule("UCP025")
+        assert self.LOADERS[path] in diag.message
+        assert "model parameter" in diag.message
+
+    @pytest.mark.parametrize("path", ["standard", "consolidated"])
+    def test_shipped_sync_stays_quiet(self, path, tmp_path):
+        target, load = self._saved(path, tmp_path)
+        with sanitize(strict=True) as san:
+            load(target)
+        assert san.report.ok and san.checks == 1

@@ -132,3 +132,70 @@ class TestShardTensors:
         grads["final_norm.weight"] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ValueError):
             zero.apply_grads(grads, lr=1e-3)
+
+
+class TestShardAccessor:
+    """``shard`` is the one read path over the partitions: a read-only
+    view inside one partition, a read-only concatenation across a
+    partition boundary, equal to the consolidate-then-copy slicing of
+    the rank's joined flat."""
+
+    KINDS = ("fp32", "exp_avg", "exp_avg_sq")
+
+    def _stepped(self, parallel):
+        model, zero = make_zero(parallel=parallel)
+        gen = np.random.default_rng(5)
+        zero.apply_grads(
+            {
+                name: (gen.standard_normal(p.shape) * 0.01).astype(np.float32)
+                for name, p in model.named_parameters()
+            },
+            lr=1e-3,
+        )
+        return zero
+
+    @pytest.mark.parametrize(
+        "parallel",
+        [
+            ParallelConfig(tp=2, pp=2, dp=2),
+            ParallelConfig(dp=4, zero_stage=3),
+            ParallelConfig(tp=2, sp=2, dp=2),
+        ],
+        ids=lambda p: p.describe(),
+    )
+    def test_views_are_read_only_and_match_the_joined_flat(self, parallel):
+        zero = self._stepped(parallel)
+        views = straddling = 0
+        for coord in zero.layout.mp_coords():
+            rank_layout = zero.layout.rank_layout(*coord)
+            for kind in self.KINDS:
+                flat = zero.full_flat(coord, kind)
+                arrays = [zero._partition_array(p, kind) for p in zero.partitions[coord]]
+                for e in rank_layout.entries:
+                    shard = zero.shard(coord, e.name, kind)
+                    assert not shard.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        shard[...] = 0.0
+                    assert shard.shape == e.shard_shape
+                    assert np.array_equal(
+                        shard, flat[e.offset : e.end].reshape(e.shard_shape)
+                    )
+                    pieces = rank_layout.partition_slices(e.name)
+                    if len(pieces) == 1:
+                        views += 1
+                        assert np.shares_memory(shard, arrays[pieces[0].partition])
+                    else:
+                        straddling += 1
+                        assert not any(np.shares_memory(shard, a) for a in arrays)
+        assert views and straddling
+
+    def test_consolidated_tensors_are_read_only(self):
+        zero = self._stepped(ParallelConfig(tp=2, pp=2, dp=2))
+        for kind in self.KINDS:
+            for name, value in zero.consolidated_tensors(kind).items():
+                assert not value.flags.writeable, (kind, name)
+
+    def test_unknown_kind_raises(self):
+        _, zero = make_zero()
+        with pytest.raises(KeyError, match="state kind"):
+            zero.shard((0, 0, 0), "final_norm.weight", "exp_avg_cubed")
