@@ -99,7 +99,7 @@ def _bench_scenario(root) -> interleave.Scenario:
             ),
         )
 
-    return interleave.scenario("bench-source-files", fresh)
+    return interleave.Scenario("bench-source-files", fresh)
 
 
 def test_interleave_overhead_within_budget(benchmark, tmp_path):

@@ -7,8 +7,8 @@ concurrency claims the commit pool
 schedules, so this module explores the schedule *space*: a cooperative
 scheduler runs a scenario's threads one at a time, switching only at
 instrumented yield points, and a DFS explorer with dynamic partial-order
-reduction and a preemption bound drives the scenario through every
-inequivalent schedule it can afford, checking per-schedule invariants.
+reduction drives the scenario through every inequivalent schedule up to
+a schedule cap, checking per-schedule invariants.
 
 The scheduler does not instrument code itself: its :class:`Controller`
 subscribes to the one hook slot (:mod:`repro.obs`, role ``"sched"`` —
@@ -42,22 +42,27 @@ UCP038    unsynchronized-access-pair      two accesses to one resource
                                           common lock and no
                                           happens-before edge at
                                           yield-point granularity
-UCP039    bounded-exploration             the schedule cap or preemption
-                                          bound was hit; counts reported
-                                          (a bounded run never silently
-                                          passes as exhaustive)
+UCP039    bounded-exploration             the schedule cap was hit;
+                                          counts reported (a bounded run
+                                          never silently passes as
+                                          exhaustive)
 ========  ==============================  ================================
 
-The reduction is race-reversal DPOR: after each executed schedule the
-explorer finds racing pairs — adjacent-concurrent dependent events from
-different threads — and queues a schedule that reverses each pair at
-the branch point where the earlier event was chosen.  Two events are
-dependent when they touch the same resource with at least one write,
-or when they acquire the same lock while at least one holder nests it
-under another lock (the shape that can create a wait cycle).  Lock
-acquisitions whose critical sections touch no conflicting state are
-treated as independent, which is what keeps real IO scenarios — where
-every cache hit takes the same lock — tractable.
+The reduction is race-reversal DPOR with the vector-clock race test of
+Flanagan & Godefroid (POPL 2005): after each executed schedule one pass
+gives every event a clock over program order plus dependence, and a
+dependent pair from different threads races when no other direct
+predecessor of the later event (its thread's previous event, or an
+earlier event dependent with it) already has the earlier one in its
+clock.  Each racing pair is reversed by a queued schedule that picks
+the later event's thread at the branch point where the earlier event
+was chosen.  Two events are dependent when they touch the same
+resource with at least one write, or when they acquire the same lock
+while at least one holder nests it under another lock (the shape that
+can create a wait cycle).  Lock acquisitions whose critical sections
+touch no conflicting state are treated as independent, which is what
+keeps real IO scenarios — where every cache hit takes the same lock —
+tractable.
 
 Everything is deterministic: thread names are fixed (``T0``, ``T1``,
 ...), schedules are branch-choice lists, the DFS order is sorted, and
@@ -94,11 +99,11 @@ from repro.core.diagnostics import (
 DEFAULT_SCHEDULE_CAP = 256
 """Executed-schedule budget per exploration (UCP039 when exceeded)."""
 
-DEFAULT_MAX_STEPS = 100_000
+MAX_STEPS = 100_000
 """Per-schedule step budget; past it the run is treated as divergent
 non-termination and the exploration raises :class:`ExploreError`."""
 
-DEFAULT_SHRINK_BUDGET = 64
+SHRINK_BUDGET = 64
 """Extra runs the delta-shrinker may spend per counterexample."""
 
 _TRACE_LIMIT = 400
@@ -173,9 +178,14 @@ class Event:
 
 @dataclasses.dataclass
 class _Deadlock:
-    """An all-blocked state: who waits for what, and who holds it."""
+    """An all-blocked state: who waits for what, and who holds it.
+
+    ``blocked`` holds each blocked thread's pending operation as an
+    unexecuted event, so the reduction can reverse a race with it.
+    """
 
     waiters: List[Dict]  # [{thread, wants, owner, stack, owner_stack}]
+    blocked: List[Event]
 
     def cycle_key(self) -> frozenset:
         return frozenset(
@@ -201,8 +211,6 @@ class RunResult:
     trace: List[Event]
     deadlock: Optional[_Deadlock]
     fingerprint: Optional[str]
-    preemptions: int
-    bound_exceeded: bool
     sanitizer_errors: List[Diagnostic]
 
 
@@ -242,25 +250,15 @@ class Controller:
     reported* (UCP037) instead of hanging the process.
     """
 
-    def __init__(
-        self,
-        n_threads: int,
-        forced: Sequence[int],
-        preemption_bound: Optional[int],
-        max_steps: int,
-    ) -> None:
+    def __init__(self, n_threads: int, forced: Sequence[int]) -> None:
         self.order = [_TState(i) for i in range(n_threads)]
         self._by_ident: Dict[int, _TState] = {}
         self._forced = list(forced)
-        self._pbound = preemption_bound
-        self._max_steps = max_steps
         self._back = threading.Event()
         self._abort = False
         self._finished = False
         self.trace: List[Event] = []
         self.choices: List[int] = []
-        self.preemptions = 0
-        self.bound_exceeded = False
         self.deadlock: Optional[_Deadlock] = None
         # scheduler-side lock model (only the scheduler mutates these)
         self._owner: Dict[int, _TState] = {}  # id(lock) -> holder
@@ -396,7 +394,8 @@ class Controller:
                     (owner.index if owner else -1, id(lock)), "<unknown>"
                 ),
             })
-        return _Deadlock(waiters=waiters)
+        blocked = [self._event(ts, -1, []) for ts in self.order if not ts.done]
+        return _Deadlock(waiters=waiters, blocked=blocked)
 
     def run(self, thread_fns: Sequence[Callable[[], None]]) -> None:
         """Execute the scenario threads under the forced schedule."""
@@ -441,25 +440,12 @@ class Controller:
                 else:
                     branch = -1
                     chosen = runnable[0]
-                if (
-                    prev is not None
-                    and chosen is not prev
-                    and prev in runnable
-                ):
-                    self.preemptions += 1
-                    if (
-                        self._pbound is not None
-                        and self.preemptions > self._pbound
-                    ):
-                        self.bound_exceeded = True
-                        self._abort_all()
-                        break
                 self._record(chosen, branch, runnable)
                 steps += 1
-                if steps > self._max_steps:
+                if steps > MAX_STEPS:
                     self._abort_all()
                     raise ExploreError(
-                        f"schedule exceeded {self._max_steps} steps; the "
+                        f"schedule exceeded {MAX_STEPS} steps; the "
                         f"scenario does not terminate under this schedule"
                     )
                 self._dispatch(chosen)
@@ -477,26 +463,12 @@ class Controller:
                     f"{self.choices}: {ts.error!r}"
                 ) from ts.error
 
-    def _record(self, ts: _TState, branch: int, runnable: List[_TState]) -> None:
-        kind, resource, key, write, lock, stack = ts.pending
-        held = self._held_names(ts)
-        if kind == "acquire":
-            key = self._uid(lock)
-            resource = key
-            self._owner[id(lock)] = ts
-            self._held.setdefault(ts, []).append(lock)
-            self._acq_stacks[(ts.index, id(lock))] = stack
-        elif kind == "release":
-            key = self._uid(lock)
-            resource = key
-            held_list = self._held.get(ts, [])
-            for i in range(len(held_list) - 1, -1, -1):
-                if held_list[i] is lock:
-                    del held_list[i]
-                    break
-            if not any(lk is lock for lk in held_list):
-                self._owner.pop(id(lock), None)
-        self.trace.append(Event(
+    def _event(self, ts: _TState, branch: int, runnable: List[_TState]) -> Event:
+        """``ts``'s pending operation as an event (not yet applied)."""
+        kind, resource, key, write, lock, _ = ts.pending
+        if kind in ("acquire", "release"):
+            key = resource = self._uid(lock)
+        return Event(
             seq=len(self.trace),
             thread=ts.index,
             name=ts.name,
@@ -504,10 +476,27 @@ class Controller:
             resource=resource,
             key=key,
             write=write,
-            held=held,
+            held=self._held_names(ts),
             branch=branch,
             runnable=tuple(t.index for t in runnable),
-        ))
+        )
+
+    def _record(self, ts: _TState, branch: int, runnable: List[_TState]) -> None:
+        event = self._event(ts, branch, runnable)
+        kind, _, _, _, lock, stack = ts.pending
+        if kind == "acquire":
+            self._owner[id(lock)] = ts
+            self._held.setdefault(ts, []).append(lock)
+            self._acq_stacks[(ts.index, id(lock))] = stack
+        elif kind == "release":
+            held_list = self._held.get(ts, [])
+            for i in range(len(held_list) - 1, -1, -1):
+                if held_list[i] is lock:
+                    del held_list[i]
+                    break
+            if not any(lk is lock for lk in held_list):
+                self._owner.pop(id(lock), None)
+        self.trace.append(event)
 
     def _thread_main(self, ts: _TState, fn: Callable[[], None]) -> None:
         self._by_ident[threading.get_ident()] = ts
@@ -608,44 +597,55 @@ class _Dependence:
         return False
 
 
+def _join(clock: Dict[int, int], other: Dict[int, int]) -> None:
+    """Vector-clock join: raise ``clock`` to ``other`` in place (keys
+    are thread ids, values count that thread's events)."""
+    for t, count in other.items():
+        if count > clock.get(t, 0):
+            clock[t] = count
+
+
 def _reversal_candidates(result: RunResult) -> List[Tuple[int, ...]]:
     """Forced-prefix schedules that reverse each racing pair.
 
-    For each event ``e_j`` the latest earlier dependent event ``e_i``
-    of each other thread is considered; the pair races when no
-    intermediate event is dependent with both (which would order
-    them).  The candidate replays the branch choices up to ``e_i``'s
-    branch point and schedules ``e_j``'s thread there instead —
-    possible only when it was runnable at that point.
+    One pass gives every event a vector clock over program order plus
+    dependence.  A dependent pair ``(e_i, e_j)`` races when ``e_i`` is
+    in the clock of no *other* direct predecessor of ``e_j`` — its
+    thread's previous event, or an earlier event dependent with it —
+    so a pair already ordered through a chain (program order
+    included) is not reversed again.  The candidate replays the branch
+    choices up to ``e_i``'s branch point and schedules ``e_j``'s thread
+    there instead — possible only when it was runnable at that point.
+    A deadlocked run's blocked operations count as its last events.
     """
     events = result.trace
+    if result.deadlock is not None:
+        events = events + result.deadlock.blocked
     dep = _Dependence(events)
+    clocks: List[Dict[int, int]] = []
+    last: Dict[int, int] = {}  # thread -> index of its latest event
     out: Set[Tuple[int, ...]] = set()
     for j, ej in enumerate(events):
-        paired: Set[int] = set()  # threads whose latest racer is found
+        prev = last.get(ej.thread)
+        clock = dict(clocks[prev]) if prev is not None else {}
+        # latest predecessor first: ``clock`` then holds exactly the
+        # other direct predecessors' clocks when ``e_i`` is tested
         for i in range(j - 1, -1, -1):
+            if not dep(i, j):
+                continue
             ei = events[i]
-            if ei.thread in paired or not dep(i, j):
-                continue
-            paired.add(ei.thread)
-            ordered = False
-            for k in range(i + 1, j):
-                if dep(i, k) and dep(k, j):
-                    ordered = True
-                    break
-            if ordered:
-                continue
-            if ei.branch >= 0 and ej.thread in ei.runnable:
-                out.add(
-                    tuple(result.choices[:ei.branch]) + (ej.thread,)
-                )
+            own = clocks[i][ei.thread]
+            if (
+                clock.get(ei.thread, 0) < own
+                and ei.branch >= 0
+                and ej.thread in ei.runnable
+            ):
+                out.add(tuple(result.choices[:ei.branch]) + (ej.thread,))
+            _join(clock, clocks[i])
+        clock[ej.thread] = clock.get(ej.thread, 0) + 1
+        clocks.append(clock)
+        last[ej.thread] = j
     return sorted(out)
-
-
-def clock_lte(a: Dict, b: Dict) -> bool:
-    """Vector-clock partial order: ``a`` happened-before-or-equal ``b``
-    (keys are thread ids)."""
-    return all(count <= b.get(t, 0) for t, count in a.items())
 
 
 def _hb_races(trace: List[Event]) -> List[Tuple]:
@@ -658,34 +658,27 @@ def _hb_races(trace: List[Event]) -> List[Tuple]:
     """
     clocks: Dict[int, Dict[int, int]] = {}
     release_clock: Dict[str, Dict[int, int]] = {}
-    last: Dict[str, Dict[int, Tuple[Dict[int, int], frozenset, Event]]] = {}
+    last: Dict[str, Dict[int, Tuple[int, frozenset, Event]]] = {}
     races: List[Tuple] = []
     for ev in trace:
         clock = clocks.setdefault(ev.thread, {})
         clock[ev.thread] = clock.get(ev.thread, 0) + 1
         if ev.kind == "acquire":
-            handoff = release_clock.get(ev.key)
-            if handoff:
-                for t, count in handoff.items():
-                    if count > clock.get(t, 0):
-                        clock[t] = count
+            _join(clock, release_clock.get(ev.key, {}))
         elif ev.kind == "release":
             release_clock[ev.key] = dict(clock)
         elif ev.kind in ("access", "fs"):
-            write = ev.write
             held = frozenset(ev.held)
-            for other, (oclock, oheld, oev) in last.get(ev.key, {}).items():
-                if other == ev.thread:
-                    continue
-                if not (write or oev.write):
-                    continue
-                if held & oheld:
-                    continue
-                if clock_lte(oclock, clock) or clock_lte(clock, oclock):
-                    continue
-                races.append((ev.key, oev, ev))
+            for other, (count, oheld, oev) in last.get(ev.key, {}).items():
+                if (
+                    other != ev.thread
+                    and (ev.write or oev.write)
+                    and not held & oheld
+                    and clock.get(other, 0) < count
+                ):
+                    races.append((ev.key, oev, ev))
             last.setdefault(ev.key, {})[ev.thread] = (
-                dict(clock), held, ev
+                clock[ev.thread], held, ev
             )
     return races
 
@@ -718,6 +711,7 @@ class RunCase:
             self._cleanup()
 
 
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     """A named, reproducible concurrency scenario.
 
@@ -726,29 +720,9 @@ class Scenario:
     schedule and compares fingerprints across runs.
     """
 
-    name = "scenario"
-    description = ""
-
-    def fresh(self) -> RunCase:
-        """Build one run over identical initial state (called per schedule)."""
-        raise NotImplementedError
-
-
-class _FnScenario(Scenario):
-    def __init__(self, name: str, fresh: Callable[[], RunCase], description: str = "") -> None:
-        self.name = name
-        self.description = description
-        self._fresh = fresh
-
-    def fresh(self) -> RunCase:
-        return self._fresh()
-
-
-def scenario(
-    name: str, fresh: Callable[[], RunCase], description: str = ""
-) -> Scenario:
-    """Build a scenario from a ``fresh()`` factory (test/CLI helper)."""
-    return _FnScenario(name, fresh, description)
+    name: str
+    fresh: Callable[[], RunCase]
+    description: str = ""
 
 
 def _blob(seed: int, tag: str, nbytes: int) -> bytes:
@@ -870,7 +844,7 @@ def _build_source_files(seed: int, root: str) -> Scenario:
 
         return RunCase([worker(0), worker(1)], fingerprint)
 
-    return scenario("source-files", fresh, SCENARIOS["source-files"])
+    return Scenario("source-files", fresh, SCENARIOS["source-files"])
 
 
 class _ExploredExecutor:
@@ -1023,18 +997,13 @@ def _build_commit_pool(seed: int, root: str) -> Scenario:
             fingerprint,
         )
 
-    return scenario("commit-pool", fresh, SCENARIOS["commit-pool"])
+    return Scenario("commit-pool", fresh, SCENARIOS["commit-pool"])
 
 
 # --- one controlled execution ------------------------------------------
 
 
-def run_schedule(
-    case: RunCase,
-    forced: Sequence[int] = (),
-    preemption_bound: Optional[int] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> RunResult:
+def run_schedule(case: RunCase, forced: Sequence[int] = ()) -> RunResult:
     """Execute one :class:`RunCase` under a forced branch schedule.
 
     The run is wrapped in its own non-strict memory sanitizer, so
@@ -1051,9 +1020,7 @@ def run_schedule(
             "an interleaving controller is already installed; "
             "nested explorations are not supported"
         )
-    ctl = Controller(
-        len(case.threads), forced, preemption_bound, max_steps
-    )
+    ctl = Controller(len(case.threads), forced)
     try:
         with _sanitizer.sanitize(
             strict=False, subject="interleave"
@@ -1061,15 +1028,13 @@ def run_schedule(
             with obs.subscribed("sched", ctl):
                 ctl.run(case.threads)
         fingerprint = None
-        if ctl.deadlock is None and not ctl.bound_exceeded:
+        if ctl.deadlock is None:
             fingerprint = case.fingerprint()
         return RunResult(
             choices=list(ctl.choices),
             trace=list(ctl.trace),
             deadlock=ctl.deadlock,
             fingerprint=fingerprint,
-            preemptions=ctl.preemptions,
-            bound_exceeded=ctl.bound_exceeded,
             sanitizer_errors=list(san.report.errors),
         )
     finally:
@@ -1086,10 +1051,8 @@ class ExploreReport:
     scenario: str
     seed: int
     schedule_cap: int
-    preemption_bound: Optional[int]
     schedules_run: int = 0
     shrink_runs: int = 0
-    preemption_skipped: int = 0
     pending_unexplored: int = 0
     max_trace_steps: int = 0
     replayed: Optional[List[int]] = None
@@ -1109,10 +1072,8 @@ class ExploreReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "schedule_cap": self.schedule_cap,
-            "preemption_bound": self.preemption_bound,
             "schedules_run": self.schedules_run,
             "shrink_runs": self.shrink_runs,
-            "preemption_skipped": self.preemption_skipped,
             "pending_unexplored": self.pending_unexplored,
             "max_trace_steps": self.max_trace_steps,
             "replayed": self.replayed,
@@ -1131,7 +1092,6 @@ class ExploreReport:
             f"explore {self.scenario}: "
             f"{self.schedules_run} schedules "
             f"({self.shrink_runs} shrink runs, "
-            f"{self.preemption_skipped} over the preemption bound, "
             f"{self.pending_unexplored} unexplored), "
             f"{'exhaustive' if self.exhaustive else 'bounded'}",
         ]
@@ -1152,24 +1112,11 @@ def _trace_rows(trace: List[Event]) -> List[List]:
 
 
 class _Explorer:
-    def __init__(
-        self,
-        scen: Scenario,
-        schedule_cap: int,
-        preemption_bound: Optional[int],
-        max_steps: int,
-        shrink_budget: int,
-        seed: int,
-    ) -> None:
+    def __init__(self, scen: Scenario, schedule_cap: int, seed: int) -> None:
         self.scen = scen
         self.out = ExploreReport(
-            scenario=scen.name,
-            seed=seed,
-            schedule_cap=schedule_cap,
-            preemption_bound=preemption_bound,
+            scenario=scen.name, seed=seed, schedule_cap=schedule_cap
         )
-        self.max_steps = max_steps
-        self.shrink_budget = shrink_budget
         self.ref_fp: Optional[str] = None
         self.ref_trace: List[Event] = []
         self._seen_races: Set[Tuple] = set()
@@ -1180,16 +1127,9 @@ class _Explorer:
     # --- execution plumbing ------------------------------------------
 
     def _run(self, forced: Sequence[int], shrink: bool = False) -> RunResult:
-        result = run_schedule(
-            self.scen.fresh(),
-            forced,
-            preemption_bound=self.out.preemption_bound,
-            max_steps=self.max_steps,
-        )
+        result = run_schedule(self.scen.fresh(), forced)
         if shrink:
             self.out.shrink_runs += 1
-        elif result.bound_exceeded:
-            self.out.preemption_skipped += 1
         else:
             self.out.schedules_run += 1
         self.out.max_trace_steps = max(
@@ -1250,7 +1190,7 @@ class _Explorer:
         individual choices back-to-front.  Every trial costs one run
         from the shrink budget; the returned schedule always re-fails.
         """
-        budget = self.shrink_budget
+        budget = SHRINK_BUDGET
         best = list(choices)
         best_result: Optional[RunResult] = None
 
@@ -1347,74 +1287,52 @@ class _Explorer:
 
     # --- the DFS loop ------------------------------------------------
 
-    def explore(self) -> ExploreReport:
+    def _reference(self) -> RunResult:
         ref = self._run(())
         self.ref_fp = ref.fingerprint
         self.ref_trace = ref.trace
+        return ref
+
+    def explore(self) -> ExploreReport:
+        ref = self._reference()
         self._analyze(ref)
-        stack: List[Tuple[int, ...]] = []
-        seen_prefix: Set[Tuple[int, ...]] = {tuple(ref.choices)}
         executed: Set[Tuple[int, ...]] = {tuple(ref.choices)}
-        for cand in sorted(_reversal_candidates(ref), reverse=True):
-            if cand not in seen_prefix:
-                seen_prefix.add(cand)
-                stack.append(cand)
-        total = 1
-        while stack:
-            if total >= self.out.schedule_cap:
-                break
-            prefix = stack.pop()
-            result = self._run(prefix)
-            total += 1
-            if result.bound_exceeded:
-                continue
+        seen_prefix = set(executed)
+        stack: List[Tuple[int, ...]] = []
+
+        def push(result: RunResult) -> None:
+            for cand in sorted(_reversal_candidates(result), reverse=True):
+                if cand not in seen_prefix:
+                    seen_prefix.add(cand)
+                    stack.append(cand)
+
+        push(ref)
+        while stack and self.out.schedules_run < self.out.schedule_cap:
+            result = self._run(stack.pop())
             full = tuple(result.choices)
             if full in executed:
                 continue
             executed.add(full)
             self._analyze(result)
-            for cand in sorted(_reversal_candidates(result), reverse=True):
-                if cand not in seen_prefix:
-                    seen_prefix.add(cand)
-                    stack.append(cand)
+            push(result)
         self.out.pending_unexplored = len(stack)
-        capped = bool(stack)
-        self.out.exhaustive = (
-            not capped and self.out.preemption_skipped == 0
-        )
-        if capped or self.out.preemption_skipped:
-            reasons = []
-            if capped:
-                reasons.append(
-                    f"schedule cap {self.out.schedule_cap} hit with "
-                    f"{len(stack)} candidate schedules unexplored"
-                )
-            if self.out.preemption_skipped:
-                reasons.append(
-                    f"{self.out.preemption_skipped} schedules exceeded "
-                    f"the preemption bound {self.out.preemption_bound}"
-                )
+        self.out.exhaustive = not stack
+        if stack:
             self._add(warning(
                 "UCP039",
                 f"bounded exploration of scenario {self.scen.name!r}: "
-                + "; ".join(reasons)
-                + f" — {self.out.schedules_run} schedules were checked, "
+                f"schedule cap {self.out.schedule_cap} hit with "
+                f"{len(stack)} candidate schedules unexplored"
+                f" — {self.out.schedules_run} schedules were checked, "
                 f"but absence of findings is not exhaustive proof",
                 location=f"{self.scen.name}/bounded",
             ))
         return self.out
 
     def replay(self, forced: Sequence[int]) -> ExploreReport:
-        ref = self._run(())
-        self.ref_fp = ref.fingerprint
-        self.ref_trace = ref.trace
+        self._reference()
         result = self._run(forced)
         self.out.replayed = list(forced)
-        if result.bound_exceeded:
-            raise ExploreError(
-                f"replayed schedule exceeds the preemption bound "
-                f"{self.out.preemption_bound}"
-            )
         self._analyze(result)
         self.out.exhaustive = False
         return self.out
@@ -1430,11 +1348,8 @@ def _short(fp: Optional[str]) -> str:
 def explore(
     scen,
     schedules: int = DEFAULT_SCHEDULE_CAP,
-    preemptions: Optional[int] = None,
     schedule: Optional[Sequence[int]] = None,
     seed: int = 0,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    shrink_budget: int = DEFAULT_SHRINK_BUDGET,
 ) -> ExploreReport:
     """Explore (or replay) a scenario's schedule space.
 
@@ -1442,16 +1357,10 @@ def explore(
         scen: a :class:`Scenario`, or a registry name from
             :data:`SCENARIOS` (built in a private temp directory).
         schedules: executed-schedule cap; hitting it reports UCP039.
-        preemptions: preemption bound (``None`` = unbounded).  Runs
-            that exceed it are cancelled and counted, and their count
-            reports UCP039.
         schedule: exact branch-choice list to replay instead of
             exploring (the ``--schedule FILE`` path).  The serial
             reference still runs first so divergence is checkable.
         seed: forwarded to registry scenario construction.
-        max_steps: per-run step budget (non-termination guard).
-        shrink_budget: extra runs the delta-shrinker may spend per
-            counterexample.
     """
     cleanup_dir: Optional[tempfile.TemporaryDirectory] = None
     if isinstance(scen, str):
@@ -1460,14 +1369,7 @@ def explore(
         )
         scen = build_scenario(scen, seed=seed, root=cleanup_dir.name)
     try:
-        explorer = _Explorer(
-            scen,
-            schedule_cap=schedules,
-            preemption_bound=preemptions,
-            max_steps=max_steps,
-            shrink_budget=shrink_budget,
-            seed=seed,
-        )
+        explorer = _Explorer(scen, schedule_cap=schedules, seed=seed)
         if schedule is not None:
             return explorer.replay([int(c) for c in schedule])
         return explorer.explore()

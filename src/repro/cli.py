@@ -14,7 +14,7 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-trace <fs_trace.json> [--state-cap N] [--crashed]
     python -m repro lint-src  [root] [--format text|json]
     python -m repro explore   <scenario | --list> [--schedules N] \
-        [--preemptions K] [--schedule FILE] [--seed S] [--report PATH] \
+        [--schedule FILE] [--seed S] [--report PATH] \
         [--require-exhaustive] [--format text|json]
     python -m repro supervise --model M --topology tp2.pp2.dp2.sp1.zero1 \
         --workdir D [--kill STEP:PHASE:RANKS ...] [--format text|json]
@@ -275,7 +275,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     result = interleave.explore(
         args.scenario,
         schedules=cap,
-        preemptions=args.preemptions,
         schedule=schedule,
         seed=args.seed,
     )
@@ -291,8 +290,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if args.require_exhaustive and not result.exhaustive:
         print(
             f"error: exploration was bounded (ran {result.schedules_run} "
-            f"schedules, cap {result.schedule_cap}, preemption bound "
-            f"{result.preemption_bound}) but --require-exhaustive was set",
+            f"schedules, cap {result.schedule_cap}) but "
+            f"--require-exhaustive was set",
             file=sys.stderr,
         )
         return 1
@@ -524,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
              "cap reports UCP039 instead of silently passing",
     )
     p.add_argument(
-        "--preemptions", type=int, default=None, metavar="K",
-        help="preemption bound per schedule (default: unbounded)",
-    )
-    p.add_argument(
         "--schedule", default=None, metavar="FILE",
         help="replay one schedule from FILE (a JSON choice list, or a "
              "report whose first counterexample is taken) instead of "
@@ -537,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--require-exhaustive",
         action="store_true",
-        help="exit 1 if the schedule cap or preemption bound truncated "
-             "the exploration (CI: proof, not sampling)",
+        help="exit 1 if the schedule cap truncated the exploration "
+             "(CI: proof, not sampling)",
     )
     p.add_argument(
         "--report", default=None, metavar="PATH",

@@ -11,10 +11,14 @@ The contract under test (the ISSUE's acceptance):
   outputs happen to match;
 * a truncated exploration says so (UCP039) instead of silently
   passing, and registry scenarios explore *exhaustively* clean;
+* the reduction reaches every dependence-order class a brute-force
+  walk of every branch-choice list reaches, and does not reverse a
+  pair a program-order chain already orders;
 * the same seed and caps produce byte-identical JSON reports.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -42,7 +46,7 @@ def racy_counter() -> interleave.Scenario:
             threads=[bump, bump], fingerprint=lambda: str(state["n"])
         )
 
-    return interleave.scenario("racy-counter", fresh)
+    return interleave.Scenario("racy-counter", fresh)
 
 
 def abba() -> interleave.Scenario:
@@ -65,7 +69,7 @@ def abba() -> interleave.Scenario:
 
         return interleave.RunCase(threads=[t0, t1], fingerprint=lambda: "ok")
 
-    return interleave.scenario("abba", fresh)
+    return interleave.Scenario("abba", fresh)
 
 
 def unsynchronized_but_convergent() -> interleave.Scenario:
@@ -87,7 +91,7 @@ def unsynchronized_but_convergent() -> interleave.Scenario:
             threads=[writer, reader], fingerprint=lambda: str(state["x"])
         )
 
-    return interleave.scenario("convergent-race", fresh)
+    return interleave.Scenario("convergent-race", fresh)
 
 
 def locked_counter() -> interleave.Scenario:
@@ -108,7 +112,99 @@ def locked_counter() -> interleave.Scenario:
             threads=[bump, bump], fingerprint=lambda: str(state["n"])
         )
 
-    return interleave.scenario("locked-counter", fresh)
+    return interleave.Scenario("locked-counter", fresh)
+
+
+def program_order_chain() -> interleave.Scenario:
+    """T0 writes x, then publishes y under a lock; T1 waits for the
+    publication, reads y under the lock, then reads x.  The x pair is
+    ordered through program order and the y hand-off, so it is no race
+    of its own."""
+
+    def fresh() -> interleave.RunCase:
+        lock = obs.make_lock("y-lock")
+        published = threading.Event()
+
+        def writer() -> None:
+            interleave.access("x", write=True)
+            with lock:
+                interleave.access("y", write=True)
+                published.set()
+
+        def reader() -> None:
+            obs.emit("wait", "published", published.is_set)
+            with lock:
+                interleave.access("y")
+            interleave.access("x")
+
+        return interleave.RunCase(threads=[writer, reader])
+
+    return interleave.Scenario("program-order-chain", fresh)
+
+
+def three_thread_handoff() -> interleave.Scenario:
+    """T0 writes x; T1 reads x and writes y; T2 reads y: a value handed
+    along three threads, every hand-off a race."""
+
+    def fresh() -> interleave.RunCase:
+        def first() -> None:
+            interleave.access("x", write=True)
+
+        def middle() -> None:
+            interleave.access("x")
+            interleave.access("y", write=True)
+
+        def last() -> None:
+            interleave.access("y")
+
+        return interleave.RunCase(threads=[first, middle, last])
+
+    return interleave.Scenario("three-thread-handoff", fresh)
+
+
+def order_class(trace) -> tuple:
+    """A run's dependence-order class: per key, the order in which
+    threads accessed it, ran a file op on it or acquired it (by lock
+    name, since lock uids number locks by first touch).  Reads between
+    two writes commute, so each such run of reads is one set."""
+    per_key = {}
+    for ev in trace:
+        if ev.kind == "acquire":
+            per_key.setdefault(ev.key.rsplit("#", 1)[0], []).append(ev.thread)
+        elif ev.kind in ("access", "fs"):
+            order = per_key.setdefault(ev.key, [])
+            if ev.write:
+                order.append(("w", ev.thread))
+            elif order and isinstance(order[-1], frozenset):
+                order[-1] |= {ev.thread}
+            else:
+                order.append(frozenset({ev.thread}))
+    return tuple(sorted(
+        (key, tuple(
+            ("r",) + tuple(sorted(x)) if isinstance(x, frozenset) else x
+            for x in order
+        ))
+        for key, order in per_key.items()
+    ))
+
+
+def brute_force_classes(scen: interleave.Scenario) -> set:
+    """Every complete branch-choice list, run once each: a plain DFS
+    with no reduction."""
+    classes = set()
+    stack = [[]]
+    while stack:
+        prefix = stack.pop()
+        result = interleave.run_schedule(scen.fresh(), prefix)
+        classes.add(order_class(result.trace))
+        for ev in result.trace:
+            if ev.branch >= len(prefix):
+                taken = result.choices[ev.branch]
+                stack.extend(
+                    result.choices[:ev.branch] + [t]
+                    for t in ev.runnable if t != taken
+                )
+    return classes
 
 
 # --- rule injections ----------------------------------------------------
@@ -192,17 +288,33 @@ class TestUCP039Bounded:
         assert d.severity == "warning"
         assert "4" in d.message  # the cap is named in the report
 
-    def test_preemption_bound_is_reported(self):
-        result = interleave.explore(racy_counter(), preemptions=0)
-        # the lost update needs a preemption, so the divergence is
-        # unreachable (the happens-before race UCP038 is still visible
-        # on the serial run) — and the report must say the space was cut
-        rules = result.report.rule_ids()
-        assert "UCP036" not in rules
-        assert "UCP038" in rules
-        assert not result.exhaustive
-        assert result.preemption_skipped > 0
-        assert "UCP039" in rules
+
+class TestReduction:
+    @pytest.mark.parametrize("build", [
+        racy_counter, abba, three_thread_handoff, program_order_chain,
+    ], ids=lambda build: build.__name__)
+    def test_reaches_every_brute_force_class(self, build, monkeypatch):
+        reached = set()
+        run = interleave._Explorer._run
+
+        def recording_run(self, forced, shrink=False):
+            result = run(self, forced, shrink)
+            if not shrink:  # shrink runs are not part of the exploration
+                reached.add(order_class(result.trace))
+            return result
+
+        monkeypatch.setattr(interleave._Explorer, "_run", recording_run)
+        result = interleave.explore(build())
+        assert result.exhaustive
+        assert reached == brute_force_classes(build())
+
+    def test_program_order_chain_is_not_reversed_again(self):
+        """The serial run and the reversal of the y hand-off (T1 gets
+        only as far as its wait); reversing the x pair too, as if
+        nothing ordered it, would run a third schedule."""
+        result = interleave.explore(program_order_chain())
+        assert result.ok and result.exhaustive
+        assert result.schedules_run == 2
 
 
 # --- clean scenarios and determinism ------------------------------------
@@ -216,14 +328,12 @@ class TestRegistryScenarios:
         assert result.schedules_run > 100  # a real space, not a stub
 
     def test_commit_pool_sample_is_clean(self):
-        """A sample of the pool's schedule space (CI's ``checked`` job
-        runs all 2064 schedules with ``--require-exhaustive``): every
+        """The pool's whole schedule space inside the default cap: every
         schedule ends with the failure raised by ``drain``, the slots
         back and no temp — the scenario's own threads assert it."""
-        result = interleave.explore("commit-pool", schedules=48)
-        assert result.report.errors == []
-        assert result.schedules_run == 48
-        assert not result.exhaustive  # and says so (UCP039)
+        result = interleave.explore("commit-pool")
+        assert result.ok
+        assert result.exhaustive
 
     def test_commit_pool_slot_leak_is_caught(self, monkeypatch):
         from repro.storage.store import CommitPool

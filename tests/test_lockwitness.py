@@ -51,7 +51,7 @@ def two_consumers(table_cls):
             fingerprint=lambda: str(table.resident_bytes),
         )
 
-    return interleave.scenario("table", fresh)
+    return interleave.Scenario("table", fresh)
 
 
 def nested(first_second_pairs, name="nested"):
@@ -73,7 +73,7 @@ def nested(first_second_pairs, name="nested"):
             fingerprint=lambda: "ok",
         )
 
-    return interleave.scenario(name, fresh)
+    return interleave.Scenario(name, fresh)
 
 
 def accesses(locked: bool, name="accesses"):
@@ -97,7 +97,7 @@ def accesses(locked: bool, name="accesses"):
             threads=[touch(True), touch(False)], fingerprint=lambda: "ok"
         )
 
-    return interleave.scenario(name, fresh)
+    return interleave.Scenario(name, fresh)
 
 
 class TestUCP029LockOrderCycle:
@@ -208,7 +208,7 @@ class TestPayloadReplay:
 
             return interleave.RunCase(threads=[writer, reader])
 
-        result = interleave.explore(interleave.scenario("handoff", fresh))
+        result = interleave.explore(interleave.Scenario("handoff", fresh))
         assert result.ok and result.exhaustive
 
 
