@@ -42,12 +42,10 @@ And one for the *concurrency* side (the threaded IO layer):
 And one for the *crash-consistency* side (the commit protocol):
 
 - :mod:`~repro.analysis.fswitness` — an FS-op recorder over every
-  store file effect plus an ALICE-style crash-state enumerator that
-  materializes every legal post-crash disk state of a trace and proves
-  recovery from each one (UCP032-UCP035); activate with
-  :func:`~repro.analysis.fswitness.fstrace`, replay with
-  ``repro lint-trace``.  The protocol it checks has one
-  implementation, :class:`~repro.storage.store.CommitGroup`.
+  store file effect (:func:`~repro.analysis.fswitness.fstrace`) and an
+  ALICE-style crash-state enumerator that checks every post-crash disk
+  state recovery can tell apart by its store root's contract
+  (UCP032-UCP035, ``repro lint-trace``).
 
 All findings carry stable rule IDs (``UCP001``... / ``SRC001``...); see
 ``docs/ANALYSIS.md`` for the catalogue.

@@ -1,64 +1,40 @@
 """Runtime FS-op witness + ALICE-style crash-state enumeration.
 
-The crash-consistency checker: the store's file effects are *recorded*
-while code runs, and the resulting trace is *replayed* offline against
-an adversarial persistence model.  Every effect comes from one commit
-implementation (:class:`~repro.storage.store.CommitGroup`), so the
-traces the tests record cover every publish ``src/`` performs.
+The store's file effects are *recorded* while code runs — every
+:class:`~repro.storage.store.ObjectStore` write, fsync, publishing
+rename, directory fsync and unlink lands in the active
+:class:`FSOpRecorder` (:func:`fstrace`; the ``"fs"`` role of the one
+hook slot, :mod:`repro.obs`), each store a root labeled ``s0/``,
+``s1/``, ... — and the trace is *replayed* offline
+(:func:`check_fs_trace`, ``repro lint-trace``) against an adversarial
+persistence model.  All effects come from one commit implementation,
+:class:`~repro.storage.store.CommitGroup`.
 
-Recording
-    Every :class:`~repro.storage.store.ObjectStore` file operation —
-    data write, fsync, publishing rename, directory fsync, unlink —
-    lands in the innermost active :class:`FSOpRecorder` (:func:`fstrace`
-    subscribes it to the one hook slot, :mod:`repro.obs`, role
-    ``"fs"``; zero cost when nothing is subscribed).  Ops
-    from different stores (a save's checkpoint dir, a conversion's
-    output dir) are namespaced by a per-root label (``s0/``, ``s1/``,
-    assigned in first-touch order), so one trace can cover a whole
-    save→convert pipeline without path collisions.
+The model (:func:`_durable_at` is its one statement): a write is
+durable at its file's fsync, a rename or unlink at its parent
+directory's; whatever is not durable at a crash may independently be
+lost, and a write torn to a prefix.
 
-Replay (``repro lint-trace``)
-    :func:`check_fs_trace` analyzes a recorded trace two ways:
+- **UCP032**: a rename published before its bytes are durable, or never
+  made durable; **UCP034**: a ``*.tmp`` left when every op applied.
+- **UCP033**: per crash point, the all-applied prefix, the durable-only
+  state and every drop-one / torn-one volatile variant, kept when
+  recovery can tell it apart, then checked per store root by that
+  root's contract: ``latest_committed_tag`` plus a deep manifest verify
+  for a checkpoint, the commit point and the resume gate for a
+  conversion.
+- **UCP035** (warning): the enumeration hit ``state_cap`` or the trace
+  carries no payloads — a bounded run never passes as exhaustive.
 
-    - *structurally*: a publishing rename whose source bytes were never
-      fsynced, or that is never followed by a directory fsync, fires
-      **UCP032** (publish-observed-before-durable); a ``*.tmp`` still
-      present after every op applied fires **UCP034**.
-    - *exhaustively*: the crash-state enumerator derives every legal
-      post-crash disk state the trace permits — for each crash point,
-      the all-applied prefix, the durable-only state (every op a
-      missing fsync leaves reorderable is dropped), every
-      drop-one-volatile-op variant, and every torn-volatile-write
-      variant (mirroring the fault harness's torn-write model).  Each
-      deduplicated state is materialized in a scratch directory and
-      recovery is run against every store root in it:
-      ``latest_committed_tag`` + a deep manifest verify.  A state from
-      which recovery fails, loads torn data, or loses a durably
-      committed tag fires **UCP033**.
-
-    The enumeration is *bounded*: at most ``state_cap`` distinct states
-    are materialized, and hitting the cap (or replaying a trace whose
-    payload carries no file contents) is reported as a **UCP035**
-    warning — a bounded run never silently passes as an exhaustive one.
-
-The persistence model (what "legal post-crash state" means)
-    - a data write becomes durable at the matching file's ``fsync``;
-    - a rename/unlink (directory-entry op) becomes durable at the next
-      ``fsync`` of the *parent directory*;
-    - anything not yet durable at the crash point may independently be
-      lost or (for writes) torn to a prefix — in particular a rename
-      can survive while the data write it published is lost, leaving a
-      committed-looking empty file.
-
-All diagnostics carry deterministic state labels (``crash@i/drop#k``)
-and store-root labels, never scratch-directory paths, so
-``--format json`` output is byte-stable across runs and machines.
+Diagnostics carry state labels (``crash@i/drop#k``) and root-relative
+paths, never scratch paths, so ``--format json`` output is byte-stable.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -68,15 +44,16 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.diagnostics import LintReport, error, warning
 
 PAYLOAD_VERSION = 1
 
-DEFAULT_STATE_CAP = 512
-"""Materialization budget for one enumeration run (UCP035 when hit)."""
+DEFAULT_STATE_CAP = 2048
+"""Distinct-state budget for one enumeration run (UCP035 when hit): twice
+what the CI save -> kill -> save -> ``workers=2`` convert trace needs."""
 
 WRITE = "write"
 FSYNC = "fsync"
@@ -93,6 +70,7 @@ class TraceFormatError(ValueError):
     """An FS-op trace file whose payload is not a version-1 trace."""
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _dirname(rel: str) -> str:
     """Parent directory of a store-relative path (``"."`` for the root)."""
     return posixpath.dirname(rel) or "."
@@ -103,19 +81,15 @@ class FSOp:
     """One recorded filesystem effect.
 
     Attributes:
-        kind: one of ``write``/``fsync``/``rename``/``fsync_dir``/
-            ``unlink``.
+        kind: ``write``/``fsync``/``rename``/``fsync_dir``/``unlink``.
         path: root-labeled store-relative subject path (the directory
             for ``fsync_dir``, the rename *source* for ``rename``).
         dst: rename destination (``rename`` only).
-        nbytes: payload size (``write`` only).
-        sha256: payload digest (``write`` only) — identifies content
-            even when the bytes themselves were not captured.
-        data: payload bytes when the recorder captured them; the
-            enumerator needs these to materialize states.
-        thread: name of the thread that performed the op (stamped by
-            the recorder) — what lets interleaving traces and
-            crash-state enumeration compose now that the commit pool
+        nbytes / sha256: a write's payload size and digest — its
+            content identity, captured bytes or not.
+        data: a write's payload bytes, when captured (the enumerator
+            needs them to materialize states).
+        thread: the thread that performed the op — the commit pool
             publishes groups staged on several threads.
     """
 
@@ -143,8 +117,9 @@ class FSOp:
 
     @staticmethod
     def from_dict(raw) -> "FSOp":
-        """Inverse of :meth:`to_dict`; a missing or wrong-typed field is
-        a ``ValueError`` saying which."""
+        """Inverse of :meth:`to_dict`; a missing or wrong-typed field, or
+        captured bytes that disagree with their recorded size or digest,
+        is a ``ValueError`` saying which."""
         if not isinstance(raw, dict):
             raise ValueError(f"is {type(raw).__name__}, not a mapping")
         kind, dst = raw.get("kind"), raw.get("dst")
@@ -163,15 +138,24 @@ class FSOp:
         for key in ("sha256", "thread"):
             if not isinstance(raw.get(key, ""), str):
                 raise ValueError(f"{key} is not a string")
-        if data is not None and not isinstance(data, str):
-            raise ValueError("data_b64 is not a string")
+        if data is not None:
+            if not isinstance(data, str):
+                raise ValueError("data_b64 is not a string")
+            data = base64.b64decode(data, validate=True)
+            # crash states are told apart by the recorded digest (an op
+            # that records none is identified by its bytes: _content)
+            sha = raw.get("sha256", "")
+            if len(data) != nbytes or sha not in (
+                "", hashlib.sha256(data).hexdigest()
+            ):
+                raise ValueError("data_b64 disagrees with nbytes or sha256")
         return FSOp(
             kind=kind,
             path=raw["path"],
             dst=dst,
             nbytes=nbytes,
             sha256=raw.get("sha256", ""),
-            data=None if data is None else base64.b64decode(data, validate=True),
+            data=data,
             thread=raw.get("thread", ""),
         )
 
@@ -190,25 +174,20 @@ def label_path(roots: Dict[str, str], root: str, rel: str) -> str:
     """Root-labeled form of a store path (``s0/...``, ``s1/...``: labels
     are assigned in first-touch order and kept in ``roots``)."""
     label = roots.setdefault(root, f"s{len(roots)}")
-    # normpath collapses the store root itself ("s0/." -> "s0") so
-    # directory-fsync paths match _dirname() of the entries they cover
+    # "s0/." -> "s0": a root fsync must match _dirname() of its entries
     return posixpath.normpath(f"{label}/{rel}")
 
 
 class FSOpRecorder:
-    """Thread-safe append-only trace of store file effects.
-
-    Every op arrives with the recording store's identity (its
-    base-directory string); the recorder maps each distinct root to a
-    stable label (``s0``, ``s1``, ... in first-touch order) and prefixes
-    recorded paths with it, so ops from several stores never collide and
-    replay output stays free of machine-specific temp paths.
+    """Thread-safe append-only trace of store file effects, each path
+    prefixed with its store's root label (``s0``, ``s1``, ... in
+    first-touch order): ops of several stores never collide, and replay
+    output holds no machine-specific path.
 
     Args:
-        capture_data: record each write's payload bytes (required for
-            crash-state materialization).  Disable for long traces
-            where only the structural UCP032/UCP034 checks are wanted —
-            the enumerator then reports UCP035 instead of guessing.
+        capture_data: record each write's payload bytes (crash-state
+            enumeration needs them; without them it reports UCP035 and
+            only the structural UCP032/UCP034 checks run).
     """
 
     def __init__(self, capture_data: bool = True) -> None:
@@ -221,13 +200,9 @@ class FSOpRecorder:
         self, kind: str, root: str, rel: str,
         dst: Optional[str] = None, data: Optional[bytes] = None,
     ) -> None:
-        """Slot handler: store ``root`` performed one file effect.
-
-        ``write`` carries the payload (typically to a ``*.tmp``);
-        ``fsync`` makes the file at ``rel`` durable; ``rename`` is the
-        atomic publish ``rel -> dst``; ``fsync_dir`` makes the entry ops
-        under directory ``rel`` durable; ``unlink`` removes a file.
-        """
+        """Slot handler: store ``root`` performed one file effect
+        (``write`` carries the payload, ``rename`` publishes
+        ``rel -> dst``)."""
         nbytes, digest, kept = 0, "", None
         if kind == WRITE:
             nbytes, digest = len(data), hashlib.sha256(data).hexdigest()
@@ -261,21 +236,16 @@ class FSOpRecorder:
                 "version": PAYLOAD_VERSION,
                 "captured_data": self.capture_data,
                 "roots": sorted(self._roots.values()),
-                "fs_ops": [
-                    op.to_dict(self.capture_data) for op in self._ops
-                ],
+                "fs_ops": [op.to_dict(self.capture_data) for op in self._ops],
             }
 
 
 def ops_from_payload(payload, source: str = "fs trace") -> List[FSOp]:
-    """Decode a :meth:`FSOpRecorder.to_payload` dict: the trace's one
-    decode boundary.
-
-    ``fs_ops`` must be a list of ops whose fields have the right types
-    and ``roots`` a list of store labels (str); anything else is a
-    :class:`TraceFormatError` naming ``source`` (the file it was read
-    from), so a truncated or wrong-kind trace never replays as clean.
-    """
+    """Decode a :meth:`FSOpRecorder.to_payload` dict, the trace's one
+    decode boundary: anything but a list of well-typed ops and a list
+    of store labels is a :class:`TraceFormatError` naming ``source``
+    (the file it was read from), so a damaged trace never replays as
+    clean."""
 
     def damaged(what: str) -> TraceFormatError:
         return TraceFormatError(f"{source} is not an fs-op trace: {what}")
@@ -305,13 +275,7 @@ def ops_from_payload(payload, source: str = "fs trace") -> List[FSOp]:
     return ops
 
 
-# --- activation (mirrors the sanitizer) -------------------------------
-
-
-def current() -> Optional[FSOpRecorder]:
-    """The innermost active recorder, or None."""
-    return obs.current("fs")
-
+# --- activation -------------------------------------------------------
 
 @contextlib.contextmanager
 def fstrace(capture_data: bool = True) -> Iterator[FSOpRecorder]:
@@ -330,94 +294,94 @@ def fstrace(capture_data: bool = True) -> Iterator[FSOpRecorder]:
 
 # --- persistence model ------------------------------------------------
 
-def _durable_set(ops: List[FSOp], upto: int) -> Set[int]:
-    """Indices of entry ops in ``ops[:upto]`` that are durable at ``upto``.
-
-    A write is durable once a later-but-pre-crash fsync names its path
-    (before the entry is renamed away — fsyncing after the rename names
-    a different path); a rename/unlink once a later fsync covers the
-    parent directory of the entry it changed.  Everything else is
-    volatile — the crash may independently drop it.
-    """
-    durable: Set[int] = set()
-    for k in range(upto):
-        op = ops[k]
+def _durable_at(ops: List[FSOp]) -> List[int]:
+    """For each entry op, the index of the fsync that makes it durable
+    (``len(ops)`` if none does), so ``{k < i : durable_at[k] < i}`` is
+    what survives a crash at ``i``.  A write is durable at the next
+    fsync of its path unless the path is renamed or unlinked first; a
+    rename or unlink at the next fsync of its entry's directory."""
+    durable_at = [len(ops)] * len(ops)
+    unsynced = {FSYNC: {}, FSYNC_DIR: {}}  # fsync'd path -> entry ops
+    for j, op in enumerate(ops):
         if op.kind == WRITE:
-            for j in range(k + 1, upto):
-                later = ops[j]
-                if later.kind == FSYNC and later.path == op.path:
-                    durable.add(k)
-                    break
-                if later.kind in (RENAME, UNLINK) and later.path == op.path:
-                    break
-        elif op.kind == RENAME:
-            want = _dirname(op.dst or op.path)
-            if any(
-                ops[j].kind == FSYNC_DIR and ops[j].path == want
-                for j in range(k + 1, upto)
-            ):
-                durable.add(k)
-        elif op.kind == UNLINK:
-            want = _dirname(op.path)
-            if any(
-                ops[j].kind == FSYNC_DIR and ops[j].path == want
-                for j in range(k + 1, upto)
-            ):
-                durable.add(k)
-    return durable
+            unsynced[FSYNC].setdefault(op.path, []).append(j)
+        elif op.kind in (RENAME, UNLINK):
+            unsynced[FSYNC].pop(op.path, None)
+            parent = _dirname(op.dst or op.path)
+            unsynced[FSYNC_DIR].setdefault(parent, []).append(j)
+        else:
+            for k in unsynced[op.kind].pop(op.path, ()):
+                durable_at[k] = j
+    return durable_at
 
 
-def apply_ops(
-    ops: List[FSOp],
-    include: Set[int],
-    torn: Optional[int] = None,
-) -> Dict[str, bytes]:
-    """Replay a subset of a trace into a ``path -> bytes`` disk image.
+_EMPTY = hashlib.sha256(b"").hexdigest()
 
-    ``include`` selects which entry ops take effect (fsyncs never
-    change contents); ``torn`` truncates that one write to a half-size
-    prefix, the same torn-write model as the fault harness.  A rename
-    whose source write was dropped publishes an *empty* file — the
-    signature crash state of a missing pre-publish fsync.
-    """
-    fs: Dict[str, bytes] = {}
+
+def _content(op: FSOp) -> str:
+    """A write's content identity: its recorded digest (its bytes' own,
+    for an op built without one)."""
+    return op.sha256 or hashlib.sha256(op.data or b"").hexdigest()
+
+
+def _image(ops: List[FSOp], include, torn: Optional[int] = None):
+    """The ``path -> (content, torn)`` image a subset of a trace leaves;
+    a rename whose source write was dropped publishes an empty file."""
+    fs: Dict[str, Tuple[str, bool]] = {}
     for k, op in enumerate(ops):
-        if k not in include or op.kind not in _ENTRY_OPS:
+        if k not in include:
             continue
         if op.kind == WRITE:
-            data = op.data if op.data is not None else b""
-            if torn == k and data:
-                data = data[: max(1, len(data) // 2)]
-            fs[op.path] = data
+            fs[op.path] = (_content(op), torn == k)
         elif op.kind == RENAME:
-            fs[op.dst or op.path] = fs.pop(op.path, b"")
+            fs[op.dst or op.path] = fs.pop(op.path, (_EMPTY, False))
         elif op.kind == UNLINK:
             fs.pop(op.path, None)
     return fs
 
 
-def _signature(fs: Dict[str, bytes]) -> Tuple[Tuple[str, str], ...]:
-    """Content identity of a disk image, for deduplication."""
-    return tuple(sorted(
-        (path, hashlib.sha256(data).hexdigest())
-        for path, data in fs.items()
-    ))
+def _files(image, ops: List[FSOp]) -> Dict[str, bytes]:
+    """An image's bytes; a torn write keeps a half-size prefix, the
+    fault harness's torn-write model."""
+    data = {_content(op): op.data for op in ops if op.data is not None}
+    fs = {}
+    for path, (content, torn) in image.items():
+        fs[path] = data.get(content, b"")
+        if torn:
+            fs[path] = fs[path][: max(1, len(fs[path]) // 2)]
+    return fs
+
+
+def apply_ops(
+    ops: List[FSOp], include, torn: Optional[int] = None
+) -> Dict[str, bytes]:
+    """Replay the entry ops in ``include`` into a ``path -> bytes`` disk
+    image, write ``torn`` cut to a half-size prefix."""
+    return _files(_image(ops, include, torn), ops)
+
+
+def _state_key(files: Dict) -> FrozenSet:
+    """What recovery can tell apart in an image: the set of directories
+    plus each published file's content.  Recovery never opens a
+    ``*.tmp`` (``ObjectStore.list`` skips them), so a temp counts only
+    for the directory it makes exist."""
+    return frozenset(
+        (path, content) for path, content in files.items()
+        if not path.endswith(".tmp")
+    ).union((_dirname(path), None) for path in files)
 
 
 @dataclass
 class CrashState:
-    """One enumerated post-crash disk image."""
+    """One enumerated post-crash disk image: ``label`` (e.g.
+    ``crash@7/drop#4``, a crash after 7 ops were issued with volatile op
+    4 lost), its ``files``, and the root-labeled ``guaranteed_tags``
+    durably committed by then — recovery must find one this new."""
 
     label: str
-    """Deterministic identity, e.g. ``crash@7/drop#4`` — crash after
-    the first 7 ops were issued, with volatile op 4 independently
-    lost."""
-
     files: Dict[str, bytes]
     crash_point: int
     guaranteed_tags: Tuple[str, ...] = ()
-    """Root-labeled tags durably committed at the crash point —
-    recovery from this state must find one at least this new."""
 
 
 @dataclass
@@ -431,178 +395,219 @@ class Enumeration:
 
 
 def _guaranteed_tags(
-    ops: List[FSOp], upto: int, durable: Set[int]
+    ops: List[FSOp], upto: int, durable_at: List[int]
 ) -> Tuple[str, ...]:
-    """Tags whose commit is durable at ``upto`` under every legal state.
-
-    A tag qualifies when its manifest was durably published (write
-    fsynced, rename directory-fsynced) and *every* entry op under the
-    tag so far is durable — then no enumerated state can be missing any
-    of its files.  A tag retention has started deleting is never
-    guaranteed.
-    """
+    """Tags whose commit is durable at ``upto`` under every legal state:
+    the manifest's publish and *every* entry op under the tag so far
+    are durable, so no state can miss one of its files.  A tag
+    retention has started deleting is never guaranteed."""
     from repro.ckpt import naming
 
-    manifest_suffix = "/" + naming.MANIFEST_FILE
-    candidates: Set[str] = set()
-    for k in range(upto):
-        op = ops[k]
-        if op.kind == RENAME and k in durable and (
-            op.dst or ""
-        ).endswith(manifest_suffix):
-            candidates.add(posixpath.dirname(op.dst or ""))
-    out = []
-    for tag in sorted(candidates):
-        prefix = tag + "/"
-        ok = True
-        for k in range(upto):
-            op = ops[k]
-            touched = op.path.startswith(prefix) or (
-                op.dst or ""
-            ).startswith(prefix)
-            if not touched or op.kind not in _ENTRY_OPS:
-                continue
-            if op.kind == UNLINK or k not in durable:
-                ok = False
-                break
-        if ok:
-            out.append(tag)
-    return tuple(out)
+    issued = list(enumerate(ops[:upto]))
+    tags = sorted({
+        _dirname(op.dst) for k, op in issued
+        if op.kind == RENAME and durable_at[k] < upto
+        and (op.dst or "").endswith("/" + naming.MANIFEST_FILE)
+    })
+    return tuple(tag for tag in tags if all(
+        op.kind != UNLINK and durable_at[k] < upto
+        for k, op in issued if op.kind in _ENTRY_OPS and (
+            op.path.startswith(tag + "/")
+            or (op.dst or "").startswith(tag + "/")
+        )
+    ))
 
 
 def enumerate_crash_states(
     ops: List[FSOp],
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Enumeration:
-    """Every distinct post-crash disk state the trace permits, bounded.
-
-    Per crash point ``i`` (crash after ``ops[:i]`` were issued) the
-    enumerated variants are: the all-applied prefix; the durable-only
-    state; for every volatile entry op, the drop-that-one-op state; and
-    for every volatile write, the torn-prefix state.  States are
-    deduplicated by content, and enumeration stops at ``state_cap``
-    distinct states (:attr:`Enumeration.capped` set — callers must
-    surface UCP035, never silently treat a capped run as exhaustive).
-    """
+    """Every post-crash disk state the trace permits that recovery can
+    tell apart (:func:`_state_key`, over the recorded digests): per
+    crash point ``i`` (after ``ops[:i]`` were issued), the all-applied
+    prefix, the durable-only state, and for every volatile entry op the
+    drop-that-one-op state (and for a write the torn one).  Stops at
+    ``state_cap`` states (:attr:`Enumeration.capped`: report UCP035)."""
+    durable_at = _durable_at(ops)
     result = Enumeration(crash_points_total=len(ops) + 1)
-    seen: Set[Tuple[Tuple[str, str], ...]] = set()
+    seen: Set[FrozenSet] = set()
+    volatile: List[int] = []
     for i in range(len(ops) + 1):
-        durable = _durable_set(ops, i)
-        guaranteed = _guaranteed_tags(ops, i, durable)
-        volatile = [
-            k for k in range(i)
-            if ops[k].kind in _ENTRY_OPS and k not in durable
-        ]
-        variants: List[Tuple[str, Set[int], Optional[int]]] = [
-            (f"crash@{i}/all", set(range(i)), None),
-            (f"crash@{i}/durable", set(durable), None),
+        if i and ops[i - 1].kind in _ENTRY_OPS:
+            volatile.append(i - 1)
+        volatile = [k for k in volatile if durable_at[k] >= i]
+        issued = range(i)
+        variants = [
+            (f"crash@{i}/all", issued, None),
+            (f"crash@{i}/durable", set(issued).difference(volatile), None),
         ]
         for v in volatile:
-            variants.append(
-                (f"crash@{i}/drop#{v}", set(range(i)) - {v}, None)
-            )
+            variants.append((f"crash@{i}/drop#{v}", set(issued) - {v}, None))
             if ops[v].kind == WRITE:
-                variants.append((f"crash@{i}/torn#{v}", set(range(i)), v))
+                variants.append((f"crash@{i}/torn#{v}", issued, v))
+        guaranteed = _guaranteed_tags(ops, i, durable_at)
         for label, include, torn in variants:
-            fs = apply_ops(ops, include, torn)
-            sig = _signature(fs)
-            if sig in seen:
+            image = _image(ops[:i], include, torn)
+            key = _state_key(image)
+            if key in seen:
                 continue
             if len(result.states) >= state_cap:
                 result.capped = True
                 return result
-            seen.add(sig)
-            result.states.append(CrashState(
-                label=label,
-                files=fs,
-                crash_point=i,
-                guaranteed_tags=guaranteed,
-            ))
+            seen.add(key)
+            result.states.append(
+                CrashState(label, _files(image, ops), i, guaranteed)
+            )
         result.crash_points_covered = i + 1
     return result
 
 
-# --- recovery check ---------------------------------------------------
+# --- recovery check, by the contract of each store root ---------------
 
 def materialize(fs: Dict[str, bytes], root: Path) -> None:
-    """Write a disk image into ``root`` (created empty by the caller)."""
+    """Write a disk image into directory ``root``."""
     for rel in sorted(fs):
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(fs[rel])
 
 
-def _check_recovery(
-    state: CrashState, root: Path, domains: List[str]
-) -> Optional[str]:
-    """Run recovery against a materialized state; describe any failure.
+def _in_root(files: Dict[str, bytes], dom: str) -> Dict[str, bytes]:
+    """The part of a disk image under one store root, root-relative."""
+    prefix = "" if dom == "." else dom + "/"
+    return {p[len(prefix):]: b for p, b in files.items() if p.startswith(prefix)}
 
-    Recovery = ``latest_committed_tag`` over each store domain, then a
-    deep manifest verify of the recovered tag (what ``repro verify``
-    runs).  Returns None when the state is survivable from every
-    domain, else a deterministic description (no filesystem paths).
-    """
+
+def _check_checkpoint_root(
+    files: Dict[str, bytes], base: Path, expected: List[str]
+) -> Optional[str]:
+    """``latest_committed_tag``, then a deep manifest verify of the tag
+    it selects (what ``repro verify`` runs), never older than the
+    newest ``expected`` (durably committed) tag.  Returns None, or what
+    went wrong without a filesystem path."""
     from repro.ckpt import naming
     from repro.ckpt.errors import CheckpointNotFoundError
     from repro.ckpt.loader import latest_committed_tag
     from repro.ckpt.manifest import verify_tag
     from repro.storage.store import ObjectStore
 
-    for dom in domains:
-        base = root if dom == "." else root / dom
-        where = "" if dom == "." else f"store {dom}: "
-        expected = [
-            posixpath.basename(t) for t in state.guaranteed_tags
-            if dom == "." or t.startswith(dom + "/")
-        ]
+    materialize(files, base)
+    newest = expected[-1] if expected else None
+    try:
+        tag = latest_committed_tag(str(base))
+    except CheckpointNotFoundError:
+        if newest:
+            return (
+                f"recovery found no committed tag, but {newest} was durably "
+                f"committed before the crash"
+            )
+        return None
+    except Exception as exc:  # noqa: BLE001 - any raise IS the finding
+        return (
+            f"recovery raised {type(exc).__name__} instead of selecting a "
+            f"committed tag or reporting a clean cold start"
+        )
+    try:
+        problems = verify_tag(ObjectStore(str(base)), tag, deep=True)
+    except Exception as exc:  # noqa: BLE001 - any raise IS the finding
+        return (
+            f"recovered tag {tag} failed its deep verify with "
+            f"{type(exc).__name__}"
+        )
+    if problems:
+        shown = "; ".join(
+            f"{posixpath.basename(rel)}: {why}"
+            for rel, why in sorted(problems.items())[:2]
+        )
+        return f"recovered tag {tag} contains torn or missing data: {shown}"
+    if newest:
         try:
-            tag = latest_committed_tag(str(base))
-        except CheckpointNotFoundError:
-            tag = None
-        except Exception as exc:  # noqa: BLE001 - any raise IS the finding
-            return (
-                f"{where}recovery raised {type(exc).__name__} instead of "
-                f"selecting a committed tag or reporting a clean cold "
-                f"start"
-            )
-        if tag is None:
-            if expected:
-                return (
-                    f"{where}recovery found no committed tag, but "
-                    f"{expected[-1]} was durably committed before the "
-                    f"crash"
-                )
-            continue
-        try:
-            problems = verify_tag(ObjectStore(str(base)), tag, deep=True)
-        except Exception as exc:  # noqa: BLE001 - any raise IS the finding
-            return (
-                f"{where}recovered tag {tag} failed its deep verify with "
-                f"{type(exc).__name__}"
-            )
-        if problems:
-            shown = "; ".join(
-                f"{posixpath.basename(rel)}: {why}"
-                for rel, why in sorted(problems.items())[:2]
-            )
-            return (
-                f"{where}recovered tag {tag} contains torn or missing "
-                f"data: {shown}"
-            )
-        if expected:
-            newest = expected[-1]
-            try:
-                behind = (
-                    naming.step_from_tag(tag) < naming.step_from_tag(newest)
-                )
-            except ValueError:
-                behind = tag < newest
-            if behind:
-                return (
-                    f"{where}recovery selected {tag}, losing durably "
-                    f"committed {newest}"
-                )
+            behind = naming.step_from_tag(tag) < naming.step_from_tag(newest)
+        except ValueError:
+            behind = tag < newest
+        if behind:
+            return f"recovery selected {tag}, losing durably committed {newest}"
     return None
+
+
+def _conversion_check(ops: List[FSOp], dom: str):
+    """The check of a root whose trace publishes ``ucp_meta.npt`` or
+    ``ucp_convert_source.npt`` (None for any other root): the two
+    promises :mod:`repro.core.convert` makes about what a crash leaves.
+
+    (a) a surviving ``ucp_meta.npt`` (the commit point) has every file
+        published beside it, as it was while that one was live — the
+        final image's, for one conversion;
+    (b) while the state's source marker is the final image's, every
+        atom ``AtomStore.reusable_entry`` accepts is the final image's.
+    """
+    from repro.core.atom import AtomStore
+    from repro.core.convert import CONVERT_SOURCE_FILE
+    from repro.core.errors import UCPError
+    from repro.core.metadata import UCP_META_FILE
+
+    if not {
+        posixpath.normpath(f"{dom}/{name}")
+        for name in (UCP_META_FILE, CONVERT_SOURCE_FILE)
+    } & {op.dst for op in ops if op.kind == RENAME}:
+        return None
+
+    def by_dir(files: Dict[str, bytes]) -> Dict[str, Dict[str, bytes]]:
+        out: Dict[str, Dict[str, bytes]] = {}
+        for rel, data in files.items():
+            if not rel.endswith(".tmp"):
+                out.setdefault(_dirname(rel), {})[rel] = data
+        return out
+
+    commits = {}  # ucp_meta -> the files beside it until replaced or removed
+    meta = posixpath.normpath(f"{dom}/{UCP_META_FILE}")
+    for end in [
+        j for j, op in enumerate(ops)
+        if op.kind in (RENAME, UNLINK) and meta in (op.path, op.dst)
+    ] + [len(ops)]:
+        image = _in_root(apply_ops(ops, range(end)), dom)
+        if UCP_META_FILE in image:
+            commits[image[UCP_META_FILE]] = {
+                rel: data for rel, data in image.items() if not rel.endswith(".tmp")
+            }
+    final, atoms = image, {}  # the last end is the trace's
+    with tempfile.TemporaryDirectory(prefix="repro-crashenum-") as scratch:
+        materialize(final, Path(scratch))
+        store = AtomStore(scratch)
+        for name in store.list_atoms():
+            try:
+                atoms[name] = (store.path(name), store.read_meta(name)["spec"])
+            except (UCPError, KeyError):
+                atoms[name] = (store.path(name), None)  # never reusable
+    final_parts = by_dir(final)
+
+    def check(files: Dict[str, bytes], base: Path, _) -> Optional[str]:
+        if UCP_META_FILE in files:
+            committed = commits.get(files[UCP_META_FILE])
+            if committed is None:
+                return f"commit point {UCP_META_FILE} is torn or empty"
+            for rel, data in sorted(committed.items()):
+                if files.get(rel) != data:
+                    return (
+                        f"{UCP_META_FILE} survived, but {rel} beside it is "
+                        + ("missing" if rel not in files else "another file")
+                    )
+        if files.get(CONVERT_SOURCE_FILE) != final.get(CONVERT_SOURCE_FILE):
+            return None  # another source's marker: a resume starts over
+        present, store = by_dir(files), None
+        for name, (where, spec) in sorted(atoms.items()):
+            if any(files.get(rel) != data
+                   for rel, data in final_parts[where].items()):
+                store = store or AtomStore(str(base))
+                materialize(present.get(where, {}), base)  # all the gate reads
+                if store.reusable_entry(name, spec) is not None:
+                    return (
+                        f"a resume would reuse atom {name}, which is not "
+                        f"the one the conversion wrote"
+                    )
+        return None
+
+    return check
 
 
 # --- the replay check (lint-trace) ------------------------------------
@@ -620,7 +625,7 @@ def check_fs_trace(
             :meth:`FSOpRecorder.to_payload`, the path of a JSON file
             holding one, or a raw :class:`FSOp` list (replayed as one
             anonymous store domain).
-        state_cap: materialization budget for the enumerator.
+        state_cap: distinct-state budget for the enumerator.
         enumerate_states: run the crash-state enumeration (needs a
             trace captured with file contents); the structural
             UCP032/UCP034 checks always run.
@@ -629,8 +634,7 @@ def check_fs_trace(
             when replaying a deliberately killed run.
     """
     if isinstance(trace, FSOpRecorder):
-        ops = trace.ops()
-        domains = trace.roots() or ["."]
+        ops, domains = trace.ops(), trace.roots() or ["."]
     elif isinstance(trace, (dict, str, os.PathLike)):
         source = "fs trace"
         if not isinstance(trace, dict):
@@ -644,24 +648,18 @@ def check_fs_trace(
         ops = ops_from_payload(trace, source)
         domains = list(trace["roots"] or ["."])
     else:
-        ops = list(trace)
-        domains = ["."]
+        ops, domains = list(trace), ["."]
     report = LintReport(subject="fs-trace")
 
-    # UCP032: structural durability-ordering scan (no materialization)
+    # UCP032: a publish the persistence model never makes safe
+    durable_at, source_write = _durable_at(ops), {}
     for r, op in enumerate(ops):
+        if op.kind == WRITE:
+            source_write[op.path] = r
         if op.kind != RENAME:
             continue
-        dst = op.dst or op.path
-        last_write = None
-        for w in range(r - 1, -1, -1):
-            if ops[w].kind == WRITE and ops[w].path == op.path:
-                last_write = w
-                break
-        if last_write is not None and not any(
-            ops[j].kind == FSYNC and ops[j].path == op.path
-            for j in range(last_write + 1, r)
-        ):
+        dst, w = op.dst or op.path, source_write.pop(op.path, None)
+        if w is not None and durable_at[w] > r:
             report.add(error(
                 "UCP032",
                 f"op#{r}: rename publishes {dst} before its bytes were "
@@ -670,44 +668,35 @@ def check_fs_trace(
                 f"empty or torn file",
                 location=dst,
             ))
-        want = _dirname(dst)
-        if not any(
-            ops[j].kind == FSYNC_DIR and ops[j].path == want
-            for j in range(r + 1, len(ops))
-        ):
+        if durable_at[r] == len(ops):
             report.add(error(
                 "UCP032",
                 f"op#{r}: publishing rename of {dst} is never made "
-                f"durable by an fsync of directory {want} — the publish "
-                f"itself can be rolled back by a crash",
+                f"durable by an fsync of directory {_dirname(dst)} — the "
+                f"publish itself can be rolled back by a crash",
                 location=dst,
             ))
 
     # UCP034: tmp files surviving the clean-exit final state
-    final_fs = apply_ops(ops, set(range(len(ops))))
-    if clean_exit:
-        for rel in sorted(final_fs):
-            if rel.endswith(".tmp"):
-                report.add(error(
-                    "UCP034",
-                    f"temp file {rel} still exists after the traced run "
-                    f"finished cleanly: some write was never published "
-                    f"or cleaned up",
-                    location=rel,
-                ))
+    for rel in sorted(_image(ops, range(len(ops))) if clean_exit else ()):
+        if rel.endswith(".tmp"):
+            report.add(error(
+                "UCP034",
+                f"temp file {rel} still exists after the traced run "
+                f"finished cleanly: some write was never published "
+                f"or cleaned up",
+                location=rel,
+            ))
 
     if not enumerate_states:
         return report
-
-    total_writes = sum(1 for op in ops if op.kind == WRITE)
-    missing_data = sum(
-        1 for op in ops if op.kind == WRITE and op.data is None
-    )
-    if missing_data:
+    writes = [op for op in ops if op.kind == WRITE]
+    missing = sum(op.data is None for op in writes)
+    if missing:
         report.add(warning(
             "UCP035",
-            f"crash-state enumeration skipped: {missing_data} of "
-            f"{total_writes} writes in the trace carry no captured "
+            f"crash-state enumeration skipped: {missing} of "
+            f"{len(writes)} writes in the trace carry no captured "
             f"payload (recorded with capture_data=False); only the "
             f"structural checks ran",
             location="enumeration",
@@ -715,21 +704,34 @@ def check_fs_trace(
         return report
 
     enum = enumerate_crash_states(ops, state_cap=state_cap)
+    checks = {
+        dom: _conversion_check(ops, dom) or _check_checkpoint_root
+        for dom in domains
+    }
+    verdicts: Dict[Tuple, Optional[str]] = {}  # one per distinct root image
     scratch = Path(tempfile.mkdtemp(prefix="repro-crashenum-"))
     try:
-        for n, state in enumerate(enum.states):
-            state_root = scratch / f"state{n}"
-            state_root.mkdir()
-            materialize(state.files, state_root)
-            failure = _check_recovery(state, state_root, domains)
-            if failure is not None:
-                report.add(error(
-                    "UCP033",
-                    f"crash state {state.label} "
-                    f"({len(state.files)} files on disk): {failure}",
-                    location=state.label,
-                ))
-            shutil.rmtree(state_root)
+        for state in enum.states:
+            for dom in domains:
+                files = _in_root(state.files, dom)
+                expected = tuple(
+                    posixpath.basename(t) for t in state.guaranteed_tags
+                    if dom == "." or t.startswith(dom + "/")
+                )
+                memo = (dom, _state_key(files), expected)
+                if memo not in verdicts:
+                    base = scratch / str(len(verdicts))
+                    verdicts[memo] = checks[dom](files, base, expected)
+                    shutil.rmtree(base, ignore_errors=True)
+                if verdicts[memo]:
+                    where = "" if dom == "." else f"store {dom}: "
+                    report.add(error(
+                        "UCP033",
+                        f"crash state {state.label} ({len(state.files)} "
+                        f"files on disk): {where}{verdicts[memo]}",
+                        location=state.label,
+                    ))
+                    break
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     if enum.capped:

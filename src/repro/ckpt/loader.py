@@ -13,11 +13,10 @@ The loader also enforces the commit protocol: only tags with a commit
 manifest are loadable, and every file read is verified against its
 manifest digest — torn or tampered state raises
 :class:`CheckpointIntegrityError` instead of loading garbage.
-:func:`latest_committed_tag` is the recovery entry point the
-crash-state enumerator (:mod:`repro.analysis.fswitness`) drives
-against every enumerated post-crash disk state — a state from which it
-fails, or selects an older tag than one durably committed, is a
-UCP033 finding.
+:func:`latest_committed_tag` is the recovery entry point, and the
+crash-state check (``repro lint-trace``) runs it on every post-crash
+disk state a recorded save permits — a state from which it fails, or
+selects an older tag than one durably committed, is a UCP033 finding.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-ckpt <dir> [--tag T] [--format text|json] [--deep]
     python -m repro lint-plan --source <dir> --target tp2.pp1.dp4.sp1.zero1 \
         [--provenance]
-    python -m repro lint-trace <fs_trace.json> [--state-cap N] [--crashed]
+    python -m repro lint-trace <fs_trace.json> [--crashed] [--format text|json]
     python -m repro lint-src  [root] [--format text|json]
     python -m repro explore   <scenario | --list> [--schedules N] \
         [--schedule FILE] [--seed S] [--report PATH] \
@@ -204,15 +204,8 @@ def cmd_lint_plan(args: argparse.Namespace) -> int:
 def cmd_lint_trace(args: argparse.Namespace) -> int:
     """Replay a recorded FS-op trace file (UCP032-UCP035)."""
     from repro.analysis import check_fs_trace
-    from repro.analysis.fswitness import DEFAULT_STATE_CAP
 
-    report = check_fs_trace(
-        args.trace,
-        state_cap=(
-            args.state_cap if args.state_cap is not None else DEFAULT_STATE_CAP
-        ),
-        clean_exit=not args.crashed,
-    )
+    report = check_fs_trace(args.trace, clean_exit=not args.crashed)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -462,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "trace",
         help="a JSON trace file: FSOpRecorder.to_payload output",
-    )
-    p.add_argument(
-        "--state-cap",
-        type=int,
-        default=None,
-        help="crash-state materialization budget (default 512; hitting "
-             "the cap is reported as UCP035)",
     )
     p.add_argument(
         "--crashed",

@@ -42,11 +42,7 @@ from repro.ckpt import naming
 from repro.ckpt.loader import latest_committed_tag, read_job_config
 from repro.core.errors import UCPError
 from repro.core.plan import lint_plan
-from repro.dist.continuity import (
-    PAPER_LOSS_BAND,
-    ContinuityReport,
-    check_loss_continuity,
-)
+from repro.dist.continuity import ContinuityReport, check_loss_continuity
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.storage.faults import (
@@ -57,6 +53,12 @@ from repro.storage.faults import (
     RankKilled,
 )
 from repro.storage.store import ObjectStore
+
+# Fixed simulated costs; the convert and resume stages are charged from
+# the object stores' NVMe accounting instead.
+STEP_TIME_S = 0.05
+DETECTION_TIME_S = 0.01
+REPLAN_TIME_S = 0.002
 
 
 class TopologyRejectedError(UCPError):
@@ -278,11 +280,6 @@ class Supervisor:
             validated by the pre-flight linter.
         seed / data_seed / global_batch_size / seq_len / micro_batches:
             forwarded to :class:`~repro.parallel.engine.TrainingEngine`.
-        step_time_s / detection_time_s / replan_time_s: fixed simulated
-            costs; convert/resume stages are charged from the object
-            stores' NVMe accounting instead.
-        tolerance: loss-continuity band used when a golden curve is
-            supplied to :meth:`run`.
     """
 
     def __init__(
@@ -299,10 +296,6 @@ class Supervisor:
         global_batch_size: int = 8,
         seq_len: int = 16,
         micro_batches: int = 1,
-        step_time_s: float = 0.05,
-        detection_time_s: float = 0.01,
-        replan_time_s: float = 0.002,
-        tolerance: float = PAPER_LOSS_BAND,
     ) -> None:
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -320,10 +313,6 @@ class Supervisor:
         self.global_batch_size = global_batch_size
         self.seq_len = seq_len
         self.micro_batches = micro_batches
-        self.step_time_s = step_time_s
-        self.detection_time_s = detection_time_s
-        self.replan_time_s = replan_time_s
-        self.tolerance = tolerance
 
         self.capacity = parallel_cfg.world_size
         self.committed_tags: List[str] = []
@@ -455,8 +444,8 @@ class Supervisor:
 
         killed = tuple(sorted(engine.cluster.failed_ranks))
         while True:
-            detection_s = self.detection_time_s
-            replan_s = self.replan_time_s
+            detection_s = DETECTION_TIME_S
+            replan_s = REPLAN_TIME_S
 
             try:
                 tag = latest_committed_tag(self.workdir)
@@ -639,7 +628,7 @@ class Supervisor:
                 engine = self._recover(engine, "step", step)
                 continue
             self.wall_steps += 1
-            self.sim_time_s += self.step_time_s
+            self.sim_time_s += STEP_TIME_S
             self.loss_by_step[result.step] = result.loss
             if engine.iteration % self.save_every == 0:
                 kill = self.schedule.take_save_kill(engine.iteration)
@@ -656,9 +645,7 @@ class Supervisor:
         losses = [self.loss_by_step[s] for s in sorted(self.loss_by_step)]
         continuity = None
         if golden is not None:
-            continuity = check_loss_continuity(
-                golden, losses, tolerance=self.tolerance
-            )
+            continuity = check_loss_continuity(golden, losses)
         completed = [e for e in self.events if e.completed]
         mttr = (
             sum(e.timings.total_s for e in completed) / len(completed)

@@ -24,7 +24,9 @@ from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.pp import StagePlan, build_stage_plan
 from repro.parallel.tp import PATTERN_FRAGMENT, ShardSpec, build_shard_specs
-from repro.tensor.flat import DEFAULT_ALIGNMENT
+
+DEFAULT_ALIGNMENT = 8
+"""Default element alignment for partition boundaries (NVMe-friendly)."""
 
 
 @dataclasses.dataclass(frozen=True)

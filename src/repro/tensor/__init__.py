@@ -2,9 +2,7 @@
 
 The paper's system manipulates PyTorch tensors in fp32/fp16/bf16.  This
 package provides the equivalent primitives over numpy: explicit dtype
-emulation (including bfloat16, which numpy lacks natively) and the
-flat-buffer views that ZeRO-style optimizers use for their partitioned
-parameter groups.
+emulation (including bfloat16, which numpy lacks natively).
 """
 
 from repro.tensor.dtypes import (
@@ -18,14 +16,6 @@ from repro.tensor.dtypes import (
     dtype_from_name,
     itemsize,
 )
-from repro.tensor.flat import (
-    FlatBuffer,
-    FlatSegment,
-    flatten_tensors,
-    unflatten_tensors,
-    aligned_size,
-    pad_to_alignment,
-)
 
 __all__ = [
     "DType",
@@ -37,10 +27,4 @@ __all__ = [
     "fp16_round",
     "dtype_from_name",
     "itemsize",
-    "FlatBuffer",
-    "FlatSegment",
-    "flatten_tensors",
-    "unflatten_tensors",
-    "aligned_size",
-    "pad_to_alignment",
 ]

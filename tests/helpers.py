@@ -1,6 +1,11 @@
-"""Test helpers: engine factory and numerical-gradient utilities."""
+"""Test helpers: engine factory, source mutation and numerical-gradient
+utilities."""
 
 from __future__ import annotations
+
+import inspect
+import sys
+import textwrap
 
 import numpy as np
 
@@ -25,6 +30,20 @@ def make_engine(
         seed=seed,
         **defaults,
     )
+
+
+def mutate(monkeypatch, owner, name, old, new="pass"):
+    """Monkeypatch ``owner.name`` with its own source, its one occurrence
+    of ``old`` replaced by ``new``: the mutation runs inside the real
+    code, so the test fails if that code stops containing it.
+    The copy sees the module's globals as they are when it is made."""
+    func = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, (name, old)
+    module = sys.modules[func.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def record_source_tables(monkeypatch) -> list:

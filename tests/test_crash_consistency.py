@@ -490,21 +490,13 @@ class TestGroupCommitProtocol:
         assert len(synced) == 1
         assert last_atom_rename < synced[0] < commit
 
-    def test_two_worker_trace_is_clean_under_the_crash_enumerator(
-        self, convert_setup, tmp_path
-    ):
-        """UCP032-UCP035 over a recorded ``workers=2`` group-commit run:
-        every rename's temp was fsynced first, every rename is covered
-        by a later parent-directory fsync, no temp survives, and every
-        enumerated post-crash state recovers — exhaustively, not capped.
+    @staticmethod
+    def _resumed_trace(convert_setup, work):
+        """A durable ``workers=2`` conversion traced while it resumes
+        over all but four atoms of an uncommitted destination."""
+        from repro.analysis.fswitness import fstrace
 
-        The traced run resumes over all but four atoms, which keeps the
-        enumeration at a few hundred states (the CI ``chaos`` job
-        enumerates a whole conversion)."""
-        from repro.analysis.fswitness import check_fs_trace, fstrace
-
-        _, ckpt, ref_digests, _ = convert_setup
-        work = tmp_path / "ucp"
+        _, ckpt, _, _ = convert_setup
         ucp_convert(str(ckpt), str(work), workers=1)
         os.remove(work / "ucp_meta.npt")
         for atom in whole_atoms(work)[:4]:
@@ -516,11 +508,91 @@ class TestGroupCommitProtocol:
                 dst_store=ObjectStore(str(work), durable=True),
             )
         assert report.num_params - report.num_reused == 4
+        return rec
+
+    def test_two_worker_trace_is_clean_under_the_crash_enumerator(
+        self, convert_setup, tmp_path
+    ):
+        """UCP032-UCP035 over a recorded ``workers=2`` group-commit run:
+        every rename's temp was fsynced first, every rename is covered
+        by a later parent-directory fsync, no temp survives, and every
+        enumerated post-crash state recovers — exhaustively, at the
+        default state cap (the CI ``chaos`` job enumerates a whole
+        conversion)."""
+        from repro.analysis.fswitness import check_fs_trace
+
+        _, _, ref_digests, _ = convert_setup
+        work = tmp_path / "ucp"
+        rec = self._resumed_trace(convert_setup, work)
         threads = {op.thread for op in rec.ops() if op.kind == "fsync"}
         assert any(name.startswith("ucp-commit") for name in threads)
-        verdict = check_fs_trace(rec, state_cap=4096)
+        verdict = check_fs_trace(rec)
         assert verdict.diagnostics == [], verdict.render_text()
         assert dir_digests(work) == ref_digests
+
+    def test_commit_point_before_drain_is_a_recovery_failure(
+        self, convert_setup, tmp_path, monkeypatch
+    ):
+        """``_commit`` mutated from its own body to save ``ucp_meta.npt``
+        ahead of ``commits.drain()``: the commit point can then survive
+        a crash that loses atoms it names.  Each publish is held back
+        200 ms so the mutated commit point lands before the last
+        atom's publish on any box."""
+        import inspect
+        import time
+
+        from repro.analysis.fswitness import check_fs_trace
+        from repro.core import convert
+        from repro.storage.store import CommitPool
+        from tests.helpers import mutate
+
+        source = inspect.getsource(convert._commit)
+        drain = "    publish_s = commits.drain()\n    atom_store.fsync_dir()\n"
+        commit = "    return metadata.save(atom_store.store), publish_s\n"
+        old = source[source.index(drain):source.index(commit) + len(commit)]
+        new = old.replace(drain, "").replace(commit, (
+            "    meta_bytes = metadata.save(atom_store.store)\n" + drain
+            + "    return meta_bytes, publish_s\n"
+        ))
+        mutate(monkeypatch, convert, "_commit", old, new)
+        publish = CommitPool._publish
+
+        def held_back(pool, group):
+            time.sleep(0.2)
+            return publish(pool, group)
+
+        monkeypatch.setattr(CommitPool, "_publish", held_back)
+        rec = self._resumed_trace(convert_setup, tmp_path / "ucp")
+        failures = check_fs_trace(rec).by_rule("UCP033")
+        assert failures
+        assert all("store s0: ucp_meta.npt survived" in d.message
+                   for d in failures), failures[0].message
+
+    def test_resume_gate_that_skips_the_states_is_a_recovery_failure(
+        self, convert_setup, tmp_path, monkeypatch
+    ):
+        """``AtomStore.reusable_entry`` mutated from its own body to
+        accept any atom whose sidecar matches, without reading its
+        states: a crash state where one state file's rename was lost
+        but the sidecar's survived is then reused as whole."""
+        from repro.analysis.fswitness import check_fs_trace
+        from tests.helpers import mutate
+
+        rec = self._resumed_trace(convert_setup, tmp_path / "ucp")
+        mutate(
+            monkeypatch, AtomStore, "reusable_entry",
+            "for kind in STATE_KINDS:", "for kind in ():",
+        )
+        ops = rec.ops()
+        failures = check_fs_trace(rec).by_rule("UCP033")
+        assert failures
+        for diag in failures:
+            assert "store s0: a resume would reuse atom" in diag.message
+            dropped = ops[int(diag.location.rsplit("/drop#", 1)[1])]
+            assert dropped.kind == "rename"
+            assert dropped.dst.rsplit("/", 1)[1] in {
+                "fp32.npt", "exp_avg.npt", "exp_avg_sq.npt"
+            }
 
     def test_commit_pool_under_oversubscription(self, convert_setup, tmp_path):
         """More workers (and commit threads) than cores, a 10 us switch

@@ -17,6 +17,7 @@ sees a typed error (``CheckpointIntegrityError``,
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import os
@@ -508,6 +509,18 @@ def _check_trace(root, how, field, value):
     check_fs_trace(payload, enumerate_states=False)
     enumerate_crash_states(ops)
 
+
+
+def test_flipped_trace_payload_byte_is_refused_by_op_index():
+    """Crash states are deduplicated by each write's recorded digest, so
+    captured bytes that disagree with it are refused at the decode
+    boundary, naming the op — never replayed."""
+    payload = FS_TRACE.to_payload()
+    data = bytearray(base64.b64decode(payload["fs_ops"][0]["data_b64"]))
+    data[1] ^= 0x01
+    payload["fs_ops"][0]["data_b64"] = base64.b64encode(data).decode("ascii")
+    with pytest.raises(TraceFormatError, match=r"t\.json.*fs_ops\[0\]"):
+        ops_from_payload(payload, source="t.json")
 
 def _check_name(root, name):
     atoms = _atom_store(root)

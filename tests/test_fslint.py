@@ -27,7 +27,6 @@ import os
 import stat
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -54,6 +53,7 @@ from repro.storage.faults import (
 )
 from repro.storage.store import CommitGroup, CommitPool, ObjectStore
 
+from tests.helpers import mutate
 from tests.test_crash_consistency import tiny_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -71,20 +71,6 @@ LATEST_BEFORE_MANIFEST = """\
     manifest_mod.write_manifest(store, tag, entries)
     manifest_digest = store.digest(manifest_mod.manifest_path(tag))
 """
-
-
-def mutate(monkeypatch, owner, name, old, new="pass"):
-    """Monkeypatch ``owner.name`` with its own source, its one occurrence
-    of ``old`` replaced by ``new``: the mutation runs inside the real
-    code, so the test fails if that code stops containing it.
-    The copy sees the module's globals as they are when it is made."""
-    func = getattr(owner, name)
-    source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, (name, old)
-    module = sys.modules[func.__module__]
-    namespace = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def leftover_tmps(root):

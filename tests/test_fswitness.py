@@ -302,9 +302,9 @@ class TestEndToEnd:
         assert report.diagnostics == []
 
     def test_save_convert_trace_bounded_run_reports_cap(self, tmp_path):
-        """The full pipeline trace is too big for an in-suite exhaustive
-        sweep (the CI chaos job runs that); a bounded replay must pass
-        with the cap *reported*, never silently."""
+        """A bounded replay of a full save→convert trace must pass with
+        the cap *reported*, never silently (the CI chaos job runs one
+        exhaustively)."""
         from repro.core.convert import ucp_convert
         from repro.dist.topology import ParallelConfig
         from tests.helpers import make_engine
@@ -359,13 +359,16 @@ class TestCLIReplay:
         out = capsys.readouterr().out
         assert "UCP032" in out and "UCP033" in out
 
-    def test_state_cap_flag_bounds_and_reports(self, tmp_path, capsys):
+    def test_state_cap_is_not_a_flag(self, tmp_path, capsys):
+        """The CLI enumerates at the default cap; the bound stays a
+        ``check_fs_trace(state_cap=)`` argument, with UCP035 its report."""
         from repro.cli import main
 
         path = self._write(tmp_path, self._fs_payload(tmp_path, True))
-        assert main(
-            ["lint-trace", "--state-cap", "3", path]) == 0
-        assert "UCP035" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["lint-trace", "--state-cap", "3", path])
+        assert exc.value.code == 2
+        assert "--state-cap" in capsys.readouterr().err
 
     def test_crashed_flag_excuses_tmp_leftovers(self, tmp_path, capsys):
         from repro.cli import main
