@@ -8,9 +8,11 @@ pre-flight (``preflight_convert``, ``lint_plan``) in
 :mod:`repro.dist.continuity` — and is re-exported here.  Two analyzers,
 neither of which ever materializes a tensor:
 
-- :mod:`~repro.analysis.layout_lint` — derive every rank's expected
-  checkpoint contents from the configs and diff against a tag's commit
-  manifest and rank-file headers (``repro lint-ckpt``).
+- :mod:`~repro.analysis.layout_lint` — diff a tag's commit manifest
+  against the disk, then run the conversion's own header pass and
+  pre-flight over it: each rank file's header against the layout its
+  configs derive (the check the strict loader also runs) and the
+  byte-provenance proof (``repro lint-ckpt``).
 - :mod:`~repro.analysis.provenance` — a symbolic shadow interpreter
   that executes a conversion plan over byte *intervals*: every target
   data byte must come from exactly one real (non-padding) source byte

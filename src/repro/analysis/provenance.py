@@ -3,11 +3,12 @@
 The paper's correctness claim is that a UCP transformation is a pure
 re-tiling: every byte of every target rank's flat fp32 partition comes
 from exactly one real (non-padding) source byte, for any source ->
-target parallelism interchange.  The rank-level linter
-(:mod:`repro.analysis.layout_lint`) proves file presence and shape
-facts, but cannot see *dataflow* bugs — double-writes, coverage gaps,
-or padding leaking into data — the class ByteCheckpoint and TorchTitan
-report as the hardest to debug in production resharding.
+target parallelism interchange.  A rank-file header check proves file
+presence and shape facts (UCP001-UCP004, UCP011), but not *dataflow*
+— double-writes, coverage gaps, or padding leaking into data, the
+class ByteCheckpoint and TorchTitan report as the hardest to debug in
+production resharding.  ``repro lint-ckpt`` runs both: the header
+check and the source-side proof come from the one header pass below.
 
 The source -> consolidated interval map is built, and its source-side
 findings made, by the conversion planner (:mod:`repro.core.plan`, from

@@ -143,37 +143,19 @@ def _check_model_config(engine, job_config: Dict) -> None:
         )
 
 
-def _check_segments(expected_meta: Dict, payload_meta: Dict, path: str) -> None:
-    """Compare the engine's expected flat layout with the file's."""
-    exp_segments = expected_meta["segments"]
-    got_segments = payload_meta["segments"]
-    exp_names = [s["name"] for s in exp_segments]
-    got_names = [s["name"] for s in got_segments]
-    if exp_names != got_names:
-        missing = sorted(set(exp_names) - set(got_names))
-        unexpected = sorted(set(got_names) - set(exp_names))
-        raise CheckpointIncompatibleError(
-            f"{path}: parameter name mismatch (missing={missing[:3]}..., "
-            f"unexpected={unexpected[:3]}...); the checkpoint was saved "
-            f"under a different parallelism strategy"
-        )
-    for exp, got in zip(exp_segments, got_segments):
-        if (
-            exp["shard_shape"] != got["shard_shape"]
-            or exp["offset"] != got["offset"]
-        ):
+def _require_layout(
+    rank_layout, payload: Dict, dp_rank: int, zero_stage: int, rel: str
+) -> None:
+    """The strict load's layout check: the rank file's header against
+    the layout the engine derives, through the same check as
+    ``repro lint-ckpt`` and the conversion pre-flight."""
+    for diag in rank_layout.header_check(dp_rank, zero_stage, rel).run(payload):
+        if diag.severity == "error":
             raise CheckpointIncompatibleError(
-                f"{path}: shape/offset mismatch for {exp['name']!r}: engine "
-                f"expects shape {exp['shard_shape']} at offset "
-                f"{exp['offset']}, file has {got['shard_shape']} at "
-                f"{got['offset']}"
+                f"{diag.location}: {diag.rule_id} [{diag.rule_name}] "
+                f"{diag.message}; the checkpoint was saved under a "
+                f"different parallelism strategy"
             )
-    if expected_meta["partition_numel"] != payload_meta["partition_numel"]:
-        raise CheckpointIncompatibleError(
-            f"{path}: partition size mismatch: engine expects "
-            f"{expected_meta['partition_numel']}, file has "
-            f"{payload_meta['partition_numel']} (different DP width?)"
-        )
 
 
 def _load_per_param(
@@ -198,24 +180,13 @@ def _load_per_param(
         payload = _verified_rank_payload(
             store, tag, naming.optim_states_name(0, mp_rank), manifest
         )
+        _require_layout(rank_layout, payload, 0, 0, rel)
         states = payload["param_states"]
-        expected = [e.name for e in rank_layout.entries]
-        got = sorted(states["fp32"])
-        if sorted(expected) != got:
-            raise CheckpointIncompatibleError(
-                f"{rel}: parameter name mismatch; the checkpoint was "
-                f"saved under a different parallelism strategy"
-            )
         step = int(payload["optimizer_step"])
         for kind in ("fp32", "exp_avg", "exp_avg_sq"):
             flat = np.zeros(rank_layout.flat_numel, dtype=np.float32)
             for entry in rank_layout.entries:
                 shard = np.asarray(states[kind][entry.name], dtype=np.float32)
-                if tuple(shard.shape) != entry.shard_shape:
-                    raise CheckpointIncompatibleError(
-                        f"{rel}: shape mismatch for {entry.name!r}: engine "
-                        f"expects {entry.shard_shape}, file has {shard.shape}"
-                    )
                 flat[entry.offset : entry.end] = shard.reshape(-1)
             size = rank_layout.partition_numel
             for d in range(cfg.dp):
@@ -266,8 +237,6 @@ def load_distributed_checkpoint(
         _load_per_param(engine, store, tag, job_config, manifest)
         return tag
 
-    from repro.ckpt.saver import _partition_meta  # layout comparison helper
-
     for coord in engine.layout.mp_coords():
         mp_rank = engine.layout.mp_rank_index(*coord)
         rank_layout = engine.layout.rank_layout(*coord)
@@ -277,10 +246,7 @@ def load_distributed_checkpoint(
             payload = _verified_rank_payload(
                 store, tag, naming.optim_states_name(d, mp_rank), manifest
             )
-            expected = _partition_meta(rank_layout, d)
-            if cfg.zero_stage == 0:
-                expected["partition_numel"] = rank_layout.flat_numel
-            _check_segments(expected, payload["partition_meta"], rel)
+            _require_layout(rank_layout, payload, d, cfg.zero_stage, rel)
 
             fp32 = np.asarray(payload["fp32_flat_partition"], dtype=np.float32)
             exp_avg = np.asarray(payload["exp_avg_flat_partition"], dtype=np.float32)
@@ -298,11 +264,6 @@ def load_distributed_checkpoint(
                     part.state.step = step
             else:
                 part = engine.zero.partitions[coord][d]
-                if fp32.size != part.numel:
-                    raise CheckpointIncompatibleError(
-                        f"{rel}: partition has {fp32.size} elements, engine "
-                        f"expects {part.numel}"
-                    )
                 part.fp32[...] = fp32
                 part.state.exp_avg[...] = exp_avg
                 part.state.exp_avg_sq[...] = exp_avg_sq

@@ -15,8 +15,8 @@ they consume against its manifest entry, so a torn save is *never*
 silently loaded — recovery either lands on the previous committed tag
 or raises :class:`CheckpointIntegrityError`.
 
-The protocol is not trusted on faith: the crash-state enumerator
-(:mod:`repro.analysis.fswitness`) replays recorded save traces to prove
+The protocol is not trusted on faith: the crash-state check
+(``repro lint-trace --crashed``) replays recorded save traces to prove
 steps 1-3 actually survive every crash the persistence model permits,
 and the save-ordering tests pin the manifest's publish ahead of the
 ``latest`` write.

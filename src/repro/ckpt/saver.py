@@ -26,10 +26,9 @@ rename, directory fsync).  The manifest is staged
 only once that pool has drained, and leaving the save, however it ends,
 waits for every submitted publish.  There is no knob: the width is the
 machine's, and at one core the save is the serial one.  That ordering
-is machine-checked at runtime by the FS-op witness
-(:mod:`repro.analysis.fswitness`), whose crash-state enumerator replays
-a recorded save trace and proves recovery from every legal post-crash
-disk state (UCP032-UCP035).
+is machine-checked: the crash-state check (``repro lint-trace
+--crashed``) replays a recorded save trace and proves recovery from
+every legal post-crash disk state (UCP032-UCP035).
 """
 
 from __future__ import annotations
@@ -96,25 +95,6 @@ def _sharding_metadata(engine, names: List[str]) -> Dict:
     return out
 
 
-def _partition_meta(rank_layout, dp_rank: int) -> Dict:
-    return {
-        "dp_rank": dp_rank,
-        "partition_numel": rank_layout.partition_numel,
-        "flat_numel": rank_layout.flat_numel,
-        "padding": rank_layout.padding,
-        "alignment": rank_layout.alignment,
-        "segments": [
-            {
-                "name": e.name,
-                "offset": e.offset,
-                "numel": e.numel,
-                "shard_shape": list(e.shard_shape),
-            }
-            for e in rank_layout.entries
-        ],
-    }
-
-
 def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
     """``(basename, payload)`` of every data file of a save, in rank
     order: the job config, then per model-parallel rank its module
@@ -160,7 +140,7 @@ def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
                     "iteration": engine.iteration,
                     "dp_rank": d,
                     "parallel_config": cfg.to_dict(),
-                    "partition_meta": _partition_meta(rank_layout, d),
+                    "partition_meta": rank_layout.partition_meta(d, cfg.zero_stage),
                     "sharding": _sharding_metadata(engine, names),
                 }
 
@@ -189,21 +169,18 @@ def _rank_payloads(engine, optimizer_layout: str) -> Iterator[Tuple[str, Dict]]:
                 exp_avg = engine.zero.full_flat(coord, "exp_avg")
                 exp_avg_sq = engine.zero.full_flat(coord, "exp_avg_sq")
                 step = engine.zero.partitions[coord][0].state.step
-                meta = _partition_meta(rank_layout, 0)
-                meta["partition_numel"] = rank_layout.flat_numel
             else:
                 part = engine.zero.partitions[coord][d]
                 fp32 = part.fp32
                 exp_avg = part.state.exp_avg
                 exp_avg_sq = part.state.exp_avg_sq
                 step = part.state.step
-                meta = _partition_meta(rank_layout, d)
             yield naming.optim_states_name(d, mp_rank), {
                 "fp32_flat_partition": fp32,
                 "exp_avg_flat_partition": exp_avg,
                 "exp_avg_sq_flat_partition": exp_avg_sq,
                 "optimizer_step": step,
-                "partition_meta": meta,
+                "partition_meta": rank_layout.partition_meta(d, cfg.zero_stage),
                 "zero_stage": cfg.zero_stage,
                 "parallel_config": cfg.to_dict(),
                 "pp_stage": pp_stage,

@@ -4,8 +4,8 @@ The paper's converter (Algorithm 1) is a plan — which source bytes
 become which atom bytes — followed by byte movement.  This module is the
 only code that reads source headers for a conversion and turns them into
 that plan (the DCP shape: planner -> immutable plan of read items ->
-storage reader); :mod:`repro.core.convert` executes it and
-:mod:`repro.analysis.provenance` checks it.
+storage reader); :mod:`repro.core.convert` executes it and the
+provenance check (``repro lint-plan --provenance``) checks it.
 
 1. **Header pass + composition** (:func:`analyze_source`) — every rank
    file's header is decoded exactly once (``load_index_sized``: partition
@@ -76,7 +76,7 @@ from repro.core.intervals import (
 from repro.core.patterns import PatternProgram
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
-from repro.parallel.layout import ModelParallelLayout
+from repro.parallel.layout import HeaderCheck, ModelParallelLayout
 from repro.parallel.tp import (
     PATTERN_FRAGMENT,
     PATTERN_REPLICATED,
@@ -289,8 +289,8 @@ class ProvenanceAnalysis:
     """The composed source map: per-parameter interval maps plus the
     report of every finding made while building them.
 
-    ``params`` maps parameter name -> :class:`ParamProvenance`;
-    :func:`repro.analysis.provenance.explain` renders a full
+    ``params`` maps parameter name -> :class:`ParamProvenance`; the
+    provenance check renders a full
     target-byte -> source-byte chain from them, the artifact the
     diagnostics embed and ``docs/ANALYSIS.md`` documents.  An analysis
     of a distributed checkpoint (:func:`analyze_source`) also keeps what
@@ -326,10 +326,12 @@ def _read_source_pieces(
     """The one header pass over every source optimizer-state file.
 
     Returns shard-space pieces keyed by ``(param name, mp coord)`` plus
-    each decoded file's index tree and on-disk size, reporting dtype
-    violations (UCP020), out-of-extent references (UCP021),
-    alignment-padding reads (UCP019), padding-as-data metadata (UCP019),
-    and unreadable headers (UCP022) along the way.
+    each decoded file's index tree and on-disk size.  Each header is
+    checked against the layout as its pieces are collected
+    (:class:`~repro.parallel.layout.HeaderCheck`: UCP001-UCP004, UCP011),
+    and dtype violations (UCP020), out-of-extent references (UCP021),
+    alignment-padding reads (UCP019), padding-as-data metadata (UCP019)
+    and unreadable headers (UCP022) are reported along the way.
     """
     pieces: _Pieces = {}
     headers: Dict[str, Dict] = {}
@@ -338,7 +340,6 @@ def _read_source_pieces(
     for coord in layout.mp_coords():
         mp_rank = layout.mp_rank_index(*coord)
         rank_layout = layout.rank_layout(*coord)
-        derived_payload = rank_layout.payload_numel
         if optimizer_layout == "per_param":
             dp_ranks = [0]
         elif source_cfg.zero_stage == 0:
@@ -363,28 +364,20 @@ def _read_source_pieces(
                     "UCP022", f"header unreadable: {exc}", location=rel
                 ))
                 continue
+            check = rank_layout.header_check(dp_rank, source_cfg.zero_stage, rel)
+            if not isinstance(header, dict):
+                report.extend(check.run(header))
+                continue
             headers[rel] = header
 
             _check_sharding_metadata(
                 header, layout, checked_sharding, rel, report
             )
             if "param_states" in header:
-                _collect_per_param_pieces(
-                    header, coord, rel, pieces, report
-                )
-                continue
-            meta = header.get("partition_meta")
-            if meta is None:
-                report.add(error(
-                    "UCP022",
-                    "header has no partition_meta; flat-partition bytes "
-                    "cannot be traced",
-                    location=rel,
-                ))
-                continue
-            _collect_flat_pieces(
-                header, meta, coord, rel, derived_payload, report, pieces
-            )
+                _collect_per_param_pieces(header, check, coord, pieces, report)
+            else:
+                _collect_flat_pieces(header, check, coord, pieces, report)
+            report.extend(check.diagnostics)
     return pieces, headers, file_sizes
 
 
@@ -421,79 +414,55 @@ def _check_sharding_metadata(
 
 def _collect_per_param_pieces(
     header: Dict,
+    check: HeaderCheck,
     coord: Tuple[int, int, int],
-    rel: str,
     pieces: _Pieces,
     report: LintReport,
 ) -> None:
     """Megatron-classic per-parameter files: each state is a whole shard."""
-    states = header["param_states"]
-    for kind in STATE_KINDS:
-        shard_map = states.get(kind)
-        if shard_map is None:
+    rel = check.rel
+    for kind, name, stub in check.param_states(header["param_states"]):
+        dtype = getattr(stub, "dtype", "float32")
+        if kind == "fp32" and np.dtype(dtype) != np.float32:
             report.add(error(
-                "UCP022",
-                f"param_states has no {kind!r} states; their provenance "
-                f"cannot be established",
+                "UCP020",
+                f"{name!r} stored as {dtype}; target flat partitions "
+                f"are float32 — a widening copy is not byte "
+                f"provenance",
                 location=rel,
             ))
+        if kind != "fp32":
             continue
-        for name in sorted(shard_map):
-            stub = shard_map[name]
-            dtype = getattr(stub, "dtype", "float32")
-            if kind == "fp32" and np.dtype(dtype) != np.float32:
-                report.add(error(
-                    "UCP020",
-                    f"{name!r} stored as {dtype}; target flat partitions "
-                    f"are float32 — a widening copy is not byte "
-                    f"provenance",
-                    location=rel,
-                ))
-            if kind != "fp32":
-                continue
-            pieces.setdefault((name, coord), []).append(_ShardPiece(
-                shard_start=0,
-                shard_end=numel(getattr(stub, "shape", ())),
-                file=rel,
-                field=f"param_states.fp32.{name}",
-                file_start=0,
-                dp_rank=0,
-            ))
+        pieces.setdefault((name, coord), []).append(_ShardPiece(
+            shard_start=0,
+            shard_end=numel(getattr(stub, "shape", ())),
+            file=rel,
+            field=f"param_states.fp32.{name}",
+            file_start=0,
+            dp_rank=0,
+        ))
 
 
 def _collect_flat_pieces(
     header: Dict,
-    meta: Dict,
+    check: HeaderCheck,
     coord: Tuple[int, int, int],
-    rel: str,
-    derived_payload: int,
-    report: LintReport,
     pieces: _Pieces,
+    report: LintReport,
 ) -> None:
     """DeepSpeed-style flat files: segments intersected with the partition."""
-    try:
-        dp_rank = int(meta["dp_rank"])
-        partition_numel = int(meta["partition_numel"])
-        flat_numel = int(meta["flat_numel"])
-        segments = meta["segments"]
-    except (KeyError, TypeError, ValueError) as exc:
-        report.add(error(
-            "UCP022", f"partition_meta incomplete: {exc}", location=rel
-        ))
+    meta = check.flat_meta(header)
+    if meta is None:
         return
+    dp_rank, partition_numel, flat_numel, segments = meta
+    rel = check.rel
 
     # the flat arrays themselves: dtype and extent, per state kind
     stored_numel = partition_numel
     for kind in STATE_KINDS:
         field = naming.FLAT_STATE_FIELDS[kind]
         stub = header.get(field)
-        if stub is None:
-            report.add(error(
-                "UCP022",
-                f"flat array {field!r} missing; its bytes cannot be "
-                f"traced",
-                location=rel,
-            ))
+        if not check.flat_array(field, stub):
             continue
         dtype = getattr(stub, "dtype", "float32")
         if np.dtype(dtype) != np.float32:
@@ -508,19 +477,9 @@ def _collect_flat_pieces(
 
     part_start = dp_rank * partition_numel
     part_end = part_start + partition_numel
-    payload_end = min(derived_payload, flat_numel)
+    payload_end = min(check.layout.payload_numel, flat_numel)
 
-    for segment in segments:
-        try:
-            name = segment["name"]
-            seg_start = int(segment["offset"])
-            seg_end = seg_start + int(segment["numel"])
-        except (KeyError, TypeError, ValueError) as exc:
-            report.add(error(
-                "UCP022", f"segment table entry unreadable: {exc}",
-                location=rel,
-            ))
-            continue
+    for name, seg_start, seg_end in check.segments(segments):
         if seg_end > payload_end:
             leak_lo = max(seg_start, payload_end)
             report.add(error(
@@ -799,8 +758,7 @@ def analyze_source(
     Proves, per parameter, that the source fragments tile every shard
     and the consolidated data region exactly once with no padding
     reads; the returned analysis carries the interval maps a target
-    check (or :func:`repro.analysis.provenance.explain`) composes
-    further and :func:`lower_read_plans` lowers, together with the
+    check composes further and :func:`lower_read_plans` lowers, together with the
     layout, index trees and file sizes of its one header pass.
     """
     report = LintReport(subject=f"provenance {store.base}/{tag}")
@@ -1024,7 +982,7 @@ def lint_plan(
 def preflight_convert(
     src_store: ObjectStore,
     src_tag: str,
-    manifest: Dict,
+    manifest: Optional[Dict],
     analysis: ProvenanceAnalysis,
     optimizer_layout: str = "flat",
 ) -> LintReport:
@@ -1037,15 +995,17 @@ def preflight_convert(
     manifest that never listed a rank's optimizer state means the save
     was structurally incomplete, which per-file digest verification
     alone cannot see.  When the structural checks pass, the
-    byte-provenance findings made while the conversion plan was composed
-    from the rank-file *headers* are folded in: every consolidated data
-    byte must be supplied exactly once with no padding read as data
-    (UCP017-UCP022).
+    findings made while the conversion plan was composed from the
+    rank-file *headers* are folded in: every header must match the
+    layout (UCP001-UCP004, UCP011), and every consolidated data byte
+    must be supplied exactly once with no padding read as data
+    (UCP017-UCP022).  ``repro lint-ckpt`` reports these same findings.
 
     Args:
         src_store: source checkpoint store.
         src_tag: the committed tag being converted.
-        manifest: the tag's commit-manifest payload.
+        manifest: the tag's commit-manifest payload; None (a tag the
+            linter found uncommitted) skips the manifest-vs-layout check.
         analysis: the source's :class:`ProvenanceAnalysis`
             (:func:`analyze_source`) — the object the converter goes on
             to lower into read plans, so the source is analyzed, and
@@ -1060,18 +1020,18 @@ def preflight_convert(
     if not report.ok:
         return report
 
-    recorded = set(manifest["files"])
-    expected = expected_tag_basenames(
-        source_cfg, analysis.layout, optimizer_layout
-    )
-    for basename in sorted(expected - recorded):
-        report.add(error(
-            "UCP008",
-            f"the {source_cfg.describe()} layout derives rank file "
-            f"{basename!r} but the commit manifest never recorded it; "
-            f"the save was structurally incomplete",
-            location=f"{src_tag}/{basename}",
-        ))
+    if manifest is not None:
+        expected = expected_tag_basenames(
+            source_cfg, analysis.layout, optimizer_layout
+        )
+        for basename in sorted(expected - set(manifest["files"])):
+            report.add(error(
+                "UCP008",
+                f"the {source_cfg.describe()} layout derives rank file "
+                f"{basename!r} but the commit manifest never recorded it; "
+                f"the save was structurally incomplete",
+                location=f"{src_tag}/{basename}",
+            ))
     if report.ok:
         report.extend(analysis.report.diagnostics)
     return report

@@ -12,14 +12,27 @@ computes, per model-parallel rank (pp stage × sp rank × tp rank):
 Both the training engine (to build its optimizer state) and UCP's
 ``GenUcpMetadata`` (to compute a *target* partition map) use this class,
 which is what makes source and target layouts provably consistent.
+
+A rank file's ``partition_meta`` is written from
+:meth:`RankShardLayout.partition_meta` and read back through one
+:class:`HeaderCheck`: the saver, the strict loader, the conversion's
+header pass and ``repro lint-ckpt`` share that one schema.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+import operator
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.diagnostics import Diagnostic, LayoutLintError, LintReport, error
+from repro.ckpt.naming import FLAT_STATE_FIELDS
+from repro.core.diagnostics import (
+    Diagnostic,
+    LayoutLintError,
+    LintReport,
+    error,
+    warning,
+)
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.pp import StagePlan, build_stage_plan
@@ -159,6 +172,37 @@ class RankShardLayout:
                     out.append(ps)
         return out
 
+    def partition_meta(self, dp_rank: int, zero_stage: int) -> Dict:
+        """The ``partition_meta`` a flat rank file of this layout records.
+
+        At ZeRO stage 0 one file per model-parallel rank holds the whole
+        unpartitioned buffer, so its ``partition_numel`` is the flat
+        extent; at any other stage it is one dp partition.
+        """
+        return {
+            "dp_rank": dp_rank,
+            "partition_numel": (
+                self.flat_numel if zero_stage == 0 else self.partition_numel
+            ),
+            "flat_numel": self.flat_numel,
+            "padding": self.padding,
+            "alignment": self.alignment,
+            "segments": [
+                {
+                    "name": e.name,
+                    "offset": e.offset,
+                    "numel": e.numel,
+                    "shard_shape": list(e.shard_shape),
+                }
+                for e in self.entries
+            ],
+        }
+
+    def header_check(self, dp_rank: int, zero_stage: int, rel: str) -> "HeaderCheck":
+        """A check of the rank file ``rel`` (dp rank ``dp_rank``) against
+        this layout."""
+        return HeaderCheck(self, dp_rank, zero_stage, rel)
+
     def tiling_diagnostics(self) -> List[Diagnostic]:
         """Statically prove the partition slices tile the flat buffer.
 
@@ -258,6 +302,215 @@ class RankShardLayout:
                     location=where,
                 ))
         return out
+
+
+_META_INTS = ("dp_rank", "partition_numel", "flat_numel", "alignment", "padding")
+
+
+class HeaderCheck:
+    """One optimizer-state file's header against the layout that derives it.
+
+    The one rank-file check behind ``repro lint-ckpt``, the conversion
+    pre-flight and the strict loader: UCP001-UCP004 and UCP011, plus
+    UCP022 for a field that does not decode.  Whoever walks the header
+    feeds it: the conversion's header pass calls :meth:`flat_meta` and
+    :meth:`flat_array` and iterates :meth:`segments` /
+    :meth:`param_states` in the loops that collect its provenance
+    pieces, so nothing is walked twice; :meth:`run` is the whole walk,
+    for a reader with no loop of its own.  Findings accumulate on
+    :attr:`diagnostics`.
+    """
+
+    def __init__(
+        self, layout: RankShardLayout, dp_rank: int, zero_stage: int, rel: str
+    ) -> None:
+        self.layout = layout
+        self.dp_rank = dp_rank
+        self.rel = rel
+        self.derived = layout.partition_meta(dp_rank, zero_stage)
+        self.diagnostics: List[Diagnostic] = []
+
+    def _add(self, rule_id: str, message: str, make=error) -> None:
+        self.diagnostics.append(make(rule_id, message, location=self.rel))
+
+    def run(self, header: Dict) -> List[Diagnostic]:
+        """Check a whole decoded header; returns :attr:`diagnostics`."""
+        if not isinstance(header, dict):
+            self._add("UCP022", "header is not a mapping")
+        elif "param_states" in header:
+            for _ in self.param_states(header["param_states"]):
+                pass
+        else:
+            meta = self.flat_meta(header)
+            if meta is not None:
+                for field in FLAT_STATE_FIELDS.values():
+                    self.flat_array(field, header.get(field))
+                for _ in self.segments(meta[3]):
+                    pass
+        return self.diagnostics
+
+    def flat_meta(self, header: Dict) -> Optional[Tuple[int, int, int, List]]:
+        """The recorded ``(dp_rank, partition_numel, flat_numel, segments)``.
+
+        Each extent is diffed against the derived one (UCP011, padding
+        UCP003).  None, with a UCP022, when a field the partition's
+        position depends on does not decode.
+        """
+        meta = header.get("partition_meta")
+        if not isinstance(meta, dict):
+            self._add(
+                "UCP022",
+                "header has no partition_meta; flat-partition bytes cannot "
+                "be traced",
+            )
+            return None
+        recorded: Dict[str, int] = {}
+        for key in _META_INTS:
+            try:
+                recorded[key] = operator.index(meta[key])
+            except KeyError:
+                self._add("UCP022", f"partition_meta incomplete: no {key!r}")
+            except TypeError:
+                self._add(
+                    "UCP022",
+                    f"partition_meta incomplete: {key} is {meta[key]!r}, "
+                    f"not an integer",
+                )
+        derived = self.derived
+        for key in ("partition_numel", "flat_numel", "alignment"):
+            if key in recorded and recorded[key] != derived[key]:
+                self._add(
+                    "UCP011",
+                    f"{key} recorded as {recorded[key]}; layout derives "
+                    f"{derived[key]}",
+                )
+        if "padding" in recorded and recorded["padding"] != derived["padding"]:
+            self._add(
+                "UCP003",
+                f"alignment padding recorded as {recorded['padding']}; layout "
+                f"derives {derived['padding']} (payload "
+                f"{self.layout.payload_numel}, flat {derived['flat_numel']})",
+            )
+        segments = meta.get("segments")
+        if not isinstance(segments, list):
+            self._add("UCP022", "partition_meta has no segment table")
+            return None
+        if not {"dp_rank", "partition_numel", "flat_numel"} <= set(recorded):
+            return None
+        return (
+            recorded["dp_rank"],
+            recorded["partition_numel"],
+            recorded["flat_numel"],
+            segments,
+        )
+
+    def flat_array(self, field: str, stub) -> bool:
+        """One flat state array, by header shape: present (UCP001) and
+        holding the derived partition (UCP011).  Whether it is present."""
+        if stub is None:
+            self._add("UCP001", f"flat array {field!r} missing from rank file")
+            return False
+        numel = 1
+        for d in getattr(stub, "shape", ()):
+            numel *= d
+        expected = self.derived["partition_numel"]
+        if numel != expected:
+            self._add(
+                "UCP011",
+                f"{field} holds {numel} elements; layout derives {expected} "
+                f"for dp_rank {self.dp_rank}",
+            )
+        return True
+
+    def segments(self, segments: List) -> Iterator[Tuple[str, int, int]]:
+        """Each decodable segment as ``(name, flat start, flat end)``.
+
+        A segment is diffed against the derived one as it is yielded
+        (UCP004; UCP022 when it does not decode, and it is skipped); once
+        the table is exhausted, the parameters it lacks (UCP001) or adds
+        (UCP002) are reported.
+        """
+        derived = {seg["name"]: seg for seg in self.derived["segments"]}
+        seen = set()
+        for segment in segments:
+            try:
+                name = segment["name"]
+                if not isinstance(name, str):
+                    raise TypeError(f"name {name!r} is not a string")
+                offset = operator.index(segment["offset"])
+                numel = operator.index(segment["numel"])
+                shape = tuple(operator.index(d) for d in segment["shard_shape"])
+            except (KeyError, TypeError) as exc:
+                self._add("UCP022", f"segment table entry unreadable: {exc}")
+                continue
+            seen.add(name)
+            want = derived.get(name)
+            if want is not None:
+                want_shape = tuple(want["shard_shape"])
+                if (offset, numel, shape) != (want["offset"], want["numel"], want_shape):
+                    self._add(
+                        "UCP004",
+                        f"segment {name!r} recorded as offset={offset} "
+                        f"numel={numel} shape={shape}; layout derives "
+                        f"offset={want['offset']} numel={want['numel']} "
+                        f"shape={want_shape}",
+                    )
+            yield name, offset, offset + numel
+        for name in sorted(set(derived) - seen):
+            self._add(
+                "UCP001",
+                f"parameter {name!r} is owned by this rank per the layout but "
+                f"missing from the file's segment table",
+            )
+        for name in sorted(seen - set(derived)):
+            self._add(
+                "UCP002",
+                f"segment {name!r} recorded in the file but not derivable from "
+                f"the job's (model, parallel) configs",
+                warning,
+            )
+
+    def param_states(self, states: Dict) -> Iterator[Tuple[str, str, object]]:
+        """Megatron-classic per-parameter files: every recorded
+        ``(kind, name, state)``, in kind then name order.
+
+        Per kind, the names are first diffed against the derived ones
+        (UCP001, UCP002; UCP022 for an absent kind), then each state's
+        shape against its derived shard shape as it is yielded (UCP004).
+        """
+        derived = {e.name: e.shard_shape for e in self.layout.entries}
+        for kind in FLAT_STATE_FIELDS:
+            shard_map = states.get(kind) if isinstance(states, dict) else None
+            if not isinstance(shard_map, dict):
+                self._add(
+                    "UCP022",
+                    f"param_states has no {kind!r} states; their provenance "
+                    f"cannot be established",
+                )
+                continue
+            for name in sorted(set(derived) - set(shard_map)):
+                self._add(
+                    "UCP001",
+                    f"parameter {name!r} ({kind}) owned by this rank per the "
+                    f"layout but absent from param_states",
+                )
+            for name in sorted(set(shard_map) - set(derived)):
+                self._add(
+                    "UCP002",
+                    f"param_states entry {name!r} ({kind}) not derivable from "
+                    f"the job's configs",
+                    warning,
+                )
+            for name in sorted(shard_map):
+                stub = shard_map[name]
+                shape = tuple(getattr(stub, "shape", ()))
+                if name in derived and shape != tuple(derived[name]):
+                    self._add(
+                        "UCP004",
+                        f"{name!r} ({kind}) stored with shape {shape}; layout "
+                        f"derives shard shape {tuple(derived[name])}",
+                    )
+                yield kind, name, stub
 
 
 class ModelParallelLayout:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import collections
 import os
 
 import pytest
 
 from tests.helpers import make_engine
 from repro.analysis import LayoutLintError, lint_checkpoint
+from repro.ckpt.loader import load_distributed_checkpoint
+from repro.ckpt.manifest import refresh_entry
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.diagnostics import Diagnostic, LintReport, RULES, error
 from repro.dist.topology import ParallelConfig
-from repro.parallel.layout import RankShardLayout, ShardEntry
+from repro.parallel.layout import ModelParallelLayout, RankShardLayout, ShardEntry
 from repro.storage.store import ObjectStore
 
 
@@ -65,6 +68,38 @@ class TestCleanCheckpoints:
         # only its header, so total read volume stays far below the
         # checkpoint's size
         assert store.bytes_read < info.total_bytes / 2
+
+    def test_linter_decodes_each_rank_header_once(self, tmp_path, monkeypatch):
+        """Header cost as counts, like the conversion's planner gate: one
+        header-only decode per optimizer-state file, no full load of
+        one, and one layout derivation for the whole tag."""
+        _, directory, info = _save(
+            tmp_path, ParallelConfig(tp=2, pp=1, dp=2, sp=1, zero_stage=1)
+        )
+        counts = collections.Counter()
+
+        def counting(owner, attr, counted):
+            real = getattr(owner, attr)
+
+            def wrapper(self, *args, **kwargs):
+                counts[attr] += counted(*args)
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        def rank_file(rel, *_):
+            return rel.endswith("_optim_states.npt")
+
+        for attr in ("load_header", "load_index_sized", "load", "read_bytes"):
+            counting(ObjectStore, attr, rank_file)
+        counting(ModelParallelLayout, "__init__", lambda *_: True)
+
+        assert lint_checkpoint(directory).ok
+        rank_files = [f for f in info.files if rank_file(f)]
+        assert len(rank_files) == 4
+        assert counts["load_header"] + counts["load_index_sized"] == 4
+        assert counts["load"] == counts["read_bytes"] == 0
+        assert counts["__init__"] == 1
 
 
 class TestNegativeCases:
@@ -122,6 +157,26 @@ class TestNegativeCases:
         assert lint_checkpoint(directory).ok  # shallow: size still matches
         deep = lint_checkpoint(directory, deep=True)
         assert [d.rule_id for d in deep.errors] == ["UCP010"]
+
+    def test_segment_no_layout_derives_is_ucp002_warning(self, tmp_path):
+        """An extra, empty segment is reported but refused by no reader."""
+        parallel = ParallelConfig(tp=1, pp=1, dp=1, sp=1, zero_stage=1)
+        _, directory, info = _save(tmp_path, parallel)
+        store = ObjectStore(directory)
+        basename = "zero_dp_rank_0_mp_rank_00_optim_states.npt"
+        rel = f"{info.tag}/{basename}"
+        payload = store.load(rel)
+        payload["partition_meta"]["segments"].append(
+            {"name": "ghost.weight", "offset": 0, "numel": 0, "shard_shape": [0]}
+        )
+        store.save(rel, payload)
+        refresh_entry(store, info.tag, basename)
+        report = lint_checkpoint(directory)
+        assert report.ok
+        assert [(d.rule_id, d.location) for d in report.warnings] == [
+            ("UCP002", rel)
+        ]
+        load_distributed_checkpoint(make_engine(parallel=parallel), directory)
 
     def test_uncommitted_tag_is_ucp016(self, tmp_path):
         _, directory, info = _save(

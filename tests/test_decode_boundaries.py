@@ -1,7 +1,9 @@
 """Damaged input ends at its decode boundary, never in a raw traceback.
 
-Seven boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
-manifest's file table, :func:`repro.ckpt.loader.resolve_tag` for the
+Eight boundaries: :func:`repro.ckpt.manifest.read_manifest` for a commit
+manifest's file table, :class:`repro.parallel.layout.HeaderCheck` for a
+rank file's ``partition_meta`` (one check behind ``lint-ckpt``, the
+conversion pre-flight and the strict load), :func:`repro.ckpt.loader.resolve_tag` for the
 ``latest`` pointer, :meth:`repro.core.metadata.UCPMetadata.from_payload`
 for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
 names, an atom's sidecar and its state headers, the UCP load
@@ -11,8 +13,8 @@ conversion's source marker, and
 :func:`repro.analysis.fswitness.ops_from_payload` for an FS-op trace
 file.  Whatever each is handed, a reader above it
 sees a typed error (``CheckpointIntegrityError``,
-``CheckpointNotFoundError``, ``AtomMissingError``, ``UCPFormatError``,
-``TraceFormatError``), "atom not reusable" or "marker proves nothing".
+``CheckpointIncompatibleError``, ``CheckpointNotFoundError``,
+``AtomMissingError``, ``UCPFormatError``, ``TraceFormatError``), "atom not reusable" or "marker proves nothing".
 """
 
 from __future__ import annotations
@@ -40,8 +42,12 @@ from repro.analysis.fswitness import (
 from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
-from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
-from repro.ckpt.loader import resolve_tag
+from repro.ckpt.errors import (
+    CheckpointIncompatibleError,
+    CheckpointIntegrityError,
+    CheckpointNotFoundError,
+)
+from repro.ckpt.loader import load_distributed_checkpoint, resolve_tag
 from repro.core.atom import STATE_KINDS, AtomCheckpoint, AtomStore
 from repro.core.convert import (
     CONVERT_SOURCE_FILE,
@@ -49,6 +55,7 @@ from repro.core.convert import (
     converted_from,
     ucp_convert,
 )
+from repro.core.diagnostics import LayoutLintError
 from repro.core.errors import AtomMissingError, UCPFormatError, UCPIncompatibleError
 from repro.core.inspect import verify_directory
 from repro.core.loader import load_ucp_into_engine
@@ -116,6 +123,62 @@ def test_malformed_manifest_table_is_a_typed_error(
             make_engine(parallel=TP2_DP2).load_checkpoint(str(ckpt))
         else:
             ucp_convert(str(ckpt), str(tmp_path / "ucp"))
+
+
+def _reverse_first_shard_shape(meta):
+    segment = meta["segments"][0]
+    assert segment["shard_shape"] != segment["shard_shape"][::-1]
+    segment["shard_shape"] = segment["shard_shape"][::-1]
+
+
+HEADER_DAMAGE = {
+    "padding-7": (lambda meta: meta.update(padding=7), "UCP003"),
+    "alignment-3": (lambda meta: meta.update(alignment=3), "UCP011"),
+    "shard-shape-reversed": (_reverse_first_shard_shape, "UCP004"),
+    "padding-not-an-int": (lambda meta: meta.update(padding="x"), "UCP022"),
+    "segment-without-name": (lambda meta: meta["segments"][0].pop("name"), "UCP022"),
+}
+"""Edit to one rank file's ``partition_meta`` -> the rule every reader
+names first (the derived padding is 0 and the alignment 8)."""
+
+
+@pytest.mark.parametrize("reader", ["lint", "convert", "load"])
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_damaged_rank_header_is_one_rule_everywhere(
+    committed, tmp_path, damage, reader
+):
+    """A rank file whose ``partition_meta`` disagrees with the derived
+    layout, re-recorded in the manifest so only the layout can catch it,
+    is refused by every reader with the same rule at the same file: a
+    ``lint-ckpt`` error, the conversion pre-flight's ``LayoutLintError``
+    and the strict load's ``CheckpointIncompatibleError`` (the lint used
+    to raise ValueError / KeyError, the conversion and the load to
+    accept most of these edits)."""
+    source, tag = committed
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(source, ckpt)
+    store = ObjectStore(str(ckpt))
+    basename = naming.optim_states_name(1, 0)
+    rel = f"{tag}/{basename}"
+    payload = store.load(rel)
+    edit, rule = HEADER_DAMAGE[damage]
+    edit(payload["partition_meta"])
+    store.save(rel, payload)
+    manifest_mod.refresh_entry(store, tag, basename)
+
+    if reader == "load":
+        with pytest.raises(
+            CheckpointIncompatibleError, match=f"^{re.escape(rel)}: {rule} "
+        ):
+            load_distributed_checkpoint(make_engine(parallel=TP2_DP2), str(ckpt))
+        return
+    if reader == "lint":
+        errors = lint_checkpoint(str(ckpt)).errors
+    else:
+        with pytest.raises(LayoutLintError) as refused:
+            ucp_convert(str(ckpt), str(tmp_path / "ucp"))
+        errors = refused.value.report.errors
+    assert (errors[0].rule_id, errors[0].location) == (rule, rel)
 
 
 @pytest.fixture(scope="module")
