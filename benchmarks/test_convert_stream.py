@@ -94,7 +94,7 @@ def fragmenter_executions():
 @contextlib.contextmanager
 def planner_counts():
     """What the block's planner did, as counts: ``header_decodes`` of
-    source rank files (through either header-only store entry point) and
+    source rank files (through the header-only store entry point) and
     ``layout_builds`` (``ModelParallelLayout`` constructions)."""
     counts = {"header_decodes": 0, "layout_builds": 0}
     originals = []
@@ -112,7 +112,6 @@ def planner_counts():
     def is_rank_file(rel_path, *_):
         return rel_path.endswith("_optim_states.npt")
 
-    counting(ObjectStore, "load_header", "header_decodes", is_rank_file)
     counting(ObjectStore, "load_index_sized", "header_decodes", is_rank_file)
     counting(ModelParallelLayout, "__init__", "layout_builds")
     try:

@@ -59,8 +59,6 @@ from repro.analysis.provenance import (
     analyze_interchange,
     analyze_source,
     analyze_ucp_source,
-    check_plan_provenance,
-    check_source_provenance,
     check_target_provenance,
 )
 from repro.analysis.fswitness import (
@@ -129,8 +127,6 @@ __all__ = [
     "analyze_ucp_source",
     "check_engine_isolation",
     "check_fs_trace",
-    "check_plan_provenance",
-    "check_source_provenance",
     "check_target_provenance",
     "config_diagnostics",
     "crosscheck_manifest",

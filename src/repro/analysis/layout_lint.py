@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.analysis.provenance import analyze_ucp_source
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import CheckpointIntegrityError, CheckpointNotFoundError
@@ -82,8 +83,9 @@ def lint_checkpoint(
     :func:`~repro.core.plan.analyze_source` and
     :func:`~repro.core.plan.preflight_convert`: what this reports is
     what ``ucp_convert`` refuses on.  A UCP directory (``ucp_meta.npt``
-    present) is linted atom-by-atom against its own metadata and the
-    layout derived from its model config.
+    present) is linted against its own metadata and the specs its model
+    config derives, each atom state file through the check the UCP load
+    runs (:meth:`~repro.core.atom.AtomStore.check_state`).
 
     Args:
         directory: checkpoint root (distributed) or UCP directory.
@@ -158,7 +160,9 @@ def lint_checkpoint(
 
 
 def _lint_ucp(store: ObjectStore) -> LintReport:
-    """Lint a UCP directory: metadata vs derived specs vs on-disk atoms."""
+    """Lint a UCP directory: metadata vs derived specs vs on-disk atoms,
+    then :func:`~repro.analysis.provenance.analyze_ucp_source`'s atom
+    state-file findings (the UCP load's own check) and each sidecar."""
     report = LintReport(subject=str(store.base))
     try:
         metadata = UCPMetadata.load(store)
@@ -167,14 +171,8 @@ def _lint_ucp(store: ObjectStore) -> LintReport:
                          location=UCP_META_FILE))
         return report
 
-    from repro.parallel.tp import build_shard_specs
-
-    model_cfg = ModelConfig.from_dict(metadata.model_config)
-    source_cfg = ParallelConfig.from_dict(metadata.source_parallel_config)
-    derived = build_shard_specs(
-        model_cfg, expert_parallel=source_cfg.expert_parallel
-    )
-
+    analysis = analyze_ucp_source(store, metadata)
+    derived = {name: prov.spec for name, prov in analysis.params.items()}
     recorded = set(metadata.params)
     for name in sorted(set(derived) - recorded):
         report.add(error(
@@ -187,7 +185,7 @@ def _lint_ucp(store: ObjectStore) -> LintReport:
         report.add(warning(
             "UCP002",
             f"metadata records an atom not derivable from model "
-            f"{model_cfg.name!r}",
+            f"{analysis.model_cfg.name!r}",
             location=name,
         ))
     for name in sorted(recorded & set(derived)):
@@ -213,32 +211,13 @@ def _lint_ucp(store: ObjectStore) -> LintReport:
             "UCP002", "atom on disk but not recorded in metadata",
             location=atom_store.path(name),
         ))
+    # integrity first, as for a distributed tag: a state file of an atom
+    # the inventory already misses would only echo that finding
+    if report.ok:
+        report.extend(analysis.report.diagnostics)
 
     for name in sorted(recorded & on_disk):
-        info = metadata.params[name]
-        expected_shape = tuple(info["shape"])
-        for kind in info.get("kinds", []):
-            rel = atom_store.path(name, kind)
-            try:
-                shape = atom_store.state_index(name, kind).shape
-            except AtomMissingError:
-                report.add(error(
-                    "UCP001", f"state file for kind {kind!r} missing",
-                    location=rel,
-                ))
-                continue
-            except (UCPFormatError, OSError) as exc:
-                report.add(error(
-                    "UCP013", f"header unreadable: {exc.__cause__ or exc}", rel
-                ))
-                continue
-            if shape != expected_shape:
-                report.add(error(
-                    "UCP004",
-                    f"atom state stored with shape {shape}; metadata "
-                    f"records {expected_shape}",
-                    location=rel,
-                ))
+        expected_shape = tuple(metadata.params[name]["shape"])
         rel = atom_store.path(name, SIDECAR)
         try:
             shape = atom_store.read_meta(name).get("shape", ())

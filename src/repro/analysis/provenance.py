@@ -38,19 +38,16 @@ import numpy as np
 
 from repro.ckpt import naming
 from repro.ckpt.loader import resolve_tag
-from repro.core.atom import AtomStore
-from repro.core.diagnostics import LintReport, error
-from repro.core.errors import AtomMissingError, UCPFormatError
+from repro.core.atom import STATE_KINDS, AtomStore
+from repro.core.diagnostics import Diagnostic, LintReport, error
 from repro.core.intervals import (
     data_intervals,
     intersect_tilings,
-    merge_intervals,
     shard_runs,
     subtract_intervals,
 )
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.core.plan import (
-    FP32_BYTES,
     ParamProvenance,
     ProvenanceAnalysis,
     SourceExtent,
@@ -60,6 +57,7 @@ from repro.core.plan import (
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.layout import ModelParallelLayout
+from repro.parallel.tp import build_shard_specs
 from repro.storage.store import ObjectStore
 
 
@@ -122,87 +120,62 @@ def analyze_ucp_source(
 ) -> ProvenanceAnalysis:
     """Provenance map of an already-converted UCP directory.
 
-    Atoms are consolidated by construction, so each present atom
-    supplies its full data region; missing atoms, short extents
-    (UCP021), and non-fp32 states (UCP020) are the remaining dataflow
-    hazards before target re-slicing.
+    Atoms are consolidated by construction: an atom whose every state
+    file passes :meth:`~repro.core.atom.AtomStore.check_state` — the
+    check the UCP load runs — supplies its parameter's data intervals,
+    in order, from its ``fp32`` file.  Each finding of that check, and
+    each parameter the metadata records no atom for (UCP017), leaves
+    the parameter without provenance.
     """
     report = LintReport(subject=f"provenance {store.base}")
     if metadata is None:
         metadata = UCPMetadata.load(store)
     model_cfg = ModelConfig.from_dict(metadata.model_config)
     source_cfg = ParallelConfig.from_dict(metadata.source_parallel_config)
-    layout = ModelParallelLayout(model_cfg, source_cfg)
+    specs = build_shard_specs(
+        model_cfg, expert_parallel=source_cfg.expert_parallel
+    )
 
     atom_store = AtomStore(str(store.base), store)
     params: Dict[str, ParamProvenance] = {}
-    for name in sorted(layout.shard_specs):
-        spec = layout.shard_specs[name]
+    for name in sorted(specs):
+        spec = specs[name]
         data = data_intervals(spec)
-        rel = atom_store.path(name, "fp32")
-        total_data = sum(hi - lo for lo, hi in data)
         params[name] = ParamProvenance(name, spec, [], data)
-        try:
-            if name not in metadata.params:
-                raise AtomMissingError(name)
-            stub = atom_store.state_index(name, "fp32")
-        except AtomMissingError:
+        if name not in metadata.params:
+            total = sum(hi - lo for lo, hi in data)
             report.add(error(
                 "UCP017",
-                f"no atom supplies {name!r}; all "
-                f"{byte_range(0, total_data)} of its data lack "
-                f"provenance",
+                f"no atom supplies {name!r}; all {byte_range(0, total)} of "
+                f"its data lack provenance",
                 location=name,
             ))
             continue
-        except (UCPFormatError, OSError) as exc:
-            report.add(error(
-                "UCP022", f"header unreadable: {exc.__cause__ or exc}", rel
-            ))
+        findings = [
+            found for found in (
+                atom_store.check_state(name, kind, spec.unpadded_shape)
+                for kind in STATE_KINDS
+            )
+            if isinstance(found, Diagnostic)
+        ]
+        report.extend(findings)
+        if findings:
             continue
-        if np.dtype(stub.dtype) != np.float32:
-            report.add(error(
-                "UCP020",
-                f"atom state stored as {stub.dtype}; targets load float32",
-                location=rel,
-            ))
-        numel = stub.numel
-        if numel < total_data:
-            report.add(error(
-                "UCP021",
-                f"atom holds {numel * FP32_BYTES} bytes but the data "
-                f"region needs {total_data * FP32_BYTES}",
-                location=rel,
-            ))
-        # atoms store the unpadded tensor: its elements map onto the
-        # padded consolidated data region in order
+        # the unpadded tensor's elements fill the data intervals in order
         extents: List[SourceExtent] = []
         consumed = 0
         for lo, hi in data:
-            take = min(hi - lo, max(0, numel - consumed))
-            if take <= 0:
-                break
             extents.append(SourceExtent(
                 full_start=lo,
-                full_end=lo + take,
-                file=rel,
+                full_end=hi,
+                file=atom_store.path(name, "fp32"),
                 field="values",
                 file_start=consumed,
                 coord=(0, 0, 0),
                 dp_rank=0,
             ))
-            consumed += take
+            consumed += hi - lo
         params[name] = ParamProvenance(name, spec, extents, data)
-        missing = subtract_intervals(data, merge_intervals(
-            [(e.full_start, e.full_end) for e in extents]
-        ))
-        for lo, hi in missing:
-            report.add(error(
-                "UCP017",
-                f"consolidated data {byte_range(lo, hi)} covered by no "
-                f"atom bytes",
-                location=name,
-            ))
     return ProvenanceAnalysis(model_cfg, source_cfg, params, report)
 
 
@@ -284,58 +257,21 @@ def check_target_provenance(
     return report
 
 
-def check_source_provenance(
-    store: ObjectStore,
-    tag: str,
-    model_cfg: ModelConfig,
-    source_cfg: ParallelConfig,
-    optimizer_layout: str = "flat",
-) -> LintReport:
-    """Source-side provenance theorems only (the converter's pre-pass).
-
-    Exactly what ``ucp_convert`` needs proven before any payload IO:
-    the Extract/Union dataflow will touch every consolidated data byte
-    exactly once and never read padding as data.
-    """
-    return analyze_source(
-        store, tag, model_cfg, source_cfg, optimizer_layout
-    ).report
-
-
-def check_plan_provenance(
-    source_dir: str,
-    target_cfg: ParallelConfig,
-    tag: Optional[str] = None,
-    store: Optional[ObjectStore] = None,
-) -> LintReport:
-    """Full byte-provenance proof for a source -> target interchange.
-
-    Accepts either a distributed checkpoint directory (rank-file
-    headers drive the map) or a UCP directory (atom headers drive it);
-    composes source and target theorems into one report.  Tensor
-    payloads are never read.
-    """
-    analysis = analyze_interchange(source_dir, target_cfg, tag, store)
-    report = LintReport(
-        subject=f"provenance {analysis.source_cfg.describe()} -> "
-                f"{target_cfg.describe()}"
-    )
-    report.extend(analysis.report.diagnostics)
-    return report
-
-
 def analyze_interchange(
     source_dir: str,
     target_cfg: ParallelConfig,
     tag: Optional[str] = None,
     store: Optional[ObjectStore] = None,
 ) -> ProvenanceAnalysis:
-    """Like :func:`check_plan_provenance` but returns the full analysis.
+    """Full byte-provenance proof for a source -> target interchange.
 
-    The analysis object keeps the interval maps, so callers can render
-    provenance chains (:func:`explain`) after the
-    report — the CLI's ``lint-plan --provenance`` uses the report, the
-    docs' worked example uses the chains.
+    Accepts either a distributed checkpoint directory (rank-file
+    headers drive the map) or a UCP directory (atom headers drive it);
+    the source and target theorems' findings land on one report.
+    Tensor payloads are never read.  The analysis keeps the interval
+    maps, so callers can render provenance chains (:func:`explain`)
+    after the report — the CLI's ``lint-plan --provenance`` uses the
+    report, the docs' worked example uses the chains.
     """
     if store is None:
         store = ObjectStore(source_dir)

@@ -184,11 +184,11 @@ def cmd_lint_plan(args: argparse.Namespace) -> int:
     report = lint_plan(model, source, target, atom_names=atom_names)
     if getattr(args, "provenance", False):
         if report.ok:
-            from repro.analysis import check_plan_provenance
+            from repro.analysis import analyze_interchange
 
-            report.extend(check_plan_provenance(
+            report.extend(analyze_interchange(
                 args.source, target, tag=args.tag, store=store
-            ).diagnostics)
+            ).report.diagnostics)
         else:
             print(
                 "note: provenance pass skipped (structural lint failed)",

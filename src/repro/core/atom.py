@@ -26,6 +26,11 @@ reads each state file's header and payload, the payload checked
 against the header's CRC32, so a load reads the same bytes whether or
 not the sidecar is there.
 
+What makes a state file loadable is spelled once, in
+:meth:`AtomStore.check_state`: the UCP load, ``repro lint-ckpt`` and
+``repro lint-plan --provenance`` refuse the same files with the same
+rule.
+
 :class:`AtomStore` is the only code that knows this container (where an
 atom's parts live, how they decode, when one on disk is whole); every
 other module names atoms and state kinds.
@@ -34,10 +39,11 @@ other module names atoms and state kinds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.diagnostics import Diagnostic, error
 from repro.core.errors import AtomMissingError, UCPError, UCPFormatError
 from repro.storage.serializer import (
     SerializationError,
@@ -174,6 +180,40 @@ class AtomStore:
         """The ``values`` index entry of one state file (header only;
         the payload's placement is checked against the file's size)."""
         return self._values(name, kind, False)
+
+    def check_state(
+        self, name: str, kind: str, shape: Sequence[int]
+    ) -> Union[TensorIndexEntry, Diagnostic]:
+        """The atom state-file contract, header only: the file's
+        :meth:`state_index` entry when it holds float32 elements of the
+        derived unpadded ``shape``, else exactly one finding located at
+        the file — absent (UCP001), a header that does not decode or
+        holds no ``values`` tensor (UCP022), not float32 (UCP020), any
+        other shape (UCP004)."""
+        rel = self.path(name, kind)
+        try:
+            entry = self.state_index(name, kind)
+        except AtomMissingError:
+            return error("UCP001", f"state file for kind {kind!r} missing", rel)
+        except (UCPFormatError, OSError) as exc:
+            return error(
+                "UCP022", f"header unreadable: {exc.__cause__ or exc}", rel
+            )
+        if np.dtype(entry.dtype) != np.float32:
+            return error(
+                "UCP020",
+                f"atom state stored as {np.dtype(entry.dtype)}; targets "
+                f"load float32",
+                rel,
+            )
+        if tuple(entry.shape) != tuple(shape):
+            return error(
+                "UCP004",
+                f"atom state stored with shape {tuple(entry.shape)}; the "
+                f"model derives unpadded shape {tuple(shape)}",
+                rel,
+            )
+        return entry
 
     def read_ranges(
         self, name: str, kind: str, ranges: List[Tuple[int, int]]

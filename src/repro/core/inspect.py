@@ -119,11 +119,12 @@ def inspect_directory(directory: str) -> DirectorySummary:
             kind="unknown", num_files=num_files, total_bytes=total_bytes
         )
     num_files, total_bytes = _dir_footprint(store, tag)
-    # merge sharding metadata across rank files (each covers one stage)
+    # merge sharding metadata across rank files (each covers one stage),
+    # read from their headers: no payload is decoded
     merged: Dict[str, Dict] = {}
     for rel in store.list(tag):
-        if "optim_states" in rel:
-            merged.update(store.load(rel)["sharding"])
+        if naming.OPTIM_STATES_RE.match(rel.rsplit("/", 1)[-1]):
+            merged.update(store.load_index(rel)["sharding"])
     census = _census_from_specs(merged) if merged else None
     return DirectorySummary(
         kind="distributed",

@@ -47,9 +47,11 @@ def load_ucp_into_engine(
     Raises:
         UCPIncompatibleError: model architecture mismatch.
         AtomMissingError: an atom state file is absent.
-        UCPFormatError: an atom state file has the wrong dtype or element
-            count, is shorter than its header says, or its payload does
-            not match its header's CRC32.
+        UCPFormatError: an atom state file fails
+            :meth:`~repro.core.atom.AtomStore.check_state` (its header
+            does not decode, or it is not float32 of the derived
+            unpadded shape), or its payload does not match its header's
+            CRC32.
     """
     if store is None:
         store = ObjectStore(ucp_dir)

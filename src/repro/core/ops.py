@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.atom import STATE_KINDS, AtomStore
-from repro.core.errors import PatternMatchError, UCPFormatError
-from repro.core.intervals import AtomRows, atom_rows, numel as _interval_numel
+from repro.core.diagnostics import Diagnostic
+from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
+from repro.core.intervals import AtomRows, atom_rows
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.layout import ModelParallelLayout, PartitionSlice
@@ -380,18 +381,21 @@ class AtomShardCache:
 
     def _state_entry(self, name: str, kind: str) -> TensorIndexEntry:
         """Tensor index entry of one atom state file (one header-only
-        read, memoized), checked against what the target expects."""
+        read, memoized), held to :meth:`AtomStore.check_state`."""
         key = (name, kind)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self.atom_store.state_index(name, kind)
-            spec = self.plan.layout.spec(name)
-            expected = _interval_numel(spec.unpadded_shape)
-            if np.dtype(entry.dtype) != np.float32 or entry.numel != expected:
-                raise UCPFormatError(
-                    f"atom {name!r} ({kind}) holds {entry.numel} "
-                    f"{entry.dtype} elements; target expects unpadded "
-                    f"shape {spec.unpadded_shape} ({expected} float32)"
+            entry = self.atom_store.check_state(
+                name, kind, self.plan.layout.spec(name).unpadded_shape
+            )
+            if isinstance(entry, Diagnostic):
+                refusal = (
+                    AtomMissingError if entry.rule_id == "UCP001"
+                    else UCPFormatError
+                )
+                raise refusal(
+                    f"{entry.location}: {entry.rule_id} [{entry.rule_name}] "
+                    f"{entry.message}"
                 )
             self._entries[key] = entry
         return entry

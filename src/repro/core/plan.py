@@ -370,9 +370,10 @@ def _read_source_pieces(
                 continue
             headers[rel] = header
 
-            _check_sharding_metadata(
-                header, layout, checked_sharding, rel, report
-            )
+            if check.rank_fields(header):
+                _check_sharding_metadata(
+                    header, layout, checked_sharding, rel, report
+                )
             if "param_states" in header:
                 _collect_per_param_pieces(header, check, coord, pieces, report)
             else:
@@ -394,12 +395,12 @@ def _check_sharding_metadata(
     structural padding rows as real data — StripPadding would then
     carry padding bytes into atoms and every target rank (UCP019).
     """
-    for name, saved in sorted(header.get("sharding", {}).items()):
+    for name, saved in sorted(header["sharding"].items()):
         if name in checked or name not in layout.shard_specs:
             continue
         checked.add(name)
         spec = layout.shard_specs[name]
-        recorded = tuple(int(d) for d in saved.get("unpadded_shape", ()))
+        recorded = tuple(saved["unpadded_shape"])
         derived = tuple(spec.unpadded_shape)
         if recorded and numel(recorded) > numel(derived):
             report.add(error(

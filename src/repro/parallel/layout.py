@@ -307,16 +307,37 @@ class RankShardLayout:
 _META_INTS = ("dp_rank", "partition_numel", "flat_numel", "alignment", "padding")
 
 
+def _spec_table(table) -> bool:
+    """Whether a ``sharding`` table maps names to spec mappings with a
+    pattern and integer shapes (what :meth:`ShardSpec.from_dict` reads)."""
+    return isinstance(table, dict) and all(
+        isinstance(spec, dict) and "pattern" in spec and all(
+            isinstance(spec.get(dims), list)
+            and all(type(d) is int for d in spec[dims])
+            for dims in ("logical_shape", "unpadded_shape")
+        )
+        for spec in table.values()
+    )
+
+
+_RANK_FIELDS = {
+    "optimizer_step": lambda value: type(value) is int,
+    "adam": lambda value: isinstance(value, dict),
+    "sharding": _spec_table,
+}
+"""Rank-file fields beside ``partition_meta`` -> whether a value decodes."""
+
+
 class HeaderCheck:
     """One optimizer-state file's header against the layout that derives it.
 
     The one rank-file check behind ``repro lint-ckpt``, the conversion
     pre-flight and the strict loader: UCP001-UCP004 and UCP011, plus
     UCP022 for a field that does not decode.  Whoever walks the header
-    feeds it: the conversion's header pass calls :meth:`flat_meta` and
-    :meth:`flat_array` and iterates :meth:`segments` /
-    :meth:`param_states` in the loops that collect its provenance
-    pieces, so nothing is walked twice; :meth:`run` is the whole walk,
+    feeds it: the conversion's header pass calls :meth:`rank_fields`,
+    :meth:`flat_meta` and :meth:`flat_array` and iterates
+    :meth:`segments` / :meth:`param_states` in the loops that collect
+    its provenance pieces, so nothing is walked twice; :meth:`run` is the whole walk,
     for a reader with no loop of its own.  Findings accumulate on
     :attr:`diagnostics`.
     """
@@ -337,7 +358,9 @@ class HeaderCheck:
         """Check a whole decoded header; returns :attr:`diagnostics`."""
         if not isinstance(header, dict):
             self._add("UCP022", "header is not a mapping")
-        elif "param_states" in header:
+            return self.diagnostics
+        self.rank_fields(header)
+        if "param_states" in header:
             for _ in self.param_states(header["param_states"]):
                 pass
         else:
@@ -348,6 +371,22 @@ class HeaderCheck:
                 for _ in self.segments(meta[3]):
                     pass
         return self.diagnostics
+
+    def rank_fields(self, header: Dict) -> bool:
+        """The fields beside ``partition_meta`` that the strict load and
+        the conversion index: an integer ``optimizer_step``, an ``adam``
+        mapping and a ``sharding`` table (UCP022 for each one absent or
+        malformed).  Whether all three decode."""
+        bad = [
+            key for key, decodes in _RANK_FIELDS.items()
+            if key not in header or not decodes(header[key])
+        ]
+        for key in bad:
+            self._add("UCP022", (
+                f"header has no {key!r}" if key not in header
+                else f"{key} is malformed ({type(header[key]).__name__})"
+            ))
+        return not bad
 
     def flat_meta(self, header: Dict) -> Optional[Tuple[int, int, int, List]]:
         """The recorded ``(dp_rank, partition_numel, flat_numel, segments)``.

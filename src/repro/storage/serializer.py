@@ -314,8 +314,8 @@ def read_npt_header(fh: BinaryIO) -> Any:
     validated, or materialized.  This is what lets the static layout
     linter inspect a rank file's partition metadata and flat-array
     shapes at header cost regardless of checkpoint size.  (The same
-    decode as :func:`read_npt_index`; the two names are the analyzers'
-    and the planners' entry points.)
+    decode as :func:`read_npt_index`, which the package's own readers
+    call; this name stays a public entry point.)
 
     Args:
         fh: binary stream positioned at the file start.  Only the magic,

@@ -50,7 +50,6 @@ from repro.storage.faults import FaultPolicy, InjectedCrash
 from repro.storage.nvme import DEFAULT_NVME
 from repro.storage.serializer import (
     deserialize,
-    read_npt_header,
     read_npt_index,
     serialize,
 )
@@ -509,26 +508,15 @@ class ObjectStore:
         """Read and deserialize one object."""
         return deserialize(self.read_bytes(rel_path))
 
-    def load_header(self, rel_path: str) -> Any:
+    def load_index(self, rel_path: str) -> Any:
         """Decode one object from its ``.npt`` header only.
 
         Tensor leaves come back as
-        :class:`~repro.storage.serializer.TensorIndexEntry` objects;
-        payload bytes are never read from disk, so only the header bytes
-        are charged to read accounting.  This is the static analyzer's
-        entry point — layout linting over a multi-terabyte checkpoint
-        costs a few KB of IO per rank file.
-        """
-        return self._load_head(rel_path, read_npt_header)[0]
-
-    def load_index(self, rel_path: str) -> Any:
-        """Decode one object from its header, with tensor file offsets.
-
-        Like :meth:`load_header`: tensor leaves come back as
-        :class:`~repro.storage.serializer.TensorIndexEntry` carrying
-        each payload's absolute byte offset — the input a read planner
-        lowers into exact :meth:`read_range` calls.  Only header bytes
-        are charged.
+        :class:`~repro.storage.serializer.TensorIndexEntry` objects
+        carrying each payload's absolute byte offset — the input a read
+        planner lowers into exact :meth:`read_range` calls, and all a
+        header check needs.  Payload bytes are never read; only the
+        header bytes are charged to read accounting.
         """
         return self.load_index_sized(rel_path)[0]
 
@@ -540,11 +528,6 @@ class ObjectStore:
         header was read through — the size the header's own claims were
         checked against — at no extra file-system round trip.
         """
-        return self._load_head(rel_path, read_npt_index)
-
-    def _load_head(self, rel_path: str, read) -> Tuple[Any, int]:
-        """Decode an object's header through ``read``; returns the
-        decoded tree and the file's size, charging the header bytes."""
         path = self._resolve_str(rel_path)
         try:
             fh = open(path, "rb")
@@ -555,7 +538,7 @@ class ObjectStore:
         with fh:
             if self.faults is not None:
                 self.faults.on_read(rel_path, pathlib.Path(path))
-            obj = read(fh)
+            obj = read_npt_index(fh)
             header_bytes = fh.tell()
             file_size = os.fstat(fh.fileno()).st_size
         self.bytes_read += header_bytes

@@ -90,14 +90,14 @@ class TestCleanCheckpoints:
         def rank_file(rel, *_):
             return rel.endswith("_optim_states.npt")
 
-        for attr in ("load_header", "load_index_sized", "load", "read_bytes"):
+        for attr in ("load_index_sized", "load", "read_bytes"):
             counting(ObjectStore, attr, rank_file)
         counting(ModelParallelLayout, "__init__", lambda *_: True)
 
         assert lint_checkpoint(directory).ok
         rank_files = [f for f in info.files if rank_file(f)]
         assert len(rank_files) == 4
-        assert counts["load_header"] + counts["load_index_sized"] == 4
+        assert counts["load_index_sized"] == 4
         assert counts["load"] == counts["read_bytes"] == 0
         assert counts["__init__"] == 1
 

@@ -21,7 +21,7 @@ import random
 from tests.helpers import make_engine
 from repro.analysis import (
     analyze_interchange,
-    check_source_provenance,
+    analyze_source,
     expected_tag_basenames,
     lint_checkpoint,
 )
@@ -98,10 +98,10 @@ def test_linter_and_saver_agree_across_seeded_config_sweep(tmp_path):
         # the stronger theorem: every data byte of this checkpoint has
         # exactly one non-padding source, proven from headers alone
         payload_read = store.bytes_read
-        provenance = check_source_provenance(
+        provenance = analyze_source(
             store, info.tag, get_config(model), parallel,
             optimizer_layout=optimizer_layout,
-        )
+        ).report
         assert provenance.ok, f"{label}:\n{provenance.render_text()}"
         assert store.bytes_read - payload_read < 512 * 1024, (
             f"{label}: provenance read {store.bytes_read - payload_read} "

@@ -24,8 +24,6 @@ from repro.analysis import (
     LintReport,
     analyze_interchange,
     analyze_source,
-    check_plan_provenance,
-    check_source_provenance,
     check_target_provenance,
     error,
     warning,
@@ -70,7 +68,7 @@ def _tamper(store, tag, basename, mutate):
 class TestCleanSources:
     def test_flat_zero1_source_proves_clean(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert report.ok, report.render_text()
 
     def test_per_param_zero0_source_proves_clean(self, tmp_path):
@@ -78,21 +76,21 @@ class TestCleanSources:
         store, tag, model = _save(
             tmp_path, parallel, optimizer_layout="per_param"
         )
-        report = check_source_provenance(
+        report = analyze_source(
             store, tag, model, parallel, optimizer_layout="per_param"
-        )
+        ).report
         assert report.ok, report.render_text()
 
     def test_zero3_source_proves_clean(self, tmp_path):
         parallel = ParallelConfig(tp=1, pp=1, dp=4, sp=1, zero_stage=3)
         store, tag, model = _save(tmp_path, parallel)
-        report = check_source_provenance(store, tag, model, parallel)
+        report = analyze_source(store, tag, model, parallel).report
         assert report.ok, report.render_text()
 
     def test_sequence_parallel_source_proves_clean(self, tmp_path):
         parallel = ParallelConfig(tp=2, pp=1, dp=1, sp=2, zero_stage=1)
         store, tag, model = _save(tmp_path, parallel)
-        report = check_source_provenance(store, tag, model, parallel)
+        report = analyze_source(store, tag, model, parallel).report
         assert report.ok, report.render_text()
 
     def test_expert_parallel_moe_source_proves_clean(self, tmp_path):
@@ -100,14 +98,14 @@ class TestCleanSources:
             tp=2, pp=1, dp=2, sp=1, zero_stage=1, expert_parallel=True
         )
         store, tag, model = _save(tmp_path, parallel, model="moe-mini")
-        report = check_source_provenance(store, tag, model, parallel)
+        report = analyze_source(store, tag, model, parallel).report
         assert report.ok, report.render_text()
 
     def test_converted_ucp_dir_proves_clean(self, tmp_path):
         _save(tmp_path / "src", FLAT_PARALLEL)
         ucp_convert(str(tmp_path / "src"), str(tmp_path / "ucp"))
         target = ParallelConfig(tp=1, pp=2, dp=2, sp=1, zero_stage=2)
-        report = check_plan_provenance(str(tmp_path / "ucp"), target)
+        report = analyze_interchange(str(tmp_path / "ucp"), target).report
         assert report.ok, report.render_text()
 
     def test_header_only_io_stays_in_kilobytes(self, tmp_path):
@@ -116,7 +114,7 @@ class TestCleanSources:
             f.stat().st_size for f in (tmp_path / tag).glob("*.npt")
         )
         fresh = ObjectStore(str(tmp_path))
-        report = check_source_provenance(fresh, tag, model, FLAT_PARALLEL)
+        report = analyze_source(fresh, tag, model, FLAT_PARALLEL).report
         assert report.ok
         # headers only: orders of magnitude below the payload, and small
         # in absolute terms — this is the "no tensor reads" guarantee
@@ -181,7 +179,7 @@ class TestInjectedPlanCorruptions:
             store, tag, naming.optim_states_name(1, 0),
             lambda p: p["partition_meta"].__setitem__("dp_rank", 0),
         )
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         assert "UCP018" in report.rule_ids()
         overlap = next(d for d in report.errors if d.rule_id == "UCP018")
@@ -194,7 +192,7 @@ class TestInjectedPlanCorruptions:
             payload["partition_meta"]["segments"][0]["numel"] += 1
 
         _tamper(store, tag, naming.optim_states_name(0, 0), extend)
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         assert "UCP021" in report.rule_ids()
 
@@ -205,7 +203,7 @@ class TestInjectedPlanCorruptions:
             payload["partition_meta"]["segments"][0]["numel"] -= 1
 
         _tamper(store, tag, naming.optim_states_name(0, 0), shrink)
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         assert "UCP017" in report.rule_ids()
 
@@ -218,7 +216,7 @@ class TestInjectedPlanCorruptions:
             meta["unpadded_shape"] = list(meta["logical_shape"])
 
         _tamper(store, tag, naming.optim_states_name(0, 0), widen)
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         leaks = [d for d in report.errors if d.rule_id == "UCP019"]
         assert leaks, report.render_text()
@@ -233,14 +231,14 @@ class TestInjectedPlanCorruptions:
             )
 
         _tamper(store, tag, naming.optim_states_name(0, 0), degrade)
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         assert "UCP020" in report.rule_ids()
 
     def test_missing_rank_file_fires_ucp022(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
         (tmp_path / tag / naming.optim_states_name(0, 0)).unlink()
-        report = check_source_provenance(store, tag, model, FLAT_PARALLEL)
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
         assert not report.ok
         assert "UCP022" in report.rule_ids()
 
@@ -281,9 +279,9 @@ class TestDeterministicOrdering:
         (tmp_path / tag / naming.optim_states_name(0, 0)).unlink()
         outputs = set()
         for _ in range(3):
-            report = check_source_provenance(
+            report = analyze_source(
                 ObjectStore(str(tmp_path)), tag, model, FLAT_PARALLEL
-            )
+            ).report
             outputs.add(report.to_json())
         assert len(outputs) == 1
         json.loads(outputs.pop())  # and it is valid JSON

@@ -6,7 +6,9 @@ rank file's ``partition_meta`` (one check behind ``lint-ckpt``, the
 conversion pre-flight and the strict load), :func:`repro.ckpt.loader.resolve_tag` for the
 ``latest`` pointer, :meth:`repro.core.metadata.UCPMetadata.from_payload`
 for the ``ucp_meta`` tree, :class:`repro.core.atom.AtomStore` for atom
-names, an atom's sidecar and its state headers, the UCP load
+names, an atom's sidecar and its state headers (its ``check_state``
+the one state-file check behind the UCP load, ``lint-ckpt`` and
+``lint-plan --provenance``), the UCP load
 (:func:`repro.core.loader.load_ucp_into_engine`) for an atom's state
 payloads, :func:`repro.core.convert.converted_from` for the
 conversion's source marker, and
@@ -40,6 +42,7 @@ from repro.analysis.fswitness import (
     ops_from_payload,
 )
 from repro.analysis.layout_lint import crosscheck_manifest, lint_checkpoint
+from repro.analysis.provenance import analyze_interchange
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import (
@@ -131,15 +134,24 @@ def _reverse_first_shard_shape(meta):
     segment["shard_shape"] = segment["shard_shape"][::-1]
 
 
+def _meta(edit):
+    return lambda payload: edit(payload["partition_meta"])
+
+
 HEADER_DAMAGE = {
-    "padding-7": (lambda meta: meta.update(padding=7), "UCP003"),
-    "alignment-3": (lambda meta: meta.update(alignment=3), "UCP011"),
-    "shard-shape-reversed": (_reverse_first_shard_shape, "UCP004"),
-    "padding-not-an-int": (lambda meta: meta.update(padding="x"), "UCP022"),
-    "segment-without-name": (lambda meta: meta["segments"][0].pop("name"), "UCP022"),
+    "padding-7": (_meta(lambda meta: meta.update(padding=7)), "UCP003"),
+    "alignment-3": (_meta(lambda meta: meta.update(alignment=3)), "UCP011"),
+    "shard-shape-reversed": (_meta(_reverse_first_shard_shape), "UCP004"),
+    "padding-not-an-int": (_meta(lambda meta: meta.update(padding="x")), "UCP022"),
+    "segment-without-name": (
+        _meta(lambda meta: meta["segments"][0].pop("name")), "UCP022"
+    ),
+    "optimizer-step-deleted": (lambda p: p.pop("optimizer_step"), "UCP022"),
+    "adam-deleted": (lambda p: p.pop("adam"), "UCP022"),
+    "sharding-deleted": (lambda p: p.pop("sharding"), "UCP022"),
 }
-"""Edit to one rank file's ``partition_meta`` -> the rule every reader
-names first (the derived padding is 0 and the alignment 8)."""
+"""Edit to one rank file's header -> the rule every reader names first
+(the derived padding is 0 and the alignment 8)."""
 
 
 @pytest.mark.parametrize("reader", ["lint", "convert", "load"])
@@ -148,12 +160,13 @@ def test_damaged_rank_header_is_one_rule_everywhere(
     committed, tmp_path, damage, reader
 ):
     """A rank file whose ``partition_meta`` disagrees with the derived
-    layout, re-recorded in the manifest so only the layout can catch it,
-    is refused by every reader with the same rule at the same file: a
-    ``lint-ckpt`` error, the conversion pre-flight's ``LayoutLintError``
-    and the strict load's ``CheckpointIncompatibleError`` (the lint used
-    to raise ValueError / KeyError, the conversion and the load to
-    accept most of these edits)."""
+    layout, or that lacks a field beside it, re-recorded in the manifest
+    so only the header check can catch it, is refused by every reader
+    with the same rule at the same file: a ``lint-ckpt`` error, the
+    conversion pre-flight's ``LayoutLintError`` and the strict load's
+    ``CheckpointIncompatibleError`` (the lint used to raise ValueError /
+    KeyError, the conversion and the load to accept most of these
+    edits or fail on a bare KeyError)."""
     source, tag = committed
     ckpt = tmp_path / "ckpt"
     shutil.copytree(source, ckpt)
@@ -162,7 +175,7 @@ def test_damaged_rank_header_is_one_rule_everywhere(
     rel = f"{tag}/{basename}"
     payload = store.load(rel)
     edit, rule = HEADER_DAMAGE[damage]
-    edit(payload["partition_meta"])
+    edit(payload)
     store.save(rel, payload)
     manifest_mod.refresh_entry(store, tag, basename)
 
@@ -187,6 +200,66 @@ def converted(committed, tmp_path_factory):
     ucp = tmp_path_factory.mktemp("ucp_meta") / "ucp"
     ucp_convert(str(committed[0]), str(ucp))
     return ucp
+
+
+def _resave(make):
+    return lambda store, rel: store.save(rel, make(store.load(rel)["values"]))
+
+
+def _truncate(store, rel):
+    store.put_bytes(rel, store.read_bytes(rel)[:-100])
+
+
+_FLOAT64 = _resave(lambda values: {"values": values.astype(np.float64)})
+_SEVEN_EXTRA = _resave(lambda values: {
+    "values": np.concatenate([values.ravel(), np.zeros(7, np.float32)]),
+})
+
+ATOM_DAMAGE = {
+    "exp_avg-float64": ("exp_avg", _FLOAT64, "UCP020"),
+    "fp32-float64": ("fp32", _FLOAT64, "UCP020"),
+    "exp_avg-7-extra": ("exp_avg", _SEVEN_EXTRA, "UCP004"),
+    "fp32-7-extra": ("fp32", _SEVEN_EXTRA, "UCP004"),
+    "exp_avg-deleted": ("exp_avg", lambda store, rel: store.delete(rel), "UCP001"),
+    "exp_avg-truncated": ("exp_avg", _truncate, "UCP022"),
+    "fp32-truncated": ("fp32", _truncate, "UCP022"),
+    "exp_avg-without-values": (
+        "exp_avg", _resave(lambda values: {"other": values}), "UCP022"
+    ),
+}
+"""Damage to one of ``embedding.weight``'s state files -> the rule every
+reader names first."""
+
+
+@pytest.mark.parametrize("reader", ["lint", "provenance", "load"])
+@pytest.mark.parametrize("damage", sorted(ATOM_DAMAGE))
+def test_damaged_atom_state_is_one_rule_everywhere(
+    converted, tmp_path, damage, reader
+):
+    """An atom state file that is absent, undecodable, not float32 or not
+    of the derived unpadded shape is refused by every reader of atoms
+    with the same rule at the same file: a ``lint-ckpt`` error, a
+    ``lint-plan --provenance`` error and the UCP load's exception (the
+    lint used to pass both float64 files, the provenance pass six of the
+    eight, reading ``fp32`` only)."""
+    ucp = tmp_path / "ucp"
+    shutil.copytree(converted, ucp)
+    atoms = AtomStore(str(ucp))
+    kind, edit, rule = ATOM_DAMAGE[damage]
+    rel = atoms.path("embedding.weight", kind)
+    edit(atoms.store, rel)
+
+    if reader == "load":
+        refusal = AtomMissingError if rule == "UCP001" else UCPFormatError
+        with pytest.raises(refusal, match=f"^{re.escape(rel)}: {rule} "):
+            load_ucp_into_engine(make_engine(parallel=TP2_DP2), str(ucp))
+        return
+    if reader == "lint":
+        errors = lint_checkpoint(str(ucp)).errors
+    else:
+        target = ParallelConfig.from_describe("tp1.pp1.dp4.sp1.zero1")
+        errors = analyze_interchange(str(ucp), target).report.errors
+    assert (errors[0].rule_id, errors[0].location) == (rule, rel)
 
 
 def _drop_iteration(meta):

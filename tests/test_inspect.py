@@ -33,6 +33,23 @@ class TestInspectDirectory:
         assert summary.num_files == 14  # 13 data files + commit manifest
         assert summary.total_bytes > 0
 
+    def test_distributed_census_reads_rank_headers_only(
+        self, trained, monkeypatch
+    ):
+        """The census takes each optimizer-state file's ``sharding`` from
+        its header: no rank-file payload is read or decoded."""
+        _, ckpt, _ = trained
+        read = []
+        real = ObjectStore.read_bytes
+
+        def recording(self, rel_path, *args, **kwargs):
+            read.append(rel_path)
+            return real(self, rel_path, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectStore, "read_bytes", recording)
+        assert inspect_directory(ckpt).census is not None
+        assert [rel for rel in read if "optim_states" in rel] == []
+
     def test_distributed_census_covers_all_stages(self, trained):
         engine, ckpt, _ = trained
         summary = inspect_directory(ckpt)

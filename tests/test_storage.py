@@ -287,7 +287,7 @@ class TestObjectStore:
         assert data != good
         store = ObjectStore(str(tmp_path))
         (tmp_path / "lying.npt").write_bytes(data)
-        for read in (store.load_header, store.load_index, store.load):
+        for read in (store.load_index, store.load):
             with pytest.raises(SerializationError, match="lying.npt|<bytes>"):
                 read("lying.npt")
 
