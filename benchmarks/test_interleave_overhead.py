@@ -6,10 +6,11 @@ Three measurements keep the cooperative scheduler honest:
   (overlapping planned sets of 4 MiB source files through the real
   source-file table, 1 MiB slices) run serially with nothing attached
   — the context number.
-* **witnessed_s**: the same workload under the per-run sanitizer every
-  explored schedule pays (store ops reach the scheduler through the
-  hook slot itself, no FS trace).  Its cost is budgeted by its *own*
-  bench (``BENCH_sanitizer_overhead``); this bench does not re-gate it.
+* **witnessed_s**: the same workload with the hook slot active — a
+  subscriber that handles no event on the ``fs`` role — so every hook
+  site builds and delivers its event the way it does under the
+  explorer (store ops reach the scheduler through the slot itself, no
+  FS trace), with no checker behind it.
 * **controlled_s**: the full :func:`interleave.run_schedule` — park
   every thread at every yield point, dispatch serially, record the
   trace.  The gate: ``controlled_s / witnessed_s <= MAX_OVERHEAD``,
@@ -32,7 +33,6 @@ import time
 
 from repro import obs
 from repro.analysis import interleave
-from repro.analysis.sanitizer import sanitize
 from repro.storage.rangeio import BlockCache, RangeReader
 from repro.storage.store import ObjectStore
 
@@ -113,7 +113,7 @@ def test_interleave_overhead_within_budget(benchmark, tmp_path):
         case.cleanup()
 
     def witnessed():
-        with sanitize(strict=False):
+        with obs.subscribed("fs", object()):
             plain()
 
     def controlled():

@@ -22,15 +22,13 @@ The runtime witnesses below never reach into the code they watch: the
 byte-moving layers name *events* on the one hook slot (:mod:`repro.obs`)
 and a witness's activation context subscribes it there.
 
-Two enforcement layers guard the *memory* side of the same contracts:
+One lint checks the *code* rather than its artifacts:
 
-- :mod:`~repro.analysis.sanitizer` — runtime buffer-ownership checks
-  at every isolation boundary of the simulated cluster (collectives,
-  UCP loads); activate with :func:`~repro.analysis.sanitizer.sanitize` or
-  ``REPRO_SANITIZE=1``.
 - :mod:`~repro.analysis.srclint` — an AST lint over ``src/repro``
-  itself that flags the code patterns *causing* those violations
-  (``repro lint-src``).
+  itself (``repro lint-src``).  Rank isolation needs no checker: every
+  collective hands each rank a private result, and the plain test suite
+  pins that and the engine's state after build, training and every
+  restart path (UCP025, reserved).
 
 And one for the *concurrency* side (the threaded IO layer):
 
@@ -49,7 +47,7 @@ And one for the *crash-consistency* side (the commit protocol):
   state recovery can tell apart by its store root's contract
   (UCP032-UCP035, ``repro lint-trace``).
 
-All findings carry stable rule IDs (``UCP001``... / ``SRC001``...); see
+All findings carry stable rule IDs (``UCP001``... / ``SRC002``...); see
 ``docs/ANALYSIS.md`` for the catalogue.
 """
 
@@ -69,14 +67,6 @@ from repro.analysis.fswitness import (
     check_fs_trace,
     enumerate_crash_states,
     fstrace,
-)
-from repro.analysis.sanitizer import (
-    MemorySanitizer,
-    SanitizerError,
-    check_engine_isolation,
-    model_param_arrays,
-    sanitize,
-    zero_state_arrays,
 )
 from repro.analysis.srclint import lint_source_tree
 from repro.core.diagnostics import (
@@ -118,14 +108,11 @@ __all__ = [
     "Diagnostic",
     "LayoutLintError",
     "LintReport",
-    "MemorySanitizer",
     "ProvenanceAnalysis",
-    "SanitizerError",
     "TraceFormatError",
     "analyze_interchange",
     "analyze_source",
     "analyze_ucp_source",
-    "check_engine_isolation",
     "check_fs_trace",
     "check_target_provenance",
     "config_diagnostics",
@@ -137,9 +124,6 @@ __all__ = [
     "lint_checkpoint",
     "lint_plan",
     "lint_source_tree",
-    "model_param_arrays",
     "preflight_convert",
-    "sanitize",
     "warning",
-    "zero_state_arrays",
 ]

@@ -12,7 +12,7 @@ a schedule cap, checking per-schedule invariants.
 
 The scheduler does not instrument code itself: its :class:`Controller`
 subscribes to the one hook slot (:mod:`repro.obs`, role ``"sched"`` —
-delivered after the FS recorder, before the sanitizer) and yields at
+delivered after the FS recorder) and yields at
 the events the byte-moving layers already name there:
 
 * :class:`~repro.obs.WitnessedLock` acquire/release,
@@ -211,7 +211,6 @@ class RunResult:
     trace: List[Event]
     deadlock: Optional[_Deadlock]
     fingerprint: Optional[str]
-    sanitizer_errors: List[Diagnostic]
 
 
 # --- the cooperative scheduler -----------------------------------------
@@ -1006,15 +1005,9 @@ def _build_commit_pool(seed: int, root: str) -> Scenario:
 def run_schedule(case: RunCase, forced: Sequence[int] = ()) -> RunResult:
     """Execute one :class:`RunCase` under a forced branch schedule.
 
-    The run is wrapped in its own non-strict memory sanitizer, so
-    "sanitizer clean" is checked per schedule and findings are
-    *collected*, never raised mid-run.
-
     Nested explorations are a programming error (a controlled thread
     reaching a second scheduler could deadlock both): they raise.
     """
-    from repro.analysis import sanitizer as _sanitizer
-
     if obs.current("sched") is not None:
         raise RuntimeError(
             "an interleaving controller is already installed; "
@@ -1022,11 +1015,8 @@ def run_schedule(case: RunCase, forced: Sequence[int] = ()) -> RunResult:
         )
     ctl = Controller(len(case.threads), forced)
     try:
-        with _sanitizer.sanitize(
-            strict=False, subject="interleave"
-        ) as san:
-            with obs.subscribed("sched", ctl):
-                ctl.run(case.threads)
+        with obs.subscribed("sched", ctl):
+            ctl.run(case.threads)
         fingerprint = None
         if ctl.deadlock is None:
             fingerprint = case.fingerprint()
@@ -1035,7 +1025,6 @@ def run_schedule(case: RunCase, forced: Sequence[int] = ()) -> RunResult:
             trace=list(ctl.trace),
             deadlock=ctl.deadlock,
             fingerprint=fingerprint,
-            sanitizer_errors=list(san.report.errors),
         )
     finally:
         case.cleanup()
@@ -1147,11 +1136,6 @@ class _Explorer:
     # --- per-run analysis --------------------------------------------
 
     def _analyze(self, result: RunResult) -> None:
-        for diag in result.sanitizer_errors:
-            self._add(dataclasses.replace(
-                diag,
-                location=f"{self.scen.name}/{diag.location}",
-            ))
         for key, older, newer in _hb_races(result.trace):
             pair_key = (key, frozenset((older.name, newer.name)))
             if pair_key in self._seen_races:

@@ -1,15 +1,11 @@
 """AST source lint over ``src/repro`` itself (``repro lint-src``).
 
-The runtime sanitizer (:mod:`repro.analysis.sanitizer`) catches
-isolation violations when they *happen*; this module flags the code
-patterns that *cause* them, statically, before any test runs:
+Flags, statically and before any test runs, code patterns that alias
+or reorder state:
 
 ========  ===========================  =======================================
 rule      name                         pattern
 ========  ===========================  =======================================
-SRC001    collective-result-no-copy    a collective's result stored into a
-                                       long-lived structure (attribute, keyed
-                                       container, ``append``) without ``.copy()``
 SRC002    frombuffer-escape            an ``np.frombuffer`` view escaping its
                                        scope (returned, stored on an object,
                                        put in a container) still aliasing the
@@ -24,11 +20,13 @@ SRC004    mutable-default-argument     a mutable default (list/dict/set/
 
 Lock discipline is not checked here: the schedule explorer
 (:mod:`repro.analysis.interleave`, ``repro explore``) runs the threaded
-code itself through every inequivalent schedule.
+code itself through every inequivalent schedule.  SRC001
+(collective-result-no-copy) is retired and reserved: every collective
+builds a private result per rank, which plain tests pin per op.
 
 Both statically-safe sinks and the analysis' own limits are deliberate:
-plain ``name = collective(...)`` assignments and slice-stores
-``buf[a:b] = np.frombuffer(...)`` copy or stay local and are never
+plain ``name = np.frombuffer(...)`` assignments and slice-stores
+``buf[a:b] = np.frombuffer(...)`` stay local or copy and are never
 flagged.  SRC003 additionally follows set-typed *variables* within one
 scope: a name whose every binding is a set expression
 (``s = set(xs); ... for k in s:``) fires like the expression would,
@@ -50,11 +48,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from repro.core.diagnostics import Diagnostic, LintReport, error
-
-COLLECTIVE_NAMES = {
-    "all_reduce", "all_gather", "reduce_scatter", "all_to_all", "broadcast",
-}
-"""Call names treated as collectives (module functions or group methods)."""
 
 _SAFE_METHODS = {"copy", "astype", "tolist", "item", "hex", "decode"}
 """Methods whose result no longer aliases the receiver's buffer."""
@@ -124,9 +117,7 @@ def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
 
 
 def _escape_context(
-    call: ast.Call,
-    parents: Dict[ast.AST, ast.AST],
-    flag_return: bool,
+    call: ast.Call, parents: Dict[ast.AST, ast.AST]
 ) -> Optional[str]:
     """How (if at all) a call's aliasing result escapes its expression.
 
@@ -135,9 +126,6 @@ def _escape_context(
     sink (plain name assignment, ``.copy()``, slice-store into an
     existing buffer, arithmetic) or an escaping one.  Returns a short
     context label for escapes, ``None`` when provably local/copied.
-    ``flag_return`` controls whether ``return``/``yield`` escapes — it
-    does for ``frombuffer`` views, but returning a collective's result
-    list is the collective API itself.
     """
     cur: ast.AST = call
     parent = parents.get(cur)
@@ -186,7 +174,7 @@ def _escape_context(
                     return "unpacked into multiple targets"
             return None  # plain local name(s)
         if isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
-            return "returned" if flag_return else None
+            return "returned"
         if isinstance(parent, (ast.List, ast.Tuple, ast.Set)):
             return "placed in a container literal"
         if isinstance(parent, ast.Dict):
@@ -369,21 +357,12 @@ class _Checker:
                 self._check_defaults(node)
         return self.findings
 
-    # SRC001 / SRC002 -------------------------------------------------
+    # SRC002 ---------------------------------------------------------
 
     def _check_call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
-        if name in COLLECTIVE_NAMES:
-            ctx = _escape_context(node, self.parents, flag_return=False)
-            if ctx is not None:
-                self._emit(
-                    error, "SRC001", node.lineno,
-                    f"result of {name}() {ctx} without .copy(): in the "
-                    f"single-process simulation every rank now holds the "
-                    f"same mutable buffer",
-                )
-        elif name == "frombuffer":
-            ctx = _escape_context(node, self.parents, flag_return=True)
+        if name == "frombuffer":
+            ctx = _escape_context(node, self.parents)
             if ctx is not None:
                 self._emit(
                     error, "SRC002", node.lineno,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import obs
 from repro.ckpt.errors import CheckpointIncompatibleError, CheckpointNotFoundError
 from repro.models.configs import ModelConfig
 from repro.storage.store import ObjectStore
@@ -78,7 +77,4 @@ def load_consolidated_checkpoint(
             part.state.step = step
     engine.iteration = int(payload["iteration"])
     engine.sync_model_from_masters()
-    # a listening memory sanitizer sweeps the loaded state (UCP025)
-    if obs._ACTIVE:
-        obs.emit("engine_loaded", engine, f"load_consolidated_checkpoint({directory})")
 

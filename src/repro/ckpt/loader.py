@@ -25,7 +25,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.errors import (
@@ -201,8 +200,6 @@ def _load_per_param(
 
     engine.iteration = int(job_config["iteration"])
     engine.sync_model_from_masters()
-    if obs._ACTIVE:
-        obs.emit("engine_loaded", engine, f"load_distributed_checkpoint({tag})")
 
 
 def load_distributed_checkpoint(
@@ -275,7 +272,4 @@ def load_distributed_checkpoint(
 
     engine.iteration = int(job_config["iteration"])
     engine.sync_model_from_masters()
-    # a listening memory sanitizer sweeps the loaded state (UCP025)
-    if obs._ACTIVE:
-        obs.emit("engine_loaded", engine, f"load_distributed_checkpoint({tag})")
     return tag

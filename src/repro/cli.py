@@ -214,7 +214,7 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_lint_src(args: argparse.Namespace) -> int:
-    """AST-lint the repro source tree itself (SRC001-SRC004); any
+    """AST-lint the repro source tree itself (SRC002-SRC004); any
     finding fails."""
     import pathlib
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint-src",
         help="AST-lint the repro sources for aliasing and determinism "
-             "hazards (SRC001-SRC004)",
+             "hazards (SRC002-SRC004)",
     )
     p.add_argument(
         "root",

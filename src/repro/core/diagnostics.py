@@ -1,8 +1,8 @@
 """Structured diagnostics: the one finding vocabulary of every check.
 
 The conversion pre-flight (:mod:`repro.core.plan`), the layout's tiling
-proof (:mod:`repro.parallel.layout`) and every analyzer in
-:mod:`repro.analysis` report through the same three types: a
+proof (:mod:`repro.parallel.layout`) and every ``repro lint-*`` /
+``repro explore`` checker report through the same three types: a
 :class:`Diagnostic` (one finding, carrying a stable rule ID), a
 :class:`LintReport` (an ordered collection with text/JSON rendering),
 and :class:`LayoutLintError` (the typed exception raised when a caller
@@ -54,6 +54,9 @@ RULES: Dict[str, str] = {
     "UCP022": "provenance-unverifiable",
     "UCP023": "collective-deadlock",
     "UCP024": "collective-arg-mismatch",
+    # the runtime memory sanitizer, retired: every collective hands each
+    # rank a private result and plain tests pin it per op, and after
+    # build, training and every restart path; the ID stays reserved
     "UCP025": "cross-rank-writable-aliasing",
     # the snapshot/replica sanitizer boundary, retired with the
     # CheckFreq/Gemini baselines; the ID stays reserved
@@ -74,6 +77,8 @@ RULES: Dict[str, str] = {
     "UCP037": "deadlock-schedule",
     "UCP038": "unsynchronized-access-pair",
     "UCP039": "bounded-exploration",
+    # retired with the memory sanitizer, like UCP025: the per-op
+    # isolation tests pin what it guessed at; the ID stays reserved
     "SRC001": "collective-result-no-copy",
     "SRC002": "frombuffer-escape",
     "SRC003": "unordered-set-iteration",
@@ -97,8 +102,8 @@ RULES: Dict[str, str] = {
 """Stable rule ID -> short kebab-case name.  Append-only.
 
 ``UCP0xx`` rules are produced by the checkpoint/runtime analyzers;
-``SRC0xx`` rules are produced by the AST source lint
-(:mod:`repro.analysis.srclint`, ``repro lint-src``).
+``SRC0xx`` rules are produced by the AST source lint (``repro
+lint-src``).
 """
 
 

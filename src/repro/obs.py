@@ -1,30 +1,26 @@
 """The one hook slot: who is watching the byte-moving layers.
 
-``storage`` / ``ckpt`` / ``dist`` / ``core`` never name a checker.  At a
-checked site they name an *event* — ``if obs._ACTIVE: obs.emit(...)`` —
-and the switchable witnesses of :mod:`repro.analysis` subscribe to it,
-each implementing ``on_<event>`` for the events it cares about.  This
+The byte-moving layers never name a checker.  At a checked site (all
+of them in ``storage``) they name an *event* — ``if obs._ACTIVE:
+obs.emit(...)`` — and a switchable witness subscribes to it,
+implementing ``on_<event>`` for the events it cares about.  This
 module has no dependencies, so everyone can import it at module scope.
 
-Roles, in delivery order (:data:`ROLES`): the FS-op recorder, the
-interleaving scheduler, the memory sanitizer.  The order is fixed
-because the sites rely on it: the scheduler yields *after* an FS op was
+Roles, in delivery order (:data:`ROLES`): ``fs``, the FS-op recorder,
+then ``sched``, the interleaving scheduler.  The order is fixed because
+the sites rely on it: the scheduler yields *after* an FS op was
 recorded (trace order == effect order).  Per role the innermost
-activation wins, so an injection test's permissive witness shadows the
-strict session-wide one; subscribing ``None`` masks a role for the
-enclosed block.
+activation wins; subscribing ``None`` masks a role for the enclosed
+block.
 
 Events, with their arguments: ``lock_enter`` / ``lock_exit``
 ``(lock)``; ``access (lock, resource, item, write)`` for guarded state;
 ``wait (resource, ready)`` before blocking on a peer; ``fs_op (kind,
-root, rel, dst, data)`` for a store file effect; ``collective (op,
-group, ranks, inputs, outputs)`` once per collective call (``group`` is
-``None`` for a groupless module-level call, whose ``ranks`` are then
-local indices); ``engine_loaded (engine, context)``.
+root, rel, dst, data)`` for a store file effect.
 
 Cost model: when nothing is subscribed every hook site is a single
 module-global load plus a truthiness check — the zero-when-off contract
-``benchmarks/test_{interleave,sanitizer}_overhead.py`` gate.
+``benchmarks/test_interleave_overhead.py`` gates.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import contextlib
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
-ROLES = ("fs", "sched", "mem")
+ROLES = ("fs", "sched")
 
 _ACTIVE: Tuple[object, ...] = ()
 """Each role's innermost subscriber in :data:`ROLES` order; ``()`` when

@@ -16,12 +16,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.data.corpus import SyntheticCorpus
 from repro.data.dataloader import DataLoader
 from repro.dist.cluster import Cluster
-from repro.dist.collectives import sanitize_boundary
-from repro.dist.topology import ParallelConfig, RankCoord
+from repro.dist.topology import ParallelConfig
 from repro.models.builder import build_transformer
 from repro.models.configs import ModelConfig
 from repro.optim.adam import Adam
@@ -126,24 +124,6 @@ class TrainingEngine:
                     f"{param.shape} for {name!r}"
                 )
 
-    def _dp_boundary(self, op: str, coord, arrays) -> None:
-        """Name one analytically-modelled DP collective on the obs bus.
-
-        The engine accounts DP traffic per model-parallel coordinate
-        rather than through ProcessGroup calls, so each dp rank's
-        persistent partition arrays stand in for the buffers the
-        collective would land in: a memory sanitizer checks them for
-        aliasing (UCP025).
-        """
-        if not obs._ACTIVE:
-            return
-        pp_stage, sp_rank, tp_rank = coord
-        rank = self.cluster.topology.rank(
-            RankCoord(tp=tp_rank, pp=pp_stage, dp=0, sp=sp_rank)
-        )
-        group = self.cluster.group_for("dp", rank)
-        sanitize_boundary(op, [], arrays, group=(group.name, group.ranks))
-
     def sync_model_from_masters(self) -> None:
         """Refresh model working weights from the fp32 masters (the
         paper's rebroadcast into ``fp16_partitioned_groups_flat``).
@@ -214,14 +194,6 @@ class TrainingEngine:
                 self.cluster.tracker.record(
                     "all_reduce", dp, 2 * (dp - 1) * numel * 4 // dp
                 )
-                self._dp_boundary(
-                    "all_reduce",
-                    coord,
-                    [
-                        self.zero.partitions[coord][d].state.exp_avg
-                        for d in range(dp)
-                    ],
-                )
 
         grad_norm = clip_grad_norm(list(grads.values()), self.grad_clip)
         self.zero.apply_grads(grads, lr)
@@ -233,11 +205,6 @@ class TrainingEngine:
             for coord in self.layout.mp_coords():
                 numel = self.layout.rank_layout(*coord).flat_numel
                 self.cluster.tracker.record("all_gather", dp, numel * 4)
-                self._dp_boundary(
-                    "all_gather",
-                    coord,
-                    [self.zero.partitions[coord][d].fp32 for d in range(dp)],
-                )
 
         self.sync_model_from_masters()
         if self.loss_scaler is not None:

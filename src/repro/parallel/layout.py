@@ -22,6 +22,7 @@ header pass and ``repro lint-ckpt`` share that one schema.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -94,11 +95,15 @@ class RankShardLayout:
         entries: List[ShardEntry],
         dp_degree: int,
         alignment: int = DEFAULT_ALIGNMENT,
+        specs: Optional[Dict[str, ShardSpec]] = None,
     ) -> None:
         self.pp_stage = pp_stage
         self.sp_rank = sp_rank
         self.tp_rank = tp_rank
         self.entries = entries
+        self.specs = specs or {}
+        """Each held parameter's derived spec, what its rank files record
+        in their ``sharding`` table."""
         self.dp_degree = dp_degree
         self.alignment = alignment
         self._by_name = {e.name: e for e in entries}
@@ -332,8 +337,9 @@ class HeaderCheck:
     """One optimizer-state file's header against the layout that derives it.
 
     The one rank-file check behind ``repro lint-ckpt``, the conversion
-    pre-flight and the strict loader: UCP001-UCP004 and UCP011, plus
-    UCP022 for a field that does not decode.  Whoever walks the header
+    pre-flight and the strict loader: UCP001-UCP004 and UCP011, UCP019
+    for a ``sharding`` entry claiming padding as data, plus UCP022 for a
+    field that does not decode.  Whoever walks the header
     feeds it: the conversion's header pass calls :meth:`rank_fields`,
     :meth:`flat_meta` and :meth:`flat_array` and iterates
     :meth:`segments` / :meth:`param_states` in the loops that collect
@@ -372,11 +378,11 @@ class HeaderCheck:
                     pass
         return self.diagnostics
 
-    def rank_fields(self, header: Dict) -> bool:
+    def rank_fields(self, header: Dict) -> None:
         """The fields beside ``partition_meta`` that the strict load and
         the conversion index: an integer ``optimizer_step``, an ``adam``
         mapping and a ``sharding`` table (UCP022 for each one absent or
-        malformed).  Whether all three decode."""
+        malformed), the last also held to the derived specs."""
         bad = [
             key for key, decodes in _RANK_FIELDS.items()
             if key not in header or not decodes(header[key])
@@ -386,7 +392,44 @@ class HeaderCheck:
                 f"header has no {key!r}" if key not in header
                 else f"{key} is malformed ({type(header[key]).__name__})"
             ))
-        return not bad
+        if "sharding" not in bad:
+            self._sharding(header["sharding"])
+
+    def _sharding(self, table: Dict) -> None:
+        """Every parameter the rank holds recorded exactly as the layout
+        derives it, so no rank file's copy can differ from another's.
+
+        A missing entry is UCP022.  A recorded ``unpadded_shape`` wider
+        than the derived one claims structural padding rows as real data
+        — StripPadding would carry padding bytes into atoms and every
+        target rank (UCP019).  Any other difference is UCP004.
+        """
+        for name, spec in self.layout.specs.items():
+            saved = table.get(name)
+            if saved is None:
+                self._add("UCP022", f"sharding table has no entry for {name!r}")
+                continue
+            recorded = math.prod(saved["unpadded_shape"])
+            derived = math.prod(spec.unpadded_shape)
+            if recorded > derived:
+                self._add(
+                    "UCP019",
+                    f"{name!r} records unpadded_shape "
+                    f"{tuple(saved['unpadded_shape'])} but the model derives "
+                    f"{spec.unpadded_shape}: {recorded - derived} "
+                    f"structural-padding elements would flow into target "
+                    f"data as if real",
+                )
+                continue
+            want = spec.to_dict()
+            differ = [key for key in want if saved.get(key) != want[key]]
+            if differ:
+                self._add("UCP004", (
+                    f"{name!r} sharding records "
+                    + ", ".join(f"{k} {saved.get(k)!r}" for k in differ)
+                    + "; layout derives "
+                    + ", ".join(f"{want[k]!r}" for k in differ)
+                ))
 
     def flat_meta(self, header: Dict) -> Optional[Tuple[int, int, int, List]]:
         """The recorded ``(dp_rank, partition_numel, flat_numel, segments)``.
@@ -589,6 +632,9 @@ class ModelParallelLayout:
                         entries=entries,
                         dp_degree=parallel_cfg.dp,
                         alignment=alignment,
+                        specs={
+                            name: self.shard_specs[name] for name in stage_params
+                        },
                     )
 
     def tiling_diagnostics(self) -> List[Diagnostic]:

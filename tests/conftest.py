@@ -29,23 +29,3 @@ def _session_durability():
     """
     os.environ.setdefault("REPRO_DURABLE", "0")
     yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _session_checked():
-    """Run the whole suite under the strict sanitizer when asked.
-
-    ``REPRO_SANITIZE=1 pytest`` (the CI ``checked`` job) wraps every
-    test in one strict :func:`repro.analysis.sanitizer.sanitize`
-    activation: any cross-rank buffer violation (UCP025) raises at the
-    point of the offense.  Injection tests that *want* violations
-    subscribe their own non-strict sanitizer — per role the innermost
-    wins — so they keep working under the checked run.
-    """
-    from repro.analysis.sanitizer import enabled_from_env, sanitize
-
-    if not enabled_from_env():
-        yield
-        return
-    with sanitize(strict=True, subject="tier-1 session"):
-        yield

@@ -1,5 +1,5 @@
-"""Test helpers: engine factory, source mutation and numerical-gradient
-utilities."""
+"""Test helpers: engine factory, source mutation, rank-isolation and
+numerical-gradient utilities."""
 
 from __future__ import annotations
 
@@ -44,6 +44,47 @@ def mutate(monkeypatch, owner, name, old, new="pass"):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     monkeypatch.setattr(owner, name, namespace[name])
+
+
+def shares_allocation(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays live in one allocation: each is followed down
+    its ``.base`` chain first, so disjoint views of one buffer count."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    while isinstance(b.base, np.ndarray):
+        b = b.base
+    return bool(np.shares_memory(a, b))
+
+
+def assert_rank_isolated(engine: TrainingEngine) -> None:
+    """No two simulated ranks share memory in ``engine``'s state (UCP025).
+
+    Every rank lives in one address space, so only construction keeps
+    them apart: each dp rank's ``fp32`` / ``exp_avg`` / ``exp_avg_sq``
+    partition of each model-parallel rank owns its buffer, and no model
+    parameter shares memory with any of them (a parameter left as a
+    partition view would rewrite optimizer state on every update).
+    """
+    states = [
+        (f"pp{pp}.sp{sp}.tp{tp}/dp{d}:{kind}", array)
+        for (pp, sp, tp), parts in sorted(engine.zero.partitions.items())
+        for d, part in enumerate(parts)
+        for kind, array in (
+            ("fp32", part.fp32),
+            ("exp_avg", part.state.exp_avg),
+            ("exp_avg_sq", part.state.exp_avg_sq),
+        )
+    ]
+    for i, (key, array) in enumerate(states):
+        for other_key, other in states[:i]:
+            assert not shares_allocation(array, other), (
+                f"{key} shares memory with {other_key}"
+            )
+    for name, param in engine.model.named_parameters():
+        for key, array in states:
+            assert not shares_allocation(param.data, array), (
+                f"parameter {name!r} shares memory with {key}"
+            )
 
 
 def record_source_tables(monkeypatch) -> list:

@@ -138,20 +138,31 @@ def _meta(edit):
     return lambda payload: edit(payload["partition_meta"])
 
 
+def _bogus_fragmenter(payload):
+    payload["sharding"]["embedding.weight"]["fragmenter"] = {"kind": "bogus"}
+
+
 HEADER_DAMAGE = {
-    "padding-7": (_meta(lambda meta: meta.update(padding=7)), "UCP003"),
-    "alignment-3": (_meta(lambda meta: meta.update(alignment=3)), "UCP011"),
-    "shard-shape-reversed": (_meta(_reverse_first_shard_shape), "UCP004"),
-    "padding-not-an-int": (_meta(lambda meta: meta.update(padding="x")), "UCP022"),
-    "segment-without-name": (
-        _meta(lambda meta: meta["segments"][0].pop("name")), "UCP022"
+    "padding-7": (_meta(lambda meta: meta.update(padding=7)), "UCP003", 0),
+    "alignment-3": (_meta(lambda meta: meta.update(alignment=3)), "UCP011", 0),
+    "shard-shape-reversed": (_meta(_reverse_first_shard_shape), "UCP004", 0),
+    "padding-not-an-int": (
+        _meta(lambda meta: meta.update(padding="x")), "UCP022", 0
     ),
-    "optimizer-step-deleted": (lambda p: p.pop("optimizer_step"), "UCP022"),
-    "adam-deleted": (lambda p: p.pop("adam"), "UCP022"),
-    "sharding-deleted": (lambda p: p.pop("sharding"), "UCP022"),
+    "segment-without-name": (
+        _meta(lambda meta: meta["segments"][0].pop("name")), "UCP022", 0
+    ),
+    "optimizer-step-deleted": (lambda p: p.pop("optimizer_step"), "UCP022", 0),
+    "adam-deleted": (lambda p: p.pop("adam"), "UCP022", 0),
+    "sharding-deleted": (lambda p: p.pop("sharding"), "UCP022", 0),
+    # embedding.weight's entry is recorded by both mp ranks: each
+    # file's copy is checked, not only the one the conversion resolves
+    "sharding-bogus-fragmenter-mp0": (_bogus_fragmenter, "UCP004", 0),
+    "sharding-bogus-fragmenter-mp1": (_bogus_fragmenter, "UCP004", 1),
 }
-"""Edit to one rank file's header -> the rule every reader names first
-(the derived padding is 0 and the alignment 8)."""
+"""Edit to one rank file's header -> the rule every reader names first,
+and the mp rank of the dp-rank-1 file edited (the derived padding is 0
+and the alignment 8)."""
 
 
 @pytest.mark.parametrize("reader", ["lint", "convert", "load"])
@@ -159,8 +170,9 @@ HEADER_DAMAGE = {
 def test_damaged_rank_header_is_one_rule_everywhere(
     committed, tmp_path, damage, reader
 ):
-    """A rank file whose ``partition_meta`` disagrees with the derived
-    layout, or that lacks a field beside it, re-recorded in the manifest
+    """A rank file whose ``partition_meta`` or ``sharding`` table
+    disagrees with the derived layout, or that lacks a field beside
+    them, re-recorded in the manifest
     so only the header check can catch it, is refused by every reader
     with the same rule at the same file: a ``lint-ckpt`` error, the
     conversion pre-flight's ``LayoutLintError`` and the strict load's
@@ -171,10 +183,10 @@ def test_damaged_rank_header_is_one_rule_everywhere(
     ckpt = tmp_path / "ckpt"
     shutil.copytree(source, ckpt)
     store = ObjectStore(str(ckpt))
-    basename = naming.optim_states_name(1, 0)
+    edit, rule, mp_rank = HEADER_DAMAGE[damage]
+    basename = naming.optim_states_name(1, mp_rank)
     rel = f"{tag}/{basename}"
     payload = store.load(rel)
-    edit, rule = HEADER_DAMAGE[damage]
     edit(payload)
     store.save(rel, payload)
     manifest_mod.refresh_entry(store, tag, basename)

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.dist import collectives
 from repro.dist.cluster import Cluster, RankFailure
 from repro.dist.collectives import (
     CommTracker,
     all_gather,
     all_reduce,
+    all_to_all,
     broadcast,
     reduce_scatter,
 )
 from repro.dist.process_group import ProcessGroup
 from repro.dist.topology import ParallelConfig, RankCoord, Topology
+
+from tests.helpers import mutate, shares_allocation
 
 
 class TestParallelConfig:
@@ -235,3 +239,66 @@ class TestAllToAll:
         all_to_all([np.zeros(8, dtype=np.float32)] * 4, tracker=tracker)
         assert tracker.count("all_to_all") == 1
         assert tracker.total_bytes > 0
+
+
+WIDTHS = (1, 2, 3, 4, 8)
+"""Every group width the suite runs a collective at."""
+
+
+def _shards(width):
+    """One independent float32 input per rank, divisible by ``width``."""
+    return [np.arange(6 * width, dtype=np.float32) + r for r in range(width)]
+
+
+def assert_private(inputs, outputs):
+    """No two ranks' results share memory, and no result shares memory
+    with another rank's input (a rank's own input would be NCCL's
+    in-place case)."""
+    for i, out in enumerate(outputs):
+        for j, other in enumerate(outputs[:i]):
+            assert not shares_allocation(out, other), (
+                f"ranks {j} and {i} received one buffer"
+            )
+        for j, arr in enumerate(inputs):
+            assert j == i or not shares_allocation(out, arr), (
+                f"rank {i}'s result shares memory with rank {j}'s input"
+            )
+
+
+class TestRankIsolation:
+    """Every collective hands each rank a private result (UCP025): the
+    simulated ranks share one address space, so a missing copy would
+    let one rank's write rewrite another rank's state unseen."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_all_reduce_results_are_private(self, width):
+        shards = _shards(width)
+        assert_private(shards, all_reduce(shards))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_all_gather_results_are_private(self, width):
+        shards = _shards(width)
+        assert_private(shards, all_gather(shards))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_reduce_scatter_results_are_private(self, width):
+        shards = _shards(width)
+        assert_private(shards, reduce_scatter(shards))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_all_to_all_results_are_private(self, width):
+        shards = _shards(width)
+        assert_private(shards, all_to_all(shards))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_broadcast_results_are_private(self, width):
+        root = np.arange(6.0, dtype=np.float32)
+        assert_private([root], broadcast(root, width))
+
+    def test_check_fires_on_a_shared_result(self, monkeypatch):
+        """The check is live: an all-reduce that hands every rank one
+        buffer fails it."""
+        mutate(monkeypatch, collectives, "all_reduce",
+               "[total.copy() for _ in shards]", "[total for _ in shards]")
+        with pytest.raises(AssertionError, match="received one buffer"):
+            assert_private(_shards(2), collectives.all_reduce(_shards(2)))

@@ -1,13 +1,11 @@
 """Tests for the 3D-parallel training engine."""
 
-import contextlib
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.dist.cluster import RankFailure
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
@@ -16,7 +14,7 @@ from repro.optim.mixed_precision import MixedPrecisionPolicy
 from repro.parallel.engine import TrainingEngine
 from repro.tensor.dtypes import BF16, FP16, dtype_from_name
 
-from tests.helpers import make_engine
+from tests.helpers import assert_rank_isolated, make_engine
 
 
 class TestBasics:
@@ -241,24 +239,15 @@ SMALL_GRID = ParallelConfig(tp=2, pp=2, dp=2)
 
 def _traced(fn):
     """``(result, peak above the start, retained)`` of one call, in bytes
-    as tracemalloc counts them (numpy buffers included).
-
-    The call runs with every hook role masked: a subscriber (the
-    ``REPRO_SANITIZE=1`` session's sanitizer) makes the store join each
-    staged file into one buffer for its ``fs_op`` event, a cost of the
-    checked run and not of the program being measured.
-    """
+    as tracemalloc counts them (numpy buffers included)."""
     gc.collect()
-    with contextlib.ExitStack() as masked:
-        for role in obs.ROLES:
-            masked.enter_context(obs.subscribed(role, None))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            result = fn()
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return result, peak - start, current - start
 
 
@@ -320,6 +309,34 @@ class TestTransientMemory:
         (result,) = engine.train(1)
         assert result.skipped
         assert all(p.grad is None for p in engine.model.parameters())
+        assert_rank_isolated(engine)
+
+
+class TestRankIsolationCheck:
+    """:func:`~tests.helpers.assert_rank_isolated` is live: each way two
+    simulated ranks can come to share memory fails it."""
+
+    @pytest.mark.parametrize("kind", ["fp32", "exp_avg"])
+    def test_dp_partitions_sharing_a_buffer_fail(self, kind):
+        engine = make_engine(parallel=ParallelConfig(dp=2))
+        parts = engine.zero.partitions[(0, 0, 0)]
+        owners = [p if kind == "fp32" else p.state for p in parts]
+        setattr(owners[1], kind, getattr(owners[0], kind))
+        with pytest.raises(AssertionError, match=(
+            f"pp0.sp0.tp0/dp1:{kind} shares memory with pp0.sp0.tp0/dp0:{kind}"
+        )):
+            assert_rank_isolated(engine)
+
+    def test_parameter_left_as_a_partition_view_fails(self):
+        engine = make_engine(parallel=ParallelConfig(dp=2))
+        part = engine.zero.partitions[(0, 0, 0)][0]
+        name, param = next(
+            (name, param) for name, param in engine.model.named_parameters()
+            if param.data.size <= part.fp32.size
+        )
+        param.data = part.fp32[: param.data.size].reshape(param.data.shape)
+        with pytest.raises(AssertionError, match=f"parameter {name!r}"):
+            assert_rank_isolated(engine)
 
 
 # The parent semantics, spelled out: every rank's partitions joined into
@@ -404,9 +421,11 @@ class TestConsolidateThenCopyEquivalence:
     """Views, per-parameter sync and in-place gradient scaling change no
     engine value: build, train(2) and every restart path (standard,
     UCP, consolidated) match the consolidate-then-copy reference, and
-    the saved module shards are the reference's bytes.  Every mini
-    model pads its vocabulary (211 -> 224 rows); gpt3 ties its
-    embeddings, so at pp2 the tie crosses stages."""
+    the saved module shards are the reference's bytes.  At each of
+    those points no two simulated ranks share memory
+    (:func:`~tests.helpers.assert_rank_isolated`).  Every mini model
+    pads its vocabulary (211 -> 224 rows); gpt3 ties its embeddings, so
+    at pp2 the tie crosses stages."""
 
     CASES = [
         ("gpt3-mini", ParallelConfig(tp=2, pp=2, dp=2), "fp32"),
@@ -450,10 +469,12 @@ class TestConsolidateThenCopyEquivalence:
         engine = make_engine(model, **kwargs)
         want = reference(lambda: make_engine(model, **kwargs))
         _assert_same_state(engine, want)
+        assert_rank_isolated(engine)
 
         engine.train(2)
         reference(lambda: want.train(2))
         _assert_same_state(engine, want)
+        assert_rank_isolated(engine)
 
         ckpt = str(tmp_path / "ckpt")
         tag = engine.save_checkpoint(ckpt).tag
@@ -479,6 +500,7 @@ class TestConsolidateThenCopyEquivalence:
         for path, load in loads.items():
             got = make_engine(model, **kwargs)
             load(got)
+            assert_rank_isolated(got)
             ref = reference(lambda: make_engine(model, **kwargs))
             reference(lambda: load(ref))
             _assert_same_state(got, ref)

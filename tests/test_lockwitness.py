@@ -223,12 +223,11 @@ class TestActivation:
         assert log == ["inner"]
 
     def test_off_mode_is_inert(self):
-        with obs.subscribed("mem", None):
-            assert obs._ACTIVE == ()
-            lock = obs.make_lock("plain")
-            with lock:
-                assert lock._inner.locked()
-            assert not lock._inner.locked()
+        assert obs._ACTIVE == ()
+        lock = obs.make_lock("plain")
+        with lock:
+            assert lock._inner.locked()
+        assert not lock._inner.locked()
 
     def test_bare_acquire_release_are_witnessed(self):
         lock = obs.make_lock("bare")

@@ -10,17 +10,7 @@ import pytest
 from repro import obs
 from repro.analysis import interleave
 from repro.analysis.fswitness import fstrace
-from repro.analysis.sanitizer import sanitize
 from repro.storage.store import ObjectStore
-
-
-@pytest.fixture
-def quiet_slot():
-    """Mask whatever the session fixture subscribed (REPRO_SANITIZE=1),
-    so ``obs._ACTIVE`` is ``()`` at the start of the test."""
-    with obs.subscribed("mem", None):
-        assert obs._ACTIVE == ()
-        yield
 
 
 class Listener:
@@ -33,7 +23,7 @@ class Listener:
 
 
 class TestOffMode:
-    def test_emit_sites_are_inert(self, quiet_slot, tmp_path):
+    def test_emit_sites_are_inert(self, tmp_path):
         obs.emit("access", None, "anything", None, True)  # no handler: no-op
         with obs.make_lock("plain"):
             pass
@@ -41,20 +31,20 @@ class TestOffMode:
         interleave.access("shared", write=True)
         assert obs._ACTIVE == ()
 
-    def test_slot_is_empty_after_every_activation(self, quiet_slot):
-        with sanitize(strict=False), fstrace():
+    def test_slot_is_empty_after_every_activation(self):
+        with obs.subscribed("sched", Listener("sched", [])), fstrace():
             assert len(obs._ACTIVE) == 2
         assert obs._ACTIVE == ()
 
-    def test_slot_is_restored_on_exception(self, quiet_slot):
+    def test_slot_is_restored_on_exception(self):
         with pytest.raises(KeyError):
-            with sanitize(strict=False):
+            with obs.subscribed("sched", Listener("sched", [])):
                 with fstrace():
                     raise KeyError("boom")
         assert obs._ACTIVE == ()
-        assert obs.current("mem") is None and obs.current("fs") is None
+        assert obs.current("sched") is None and obs.current("fs") is None
 
-    def test_slot_is_restored_from_a_worker_thread(self, quiet_slot):
+    def test_slot_is_restored_from_a_worker_thread(self):
         seen = []
 
         def worker():
@@ -69,7 +59,7 @@ class TestOffMode:
 
 
 class TestDelivery:
-    def test_innermost_subscriber_of_a_role_wins(self, quiet_slot):
+    def test_innermost_subscriber_of_a_role_wins(self):
         """The inner subscriber of a role receives the event; the outer
         one does not, and is back once the inner activation ends."""
         log = []
@@ -80,23 +70,22 @@ class TestDelivery:
             assert obs.current("sched") is outer
         assert log == [("inner", "access")]
 
-    def test_masking_a_role_with_none(self, quiet_slot):
-        with sanitize(strict=True) as san:
-            with obs.subscribed("mem", None):
+    def test_masking_a_role_with_none(self):
+        with fstrace() as rec:
+            with obs.subscribed("fs", None):
                 assert obs._ACTIVE == ()
-            assert obs._ACTIVE == (san,)
+            assert obs._ACTIVE == (rec,)
 
-    def test_delivery_follows_the_fixed_role_order(self, quiet_slot):
+    def test_delivery_follows_the_fixed_role_order(self):
         log = []
         # subscribed in reverse: delivery order is the role order anyway
-        with obs.subscribed("mem", Listener("mem", log)), \
-                obs.subscribed("sched", Listener("sched", log)), \
+        with obs.subscribed("sched", Listener("sched", log)), \
                 obs.subscribed("fs", Listener("fs", log)):
             obs.emit("access", None, "r", None, False)
         assert [name for name, _ in log] == list(obs.ROLES)
-        assert obs.ROLES == ("fs", "sched", "mem")
+        assert obs.ROLES == ("fs", "sched")
 
-    def test_subscribers_receive_only_events_they_handle(self, quiet_slot):
+    def test_subscribers_receive_only_events_they_handle(self):
         log = []
         with obs.subscribed("fs", Listener("fs", log, events=("fs_op",))):
             with obs.make_lock("l"):  # lock events: nobody listens

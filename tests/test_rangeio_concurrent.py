@@ -1,5 +1,5 @@
 """Threaded stress: a fan-out wider than the box over one shared
-source-file table, under the strict sanitizer.
+source-file table.
 
 Every fan-out worker of a conversion claims, loads, slices and releases
 through the one ``BlockCache`` table and ``RangeReader`` of its plan.
@@ -14,7 +14,6 @@ import sys
 
 import pytest
 
-from repro.analysis.sanitizer import sanitize
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.convert import ucp_convert
 from repro.dist.topology import ParallelConfig
@@ -50,7 +49,7 @@ def stress_setup(tmp_path_factory):
 
 
 class TestConcurrentConvertAndVerify:
-    def test_shared_cache_stress_is_witness_clean_and_byte_identical(
+    def test_shared_cache_stress_is_byte_identical(
         self, stress_setup, tmp_path, monkeypatch
     ):
         """Eight workers (and eight commit threads) on a 10 µs switch
@@ -61,10 +60,7 @@ class TestConcurrentConvertAndVerify:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with sanitize(strict=True, subject="rangeio stress"):
-                report = ucp_convert(
-                    str(ckpt), str(tmp_path / "ucp"), workers=8
-                )
+            report = ucp_convert(str(ckpt), str(tmp_path / "ucp"), workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert dir_digests(tmp_path / "ucp") == ref_digests
@@ -73,15 +69,11 @@ class TestConcurrentConvertAndVerify:
         assert table.hits > 0
         assert table.resident_bytes == 0
 
-    def test_witnessed_run_matches_unwitnessed_run(
-        self, stress_setup, tmp_path
-    ):
-        """The sanitizer observes, never alters: converting under it
-        produces the same bytes as without it."""
+    def test_two_worker_run_matches_serial_run(self, stress_setup, tmp_path):
+        """Two workers produce the serial reference's bytes."""
         ckpt, ref_digests = stress_setup
-        out = tmp_path / "ucp_w"
-        with sanitize(strict=True):
-            ucp_convert(str(ckpt), str(out), workers=2)
+        out = tmp_path / "ucp_2"
+        ucp_convert(str(ckpt), str(out), workers=2)
         assert dir_digests(out) == ref_digests
 
 

@@ -13,10 +13,6 @@ cell must
   committed checkpoint is ever lost);
 - report sane accounting: goodput in (0, 1], non-negative stage
   timings, MTTR over completed recoveries.
-
-The whole module runs under ``REPRO_SANITIZE=1`` (the CI chaos job
-sets it), so every recovery also passes the buffer-isolation
-sanitizer.
 """
 
 import json
