@@ -169,12 +169,14 @@ def test_bench_convert_stream(benchmark, tmp_path):
         ucp_store = ObjectStore(stream_dir, faults=reads)
         target_engine = make_engine(model, parallel=target, seed=0)
         intervals.clear_memo()
-        with fragmenter_executions() as load_calls:
+        with fragmenter_executions() as load_calls, planner_counts() as loaded:
             load_ucp_into_engine(target_engine, stream_dir, store=ucp_store)
         load_classes = shape_classes(model, target)
         assert sorted(load_calls, key=repr) == sorted(load_classes, key=repr), (
             label, len(load_calls), len(load_classes),
         )
+        # CI planner gate: the load lowers from the engine's own layout
+        assert loaded["layout_builds"] == 0, (label, loaded)
         sliced_bytes = ucp_store.bytes_read
         ucp_dir_bytes = sum(ucp_store.size(rel) for rel in ucp_store.list("."))
         assert 0 < sliced_bytes < ucp_dir_bytes, label

@@ -6,12 +6,15 @@ atoms with padding stripped; GenUcpMetadata computes the DP=2 target
 map with fresh padding; Load streams atoms into the 2-GPU flat buffers.
 """
 
+import numpy as np
+
 from repro.core.atom import AtomStore
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.core.ops import gen_ucp_metadata
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
+from repro.parallel.layout import ModelParallelLayout
 
 from bench_util import (
     PAPER_LOSS_BAND,
@@ -48,10 +51,19 @@ def test_fig4_zero3_workflow(benchmark, tmp_path):
     emb = store.read_state("embedding.weight", "fp32")
     assert emb.shape[0] == cfg.vocab_size
 
-    # target metadata re-introduces alignment padding for the new width
-    plan = gen_ucp_metadata(cfg, TARGET)
-    rank_layout = plan.layout.rank_layout(0, 0, 0)
+    # target metadata re-introduces alignment padding for the new width,
+    # and the load plan writes zeros over exactly the padding:
+    # StripPadding's vocabulary rows plus the alignment tail
+    layout = ModelParallelLayout(cfg, TARGET)
+    rank_layout = layout.rank_layout(0, 0, 0)
     assert rank_layout.flat_numel % (2 * rank_layout.alignment) == 0
+    plan = gen_ucp_metadata(layout)
+    stripped = sum(
+        int(np.prod(spec.logical_shape)) - int(np.prod(spec.unpadded_shape))
+        for spec in layout.shard_specs.values()
+    )
+    assert stripped > 0
+    assert int(plan.zero_length.sum()) == stripped + rank_layout.padding
 
     dst = make_engine(parallel=TARGET, seed=0)
     load_ucp_into_engine(dst, ucp_dir)

@@ -20,6 +20,7 @@ from repro import ParallelConfig, PatternProgram, PatternRule, get_config
 from repro.core.atom import AtomStore
 from repro.core.ops import extract, gen_ucp_metadata, load, strip_padding, union
 from repro.core.patterns import program_for_config
+from repro.parallel.layout import ModelParallelLayout
 from repro.parallel.sharding import FusedSectionsFragment
 from repro.parallel.tp import PATTERN_FRAGMENT, PATTERN_TO_AVERAGE
 from repro.storage.store import ObjectStore
@@ -85,17 +86,18 @@ def run_operations_by_hand() -> None:
               f"(vocab divisibility padding removed)")
 
         target = ParallelConfig(tp=1, pp=1, dp=4, zero_stage=2)
-        plan = gen_ucp_metadata(cfg, target)
-        pieces = plan.partition_assignment(0, 0, 0, dp_rank=1)
+        layout = ModelParallelLayout(cfg, target)
+        plan = gen_ucp_metadata(layout)
+        moves = int(np.sum(plan.target == plan.targets.index((0, 0, 0, 1))))
         print(f"  GenUcpMetadata: target {target.describe()} -> "
-              f"{plan.total_partitions()} partitions; partition (mp 0, dp 1) "
-              f"holds {len(pieces)} tensor slices")
+              f"{len(plan.targets)} partitions, {plan.length.size} atom -> "
+              f"partition moves; partition (mp 0, dp 1) takes {moves}")
 
         # Load needs actual atoms on disk; make them with the converter
         from repro.core.convert import ucp_convert
         ucp_convert(f"{workdir}/ckpt", f"{workdir}/ucp")
         atom_store = AtomStore(f"{workdir}/ucp")
-        partition = load(atom_store, plan, "fp32", 0, 0, 0, 1)
+        partition = load(atom_store, layout, "fp32", 0, 0, 0, 1)
         print(f"  Load: streamed {partition.size} fp32 elements into "
               f"partition (mp 0, dp 1) in layer order")
 

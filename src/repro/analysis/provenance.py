@@ -15,12 +15,15 @@ findings made, by the conversion planner (:mod:`repro.core.plan`, from
 rank-file *headers* only): it is the object the converter lowers and
 executes, so a proof here is about the bytes that will move.  This
 module checks and explains that object — the plan types are imported
-from ``core.plan``, never the reverse.  :func:`check_target_provenance`
-re-slices the map under the target :class:`ParallelConfig` exactly as
-``GenUcpMetadata``/``Load`` would and proves three theorems per target
-tensor:
+from ``core.plan``, never the reverse.  The target side is the UCP
+load's own plan: :func:`check_target_provenance` and :func:`explain`
+take their rows from :func:`~repro.core.ops.gen_ucp_metadata`, the
+:class:`~repro.core.ops.LoadPlan` ``load_ucp_into_engine`` executes, and
+derive no target slicing of their own (the layout only locates a byte
+no row writes).  Three theorems are proven per target tensor:
 
-* **coverage** — every target data byte has a source byte (UCP017);
+* **coverage** — every target data byte has a source byte, and the
+  load plan delivers every data byte of each target shard (UCP017);
 * **exclusivity** — no byte is written twice (UCP018);
 * **padding hygiene** — no source padding byte flows into target
   data (UCP019).
@@ -32,7 +35,7 @@ Violations carry the stable rule IDs UCP017-UCP022 and exact
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,24 +44,40 @@ from repro.ckpt.loader import resolve_tag
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.diagnostics import Diagnostic, LintReport, error
 from repro.core.intervals import (
+    atom_rows,
+    data_bounds,
     data_intervals,
     intersect_tilings,
-    shard_runs,
+    merge_intervals,
     subtract_intervals,
 )
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
+from repro.core.ops import LoadPlan, gen_ucp_metadata
 from repro.core.plan import (
+    ExtentTable,
     ParamProvenance,
     ProvenanceAnalysis,
-    SourceExtent,
     analyze_source,
     byte_range,
 )
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
-from repro.parallel.layout import ModelParallelLayout
-from repro.parallel.tp import build_shard_specs
+from repro.parallel.layout import ModelParallelLayout, RankShardLayout
+from repro.parallel.tp import ShardSpec, build_shard_specs
 from repro.storage.store import ObjectStore
+
+
+def _data_tiling(spec: ShardSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The data intervals as a tiling of atom file elements, ``(atom lo,
+    atom hi, consolidated lo)``: the atom file is their concatenation."""
+    d_lo, d_hi = data_bounds(spec)
+    a_hi = np.cumsum(d_hi - d_lo)
+    return a_hi - (d_hi - d_lo), a_hi, d_lo
+
+
+def _where(target: Tuple[int, int, int, int], name: str) -> str:
+    pp, sp, tp, dp = target
+    return f"target:pp={pp}.sp={sp}.tp={tp}.dp={dp}/{name}"
 
 
 def explain(
@@ -73,42 +92,39 @@ def explain(
 ) -> str:
     """Provenance chain for one element of one target flat partition.
 
-    Walks target partition byte -> target shard element ->
-    consolidated element -> source file byte, rendering each hop.
+    Finds the partition's load-plan row of ``name`` that writes the
+    element, then walks target partition byte -> atom element ->
+    consolidated element -> source file byte, rendering each hop.  A
+    position the plan writes as zero is padding.
     """
     layout = ModelParallelLayout(analysis.model_cfg, target_cfg)
-    rank_layout = layout.rank_layout(pp_stage, sp_rank, tp_rank)
-    for piece in rank_layout.slices_in_partition(dp_rank):
-        if piece.name != name:
-            continue
-        if not piece.local_start <= local_element < piece.local_end:
-            continue
-        shard_element = piece.shard_start + (
-            local_element - piece.local_start
-        )
-        head = (
-            f"target pp={pp_stage}.sp={sp_rank}.tp={tp_rank}"
-            f".dp={dp_rank} partition "
-            f"{byte_range(local_element, local_element + 1)} of "
-            f"{name!r}"
-        )
-        prov = analysis.params[name]
-        runs = shard_runs(prov.spec, target_cfg.tp, tp_rank)
-        # runs tile the shard in order: the one holding the element
-        # is the last that starts at or before it
-        i = int(np.searchsorted(runs.shard_start, shard_element, "right")) - 1
-        if i < 0 or shard_element >= runs.shard_start[i] + runs.length[i]:
-            return f"{head} <- <element outside the shard map>"
-        full = int(runs.full_start[i]) + (
-            shard_element - int(runs.shard_start[i])
-        )
+    plan = gen_ucp_metadata(layout, [(pp_stage, sp_rank, tp_rank, dp_rank)])
+    head = (
+        f"target pp={pp_stage}.sp={sp_rank}.tp={tp_rank}"
+        f".dp={dp_rank} partition "
+        f"{byte_range(local_element, local_element + 1)} of "
+        f"{name!r}"
+    )
+    rows = plan.rows(name)
+    offset = plan.offset[rows]
+    hit = np.flatnonzero(
+        (offset <= local_element) & (local_element < offset + plan.length[rows])
+    )
+    if hit.size:
+        row = int(rows[hit[0]])
+        atom = int(plan.atom_start[row] + (local_element - plan.offset[row]))
+        a_lo, _, d_lo = _data_tiling(layout.spec(name))
+        k = int(np.searchsorted(a_lo, atom, "right")) - 1
+        full = int(d_lo[k]) + (atom - int(a_lo[k]))
         mid = f"consolidated {byte_range(full, full + 1)}"
-        for extent in prov.lookup(full, full + 1):
+        for extent in analysis.params[name].lookup(full, full + 1):
             return f"{head} <- {mid} <- {extent.chain(full, full + 1)}"
-        for d_start, d_end in prov.data:
-            if d_start <= full < d_end:
-                return f"{head} <- {mid} <- <no source byte>"
-        return f"{head} <- {mid} <- structural padding (zero)"
+        return f"{head} <- {mid} <- <no source byte>"
+    zero = (plan.zero_offset <= local_element) & (
+        local_element < plan.zero_offset + plan.zero_length
+    )
+    if offset.size and zero.any():
+        return f"{head} <- padding (zero)"
     raise KeyError(
         f"element {local_element} of {name!r} is not in partition "
         f"dp={dp_rank} of pp={pp_stage}.sp={sp_rank}.tp={tp_rank}"
@@ -162,20 +178,11 @@ def analyze_ucp_source(
         if findings:
             continue
         # the unpadded tensor's elements fill the data intervals in order
-        extents: List[SourceExtent] = []
-        consumed = 0
-        for lo, hi in data:
-            extents.append(SourceExtent(
-                full_start=lo,
-                full_end=hi,
-                file=atom_store.path(name, "fp32"),
-                field="values",
-                file_start=consumed,
-                coord=(0, 0, 0),
-                dp_rank=0,
-            ))
-            consumed += hi - lo
-        params[name] = ParamProvenance(name, spec, extents, data)
+        a_lo, a_hi, d_lo = _data_tiling(spec)
+        params[name] = ParamProvenance(name, spec, ExtentTable(
+            d_lo, d_lo + (a_hi - a_lo), a_lo, np.zeros_like(a_lo),
+            [(atom_store.path(name, "fp32"), "values", (0, 0, 0), 0)],
+        ), data)
     return ProvenanceAnalysis(model_cfg, source_cfg, params, report)
 
 
@@ -183,13 +190,16 @@ def check_target_provenance(
     analysis: ProvenanceAnalysis,
     target_cfg: ParallelConfig,
 ) -> LintReport:
-    """Prove the three theorems for every target tensor of a plan.
+    """Prove the target theorems over the UCP load's own plan.
 
-    Re-slices the source interval maps under the target config exactly
-    as ``Load`` would — target partition slice -> target shard elements
-    -> consolidated elements — and checks each target data byte is
-    supplied by exactly one source byte.  Diagnostics carry full
-    provenance chains naming the target rank, tensor, and byte range.
+    Lowers the target with :func:`~repro.core.ops.gen_ucp_metadata` —
+    the plan ``load_ucp_into_engine`` executes — and proves over its
+    rows, per target mp rank and tensor: each row's atom elements,
+    mapped back through the data intervals, have a source byte
+    (UCP017); the rows of all dp partitions deliver every data element
+    of the tp shard (:func:`~repro.core.intervals.atom_rows`) exactly
+    once (UCP017 missing, UCP018 twice).  Diagnostics carry provenance
+    chains naming the target rank, tensor and partition byte range.
     """
     report = LintReport(
         subject=f"provenance {analysis.source_cfg.describe()} -> "
@@ -197,64 +207,101 @@ def check_target_provenance(
     )
     layout = ModelParallelLayout(analysis.model_cfg, target_cfg)
     report.extend(layout.tiling_diagnostics())
-
-    reported_gaps: set = set()
+    plan = gen_ucp_metadata(layout)
+    rank_of = np.array(
+        [layout.mp_rank_index(*t[:3]) for t in plan.targets], dtype=np.int64
+    )
+    reported: set = set()
     for coord in layout.mp_coords():
-        pp, sp, tp = coord
         rank_layout = layout.rank_layout(*coord)
-        for dp_rank in range(target_cfg.dp):
-            where = f"target:pp={pp}.sp={sp}.tp={tp}.dp={dp_rank}"
-            for piece in rank_layout.slices_in_partition(dp_rank):
-                prov = analysis.params.get(piece.name)
-                if prov is None:
-                    key = (piece.name, "missing")
-                    if key not in reported_gaps:
-                        reported_gaps.add(key)
-                        report.add(error(
-                            "UCP017",
-                            f"target needs {piece.name!r} but the source "
-                            f"provides no fragments for it",
-                            location=f"{where}/{piece.name}",
-                        ))
+        rank = layout.mp_rank_index(*coord)
+        for entry in rank_layout.entries:
+            name = entry.name
+            rows = plan.rows(name)
+            rows = rows[rank_of[plan.target[rows]] == rank]
+            for row, m_lo, m_hi, part_lo in _unsourced(
+                plan, rows, analysis.params[name]
+            ):
+                if (name, m_lo, m_hi) in reported:
                     continue
-                runs = shard_runs(prov.spec, target_cfg.tp, tp)
-                _, run, lo, hi = intersect_tilings(
-                    np.array([piece.shard_start]),
-                    np.array([piece.shard_end]),
-                    runs.shard_start,
-                    runs.shard_start + runs.length,
-                )
-                full = runs.full_start[run] + (lo - runs.shard_start[run])
-                for full_lo, full_hi in zip(
-                    full.tolist(), (full + (hi - lo)).tolist()
-                ):
-                    needed = [
-                        iv for iv in (
-                            (max(full_lo, d_lo), min(full_hi, d_hi))
-                            for d_lo, d_hi in prov.data
-                        )
-                        if iv[0] < iv[1]
-                    ]
-                    missing = subtract_intervals(needed, prov.covered())
-                    for m_lo, m_hi in missing:
-                        key = (piece.name, m_lo, m_hi)
-                        if key in reported_gaps:
-                            continue
-                        reported_gaps.add(key)
-                        part_lo = piece.local_start + (
-                            (m_lo - full_lo) if m_lo >= full_lo else 0
-                        )
-                        report.add(error(
-                            "UCP017",
-                            f"target partition "
-                            f"{byte_range(part_lo, part_lo + (m_hi - m_lo))} "
-                            f"of {piece.name!r} <- consolidated "
-                            f"{byte_range(m_lo, m_hi)} <- <no source "
-                            f"byte>: the interchange would leave these "
-                            f"bytes uninitialized",
-                            location=f"{where}/{piece.name}",
-                        ))
+                reported.add((name, m_lo, m_hi))
+                report.add(error(
+                    "UCP017",
+                    f"target partition "
+                    f"{byte_range(part_lo, part_lo + (m_hi - m_lo))} of "
+                    f"{name!r} <- consolidated {byte_range(m_lo, m_hi)} <- "
+                    f"<no source byte>: the interchange would leave these "
+                    f"bytes uninitialized",
+                    location=_where(plan.targets[plan.target[row]], name),
+                ))
+            report.extend(_delivery(plan, rows, rank_layout, name))
     return report
+
+
+def _unsourced(
+    plan: LoadPlan, rows: np.ndarray, prov: ParamProvenance
+) -> Iterator[Tuple[int, int, int, int]]:
+    """``(row, consolidated lo, hi, partition offset)`` of each part of
+    the rows' data no source byte supplies."""
+    spec = plan.layout.spec(prov.name)
+    gaps = subtract_intervals(prov.data, prov.covered())
+    if not gaps or not rows.size:
+        return
+    a_lo, a_hi, d_lo = _data_tiling(spec)
+    start = plan.atom_start[rows]
+    q, k, lo, hi = intersect_tilings(start, start + plan.length[rows], a_lo, a_hi)
+    full = d_lo[k] + (lo - a_lo[k])
+    g_lo, g_hi = np.array(gaps, dtype=np.int64).T
+    j, _, m_lo, m_hi = intersect_tilings(full, full + (hi - lo), g_lo, g_hi)
+    row = rows[q[j]]
+    part_lo = plan.offset[row] + (lo[j] + (m_lo - full[j]) - plan.atom_start[row])
+    yield from zip(row.tolist(), m_lo.tolist(), m_hi.tolist(), part_lo.tolist())
+
+
+def _delivery(
+    plan: LoadPlan, rows: np.ndarray, rank_layout: RankShardLayout, name: str
+) -> List[Diagnostic]:
+    """Whether one mp rank's rows of one tensor, sorted by atom element,
+    deliver every data element of its tp shard exactly once."""
+    out: List[Diagnostic] = []
+    start = plan.atom_start[rows]
+    end = start + plan.length[rows]
+    reach = np.maximum.accumulate(end)
+    for i in (np.flatnonzero(start[1:] < reach[:-1]) + 1).tolist():
+        row = int(rows[i])
+        part_lo = int(plan.offset[row])
+        n = min(int(end[i]), int(reach[i - 1])) - int(start[i])
+        out.append(error(
+            "UCP018",
+            f"target partition {byte_range(part_lo, part_lo + n)} of "
+            f"{name!r} <- atom elements [{start[i]}, {start[i] + n}), "
+            f"which another row of the load plan also delivers",
+            location=_where(plan.targets[plan.target[row]], name),
+        ))
+    shard_lo, shard_hi, atom_lo = atom_rows(
+        plan.layout.spec(name), plan.layout.parallel_cfg.tp, rank_layout.tp_rank
+    )
+    atom_hi = atom_lo + (shard_hi - shard_lo)
+    size = rank_layout.partition_numel
+    for m_lo, m_hi in subtract_intervals(
+        merge_intervals(list(zip(atom_lo.tolist(), atom_hi.tolist()))),
+        merge_intervals(list(zip(start.tolist(), end.tolist()))),
+    ):
+        # the layout locates what no row writes: atom element -> shard
+        # element -> flat buffer position -> (dp partition, offset)
+        i = int(np.flatnonzero((atom_lo <= m_lo) & (m_lo < atom_hi))[0])
+        flat = rank_layout.entry(name).offset + int(shard_lo[i] + m_lo - atom_lo[i])
+        dp, part_lo = divmod(flat, size)
+        n = min(m_hi, int(atom_hi[i]), m_lo + size - part_lo) - m_lo
+        coord = (rank_layout.pp_stage, rank_layout.sp_rank, rank_layout.tp_rank)
+        out.append(error(
+            "UCP017",
+            f"target partition {byte_range(part_lo, part_lo + n)} of "
+            f"{name!r} <- atom elements [{m_lo}, {m_hi}) <- <no plan "
+            f"row>: the load would write zeros over these data bytes",
+            location=_where(coord + (dp,), name),
+        ))
+    return out
 
 
 def analyze_interchange(

@@ -10,8 +10,8 @@ The flow (paper Figs 2-4):
    runs Extract / Union / StripPadding to produce **atom checkpoints**
    (:mod:`repro.core.atom`) — one consolidated fp32 weight + Adam
    moments per parameter.
-3. ``GenUcpMetadata`` computes the *target* partition map and ``Load``
-   streams atoms into each new rank's flat buffers
+3. ``GenUcpMetadata`` lowers the *target* partitions into one load plan
+   and ``Load`` streams atoms into each new rank's flat buffers
    (:mod:`repro.core.loader`).
 
 High-level entry points live in :mod:`repro.core.resume`.

@@ -2,8 +2,10 @@
 
 Fills a :class:`TrainingEngine`'s ZeRO partitions from atom checkpoints
 under an *arbitrary* target parallelism strategy: ``gen_ucp_metadata``
-computes the target partition map from the same layout code the engine
-itself uses, then ``load`` streams atoms into every (mp, dp) partition.
+lowers the engine's own layout into one :class:`~repro.core.ops.LoadPlan`
+of every atom -> (mp, dp) partition byte move, and
+:class:`~repro.core.ops.AtomShardCache` executes it — the same plan
+``lint-plan --provenance`` proves.
 After loading, the fp32 flat state is re-broadcast into the model's
 working-precision weights (the paper's ``fp16_partitioned_groups_flat``
 rebroadcast), so the target may even run a different mixed-precision
@@ -70,30 +72,20 @@ def load_ucp_into_engine(
             f"{sorted(expected - present)[:5]}..."
         )
 
-    plan = gen_ucp_metadata(engine.model_cfg, engine.parallel_cfg)
-    cache = AtomShardCache(AtomStore(ucp_dir, store), plan)
-
-    # every (mp, dp) partition's slices become pieces targeting the
-    # engine's own arrays; the executor regroups them atom-major, so
-    # each state file is read once for all stages and tp ranks
-    pieces = []
-    for coord in engine.layout.mp_coords():
-        for d, partition in enumerate(engine.zero.partitions[coord]):
-            targets = [
-                engine.zero._partition_array(partition, kind)
-                for kind in STATE_KINDS
-            ]
-            payload_end = 0  # the validated plan tiles [0, payload_end)
-            for piece in plan.partition_assignment(*coord, d):
-                payload_end = piece.local_end
-                pieces.append((
-                    piece.name, coord[2], piece.shard_start, piece.shard_end,
-                    [t[piece.local_start : piece.local_end] for t in targets],
-                ))
-            for target in targets:
-                target[payload_end:] = 0.0  # alignment padding
-            partition.state.step = metadata.optimizer_step
-    cache._fill(STATE_KINDS, pieces)
+    # one plan of every (mp, dp) partition, lowered from the engine's
+    # own validated layout; executed atom-major, so each state file is
+    # read once for all stages and tp ranks
+    plan = gen_ucp_metadata(engine.layout)
+    dests = []
+    for pp, sp, tp, dp in plan.targets:
+        partition = engine.zero.partitions[(pp, sp, tp)][dp]
+        partition.state.step = metadata.optimizer_step
+        dests.append([
+            engine.zero._partition_array(partition, kind) for kind in STATE_KINDS
+        ])
+    AtomShardCache(AtomStore(ucp_dir, store), engine.layout).execute(
+        plan, STATE_KINDS, dests
+    )
 
     engine.iteration = metadata.iteration
     if metadata.loss_scaler is not None and engine.loss_scaler is not None:

@@ -3,7 +3,9 @@
 * :func:`extract`      — distributed checkpoint file -> parameter fragments
 * :func:`union`        — fragments of one parameter -> consolidated tensor
 * :func:`strip_padding`— remove structural padding from a consolidated tensor
-* :func:`gen_ucp_metadata` — target strategy -> partition map (:class:`LoadPlan`)
+* :func:`gen_ucp_metadata` — target strategy -> :class:`LoadPlan`, the
+  load's one lowering, which :class:`AtomShardCache` executes and the
+  provenance checker proves
 * :func:`load`         — stream atoms into one target rank's flat partition
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,10 +21,8 @@ from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.diagnostics import Diagnostic
 from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
-from repro.core.intervals import AtomRows, atom_rows
-from repro.dist.topology import ParallelConfig
-from repro.models.configs import ModelConfig
-from repro.parallel.layout import ModelParallelLayout, PartitionSlice
+from repro.core.intervals import atom_rows, intersect_tilings
+from repro.parallel.layout import ModelParallelLayout
 from repro.parallel.sp import average_param_copies
 from repro.parallel.tp import (
     PATTERN_FRAGMENT,
@@ -297,87 +297,137 @@ def add_padding(values: np.ndarray, spec: ShardSpec) -> np.ndarray:
     return out
 
 
-@dataclasses.dataclass
-class LoadPlan:
-    """The target partition map produced by :func:`gen_ucp_metadata`.
+class ShardRange(NamedTuple):
+    """A load target: elements ``[lo, hi)`` of one flattened target TP
+    shard of atom ``name``."""
 
-    Wraps the target's :class:`ModelParallelLayout`: for every target
-    rank and DP partition, which atom slices fill which flat ranges
-    (padding re-introduced per the paper's *GenUcpMetadata*).
+    name: str
+    tp_rank: int
+    lo: int
+    hi: int
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadPlan:
+    """Every atom -> target element move of one load, lowered once by
+    :func:`gen_ucp_metadata`: the UCP load executes it and the
+    provenance checker proves its theorems over it.
+
+    ``targets[t]`` is a ``(pp, sp, tp, dp)`` partition or a
+    :class:`ShardRange`.  Row ``i`` of the read-only int64 columns moves
+    ``length[i]`` atom file elements from ``atom_start[i]`` to element
+    ``offset[i]`` of target ``target[i]``; the rows of ``atoms[a]`` are
+    ``bounds[a]:bounds[a + 1]``, sorted by atom element.  Positions no row
+    covers (structural and alignment padding) are the ``zero_*``
+    ranges, written as zero.
     """
 
-    model_cfg: ModelConfig
-    target_cfg: ParallelConfig
     layout: ModelParallelLayout
+    targets: Tuple[Union[Tuple[int, int, int, int], ShardRange], ...]
+    atoms: Tuple[str, ...]
+    bounds: np.ndarray
+    target: np.ndarray
+    offset: np.ndarray
+    atom_start: np.ndarray
+    length: np.ndarray
+    zero_target: np.ndarray
+    zero_offset: np.ndarray
+    zero_length: np.ndarray
 
-    def partition_assignment(
-        self, pp_stage: int, sp_rank: int, tp_rank: int, dp_rank: int
-    ) -> List[PartitionSlice]:
-        """Atom slices composing one (mp rank, dp rank) flat partition."""
-        return self.layout.rank_layout(pp_stage, sp_rank, tp_rank).slices_in_partition(
-            dp_rank
-        )
-
-    def total_partitions(self) -> int:
-        """Number of (mp, dp) partitions across the target job."""
-        return len(self.layout.mp_coords()) * self.target_cfg.dp
+    def rows(self, name: str) -> np.ndarray:
+        """Indices of atom ``name``'s rows (none if the plan moves none)."""
+        if name not in self.atoms:
+            return np.empty(0, dtype=np.int64)
+        a = self.atoms.index(name)
+        return np.arange(self.bounds[a], self.bounds[a + 1])
 
 
 def gen_ucp_metadata(
-    model_cfg: ModelConfig, target_cfg: ParallelConfig
+    layout: ModelParallelLayout, targets: Optional[Sequence] = None
 ) -> LoadPlan:
-    """Compute the target-side partition metadata (paper's GenUcpMetadata).
+    """Lower a load onto the target strategy (paper's GenUcpMetadata).
 
-    Calculates, for the *Target* strategy, each parameter's new shape
-    and location — TP shard shapes, flat offsets, alignment padding,
-    and ZeRO partition boundaries.  The derived layout is validated
-    (partition slices must tile every flat buffer exactly) before any
-    load uses it, so an unsound target strategy fails here with typed
-    diagnostics instead of corrupting a resume.
+    ``layout`` is the target's (the engine validated its own when it was
+    built); ``targets`` default to every (mp, dp) partition, in
+    mp-coordinate then dp order.  Each target's shard ranges — a
+    partition's slices, or the one :class:`ShardRange` — are composed
+    once with the shape-class shard -> atom map
+    (:func:`repro.core.intervals.atom_rows`) into the plan's rows.
     """
-    layout = ModelParallelLayout(model_cfg, target_cfg)
-    layout.validate()
-    return LoadPlan(
-        model_cfg=model_cfg,
-        target_cfg=target_cfg,
-        layout=layout,
-    )
-
-
-_Piece = Tuple[str, int, int, int, Sequence[np.ndarray]]
-"""``(atom name, tp rank, shard lo, shard hi, one target array per kind)``."""
+    if targets is None:
+        targets = [
+            coord + (d,)
+            for coord in layout.mp_coords()
+            for d in range(layout.parallel_cfg.dp)
+        ]
+    targets = tuple(targets)
+    # (atom, tp rank) -> [(target, shard lo, shard hi, target offset)]
+    ranges: Dict[Tuple[str, int], List[Tuple[int, int, int, int]]] = {}
+    sizes = []
+    for t, target in enumerate(targets):
+        if isinstance(target, ShardRange):
+            ranges.setdefault(target[:2], []).append(
+                (t, target.lo, target.hi, 0)
+            )
+            sizes.append(target.hi - target.lo)
+            continue
+        rank_layout = layout.rank_layout(*target[:3])
+        sizes.append(rank_layout.partition_numel)
+        for piece in rank_layout.slices_in_partition(target[3]):
+            ranges.setdefault((piece.name, target[2]), []).append(
+                (t, piece.shard_start, piece.shard_end, piece.local_start)
+            )
+    tables: Dict[str, List[np.ndarray]] = {}
+    for (name, tp_rank), group in ranges.items():
+        t, lo, hi, local = np.array(group, dtype=np.int64).T
+        shard_lo, shard_hi, atom_lo = atom_rows(
+            layout.spec(name), layout.parallel_cfg.tp, tp_rank
+        )
+        q, r, start, end = intersect_tilings(lo, hi, shard_lo, shard_hi)
+        tables.setdefault(name, []).append(np.stack((
+            t[q], local[q] + (start - lo[q]),
+            atom_lo[r] + (start - shard_lo[r]), end - start,
+        )))
+    atoms, columns, bounds = [], [np.empty((4, 0), dtype=np.int64)], [0]
+    for name, parts in tables.items():
+        table = np.concatenate(parts, axis=1)
+        if table.shape[1]:  # else all padding
+            atoms.append(name)
+            columns.append(table[:, np.argsort(table[2], kind="stable")])
+            bounds.append(bounds[-1] + table.shape[1])
+    rows = np.concatenate(columns, axis=1)
+    # per target, the gaps between its rows (by offset) and at its ends
+    gaps = [np.empty((3, 0), dtype=np.int64)]
+    for t, size in enumerate(sizes):
+        _, offset, _, length = rows[:, rows[0] == t]
+        order = np.argsort(offset)
+        lo = np.append(0, (offset + length)[order])
+        hi = np.append(offset[order], size)
+        keep = np.flatnonzero(hi > lo)
+        gaps.append(np.stack((np.full(keep.size, t), lo[keep], (hi - lo)[keep])))
+    columns = (np.array(bounds, dtype=np.int64), *rows, *np.concatenate(gaps, axis=1))
+    for column in columns:
+        column.flags.writeable = False
+    return LoadPlan(layout, targets, tuple(atoms), *columns)
 
 
 class AtomShardCache:
-    """Planned reader of atom state files for one target plan.
+    """Executor of :class:`LoadPlan` over atom state files.
 
-    The load side's one lowering and one executor.  The lowering
-    (:meth:`_shard_map`) is a lookup: the columnar shard -> atom element
-    map of a parameter's *shape class* — the same interval maps the
-    provenance theorems are proven over, shard -> consolidated runs
-    composed with the non-padding data intervals, whose concatenation
-    *is* the atom file — built once per class by
-    :func:`repro.core.intervals.atom_rows`, so identical layers lower
-    once.  The executor (:meth:`_fill`) takes any set of target
-    pieces (shard ranges with the arrays they land in), groups them by
-    atom, and per atom state file issues one header read and one
-    payload read of exactly the bytes the pieces need, scattering
-    straight into the targets.  A whole-engine load therefore reads
-    every state file once, sequentially, for all pipeline stages and tp
-    ranks; a single partition or shard range reads only its own bytes —
-    the paper's load-cost win for partial restores.
+    Per atom state file it issues one memoized header read (held to
+    :meth:`AtomStore.check_state`) and one payload read of exactly the
+    bytes the plan's rows for that atom need, scattering straight into
+    the targets and CRC32-folding each payload it reads whole.  A
+    whole-engine load therefore reads every state file once,
+    sequentially, for all pipeline stages and tp ranks; a single
+    partition or shard range reads only its own bytes — the paper's
+    load-cost win for partial restores.
     """
 
-    def __init__(self, atom_store: AtomStore, plan: LoadPlan) -> None:
+    def __init__(self, atom_store: AtomStore, layout: ModelParallelLayout) -> None:
         self.atom_store = atom_store
-        self.plan = plan
+        self.layout = layout
         self._entries: Dict[Tuple[str, str], TensorIndexEntry] = {}
-
-    def _shard_map(self, name: str, tp_rank: int) -> AtomRows:
-        """Shard -> atom-file element map of one (atom, tp rank)."""
-        return atom_rows(
-            self.plan.layout.spec(name), self.plan.target_cfg.tp, tp_rank
-        )
 
     def _state_entry(self, name: str, kind: str) -> TensorIndexEntry:
         """Tensor index entry of one atom state file (one header-only
@@ -386,7 +436,7 @@ class AtomShardCache:
         entry = self._entries.get(key)
         if entry is None:
             entry = self.atom_store.check_state(
-                name, kind, self.plan.layout.spec(name).unpadded_shape
+                name, kind, self.layout.spec(name).unpadded_shape
             )
             if isinstance(entry, Diagnostic):
                 refusal = (
@@ -400,47 +450,40 @@ class AtomShardCache:
             self._entries[key] = entry
         return entry
 
-    def _fill(self, kinds: Sequence[str], pieces: Iterable[_Piece]) -> None:
-        """Fill every target piece, one read per atom state file.
-
-        A piece ``(name, tp_rank, lo, hi, dests)`` asks for elements
-        ``[lo, hi)`` of one flattened target TP shard; ``dests`` holds
-        one writable ``hi - lo``-element float32 array per entry of
-        ``kinds``.  Every element of every destination is written:
-        structural padding comes out zero, byte-identical to
-        ``add_padding`` + fragment + slice without materializing the
-        padded tensor, the shard or a temporary partition.
-        """
-        by_atom: Dict[str, List[_Piece]] = {}
-        for piece in pieces:
-            by_atom.setdefault(piece[0], []).append(piece)
-        for name, atom_pieces in by_atom.items():
-            self._fill_atom(name, kinds, atom_pieces)
-
-    def _fill_atom(
-        self, name: str, kinds: Sequence[str], pieces: List[_Piece]
+    def execute(
+        self,
+        plan: LoadPlan,
+        kinds: Sequence[str],
+        dests: Sequence[Sequence[np.ndarray]],
     ) -> None:
-        cols: List[np.ndarray] = []  # per piece: (piece, dest offset, atom lo, length)
-        for k, (_, tp_rank, lo, hi, dests) in enumerate(pieces):
-            shard_lo, shard_hi, atom_lo = self._shard_map(name, tp_rank)
-            i0 = int(np.searchsorted(shard_hi, lo, side="right"))
-            i1 = int(np.searchsorted(shard_lo, hi, side="left"))
-            start = np.maximum(shard_lo[i0:i1], lo)
-            length = np.minimum(shard_hi[i0:i1], hi) - start
-            if int(length.sum()) < hi - lo:
-                for dest in dests:
-                    dest[...] = 0.0  # structural padding
-            cols.append(np.stack((
-                np.full(length.size, k, np.int64),
-                start - lo,
-                atom_lo[i0:i1] + (start - shard_lo[i0:i1]),
-                length,
-            )))
-        table = np.concatenate(cols, axis=1)
-        if table.shape[1] == 0:
-            return
-        dst, off, pos, length = table[:, np.argsort(table[2], kind="stable")]
-        end = pos + length
+        """Fill every target of ``plan``, one read per atom state file.
+
+        ``dests[t]`` holds, per entry of ``kinds``, the writable float32
+        array of ``plan.targets[t]``.  Every position the plan names is
+        written: rows from the atoms, the zero ranges with zeros —
+        byte-identical to ``add_padding`` + fragment + slice without
+        materializing the padded tensor, the shard or a temporary
+        partition.
+        """
+        for t, lo, n in zip(
+            plan.zero_target.tolist(), plan.zero_offset.tolist(),
+            plan.zero_length.tolist(),
+        ):
+            for dest in dests[t]:
+                dest[lo:lo + n] = 0.0
+        for name in plan.atoms:
+            self._execute_atom(plan, name, kinds, dests)
+
+    def _execute_atom(
+        self,
+        plan: LoadPlan,
+        name: str,
+        kinds: Sequence[str],
+        dests: Sequence[Sequence[np.ndarray]],
+    ) -> None:
+        rows = plan.rows(name)
+        dst, off = plan.target[rows], plan.offset[rows]
+        pos, end = plan.atom_start[rows], plan.atom_start[rows] + plan.length[rows]
         # one read call per state file and window; a payload within the
         # cap (every atom of the benchmark models) is a single window
         window = WINDOW_AUTO_CAP_BYTES // np.dtype(np.float32).itemsize
@@ -470,7 +513,7 @@ class AtomShardCache:
                 covered = int(span_hi[0])
             else:
                 covered = -1
-            rows = list(zip(
+            moves = list(zip(
                 dst[live].tolist(),
                 (off[live] + (lo - pos[live])).tolist(),
                 span.tolist(),
@@ -488,9 +531,9 @@ class AtomShardCache:
                 if covered >= 0:
                     crcs[j] = zlib.crc32(bufs[0], crcs[j])
                 views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
-                dests = [piece[4][j] for piece in pieces]
-                for d, o, s, r, n in rows:
-                    dests[d][o:o + n] = views[s][r:r + n]
+                out = [dest[j] for dest in dests]
+                for d, o, s, r, n in moves:
+                    out[d][o:o + n] = views[s][r:r + n]
         for j, kind in enumerate(kinds):
             entry = self._state_entry(name, kind)
             if covered == entry.numel and entry.crc32 not in (None, crcs[j]):
@@ -512,13 +555,14 @@ class AtomShardCache:
         if lo < 0 or hi < lo:
             raise ValueError(f"invalid shard slice [{lo}, {hi})")
         out = np.empty(hi - lo, dtype=np.float32)
-        self._fill((kind,), [(name, tp_rank, lo, hi, (out,))])
+        plan = gen_ucp_metadata(self.layout, [ShardRange(name, tp_rank, lo, hi)])
+        self.execute(plan, (kind,), [(out,)])
         return out
 
 
 def load(
     atom_store: AtomStore,
-    plan: LoadPlan,
+    layout: ModelParallelLayout,
     kind: str,
     pp_stage: int,
     sp_rank: int,
@@ -530,19 +574,13 @@ def load(
     The paper's *Load*: streams atom checkpoints into the rank's flat
     buffer in layer order, alignment padding re-added (zeros).  Each
     partition slice reads only its own byte range of each atom file.
-    (A whole-engine load goes through one :class:`AtomShardCache`
-    instead: :func:`repro.core.loader.load_ucp_into_engine`.)
+    (A whole-engine load executes one plan of every partition instead:
+    :func:`repro.core.loader.load_ucp_into_engine`.)
     """
-    rank_layout = plan.layout.rank_layout(pp_stage, sp_rank, tp_rank)
-    partition = np.zeros(rank_layout.partition_numel, dtype=np.float32)
-    AtomShardCache(atom_store, plan)._fill(
-        (kind,),
-        [
-            (
-                piece.name, tp_rank, piece.shard_start, piece.shard_end,
-                (partition[piece.local_start : piece.local_end],),
-            )
-            for piece in rank_layout.slices_in_partition(dp_rank)
-        ],
+    partition = np.empty(
+        layout.rank_layout(pp_stage, sp_rank, tp_rank).partition_numel,
+        dtype=np.float32,
     )
+    plan = gen_ucp_metadata(layout, [(pp_stage, sp_rank, tp_rank, dp_rank)])
+    AtomShardCache(atom_store, layout).execute(plan, (kind,), [(partition,)])
     return partition

@@ -84,7 +84,7 @@ class TrainingEngine:
         self._check_layout_covers_model()
         # static proof that every rank's ZeRO partition slices tile its
         # flat buffer exactly (raises LayoutLintError otherwise) — the
-        # same invariant gen_ucp_metadata asserts on the target side
+        # layout the UCP load lowers its plan from (gen_ucp_metadata)
         self.layout.validate()
 
         self.adam = adam if adam is not None else Adam()

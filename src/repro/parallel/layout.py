@@ -10,8 +10,9 @@ computes, per model-parallel rank (pp stage × sp rank × tp rank):
   equal-size partitions ZeRO distributes across data-parallel ranks.
 
 Both the training engine (to build its optimizer state) and UCP's
-``GenUcpMetadata`` (to compute a *target* partition map) use this class,
-which is what makes source and target layouts provably consistent.
+``GenUcpMetadata`` (to lower a load onto the *target* partitions) use
+this class — the UCP load lowers from the engine's own instance — which
+is what makes source and target layouts provably consistent.
 
 A rank file's ``partition_meta`` is written from
 :meth:`RankShardLayout.partition_meta` and read back through one
@@ -650,8 +651,9 @@ class ModelParallelLayout:
         Statically proves, for each model-parallel rank, that the shard
         entries pack contiguously, alignment padding is exact, and the
         ZeRO partition slices cover the payload region exactly once.
-        Called by both the training engine and ``gen_ucp_metadata`` so
-        source and target layouts are held to the same invariant.
+        Called by the training engine at construction, and the UCP load
+        lowers its plan from that layout, so source and target layouts
+        are held to the same invariant.
 
         Raises:
             repro.core.diagnostics.LayoutLintError: with the full

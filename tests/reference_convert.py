@@ -16,10 +16,11 @@ from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.loader import resolve_tag
 from repro.core.atom import AtomStore
-from repro.core.ops import LoadPlan, add_padding, extract, strip_padding, union
+from repro.core.ops import add_padding, extract, strip_padding, union
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
+from repro.parallel.tp import ShardSpec
 from repro.storage.store import ObjectStore
 
 
@@ -75,12 +76,15 @@ def assert_matches_reference(
 
 
 def reference_load_shard(
-    atom_store: AtomStore, plan: LoadPlan, name: str, kind: str, tp_rank: int
+    atom_store: AtomStore,
+    name: str,
+    kind: str,
+    spec: ShardSpec,
+    tp: int,
+    tp_rank: int,
 ) -> np.ndarray:
     """One flattened target TP shard of one atom state, padding included."""
-    spec = plan.layout.spec(name)
     shard = add_padding(atom_store.read_state(name, kind), spec)
-    tp = plan.target_cfg.tp
     if spec.fragmenter is not None and tp > 1:
         shard = spec.fragmenter.shard(shard, tp, tp_rank)
     return np.ascontiguousarray(shard, dtype=np.float32).reshape(-1)

@@ -10,8 +10,10 @@ designated UCP017-UCP022 rule.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.analysis import (
     error,
     warning,
 )
+from repro.analysis import provenance
 from repro.analysis.provenance import explain
 from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
@@ -166,6 +169,92 @@ class TestTargetTheorems:
         gaps = [d for d in report.errors if d.rule_id == "UCP017"]
         assert gaps, report.render_text()
         assert any("<no source byte>" in d.message for d in gaps)
+
+
+    def test_gap_is_reported_at_its_own_target_bytes(self, tmp_path):
+        """A one-element source gap is reported at the target partition
+        bytes the load writes it to: ``explain`` there ends in ``<no
+        source byte>`` and one element either side of it does not."""
+        store, tag, model = _save(tmp_path, FLAT_PARALLEL)
+        analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
+        name, hole = "blocks.0.attn.out.weight", 66
+        victim = analysis.params[name]
+        extents = []
+        for e in victim.extents:
+            if not e.full_start <= hole < e.full_end:
+                extents.append(e)
+                continue
+            if e.full_start < hole:
+                extents.append(dataclasses.replace(e, full_end=hole))
+            if hole + 1 < e.full_end:
+                extents.append(dataclasses.replace(
+                    e, full_start=hole + 1,
+                    file_start=e.file_start + (hole + 1 - e.full_start),
+                ))
+        analysis.params[name] = type(victim)(
+            name=name, spec=victim.spec, extents=extents, data=victim.data
+        )
+        target = ParallelConfig(tp=2, pp=1, dp=1, sp=1, zero_stage=1)
+        gaps = [
+            d for d in check_target_provenance(analysis, target).errors
+            if d.rule_id == "UCP017"
+        ]
+        assert len(gaps) == 1, [d.message for d in gaps]
+        lo, hi = map(int, re.search(
+            r"target partition bytes \[(\d+), (\d+)\)", gaps[0].message
+        ).groups())
+        assert hi - lo == 4  # one fp32 element
+        coord = re.search(
+            r"pp=(\d+)\.sp=(\d+)\.tp=(\d+)\.dp=(\d+)", gaps[0].location
+        ).groups()
+        pp, sp, tp, dp = map(int, coord)
+
+        def chain(element):
+            return explain(analysis, name, target, pp, sp, tp, dp, element)
+
+        assert chain(lo // 4).endswith("<no source byte>"), chain(lo // 4)
+        for element in (lo // 4 - 1, lo // 4 + 1):
+            assert not chain(element).endswith("<no source byte>"), element
+
+
+    @pytest.mark.parametrize("defect, rule, words", [
+        ("drop", "UCP017", "<no plan row>"),
+        ("repeat", "UCP018", "also delivers"),
+    ])
+    def test_load_plan_row_defects_are_found(
+        self, tmp_path, monkeypatch, defect, rule, words
+    ):
+        """The target theorems read the load's own plan: a lowering that
+        drops one row, or delivers one twice, is reported at the target
+        partition that row writes."""
+        store, tag, model = _save(tmp_path, FLAT_PARALLEL)
+        analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
+        target = ParallelConfig(tp=1, pp=2, dp=2, sp=1, zero_stage=2)
+        name = "blocks.0.attn.out.weight"
+        lower = provenance.gen_ucp_metadata
+        victims = []
+
+        def defective(layout, targets=None):
+            plan = lower(layout, targets)
+            rows = plan.rows(name)
+            kept = rows[1:] if defect == "drop" else np.r_[rows[0], rows]
+            order = np.r_[:rows[0], kept, rows[-1] + 1:plan.length.size]
+            bounds = plan.bounds.copy()
+            bounds[plan.atoms.index(name) + 1:] += kept.size - rows.size
+            victims.append(plan.targets[plan.target[rows[0]]])
+            return dataclasses.replace(
+                plan, bounds=bounds, target=plan.target[order],
+                offset=plan.offset[order], atom_start=plan.atom_start[order],
+                length=plan.length[order],
+            )
+
+        monkeypatch.setattr(provenance, "gen_ucp_metadata", defective)
+        report = check_target_provenance(analysis, target)
+        found = [d for d in report.errors if d.rule_id == rule]
+        assert [d.rule_id for d in report.errors] == [rule], report.render_text()
+        pp, sp, tp, dp = victims[0]
+        assert found[0].location == f"target:pp={pp}.sp={sp}.tp={tp}.dp={dp}/{name}"
+        assert words in found[0].message
 
 
 class TestInjectedPlanCorruptions:

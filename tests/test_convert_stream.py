@@ -23,7 +23,7 @@ from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.convert import _scatter_item, _strided_runs, ucp_convert
 from repro.core.errors import UCPFormatError
 from repro.core.loader import load_ucp_into_engine
-from repro.core.ops import AtomShardCache, gen_ucp_metadata
+from repro.core.ops import AtomShardCache, load
 from repro.core.patterns import program_for_config
 from repro.core.plan import ReadItem
 from repro.dist.topology import ParallelConfig
@@ -480,29 +480,35 @@ class TestSlicedLoad:
         engine = make_engine(model, parallel=target, seed=0)
         load_ucp_into_engine(engine, ucp_dir)
 
-        plan = gen_ucp_metadata(engine.model_cfg, target)
+        layout = engine.layout
         atom_store = AtomStore(ucp_dir)
-        cache = AtomShardCache(atom_store, plan)
+        cache = AtomShardCache(atom_store, layout)
         for kind in STATE_KINDS:
             shards = {
-                (name, r): reference_load_shard(atom_store, plan, name, kind, r)
-                for name in plan.layout.shard_specs
+                (name, r): reference_load_shard(
+                    atom_store, name, kind, spec, target.tp, r
+                )
+                for name, spec in layout.shard_specs.items()
                 for r in range(target.tp)
             }
             for (name, r), expected in shards.items():
                 got = cache.shard_slice(name, kind, r, 0, expected.size)
                 assert got.tobytes() == expected.tobytes(), (name, kind, r)
-            for coord in plan.layout.mp_coords():
+            # the expected partitions come from the layout's own slicing,
+            # not from the plan the load executed
+            for coord in layout.mp_coords():
+                rank_layout = layout.rank_layout(*coord)
                 for d in range(target.dp):
-                    layout = plan.layout.rank_layout(*coord)
-                    expected = np.zeros(layout.partition_numel, np.float32)
-                    for piece in plan.partition_assignment(*coord, d):
+                    expected = np.zeros(rank_layout.partition_numel, np.float32)
+                    for piece in rank_layout.slices_in_partition(d):
                         expected[piece.local_start:piece.local_end] = shards[
                             piece.name, coord[2]
                         ][piece.shard_start:piece.shard_end]
                     got = engine.zero._partition_array(
                         engine.zero.partitions[coord][d], kind
                     )
+                    assert got.tobytes() == expected.tobytes(), (coord, d, kind)
+                    got = load(atom_store, layout, kind, *coord, d)
                     assert got.tobytes() == expected.tobytes(), (coord, d, kind)
 
     def test_sliced_load_state_identical_fewer_bytes(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import intervals
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.ops import (
     ParamFragment,
@@ -14,6 +15,7 @@ from repro.core.ops import (
 )
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
+from repro.parallel.layout import ModelParallelLayout
 from repro.parallel.sharding import EvenFragment, VocabFragment
 from repro.parallel.tp import (
     PATTERN_FRAGMENT,
@@ -216,28 +218,50 @@ class TestPadding:
 
 
 class TestGenUcpMetadata:
-    def test_plan_covers_all_partitions(self):
-        plan = gen_ucp_metadata(get_config("gpt3-mini"), ParallelConfig(tp=2, pp=2, dp=2))
-        assert plan.total_partitions() == 4 * 2
-
-    def test_partition_assignment_fills_payload(self):
-        target = ParallelConfig(dp=4)
-        plan = gen_ucp_metadata(get_config("gpt3-mini"), target)
-        rank_layout = plan.layout.rank_layout(0, 0, 0)
-        assigned = 0
-        for d in range(4):
-            for piece in plan.partition_assignment(0, 0, 0, d):
-                assigned += piece.local_end - piece.local_start
-        assert assigned == rank_layout.payload_numel
+    @pytest.mark.parametrize("target", [
+        ParallelConfig(tp=2, pp=2, dp=2),
+        ParallelConfig(dp=4),
+        ParallelConfig(tp=4, dp=2, sp=2),
+    ], ids=lambda cfg: cfg.describe())
+    def test_rows_and_zeros_tile_every_partition_once(self, target):
+        """Each partition's rows plus its zero ranges cover it exactly
+        once, and its rows carry exactly the layout's data elements."""
+        layout = ModelParallelLayout(get_config("gpt3-mini"), target)
+        plan = gen_ucp_metadata(layout)
+        assert plan.targets == tuple(
+            coord + (d,) for coord in layout.mp_coords() for d in range(target.dp)
+        )
+        assert not plan.offset.flags.writeable
+        row_target = np.concatenate((plan.target, plan.zero_target))
+        row_lo = np.concatenate((plan.offset, plan.zero_offset))
+        row_len = np.concatenate((plan.length, plan.zero_length))
+        for t, (pp, sp, tp, dp) in enumerate(plan.targets):
+            rank_layout = layout.rank_layout(pp, sp, tp)
+            hits = np.zeros(rank_layout.partition_numel, dtype=np.int64)
+            for lo, n in zip(row_lo[row_target == t], row_len[row_target == t]):
+                hits[lo:lo + n] += 1
+            assert (hits == 1).all(), (pp, sp, tp, dp)
+        data = sum(
+            int(np.sum(rows.shard_hi - rows.shard_lo))
+            for coord in layout.mp_coords()
+            for rows in (
+                intervals.atom_rows(layout.spec(e.name), target.tp, coord[2])
+                for e in layout.rank_layout(*coord).entries
+            )
+        )
+        assert int(plan.length.sum()) == data
+        for name in plan.atoms:
+            starts = plan.atom_start[plan.rows(name)]
+            assert (np.diff(starts) >= 0).all(), name
 
     def test_plan_matches_engine_layout(self):
-        """GenUcpMetadata and the engine must agree on the layout —
-        the single-source-of-truth property."""
-        target = ParallelConfig(tp=2, pp=2, dp=2)
-        plan = gen_ucp_metadata(get_config("gpt3-mini"), target)
-        engine = make_engine(parallel=target)
-        for coord in engine.layout.mp_coords():
-            ours = engine.layout.rank_layout(*coord)
-            theirs = plan.layout.rank_layout(*coord)
-            assert [e.name for e in ours.entries] == [e.name for e in theirs.entries]
-            assert ours.flat_numel == theirs.flat_numel
+        """GenUcpMetadata lowers from the engine's own layout, and the
+        plan's targets are exactly the engine's ZeRO partitions."""
+        engine = make_engine(parallel=ParallelConfig(tp=2, pp=2, dp=2))
+        plan = gen_ucp_metadata(engine.layout)
+        assert plan.layout is engine.layout
+        assert sorted(plan.targets) == sorted(
+            coord + (d,)
+            for coord, partitions in engine.zero.partitions.items()
+            for d in range(len(partitions))
+        )
