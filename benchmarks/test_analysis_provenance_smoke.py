@@ -33,7 +33,7 @@ def test_provenance_smoke(tmp_path):
     wall_s = time.perf_counter() - start
 
     assert analysis.report.ok, analysis.report.render_text()
-    params_proven = len(analysis.params)
+    params_proven = len(analysis.specs)
     assert params_proven > 0
 
     payload_bytes = info.total_bytes

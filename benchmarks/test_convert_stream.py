@@ -1,7 +1,7 @@
 """BENCH_convert_stream — conversion & sliced-load byte costs.
 
-The conversion pipeline lowers provenance interval maps into byte-range
-read plans, so conversion never touches ``model_states`` files and a
+The conversion pipeline groups the source layout's lowering into
+byte-range read plans, so conversion never touches ``model_states`` files and a
 sliced load pulls only each rank's partition bytes.  This benchmark
 sweeps fig2-style interchange points (including the TP-degree change
 the CI ``convert-perf`` job gates on) and records, per point:
@@ -23,8 +23,9 @@ the CI ``convert-perf`` job gates on) and records, per point:
   logical shape, degree, rank)`` shape classes the topology implies: a
   count, not a stopwatch (``plan_s`` is recorded beside it, ungated).
   The same cold conversion is gated at one header decode per source rank
-  file and one ``ModelParallelLayout`` construction: the plan is built
-  once, from one header pass.
+  file, one ``ModelParallelLayout`` construction and one
+  ``gen_ucp_metadata`` call: the plan is the source layout's lowering,
+  built once, from one header pass.
 
 Wall time lives in the repo benchmark (``benchmarks/e2e``, ``convert_s``
 on four workloads); the retired full-read converter's last measurement
@@ -32,8 +33,9 @@ is frozen in ``results/BENCH_convert_wallclock.json``.
 """
 
 import contextlib
+import sys
 
-from repro.core import intervals
+from repro.core import intervals, ops
 from repro.core.convert import ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
@@ -94,9 +96,10 @@ def fragmenter_executions():
 @contextlib.contextmanager
 def planner_counts():
     """What the block's planner did, as counts: ``header_decodes`` of
-    source rank files (through the header-only store entry point) and
-    ``layout_builds`` (``ModelParallelLayout`` constructions)."""
-    counts = {"header_decodes": 0, "layout_builds": 0}
+    source rank files (through the header-only store entry point),
+    ``layout_builds`` (``ModelParallelLayout`` constructions) and
+    ``lowerings`` (``gen_ucp_metadata`` calls, wherever it was imported)."""
+    counts = {"header_decodes": 0, "layout_builds": 0, "lowerings": 0}
     originals = []
 
     def counting(owner, attr, key, counted=lambda *args: True):
@@ -114,6 +117,17 @@ def planner_counts():
 
     counting(ObjectStore, "load_index_sized", "header_decodes", is_rank_file)
     counting(ModelParallelLayout, "__init__", "layout_builds")
+    lower = ops.gen_ucp_metadata
+
+    def lowering(*args, **kwargs):
+        counts["lowerings"] += 1
+        return lower(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        names = getattr(module, "__dict__", {})
+        for key in [k for k, v in list(names.items()) if v is lower]:
+            originals.append((module, key, lower))
+            setattr(module, key, lowering)
     try:
         yield counts
     finally:
@@ -159,9 +173,11 @@ def test_bench_convert_stream(benchmark, tmp_path):
         assert sorted(convert_calls, key=repr) == sorted(
             convert_classes, key=repr
         ), (label, len(convert_calls), len(convert_classes))
-        # CI planner gate: one header pass, one layout, per conversion
+        # CI planner gate: one header pass, one layout and one lowering
+        # (the source layout's gen_ucp_metadata) per conversion
         assert planned == {
-            "header_decodes": streamed.num_files, "layout_builds": 1
+            "header_decodes": streamed.num_files, "layout_builds": 1,
+            "lowerings": 1,
         }, (label, planned, streamed.num_files)
 
         # the base policy injects nothing; it counts every read call
@@ -222,6 +238,7 @@ def test_bench_convert_stream(benchmark, tmp_path):
                 "header_decodes": planned["header_decodes"],
                 "rank_files": streamed.num_files,
                 "layout_builds": planned["layout_builds"],
+                "lowerings": planned["lowerings"],
                 "plan_s": round(streamed.stage_seconds["plan"], 4),
             }
         )
@@ -277,6 +294,9 @@ def test_bench_convert_stream(benchmark, tmp_path):
                     "to rank_files (one header pass)",
                 "layout_builds": "ModelParallelLayout constructions "
                     "during the same conversion; gated at 1",
+                "lowerings": "gen_ucp_metadata calls during the same "
+                    "conversion: its reads are the source layout's "
+                    "lowering; gated at 1",
                 "plan_s": "the cold conversion's planning stage, wall "
                     "seconds on the calling thread (recorded, not gated)",
                 "per_rank_read_fraction": "sliced-LOAD metric: one "

@@ -172,7 +172,7 @@ def _lint_ucp(store: ObjectStore) -> LintReport:
         return report
 
     analysis = analyze_ucp_source(store, metadata)
-    derived = {name: prov.spec for name, prov in analysis.params.items()}
+    derived = analysis.specs
     recorded = set(metadata.params)
     for name in sorted(set(derived) - recorded):
         report.add(error(

@@ -8,19 +8,21 @@ presence and shape facts (UCP001-UCP004, UCP011), but not *dataflow*
 — double-writes, coverage gaps, or padding leaking into data, the
 class ByteCheckpoint and TorchTitan report as the hardest to debug in
 production resharding.  ``repro lint-ckpt`` runs both: the header
-check and the source-side proof come from the one header pass below.
+check and the source-side proof come from the one header pass of
+:func:`~repro.core.plan.analyze_source`.
 
-The source -> consolidated interval map is built, and its source-side
-findings made, by the conversion planner (:mod:`repro.core.plan`, from
-rank-file *headers* only): it is the object the converter lowers and
-executes, so a proof here is about the bytes that will move.  This
-module checks and explains that object — the plan types are imported
-from ``core.plan``, never the reverse.  The target side is the UCP
-load's own plan: :func:`check_target_provenance` and :func:`explain`
-take their rows from :func:`~repro.core.ops.gen_ucp_metadata`, the
-:class:`~repro.core.ops.LoadPlan` ``load_ucp_into_engine`` executes, and
-derive no target slicing of their own (the layout only locates a byte
-no row writes).  Three theorems are proven per target tensor:
+Both directions are one lowering, :func:`~repro.core.ops.gen_ucp_metadata`.
+The source side is the source layout's plan, built and proven by the
+conversion planner (:mod:`repro.core.plan`, from rank-file *headers*
+only): it is the object the converter groups into read items and
+executes, so a proof there is about the bytes that will move.  The
+target side is the UCP load's own plan: :func:`check_target_provenance`
+and :func:`explain` take their rows from ``gen_ucp_metadata`` of the
+target layout — the :class:`~repro.core.ops.LoadPlan`
+``load_ucp_into_engine`` executes — and derive no target slicing of
+their own (the layout only locates a byte no row writes).  The plan
+types and the delivery theorem are imported from ``core``, never the
+reverse.  Three theorems are proven per target tensor:
 
 * **coverage** — every target data byte has a source byte, and the
   load plan delivers every data byte of each target shard (UCP017);
@@ -44,25 +46,22 @@ from repro.ckpt.loader import resolve_tag
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.diagnostics import Diagnostic, LintReport, error
 from repro.core.intervals import (
-    atom_rows,
     data_bounds,
-    data_intervals,
     intersect_tilings,
-    merge_intervals,
+    numel,
     subtract_intervals,
 )
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.core.ops import LoadPlan, gen_ucp_metadata
 from repro.core.plan import (
-    ExtentTable,
-    ParamProvenance,
     ProvenanceAnalysis,
+    _delivery,
     analyze_source,
     byte_range,
 )
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
-from repro.parallel.layout import ModelParallelLayout, RankShardLayout
+from repro.parallel.layout import ModelParallelLayout
 from repro.parallel.tp import ShardSpec, build_shard_specs
 from repro.storage.store import ObjectStore
 
@@ -116,10 +115,8 @@ def explain(
         a_lo, _, d_lo = _data_tiling(layout.spec(name))
         k = int(np.searchsorted(a_lo, atom, "right")) - 1
         full = int(d_lo[k]) + (atom - int(a_lo[k]))
-        mid = f"consolidated {byte_range(full, full + 1)}"
-        for extent in analysis.params[name].lookup(full, full + 1):
-            return f"{head} <- {mid} <- {extent.chain(full, full + 1)}"
-        return f"{head} <- {mid} <- <no source byte>"
+        source = analysis.source_chain(name, atom) or "<no source byte>"
+        return f"{head} <- consolidated {byte_range(full, full + 1)} <- {source}"
     zero = (plan.zero_offset <= local_element) & (
         local_element < plan.zero_offset + plan.zero_length
     )
@@ -138,8 +135,8 @@ def analyze_ucp_source(
 
     Atoms are consolidated by construction: an atom whose every state
     file passes :meth:`~repro.core.atom.AtomStore.check_state` — the
-    check the UCP load runs — supplies its parameter's data intervals,
-    in order, from its ``fp32`` file.  Each finding of that check, and
+    check the UCP load runs — supplies its whole tensor from its
+    ``fp32`` file.  Each finding of that check, and
     each parameter the metadata records no atom for (UCP017), leaves
     the parameter without provenance.
     """
@@ -153,13 +150,10 @@ def analyze_ucp_source(
     )
 
     atom_store = AtomStore(str(store.base), store)
-    params: Dict[str, ParamProvenance] = {}
+    atom_files: Dict[str, str] = {}
     for name in sorted(specs):
-        spec = specs[name]
-        data = data_intervals(spec)
-        params[name] = ParamProvenance(name, spec, [], data)
         if name not in metadata.params:
-            total = sum(hi - lo for lo, hi in data)
+            total = numel(specs[name].unpadded_shape)
             report.add(error(
                 "UCP017",
                 f"no atom supplies {name!r}; all {byte_range(0, total)} of "
@@ -169,21 +163,17 @@ def analyze_ucp_source(
             continue
         findings = [
             found for found in (
-                atom_store.check_state(name, kind, spec.unpadded_shape)
+                atom_store.check_state(name, kind, specs[name].unpadded_shape)
                 for kind in STATE_KINDS
             )
             if isinstance(found, Diagnostic)
         ]
         report.extend(findings)
-        if findings:
-            continue
-        # the unpadded tensor's elements fill the data intervals in order
-        a_lo, a_hi, d_lo = _data_tiling(spec)
-        params[name] = ParamProvenance(name, spec, ExtentTable(
-            d_lo, d_lo + (a_hi - a_lo), a_lo, np.zeros_like(a_lo),
-            [(atom_store.path(name, "fp32"), "values", (0, 0, 0), 0)],
-        ), data)
-    return ProvenanceAnalysis(model_cfg, source_cfg, params, report)
+        if not findings:
+            atom_files[name] = atom_store.path(name, "fp32")
+    return ProvenanceAnalysis(
+        model_cfg, source_cfg, specs, report, atom_files=atom_files
+    )
 
 
 def check_target_provenance(
@@ -194,12 +184,14 @@ def check_target_provenance(
 
     Lowers the target with :func:`~repro.core.ops.gen_ucp_metadata` —
     the plan ``load_ucp_into_engine`` executes — and proves over its
-    rows, per target mp rank and tensor: each row's atom elements,
-    mapped back through the data intervals, have a source byte
-    (UCP017); the rows of all dp partitions deliver every data element
-    of the tp shard (:func:`~repro.core.intervals.atom_rows`) exactly
-    once (UCP017 missing, UCP018 twice).  Diagnostics carry provenance
-    chains naming the target rank, tensor and partition byte range.
+    rows, per target mp rank and tensor: each row's atom elements have
+    a source byte (UCP017, against
+    :meth:`~repro.core.plan.ProvenanceAnalysis.sourced`); the rows of
+    all dp partitions deliver every data element of the tp shard
+    exactly once (:func:`~repro.core.plan._delivery`, the theorem the
+    source rows are proven by: UCP017 missing, UCP018 twice).
+    Diagnostics carry provenance chains naming the target rank, tensor
+    and partition byte range.
     """
     report = LintReport(
         subject=f"provenance {analysis.source_cfg.describe()} -> "
@@ -211,7 +203,14 @@ def check_target_provenance(
     rank_of = np.array(
         [layout.mp_rank_index(*t[:3]) for t in plan.targets], dtype=np.int64
     )
+    gaps = {
+        name: subtract_intervals(
+            [(0, numel(spec.unpadded_shape))], analysis.sourced(name)
+        )
+        for name, spec in layout.shard_specs.items()
+    }
     reported: set = set()
+    groups = []
     for coord in layout.mp_coords():
         rank_layout = layout.rank_layout(*coord)
         rank = layout.mp_rank_index(*coord)
@@ -219,9 +218,7 @@ def check_target_provenance(
             name = entry.name
             rows = plan.rows(name)
             rows = rows[rank_of[plan.target[rows]] == rank]
-            for row, m_lo, m_hi, part_lo in _unsourced(
-                plan, rows, analysis.params[name]
-            ):
+            for row, m_lo, m_hi, part_lo in _unsourced(plan, rows, gaps[name]):
                 if (name, m_lo, m_hi) in reported:
                     continue
                 reported.add((name, m_lo, m_hi))
@@ -229,79 +226,29 @@ def check_target_provenance(
                     "UCP017",
                     f"target partition "
                     f"{byte_range(part_lo, part_lo + (m_hi - m_lo))} of "
-                    f"{name!r} <- consolidated {byte_range(m_lo, m_hi)} <- "
+                    f"{name!r} <- atom elements [{m_lo}, {m_hi}) <- "
                     f"<no source byte>: the interchange would leave these "
                     f"bytes uninitialized",
                     location=_where(plan.targets[plan.target[row]], name),
                 ))
-            report.extend(_delivery(plan, rows, rank_layout, name))
+            groups.append((name, rank_layout, rows))
+    report.extend(_delivery(plan, groups, _where))
     return report
 
 
 def _unsourced(
-    plan: LoadPlan, rows: np.ndarray, prov: ParamProvenance
+    plan: LoadPlan, rows: np.ndarray, gaps: List[Tuple[int, int]]
 ) -> Iterator[Tuple[int, int, int, int]]:
-    """``(row, consolidated lo, hi, partition offset)`` of each part of
-    the rows' data no source byte supplies."""
-    spec = plan.layout.spec(prov.name)
-    gaps = subtract_intervals(prov.data, prov.covered())
+    """``(row, atom lo, atom hi, partition offset)`` of each part of the
+    rows' atom elements that falls in a source gap."""
     if not gaps or not rows.size:
         return
-    a_lo, a_hi, d_lo = _data_tiling(spec)
     start = plan.atom_start[rows]
-    q, k, lo, hi = intersect_tilings(start, start + plan.length[rows], a_lo, a_hi)
-    full = d_lo[k] + (lo - a_lo[k])
     g_lo, g_hi = np.array(gaps, dtype=np.int64).T
-    j, _, m_lo, m_hi = intersect_tilings(full, full + (hi - lo), g_lo, g_hi)
-    row = rows[q[j]]
-    part_lo = plan.offset[row] + (lo[j] + (m_lo - full[j]) - plan.atom_start[row])
-    yield from zip(row.tolist(), m_lo.tolist(), m_hi.tolist(), part_lo.tolist())
-
-
-def _delivery(
-    plan: LoadPlan, rows: np.ndarray, rank_layout: RankShardLayout, name: str
-) -> List[Diagnostic]:
-    """Whether one mp rank's rows of one tensor, sorted by atom element,
-    deliver every data element of its tp shard exactly once."""
-    out: List[Diagnostic] = []
-    start = plan.atom_start[rows]
-    end = start + plan.length[rows]
-    reach = np.maximum.accumulate(end)
-    for i in (np.flatnonzero(start[1:] < reach[:-1]) + 1).tolist():
-        row = int(rows[i])
-        part_lo = int(plan.offset[row])
-        n = min(int(end[i]), int(reach[i - 1])) - int(start[i])
-        out.append(error(
-            "UCP018",
-            f"target partition {byte_range(part_lo, part_lo + n)} of "
-            f"{name!r} <- atom elements [{start[i]}, {start[i] + n}), "
-            f"which another row of the load plan also delivers",
-            location=_where(plan.targets[plan.target[row]], name),
-        ))
-    shard_lo, shard_hi, atom_lo = atom_rows(
-        plan.layout.spec(name), plan.layout.parallel_cfg.tp, rank_layout.tp_rank
-    )
-    atom_hi = atom_lo + (shard_hi - shard_lo)
-    size = rank_layout.partition_numel
-    for m_lo, m_hi in subtract_intervals(
-        merge_intervals(list(zip(atom_lo.tolist(), atom_hi.tolist()))),
-        merge_intervals(list(zip(start.tolist(), end.tolist()))),
-    ):
-        # the layout locates what no row writes: atom element -> shard
-        # element -> flat buffer position -> (dp partition, offset)
-        i = int(np.flatnonzero((atom_lo <= m_lo) & (m_lo < atom_hi))[0])
-        flat = rank_layout.entry(name).offset + int(shard_lo[i] + m_lo - atom_lo[i])
-        dp, part_lo = divmod(flat, size)
-        n = min(m_hi, int(atom_hi[i]), m_lo + size - part_lo) - m_lo
-        coord = (rank_layout.pp_stage, rank_layout.sp_rank, rank_layout.tp_rank)
-        out.append(error(
-            "UCP017",
-            f"target partition {byte_range(part_lo, part_lo + n)} of "
-            f"{name!r} <- atom elements [{m_lo}, {m_hi}) <- <no plan "
-            f"row>: the load would write zeros over these data bytes",
-            location=_where(coord + (dp,), name),
-        ))
-    return out
+    q, _, lo, hi = intersect_tilings(start, start + plan.length[rows], g_lo, g_hi)
+    row = rows[q]
+    part_lo = plan.offset[row] + (lo - start[q])
+    yield from zip(row.tolist(), lo.tolist(), hi.tolist(), part_lo.tolist())
 
 
 def analyze_interchange(
@@ -315,8 +262,8 @@ def analyze_interchange(
     Accepts either a distributed checkpoint directory (rank-file
     headers drive the map) or a UCP directory (atom headers drive it);
     the source and target theorems' findings land on one report.
-    Tensor payloads are never read.  The analysis keeps the interval
-    maps, so callers can render provenance chains (:func:`explain`)
+    Tensor payloads are never read.  The analysis keeps the source
+    rows, so callers can render provenance chains (:func:`explain`)
     after the report — the CLI's ``lint-plan --provenance`` uses the
     report, the docs' worked example uses the chains.
     """

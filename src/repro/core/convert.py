@@ -8,14 +8,17 @@ and this module is the byte movement: it orchestrates, executes and
 commits a plan that :mod:`repro.core.plan` builds.
 
 * **Plan** (:mod:`repro.core.plan`) — one header pass over the rank
-  files composes every parameter's source -> consolidated interval map
-  (the paper's Extract + Union, over intervals instead of tensors) and
-  proves it sound; the mandatory pre-flight refuses an unsound source
-  at header cost.  Once the resume gate below has said which atoms are
-  missing, their maps are lowered into an immutable
+  files holds every header to the source layout, whose lowering
+  (:func:`~repro.core.ops.gen_ucp_metadata`, the load's own, run on the
+  source layout) is the source-byte map: the paper's Extract + Union
+  are the load's partition <-> atom moves run backwards.  The rows are
+  split by union's copy rule and proven to deliver every atom element
+  once; the mandatory pre-flight refuses an unsound source at header
+  cost.  Once the resume gate below has said which atoms are missing,
+  their rows are grouped into an immutable
   :class:`~repro.core.plan.ConversionPlan`: exact ``(file, element
-  range) -> consolidated range`` read items with their byte ranges, plus
-  which atoms consume which optimizer files.
+  range) -> atom range`` read items with their byte ranges, plus which
+  atoms consume which optimizer files.
 * **Execute** (here) — no rank file is ever decoded.  The plan fixes the
   read side before the first payload byte moves, the fan-out order
   included: atoms run file group by file group, each dp-straddling atom
@@ -28,8 +31,9 @@ commits a plan that :mod:`repro.core.plan` builds.
   of that one buffer and releases it at once; the file leaves the
   source-file table (:class:`~repro.storage.rangeio.BlockCache`) with
   its last planned consumer, and no worker loads a file while one only
-  earlier atoms still need is held.  **StripPadding** and the atom
-  write follow as soon as a parameter consolidates, so in-flight memory
+  earlier atoms still need is held.  The rows land at atom (unpadded)
+  elements, so **StripPadding** is done by construction, and the atom
+  write follows as soon as a parameter consolidates, so in-flight memory
   is one file group plus the workers' atoms, not the checkpoint.  The in-memory
   operators of :mod:`repro.core.ops` stay the reference semantics the
   pipeline is tested byte-for-byte against
@@ -73,7 +77,6 @@ from repro.core.diagnostics import LayoutLintError
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.intervals import numel as _numel
 from repro.core.metadata import UCP_META_FILE, UCPMetadata
-from repro.core.ops import strip_padding
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.core.plan import (
     ConversionPlan,
@@ -194,7 +197,7 @@ def _strided_runs(item: ReadItem) -> List[Tuple[int, int, int, int, int, int]]:
     destination's by at least the length: no overlap where rows land)
     and — if row ``i - 1`` met that too — by the same steps; every other
     row starts a run.  The row-major tiling of a TP shard is one run."""
-    fs, dst, lengths = item.file_starts, item.full_starts, item.lengths
+    fs, dst, lengths = item.file_starts, item.atom_starts, item.lengths
     n = int(fs.size)
     if n == 1:
         return [(0, int(dst[0]), int(lengths[0]), 0, 0, 1)]
@@ -225,7 +228,7 @@ def _scatter_item(
 ) -> None:
     """Scatter one :class:`~repro.core.plan.ReadItem`'s source slices —
     one buffer per state kind, ``item.ranges`` of the resident file —
-    into the consolidated arrays, one strided assignment per run.
+    into the atom arrays, one strided assignment per run.
 
     The flat ``fp32``/``exp_avg``/``exp_avg_sq`` buffers share one
     segment map, so the runs are derived once for all three kinds.  The
@@ -282,12 +285,11 @@ def _verify_source_commit(
 def _verify_source(
     src_store: ObjectStore, src_tag: str, ckpt_dir: str
 ) -> Tuple[Dict, List[str], Dict, ProvenanceAnalysis]:
-    """Plan: manifest, rank files, job config and the composed source
-    map of a committed source (:func:`~repro.core.plan.analyze_source`,
+    """Plan: manifest, rank files, job config and the proven source
+    rows of a committed source (:func:`~repro.core.plan.analyze_source`,
     the conversion's one header pass).  The pipeline is *gated on the
-    provenance theorems*: only a source whose interval maps were proven
-    sound (UCP017-UCP022) is converted — the read plans are lowered from
-    them.
+    provenance theorems*: only a source whose rows were proven sound
+    (UCP017-UCP022) is converted — the read plans are grouped from them.
     """
     src_manifest = manifest_mod.require_manifest(src_store, src_tag)
     files = _optim_files(src_store, src_tag)
@@ -415,7 +417,7 @@ def _open_reader(
 def _extract(
     reader: RangeReader,
     read_plan: ParamReadPlan,
-    full_numel: int,
+    atom_numel: int,
     position: int,
     stats: Dict[str, float],
 ) -> List[Dict[str, np.ndarray]]:
@@ -429,12 +431,11 @@ def _extract(
     """
     left = list(read_plan.files)
     try:
-        # np.empty, not zeros: the UCP017 coverage theorem the pipeline
-        # is gated on proves the plan writes every data element, and
-        # strip_padding drops the rest before anything escapes
+        # np.empty, not zeros: the delivery theorem the pipeline is
+        # gated on proves every part's rows write each atom element once
         parts = [read_plan.primary, *read_plan.copies]
         arrs = [
-            {kind: np.empty(full_numel, dtype=np.float32) for kind in STATE_KINDS}
+            {kind: np.empty(atom_numel, dtype=np.float32) for kind in STATE_KINDS}
             for _ in parts
         ]
         by_file: Dict[str, List[Tuple[int, ReadItem]]] = {}
@@ -482,7 +483,8 @@ def _convert_atom(
     resident ones first, a peer's load waited on last, and no new file
     loaded while one only earlier atoms still need is held), releasing
     each file the moment it is scattered, so its last consumer drops it
-    before loading the next.  The atom is written the moment it consolidates,
+    before loading the next.  Its rows land at atom elements, so
+    StripPadding needs no step.  The atom is written the moment it consolidates,
     so in-flight memory is bounded by workers x parameter size, not
     checkpoint size.
     "Written" means staged and handed to ``atom_store.publish``: inline
@@ -497,7 +499,7 @@ def _convert_atom(
     spec = plan.specs[name]
     stats = {"read": 0.0, "wait": 0.0}
     t_task = time.perf_counter()
-    arrs = _extract(reader, read_plan, _numel(spec.logical_shape), position, stats)
+    arrs = _extract(reader, read_plan, _numel(spec.unpadded_shape), position, stats)
     states = {}
     for kind in STATE_KINDS:
         merged = arrs[0][kind]
@@ -511,7 +513,7 @@ def _convert_atom(
                         f"copies differ; use params_to_average for "
                         f"independently updated parameters"
                     )
-        states[kind] = strip_padding(merged.reshape(spec.logical_shape), spec)
+        states[kind] = merged.reshape(spec.unpadded_shape)
     stats["assemble"] = time.perf_counter() - t_task - stats["read"] - stats["wait"]
     atom = AtomCheckpoint(name=name, states=states, spec=spec.to_dict())
     commits.reserve()
@@ -633,7 +635,7 @@ def ucp_convert(
     adam_hyper, loss_scaler, optimizer_step = _check_cross_rank_consistency(
         analysis
     )
-    names = sorted(analysis.params)
+    names = sorted(analysis.specs)
     specs = _resolve_specs(program, analysis)
 
     atom_store = AtomStore(ucp_dir, dst_store)
@@ -650,9 +652,9 @@ def ucp_convert(
     stage_seconds = {"lower": time.perf_counter() - t_lower}
     plan = _plan_reads(analysis, src_manifest, specs, read_plans)
     # everything since t0 that is not lowering — manifest + the header
-    # pass and composition + pre-flight lints + the resume gate — is the
-    # planning stage; together with the per-task stage sums below the
-    # stage map accounts for the whole wall
+    # pass and the source lowering + pre-flight lints + the resume gate —
+    # is the planning stage; together with the per-task stage sums below
+    # the stage map accounts for the whole wall
     stage_seconds["plan"] = time.perf_counter() - t0 - stage_seconds["lower"]
 
     # --- execute: fan the per-parameter pipeline out in the plan's

@@ -50,6 +50,9 @@ RULES: Dict[str, str] = {
     "UCP018": "provenance-overlap",
     "UCP019": "padding-leak",
     "UCP020": "provenance-dtype-mismatch",
+    # retired with the header-driven source composition: the header
+    # check refuses a segment or flat array the layout does not derive
+    # (UCP004 / UCP011) before any row is read; the ID stays reserved
     "UCP021": "fragment-out-of-bounds",
     "UCP022": "provenance-unverifiable",
     "UCP023": "collective-deadlock",

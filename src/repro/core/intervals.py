@@ -15,16 +15,18 @@ planner composes:
   the value ``(fragmenter, logical shape, degree, rank)`` — not once per
   parameter: every layer of a transformer shares its classes, and a
   process that converts and then loads shares them across the two.
-* :func:`data_intervals` / :func:`data_bounds` — the consolidated
-  sub-intervals holding real (non-padding) data; their complement is
-  structural padding, which plans never read and loads fill with zeros.
+* :func:`data_bounds` — the consolidated sub-intervals holding real
+  (non-padding) data; their complement is structural padding, which
+  plans never read and loads fill with zeros.
 * :func:`atom_rows` — runs composed with the data intervals into the
-  loader's shard -> atom-file rows, again once per class.
+  shard -> atom-file rows both directions lower through, again once
+  per class.
 * :func:`intersect_tilings` — the one interval-intersection kernel
   (two ``searchsorted`` + one repeat/arange expansion) behind the
-  provenance composition, the read-plan lowering and the loader rows.
-* :func:`merge_intervals` / :func:`subtract_intervals` — sorted
-  disjoint-interval set algebra.
+  shard -> atom rows and the lowering; :func:`group_shift` batches many
+  independent groups into one call.
+* :func:`merge_intervals` / :func:`merged_bounds` /
+  :func:`subtract_intervals` — sorted disjoint-interval set algebra.
 
 The tables live in one module-level memo bounded by
 :data:`MEMO_MAX_BYTES` of index columns (least recently used classes
@@ -133,12 +135,6 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
-def is_identity_map(spec: ShardSpec, degree: int) -> bool:
-    """Whether every rank's shard *is* the consolidated tensor (not
-    ``fragment_params``, or degree 1 — every parameter of a tp1 source)."""
-    return spec.pattern != PATTERN_FRAGMENT or degree == 1
-
-
 def _int_tuple(shape: Sequence[int]) -> Tuple[int, ...]:
     """A shape as a hashable value (specs may carry lists)."""
     return tuple(int(d) for d in shape)
@@ -146,9 +142,10 @@ def _int_tuple(shape: Sequence[int]) -> Tuple[int, ...]:
 
 def _class_key(spec: ShardSpec, degree: int, rank: int) -> Tuple:
     """The value a shard map depends on — never the parameter's name.
-    Identity maps collapse to one key per shape."""
+    Identity maps (every shard *is* the consolidated tensor: not
+    ``fragment_params``, or degree 1) collapse to one key per shape."""
     shape = _int_tuple(spec.logical_shape)
-    if is_identity_map(spec, degree):
+    if spec.pattern != PATTERN_FRAGMENT or degree == 1:
         return (None, shape, 1, 0)
     return (spec.fragmenter, shape, int(degree), int(rank))
 
@@ -202,8 +199,14 @@ def _padded_data_intervals(spec: ShardSpec) -> List[Tuple[int, int]]:
 
 
 def data_bounds(spec: ShardSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`data_intervals` as read-only ``(d_lo, d_hi)`` int64 columns,
-    memoised per ``(logical shape, unpadded shape)``."""
+    """The consolidated flat intervals holding real (non-padding) data,
+    as read-only ``(d_lo, d_hi)`` int64 columns, memoised per ``(logical
+    shape, unpadded shape)``.
+
+    Structural padding (e.g. vocab rows added for TP divisibility) is
+    the complement: it exists in source shards but never reaches an
+    atom, and a load writes it as zeros.
+    """
 
     def build() -> Tuple[np.ndarray, np.ndarray]:
         if spec.has_padding:
@@ -219,17 +222,20 @@ def data_bounds(spec: ShardSpec) -> Tuple[np.ndarray, np.ndarray]:
     return _MEMO.get(key, build)
 
 
-def data_intervals(spec: ShardSpec) -> List[Tuple[int, int]]:
-    """Consolidated flat intervals holding real (non-padding) data.
+GROUP_STRIDE = np.int64(1) << 41
+"""Element-space stride that keeps groups of intervals apart inside one
+batched call — far above any real tensor's element count."""
 
-    Structural padding (e.g. vocab rows added for TP divisibility) is
-    the complement: it exists in source shards but must be stripped by
-    the conversion, never copied into target data bytes.
-    """
-    if not spec.has_padding:
-        return [(0, numel(spec.logical_shape))]
-    d_lo, d_hi = data_bounds(spec)
-    return list(zip(d_lo.tolist(), d_hi.tolist()))
+
+def group_shift(counts: Sequence[int]) -> np.ndarray:
+    """The offset of each element of ``len(counts)`` concatenated groups:
+    group ``g`` (``counts[g]`` elements) is shifted into its own window
+    ``[g * GROUP_STRIDE, (g + 1) * GROUP_STRIDE)``, so one
+    :func:`intersect_tilings` or :func:`merged_bounds` call serves them
+    all."""
+    return np.repeat(
+        np.arange(len(counts), dtype=np.int64) * GROUP_STRIDE, counts
+    )
 
 
 def intersect_tilings(
@@ -301,23 +307,39 @@ def merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return merged
 
 
+def merged_bounds(
+    lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`merge_intervals` over int64 columns: the union of
+    ``[lo, hi)`` as sorted disjoint columns."""
+    keep = hi > lo
+    order = np.argsort(lo[keep], kind="stable")
+    lo, hi = lo[keep][order], hi[keep][order]
+    if lo.size == 0:
+        return lo, hi
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+
+
 def subtract_intervals(
     keep: List[Tuple[int, int]], remove: List[Tuple[int, int]]
 ) -> List[Tuple[int, int]]:
-    """``keep \\ remove`` for sorted disjoint interval lists."""
+    """``keep \\ remove`` for sorted disjoint interval lists, in one
+    forward pass over both."""
     out: List[Tuple[int, int]] = []
+    j = 0
     for start, end in keep:
-        cursor = start
-        for r_start, r_end in remove:
-            if r_end <= cursor:
-                continue
-            if r_start >= end:
-                break
+        # removals ending before this interval end before every later one
+        while j < len(remove) and remove[j][1] <= start:
+            j += 1
+        cursor, k = start, j
+        while cursor < end and k < len(remove) and remove[k][0] < end:
+            r_start, r_end = remove[k]
             if r_start > cursor:
                 out.append((cursor, r_start))
             cursor = max(cursor, r_end)
-            if cursor >= end:
-                break
+            k += 1
         if cursor < end:
             out.append((cursor, end))
     return out

@@ -3,9 +3,11 @@
 * :func:`extract`      — distributed checkpoint file -> parameter fragments
 * :func:`union`        — fragments of one parameter -> consolidated tensor
 * :func:`strip_padding`— remove structural padding from a consolidated tensor
-* :func:`gen_ucp_metadata` — target strategy -> :class:`LoadPlan`, the
-  load's one lowering, which :class:`AtomShardCache` executes and the
-  provenance checker proves
+* :func:`gen_ucp_metadata` — strategy -> :class:`LoadPlan`, the one
+  partition <-> atom lowering: of the target layout it is the load
+  :class:`AtomShardCache` executes, of the source layout the
+  conversion's reads (:mod:`repro.core.plan`); the provenance checker
+  proves both
 * :func:`load`         — stream atoms into one target rank's flat partition
 """
 
@@ -21,7 +23,12 @@ from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.atom import STATE_KINDS, AtomStore
 from repro.core.diagnostics import Diagnostic
 from repro.core.errors import AtomMissingError, PatternMatchError, UCPFormatError
-from repro.core.intervals import atom_rows, intersect_tilings
+from repro.core.intervals import (
+    GROUP_STRIDE,
+    atom_rows,
+    group_shift,
+    intersect_tilings,
+)
 from repro.parallel.layout import ModelParallelLayout
 from repro.parallel.sp import average_param_copies
 from repro.parallel.tp import (
@@ -161,11 +168,11 @@ def _extract_per_param(payload: Dict, kinds: Sequence[str]) -> List[ParamFragmen
 def _assemble_shard(pieces: List[ParamFragment]) -> np.ndarray:
     """Reassemble one rank's full TP shard from its dp-split pieces.
 
-    The runtime twin of the static shard-assembly proof in
-    :mod:`repro.core.plan`: a gap here is what the planner
-    reports as UCP017 and an over/under-run as UCP021 — both caught at
-    header cost before this function ever materializes a tensor, so
-    these raises only fire when the pre-flight was explicitly skipped.
+    The runtime twin of the header check and the source delivery proof
+    in :mod:`repro.core.plan`: a segment table that leaves a gap or runs
+    over is UCP004 / UCP011 at the rank file, caught at header cost
+    before this function ever materializes a tensor, so these raises
+    only fire when the pre-flight was explicitly skipped.
     """
     pieces = sorted(pieces, key=lambda f: f.shard_start)
     expected = 1
@@ -178,14 +185,14 @@ def _assemble_shard(pieces: List[ParamFragment]) -> np.ndarray:
             raise UCPFormatError(
                 f"shard of {piece.name!r} has a gap: next piece starts at "
                 f"{piece.shard_start}, expected {cursor} (static rule "
-                f"UCP017/UCP018)"
+                f"UCP004)"
             )
         chunks.append(piece.data)
         cursor = piece.shard_end
     if cursor != expected:
         raise UCPFormatError(
             f"shard of {pieces[0].name!r} incomplete: {cursor} of "
-            f"{expected} elements (static rule UCP017/UCP021)"
+            f"{expected} elements (static rule UCP004)"
         )
     return np.concatenate(chunks).reshape(pieces[0].shard_shape)
 
@@ -309,9 +316,10 @@ class ShardRange(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class LoadPlan:
-    """Every atom -> target element move of one load, lowered once by
-    :func:`gen_ucp_metadata`: the UCP load executes it and the
-    provenance checker proves its theorems over it.
+    """Every atom <-> partition element move of one layout, lowered once
+    by :func:`gen_ucp_metadata`: the UCP load executes a target's, the
+    conversion reads a source's, and the provenance checker proves its
+    theorems over both.
 
     ``targets[t]`` is a ``(pp, sp, tp, dp)`` partition or a
     :class:`ShardRange`.  Row ``i`` of the read-only int64 columns moves
@@ -347,12 +355,17 @@ def gen_ucp_metadata(
 ) -> LoadPlan:
     """Lower a load onto the target strategy (paper's GenUcpMetadata).
 
-    ``layout`` is the target's (the engine validated its own when it was
-    built); ``targets`` default to every (mp, dp) partition, in
+    ``layout`` is the target's for a load (the engine validated its own
+    when it was built), the source's for a conversion, whose reads are
+    the same moves run backwards; ``targets`` default to every (mp, dp)
+    partition, in
     mp-coordinate then dp order.  Each target's shard ranges — a
     partition's slices, or the one :class:`ShardRange` — are composed
-    once with the shape-class shard -> atom map
-    (:func:`repro.core.intervals.atom_rows`) into the plan's rows.
+    with the shape-class shard -> atom map
+    (:func:`repro.core.intervals.atom_rows`) into the plan's rows.  Every
+    ``(atom, tp rank)`` group is shifted into its own window of one
+    element space (:func:`~repro.core.intervals.group_shift`), so one
+    intersection lowers them all.
     """
     if targets is None:
         targets = [
@@ -361,54 +374,83 @@ def gen_ucp_metadata(
             for d in range(layout.parallel_cfg.dp)
         ]
     targets = tuple(targets)
-    # (atom, tp rank) -> [(target, shard lo, shard hi, target offset)]
-    ranges: Dict[Tuple[str, int], List[Tuple[int, int, int, int]]] = {}
+    groups: Dict[Tuple[str, int], int] = {}
+    # (group, target, shard lo, shard hi, target offset) per shard range
+    ranges: List[Tuple[int, int, int, int, int]] = []
     sizes = []
+    slices: Dict[Tuple[int, int, int], Dict[int, list]] = {}
     for t, target in enumerate(targets):
         if isinstance(target, ShardRange):
-            ranges.setdefault(target[:2], []).append(
-                (t, target.lo, target.hi, 0)
-            )
+            g = groups.setdefault(target[:2], len(groups))
+            ranges.append((g, t, target.lo, target.hi, 0))
             sizes.append(target.hi - target.lo)
             continue
         rank_layout = layout.rank_layout(*target[:3])
         sizes.append(rank_layout.partition_numel)
-        for piece in rank_layout.slices_in_partition(target[3]):
-            ranges.setdefault((piece.name, target[2]), []).append(
-                (t, piece.shard_start, piece.shard_end, piece.local_start)
+        if target[:3] not in slices:
+            by_part = slices[target[:3]] = {}
+            for entry in rank_layout.entries:
+                for piece in rank_layout.partition_slices(entry.name):
+                    by_part.setdefault(piece.partition, []).append(piece)
+        for piece in slices[target[:3]].get(target[3], ()):
+            g = groups.setdefault((piece.name, target[2]), len(groups))
+            ranges.append(
+                (g, t, piece.shard_start, piece.shard_end, piece.local_start)
             )
-    tables: Dict[str, List[np.ndarray]] = {}
-    for (name, tp_rank), group in ranges.items():
-        t, lo, hi, local = np.array(group, dtype=np.int64).T
-        shard_lo, shard_hi, atom_lo = atom_rows(
-            layout.spec(name), layout.parallel_cfg.tp, tp_rank
-        )
-        q, r, start, end = intersect_tilings(lo, hi, shard_lo, shard_hi)
-        tables.setdefault(name, []).append(np.stack((
-            t[q], local[q] + (start - lo[q]),
-            atom_lo[r] + (start - shard_lo[r]), end - start,
-        )))
-    atoms, columns, bounds = [], [np.empty((4, 0), dtype=np.int64)], [0]
-    for name, parts in tables.items():
-        table = np.concatenate(parts, axis=1)
-        if table.shape[1]:  # else all padding
-            atoms.append(name)
-            columns.append(table[:, np.argsort(table[2], kind="stable")])
-            bounds.append(bounds[-1] + table.shape[1])
-    rows = np.concatenate(columns, axis=1)
+    g, t, lo, hi, local = np.array(ranges, dtype=np.int64).reshape(-1, 5).T
+    order = np.argsort(g, kind="stable")
+    g, t, lo, hi, local = g[order], t[order], lo[order], hi[order], local[order]
+    shift = g * GROUP_STRIDE
+    tables = [
+        atom_rows(layout.spec(name), layout.parallel_cfg.tp, tp_rank)
+        for name, tp_rank in groups
+    ]
+    tile_shift = group_shift([table.shard_lo.size for table in tables])
+    shard_lo, shard_hi, atom_lo = (
+        np.concatenate([np.empty(0, dtype=np.int64), *column])
+        for column in (list(zip(*tables)) or [(), (), ()])
+    )
+    shard_lo, shard_hi = shard_lo + tile_shift, shard_hi + tile_shift
+    q, r, start, end = intersect_tilings(lo + shift, hi + shift, shard_lo, shard_hi)
+    atom_ids: Dict[str, int] = {}
+    atom_of_group = np.array(
+        [atom_ids.setdefault(name, len(atom_ids)) for name, _ in groups],
+        dtype=np.int64,
+    )
+    atom = atom_of_group[g[q]]
+    rows = np.stack((
+        t[q], local[q] + (start - lo[q] - shift[q]),
+        atom_lo[r] + (start - shard_lo[r]), end - start,
+    ))
+    # per atom (groups' first-appearance order), by atom element; atoms
+    # whose every range is padding get no rows
+    rows = rows[:, np.argsort(atom * GROUP_STRIDE + rows[2], kind="stable")]
+    per_atom = np.bincount(atom, minlength=len(atom_ids))
+    atoms = tuple(name for name, n in zip(atom_ids, per_atom) if n)
+    bounds = np.concatenate(([0], np.cumsum(per_atom[per_atom > 0])))
     # per target, the gaps between its rows (by offset) and at its ends
-    gaps = [np.empty((3, 0), dtype=np.int64)]
-    for t, size in enumerate(sizes):
-        _, offset, _, length = rows[:, rows[0] == t]
-        order = np.argsort(offset)
-        lo = np.append(0, (offset + length)[order])
-        hi = np.append(offset[order], size)
-        keep = np.flatnonzero(hi > lo)
-        gaps.append(np.stack((np.full(keep.size, t), lo[keep], (hi - lo)[keep])))
-    columns = (np.array(bounds, dtype=np.int64), *rows, *np.concatenate(gaps, axis=1))
+    size = np.array(sizes, dtype=np.int64)
+    by_offset = np.lexsort((rows[1], rows[0]))
+    row_t, row_lo = rows[0, by_offset], rows[1, by_offset]
+    row_hi = row_lo + rows[3, by_offset]
+    first = np.ones(row_t.size, dtype=bool)
+    first[1:] = row_t[1:] != row_t[:-1]
+    before = np.where(first, 0, np.roll(row_hi, 1))
+    last = np.append(first[1:], True)[:row_t.size]
+    last_end = np.zeros(size.size, dtype=np.int64)
+    last_end[row_t[last]] = row_hi[last]
+    gap_t = np.concatenate((row_t, np.arange(size.size, dtype=np.int64)))
+    gap_lo = np.concatenate((before, last_end))
+    gap_hi = np.concatenate((row_lo, size))
+    keep = np.flatnonzero(gap_hi > gap_lo)
+    keep = keep[np.lexsort((gap_lo[keep], gap_t[keep]))]
+    columns = (
+        bounds.astype(np.int64), *rows,
+        gap_t[keep], gap_lo[keep], (gap_hi - gap_lo)[keep],
+    )
     for column in columns:
         column.flags.writeable = False
-    return LoadPlan(layout, targets, tuple(atoms), *columns)
+    return LoadPlan(layout, targets, atoms, *columns)
 
 
 class AtomShardCache:

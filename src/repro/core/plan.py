@@ -1,40 +1,43 @@
 """The conversion planner: source rank-file headers -> one immutable plan.
 
 The paper's converter (Algorithm 1) is a plan — which source bytes
-become which atom bytes — followed by byte movement.  This module is the
-only code that reads source headers for a conversion and turns them into
-that plan (the DCP shape: planner -> immutable plan of read items ->
-storage reader); :mod:`repro.core.convert` executes it and the
-provenance check (``repro lint-plan --provenance``) checks it.
+become which atom bytes — followed by byte movement.  Extract/Union
+(source partitions -> atoms) and GenUcpMetadata/Load (atoms -> target
+partitions) are one partition <-> atom mapping run in opposite
+directions, so the plan is the load's own lowering,
+:func:`~repro.core.ops.gen_ucp_metadata`, of the *source* layout (the
+DCP shape: planner -> immutable plan of read items -> storage reader);
+:mod:`repro.core.convert` executes it and the provenance check
+(``repro lint-plan --provenance``) checks it.
 
-1. **Header pass + composition** (:func:`analyze_source`) — every rank
-   file's header is decoded exactly once (``load_index_sized``: partition
-   metadata, tensor index and file size from one ``open``; the payload is
-   never read).  Its ``(file, byte-offset, dtype)`` fragments compose —
-   mirroring ``Extract``/``Union`` selection semantics exactly — into an
-   interval map over each parameter's consolidated (padded logical) flat
-   element space, every interval carrying its source-byte provenance
-   (:class:`ExtentTable`: int64 columns from here into the read plans;
-   :class:`SourceExtent` objects exist only where a diagnostic or a
-   provenance chain names one).  The UCP017-UCP022 findings are made
-   *while building* this map, so what ``repro lint-plan --provenance``
-   prints and what the conversion pre-flight enforces are findings about
-   the object the executor runs, not about a parallel derivation.
+1. **Header pass + proof** (:func:`analyze_source`) — every rank file's
+   header is decoded exactly once (``load_index_sized``: partition
+   metadata, tensor index and file size from one ``open``; the payload
+   is never read) and held to the derived layout
+   (:class:`~repro.parallel.layout.HeaderCheck`, UCP001-UCP004, UCP011,
+   UCP019, UCP022; dtypes UCP020).  A header that passes records exactly
+   what the layout derives, so the source layout's lowering is the
+   source-byte map: each row names an atom range and the rank-file
+   elements that hold it.  Union's copy rule splits a parameter's rows
+   into the primary part and its copies, and every part read is proven
+   to deliver its tp shard exactly once (:func:`_delivery`, UCP017 /
+   UCP018 at the rank file) — the same theorem the target side proves
+   over the load plan.
 2. **Resolution** — job-wide state asserted rank-uniform
    (:func:`_check_cross_rank_consistency`) and every spec resolved
    through the UCP-language program (:func:`_resolve_specs`), both from
    the headers of step 1.
 3. **Lowering** (:func:`lower_read_plans`, :func:`_plan_reads`) — the
-   maps of the atoms still to convert are clipped to their non-padding
-   data and grouped into :class:`ReadItem` columns per ``(file, field)``,
-   each carrying its source slice's byte range per state kind; consumer
-   counts, manifest entries and file sizes complete the
-   :class:`ConversionPlan`, which nothing writes to afterwards.
+   rows of the atoms still to convert are grouped into :class:`ReadItem`
+   columns per ``(file, field)``, each carrying its source slice's byte
+   range per state kind; consumer counts, manifest entries and file
+   sizes complete the :class:`ConversionPlan`, which nothing writes to
+   afterwards.
 
 The only tensor-shaped computation is one ``int64`` index map per
 ``fragment_params`` *shape class* — ``(fragmenter, logical shape, TP
 degree, rank)``, shared by every layer — executed through the *real*
-fragmenter once and kept as a read-only columnar run table by
+fragmenter once and kept as a read-only run table by
 :mod:`repro.core.intervals`, so the plan cannot drift from the
 executable sharding semantics and disk IO stays header-only (kilobytes
 for a multi-terabyte checkpoint).
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -64,24 +67,22 @@ from repro.core.diagnostics import (
 )
 from repro.core.errors import PatternMatchError, UCPFormatError
 from repro.core.intervals import (
-    data_bounds,
-    data_intervals,
-    intersect_tilings,
-    is_identity_map,
+    atom_rows,
+    group_shift,
     merge_intervals,
+    merged_bounds,
     numel,
-    shard_runs,
     subtract_intervals,
 )
+from repro.core.ops import LoadPlan, gen_ucp_metadata
 from repro.core.patterns import PatternProgram
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
-from repro.parallel.layout import HeaderCheck, ModelParallelLayout
+from repro.parallel.layout import ModelParallelLayout, RankShardLayout
 from repro.parallel.tp import (
     PATTERN_FRAGMENT,
     PATTERN_REPLICATED,
     PATTERN_TO_AVERAGE,
-    PATTERN_UNIQUE,
     ShardSpec,
     build_shard_specs,
 )
@@ -97,620 +98,274 @@ def byte_range(start: int, end: int) -> str:
     return f"bytes [{start * FP32_BYTES}, {end * FP32_BYTES})"
 
 
-@dataclasses.dataclass(frozen=True)
-class SourceExtent:
-    """One contiguous run of consolidated elements traced to source bytes.
-
-    Consolidated elements ``[full_start, full_end)`` of one parameter
-    are supplied by elements ``[file_start, ...)`` of the named flat
-    array ``field`` inside source rank file ``file`` — the provenance
-    leaf every diagnostic chain bottoms out in.
-    """
-
-    full_start: int
-    full_end: int
-    file: str
-    field: str
-    file_start: int
-    coord: Tuple[int, int, int]
-    dp_rank: int
-
-    def chain(self, full_start: int, full_end: int) -> str:
-        """Render the source half of a provenance chain for a sub-range."""
-        delta = full_start - self.full_start
-        file_lo = (self.file_start + delta) * FP32_BYTES
-        file_hi = file_lo + (full_end - full_start) * FP32_BYTES
-        pp, sp, tp = self.coord
-        return (
-            f"source pp={pp}.sp={sp}.tp={tp}.dp={self.dp_rank} "
-            f"{self.file}::{self.field} bytes [{file_lo}, {file_hi})"
-        )
-
-
-_Source = Tuple[str, str, Tuple[int, int, int], int]
-"""``(file, field, mp coord, dp rank)`` of one source fragment."""
-
-
-class ExtentTable:
-    """The provenance extents of one parameter copy, columnar.
-
-    Row ``i`` says consolidated elements ``[full_start[i], full_end[i])``
-    are supplied by elements ``[file_start[i], ...)`` of the fragment
-    ``sources[source[i]]``.  Rows are sorted by ``(full_start, full_end,
-    file)``.  The int64 columns are what :func:`lower_read_plans` lowers
-    into read items; iterating (or :meth:`extent` / :meth:`overlapping`)
-    materialises :class:`SourceExtent` objects for diagnostics and
-    provenance chains only.
-    """
-
-    __slots__ = (
-        "full_start", "full_end", "file_start", "source", "sources", "_covered"
-    )
-
-    def __init__(
-        self,
-        full_start: np.ndarray,
-        full_end: np.ndarray,
-        file_start: np.ndarray,
-        source: np.ndarray,
-        sources: Sequence[_Source],
-        covered: Optional[List[Tuple[int, int]]] = None,
-    ) -> None:
-        self.full_start = full_start
-        self.full_end = full_end
-        self.file_start = file_start
-        self.source = source
-        self.sources = sources
-        self._covered = covered
-
-    @classmethod
-    def from_rows(
-        cls, rows: List[Tuple[int, int, str, int, int]], sources: Sequence[_Source]
-    ) -> "ExtentTable":
-        """A (small) table from Python ``(full_start, full_end, file,
-        file_start, source)`` rows — no per-column numpy dispatch."""
-        rows.sort(key=lambda r: r[:3])
-        cols = np.array(
-            [(r[0], r[1], r[3], r[4]) for r in rows], dtype=np.int64
-        ).reshape(-1, 4).T
-        return cls(
-            *cols, sources,
-            covered=merge_intervals([(r[0], r[1]) for r in rows]),
-        )
-
-    @classmethod
-    def from_extents(cls, extents: Sequence[SourceExtent]) -> "ExtentTable":
-        """Columnar form of already materialised extents."""
-        index: Dict[_Source, int] = {}
-        rows = [
-            (
-                e.full_start, e.full_end, e.file, e.file_start,
-                index.setdefault(
-                    (e.file, e.field, e.coord, e.dp_rank), len(index)
-                ),
-            )
-            for e in extents
-        ]
-        return cls.from_rows(rows, list(index))
-
-    def __len__(self) -> int:
-        return int(self.full_start.size)
-
-    def __iter__(self):
-        return (self.extent(i) for i in range(len(self)))
-
-    def extent(self, i: int) -> SourceExtent:
-        """Row ``i`` as the provenance leaf diagnostics render."""
-        file, field, coord, dp_rank = self.sources[int(self.source[i])]
-        return SourceExtent(
-            full_start=int(self.full_start[i]),
-            full_end=int(self.full_end[i]),
-            file=file,
-            field=field,
-            file_start=int(self.file_start[i]),
-            coord=coord,
-            dp_rank=dp_rank,
-        )
-
-    def overlapping(self, start: int, end: int) -> List[SourceExtent]:
-        """Extents intersecting a consolidated element interval."""
-        hits = np.flatnonzero((self.full_start < end) & (self.full_end > start))
-        return [self.extent(i) for i in hits]
-
-    def covered(self) -> List[Tuple[int, int]]:
-        """Merged consolidated intervals the rows supply."""
-        if self._covered is None:
-            starts, reach = self.full_start, np.maximum.accumulate(self.full_end)
-            if starts.size == 0:
-                self._covered = []
-            else:
-                # rows are sorted by start: a new interval opens where a
-                # row starts past everything before it
-                first = np.flatnonzero(
-                    np.concatenate(([True], starts[1:] > reach[:-1]))
-                )
-                last = np.concatenate((first[1:] - 1, [starts.size - 1]))
-                self._covered = list(
-                    zip(starts[first].tolist(), reach[last].tolist())
-                )
-        return self._covered
-
-
-@dataclasses.dataclass
-class ParamProvenance:
-    """Interval map over one parameter's consolidated flat element space.
-
-    ``extents`` trace the *selected* copies — the ones ``union``
-    actually consumes.  ``replicas`` trace the non-selected copies
-    (other ``(pp, sp)`` holders of a replicated / averaged parameter),
-    keyed by their mp coordinate: the streaming converter reads them
-    only when the pattern demands it (``params_to_average`` averages
-    every copy; ``replicated_params`` must compare them), so a plan
-    knows the *full* byte cost of each policy.
-    Both are :class:`ExtentTable` columns (a sequence of
-    :class:`SourceExtent` is accepted and converted).
-    """
-
-    name: str
-    spec: ShardSpec
-    extents: ExtentTable
-    data: List[Tuple[int, int]]
-    replicas: Dict[Tuple[int, int, int], ExtentTable] = dataclasses.field(
-        default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.extents, ExtentTable):
-            self.extents = ExtentTable.from_extents(self.extents)
-
-    def covered(self) -> List[Tuple[int, int]]:
-        """Merged consolidated intervals any source byte supplies."""
-        return self.extents.covered()
-
-    def lookup(self, start: int, end: int) -> List[SourceExtent]:
-        """Extents intersecting a consolidated element interval."""
-        return self.extents.overlapping(start, end)
-
-
-@dataclasses.dataclass(frozen=True)
-class _ShardPiece:
-    """One dp-split piece of one (parameter, mp-coord) shard."""
-
-    shard_start: int
-    shard_end: int
-    file: str
-    field: str
-    file_start: int
-    dp_rank: int
-
-
 @dataclasses.dataclass
 class ProvenanceAnalysis:
-    """The composed source map: per-parameter interval maps plus the
-    report of every finding made while building them.
+    """A source's proven byte map and the report of the proof.
 
-    ``params`` maps parameter name -> :class:`ParamProvenance`; the
-    provenance check renders a full
-    target-byte -> source-byte chain from them, the artifact the
-    diagnostics embed and ``docs/ANALYSIS.md`` documents.  An analysis
-    of a distributed checkpoint (:func:`analyze_source`) also keeps what
-    its one header pass decoded — ``layout`` (the source's
+    ``specs`` maps each parameter the model derives to its spec.  An
+    analysis of a distributed checkpoint (:func:`analyze_source`) keeps
+    what its one header pass decoded — ``layout`` (the source's
     :class:`~repro.parallel.layout.ModelParallelLayout`), ``headers``
     (rank file -> index tree, tensor leaves as
     :class:`~repro.storage.serializer.TensorIndexEntry`) and
-    ``file_sizes`` (rank file -> on-disk bytes) — so resolution and
-    lowering never open a rank file again.
+    ``file_sizes`` (rank file -> on-disk bytes) — and the source rows:
+    ``plan`` is ``gen_ucp_metadata(layout)``, ``parts[name]`` the rows
+    the conversion reads for a parameter (the primary part, then each
+    copy, each sorted by atom element), and row ``i`` moves elements
+    ``file_start[i]:`` of the fp32 state array of rank file
+    ``files[file_of[plan.target[i]]]``.  An analysis of a UCP directory
+    (:func:`~repro.analysis.provenance.analyze_ucp_source`) has no rows;
+    ``atom_files`` names each atom that supplies its whole tensor.
     """
 
     model_cfg: ModelConfig
     source_cfg: ParallelConfig
-    params: Dict[str, ParamProvenance]
+    specs: Dict[str, ShardSpec]
     report: LintReport
     layout: Optional[ModelParallelLayout] = None
     headers: Dict[str, Dict] = dataclasses.field(default_factory=dict)
     file_sizes: Dict[str, int] = dataclasses.field(default_factory=dict)
+    optimizer_layout: str = "flat"
+    plan: Optional[LoadPlan] = None
+    parts: Dict[str, Tuple[np.ndarray, ...]] = dataclasses.field(
+        default_factory=dict
+    )
+    files: Tuple[str, ...] = ()
+    file_of: Optional[np.ndarray] = None
+    file_start: Optional[np.ndarray] = None
+    atom_files: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+    def state_field(self, name: str) -> str:
+        """The fp32 state array a row of ``name`` reads in its rank file."""
+        if self.optimizer_layout == "per_param":
+            return f"param_states.fp32.{name}"
+        return naming.FLAT_STATE_FIELDS["fp32"]
+
+    def _supplied(self, rows: np.ndarray) -> np.ndarray:
+        """The rows whose rank file decoded: an absent or undecodable
+        file supplies no source byte."""
+        decoded = np.array([rel in self.headers for rel in self.files], dtype=bool)
+        return rows[decoded[self.file_of[self.plan.target[rows]]]]
+
+    def sourced(self, name: str) -> List[Tuple[int, int]]:
+        """Merged atom-element intervals of ``name`` a source byte supplies."""
+        if self.plan is None:
+            whole = numel(self.specs[name].unpadded_shape)
+            return [(0, whole)] if name in self.atom_files else []
+        rows = self._supplied(self.parts[name][0])
+        start = self.plan.atom_start[rows]
+        lo, hi = merged_bounds(start, start + self.plan.length[rows])
+        return list(zip(lo.tolist(), hi.tolist()))
+
+    def source_chain(self, name: str, atom: int) -> Optional[str]:
+        """The source half of a provenance chain: the rank-file bytes
+        that supply atom element ``atom`` of ``name``, or None."""
+        if self.plan is None:
+            if name not in self.atom_files:
+                return None
+            return (
+                f"source pp=0.sp=0.tp=0.dp=0 {self.atom_files[name]}::values "
+                f"{byte_range(atom, atom + 1)}"
+            )
+        rows = self._supplied(self.parts[name][0])
+        start = self.plan.atom_start[rows]
+        k = int(np.searchsorted(start, atom, "right")) - 1
+        if k < 0 or atom >= start[k] + self.plan.length[rows[k]]:
+            return None
+        row = int(rows[k])
+        pp, sp, tp, _ = self.plan.targets[self.plan.target[row]]
+        rel = self.files[self.file_of[self.plan.target[row]]]
+        dp = int(naming.OPTIM_STATES_RE.match(rel.split("/")[-1]).group(1))
+        element = int(self.file_start[row]) + (atom - int(start[k]))
+        return (
+            f"source pp={pp}.sp={sp}.tp={tp}.dp={dp} "
+            f"{rel}::{self.state_field(name)} {byte_range(element, element + 1)}"
+        )
 
 
-_Pieces = Dict[Tuple[str, Tuple[int, int, int]], List[_ShardPiece]]
-"""Shard-space pieces keyed by ``(param name, mp coord)``."""
+_Target = Tuple[int, int, int, int]
+"""A ``(pp, sp, tp, dp)`` partition."""
 
 
-def _read_source_pieces(
+def _header_pass(
     store: ObjectStore,
-    tag: str,
     layout: ModelParallelLayout,
-    source_cfg: ParallelConfig,
-    optimizer_layout: str,
+    files: Dict[str, _Target],
     report: LintReport,
-) -> Tuple[_Pieces, Dict[str, Dict], Dict[str, int]]:
+) -> Tuple[Dict[str, Dict], Dict[str, int]]:
     """The one header pass over every source optimizer-state file.
 
-    Returns shard-space pieces keyed by ``(param name, mp coord)`` plus
-    each decoded file's index tree and on-disk size.  Each header is
-    checked against the layout as its pieces are collected
+    ``files`` maps each rank file to the ``(pp, sp, tp, dp)`` of the
+    file.  Returns each decoded file's index tree and on-disk size.
+    Each header is held to the layout
     (:class:`~repro.parallel.layout.HeaderCheck`: UCP001-UCP004, UCP011,
-    and padding-as-data ``sharding`` entries, UCP019), and dtype
-    violations (UCP020), out-of-extent references (UCP021),
-    alignment-padding reads (UCP019) and unreadable headers (UCP022) are
-    reported along the way.
+    UCP019, UCP022); a state array stored in another dtype than float32
+    is UCP020 and an absent or unreadable file UCP022.
     """
-    pieces: _Pieces = {}
     headers: Dict[str, Dict] = {}
     file_sizes: Dict[str, int] = {}
-    for coord in layout.mp_coords():
-        mp_rank = layout.mp_rank_index(*coord)
-        rank_layout = layout.rank_layout(*coord)
-        if optimizer_layout == "per_param":
-            dp_ranks = [0]
-        elif source_cfg.zero_stage == 0:
-            dp_ranks = [0]
-        else:
-            dp_ranks = list(range(source_cfg.dp))
-        for dp_rank in dp_ranks:
-            basename = naming.optim_states_name(dp_rank, mp_rank)
-            rel = f"{tag}/{basename}"
-            try:
-                header, file_sizes[rel] = store.load_index_sized(rel)
-            except FileNotFoundError:
-                report.add(error(
-                    "UCP022",
-                    f"rank file absent; the provenance of dp_rank "
-                    f"{dp_rank}'s bytes cannot be established",
-                    location=rel,
-                ))
-                continue
-            except (SerializationError, OSError) as exc:
-                report.add(error(
-                    "UCP022", f"header unreadable: {exc}", location=rel
-                ))
-                continue
-            check = rank_layout.header_check(dp_rank, source_cfg.zero_stage, rel)
-            if not isinstance(header, dict):
-                report.extend(check.run(header))
-                continue
+    for rel, (pp, sp, tp, dp_rank) in files.items():
+        try:
+            header, file_sizes[rel] = store.load_index_sized(rel)
+        except FileNotFoundError:
+            report.add(error(
+                "UCP022",
+                f"rank file absent; the provenance of dp_rank "
+                f"{dp_rank}'s bytes cannot be established",
+                location=rel,
+            ))
+            continue
+        except (SerializationError, OSError) as exc:
+            report.add(error(
+                "UCP022", f"header unreadable: {exc}", location=rel
+            ))
+            continue
+        check = layout.rank_layout(pp, sp, tp).header_check(
+            dp_rank, layout.parallel_cfg.zero_stage, rel
+        )
+        report.extend(check.run(header))
+        if isinstance(header, dict):
             headers[rel] = header
-
-            check.rank_fields(header)
-            if "param_states" in header:
-                _collect_per_param_pieces(header, check, coord, pieces, report)
-            else:
-                _collect_flat_pieces(header, check, coord, pieces, report)
-            report.extend(check.diagnostics)
-    return pieces, headers, file_sizes
+            report.extend(_dtype_findings(header, rel))
+    return headers, file_sizes
 
 
-def _collect_per_param_pieces(
-    header: Dict,
-    check: HeaderCheck,
-    coord: Tuple[int, int, int],
-    pieces: _Pieces,
-    report: LintReport,
-) -> None:
-    """Megatron-classic per-parameter files: each state is a whole shard."""
-    rel = check.rel
-    for kind, name, stub in check.param_states(header["param_states"]):
-        dtype = getattr(stub, "dtype", "float32")
-        if kind == "fp32" and np.dtype(dtype) != np.float32:
-            report.add(error(
-                "UCP020",
-                f"{name!r} stored as {dtype}; target flat partitions "
-                f"are float32 — a widening copy is not byte "
-                f"provenance",
-                location=rel,
-            ))
-        if kind != "fp32":
-            continue
-        pieces.setdefault((name, coord), []).append(_ShardPiece(
-            shard_start=0,
-            shard_end=numel(getattr(stub, "shape", ())),
-            file=rel,
-            field=f"param_states.fp32.{name}",
-            file_start=0,
-            dp_rank=0,
-        ))
-
-
-def _collect_flat_pieces(
-    header: Dict,
-    check: HeaderCheck,
-    coord: Tuple[int, int, int],
-    pieces: _Pieces,
-    report: LintReport,
-) -> None:
-    """DeepSpeed-style flat files: segments intersected with the partition."""
-    meta = check.flat_meta(header)
-    if meta is None:
-        return
-    dp_rank, partition_numel, flat_numel, segments = meta
-    rel = check.rel
-
-    # the flat arrays themselves: dtype and extent, per state kind
-    stored_numel = partition_numel
-    for kind in STATE_KINDS:
-        field = naming.FLAT_STATE_FIELDS[kind]
-        stub = header.get(field)
-        if not check.flat_array(field, stub):
-            continue
-        dtype = getattr(stub, "dtype", "float32")
-        if np.dtype(dtype) != np.float32:
-            report.add(error(
-                "UCP020",
-                f"{field} stored as {dtype}; flat fp32 partitions must "
-                f"be float32 for byte-exact provenance",
-                location=rel,
-            ))
-        if kind == "fp32":
-            stored_numel = numel(getattr(stub, "shape", ()))
-
-    part_start = dp_rank * partition_numel
-    part_end = part_start + partition_numel
-    payload_end = min(check.layout.payload_numel, flat_numel)
-
-    for name, seg_start, seg_end in check.segments(segments):
-        if seg_end > payload_end:
-            leak_lo = max(seg_start, payload_end)
-            report.add(error(
-                "UCP019",
-                f"segment {name!r} claims flat {byte_range(leak_lo, seg_end)} "
-                f"inside the alignment-padding tail (payload ends at byte "
-                f"{payload_end * FP32_BYTES}): padding bytes would flow "
-                f"into target data",
-                location=rel,
-            ))
-        start = max(seg_start, part_start)
-        end = min(seg_end, part_end)
-        if start >= end:
-            continue
-        file_start = start - part_start
-        file_end = end - part_start
-        if file_end > stored_numel:
-            report.add(error(
-                "UCP021",
-                f"segment {name!r} needs partition "
-                f"{byte_range(file_start, file_end)} but the stored flat "
-                f"array ends at byte {stored_numel * FP32_BYTES}",
-                location=rel,
-            ))
-            end = min(end, part_start + stored_numel)
-            if start >= end:
-                continue
-            file_end = end - part_start
-        pieces.setdefault((name, coord), []).append(_ShardPiece(
-            shard_start=start - seg_start,
-            shard_end=end - seg_start,
-            file=rel,
-            field=naming.FLAT_STATE_FIELDS["fp32"],
-            file_start=file_start,
-            dp_rank=dp_rank,
-        ))
-
-
-def _assemble_shard_intervals(
-    name: str,
-    coord: Tuple[int, int, int],
-    shard_numel: int,
-    shard_pieces: List[_ShardPiece],
-    report: LintReport,
-) -> List[_ShardPiece]:
-    """Prove one coord's dp pieces tile its shard exactly once.
-
-    The static twin of ``ops._assemble_shard``: gaps are UCP017
-    (a target byte would stay uninitialized), overlaps are UCP018
-    (a byte written twice — last-writer-wins corruption at runtime),
-    pieces past the shard extent are UCP021.
-    """
-    pp, sp, tp = coord
-    where = f"{name}@pp={pp}.sp={sp}.tp={tp}"
-    ordered = sorted(
-        shard_pieces, key=lambda p: (p.shard_start, p.shard_end, p.file)
-    )
-    kept: List[_ShardPiece] = []
-    cursor = 0
-    for piece in ordered:
-        if piece.shard_end > shard_numel:
-            report.add(error(
-                "UCP021",
-                f"fragment from {piece.file} covers shard "
-                f"{byte_range(piece.shard_start, piece.shard_end)} but the "
-                f"shard ends at byte {shard_numel * FP32_BYTES}",
-                location=where,
-            ))
-        if piece.shard_start > cursor:
-            report.add(error(
-                "UCP017",
-                f"shard {byte_range(cursor, piece.shard_start)} is covered "
-                f"by no source fragment (next fragment from {piece.file})",
-                location=where,
-            ))
-        elif piece.shard_start < cursor:
-            prev = kept[-1] if kept else None
-            other = f" and {prev.file}" if prev is not None else ""
-            report.add(error(
-                "UCP018",
-                f"shard {byte_range(piece.shard_start, min(cursor, piece.shard_end))} "
-                f"is written twice (fragments from {piece.file}{other})",
-                location=where,
-            ))
-        kept.append(piece)
-        cursor = max(cursor, piece.shard_end)
-    if cursor < shard_numel:
-        report.add(error(
-            "UCP017",
-            f"shard {byte_range(cursor, shard_numel)} is covered by no "
-            f"source fragment",
-            location=where,
-        ))
-    return kept
-
-
-_Copy = Tuple[int, Tuple[int, int, int], List[_ShardPiece]]
-"""``(tp rank, mp coord, assembled dp pieces)`` of one shard copy."""
-
-
-def _map_to_consolidated(
-    spec: ShardSpec, tp_degree: int, copies: Sequence[_Copy]
-) -> ExtentTable:
-    """Map shard copies' dp pieces into consolidated space, as one table.
-
-    Each copy's pieces and its tp rank's run table
-    (:func:`~repro.core.intervals.shard_runs`) are two tilings of one
-    shard; their intersection, shifted through the runs, is the copy's
-    extents.
-    """
-    sources: List[_Source] = []
-    if is_identity_map(spec, tp_degree):
-        # the shard *is* the consolidated tensor (every parameter of a
-        # tp1 source, every non-fragment pattern): pieces map through
-        # unchanged, no table and no numpy dispatch
-        full_numel = numel(spec.logical_shape)
-        rows = []
-        for _, coord, pieces in copies:
-            for piece in pieces:
-                lo = max(piece.shard_start, 0)
-                hi = min(piece.shard_end, full_numel)
-                if lo < hi:
-                    rows.append((
-                        lo, hi, piece.file,
-                        piece.file_start + (lo - piece.shard_start),
-                        len(sources),
-                    ))
-                    sources.append(
-                        (piece.file, piece.field, coord, piece.dp_rank)
-                    )
-        return ExtentTable.from_rows(rows, sources)
-    parts = []
-    for tp_rank, coord, pieces in copies:
-        if not pieces:
-            continue
-        runs = shard_runs(spec, tp_degree, tp_rank)
-        p_lo, p_hi, p_file = np.array(
-            [(p.shard_start, p.shard_end, p.file_start) for p in pieces],
-            dtype=np.int64,
-        ).T
-        piece, run, lo, hi = intersect_tilings(
-            p_lo, p_hi, runs.shard_start, runs.shard_start + runs.length
-        )
-        full_start = runs.full_start[run] + (lo - runs.shard_start[run])
-        parts.append((
-            full_start,
-            full_start + (hi - lo),
-            p_file[piece] + (lo - p_lo[piece]),
-            piece + len(sources),
-        ))
-        sources.extend((p.file, p.field, coord, p.dp_rank) for p in pieces)
-    if not parts:
-        return ExtentTable.from_rows([], sources)
-    full_start, full_end, file_start, source = (
-        np.concatenate(cols) for cols in zip(*parts)
-    )
-    order = np.argsort(full_start, kind="stable")
-    starts = full_start[order]
-    if not (starts[1:] > starts[:-1]).all():
-        # two extents start together (an unsound source): order by the
-        # whole (full_start, full_end, file) key the diagnostics follow
-        names = sorted({src[0] for src in sources})
-        file_rank = np.array(
-            [names.index(src[0]) for src in sources], dtype=np.int64
-        )
-        order = np.lexsort((file_rank[source], full_end, full_start))
-    return ExtentTable(
-        full_start[order], full_end[order], file_start[order],
-        source[order], sources,
-    )
-
-
-def _compose_param(
-    name: str,
-    spec: ShardSpec,
-    tp_degree: int,
-    by_coord: Dict[Tuple[int, int, int], List[_ShardPiece]],
-    report: LintReport,
-) -> ParamProvenance:
-    """Union selection + shard -> consolidated mapping for one parameter."""
-    # the source layout was derived before any header was read, so the
-    # fragmenter is known to divide the tp degree
-    shard_numel = numel(spec.shard_shape(tp_degree))
-    assembled = {
-        coord: _assemble_shard_intervals(
-            name, coord, shard_numel, by_coord[coord], report
-        )
-        for coord in sorted(by_coord)
-    }
-
-    # Union selection, mirroring ops.union exactly: fragment takes the
-    # lowest (pp, sp) copy per tp rank; everything else takes the
-    # lowest coordinate (params_to_average reads all copies, but each
-    # copy must individually satisfy the theorems, which the per-shard
-    # assembly above already proved).
-    selected: List[Tuple[int, Tuple[int, int, int]]] = []
-    if spec.pattern == PATTERN_FRAGMENT and tp_degree > 1:
-        per_tp: Dict[int, Tuple[int, int, int]] = {}
-        for coord in sorted(by_coord):
-            per_tp.setdefault(coord[2], coord)
-        for tp_rank in range(tp_degree):
-            if tp_rank not in per_tp:
-                report.add(error(
-                    "UCP017",
-                    f"no source rank holds TP shard {tp_rank} of "
-                    f"{tp_degree}; {byte_range(0, shard_numel)} of the shard "
-                    f"have no provenance",
-                    location=name,
-                ))
-                continue
-            selected.append((tp_rank, per_tp[tp_rank]))
+def _dtype_findings(header: Dict, rel: str) -> List[Diagnostic]:
+    """UCP020 for each state array a rank file stores as other than
+    float32: a widening copy is not byte provenance."""
+    states = header.get("param_states")
+    if isinstance(states, dict):
+        stubs = [
+            (f"param_states.{kind}.{name}", stub)
+            for kind in naming.FLAT_STATE_FIELDS
+            if isinstance(states.get(kind), dict)
+            for name, stub in states[kind].items()
+        ]
     else:
-        if by_coord:
-            coords = sorted(by_coord)
-            if spec.pattern == PATTERN_UNIQUE and len(coords) > 1:
-                report.add(error(
-                    "UCP018",
-                    f"unique parameter held by {len(coords)} ranks "
-                    f"{coords}: consolidated bytes would be written "
-                    f"{len(coords)} times",
-                    location=name,
-                ))
-            selected.append((0, coords[0]))
-
-    extents = _map_to_consolidated(
-        spec, tp_degree,
-        [(tp_rank, coord, assembled[coord]) for tp_rank, coord in selected],
-    )
-
-    # non-selected copies, mapped through the same runs as their tp
-    # rank: union discards them (or averages / verifies them, pattern
-    # permitting), but a read plan must know where their bytes live
-    selected_coords = {coord for _, coord in selected}
-    replicas = {
-        coord: _map_to_consolidated(
-            spec, tp_degree, [(coord[2], coord, assembled[coord])]
+        stubs = [
+            (field, header.get(field))
+            for field in naming.FLAT_STATE_FIELDS.values()
+        ]
+    return [
+        error(
+            "UCP020",
+            f"{field} stored as {stub.dtype}; conversion moves float32 "
+            f"state arrays byte-exactly",
+            location=rel,
         )
-        for coord in sorted(by_coord)
-        if coord not in selected_coords
-    }
+        for field, stub in stubs
+        if isinstance(stub, TensorIndexEntry)
+        and np.dtype(stub.dtype) != np.float32
+    ]
 
-    # consolidated-space exclusivity across selected shards: a sound
-    # fragmenter partitions the space, so any overlap here means the
-    # recorded metadata stitched two sources onto the same bytes
-    if len(extents) > 1:
-        reach = np.maximum.accumulate(extents.full_end)
-        for i in np.flatnonzero(extents.full_start[1:] < reach[:-1]) + 1:
-            extent = extents.extent(i)
-            end = min(int(reach[i - 1]), extent.full_end)
-            report.add(error(
-                "UCP018",
-                f"consolidated "
-                f"{byte_range(extent.full_start, end)} "
-                f"written twice (second writer: {extent.chain(extent.full_start, end)})",
-                location=name,
-            ))
 
-    return ParamProvenance(
-        name=name,
-        spec=spec,
-        extents=extents,
-        data=data_intervals(spec),
-        replicas=replicas,
+_Group = Tuple[str, RankShardLayout, np.ndarray]
+"""One mp rank's rows of one tensor, sorted by atom element."""
+
+
+def _delivered(plan: LoadPlan, groups: Sequence[_Group]) -> bool:
+    """Whether every group's rows deliver every data element of its tp
+    shard exactly once, in one vectorized pass: each group's rows and
+    shard tiles are shifted into their own window of one element space
+    (:func:`~repro.core.intervals.group_shift`)."""
+    if not groups:
+        return True
+    names, rank_layouts, rows = zip(*groups)
+    rows = np.concatenate(rows)
+    start = plan.atom_start[rows] + group_shift([g[2].size for g in groups])
+    end = start + plan.length[rows]
+    if (start[1:] < np.maximum.accumulate(end)[:-1]).any():
+        return False
+    tables = [
+        atom_rows(plan.layout.spec(name), plan.layout.parallel_cfg.tp, r.tp_rank)
+        for name, r in zip(names, rank_layouts)
+    ]
+    shard_lo, shard_hi, atom_lo = (np.concatenate(c) for c in zip(*tables))
+    atom_lo = atom_lo + group_shift([t.atom_lo.size for t in tables])
+    want = merged_bounds(atom_lo, atom_lo + (shard_hi - shard_lo))
+    return all(
+        np.array_equal(w, h) for w, h in zip(want, merged_bounds(start, end))
     )
+
+
+def _delivery(
+    plan: LoadPlan,
+    groups: Sequence[_Group],
+    where: Callable[[_Target, str], str],
+) -> List[Diagnostic]:
+    """Whether each group — one mp rank's rows of one tensor, sorted by
+    atom element — delivers every data element of its tp shard exactly
+    once: UCP018 for an element two rows deliver, UCP017 for one no row
+    does, each located by ``where`` at the ``(pp, sp, tp, dp)``
+    partition it belongs to.  Groups are examined one by one only when
+    :func:`_delivered` finds a defect."""
+    if _delivered(plan, groups):
+        return []
+    out: List[Diagnostic] = []
+    for name, rank_layout, rows in groups:
+        start = plan.atom_start[rows]
+        end = start + plan.length[rows]
+        reach = np.maximum.accumulate(end)
+        for i in (np.flatnonzero(start[1:] < reach[:-1]) + 1).tolist():
+            row = int(rows[i])
+            part_lo = int(plan.offset[row])
+            n = min(int(end[i]), int(reach[i - 1])) - int(start[i])
+            out.append(error(
+                "UCP018",
+                f"partition {byte_range(part_lo, part_lo + n)} of "
+                f"{name!r} <- atom elements [{start[i]}, {start[i] + n}), "
+                f"which another row of the plan also delivers",
+                location=where(plan.targets[plan.target[row]], name),
+            ))
+        shard_lo, shard_hi, atom_lo = atom_rows(
+            plan.layout.spec(name), plan.layout.parallel_cfg.tp,
+            rank_layout.tp_rank,
+        )
+        atom_hi = atom_lo + (shard_hi - shard_lo)
+        size = rank_layout.partition_numel
+        for m_lo, m_hi in subtract_intervals(
+            merge_intervals(list(zip(atom_lo.tolist(), atom_hi.tolist()))),
+            merge_intervals(list(zip(start.tolist(), end.tolist()))),
+        ):
+            # the layout locates what no row moves: atom element -> shard
+            # element -> flat buffer position -> (dp partition, offset)
+            i = int(np.flatnonzero((atom_lo <= m_lo) & (m_lo < atom_hi))[0])
+            flat = rank_layout.entry(name).offset + int(
+                shard_lo[i] + m_lo - atom_lo[i]
+            )
+            dp, part_lo = divmod(flat, size)
+            n = min(m_hi, int(atom_hi[i]), m_lo + size - part_lo) - m_lo
+            coord = (rank_layout.pp_stage, rank_layout.sp_rank, rank_layout.tp_rank)
+            out.append(error(
+                "UCP017",
+                f"partition {byte_range(part_lo, part_lo + n)} of "
+                f"{name!r} <- atom elements [{m_lo}, {m_hi}) <- <no plan "
+                f"row>: no plan row moves these data bytes",
+                location=where(coord + (dp,), name),
+            ))
+    return out
+
+
+def _holders(
+    spec: ShardSpec, tp_degree: int, held: List[int]
+) -> Tuple[List[int], List[int]]:
+    """Union's copy rule over a parameter's holders (mp ranks, sorted):
+    the primary holders, then the copies the conversion also reads.
+
+    A fragment at tp > 1 takes, per tp rank, its lowest ``(pp, sp)``
+    holder; every other pattern its lowest holder.  Replicated and
+    averaged parameters also read every other holder, in coordinate
+    order (to compare or to average them); the other copies of a
+    fragment (sp > 1, tied embeddings at pp > 1) are never read.
+    """
+    if spec.pattern == PATTERN_FRAGMENT and tp_degree > 1:
+        per_tp: Dict[int, int] = {}
+        for rank in held:
+            per_tp.setdefault(rank % tp_degree, rank)
+        return sorted(per_tp.values()), []
+    if spec.pattern in (PATTERN_REPLICATED, PATTERN_TO_AVERAGE):
+        return held[:1], held[1:]
+    return held[:1], []
 
 
 def analyze_source(
@@ -720,66 +375,72 @@ def analyze_source(
     source_cfg: ParallelConfig,
     optimizer_layout: str = "flat",
 ) -> ProvenanceAnalysis:
-    """Build the source-side provenance map from rank-file headers.
+    """Prove a distributed source's byte map from its rank-file headers.
 
-    Proves, per parameter, that the source fragments tile every shard
-    and the consolidated data region exactly once with no padding
-    reads; the returned analysis carries the interval maps a target
-    check composes further and :func:`lower_read_plans` lowers, together with the
-    layout, index trees and file sizes of its one header pass.
+    The header pass holds every header to the derived layout; the
+    layout's lowering (``gen_ucp_metadata``, the load's own) is then the
+    source-row map, split by union's copy rule, and every part the
+    conversion reads is proven to deliver its tp shard exactly once.
+    The returned analysis carries the rows :func:`lower_read_plans`
+    groups into read items, together with the layout, index trees and
+    file sizes of its one header pass.
     """
     report = LintReport(subject=f"provenance {store.base}/{tag}")
     layout = ModelParallelLayout(model_cfg, source_cfg)
-    pieces, headers, file_sizes = _read_source_pieces(
-        store, tag, layout, source_cfg, optimizer_layout, report
+    plan = gen_ucp_metadata(layout)
+
+    # each partition's rank file: its own at ZeRO >= 1, else the one
+    # dp-0 file holding the whole flat buffer (or per-param states)
+    own_files = source_cfg.zero_stage > 0 and optimizer_layout == "flat"
+    rank_of = np.array(
+        [layout.mp_rank_index(*target[:3]) for target in plan.targets],
+        dtype=np.int64,
     )
+    rels, base = [], []
+    for (pp, sp, tp, dp), mp_rank in zip(plan.targets, rank_of.tolist()):
+        file_dp = dp if own_files else 0
+        rels.append(f"{tag}/{naming.optim_states_name(file_dp, mp_rank)}")
+        base.append((dp - file_dp) * layout.rank_layout(pp, sp, tp).partition_numel)
+    files: Dict[str, _Target] = {}
+    for rel, target in zip(rels, plan.targets):
+        files.setdefault(rel, target)
+    headers, file_sizes = _header_pass(store, layout, files, report)
+    index = {rel: i for i, rel in enumerate(files)}
+    file_of = np.array([index[rel] for rel in rels], dtype=np.int64)
+    file_start = np.array(base, dtype=np.int64)[plan.target] + plan.offset
 
-    by_param: Dict[str, Dict[Tuple[int, int, int], List[_ShardPiece]]] = {}
-    for (name, coord), shard_pieces in pieces.items():
-        by_param.setdefault(name, {})[coord] = shard_pieces
-
-    params: Dict[str, ParamProvenance] = {}
-    for name in sorted(layout.shard_specs):
-        spec = layout.shard_specs[name]
-        coords = by_param.get(name)
-        if not coords:
-            total = numel(spec.unpadded_shape)
-            report.add(error(
-                "UCP017",
-                f"no source fragment of any rank supplies {name!r}; all "
-                f"{byte_range(0, total)} of its data lack provenance",
-                location=name,
-            ))
-            params[name] = ParamProvenance(
-                name=name, spec=spec, extents=[],
-                data=data_intervals(spec),
-            )
-            continue
-        params[name] = _compose_param(
-            name, spec, source_cfg.tp, coords, report
+    coords = layout.mp_coords()
+    parts: Dict[str, Tuple[np.ndarray, ...]] = {}
+    groups: List[_Group] = []
+    for name, spec in layout.shard_specs.items():
+        rows = plan.rows(name)
+        holder = rank_of[plan.target[rows]]
+        # the holders the layout derives, whether or not rows reach them
+        held = [layout.mp_rank_index(*coord) for coord in layout.owners_of(name)]
+        if optimizer_layout == "per_param":
+            # a per-parameter array starts at the parameter's flat offset
+            for rank in held:
+                offset = layout.rank_layout(*coords[rank]).entry(name).offset
+                file_start[rows[holder == rank]] -= offset
+        primary, copies = _holders(spec, source_cfg.tp, held)
+        groups.extend(
+            (name, layout.rank_layout(*coords[rank]), rows[holder == rank])
+            for rank in primary + copies
         )
-        # coverage of the consolidated data region (padding excluded —
-        # it is *allowed* to be uncovered, and must be stripped)
-        missing = subtract_intervals(
-            params[name].data, params[name].covered()
+        is_primary = np.zeros(len(coords), dtype=bool)
+        is_primary[primary] = True
+        parts[name] = (
+            rows[is_primary[holder]],
+            *(rows[holder == rank] for rank in copies),
         )
-        for lo, hi in missing:
-            report.add(error(
-                "UCP017",
-                f"consolidated data {byte_range(lo, hi)} covered by no "
-                f"source fragment",
-                location=name,
-            ))
-    for name in sorted(set(by_param) - set(layout.shard_specs)):
-        report.add(error(
-            "UCP022",
-            f"source fragments reference parameter {name!r} that the "
-            f"model config does not derive; their destination is "
-            f"unverifiable",
-            location=name,
-        ))
+    rank_file = dict(zip(plan.targets, rels))
+    report.extend(_delivery(plan, groups, lambda target, _: rank_file[target]))
+    file_start.flags.writeable = False
     return ProvenanceAnalysis(
-        model_cfg, source_cfg, params, report, layout, headers, file_sizes
+        model_cfg, source_cfg, dict(layout.shard_specs), report,
+        layout=layout, headers=headers, file_sizes=file_sizes,
+        optimizer_layout=optimizer_layout, plan=plan, parts=parts,
+        files=tuple(files), file_of=file_of, file_start=file_start,
     )
 
 
@@ -961,12 +622,12 @@ def preflight_convert(
     commit manifest records every rank file the layout derives — a
     manifest that never listed a rank's optimizer state means the save
     was structurally incomplete, which per-file digest verification
-    alone cannot see.  When the structural checks pass, the
-    findings made while the conversion plan was composed from the
-    rank-file *headers* are folded in: every header must match the
-    layout (UCP001-UCP004, UCP011), and every consolidated data byte
-    must be supplied exactly once with no padding read as data
-    (UCP017-UCP022).  ``repro lint-ckpt`` reports these same findings.
+    alone cannot see.  When the structural checks pass, the findings
+    of :func:`analyze_source` are folded in: every rank-file *header*
+    must match the layout (UCP001-UCP004, UCP011, UCP019, UCP022) and
+    store float32 state (UCP020), and every part of the source rows the
+    conversion reads must deliver its atom elements exactly once
+    (UCP017, UCP018).  ``repro lint-ckpt`` reports these same findings.
 
     Args:
         src_store: source checkpoint store.
@@ -1093,8 +754,8 @@ def _resolve_specs(
     every rank file's record to the derived spec, so that is what is
     read here."""
     specs: Dict[str, ShardSpec] = {}
-    for name in sorted(analysis.params):
-        saved_spec = analysis.params[name].spec
+    for name in sorted(analysis.specs):
+        saved_spec = analysis.specs[name]
         spec = program.resolve_spec(
             name, saved_spec.logical_shape, saved_spec.unpadded_shape
         )
@@ -1114,8 +775,8 @@ class ReadItem:
 
     Row ``i`` of the three parallel int64 arrays says ``lengths[i]``
     elements starting at element ``file_starts[i]`` of the flat array
-    ``field`` in ``file`` land at consolidated elements
-    ``[full_starts[i], full_starts[i] + lengths[i])``.  Rows are sorted
+    ``field`` in ``file`` land at atom (unpadded) elements
+    ``[atom_starts[i], atom_starts[i] + lengths[i])``.  Rows are sorted
     into sequential file order.  Keeping the plan columnar lets the
     converter bounds-check and scatter whole items with numpy index
     operations instead of per-slice Python loops — the per-range
@@ -1134,7 +795,7 @@ class ReadItem:
     field: str
     file_starts: np.ndarray
     lengths: np.ndarray
-    full_starts: np.ndarray
+    atom_starts: np.ndarray
     ranges: Tuple[Tuple[int, int], ...]
 
     @property
@@ -1151,9 +812,8 @@ class ParamReadPlan:
     ``copies`` the non-selected mp-coordinate replicas, in coordinate
     order, the pattern additionally demands (all of them for
     ``params_to_average`` and ``replicated_params``, none otherwise).
-    All slices are pre-clipped to the parameter's non-padding data
-    intervals, so a plan never reads a padding byte — the runtime
-    enforcement of UCP019.
+    Every row is an atom (non-padding) range, so a plan never reads a
+    padding byte — the runtime enforcement of UCP019.
     """
 
     name: str
@@ -1208,9 +868,9 @@ def _read_item(
     field: str,
     file_starts: np.ndarray,
     lengths: np.ndarray,
-    full_starts: np.ndarray,
+    atom_starts: np.ndarray,
 ) -> ReadItem:
-    """One (file, field) group of clipped slice rows, sorted by
+    """One (file, field) group of source rows, sorted by
     ``file_starts`` so the downstream scatter walks the file forward,
     with the byte range of its source slice resolved per state kind
     through the file's tensor index."""
@@ -1247,156 +907,56 @@ def _read_item(
         field=field,
         file_starts=file_starts,
         lengths=lengths,
-        full_starts=full_starts[order],
+        atom_starts=atom_starts[order],
         ranges=tuple(ranges),
     )
-
-
-def _build_blocks(
-    extents: ExtentTable,
-    rows_ext: np.ndarray,
-    file_starts: np.ndarray,
-    lengths: np.ndarray,
-    full_starts: np.ndarray,
-    headers: Dict[str, Dict],
-) -> Tuple[ReadItem, ...]:
-    """Group clipped slice rows into per-(file, field) read items.
-
-    ``rows_ext`` maps each row to the extent (hence file/field) it was
-    clipped from; items come out in the order the fragments were
-    composed in.
-    """
-    groups: Dict[Tuple[str, str], int] = {}
-    gid_of_source = [
-        groups.setdefault(src[:2], len(groups)) for src in extents.sources
-    ]
-    if len(groups) == 1:
-        # one source (file, field) for the whole part (a dp1 source, a
-        # replica copy): every row is in the one group
-        return (_read_item(
-            headers, *next(iter(groups)), file_starts, lengths, full_starts
-        ),)
-    row_gid = np.array(gid_of_source, dtype=np.int64)[extents.source[rows_ext]]
-    items: List[ReadItem] = []
-    for (rel, field), gid in groups.items():
-        mask = row_gid == gid
-        if mask.any():
-            items.append(_read_item(
-                headers, rel, field,
-                file_starts[mask], lengths[mask], full_starts[mask],
-            ))
-    return tuple(items)
-
-
-_GROUP_STRIDE = np.int64(1) << 41
-"""Element-space stride separating lowering jobs inside the one batched
-searchsorted domain — far above any real parameter's element count."""
-
-
-def _lower_batch(
-    jobs: Sequence[Tuple[ExtentTable, Tuple[np.ndarray, np.ndarray]]],
-    headers: Dict[str, Dict],
-) -> List[Tuple[ReadItem, ...]]:
-    """Clip many (extents, data bounds) jobs in one vectorized pass.
-
-    Each job intersects its provenance extents with its sorted disjoint
-    non-padding data intervals (:func:`~repro.core.intervals.intersect_tilings`).
-    Every job's extent and data intervals are shifted into a private
-    ``_GROUP_STRIDE``-wide window of one shared element space, so that
-    single pass lowers the whole conversion's plans — the per-call
-    numpy dispatch overhead that dominated per-parameter lowering is
-    paid once, not once per (parameter, replica) pair.  The extents
-    arrive columnar from the composition and stay so.
-    """
-    out: List[Tuple[ReadItem, ...]] = [() for _ in jobs]
-    live = [
-        (i, ext, d_lo, d_hi)
-        for i, (ext, (d_lo, d_hi)) in enumerate(jobs)
-        if len(ext) and d_lo.size
-    ]
-    if not live:
-        return out
-    index, tables, lows, highs = zip(*live)
-    ext_counts = np.array([len(table) for table in tables], dtype=np.int64)
-    d_counts = np.array([low.size for low in lows], dtype=np.int64)
-    first_ext = np.concatenate(([0], np.cumsum(ext_counts)))
-    bases = np.arange(len(live), dtype=np.int64) * _GROUP_STRIDE
-    e_base = np.repeat(bases, ext_counts)
-    e_lo = np.concatenate([table.full_start for table in tables]) + e_base
-    e_hi = np.concatenate([table.full_end for table in tables]) + e_base
-    f0 = np.concatenate([table.file_start for table in tables])
-    d_base = np.repeat(bases, d_counts)
-    d_lo = np.concatenate(lows) + d_base
-    d_hi = np.concatenate(highs) + d_base
-    ext, _, lo, hi = intersect_tilings(e_lo, e_hi, d_lo, d_hi)
-    if ext.size == 0:
-        return out
-    lengths = hi - lo
-    file_starts = f0[ext] + (lo - e_lo[ext])
-    full_starts = lo - e_base[ext]
-    # rows come out sorted by global extent index, so each job's rows
-    # are one contiguous stretch
-    cut = np.searchsorted(ext, first_ext)
-    for k, gi in enumerate(index):
-        a, b = int(cut[k]), int(cut[k + 1])
-        if a == b:
-            continue
-        out[gi] = _build_blocks(
-            tables[k],
-            ext[a:b] - first_ext[k],
-            file_starts[a:b],
-            lengths[a:b],
-            full_starts[a:b],
-            headers,
-        )
-    return out
 
 
 def lower_read_plans(
     analysis: ProvenanceAnalysis, patterns: Dict[str, str]
 ) -> Dict[str, ParamReadPlan]:
-    """Lower provenance interval maps into per-parameter read plans.
+    """Group the source rows into per-parameter read plans.
 
-    The maps were proven sound by the UCP017–UCP022 theorems (coverage,
-    exclusivity, padding hygiene), so the lowered plans inherit the
-    guarantee: executing exactly these preads touches every consolidated
-    data byte of every selected copy once, and no padding byte ever.
+    The rows are ``gen_ucp_metadata`` of the source layout, split by
+    union's copy rule, and :func:`analyze_source` proved every part
+    delivers its atom elements exactly once, so executing exactly these
+    preads writes every atom element of every part once, and reads no
+    padding byte.
 
     Args:
         analysis: a *clean* (``report.ok``) :func:`analyze_source`
             result; the byte ranges come from its index trees.
         patterns: the parameters to plan, each with its pattern from the
             resolved UCP-language program — a custom program may e.g.
-            reclassify a replicated norm as ``params_to_average``, which
-            changes *which* copies the plan must read.  Both read every
-            copy: ``params_to_average`` to average them,
+            reclassify a replicated norm as ``params_to_average``.  Both
+            read every copy: ``params_to_average`` to average them,
             ``replicated_params`` to bit-compare them.
 
     Raises:
         UCPFormatError: a planned slice has no float32 state array of
             every kind behind it, or reaches past the end of one.
     """
-    jobs = []
-    num_copies: Dict[str, int] = {}
-    for name, pattern in patterns.items():
-        prov = analysis.params[name]
-        # one parameter's primary part and every replica copy clip
-        # against the same (per shape class) data intervals
-        bounds = data_bounds(prov.spec)
-        copies: List[ExtentTable] = []
-        if pattern in (PATTERN_TO_AVERAGE, PATTERN_REPLICATED):
-            copies = [prov.replicas[coord] for coord in sorted(prov.replicas)]
-        num_copies[name] = len(copies)
-        jobs.extend((table, bounds) for table in [prov.extents] + copies)
-    lowered = iter(_lower_batch(jobs, analysis.headers))
+    plan = analysis.plan
+    file_of_row = analysis.file_of[plan.target]
     plans: Dict[str, ParamReadPlan] = {}
     for name, pattern in patterns.items():
-        plans[name] = ParamReadPlan(
-            name=name,
-            pattern=pattern,
-            primary=next(lowered),
-            copies=tuple(next(lowered) for _ in range(num_copies[name])),
-        )
+        primary, *copies = analysis.parts[name]
+        if pattern not in (PATTERN_TO_AVERAGE, PATTERN_REPLICATED):
+            copies = []
+        items = []
+        for rows in [primary, *copies]:
+            # one item per rank file, files in partition order
+            owner = file_of_row[rows]
+            part = []
+            for f in np.unique(owner).tolist():
+                held = rows[owner == f]
+                part.append(_read_item(
+                    analysis.headers, analysis.files[f],
+                    analysis.state_field(name), analysis.file_start[held],
+                    plan.length[held], plan.atom_start[held],
+                ))
+            items.append(tuple(part))
+        plans[name] = ParamReadPlan(name, pattern, items[0], tuple(items[1:]))
     return plans
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.diagnostics import (
@@ -340,13 +340,9 @@ class HeaderCheck:
     The one rank-file check behind ``repro lint-ckpt``, the conversion
     pre-flight and the strict loader: UCP001-UCP004 and UCP011, UCP019
     for a ``sharding`` entry claiming padding as data, plus UCP022 for a
-    field that does not decode.  Whoever walks the header
-    feeds it: the conversion's header pass calls :meth:`rank_fields`,
-    :meth:`flat_meta` and :meth:`flat_array` and iterates
-    :meth:`segments` / :meth:`param_states` in the loops that collect
-    its provenance pieces, so nothing is walked twice; :meth:`run` is the whole walk,
-    for a reader with no loop of its own.  Findings accumulate on
-    :attr:`diagnostics`.
+    field that does not decode.  :meth:`run` walks one decoded header —
+    its rank fields, partition metadata, flat arrays and segment table,
+    or its per-parameter states — and returns the findings.
     """
 
     def __init__(
@@ -366,20 +362,18 @@ class HeaderCheck:
         if not isinstance(header, dict):
             self._add("UCP022", "header is not a mapping")
             return self.diagnostics
-        self.rank_fields(header)
+        self._rank_fields(header)
         if "param_states" in header:
-            for _ in self.param_states(header["param_states"]):
-                pass
+            self._param_states(header["param_states"])
         else:
-            meta = self.flat_meta(header)
-            if meta is not None:
+            segments = self._flat_meta(header)
+            if segments is not None:
                 for field in FLAT_STATE_FIELDS.values():
-                    self.flat_array(field, header.get(field))
-                for _ in self.segments(meta[3]):
-                    pass
+                    self._flat_array(field, header.get(field))
+                self._segments(segments)
         return self.diagnostics
 
-    def rank_fields(self, header: Dict) -> None:
+    def _rank_fields(self, header: Dict) -> None:
         """The fields beside ``partition_meta`` that the strict load and
         the conversion index: an integer ``optimizer_step``, an ``adam``
         mapping and a ``sharding`` table (UCP022 for each one absent or
@@ -432,13 +426,11 @@ class HeaderCheck:
                     + ", ".join(f"{want[k]!r}" for k in differ)
                 ))
 
-    def flat_meta(self, header: Dict) -> Optional[Tuple[int, int, int, List]]:
-        """The recorded ``(dp_rank, partition_numel, flat_numel, segments)``.
-
-        Each extent is diffed against the derived one (UCP011, padding
-        UCP003).  None, with a UCP022, when a field the partition's
-        position depends on does not decode.
-        """
+    def _flat_meta(self, header: Dict) -> Optional[List]:
+        """The recorded segment table, once the dp rank and each extent
+        are diffed against the derived ones (UCP011, padding UCP003).
+        None, with a UCP022, when a field the partition's position
+        depends on does not decode."""
         meta = header.get("partition_meta")
         if not isinstance(meta, dict):
             self._add(
@@ -460,7 +452,7 @@ class HeaderCheck:
                     f"not an integer",
                 )
         derived = self.derived
-        for key in ("partition_numel", "flat_numel", "alignment"):
+        for key in ("dp_rank", "partition_numel", "flat_numel", "alignment"):
             if key in recorded and recorded[key] != derived[key]:
                 self._add(
                     "UCP011",
@@ -480,19 +472,14 @@ class HeaderCheck:
             return None
         if not {"dp_rank", "partition_numel", "flat_numel"} <= set(recorded):
             return None
-        return (
-            recorded["dp_rank"],
-            recorded["partition_numel"],
-            recorded["flat_numel"],
-            segments,
-        )
+        return segments
 
-    def flat_array(self, field: str, stub) -> bool:
+    def _flat_array(self, field: str, stub) -> None:
         """One flat state array, by header shape: present (UCP001) and
-        holding the derived partition (UCP011).  Whether it is present."""
+        holding the derived partition (UCP011)."""
         if stub is None:
             self._add("UCP001", f"flat array {field!r} missing from rank file")
-            return False
+            return
         numel = 1
         for d in getattr(stub, "shape", ()):
             numel *= d
@@ -503,16 +490,11 @@ class HeaderCheck:
                 f"{field} holds {numel} elements; layout derives {expected} "
                 f"for dp_rank {self.dp_rank}",
             )
-        return True
 
-    def segments(self, segments: List) -> Iterator[Tuple[str, int, int]]:
-        """Each decodable segment as ``(name, flat start, flat end)``.
-
-        A segment is diffed against the derived one as it is yielded
-        (UCP004; UCP022 when it does not decode, and it is skipped); once
-        the table is exhausted, the parameters it lacks (UCP001) or adds
-        (UCP002) are reported.
-        """
+    def _segments(self, segments: List) -> None:
+        """Each segment diffed against the derived one (UCP004; UCP022
+        when it does not decode), then the parameters the table lacks
+        (UCP001) or adds (UCP002)."""
         derived = {seg["name"]: seg for seg in self.derived["segments"]}
         seen = set()
         for segment in segments:
@@ -538,7 +520,6 @@ class HeaderCheck:
                         f"offset={want['offset']} numel={want['numel']} "
                         f"shape={want_shape}",
                     )
-            yield name, offset, offset + numel
         for name in sorted(set(derived) - seen):
             self._add(
                 "UCP001",
@@ -553,14 +534,11 @@ class HeaderCheck:
                 warning,
             )
 
-    def param_states(self, states: Dict) -> Iterator[Tuple[str, str, object]]:
-        """Megatron-classic per-parameter files: every recorded
-        ``(kind, name, state)``, in kind then name order.
-
-        Per kind, the names are first diffed against the derived ones
-        (UCP001, UCP002; UCP022 for an absent kind), then each state's
-        shape against its derived shard shape as it is yielded (UCP004).
-        """
+    def _param_states(self, states: Dict) -> None:
+        """Megatron-classic per-parameter files: per kind, the names
+        diffed against the derived ones (UCP001, UCP002; UCP022 for an
+        absent kind), then each state's shape against its derived shard
+        shape (UCP004)."""
         derived = {e.name: e.shard_shape for e in self.layout.entries}
         for kind in FLAT_STATE_FIELDS:
             shard_map = states.get(kind) if isinstance(states, dict) else None
@@ -593,7 +571,6 @@ class HeaderCheck:
                         f"{name!r} ({kind}) stored with shape {shape}; layout "
                         f"derives shard shape {tuple(derived[name])}",
                     )
-                yield kind, name, stub
 
 
 class ModelParallelLayout:

@@ -36,7 +36,8 @@ from repro.ckpt import manifest as manifest_mod
 from repro.ckpt import naming
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core import intervals
-from repro.core.convert import ucp_convert
+from repro.core import plan as plan_mod
+from repro.core.convert import lower_read_plans, ucp_convert
 from repro.core.loader import load_ucp_into_engine
 from repro.dist.topology import ParallelConfig
 from repro.models import get_config
@@ -157,19 +158,17 @@ class TestTargetTheorems:
     def test_missing_param_is_target_gap(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
         analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
-        # erase one param's provenance: every target byte of it is now
+        # remove one param's source rows: every target byte of it is now
         # unsourced and must be reported as a UCP017 chain ending in
         # "<no source byte>"
-        victim = analysis.params["embedding.weight"]
-        analysis.params["embedding.weight"] = type(victim)(
-            name=victim.name, spec=victim.spec, extents=[], data=victim.data
+        analysis.parts["embedding.weight"] = tuple(
+            rows[:0] for rows in analysis.parts["embedding.weight"]
         )
         target = ParallelConfig(tp=1, pp=1, dp=1, sp=1, zero_stage=0)
         report = check_target_provenance(analysis, target)
         gaps = [d for d in report.errors if d.rule_id == "UCP017"]
         assert gaps, report.render_text()
         assert any("<no source byte>" in d.message for d in gaps)
-
 
     def test_gap_is_reported_at_its_own_target_bytes(self, tmp_path):
         """A one-element source gap is reported at the target partition
@@ -178,22 +177,7 @@ class TestTargetTheorems:
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
         analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
         name, hole = "blocks.0.attn.out.weight", 66
-        victim = analysis.params[name]
-        extents = []
-        for e in victim.extents:
-            if not e.full_start <= hole < e.full_end:
-                extents.append(e)
-                continue
-            if e.full_start < hole:
-                extents.append(dataclasses.replace(e, full_end=hole))
-            if hole + 1 < e.full_end:
-                extents.append(dataclasses.replace(
-                    e, full_start=hole + 1,
-                    file_start=e.file_start + (hole + 1 - e.full_start),
-                ))
-        analysis.params[name] = type(victim)(
-            name=name, spec=victim.spec, extents=extents, data=victim.data
-        )
+        _remove_source_element(analysis, name, hole)
         target = ParallelConfig(tp=2, pp=1, dp=1, sp=1, zero_stage=1)
         gaps = [
             d for d in check_target_provenance(analysis, target).errors
@@ -216,22 +200,24 @@ class TestTargetTheorems:
         for element in (lo // 4 - 1, lo // 4 + 1):
             assert not chain(element).endswith("<no source byte>"), element
 
-
+    @pytest.mark.parametrize("direction", ["source", "target"])
     @pytest.mark.parametrize("defect, rule, words", [
         ("drop", "UCP017", "<no plan row>"),
         ("repeat", "UCP018", "also delivers"),
     ])
     def test_load_plan_row_defects_are_found(
-        self, tmp_path, monkeypatch, defect, rule, words
+        self, tmp_path, monkeypatch, defect, rule, words, direction
     ):
-        """The target theorems read the load's own plan: a lowering that
-        drops one row, or delivers one twice, is reported at the target
-        partition that row writes."""
+        """Both directions are proven over ``gen_ucp_metadata``'s rows: a
+        lowering that drops one row, or delivers one twice, is reported
+        at the partition that row writes — the target theorems at the
+        target partition, the source proof at the rank file that holds
+        it, which the conversion then refuses."""
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
-        analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
         target = ParallelConfig(tp=1, pp=2, dp=2, sp=1, zero_stage=2)
         name = "blocks.0.attn.out.weight"
-        lower = provenance.gen_ucp_metadata
+        module = plan_mod if direction == "source" else provenance
+        lower = module.gen_ucp_metadata
         victims = []
 
         def defective(layout, targets=None):
@@ -248,53 +234,89 @@ class TestTargetTheorems:
                 length=plan.length[order],
             )
 
-        monkeypatch.setattr(provenance, "gen_ucp_metadata", defective)
-        report = check_target_provenance(analysis, target)
-        found = [d for d in report.errors if d.rule_id == rule]
+        monkeypatch.setattr(module, "gen_ucp_metadata", defective)
+        if direction == "source":
+            report = analyze_source(store, tag, model, FLAT_PARALLEL).report
+            pp, sp, tp, dp = victims[0]
+            where = f"{tag}/{naming.optim_states_name(dp, tp)}"
+        else:
+            analysis = analyze_source(store, tag, model, FLAT_PARALLEL)
+            report = check_target_provenance(analysis, target)
+            pp, sp, tp, dp = victims[0]
+            where = f"target:pp={pp}.sp={sp}.tp={tp}.dp={dp}/{name}"
         assert [d.rule_id for d in report.errors] == [rule], report.render_text()
-        pp, sp, tp, dp = victims[0]
-        assert found[0].location == f"target:pp={pp}.sp={sp}.tp={tp}.dp={dp}/{name}"
-        assert words in found[0].message
+        assert report.errors[0].location == where
+        assert words in report.errors[0].message
+        if direction == "source":
+            from repro.analysis import LayoutLintError
+
+            with pytest.raises(LayoutLintError, match=rule):
+                ucp_convert(str(tmp_path), str(tmp_path / "ucp"))
+
+
+def _remove_source_element(analysis, name, element):
+    """Remove one atom element of ``name`` from the source rows: the
+    primary row holding it is replaced by the rows either side of it."""
+    plan = analysis.plan
+    primary, *copies = analysis.parts[name]
+    start = plan.atom_start[primary]
+    k = int(np.searchsorted(start, element, "right")) - 1
+    row = int(primary[k])
+    before, length = element - int(start[k]), int(plan.length[row])
+    cols = {
+        col: np.append(getattr(plan, col), [getattr(plan, col)[row]] * 2)
+        for col in ("target", "offset", "atom_start", "length")
+    }
+    file_start = np.append(analysis.file_start, [analysis.file_start[row]] * 2)
+    for col in (cols["offset"], cols["atom_start"], file_start):
+        col[-1] += before + 1
+    cols["length"][-2:] = [before, length - before - 1]
+    analysis.plan = dataclasses.replace(plan, **cols)
+    analysis.file_start = file_start
+    new = plan.length.size + np.arange(2)
+    analysis.parts[name] = (np.r_[primary[:k], new, primary[k + 1:]], *copies)
 
 
 class TestInjectedPlanCorruptions:
     """Each corruption class fires exactly its designated rule."""
 
-    def test_overlapping_fragments_fire_ucp018(self, tmp_path):
+    def _refused_at_the_file(self, store, tag, model, basename, rule):
+        """A header edit is one error, at the edited file."""
+        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
+        assert [(d.rule_id, d.location) for d in report.errors] == [
+            (rule, f"{tag}/{basename}")
+        ], report.render_text()
+
+    def test_dp_rank_edit_fires_ucp011(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
-        # dp rank 1's file claims partition window 0: every byte it
-        # holds is now also claimed by dp rank 0's fragments
+        # dp rank 1's file claims partition window 0: the header check
+        # holds dp_rank to the file it is recorded in
+        basename = naming.optim_states_name(1, 0)
         _tamper(
-            store, tag, naming.optim_states_name(1, 0),
+            store, tag, basename,
             lambda p: p["partition_meta"].__setitem__("dp_rank", 0),
         )
-        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
-        assert not report.ok
-        assert "UCP018" in report.rule_ids()
-        overlap = next(d for d in report.errors if d.rule_id == "UCP018")
-        assert "bytes [" in overlap.message
+        self._refused_at_the_file(store, tag, model, basename, "UCP011")
 
-    def test_off_by_one_segment_extension_fires_ucp021(self, tmp_path):
+    def test_off_by_one_segment_extension_fires_ucp004(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
 
         def extend(payload):
             payload["partition_meta"]["segments"][0]["numel"] += 1
 
-        _tamper(store, tag, naming.optim_states_name(0, 0), extend)
-        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
-        assert not report.ok
-        assert "UCP021" in report.rule_ids()
+        basename = naming.optim_states_name(0, 0)
+        _tamper(store, tag, basename, extend)
+        self._refused_at_the_file(store, tag, model, basename, "UCP004")
 
-    def test_off_by_one_segment_shrink_fires_ucp017(self, tmp_path):
+    def test_off_by_one_segment_shrink_fires_ucp004(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
 
         def shrink(payload):
             payload["partition_meta"]["segments"][0]["numel"] -= 1
 
-        _tamper(store, tag, naming.optim_states_name(0, 0), shrink)
-        report = analyze_source(store, tag, model, FLAT_PARALLEL).report
-        assert not report.ok
-        assert "UCP017" in report.rule_ids()
+        basename = naming.optim_states_name(0, 0)
+        _tamper(store, tag, basename, shrink)
+        self._refused_at_the_file(store, tag, model, basename, "UCP004")
 
     def test_padding_recorded_as_data_fires_ucp019(self, tmp_path):
         store, tag, model = _save(tmp_path, FLAT_PARALLEL)
@@ -424,10 +446,10 @@ class TestSharedShardMap:
         got = intervals.intersect_tilings(q_lo, q_hi, t_lo, t_hi)
         assert list(zip(*(col.tolist() for col in got))) == expected
 
-    def test_extents_name_the_real_source_bytes(self, tmp_path):
-        """Every columnar extent of a tp4 x dp2 source, checked against
-        the bytes: the consolidated elements it claims equal the file
-        elements it names."""
+    def test_source_rows_name_the_real_source_bytes(self, tmp_path):
+        """Every source row of a tp4 x dp2 source, checked against the
+        bytes: the atom elements each read item's rows claim equal the
+        file elements they name."""
         parallel = ParallelConfig(tp=4, pp=1, dp=2, sp=1, zero_stage=1)
         engine = make_engine(parallel=parallel)
         engine.train(1)
@@ -436,26 +458,28 @@ class TestSharedShardMap:
         analysis = analyze_source(store, tag, get_config("gpt3-mini"), parallel)
         assert analysis.report.ok, analysis.report.render_text()
         consolidated = engine.zero.consolidated_tensors("fp32")
+        patterns = {name: spec.pattern for name, spec in analysis.specs.items()}
         payloads = {}
-        for name, prov in analysis.params.items():
-            full = consolidated[name].reshape(-1)
-            table = prov.extents
-            assert len(table) > 0
-            assert list(table) == [table.extent(i) for i in range(len(table))]
-            for e in table:
-                flat = payloads.setdefault(
-                    e.file, store.load(e.file)
-                )[e.field]
-                n = e.full_end - e.full_start
-                assert np.array_equal(
-                    full[e.full_start:e.full_end],
-                    np.asarray(flat)[e.file_start:e.file_start + n],
-                ), (name, e)
-            covered = prov.covered()
-            assert covered == intervals.merge_intervals(
-                [(e.full_start, e.full_end) for e in table]
-            )
-            assert prov.lookup(0, 1) == [table.extent(0)]
+        for name, read in lower_read_plans(analysis, patterns).items():
+            spec = analysis.specs[name]
+            atom = consolidated[name][
+                tuple(slice(0, d) for d in spec.unpadded_shape)
+            ].reshape(-1)
+            parts = [read.primary, *read.copies]
+            assert len(parts) == len(analysis.parts[name])
+            for items in parts:
+                assert sum(item.planned_elements for item in items) == atom.size
+                for item in items:
+                    flat = np.asarray(payloads.setdefault(
+                        item.file, store.load(item.file)
+                    )[item.field])
+                    for f, n, a in zip(
+                        item.file_starts.tolist(), item.lengths.tolist(),
+                        item.atom_starts.tolist(),
+                    ):
+                        assert np.array_equal(
+                            atom[a:a + n], flat[f:f + n]
+                        ), (name, item.file, f, n, a)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memo_that_keeps_nothing_changes_no_byte(

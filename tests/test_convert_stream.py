@@ -697,14 +697,14 @@ class TestCrashResumeUnderParallelFanOut:
                 assert resumed.bytes_written < clean.bytes_written
 
 
-def read_item(file_starts, lengths, full_starts):
-    file_starts, lengths, full_starts = (
+def read_item(file_starts, lengths, atom_starts):
+    file_starts, lengths, atom_starts = (
         np.asarray(column, dtype=np.int64)
-        for column in (file_starts, lengths, full_starts)
+        for column in (file_starts, lengths, atom_starts)
     )
     return ReadItem(
         file="f.npt", field="fp32_flat_partition", file_starts=file_starts,
-        lengths=lengths, full_starts=full_starts, ranges=(),
+        lengths=lengths, atom_starts=atom_starts, ranges=(),
     )
 
 
@@ -729,15 +729,15 @@ class TestStridedScatter:
         """Runs with overlapping source rows, a length change and a
         destination stepping back land exactly where a per-row loop
         puts them."""
-        rows = [  # (file start, length, full start), in file order
+        rows = [  # (file start, length, atom start), in file order
             (10, 4, 0), (18, 4, 6), (26, 4, 12), (34, 4, 18),  # steps 8 / 6
             (40, 2, 30),  # another length: a lone row
             (44, 4, 40), (46, 4, 50), (48, 4, 60),  # source rows overlap
             (60, 4, 24),  # the destination steps back: a lone row
             (70, 7, 80), (80, 7, 90),
         ]
-        file_starts, lengths, full_starts = zip(*rows)
-        item = read_item(file_starts, lengths, full_starts)
+        file_starts, lengths, atom_starts = zip(*rows)
+        item = read_item(file_starts, lengths, atom_starts)
         runs = _strided_runs(item)
         assert [count for *_, count in runs] == [4, 1, 3, 1, 2]
         sources, arrs = self.scatter(item, 80, 100)

@@ -145,6 +145,8 @@ def _bogus_fragmenter(payload):
 HEADER_DAMAGE = {
     "padding-7": (_meta(lambda meta: meta.update(padding=7)), "UCP003", 0),
     "alignment-3": (_meta(lambda meta: meta.update(alignment=3)), "UCP011", 0),
+    # the file of dp rank 1 claims partition window 0
+    "dp-rank-0-in-dp1-file": (_meta(lambda meta: meta.update(dp_rank=0)), "UCP011", 0),
     "shard-shape-reversed": (_meta(_reverse_first_shard_shape), "UCP004", 0),
     "padding-not-an-int": (
         _meta(lambda meta: meta.update(padding="x")), "UCP022", 0
