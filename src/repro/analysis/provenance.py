@@ -14,8 +14,8 @@ check and the source-side proof come from the one header pass of
 Both directions are one lowering, :func:`~repro.core.ops.gen_ucp_metadata`.
 The source side is the source layout's plan, built and proven by the
 conversion planner (:mod:`repro.core.plan`, from rank-file *headers*
-only): it is the object the converter groups into read items and
-executes, so a proof there is about the bytes that will move.  The
+only): its rows are what the converter executes, so a proof there
+is about the bytes that will move.  The
 target side is the UCP load's own plan: :func:`check_target_provenance`
 and :func:`explain` take their rows from ``gen_ucp_metadata`` of the
 target layout — the :class:`~repro.core.ops.LoadPlan`

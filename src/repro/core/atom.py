@@ -39,6 +39,7 @@ other module names atoms and state kinds.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -239,23 +240,25 @@ class AtomStore:
         return AtomCheckpoint(name=name, states=states, spec=meta["spec"])
 
     def reusable_entry(self, name: str, spec: Dict) -> Optional[Dict]:
-        """An atom's ``ucp_meta`` entry iff the one on disk is whole: its
-        sidecar is byte for byte what :meth:`write` stages for a ``shape``
-        and this ``spec``, and every state reads back CRC-checked as
-        float32 of that shape.  Anything else is None: re-convert."""
+        """An atom's ``ucp_meta`` entry iff the one on disk is whole and
+        loadable: its sidecar is byte for byte what :meth:`write` stages
+        for the spec's unpadded shape and this ``spec``, and every state
+        passes :meth:`check_state` against that shape — the rule the load
+        holds it to — with its payload matching the header's CRC32, as
+        the load reads it.  Anything else is None: re-convert."""
+        shape = list(spec["unpadded_shape"])
         try:
             meta = self.read_meta(name)
-            shape = meta.get("shape")
-            if not (
-                isinstance(shape, list) and all(type(d) is int for d in shape)
-                and serialize(meta) == _sidecar(
-                    name, shape, sorted(STATE_KINDS), spec
-                )
-            ):
+            if serialize(meta) != _sidecar(name, shape, sorted(STATE_KINDS), spec):
                 return None
             for kind in STATE_KINDS:
-                values = self.read_state(name, kind)
-                if values.dtype != np.float32 or list(values.shape) != shape:
+                entry = self.check_state(name, kind, shape)
+                if not isinstance(entry, TensorIndexEntry):
+                    return None
+                (payload,) = self.read_ranges(
+                    name, kind, [(entry.offset, entry.nbytes)]
+                )
+                if entry.crc32 not in (None, zlib.crc32(payload)):
                     return None
         except (UCPError, SerializationError):
             return None

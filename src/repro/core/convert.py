@@ -15,10 +15,9 @@ commits a plan that :mod:`repro.core.plan` builds.
   split by union's copy rule and proven to deliver every atom element
   once; the mandatory pre-flight refuses an unsound source at header
   cost.  Once the resume gate below has said which atoms are missing,
-  their rows are grouped into an immutable
-  :class:`~repro.core.plan.ConversionPlan`: exact ``(file, element
-  range) -> atom range`` read items with their byte ranges, plus which
-  atoms consume which optimizer files.
+  their rows — index arrays into that one row table, in file order —
+  complete an immutable :class:`~repro.core.plan.ConversionPlan` with
+  which atoms consume which optimizer files.
 * **Execute** (here) — no rank file is ever decoded.  The plan fixes the
   read side before the first payload byte moves, the fan-out order
   included: atoms run file group by file group, each dp-straddling atom
@@ -27,11 +26,12 @@ commits a plan that :mod:`repro.core.plan` builds.
   :class:`~repro.storage.rangeio.RangeReader` into a recycled buffer,
   hashed as it streams and checked against its manifest entry before
   any consumer sees a byte.  An atom takes its files one at a time —
-  resident ones first — scatters each straight out of read-only slices
-  of that one buffer and releases it at once; the file leaves the
-  source-file table (:class:`~repro.storage.rangeio.BlockCache`) with
-  its last planned consumer, and no worker loads a file while one only
-  earlier atoms still need is held.  The rows land at atom (unpadded)
+  resident ones first — scatters the plan's rows straight out of
+  read-only views of that one buffer's state arrays and releases it at
+  once; the file leaves the source-file table
+  (:class:`~repro.storage.rangeio.BlockCache`) with its last planned
+  consumer, and no worker loads a file while one only earlier atoms
+  still need is held.  The rows land at atom (unpadded)
   elements, so **StripPadding** is done by construction, and the atom
   write follows as soon as a parameter consolidates, so in-flight memory
   is one file group plus the workers' atoms, not the checkpoint.  The in-memory
@@ -80,9 +80,7 @@ from repro.core.metadata import UCP_META_FILE, UCPMetadata
 from repro.core.patterns import PatternProgram, program_for_config
 from repro.core.plan import (
     ConversionPlan,
-    ParamReadPlan,
     ProvenanceAnalysis,
-    ReadItem,
     _check_cross_rank_consistency,
     _plan_reads,
     _resolve_specs,
@@ -189,27 +187,29 @@ def _map_maybe_parallel(fn, items, workers: int):
     return [fn(item) for item in items]
 
 
-def _strided_runs(item: ReadItem) -> List[Tuple[int, int, int, int, int, int]]:
-    """An item's rows as ``(source start, destination start, length,
-    source step, destination step, row count)`` runs, sources counted
-    from the item's first row.  Row ``i`` joins row ``i - 1``'s run when
-    it has the same length, both starts advance by a positive step (the
+def _strided_runs(
+    file_start: np.ndarray, atom_start: np.ndarray, length: np.ndarray
+) -> List[Tuple[int, int, int, int, int, int]]:
+    """Rows of one part in one file, in file order, as ``(source start,
+    destination start, length, source step, destination step, row
+    count)`` runs.  Row ``i`` joins row ``i - 1``'s run when it has the
+    same length, both starts advance by a positive step (the
     destination's by at least the length: no overlap where rows land)
     and — if row ``i - 1`` met that too — by the same steps; every other
     row starts a run.  The row-major tiling of a TP shard is one run."""
-    fs, dst, lengths = item.file_starts, item.atom_starts, item.lengths
-    n = int(fs.size)
+    n = int(file_start.size)
     if n == 1:
-        return [(0, int(dst[0]), int(lengths[0]), 0, 0, 1)]
-    src = fs - fs[0]
-    ds, dd = np.diff(src), np.diff(dst)
-    joins = (lengths[1:] == lengths[:-1]) & (ds > 0) & (dd >= lengths[1:])
+        return [(int(file_start[0]), int(atom_start[0]), int(length[0]), 0, 0, 1)]
+    ds, dd = np.diff(file_start), np.diff(atom_start)
+    joins = (length[1:] == length[:-1]) & (ds > 0) & (dd >= length[1:])
     joins[1:] &= ~joins[:-1] | ((ds[1:] == ds[:-1]) & (dd[1:] == dd[:-1]))
     first = np.flatnonzero(np.concatenate(([True], ~joins)))
     second = np.minimum(first + 1, n - 1)
     return list(zip(
-        src[first].tolist(), dst[first].tolist(), lengths[first].tolist(),
-        (src[second] - src[first]).tolist(), (dst[second] - dst[first]).tolist(),
+        file_start[first].tolist(), atom_start[first].tolist(),
+        length[first].tolist(),
+        (file_start[second] - file_start[first]).tolist(),
+        (atom_start[second] - atom_start[first]).tolist(),
         np.diff(np.append(first, n)).tolist(),
     ))
 
@@ -223,22 +223,26 @@ def _rows(flat: np.ndarray, start: int, step: int, count: int, length: int):
     )
 
 
-def _scatter_item(
-    item: ReadItem, arrs: Dict[str, np.ndarray], bufs: List[memoryview]
+def _scatter(
+    file_start: np.ndarray,
+    atom_start: np.ndarray,
+    length: np.ndarray,
+    arrs: Dict[str, np.ndarray],
+    views: List[np.ndarray],
 ) -> None:
-    """Scatter one :class:`~repro.core.plan.ReadItem`'s source slices —
-    one buffer per state kind, ``item.ranges`` of the resident file —
-    into the atom arrays, one strided assignment per run.
+    """Scatter rows of one part in one file — ``length[i]`` elements from
+    element ``file_start[i]`` of each state kind's array (``views``, in
+    :data:`~repro.core.atom.STATE_KINDS` order) to ``atom_start[i]`` of
+    the atom arrays — with one strided assignment per run.
 
-    The flat ``fp32``/``exp_avg``/``exp_avg_sq`` buffers share one
-    segment map, so the runs are derived once for all three kinds.  The
-    float32 views over the (read-only) file bytes are consumed in place
-    — the only copy on the whole path is the assignment into ``arrs``.
-    Strided views are not bounds-checked, so each run's extent (first
-    row lowest, last row highest) is checked on both sides first.
+    The state arrays of a rank file share one element map, so the runs
+    are derived once for all three kinds.  The float32 views over the
+    (read-only) file bytes are consumed in place — the only copy on the
+    whole path is the assignment into ``arrs``.  Strided views are not
+    bounds-checked, so each run's extent (first row lowest, last row
+    highest) is checked on both sides first.
     """
-    runs = _strided_runs(item)
-    views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
+    runs = _strided_runs(file_start, atom_start, length)
     lo = min(min(s, d) for s, d, *_ in runs)
     src_end = max(s + (k - 1) * s_step + n for s, _, n, s_step, _, k in runs)
     dst_end = max(d + (k - 1) * d_step + n for _, d, n, _, d_step, k in runs)
@@ -248,9 +252,9 @@ def _scatter_item(
         or dst_end > min(arr.size for arr in arrs.values())
     ):
         raise UCPFormatError(
-            f"{item.file}: read item of {item.field!r} reaches source element "
-            f"{src_end} and destination element {dst_end} (lowest start "
-            f"{lo}); it does not fit the arrays it scatters between"
+            f"source rows reach source element {src_end} and destination "
+            f"element {dst_end} (lowest start {lo}); a run of them does not fit "
+            f"the arrays it scatters between"
         )
     for kind, view in zip(STATE_KINDS, views):
         arr = arrs[kind]
@@ -289,7 +293,7 @@ def _verify_source(
     rows of a committed source (:func:`~repro.core.plan.analyze_source`,
     the conversion's one header pass).  The pipeline is *gated on the
     provenance theorems*: only a source whose rows were proven sound
-    (UCP017-UCP022) is converted — the read plans are grouped from them.
+    (UCP017-UCP022) is converted — and those rows are what it executes.
     """
     src_manifest = manifest_mod.require_manifest(src_store, src_tag)
     files = _optim_files(src_store, src_tag)
@@ -416,44 +420,54 @@ def _open_reader(
 
 def _extract(
     reader: RangeReader,
-    read_plan: ParamReadPlan,
-    atom_numel: int,
+    plan: ConversionPlan,
+    name: str,
     position: int,
     stats: Dict[str, float],
 ) -> List[Dict[str, np.ndarray]]:
     """Execute: the state arrays of an atom's primary part and of each
     copy, filled file by file as the table hands the files out.
 
-    One ``read_multi`` per file carries the source slice of every (part,
-    field, state kind); the file is released the moment they are
-    scattered.  Seconds in ``read_multi`` add to ``stats["read"]``,
+    One ``read_multi`` per file carries the parameter's state array of
+    each kind; the file is released the moment every part's rows in it
+    are scattered.  Seconds in ``read_multi`` add to ``stats["read"]``,
     seconds taking files (loading or waiting) to ``stats["wait"]``.
     """
-    left = list(read_plan.files)
+    analysis, parts = plan.analysis, plan.parts[name]
+    left = list(plan.files[name])
     try:
         # np.empty, not zeros: the delivery theorem the pipeline is
         # gated on proves every part's rows write each atom element once
-        parts = [read_plan.primary, *read_plan.copies]
+        atom_numel = _numel(plan.specs[name].unpadded_shape)
         arrs = [
             {kind: np.empty(atom_numel, dtype=np.float32) for kind in STATE_KINDS}
             for _ in parts
         ]
-        by_file: Dict[str, List[Tuple[int, ReadItem]]] = {}
-        for p, items in enumerate(parts):
-            for item in items:
-                by_file.setdefault(item.file, []).append((p, item))
-        k = len(STATE_KINDS)  # one buffer per state kind, item after item
+        # each part's rows are in file order: cut them where the file changes
+        by_file: Dict[str, List[Tuple[int, np.ndarray]]] = {}
+        for p, rows in enumerate(parts):
+            owner = analysis.file_of[rows]
+            cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [rows.size]):
+                by_file.setdefault(analysis.files[owner[lo]], []).append(
+                    (p, rows[lo:hi])
+                )
         while left:
             t_n = time.perf_counter()
             rel = reader.next_ready(left, position)
             t_r = time.perf_counter()
             stats["wait"] += t_r - t_n
-            bufs = reader.read_multi(
-                rel, [rng for _, item in by_file[rel] for rng in item.ranges]
-            )
+            bufs = reader.read_multi(rel, [
+                (entry.offset, entry.nbytes)
+                for entry in analysis.state_entries(rel, name)
+            ])
             stats["read"] += time.perf_counter() - t_r
-            for i, (p, item) in enumerate(by_file[rel]):
-                _scatter_item(item, arrs[p], bufs[i * k:(i + 1) * k])
+            views = [np.frombuffer(buf, dtype=np.float32) for buf in bufs]
+            for p, held in by_file[rel]:
+                _scatter(
+                    analysis.file_start[held], analysis.plan.atom_start[held],
+                    analysis.plan.length[held], arrs[p], views,
+                )
             # scattered, so released: the buffer may take another file next
             left.remove(rel)
             reader.cache.release(rel)
@@ -495,17 +509,16 @@ def _convert_atom(
     all four files CRC-checked, so it never has to know which.
     """
     name = plan.order[position]
-    read_plan = plan.reads[name]
     spec = plan.specs[name]
     stats = {"read": 0.0, "wait": 0.0}
     t_task = time.perf_counter()
-    arrs = _extract(reader, read_plan, _numel(spec.unpadded_shape), position, stats)
+    arrs = _extract(reader, plan, name, position, stats)
     states = {}
     for kind in STATE_KINDS:
         merged = arrs[0][kind]
-        if read_plan.pattern == PATTERN_TO_AVERAGE and len(arrs) > 1:
+        if spec.pattern == PATTERN_TO_AVERAGE and len(arrs) > 1:
             merged = average_param_copies([a[kind] for a in arrs])
-        elif read_plan.pattern == PATTERN_REPLICATED:
+        elif spec.pattern == PATTERN_REPLICATED:
             for copy in arrs[1:]:
                 if not np.array_equal(merged, copy[kind]):
                     raise PatternMatchError(
@@ -646,11 +659,11 @@ def ucp_convert(
 
     header_bytes = src_store.bytes_read - src_read0
     t_lower = time.perf_counter()
-    read_plans = lower_read_plans(
+    parts = lower_read_plans(
         analysis, {n: specs[n].pattern for n in fresh_names}
     )
     stage_seconds = {"lower": time.perf_counter() - t_lower}
-    plan = _plan_reads(analysis, src_manifest, specs, read_plans)
+    plan = _plan_reads(analysis, src_manifest, specs, parts)
     # everything since t0 that is not lowering — manifest + the header
     # pass and the source lowering + pre-flight lints + the resume gate —
     # is the planning stage; together with the per-task stage sums below
@@ -717,7 +730,10 @@ def ucp_convert(
         header_bytes=header_bytes,
         digest_bytes=sum(plan.file_sizes.values()),
         planned_state_bytes=(
-            sum(p.planned_elements for p in read_plans.values())
+            sum(
+                int(analysis.plan.length[rows].sum())
+                for rows_of in parts.values() for rows in rows_of
+            )
             * np.dtype(np.float32).itemsize
             * len(STATE_KINDS)
         ),

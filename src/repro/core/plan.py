@@ -6,21 +6,22 @@ become which atom bytes — followed by byte movement.  Extract/Union
 partitions) are one partition <-> atom mapping run in opposite
 directions, so the plan is the load's own lowering,
 :func:`~repro.core.ops.gen_ucp_metadata`, of the *source* layout (the
-DCP shape: planner -> immutable plan of read items -> storage reader);
-:mod:`repro.core.convert` executes it and the provenance check
-(``repro lint-plan --provenance``) checks it.
+DCP shape: planner -> immutable plan -> storage reader);
+:mod:`repro.core.convert` executes its rows as they are and the
+provenance check (``repro lint-plan --provenance``) checks them.
 
 1. **Header pass + proof** (:func:`analyze_source`) — every rank file's
    header is decoded exactly once (``load_index_sized``: partition
    metadata, tensor index and file size from one ``open``; the payload
    is never read) and held to the derived layout
    (:class:`~repro.parallel.layout.HeaderCheck`, UCP001-UCP004, UCP011,
-   UCP019, UCP022; dtypes UCP020).  A header that passes records exactly
-   what the layout derives, so the source layout's lowering is the
-   source-byte map: each row names an atom range and the rank-file
-   elements that hold it.  Union's copy rule splits a parameter's rows
-   into the primary part and its copies, and every part read is proven
-   to deliver its tp shard exactly once (:func:`_delivery`, UCP017 /
+   UCP019, UCP020, UCP022).  A header that passes records exactly what
+   the layout derives — every state array present, float32 and of the
+   derived extent — so the source layout's lowering is the source-byte
+   map: each row names an atom range and the rank-file elements that
+   hold it.  Union's copy rule splits a parameter's rows into the
+   primary part and its copies, and every part read is proven to
+   deliver its tp shard exactly once (:func:`_delivery`, UCP017 /
    UCP018 at the rank file) — the same theorem the target side proves
    over the load plan.
 2. **Resolution** — job-wide state asserted rank-uniform
@@ -28,11 +29,11 @@ DCP shape: planner -> immutable plan of read items -> storage reader);
    through the UCP-language program (:func:`_resolve_specs`), both from
    the headers of step 1.
 3. **Lowering** (:func:`lower_read_plans`, :func:`_plan_reads`) — the
-   rows of the atoms still to convert are grouped into :class:`ReadItem`
-   columns per ``(file, field)``, each carrying its source slice's byte
-   range per state kind; consumer counts, manifest entries and file
-   sizes complete the :class:`ConversionPlan`, which nothing writes to
-   afterwards.
+   proven rows of the atoms still to convert are picked by pattern and
+   put in file order, as index arrays into that one row table (no
+   second representation of a row); each atom's files, consumer
+   counts, manifest entries and file sizes complete the
+   :class:`ConversionPlan`, which nothing writes to afterwards.
 
 The only tensor-shaped computation is one ``int64`` index map per
 ``fragment_params`` *shape class* — ``(fragmenter, logical shape, TP
@@ -65,7 +66,7 @@ from repro.core.diagnostics import (
     error,
     warning,
 )
-from repro.core.errors import PatternMatchError, UCPFormatError
+from repro.core.errors import PatternMatchError
 from repro.core.intervals import (
     atom_rows,
     group_shift,
@@ -112,8 +113,8 @@ class ProvenanceAnalysis:
     ``plan`` is ``gen_ucp_metadata(layout)``, ``parts[name]`` the rows
     the conversion reads for a parameter (the primary part, then each
     copy, each sorted by atom element), and row ``i`` moves elements
-    ``file_start[i]:`` of the fp32 state array of rank file
-    ``files[file_of[plan.target[i]]]``.  An analysis of a UCP directory
+    ``file_start[i]:`` of the state arrays of rank file
+    ``files[file_of[i]]``.  An analysis of a UCP directory
     (:func:`~repro.analysis.provenance.analyze_ucp_source`) has no rows;
     ``atom_files`` names each atom that supplies its whole tensor.
     """
@@ -141,11 +142,20 @@ class ProvenanceAnalysis:
             return f"param_states.fp32.{name}"
         return naming.FLAT_STATE_FIELDS["fp32"]
 
+    def state_entries(self, rel: str, name: str) -> List[TensorIndexEntry]:
+        """The index entries, one per state kind, of the arrays a row of
+        ``name`` reads in rank file ``rel``, as the header pass decoded
+        them: the flat partitions, or ``param_states.<kind>.<name>``."""
+        header = self.headers[rel]
+        if self.optimizer_layout == "per_param":
+            return [header["param_states"][kind][name] for kind in STATE_KINDS]
+        return [header[naming.FLAT_STATE_FIELDS[kind]] for kind in STATE_KINDS]
+
     def _supplied(self, rows: np.ndarray) -> np.ndarray:
         """The rows whose rank file decoded: an absent or undecodable
         file supplies no source byte."""
         decoded = np.array([rel in self.headers for rel in self.files], dtype=bool)
-        return rows[decoded[self.file_of[self.plan.target[rows]]]]
+        return rows[decoded[self.file_of[rows]]]
 
     def sourced(self, name: str) -> List[Tuple[int, int]]:
         """Merged atom-element intervals of ``name`` a source byte supplies."""
@@ -174,7 +184,7 @@ class ProvenanceAnalysis:
             return None
         row = int(rows[k])
         pp, sp, tp, _ = self.plan.targets[self.plan.target[row]]
-        rel = self.files[self.file_of[self.plan.target[row]]]
+        rel = self.files[self.file_of[row]]
         dp = int(naming.OPTIM_STATES_RE.match(rel.split("/")[-1]).group(1))
         element = int(self.file_start[row]) + (atom - int(start[k]))
         return (
@@ -199,8 +209,7 @@ def _header_pass(
     file.  Returns each decoded file's index tree and on-disk size.
     Each header is held to the layout
     (:class:`~repro.parallel.layout.HeaderCheck`: UCP001-UCP004, UCP011,
-    UCP019, UCP022); a state array stored in another dtype than float32
-    is UCP020 and an absent or unreadable file UCP022.
+    UCP019, UCP020, UCP022); an absent or unreadable file is UCP022.
     """
     headers: Dict[str, Dict] = {}
     file_sizes: Dict[str, int] = {}
@@ -226,37 +235,7 @@ def _header_pass(
         report.extend(check.run(header))
         if isinstance(header, dict):
             headers[rel] = header
-            report.extend(_dtype_findings(header, rel))
     return headers, file_sizes
-
-
-def _dtype_findings(header: Dict, rel: str) -> List[Diagnostic]:
-    """UCP020 for each state array a rank file stores as other than
-    float32: a widening copy is not byte provenance."""
-    states = header.get("param_states")
-    if isinstance(states, dict):
-        stubs = [
-            (f"param_states.{kind}.{name}", stub)
-            for kind in naming.FLAT_STATE_FIELDS
-            if isinstance(states.get(kind), dict)
-            for name, stub in states[kind].items()
-        ]
-    else:
-        stubs = [
-            (field, header.get(field))
-            for field in naming.FLAT_STATE_FIELDS.values()
-        ]
-    return [
-        error(
-            "UCP020",
-            f"{field} stored as {stub.dtype}; conversion moves float32 "
-            f"state arrays byte-exactly",
-            location=rel,
-        )
-        for field, stub in stubs
-        if isinstance(stub, TensorIndexEntry)
-        and np.dtype(stub.dtype) != np.float32
-    ]
 
 
 _Group = Tuple[str, RankShardLayout, np.ndarray]
@@ -381,9 +360,9 @@ def analyze_source(
     layout's lowering (``gen_ucp_metadata``, the load's own) is then the
     source-row map, split by union's copy rule, and every part the
     conversion reads is proven to deliver its tp shard exactly once.
-    The returned analysis carries the rows :func:`lower_read_plans`
-    groups into read items, together with the layout, index trees and
-    file sizes of its one header pass.
+    The returned analysis carries the rows the conversion executes
+    (:func:`lower_read_plans` picks and orders them), together with the
+    layout, index trees and file sizes of its one header pass.
     """
     report = LintReport(subject=f"provenance {store.base}/{tag}")
     layout = ModelParallelLayout(model_cfg, source_cfg)
@@ -406,7 +385,7 @@ def analyze_source(
         files.setdefault(rel, target)
     headers, file_sizes = _header_pass(store, layout, files, report)
     index = {rel: i for i, rel in enumerate(files)}
-    file_of = np.array([index[rel] for rel in rels], dtype=np.int64)
+    file_of = np.array([index[rel] for rel in rels], dtype=np.int64)[plan.target]
     file_start = np.array(base, dtype=np.int64)[plan.target] + plan.offset
 
     coords = layout.mp_coords()
@@ -435,7 +414,7 @@ def analyze_source(
         )
     rank_file = dict(zip(plan.targets, rels))
     report.extend(_delivery(plan, groups, lambda target, _: rank_file[target]))
-    file_start.flags.writeable = False
+    file_of.flags.writeable = file_start.flags.writeable = False
     return ProvenanceAnalysis(
         model_cfg, source_cfg, dict(layout.shard_specs), report,
         layout=layout, headers=headers, file_sizes=file_sizes,
@@ -624,8 +603,8 @@ def preflight_convert(
     was structurally incomplete, which per-file digest verification
     alone cannot see.  When the structural checks pass, the findings
     of :func:`analyze_source` are folded in: every rank-file *header*
-    must match the layout (UCP001-UCP004, UCP011, UCP019, UCP022) and
-    store float32 state (UCP020), and every part of the source rows the
+    must match the layout and store float32 state (UCP001-UCP004,
+    UCP011, UCP019, UCP020, UCP022), and every part of the source rows the
     conversion reads must deliver its atom elements exactly once
     (UCP017, UCP018).  ``repro lint-ckpt`` reports these same findings.
 
@@ -635,8 +614,8 @@ def preflight_convert(
         manifest: the tag's commit-manifest payload; None (a tag the
             linter found uncommitted) skips the manifest-vs-layout check.
         analysis: the source's :class:`ProvenanceAnalysis`
-            (:func:`analyze_source`) — the object the converter goes on
-            to lower into read plans, so the source is analyzed, and
+            (:func:`analyze_source`) — the object whose rows the
+            converter goes on to execute, so the source is analyzed, and
             its layout derived, exactly once.
         optimizer_layout: the job's recorded optimizer layout.
     """
@@ -770,81 +749,18 @@ def _resolve_specs(
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class ReadItem:
-    """All slices of one plan part targeting one ``(file, field)``, columnar.
-
-    Row ``i`` of the three parallel int64 arrays says ``lengths[i]``
-    elements starting at element ``file_starts[i]`` of the flat array
-    ``field`` in ``file`` land at atom (unpadded) elements
-    ``[atom_starts[i], atom_starts[i] + lengths[i])``.  Rows are sorted
-    into sequential file order.  Keeping the plan columnar lets the
-    converter bounds-check and scatter whole items with numpy index
-    operations instead of per-slice Python loops — the per-range
-    overhead that dominates conversion wall-clock at mini scale.
-
-    ``ranges`` holds, per state kind (in
-    :data:`~repro.core.atom.STATE_KINDS` order), the absolute ``(byte
-    offset, byte length)`` inside ``file`` of the item's source slice:
-    elements ``[file_starts[0], max(file_starts + lengths))`` of that
-    kind's array, proven inside the array when the item was built.  The
-    flat ``fp32``/``exp_avg``/``exp_avg_sq`` buffers share one segment
-    map, so only the offset differs per kind.
-    """
-
-    file: str
-    field: str
-    file_starts: np.ndarray
-    lengths: np.ndarray
-    atom_starts: np.ndarray
-    ranges: Tuple[Tuple[int, int], ...]
-
-    @property
-    def planned_elements(self) -> int:
-        """Total elements the item reads (per state kind)."""
-        return int(self.lengths.sum())
-
-
-@dataclasses.dataclass(frozen=True)
-class ParamReadPlan:
-    """Everything the converter reads for one parameter.
-
-    ``primary`` covers the selected copies (what ``union`` consumes);
-    ``copies`` the non-selected mp-coordinate replicas, in coordinate
-    order, the pattern additionally demands (all of them for
-    ``params_to_average`` and ``replicated_params``, none otherwise).
-    Every row is an atom (non-padding) range, so a plan never reads a
-    padding byte — the runtime enforcement of UCP019.
-    """
-
-    name: str
-    pattern: str
-    primary: Tuple[ReadItem, ...]
-    copies: Tuple[Tuple[ReadItem, ...], ...]
-
-    @property
-    def files(self) -> Tuple[str, ...]:
-        """Every source file any slice of this plan touches, sorted."""
-        rels = {b.file for b in self.primary}
-        for items in self.copies:
-            rels.update(b.file for b in items)
-        return tuple(sorted(rels))
-
-    @property
-    def planned_elements(self) -> int:
-        """Total fp32 elements the plan reads (per state kind)."""
-        total = sum(b.planned_elements for b in self.primary)
-        for items in self.copies:
-            total += sum(b.planned_elements for b in items)
-        return total
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class ConversionPlan:
     """What the per-atom fan-out executes, fixed before the first atom.
 
     Shared by every worker and never written after :func:`_plan_reads`
-    returned it.  ``reads`` holds the atoms still to convert (a resumed
-    run lowers only those) and ``order`` the order they fan out in;
+    returned it.  ``parts`` holds the atoms still to convert (a resumed
+    run lowers only those) as :func:`lower_read_plans` returned them:
+    row indices into ``analysis.plan``, each part in file order.  Row
+    ``i`` moves ``analysis.plan.length[i]`` elements from element
+    ``analysis.file_start[i]`` of the state arrays of rank file
+    ``analysis.files[analysis.file_of[i]]`` to atom element
+    ``analysis.plan.atom_start[i]``.  ``files`` names each atom's rank
+    files, sorted, and ``order`` the order the atoms fan out in;
     ``consumers`` counts, per touched source file, the atoms that read
     it — the source-file table drops a file when that many have
     released it — and ``last_use`` is the position in ``order`` of the
@@ -854,7 +770,9 @@ class ConversionPlan:
     """
 
     specs: Dict[str, ShardSpec]
-    reads: Dict[str, ParamReadPlan]
+    analysis: ProvenanceAnalysis
+    parts: Dict[str, Tuple[np.ndarray, ...]]
+    files: Dict[str, Tuple[str, ...]]
     order: Tuple[str, ...]
     consumers: Dict[str, int]
     last_use: Dict[str, int]
@@ -862,105 +780,44 @@ class ConversionPlan:
     file_sizes: Dict[str, int]
 
 
-def _read_item(
-    headers: Dict[str, Dict],
-    rel: str,
-    field: str,
-    file_starts: np.ndarray,
-    lengths: np.ndarray,
-    atom_starts: np.ndarray,
-) -> ReadItem:
-    """One (file, field) group of source rows, sorted by
-    ``file_starts`` so the downstream scatter walks the file forward,
-    with the byte range of its source slice resolved per state kind
-    through the file's tensor index."""
-    order = np.argsort(file_starts, kind="stable")
-    file_starts, lengths = file_starts[order], lengths[order]
-    lo = int(file_starts[0])
-    hi = int((file_starts + lengths).max())
-    tree = headers[rel]
-    ranges: List[Tuple[int, int]] = []
-    for kind in STATE_KINDS:
-        node = None
-        if field == naming.FLAT_STATE_FIELDS["fp32"]:
-            node = tree.get(naming.FLAT_STATE_FIELDS[kind])
-        elif field.startswith("param_states.fp32."):
-            states = tree.get("param_states")
-            if isinstance(states, dict):
-                node = states.get(kind, {}).get(field[len("param_states.fp32."):])
-        if not isinstance(node, TensorIndexEntry):
-            raise UCPFormatError(
-                f"{rel}: no {kind!r} tensor behind provenance field {field!r}"
-            )
-        if np.dtype(node.dtype) != np.float32:
-            raise UCPFormatError(
-                f"{rel}: {kind!r} state behind {field!r} stored as "
-                f"{node.dtype}; conversion requires float32 "
-                f"(byte-exact) state arrays"
-            )
-        try:
-            ranges.append(node.element_range(lo, hi - lo))
-        except SerializationError as exc:
-            raise UCPFormatError(f"{rel}: {kind!r} state of {field!r}: {exc}") from exc
-    return ReadItem(
-        file=rel,
-        field=field,
-        file_starts=file_starts,
-        lengths=lengths,
-        atom_starts=atom_starts[order],
-        ranges=tuple(ranges),
-    )
-
-
 def lower_read_plans(
     analysis: ProvenanceAnalysis, patterns: Dict[str, str]
-) -> Dict[str, ParamReadPlan]:
-    """Group the source rows into per-parameter read plans.
+) -> Dict[str, Tuple[np.ndarray, ...]]:
+    """The source rows each planned parameter reads, as index arrays
+    into ``analysis.plan``: its primary part, then the copies its pattern
+    reads, each in file order (by rank file, then file element) so the
+    scatter walks every file forward.
 
     The rows are ``gen_ucp_metadata`` of the source layout, split by
-    union's copy rule, and :func:`analyze_source` proved every part
-    delivers its atom elements exactly once, so executing exactly these
-    preads writes every atom element of every part once, and reads no
-    padding byte.
+    union's copy rule; :func:`analyze_source` held every header to the
+    layout (the state arrays the rows name are present, float32 and of
+    the derived extent) and proved every part delivers its atom elements
+    exactly once, so executing exactly these rows writes every atom
+    element of every part once, and reads no padding byte.
 
     Args:
-        analysis: a *clean* (``report.ok``) :func:`analyze_source`
-            result; the byte ranges come from its index trees.
+        analysis: a *clean* (``report.ok``) :func:`analyze_source` result.
         patterns: the parameters to plan, each with its pattern from the
             resolved UCP-language program — a custom program may e.g.
             reclassify a replicated norm as ``params_to_average``.  Both
             read every copy: ``params_to_average`` to average them,
             ``replicated_params`` to bit-compare them.
-
-    Raises:
-        UCPFormatError: a planned slice has no float32 state array of
-            every kind behind it, or reaches past the end of one.
     """
-    plan = analysis.plan
-    file_of_row = analysis.file_of[plan.target]
-    plans: Dict[str, ParamReadPlan] = {}
+    order = np.lexsort((analysis.file_start, analysis.file_of))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    lowered: Dict[str, Tuple[np.ndarray, ...]] = {}
     for name, pattern in patterns.items():
         primary, *copies = analysis.parts[name]
         if pattern not in (PATTERN_TO_AVERAGE, PATTERN_REPLICATED):
             copies = []
-        items = []
-        for rows in [primary, *copies]:
-            # one item per rank file, files in partition order
-            owner = file_of_row[rows]
-            part = []
-            for f in np.unique(owner).tolist():
-                held = rows[owner == f]
-                part.append(_read_item(
-                    analysis.headers, analysis.files[f],
-                    analysis.state_field(name), analysis.file_start[held],
-                    plan.length[held], plan.atom_start[held],
-                ))
-            items.append(tuple(part))
-        plans[name] = ParamReadPlan(name, pattern, items[0], tuple(items[1:]))
-    return plans
+        lowered[name] = tuple(
+            rows[np.argsort(rank[rows])] for rows in (primary, *copies)
+        )
+    return lowered
 
 
-def _fan_order(read_plans: Dict[str, ParamReadPlan]) -> Tuple[str, ...]:
+def _fan_order(files: Dict[str, Tuple[str, ...]]) -> Tuple[str, ...]:
     """The atoms in the order the fan-out runs them: each by the last
     source file it reads, then by its first and by its name, with files
     numbered by first use over the atoms sorted by the files they read.
@@ -974,40 +831,45 @@ def _fan_order(read_plans: Dict[str, ParamReadPlan]) -> Tuple[str, ...]:
     (their last consumer drops them) before its own are loaded.
     """
     number: Dict[str, int] = {}
-    for name in sorted(read_plans, key=lambda n: (read_plans[n].files, n)):
-        for rel in read_plans[name].files:
+    for name in sorted(files, key=lambda n: (files[n], n)):
+        for rel in files[name]:
             number.setdefault(rel, len(number))
 
     def key(name: str) -> Tuple[int, int, str]:
-        used = [number[rel] for rel in read_plans[name].files]
+        used = [number[rel] for rel in files[name]]
         return max(used, default=-1), min(used, default=-1), name
 
-    return tuple(sorted(read_plans, key=key))
+    return tuple(sorted(files, key=key))
 
 
 def _plan_reads(
     analysis: ProvenanceAnalysis,
     src_manifest: Dict,
     specs: Dict[str, ShardSpec],
-    read_plans: Dict[str, ParamReadPlan],
+    parts: Dict[str, Tuple[np.ndarray, ...]],
 ) -> ConversionPlan:
-    """Complete the plan: the fan-out order, each touched file's consumer
-    count, manifest entry and size.  A file is loaded once by the first
-    atom that needs it — verified against its manifest entry before any
-    consumer sees a byte — and leaves when its last planned atom has
-    scattered it."""
-    consumers = collections.Counter(
-        rel for plan in read_plans.values() for rel in plan.files
-    )
-    order = _fan_order(read_plans)
+    """Complete the plan: each atom's files, the fan-out order, each
+    touched file's consumer count, manifest entry and size.  A file is
+    loaded once by the first atom that needs it — verified against its
+    manifest entry before any consumer sees a byte — and leaves when its
+    last planned atom has scattered it."""
+    files = {
+        name: tuple(sorted(
+            analysis.files[f]
+            for f in np.unique(analysis.file_of[np.concatenate(rows)]).tolist()
+        ))
+        for name, rows in parts.items()
+    }
+    consumers = collections.Counter(rel for rels in files.values() for rel in rels)
+    order = _fan_order(files)
     last_use = {
-        rel: position
-        for position, name in enumerate(order)
-        for rel in read_plans[name].files
+        rel: position for position, name in enumerate(order) for rel in files[name]
     }
     return ConversionPlan(
         specs=specs,
-        reads=read_plans,
+        analysis=analysis,
+        parts=parts,
+        files=files,
         order=order,
         consumers=dict(consumers),
         last_use=last_use,

@@ -27,6 +27,8 @@ import math
 import operator
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.ckpt.naming import FLAT_STATE_FIELDS
 from repro.core.diagnostics import (
     Diagnostic,
@@ -38,7 +40,7 @@ from repro.core.diagnostics import (
 from repro.dist.topology import ParallelConfig
 from repro.models.configs import ModelConfig
 from repro.parallel.pp import StagePlan, build_stage_plan
-from repro.parallel.tp import PATTERN_FRAGMENT, ShardSpec, build_shard_specs
+from repro.parallel.tp import ShardSpec, build_shard_specs
 
 DEFAULT_ALIGNMENT = 8
 """Default element alignment for partition boundaries (NVMe-friendly)."""
@@ -339,8 +341,9 @@ class HeaderCheck:
 
     The one rank-file check behind ``repro lint-ckpt``, the conversion
     pre-flight and the strict loader: UCP001-UCP004 and UCP011, UCP019
-    for a ``sharding`` entry claiming padding as data, plus UCP022 for a
-    field that does not decode.  :meth:`run` walks one decoded header —
+    for a ``sharding`` entry claiming padding as data, UCP020 for a state
+    array not stored as float32, plus UCP022 for a field that does not
+    decode.  :meth:`run` walks one decoded header —
     its rank fields, partition metadata, flat arrays and segment table,
     or its per-parameter states — and returns the findings.
     """
@@ -475,8 +478,8 @@ class HeaderCheck:
         return segments
 
     def _flat_array(self, field: str, stub) -> None:
-        """One flat state array, by header shape: present (UCP001) and
-        holding the derived partition (UCP011)."""
+        """One flat state array, by header shape: present (UCP001),
+        holding the derived partition (UCP011) and float32 (UCP020)."""
         if stub is None:
             self._add("UCP001", f"flat array {field!r} missing from rank file")
             return
@@ -489,6 +492,19 @@ class HeaderCheck:
                 "UCP011",
                 f"{field} holds {numel} elements; layout derives {expected} "
                 f"for dp_rank {self.dp_rank}",
+            )
+        self._dtype(field, stub)
+
+    def _dtype(self, field: str, stub) -> None:
+        """UCP020 for a state array — an index entry or a decoded array
+        — stored as other than float32: the strict load would cast it
+        without a word, and the conversion moves state byte-exactly."""
+        dtype = getattr(stub, "dtype", None)
+        if dtype is not None and np.dtype(dtype) != np.float32:
+            self._add(
+                "UCP020",
+                f"{field} stored as {np.dtype(dtype)}; optimizer state "
+                f"arrays are float32",
             )
 
     def _segments(self, segments: List) -> None:
@@ -538,7 +554,7 @@ class HeaderCheck:
         """Megatron-classic per-parameter files: per kind, the names
         diffed against the derived ones (UCP001, UCP002; UCP022 for an
         absent kind), then each state's shape against its derived shard
-        shape (UCP004)."""
+        shape (UCP004) and its dtype against float32 (UCP020)."""
         derived = {e.name: e.shard_shape for e in self.layout.entries}
         for kind in FLAT_STATE_FIELDS:
             shard_map = states.get(kind) if isinstance(states, dict) else None
@@ -571,6 +587,7 @@ class HeaderCheck:
                         f"{name!r} ({kind}) stored with shape {shape}; layout "
                         f"derives shard shape {tuple(derived[name])}",
                     )
+                self._dtype(f"param_states.{kind}.{name}", stub)
 
 
 class ModelParallelLayout:
@@ -678,10 +695,3 @@ class ModelParallelLayout:
             return self.shard_specs[name]
         except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
-
-    def is_tp_sharded(self, name: str) -> bool:
-        """Whether TP actually fragments this parameter (degree > 1)."""
-        return (
-            self.parallel_cfg.tp > 1
-            and self.spec(name).pattern == PATTERN_FRAGMENT
-        )

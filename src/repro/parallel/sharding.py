@@ -327,11 +327,6 @@ class VocabFragment(Fragmenter):
             )
         return (rows // degree,) + tuple(full_shape[1:])
 
-    @property
-    def padding_rows_of(self):
-        """Callable: padded height -> number of padding rows."""
-        return lambda padded: padded - self.logical_rows
-
     def to_dict(self) -> Dict:
         return {"kind": self.kind, "logical_rows": self.logical_rows}
 

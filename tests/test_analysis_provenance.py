@@ -273,6 +273,7 @@ def _remove_source_element(analysis, name, element):
     cols["length"][-2:] = [before, length - before - 1]
     analysis.plan = dataclasses.replace(plan, **cols)
     analysis.file_start = file_start
+    analysis.file_of = np.append(analysis.file_of, [analysis.file_of[row]] * 2)
     new = plan.length.size + np.arange(2)
     analysis.parts[name] = (np.r_[primary[:k], new, primary[k + 1:]], *copies)
 
@@ -448,8 +449,8 @@ class TestSharedShardMap:
 
     def test_source_rows_name_the_real_source_bytes(self, tmp_path):
         """Every source row of a tp4 x dp2 source, checked against the
-        bytes: the atom elements each read item's rows claim equal the
-        file elements they name."""
+        bytes: the atom elements each row ``lower_read_plans`` returns
+        claims equal the file elements it names."""
         parallel = ParallelConfig(tp=4, pp=1, dp=2, sp=1, zero_stage=1)
         engine = make_engine(parallel=parallel)
         engine.train(1)
@@ -459,27 +460,27 @@ class TestSharedShardMap:
         assert analysis.report.ok, analysis.report.render_text()
         consolidated = engine.zero.consolidated_tensors("fp32")
         patterns = {name: spec.pattern for name, spec in analysis.specs.items()}
-        payloads = {}
-        for name, read in lower_read_plans(analysis, patterns).items():
+        plan, payloads = analysis.plan, {}
+        for name, parts in lower_read_plans(analysis, patterns).items():
             spec = analysis.specs[name]
             atom = consolidated[name][
                 tuple(slice(0, d) for d in spec.unpadded_shape)
             ].reshape(-1)
-            parts = [read.primary, *read.copies]
             assert len(parts) == len(analysis.parts[name])
-            for items in parts:
-                assert sum(item.planned_elements for item in items) == atom.size
-                for item in items:
+            for rows in parts:
+                assert int(plan.length[rows].sum()) == atom.size
+                for row in rows.tolist():
+                    rel = analysis.files[analysis.file_of[row]]
                     flat = np.asarray(payloads.setdefault(
-                        item.file, store.load(item.file)
-                    )[item.field])
-                    for f, n, a in zip(
-                        item.file_starts.tolist(), item.lengths.tolist(),
-                        item.atom_starts.tolist(),
-                    ):
-                        assert np.array_equal(
-                            atom[a:a + n], flat[f:f + n]
-                        ), (name, item.file, f, n, a)
+                        rel, store.load(rel)
+                    )[analysis.state_field(name)])
+                    f, n, a = (
+                        int(col[row]) for col in
+                        (analysis.file_start, plan.length, plan.atom_start)
+                    )
+                    assert np.array_equal(
+                        atom[a:a + n], flat[f:f + n]
+                    ), (name, rel, f, n, a)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memo_that_keeps_nothing_changes_no_byte(

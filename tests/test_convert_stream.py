@@ -20,12 +20,11 @@ from repro.ckpt.loader import resolve_tag
 from repro.ckpt.manifest import load_verified
 from repro.ckpt.saver import save_distributed_checkpoint
 from repro.core.atom import STATE_KINDS, AtomStore
-from repro.core.convert import _scatter_item, _strided_runs, ucp_convert
+from repro.core.convert import _scatter, _strided_runs, ucp_convert
 from repro.core.errors import UCPFormatError
 from repro.core.loader import load_ucp_into_engine
 from repro.core.ops import AtomShardCache, load
 from repro.core.patterns import program_for_config
-from repro.core.plan import ReadItem
 from repro.dist.topology import ParallelConfig
 from repro.storage.faults import CrashAtWrite, InjectedCrash, RankKillAtWrite
 from repro.storage.store import CommitGroup, CommitPool, ObjectStore
@@ -697,21 +696,19 @@ class TestCrashResumeUnderParallelFanOut:
                 assert resumed.bytes_written < clean.bytes_written
 
 
-def read_item(file_starts, lengths, atom_starts):
-    file_starts, lengths, atom_starts = (
+def columns(file_start, length, atom_start):
+    """One part's rows in one file: the ``(file_start, atom_start,
+    length)`` columns the scatter takes."""
+    return tuple(
         np.asarray(column, dtype=np.int64)
-        for column in (file_starts, lengths, atom_starts)
-    )
-    return ReadItem(
-        file="f.npt", field="fp32_flat_partition", file_starts=file_starts,
-        lengths=lengths, atom_starts=atom_starts, ranges=(),
+        for column in (file_start, atom_start, length)
     )
 
 
 class TestStridedScatter:
     """One strided assignment per run of equal-length, equal-step rows."""
 
-    def scatter(self, item, source_numel, dest_numel):
+    def scatter(self, rows, source_numel, dest_numel):
         sources = [
             np.arange(source_numel, dtype=np.float32) + 1000 * k
             for k in range(len(STATE_KINDS))
@@ -720,9 +717,11 @@ class TestStridedScatter:
             kind: np.full(dest_numel, -1.0, dtype=np.float32)
             for kind in STATE_KINDS
         }
-        _scatter_item(
-            item, arrs, [memoryview(src).toreadonly() for src in sources]
-        )
+        views = [
+            np.frombuffer(memoryview(src).toreadonly(), dtype=np.float32)
+            for src in sources
+        ]
+        _scatter(*rows, arrs, views)
         return sources, arrs
 
     def test_matches_a_row_by_row_copy(self):
@@ -736,22 +735,21 @@ class TestStridedScatter:
             (60, 4, 24),  # the destination steps back: a lone row
             (70, 7, 80), (80, 7, 90),
         ]
-        file_starts, lengths, atom_starts = zip(*rows)
-        item = read_item(file_starts, lengths, atom_starts)
-        runs = _strided_runs(item)
+        cols = columns(*zip(*rows))
+        runs = _strided_runs(*cols)
         assert [count for *_, count in runs] == [4, 1, 3, 1, 2]
-        sources, arrs = self.scatter(item, 80, 100)
+        sources, arrs = self.scatter(cols, 90, 100)
         for kind, source in zip(STATE_KINDS, sources):
             expected = np.full(100, -1.0, dtype=np.float32)
             for f, n, u in rows:
-                expected[u:u + n] = source[f - 10:f - 10 + n]
+                expected[u:u + n] = source[f:f + n]
             assert arrs[kind].tobytes() == expected.tobytes(), kind
 
     def test_run_overrunning_its_destination_is_refused(self):
         """A strided view is not bounds-checked: a run whose last row
         would land past the destination fails before anything moves."""
-        item = read_item([0, 8, 16], [4, 4, 4], [0, 4, 8])  # ends at 12
+        rows = columns([0, 8, 16], [4, 4, 4], [0, 4, 8])  # ends at 12
         with pytest.raises(UCPFormatError, match="does not fit"):
-            self.scatter(item, 20, 10)
+            self.scatter(rows, 20, 10)
         with pytest.raises(UCPFormatError, match="does not fit"):
-            self.scatter(read_item([0, 8, 16], [4, 4, 4], [0, 4, 8]), 18, 20)
+            self.scatter(rows, 18, 20)

@@ -142,6 +142,11 @@ def _bogus_fragmenter(payload):
     payload["sharding"]["embedding.weight"]["fragmenter"] = {"kind": "bogus"}
 
 
+def _state(kind, edit):
+    field = naming.FLAT_STATE_FIELDS[kind]
+    return lambda payload: payload.update({field: edit(payload[field])})
+
+
 HEADER_DAMAGE = {
     "padding-7": (_meta(lambda meta: meta.update(padding=7)), "UCP003", 0),
     "alignment-3": (_meta(lambda meta: meta.update(alignment=3)), "UCP011", 0),
@@ -161,6 +166,20 @@ HEADER_DAMAGE = {
     # file's copy is checked, not only the one the conversion resolves
     "sharding-bogus-fragmenter-mp0": (_bogus_fragmenter, "UCP004", 0),
     "sharding-bogus-fragmenter-mp1": (_bogus_fragmenter, "UCP004", 1),
+    # a narrowed master or a widened moment is not the state that was
+    # trained: the strict load used to cast both back to float32
+    "fp32-float16": (
+        _state("fp32", lambda values: values.astype(np.float16)), "UCP020", 0
+    ),
+    "exp_avg-float64": (
+        _state("exp_avg", lambda values: values.astype(np.float64)), "UCP020", 0
+    ),
+    "exp_avg_sq-deleted": (
+        lambda p: p.pop(naming.FLAT_STATE_FIELDS["exp_avg_sq"]), "UCP001", 0
+    ),
+    "exp_avg-one-short": (
+        _state("exp_avg", lambda values: values[:-1]), "UCP011", 0
+    ),
 }
 """Edit to one rank file's header -> the rule every reader names first,
 and the mp rank of the dp-rank-1 file edited (the derived padding is 0
@@ -172,9 +191,9 @@ and the alignment 8)."""
 def test_damaged_rank_header_is_one_rule_everywhere(
     committed, tmp_path, damage, reader
 ):
-    """A rank file whose ``partition_meta`` or ``sharding`` table
-    disagrees with the derived layout, or that lacks a field beside
-    them, re-recorded in the manifest
+    """A rank file whose ``partition_meta``, ``sharding`` table or state
+    arrays disagree with the derived layout, or that lacks a field
+    beside them, re-recorded in the manifest
     so only the header check can catch it, is refused by every reader
     with the same rule at the same file: a ``lint-ckpt`` error, the
     conversion pre-flight's ``LayoutLintError`` and the strict load's
@@ -389,6 +408,30 @@ def test_reconversion_over_damaged_marker_starts_over(
     assert dir_digests(ucp) == dir_digests(converted)
 
 
+def test_reconversion_replaces_an_atom_the_load_refuses(
+    committed, converted, tmp_path
+):
+    """An atom rewritten whole, sidecar included, as a flat copy of its
+    matrix states is not reused: the resume gate holds each state to the
+    load's own check, so the re-run converts that atom again and the
+    load succeeds (the gate used to reuse it, record its flat shape in
+    ``ucp_meta`` and leave the load to refuse it with UCP004)."""
+    ucp = tmp_path / "ucp"
+    shutil.copytree(converted, ucp)
+    atoms = AtomStore(str(ucp))
+    atom = atoms.read("blocks.0.attn.out.weight")
+    assert len(atom.shape) == 2
+    atoms.write(AtomCheckpoint(
+        atom.name, {kind: v.reshape(-1) for kind, v in atom.states.items()},
+        atom.spec,
+    ))
+
+    report = ucp_convert(str(committed[0]), str(ucp))
+    assert report.num_reused == report.num_params - 1
+    assert dir_digests(ucp) == dir_digests(converted)
+    load_ucp_into_engine(make_engine(parallel=TP2_DP2), str(ucp))
+
+
 ESCAPING_NAMES = ["a/../../x", "../x", "a/./b", "a//b", "a/", "/etc/passwd", ""]
 
 
@@ -419,7 +462,7 @@ def test_dotted_atom_names_stay_legal(tmp_path, name):
 
 # --- property: every damaged tree ends typed or "not reusable" ----------
 
-SPEC = {"pattern": PATTERN_REPLICATED}
+SPEC = ShardSpec(PATTERN_REPLICATED, (3, 2), (3, 2)).to_dict()
 SIDECAR_REL = "atoms/p/atom_meta.npt"
 TAG = "global_step1"
 HEX = "0123456789abcdef" * 4
@@ -703,10 +746,10 @@ def _check_latest(root, data):
 def _check_marker(root, how, damage):
     src = ObjectStore(os.path.join(root, "src"))
     manifest_mod.write_manifest(src, TAG, {})
-    specs = {"p": ShardSpec(PATTERN_REPLICATED, (3, 2), (3, 2))}
+    specs = {"p": ShardSpec.from_dict(SPEC)}
     atoms = AtomStore(os.path.join(root, "ucp"))
     assert _claim_destination(atoms, src, TAG, specs) == {}  # writes the marker
-    atoms = _atom_store(atoms.store.base, specs["p"].to_dict())
+    atoms = _atom_store(atoms.store.base)
     assert set(_claim_destination(atoms, src, TAG, specs)) == {"p"}
 
     dst = atoms.store
@@ -755,6 +798,7 @@ def _check_table(root, files):
     trace_cases, latest_cases, marker_cases, payload_cases, meta_byte_cases,
 ))
 @example(case=("meta", "extra", "model_config.name", 0))
+@example(case=("sidecar", "retype", "shape", [2, 3]))
 def test_damaged_trees_end_typed_or_not_reusable(converted, case):
     """Missing, extra and wrong-typed fields of an atom sidecar, an atom
     state header's ``values`` dtype/shape, a manifest file table, a

@@ -6,9 +6,12 @@ dispatches on the schema, so both formats consolidate into identical
 atoms — the one-converter-per-format property (paper §3.1).
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.ckpt import manifest as manifest_mod
 from repro.ckpt.errors import CheckpointIncompatibleError
 from repro.core.atom import AtomStore
 from repro.core.convert import ucp_convert
@@ -71,6 +74,26 @@ class TestStrictLoad:
         src.save_checkpoint(str(tmp_path), optimizer_layout="per_param")
         dst = make_engine(parallel=ParallelConfig(tp=2, pp=2, dp=2, zero_stage=1))
         with pytest.raises(CheckpointIncompatibleError, match="ZeRO stage"):
+            dst.load_checkpoint(str(tmp_path))
+
+    def test_narrowed_state_is_ucp020(self, tmp_path):
+        """A per-parameter master stored as float16 is refused at its
+        file, not widened back to float32 without a word."""
+        src = make_engine(parallel=MEGATRON_STYLE, seed=7)
+        src.train(1)
+        info = src.save_checkpoint(str(tmp_path), optimizer_layout="per_param")
+        store = ObjectStore(str(tmp_path))
+        rel = next(f for f in info.files if "optim_states" in f)
+        payload = store.load(rel)
+        masters = payload["param_states"]["fp32"]
+        name = sorted(masters)[0]
+        masters[name] = masters[name].astype(np.float16)
+        store.save(rel, payload)
+        manifest_mod.refresh_entry(store, info.tag, rel.split("/")[-1])
+        dst = make_engine(parallel=MEGATRON_STYLE, seed=0)
+        with pytest.raises(
+            CheckpointIncompatibleError, match=f"^{re.escape(rel)}: UCP020 "
+        ):
             dst.load_checkpoint(str(tmp_path))
 
     def test_topology_change_fails(self, tmp_path):
