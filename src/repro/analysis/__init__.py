@@ -22,13 +22,12 @@ The runtime witnesses below never reach into the code they watch: the
 byte-moving layers name *events* on the one hook slot (:mod:`repro.obs`)
 and a witness's activation context subscribes it there.
 
-One lint checks the *code* rather than its artifacts:
-
-- :mod:`~repro.analysis.srclint` — an AST lint over ``src/repro``
-  itself (``repro lint-src``).  Rank isolation needs no checker: every
-  collective hands each rank a private result, and the plain test suite
-  pins that and the engine's state after build, training and every
-  restart path (UCP025, reserved).
+No checker reads the *code* itself: plain tests pin what the retired
+source lint guessed at from syntax — byte-identical output under any
+hash seed and worker count, decoded and extracted arrays that own
+their memory, no mutable default argument (SRC002-SRC004, reserved) —
+and every collective hands each rank a private result (UCP025,
+reserved).
 
 And one for the *concurrency* side (the threaded IO layer):
 
@@ -47,7 +46,7 @@ And one for the *crash-consistency* side (the commit protocol):
   state recovery can tell apart by its store root's contract
   (UCP032-UCP035, ``repro lint-trace``).
 
-All findings carry stable rule IDs (``UCP001``... / ``SRC002``...); see
+All findings carry stable rule IDs (``UCP001``...); see
 ``docs/ANALYSIS.md`` for the catalogue.
 """
 
@@ -68,7 +67,6 @@ from repro.analysis.fswitness import (
     enumerate_crash_states,
     fstrace,
 )
-from repro.analysis.srclint import lint_source_tree
 from repro.core.diagnostics import (
     RULES,
     SEVERITY_ERROR,
@@ -123,7 +121,6 @@ __all__ = [
     "fstrace",
     "lint_checkpoint",
     "lint_plan",
-    "lint_source_tree",
     "preflight_convert",
     "warning",
 ]

@@ -142,18 +142,45 @@ def _check_model_config(engine, job_config: Dict) -> None:
         )
 
 
+_TOPOLOGY_RULES = frozenset({"UCP002", "UCP003", "UCP004", "UCP011", "UCP019"})
+"""The header-check findings a checkpoint saved under another
+parallelism strategy produces."""
+
+
+def _arrays_match_meta(payload: Dict) -> bool:
+    """Whether every flat state array holds the partition the file's own
+    ``partition_meta`` records.  A file saved under another strategy
+    agrees with itself; a truncated array does not, though both are a
+    UCP011 against the derived layout."""
+    meta = payload.get("partition_meta")
+    numel = meta.get("partition_numel") if isinstance(meta, dict) else None
+    return all(
+        np.size(payload[field]) == numel
+        for field in naming.FLAT_STATE_FIELDS.values() if field in payload
+    )
+
+
 def _require_layout(
     rank_layout, payload: Dict, dp_rank: int, zero_stage: int, rel: str
 ) -> None:
     """The strict load's layout check: the rank file's header against
     the layout the engine derives, through the same check as
-    ``repro lint-ckpt`` and the conversion pre-flight."""
+    ``repro lint-ckpt`` and the conversion pre-flight.  Only the
+    findings a topology change produces, in a file consistent with
+    itself, blame the strategy; any other (a missing field or state
+    array, a narrowed dtype, a short array) is damage."""
     for diag in rank_layout.header_check(dp_rank, zero_stage, rel).run(payload):
         if diag.severity == "error":
+            topology = diag.rule_id in _TOPOLOGY_RULES and _arrays_match_meta(
+                payload
+            )
+            cause = (
+                "the checkpoint was saved under a different parallelism "
+                "strategy" if topology else "the rank file is damaged"
+            )
             raise CheckpointIncompatibleError(
                 f"{diag.location}: {diag.rule_id} [{diag.rule_name}] "
-                f"{diag.message}; the checkpoint was saved under a "
-                f"different parallelism strategy"
+                f"{diag.message}; {cause}"
             )
 
 

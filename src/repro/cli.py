@@ -12,7 +12,6 @@ Mirrors the operational surface DeepSpeed ships for UCP (the
     python -m repro lint-plan --source <dir> --target tp2.pp1.dp4.sp1.zero1 \
         [--provenance]
     python -m repro lint-trace <fs_trace.json> [--crashed] [--format text|json]
-    python -m repro lint-src  [root] [--format text|json]
     python -m repro explore   <scenario | --list> [--schedules N] \
         [--schedule FILE] [--seed S] [--report PATH] \
         [--require-exhaustive] [--format text|json]
@@ -206,25 +205,6 @@ def cmd_lint_trace(args: argparse.Namespace) -> int:
     from repro.analysis import check_fs_trace
 
     report = check_fs_trace(args.trace, clean_exit=not args.crashed)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.render_text())
-    return 0 if report.ok else 1
-
-
-def cmd_lint_src(args: argparse.Namespace) -> int:
-    """AST-lint the repro source tree itself (SRC002-SRC004); any
-    finding fails."""
-    import pathlib
-
-    import repro
-    from repro.analysis.srclint import lint_source_tree
-
-    root = pathlib.Path(
-        args.root if args.root else pathlib.Path(repro.__file__).parent
-    )
-    report = lint_source_tree(root)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -467,24 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output rendering (json is stable for CI gates)",
     )
     p.set_defaults(func=cmd_lint_trace)
-
-    p = sub.add_parser(
-        "lint-src",
-        help="AST-lint the repro sources for aliasing and determinism "
-             "hazards (SRC002-SRC004)",
-    )
-    p.add_argument(
-        "root",
-        nargs="?",
-        default=None,
-        help="directory (or file) to lint; default: the installed "
-             "repro package",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output rendering (json is stable for CI gates)",
-    )
-    p.set_defaults(func=cmd_lint_src)
 
     p = sub.add_parser(
         "explore",

@@ -83,6 +83,10 @@ RULES: Dict[str, str] = {
     # retired with the memory sanitizer, like UCP025: the per-op
     # isolation tests pin what it guessed at; the ID stays reserved
     "SRC001": "collective-result-no-copy",
+    # retired with the AST source lint: plain tests of the program's
+    # outputs pin each property (decoded and extracted arrays own their
+    # memory; byte-identical output under any hash seed; no mutable
+    # default argument); the IDs stay reserved
     "SRC002": "frombuffer-escape",
     "SRC003": "unordered-set-iteration",
     "SRC004": "mutable-default-argument",
@@ -104,9 +108,9 @@ RULES: Dict[str, str] = {
 }
 """Stable rule ID -> short kebab-case name.  Append-only.
 
-``UCP0xx`` rules are produced by the checkpoint/runtime analyzers;
-``SRC0xx`` rules are produced by the AST source lint (``repro
-lint-src``).
+``UCP0xx`` rules are produced by the checkpoint/runtime analyzers.
+``SRC0xx`` rules belonged to the retired source lints; every one is
+reserved, and no analyzer produces it.
 """
 
 

@@ -249,6 +249,9 @@ def _parse_header(fh: BinaryIO) -> Tuple[Any, List[TensorIndexEntry]]:
                 or entry.nbytes != entry.numel * dtype.itemsize
             ):
                 raise ValueError(f"{entry} describes no array")
+            crc = entry.crc32
+            if crc is not None and not (type(crc) is int and 0 <= crc < 1 << 32):
+                raise ValueError(f"{entry} records no CRC32")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise SerializationError(f"{name}: malformed header: {exc!r}") from exc

@@ -413,13 +413,15 @@ class TestSuppression:
 
 class TestTreeIsClean:
     def test_src_tree_has_no_fs_findings(self):
-        """Nothing produces SRC009-SRC012 any more (the tree-wide lint
-        gate is ``tests/test_srclint.py::TestRepoIsClean``); the IDs stay
+        """Nothing produces SRC009-SRC012 any more: neither the FS
+        dataflow lint nor the AST source lint that hosted the rest of
+        the SRC series is left (the tree-wide gate is
+        ``tests/test_srclint.py::TestRepoIsClean``); the IDs stay
         reserved so no later rule can reuse them."""
         assert {"SRC009", "SRC010", "SRC011", "SRC012"} <= set(RULES)
         analysis = Path(repro.__file__).parent / "analysis"
         assert not (analysis / "fseffects.py").exists()
-        assert "SRC009" not in (analysis / "srclint.py").read_text()
+        assert not (analysis / "srclint.py").exists()
 
     def _lint_trace(self, tmp_path, rec):
         path = tmp_path / "fs_trace.json"
@@ -433,7 +435,8 @@ class TestTreeIsClean:
 
     def test_cli_fs_filter_gate_passes(self, tmp_path):
         """The gate CI runs now: a recorded durable trace replays clean
-        through ``repro lint-trace``; ``lint-src --fs`` is gone."""
+        through ``repro lint-trace``; ``lint-src`` (and with it
+        ``--fs``) is gone."""
         rec = traced_group(tmp_path / "store")
         proc = self._lint_trace(tmp_path, rec)
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -446,7 +449,7 @@ class TestTreeIsClean:
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert gone.returncode == 2
-        assert "unrecognized arguments: --fs" in gone.stderr
+        assert "invalid choice: 'lint-src'" in gone.stderr
 
     def test_cli_fs_filter_reports_only_fs_rules(self, tmp_path, monkeypatch):
         mutate(monkeypatch, CommitGroup, "publish", TEMP_FSYNC)

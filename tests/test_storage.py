@@ -1,5 +1,7 @@
 """Tests for the storage substrate: serializer, object store, NVMe model."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,15 @@ from repro.storage.serializer import (
     serialize,
 )
 from repro.storage.store import CommitGroup, ObjectStore, sha256_hex
+
+CRC32_DAMAGE = {
+    "crc32_str": b'"crc32": "abc"',
+    "crc32_float": b'"crc32": 1.5',
+    "crc32_bool": b'"crc32": true',
+    "crc32_negative": b'"crc32": -1',
+    "crc32_2**32": b'"crc32": 4294967296',
+}
+"""A tensor entry's ``crc32`` field -> a value no CRC32 takes."""
 
 
 def layout_matrix(rng):
@@ -261,12 +272,16 @@ class TestObjectStore:
 
     @pytest.mark.parametrize(
         "damage",
-        ["header_len_2**40", "no_tensors_table", "not_utf8", "shape_vs_nbytes"],
+        ["header_len_2**40", "no_tensors_table", "not_utf8", "shape_vs_nbytes",
+         *CRC32_DAMAGE],
     )
     def test_lying_header_is_a_serialization_error(self, tmp_path, damage):
         """Every reader decodes through one header parse that believes
         nothing the file says about itself: the error is typed, names
-        the file, and nothing of the declared size is allocated."""
+        the file, and nothing of the declared size is allocated.  A
+        ``crc32`` that is not an unsigned 32-bit int is refused there
+        too (it used to reach the CRC check's format string as an
+        untyped ValueError, or pass the index read)."""
         good = serialize({"x": np.arange(8, dtype=np.float32)})
         header_len = int.from_bytes(good[4:12], "little")
         header, payload = good[12:12 + header_len], good[12 + header_len:]
@@ -281,6 +296,10 @@ class TestObjectStore:
             data = npt(lying, len(lying))
         elif damage == "not_utf8":
             data = npt(b"\xff" + header[1:], header_len)
+        elif damage in CRC32_DAMAGE:
+            lying = re.sub(rb'"crc32": \d+', CRC32_DAMAGE[damage], header)
+            assert len(lying) <= header_len
+            data = npt(lying.ljust(header_len), header_len)
         else:
             lying = header.replace(b'"shape": [8]', b'"shape": [9]')
             data = npt(lying, len(lying))
